@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the summarization transforms of Figure 1:
 //! PAA, DFT, DHWT, EAPCA, SAX, SFA and VA+ throughput, plus their
-//! lower-bound kernels.
+//! lower-bound kernels — per pair, and as the whole-collection sweeps ADS+
+//! and the VA+file run per query.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hydra_data::RandomWalkGenerator;
@@ -10,6 +11,7 @@ use hydra_transforms::sax::SaxParams;
 use hydra_transforms::sfa::{SfaParams, SfaQuantizer};
 use hydra_transforms::vaplus::VaPlusQuantizer;
 use hydra_transforms::{HaarTransform, Paa};
+use hydra_vafile::rank::LazyRanking;
 
 fn bench_transforms(c: &mut Criterion) {
     let mut group = c.benchmark_group("summarize_series");
@@ -90,5 +92,54 @@ fn bench_lower_bounds(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_transforms, bench_lower_bounds);
+/// One query's table build + sweep over 100k flat summaries (ADS+ SIMS
+/// step 2), and the same plus the lazy ranking of a 7 % prefix (VA+file
+/// phase 1) — next to the per-pair rows above, which no longer price them.
+fn bench_sweeps(c: &mut Criterion) {
+    let mut group = c.benchmark_group("summary_sweeps");
+    group.sample_size(30);
+    let len = 256;
+    let segments = 16;
+    let rows = 100_000usize;
+    let gen = RandomWalkGenerator::new(5, len);
+    let q = gen.series(1_000_000);
+
+    let sax = SaxParams::new(len, segments, 8);
+    let q_paa = sax.paa().transform(q.values());
+    let mut words = Vec::with_capacity(rows * segments);
+    for i in 0..rows as u64 {
+        words.extend(sax.sax_word(gen.series(i).values()).symbols);
+    }
+    let mut bounds = Vec::new();
+    group.bench_function(BenchmarkId::new("adsplus_sweep", "100k"), |b| {
+        b.iter(|| {
+            sax.sweep(&q_paa, rows).sweep(&words, 1, &mut bounds);
+            black_box(bounds.last().copied())
+        })
+    });
+
+    let sample: Vec<Vec<f32>> = (0..1000u64).map(|i| gen.series(i).into_values()).collect();
+    let va = VaPlusQuantizer::train(
+        len,
+        segments,
+        segments * 8,
+        sample.iter().map(|s| s.as_slice()),
+    );
+    let q_dft = va.dft(q.values());
+    let mut cells = Vec::with_capacity(rows * segments);
+    for i in 0..rows as u64 {
+        cells.extend(va.cell(gen.series(i).values()).cells);
+    }
+    let mut ranking = LazyRanking::new();
+    group.bench_function(BenchmarkId::new("vaplus_sweep_rank", "100k"), |b| {
+        b.iter(|| {
+            va.sweep(&q_dft, rows).sweep(&cells, 1, &mut bounds);
+            ranking.reset(&bounds);
+            black_box(ranking.by_ref().take(rows * 7 / 100).last())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_transforms, bench_lower_bounds, bench_sweeps);
 criterion_main!(benches);

@@ -32,9 +32,9 @@ use std::sync::Arc;
 pub struct AdsPlus {
     store: Arc<DatasetStore>,
     tree: IsaxTree,
-    /// Full-cardinality SAX word of every series, in dataset order (the
-    /// in-memory summary array SIMS scans).
-    summaries: Vec<SaxWord>,
+    /// Full-cardinality SAX symbols of every series, `segments` per series in
+    /// dataset order (the flat in-memory summary array SIMS sweeps).
+    summaries: Vec<u16>,
 }
 
 impl AdsPlus {
@@ -55,16 +55,15 @@ impl AdsPlus {
         // summarization spread over the workers in dataset order.
         store.scan_all(|_, _| {});
         let dataset = store.dataset();
-        let summaries: Vec<SaxWord> = parallel::map_chunks(store.len(), threads, |range| {
+        let entries: Vec<(u32, SaxWord)> = parallel::map_chunks(store.len(), threads, |range| {
             range
-                .map(|id| params.sax_word(dataset.series(id).values()))
+                .map(|id| (id as u32, params.sax_word(dataset.series(id).values())))
                 .collect()
         });
-        let entries: Vec<(u32, SaxWord)> = summaries
-            .iter()
-            .enumerate()
-            .map(|(id, sax)| (id as u32, sax.clone()))
-            .collect();
+        let mut summaries = Vec::with_capacity(store.len() * options.segments);
+        for (_, sax) in &entries {
+            summaries.extend_from_slice(&sax.symbols);
+        }
         let tree = IsaxTree::from_entries(params, options.leaf_capacity, entries, threads);
         // Only the summaries are written out: the index is tiny on disk.
         let summary_bytes = store.len() * options.segments * 2;
@@ -133,8 +132,6 @@ impl AdsPlus {
     /// ε-relaxed modes skip a candidate as soon as its bound reaches
     /// `bsf * shrink` with `shrink = δ/(1+ε)` (1 for exact, so ε = 0 is
     /// bit-identical).
-    ///
-    /// Shared verbatim by the serial path and the batch kernel.
     fn skip_sequential_scan(
         &self,
         query: &Query,
@@ -185,6 +182,58 @@ impl AdsPlus {
         }
         Ok(())
     }
+
+    /// One SIMS query — the single body behind the serial, intra-query and
+    /// batch entry points. `bounds` and `heap` are scratch the caller may
+    /// reuse across queries.
+    ///
+    /// The MINDIST bounds of step 2 depend only on the query summary (never
+    /// on the seeded best-so-far), so the sweep splits over `threads` workers
+    /// and merges in order to the same array; the bsf-seeding descent
+    /// (step 1) and the skip-sequential raw-file pass (step 3, whose skip
+    /// pattern follows the evolving best-so-far and whose reads are counted)
+    /// are serial. Answers, counters and I/O are therefore the same bits for
+    /// every thread count in every answering mode.
+    fn sims(
+        &self,
+        query: &Query,
+        k: usize,
+        threads: usize,
+        bounds: &mut Vec<f64>,
+        heap: &mut KnnHeap,
+        stats: &mut QueryStats,
+    ) -> Result<AnswerSet> {
+        let mode = query.mode();
+        let params = self.tree.params();
+        let query_paa = params.paa().transform(query.values());
+        heap.reset(k);
+        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
+        // Thread-scoped snapshot: under a parallel workload each worker must
+        // observe only its own raw-file traffic.
+        let io_before = self.store.thread_io_snapshot();
+
+        // Step 1: approximate search for the initial bsf — the whole answer
+        // in ng-approximate mode.
+        let ng = mode == AnswerMode::NgApproximate;
+        self.approximate_bsf(query, &query_paa, heap, &mut meter, stats, ng)?;
+        if !ng {
+            // Step 2: in-memory lower bounds against every full-resolution
+            // summary, table-driven (see `hydra_transforms::sweep`).
+            let n = self.store.len();
+            params
+                .sweep(&query_paa, n)
+                .sweep(&self.summaries, threads, bounds);
+            stats.record_lower_bounds(n as u64);
+            // Step 3: skip-sequential scan over the raw file.
+            let shrink = mode.prune_shrink();
+            self.skip_sequential_scan(query, bounds, shrink, heap, &mut meter, stats)?;
+        }
+
+        let delta = self.store.thread_io_snapshot().since(&io_before);
+        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
+        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
+        Ok(heap.take_answer_set().with_guarantee(guarantee))
+    }
 }
 
 fn log2_ceil(x: usize) -> u32 {
@@ -206,70 +255,7 @@ impl AnsweringMethod for AdsPlus {
     }
 
     fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        let k = query.knn_k("ADS+")?;
-        let mode = query.mode();
-        let clock = hydra_core::RunClock::start();
-        let params = self.tree.params().clone();
-        let query_paa = params.paa().transform(query.values());
-
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        // Thread-scoped snapshot: under a parallel workload each worker must
-        // observe only its own raw-file traffic.
-        let io_before = self.store.thread_io_snapshot();
-
-        // Step 1: approximate search for the initial bsf — the whole answer
-        // in ng-approximate mode.
-        self.approximate_bsf(
-            query,
-            &query_paa,
-            &mut heap,
-            &mut meter,
-            stats,
-            mode == AnswerMode::NgApproximate,
-        )?;
-
-        if mode == AnswerMode::NgApproximate {
-            let delta = self.store.thread_io_snapshot().since(&io_before);
-            stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-            stats.cpu_time += clock.elapsed();
-            let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-            return Ok(heap.into_answer_set().with_guarantee(guarantee));
-        }
-
-        // Step 2: in-memory lower bounds against every full-resolution summary.
-        let max_bits = params.max_bits();
-        let bounds: Vec<f64> = self
-            .summaries
-            .iter()
-            .map(|sax| {
-                stats.record_lower_bounds(1);
-                params.mindist_paa_to_isax(&query_paa, &sax.to_isax(max_bits, max_bits))
-            })
-            .collect();
-
-        // Step 3: skip-sequential scan over the raw file (see
-        // `skip_sequential_scan`).
-        self.skip_sequential_scan(
-            query,
-            &bounds,
-            mode.prune_shrink(),
-            &mut heap,
-            &mut meter,
-            stats,
-        )?;
-
-        let delta = self.store.thread_io_snapshot().since(&io_before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-        stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+        self.answer_intra(query, 1, stats)
     }
 
     fn batch_answering(&self) -> Option<&dyn BatchAnswering> {
@@ -282,204 +268,56 @@ impl AnsweringMethod for AdsPlus {
 }
 
 impl IntraAnswering for AdsPlus {
-    /// Intra-query SIMS: step 2's in-memory sweep over the full-resolution
-    /// summary array — the CPU bulk of an ADS+ exact query — splits into one
-    /// contiguous chunk per worker. The MINDIST bounds depend only on the
-    /// query summary (never on the seeded best-so-far), so every bound is an
-    /// independent computation and the in-order chunk merge reproduces the
-    /// serial bounds array exactly. The bsf-seeding descent (step 1) and the
-    /// skip-sequential raw-file pass (step 3, whose skip pattern follows the
-    /// evolving best-so-far and whose reads are counted) stay serial, so
-    /// answers, counters, and I/O match the serial path bit for bit in every
-    /// answering mode; ng-approximate queries never reach the sweep, exactly
-    /// like the serial path.
+    /// Intra-query SIMS: step 2's in-memory sweep over the summary array —
+    /// the CPU bulk of an ADS+ exact query — splits into one contiguous
+    /// chunk per worker (see [`AdsPlus::sims`]); one thread is the serial
+    /// path.
     fn answer_intra(
         &self,
         query: &Query,
         threads: usize,
         stats: &mut QueryStats,
     ) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
+        hydra_core::method::batch_expect_length(
+            std::slice::from_ref(query),
+            self.store.series_length(),
+        )?;
         let k = query.knn_k("ADS+")?;
-        let mode = query.mode();
         let clock = hydra_core::RunClock::start();
-        let params = self.tree.params().clone();
-        let query_paa = params.paa().transform(query.values());
-
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        let io_before = self.store.thread_io_snapshot();
-
-        self.approximate_bsf(
+        let answer = self.sims(
             query,
-            &query_paa,
-            &mut heap,
-            &mut meter,
-            stats,
-            mode == AnswerMode::NgApproximate,
-        )?;
-
-        if mode == AnswerMode::NgApproximate {
-            let delta = self.store.thread_io_snapshot().since(&io_before);
-            stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-            stats.cpu_time += clock.elapsed();
-            let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-            return Ok(heap.into_answer_set().with_guarantee(guarantee));
-        }
-
-        let max_bits = params.max_bits();
-        let bounds: Vec<f64> = parallel::map_chunks(self.summaries.len(), threads, |range| {
-            range
-                .map(|i| {
-                    params.mindist_paa_to_isax(
-                        &query_paa,
-                        &self.summaries[i].to_isax(max_bits, max_bits),
-                    )
-                })
-                .collect()
-        });
-        stats.record_lower_bounds(self.summaries.len() as u64);
-
-        self.skip_sequential_scan(
-            query,
-            &bounds,
-            mode.prune_shrink(),
-            &mut heap,
-            &mut meter,
+            k,
+            threads,
+            &mut Vec::new(),
+            &mut KnnHeap::new(k),
             stats,
         )?;
-
-        let delta = self.store.thread_io_snapshot().since(&io_before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
         stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+        Ok(answer)
     }
 }
 
 impl BatchAnswering for AdsPlus {
-    /// The batched SIMS: the in-memory summary array is swept **once** for
-    /// the whole batch — each full-resolution SAX word is widened to its
-    /// iSAX form a single time and MINDIST-scored against every non-ng query
-    /// while cache-resident — before the per-query phases run. The bsf
-    /// seeding descent and the skip-sequential raw-file pass stay per query
-    /// (each query's skip pattern follows its own evolving best-so-far),
-    /// run back to back over a head-invalidated store delta so their I/O is
-    /// attributed exactly as the serial path. Answers and per-query counters
-    /// are bit-identical to the per-query loop; ng-approximate queries in
-    /// the batch skip the summary sweep entirely, like the serial path.
-    ///
-    /// The bounds matrix is blocked over [`BOUNDS_BLOCK_QUERIES`] queries at
-    /// a time, so the kernel's transient memory is `O(block · N)` regardless
-    /// of batch size (one summary sweep per block still amortizes the sweep
-    /// block-fold; bound values are per-(query, series) and unaffected).
+    /// The batched SIMS: the per-query path with one bounds buffer and one
+    /// heap reused across the batch, each query's phases running over a
+    /// head-invalidated store delta so their I/O is attributed exactly as
+    /// the serial path. With a per-query bound table there is no work left
+    /// to share between the queries of a batch.
     fn answer_batch(&self, queries: &[Query], stats: &mut [QueryStats]) -> Result<Vec<AnswerSet>> {
         hydra_core::method::batch_expect_length(queries, self.store.series_length())?;
         let ks = hydra_core::method::batch_knn_ks(queries, "ADS+")?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
         let clock = hydra_core::RunClock::start();
-        let params = self.tree.params();
-        let max_bits = params.max_bits();
-        let n = self.store.len();
-
-        let mut bounds = vec![0.0f64; BOUNDS_BLOCK_QUERIES.min(queries.len()) * n];
+        let mut bounds = Vec::new();
         let mut heap = KnnHeap::new(1);
         let mut answers = Vec::with_capacity(queries.len());
-        let mut block_start = 0usize;
-        for (block_queries, block_stats) in queries
-            .chunks(BOUNDS_BLOCK_QUERIES)
-            .zip(stats.chunks_mut(BOUNDS_BLOCK_QUERIES))
-        {
-            let query_paas: Vec<Vec<f32>> = block_queries
-                .iter()
-                .map(|q| params.paa().transform(q.values()))
-                .collect();
-
-            // Step 2 first, shared across the block (the bounds depend only
-            // on the query summaries, never on the seeded bsf): one sweep
-            // over the summary array scores every exact-phase query of the
-            // block. ng-approximate queries never compute lower bounds,
-            // exactly like the serial path.
-            let sweep_rows: Vec<Option<usize>> = {
-                let mut next_row = 0usize;
-                block_queries
-                    .iter()
-                    .map(|q| {
-                        (q.mode() != AnswerMode::NgApproximate).then(|| {
-                            let row = next_row;
-                            next_row += 1;
-                            row
-                        })
-                    })
-                    .collect()
-            };
-            if sweep_rows.iter().flatten().count() > 0 {
-                for (i, sax) in self.summaries.iter().enumerate() {
-                    let isax = sax.to_isax(max_bits, max_bits);
-                    for ((qi, row), stats) in
-                        sweep_rows.iter().enumerate().zip(block_stats.iter_mut())
-                    {
-                        if let Some(row) = row {
-                            stats.record_lower_bounds(1);
-                            bounds[row * n + i] =
-                                params.mindist_paa_to_isax(&query_paas[qi], &isax);
-                        }
-                    }
-                }
-            }
-
-            // Steps 1 and 3 per query, contiguous over a head-invalidated
-            // store delta so run classification matches the serial path's
-            // per-query counter reset.
-            for ((qi, query), stats) in block_queries.iter().enumerate().zip(block_stats.iter_mut())
-            {
-                let mode = query.mode();
-                heap.reset(ks[block_start + qi]);
-                // Budgeted queries never reach the kernel (the engine falls
-                // back to the per-query loop), so this meter is a formality.
-                let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-                self.store.invalidate_head();
-                let io_before = self.store.thread_io_snapshot();
-                self.approximate_bsf(
-                    query,
-                    &query_paas[qi],
-                    &mut heap,
-                    &mut meter,
-                    stats,
-                    mode == AnswerMode::NgApproximate,
-                )?;
-                if let Some(row) = sweep_rows[qi] {
-                    self.skip_sequential_scan(
-                        query,
-                        &bounds[row * n..(row + 1) * n],
-                        mode.prune_shrink(),
-                        &mut heap,
-                        &mut meter,
-                        stats,
-                    )?;
-                }
-                let delta = self.store.thread_io_snapshot().since(&io_before);
-                stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-                answers.push(heap.take_answer_set().with_guarantee(mode.guarantee()));
-            }
-            block_start += block_queries.len();
+        for ((query, &k), stats) in queries.iter().zip(&ks).zip(stats.iter_mut()) {
+            self.store.invalidate_head();
+            answers.push(self.sims(query, k, 1, &mut bounds, &mut heap, stats)?);
         }
         hydra_core::method::share_batch_cpu_time(stats, clock.elapsed());
         Ok(answers)
     }
 }
-
-/// How many queries the batched SIMS bounds per sweep of the summary array:
-/// large enough that the sweep is amortized ~64×, small enough that the
-/// transient bounds matrix stays `O(64 · N)` for any batch size.
-const BOUNDS_BLOCK_QUERIES: usize = 64;
 
 impl ExactIndex for AdsPlus {
     fn build(dataset: &Dataset, options: &BuildOptions) -> Result<Self> {
@@ -520,18 +358,16 @@ impl PersistentIndex for AdsPlus {
         crate::isax2plus::validate_tree_against_store(&tree, &store)?;
         // Rebuild the dataset-order summary array from the leaf entries
         // (validated above: every id in 0..n appears exactly once).
-        let mut summaries: Vec<Option<SaxWord>> = vec![None; store.len()];
+        let segments = tree.params().segments();
+        let mut summaries = vec![0u16; store.len() * segments];
         for leaf in tree.leaves() {
             if let NodeKind::Leaf { entries } = &tree.node(leaf).kind {
                 for e in entries {
-                    summaries[e.id as usize] = Some(e.sax.clone());
+                    let at = e.id as usize * segments;
+                    summaries[at..at + segments].copy_from_slice(&e.sax.symbols);
                 }
             }
         }
-        let summaries = summaries
-            .into_iter()
-            .map(|s| s.ok_or_else(|| Error::InvalidSnapshot("missing summary".into())))
-            .collect::<Result<Vec<SaxWord>>>()?;
         Ok(Self {
             store,
             tree,

@@ -540,8 +540,17 @@ impl IsaxTree {
                     for _ in 0..count {
                         let id = input.get_u32()?;
                         let mut sax_symbols = Vec::with_capacity(segments);
-                        for _ in 0..segments {
-                            sax_symbols.push(input.get_u16()?);
+                        for seg in 0..segments {
+                            let sym = input.get_u16()?;
+                            // Same reason as the node words above: the SIMS
+                            // bound table and the split logic index by it.
+                            if max_bits < 16 && sym >= (1u16 << max_bits) {
+                                return Err(invalid(format!(
+                                    "leaf entry {id}, segment {seg}: symbol {sym} is outside \
+                                     the {max_bits}-bit table"
+                                )));
+                            }
+                            sax_symbols.push(sym);
                         }
                         entries.push(LeafEntry {
                             id,

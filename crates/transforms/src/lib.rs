@@ -28,6 +28,7 @@ pub mod gaussian;
 pub mod paa;
 pub mod sax;
 pub mod sfa;
+pub mod sweep;
 pub mod vaplus;
 
 pub use dhwt::HaarTransform;
@@ -36,4 +37,5 @@ pub use fft::{dft_summary, Complex, Fft};
 pub use paa::Paa;
 pub use sax::{IsaxWord, SaxParams, SaxWord};
 pub use sfa::{BinningMethod, SfaParams, SfaQuantizer, SfaWord};
+pub use sweep::BoundSweep;
 pub use vaplus::{VaPlusCell, VaPlusQuantizer};

@@ -14,6 +14,7 @@
 
 use crate::gaussian::{sax_breakpoints, symbol_for_value};
 use crate::paa::Paa;
+use crate::sweep::BoundSweep;
 
 /// Shared parameters of a SAX summarization: segment layout and the maximum
 /// (full) cardinality breakpoint table.
@@ -119,9 +120,11 @@ impl SaxParams {
     ///
     /// The per-segment gaps and the width-weighted accumulation run through
     /// the runtime-dispatched interval kernel
-    /// ([`hydra_core::simd::interval_mindist_weighted_sq`]), so this inner
-    /// loop of every iSAX-family traversal vectorizes on SSE2/AVX2 hardware
-    /// while staying bit-identical across dispatch kernels.
+    /// ([`hydra_core::simd::interval_mindist_weighted_sq`]), so the node
+    /// bounds of the iSAX tree traversals vectorize on SSE2/AVX2 hardware
+    /// while staying bit-identical across dispatch kernels. Bounding a query
+    /// against a whole array of full-cardinality words (SIMS) goes through
+    /// [`SaxParams::sweep`] instead, which yields the same bits per word.
     pub fn mindist_paa_to_isax(&self, query_paa: &[f32], word: &IsaxWord) -> f64 {
         debug_assert_eq!(query_paa.len(), self.segments());
         debug_assert_eq!(word.len(), self.segments());
@@ -155,6 +158,34 @@ impl SaxParams {
         }
         hydra_core::simd::interval_mindist_weighted_sq(&query_paa[..segments], low, high, width)
             .sqrt()
+    }
+
+    /// One query's MINDIST sweep over `rows` full-cardinality SAX words
+    /// stored flat (`segments` symbols each): every swept bound is
+    /// bit-identical to `mindist_paa_to_isax(query_paa, &w.to_isax(b, b))`
+    /// with `b = max_bits`, because each `(segment, symbol)` term is the
+    /// interval kernel's own value for that one segment.
+    pub fn sweep<'a>(
+        &'a self,
+        query_paa: &'a [f32],
+        rows: usize,
+    ) -> BoundSweep<impl Fn(usize, u16) -> f64 + Sync + 'a> {
+        debug_assert_eq!(query_paa.len(), self.segments());
+        let term = move |segment: usize, symbol: u16| {
+            let (low, high) = self.symbol_range(symbol, self.max_bits);
+            hydra_core::simd::interval_mindist_weighted_sq(
+                &query_paa[segment..=segment],
+                &[low],
+                &[high],
+                &[self.paa.segment_width(segment) as f64],
+            )
+        };
+        let cardinality = 1usize << self.max_bits;
+        BoundSweep::new(
+            std::iter::repeat_n(cardinality, self.segments()),
+            rows,
+            term,
+        )
     }
 }
 

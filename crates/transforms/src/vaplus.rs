@@ -15,6 +15,7 @@
 //! query to any approximation cell, exactly as in the VA-file.
 
 use crate::fft::dft_summary;
+use crate::sweep::BoundSweep;
 
 /// A trained VA+ quantizer.
 #[derive(Clone, Debug)]
@@ -198,9 +199,9 @@ impl VaPlusQuantizer {
     /// lower-bounds the summary distance).
     /// The per-dimension interval gaps and the accumulation run through the
     /// runtime-dispatched interval kernel
-    /// ([`hydra_core::simd::interval_mindist_sq`]) — this is the hot loop of
-    /// the VA+file's full-file cell sweep, and it stays bit-identical across
-    /// dispatch kernels.
+    /// ([`hydra_core::simd::interval_mindist_sq`]), bit-identical across
+    /// dispatch kernels. The VA+file's full-file cell sweep goes through
+    /// [`VaPlusQuantizer::sweep`], which yields the same bits per cell.
     pub fn lower_bound(&self, query_dft: &[f32], cell: &VaPlusCell) -> f64 {
         debug_assert_eq!(query_dft.len(), self.dims);
         debug_assert_eq!(cell.len(), self.dims);
@@ -223,6 +224,24 @@ impl VaPlusQuantizer {
             high[d] = hi;
         }
         hydra_core::simd::interval_mindist_sq(&query_dft[..dims], low, high).sqrt()
+    }
+
+    /// One query's lower-bound sweep over `rows` cell vectors stored flat
+    /// (`dims` cell indices each): every swept bound is bit-identical to
+    /// [`VaPlusQuantizer::lower_bound`] on the same cell, because each
+    /// `(dimension, cell)` term is the interval kernel's own value for that
+    /// one dimension.
+    pub fn sweep<'a>(
+        &'a self,
+        query_dft: &'a [f32],
+        rows: usize,
+    ) -> BoundSweep<impl Fn(usize, u16) -> f64 + Sync + 'a> {
+        debug_assert_eq!(query_dft.len(), self.dims);
+        let term = move |d: usize, cell: u16| {
+            let (low, high) = self.interval(d, cell);
+            hydra_core::simd::interval_mindist_sq(&query_dft[d..=d], &[low], &[high])
+        };
+        BoundSweep::new(self.boundaries.iter().map(|b| b.len() + 1), rows, term)
     }
 
     /// Upper-bounding distance from a query's DFT summary to a candidate cell

@@ -9,7 +9,8 @@
 //! phases:
 //!
 //! 1. **Filtering** — a sequential pass over the (small) filter file computes
-//!    a lower bound for every candidate; candidates are ranked by lower bound.
+//!    a lower bound for every candidate from a per-query table of cell terms;
+//!    candidates are ranked by lower bound, lazily (see [`rank`]).
 //! 2. **Refinement** — candidates are visited in increasing lower-bound order;
 //!    the raw series of each surviving candidate is fetched (a random /
 //!    skip-sequential access on the raw file) and its exact distance computed,
@@ -20,7 +21,8 @@
 //! proportional to the unpruned candidates, and excellent pruning thanks to
 //! the tight, data-adaptive quantization.
 
-use hydra_core::parallel::map_chunks;
+pub mod rank;
+
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
     AnswerMode, AnswerSet, AnsweringMethod, BatchAnswering, BudgetMeter, BuildOptions, Dataset,
@@ -28,14 +30,17 @@ use hydra_core::{
     Query, QueryStats, Result,
 };
 use hydra_storage::DatasetStore;
-use hydra_transforms::{VaPlusCell, VaPlusQuantizer};
+use hydra_transforms::VaPlusQuantizer;
+use rank::LazyRanking;
 use std::sync::Arc;
 
 /// The VA+file index.
 pub struct VaPlusFile {
     store: Arc<DatasetStore>,
     quantizer: VaPlusQuantizer,
-    cells: Vec<VaPlusCell>,
+    /// The filter file: every series' cell indices, `dims` per series in
+    /// dataset order.
+    cells: Vec<u16>,
     approximation_bytes: usize,
 }
 
@@ -62,9 +67,9 @@ impl VaPlusFile {
         let quantizer = VaPlusQuantizer::train(store.series_length(), dims, total_bits, sample);
 
         // One sequential pass to compute every approximation.
-        let mut cells = Vec::with_capacity(store.len());
+        let mut cells = Vec::with_capacity(store.len() * dims);
         store.scan_all(|_, series| {
-            cells.push(quantizer.cell(series.values()));
+            cells.extend(quantizer.cell(series.values()).cells);
         });
         let approximation_bytes = (store.len() * quantizer.bits_per_series()).div_ceil(8);
         store.record_index_write(approximation_bytes as u64);
@@ -113,14 +118,13 @@ impl VaPlusFile {
     /// best-ranked candidates (the VA+file has no leaves — its "one leaf
     /// visit" is the k-deep filter-file prefix).
     ///
-    /// Shared verbatim by the serial path and the batch kernel. Raw reads go
-    /// through the fallible store path, and the query's budget meter can cut
-    /// the refinement short (the heap keeps its best-so-far).
+    /// Raw reads go through the fallible store path, and the query's budget
+    /// meter can cut the refinement short (the heap keeps its best-so-far).
     fn refine_ranked(
         &self,
         query: &Query,
         k: usize,
-        ranked: &[(f64, usize)],
+        ranked: impl Iterator<Item = (f64, usize)>,
         heap: &mut KnnHeap,
         meter: &mut BudgetMeter,
         stats: &mut QueryStats,
@@ -132,7 +136,7 @@ impl VaPlusFile {
         } else {
             usize::MAX
         };
-        for &(lb, id) in ranked.iter().take(ng_budget) {
+        for (lb, id) in ranked.take(ng_budget) {
             if heap.is_full() && lb > heap.threshold() * shrink {
                 break;
             }
@@ -145,6 +149,65 @@ impl VaPlusFile {
             heap.offer(id, d);
         }
         Ok(())
+    }
+
+    /// One VA+file query — the single body behind the serial, intra-query
+    /// and batch entry points. `scratch` may be reused across queries.
+    ///
+    /// Each phase-1 lower bound is an independent, pruning-free computation,
+    /// so the filter-file sweep splits over `threads` workers and merges in
+    /// order to the same array. Ranking and the mode-aware refinement (whose
+    /// stopping rule depends on the evolving best-so-far and whose reads are
+    /// counted) are serial, so answers, counters and I/O are the same bits
+    /// for every thread count in every answering mode.
+    fn filter_and_refine(
+        &self,
+        query: &Query,
+        k: usize,
+        threads: usize,
+        scratch: &mut Scratch,
+        stats: &mut QueryStats,
+    ) -> Result<AnswerSet> {
+        let q_dft = self.quantizer.dft(query.values());
+
+        // Phase 1: scan the filter file (sequential, small) computing bounds.
+        self.record_filter_pass(stats);
+        let n = self.store.len();
+        self.quantizer
+            .sweep(&q_dft, n)
+            .sweep(&self.cells, threads, &mut scratch.bounds);
+        stats.record_lower_bounds(n as u64);
+        scratch.ranking.reset(&scratch.bounds);
+
+        // Phase 2: mode-aware refinement (see `refine_ranked`).
+        scratch.heap.reset(k);
+        let mut meter = BudgetMeter::new(query.budget(), n);
+        // Thread-scoped snapshot: under a parallel workload each worker must
+        // observe only its own refinement traffic.
+        let before = self.store.thread_io_snapshot();
+        let (ranking, heap) = (&mut scratch.ranking, &mut scratch.heap);
+        self.refine_ranked(query, k, ranking, heap, &mut meter, stats)?;
+        let delta = self.store.thread_io_snapshot().since(&before);
+        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
+        let guarantee = meter.guarantee(query.mode().guarantee(), stats.raw_series_examined);
+        Ok(scratch.heap.take_answer_set().with_guarantee(guarantee))
+    }
+}
+
+/// Per-worker buffers of [`VaPlusFile::filter_and_refine`].
+struct Scratch {
+    bounds: Vec<f64>,
+    ranking: LazyRanking,
+    heap: KnnHeap,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Self {
+            bounds: Vec::new(),
+            ranking: LazyRanking::new(),
+            heap: KnnHeap::new(1),
+        }
     }
 }
 
@@ -163,44 +226,7 @@ impl AnsweringMethod for VaPlusFile {
     }
 
     fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        let k = query.knn_k("VA+file")?;
-        let mode = query.mode();
-        let clock = hydra_core::RunClock::start();
-        let q_dft = self.quantizer.dft(query.values());
-
-        // Phase 1: scan the filter file (sequential, small) computing bounds.
-        self.record_filter_pass(stats);
-        let mut ranked: Vec<(f64, usize)> = self
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(id, cell)| {
-                stats.record_lower_bounds(1);
-                (self.quantizer.lower_bound(&q_dft, cell), id)
-            })
-            .collect();
-        // total_cmp: a NaN lower bound must not scramble the refinement order
-        // (and with it the early-termination point) nondeterministically.
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-        // Phase 2: mode-aware refinement (see `refine_ranked`).
-        let mut heap = KnnHeap::new(k);
-        // Thread-scoped snapshot: under a parallel workload each worker must
-        // observe only its own refinement traffic.
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        let before = self.store.thread_io_snapshot();
-        self.refine_ranked(query, k, &ranked, &mut heap, &mut meter, stats)?;
-        let delta = self.store.thread_io_snapshot().since(&before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-        stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+        self.answer_intra(query, 1, stats)
     }
 
     fn batch_answering(&self) -> Option<&dyn BatchAnswering> {
@@ -214,140 +240,47 @@ impl AnsweringMethod for VaPlusFile {
 
 impl IntraAnswering for VaPlusFile {
     /// Intra-query VA+file: the phase-1 filter-file sweep — the method's CPU
-    /// bulk — splits into one contiguous cell range per worker; each lower
-    /// bound is an independent, pruning-free computation, and the in-order
-    /// chunk merge reproduces the serial sweep's `(lb, id)` sequence exactly.
-    /// Ranking and the mode-aware refinement (whose stopping rule depends on
-    /// the evolving best-so-far and whose reads are counted) stay serial, so
-    /// answers, counters, and I/O are bit-identical to the serial path in
-    /// every answering mode.
+    /// bulk — splits into one contiguous cell range per worker (see
+    /// [`VaPlusFile::filter_and_refine`]); one thread is the serial path.
     fn answer_intra(
         &self,
         query: &Query,
         threads: usize,
         stats: &mut QueryStats,
     ) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
+        hydra_core::method::batch_expect_length(
+            std::slice::from_ref(query),
+            self.store.series_length(),
+        )?;
         let k = query.knn_k("VA+file")?;
-        let mode = query.mode();
         let clock = hydra_core::RunClock::start();
-        let q_dft = self.quantizer.dft(query.values());
-
-        self.record_filter_pass(stats);
-        let mut ranked: Vec<(f64, usize)> = map_chunks(self.cells.len(), threads, |range| {
-            range
-                .map(|id| (self.quantizer.lower_bound(&q_dft, &self.cells[id]), id))
-                .collect()
-        });
-        stats.record_lower_bounds(self.cells.len() as u64);
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        let before = self.store.thread_io_snapshot();
-        self.refine_ranked(query, k, &ranked, &mut heap, &mut meter, stats)?;
-        let delta = self.store.thread_io_snapshot().since(&before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
+        let answer = self.filter_and_refine(query, k, threads, &mut Scratch::new(), stats)?;
         stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+        Ok(answer)
     }
 }
 
 impl BatchAnswering for VaPlusFile {
-    /// The batched VA+file: **one** sweep over the quantized cells computes
-    /// the lower bounds of every query of the batch (each cell is decoded
-    /// while cache-resident and scored Q times), and the ranked-candidate
-    /// buffer is one shared scratch allocation reused by every query's
-    /// refinement. Refinement itself stays per query — candidate order and
-    /// the mode-dependent stopping rule depend on each query's own bounds —
-    /// with head-invalidated store deltas attributing its random accesses
-    /// exactly as the serial path, so answers and per-query counters are
-    /// bit-identical to the per-query loop. Mixed answering modes compose
-    /// freely: the shared filter sweep is mode-independent.
-    ///
-    /// The bounds matrix is blocked over [`BOUNDS_BLOCK_QUERIES`] queries at
-    /// a time, so the kernel's transient memory is `O(block · N)` regardless
-    /// of batch size (one cell sweep per block still amortizes the sweep
-    /// block-fold; bounds values are per-(query, cell) and unaffected).
+    /// The batched VA+file: the per-query path with the bounds buffer, the
+    /// ranking buffer and the heap reused across the batch, each query's
+    /// refinement running over a head-invalidated store delta so its random
+    /// accesses are attributed exactly as the serial path. With a per-query
+    /// bound table there is no work left to share between the queries of a
+    /// batch; mixed answering modes compose freely.
     fn answer_batch(&self, queries: &[Query], stats: &mut [QueryStats]) -> Result<Vec<AnswerSet>> {
         hydra_core::method::batch_expect_length(queries, self.store.series_length())?;
         let ks = hydra_core::method::batch_knn_ks(queries, "VA+file")?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
         let clock = hydra_core::RunClock::start();
-        let n = self.cells.len();
-
-        // Shared scratch reused across every block and query of the batch.
-        let mut bounds = vec![0.0f64; BOUNDS_BLOCK_QUERIES.min(queries.len()) * n];
-        let mut ranked: Vec<(f64, usize)> = Vec::with_capacity(n);
-        let mut heap = KnnHeap::new(1);
+        let mut scratch = Scratch::new();
         let mut answers = Vec::with_capacity(queries.len());
-        let mut block_start = 0usize;
-        for (block_queries, block_stats) in queries
-            .chunks(BOUNDS_BLOCK_QUERIES)
-            .zip(stats.chunks_mut(BOUNDS_BLOCK_QUERIES))
-        {
-            let q_dfts: Vec<Vec<f32>> = block_queries
-                .iter()
-                .map(|q| self.quantizer.dft(q.values()))
-                .collect();
-
-            // Phase 1, shared: one sweep of the filter file bounds every
-            // query of the block.
-            for (id, cell) in self.cells.iter().enumerate() {
-                for ((qi, q_dft), stats) in q_dfts.iter().enumerate().zip(block_stats.iter_mut()) {
-                    stats.record_lower_bounds(1);
-                    bounds[qi * n + id] = self.quantizer.lower_bound(q_dft, cell);
-                }
-            }
-            for stats in block_stats.iter_mut() {
-                self.record_filter_pass(stats);
-            }
-
-            // Phase 2, per query, over the shared ranked scratch.
-            for ((qi, query), stats) in block_queries.iter().enumerate().zip(block_stats.iter_mut())
-            {
-                let k = ks[block_start + qi];
-                ranked.clear();
-                ranked.extend(
-                    bounds[qi * n..(qi + 1) * n]
-                        .iter()
-                        .enumerate()
-                        .map(|(id, &lb)| (lb, id)),
-                );
-                ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-                heap.reset(k);
-                // Budgeted queries never reach the kernel (the engine falls
-                // back to the per-query loop), so this meter is a formality.
-                let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-                self.store.invalidate_head();
-                let before = self.store.thread_io_snapshot();
-                self.refine_ranked(query, k, &ranked, &mut heap, &mut meter, stats)?;
-                let delta = self.store.thread_io_snapshot().since(&before);
-                stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-                answers.push(
-                    heap.take_answer_set()
-                        .with_guarantee(query.mode().guarantee()),
-                );
-            }
-            block_start += block_queries.len();
+        for ((query, &k), stats) in queries.iter().zip(&ks).zip(stats.iter_mut()) {
+            self.store.invalidate_head();
+            answers.push(self.filter_and_refine(query, k, 1, &mut scratch, stats)?);
         }
         hydra_core::method::share_batch_cpu_time(stats, clock.elapsed());
         Ok(answers)
     }
 }
-
-/// How many queries a batch kernel bounds per sweep of its summary
-/// structure: large enough that the sweep is amortized ~64×, small enough
-/// that the transient bounds matrix stays `O(64 · N)` for any batch size.
-const BOUNDS_BLOCK_QUERIES: usize = 64;
 
 impl ExactIndex for VaPlusFile {
     fn build(dataset: &Dataset, options: &BuildOptions) -> Result<Self> {
@@ -358,7 +291,7 @@ impl ExactIndex for VaPlusFile {
         IndexFootprint {
             total_nodes: 0,
             leaf_nodes: 0,
-            memory_bytes: self.cells.len() * self.quantizer.dims() * std::mem::size_of::<u16>()
+            memory_bytes: self.cells.len() * std::mem::size_of::<u16>()
                 + std::mem::size_of::<VaPlusQuantizer>(),
             disk_bytes: self.approximation_bytes,
             leaf_fill_factors: Vec::new(),
@@ -393,11 +326,9 @@ impl PersistentIndex for VaPlusFile {
                 out.put_f64(boundary)?;
             }
         }
-        out.put_usize(self.cells.len())?;
-        for cell in &self.cells {
-            for &c in &cell.cells {
-                out.put_u16(c)?;
-            }
+        out.put_usize(self.store.len())?;
+        for &c in &self.cells {
+            out.put_u16(c)?;
         }
         Ok(())
     }
@@ -438,13 +369,19 @@ impl PersistentIndex for VaPlusFile {
                 store.len()
             )));
         }
-        let mut cells = Vec::with_capacity(num_cells);
+        let mut cells = Vec::with_capacity(num_cells * dims);
         for _ in 0..num_cells {
-            let mut cell = Vec::with_capacity(dims);
-            for _ in 0..dims {
-                cell.push(input.get_u16()?);
+            for d in 0..dims {
+                let cell = input.get_u16()?;
+                // The bound table and `interval` index by the cell.
+                if usize::from(cell) > quantizer.boundaries(d).len() {
+                    return Err(Error::InvalidSnapshot(format!(
+                        "cell {cell} in dimension {d} is outside its {} intervals",
+                        quantizer.boundaries(d).len() + 1
+                    )));
+                }
+                cells.push(cell);
             }
-            cells.push(VaPlusCell { cells: cell });
         }
         let approximation_bytes = (num_cells * quantizer.bits_per_series()).div_ceil(8);
         Ok(Self {
@@ -459,6 +396,7 @@ impl PersistentIndex for VaPlusFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rank::full_sort;
     use hydra_data::RandomWalkGenerator;
     use hydra_scan::ucr::brute_force_knn;
 
@@ -634,6 +572,114 @@ mod tests {
                 a.stats.random_page_accesses, b.stats.random_page_accesses,
                 "query {qi}"
             );
+        }
+    }
+
+    /// What one refinement did: the `(bound bits, id)` sequence it drew, its
+    /// answer, and the counted work.
+    type RefineTrace = (Vec<(u64, usize)>, AnswerSet, u64, u64);
+
+    /// Runs phase 2 over `ranked` on a cold head, as the engine would.
+    fn refine_trace(
+        idx: &VaPlusFile,
+        query: &Query,
+        ranked: impl Iterator<Item = (f64, usize)>,
+    ) -> RefineTrace {
+        let k = query.knn_k("VA+file").unwrap();
+        let mut drawn = Vec::new();
+        let mut heap = KnnHeap::new(k);
+        let mut meter = BudgetMeter::new(query.budget(), idx.store.len());
+        let mut stats = QueryStats::default();
+        idx.store.invalidate_head();
+        let before = idx.store.thread_io_snapshot();
+        let ranked = ranked.inspect(|&(lb, id)| drawn.push((lb.to_bits(), id)));
+        idx.refine_ranked(query, k, ranked, &mut heap, &mut meter, &mut stats)
+            .unwrap();
+        let delta = idx.store.thread_io_snapshot().since(&before);
+        (
+            drawn,
+            heap.into_answer_set(),
+            stats.raw_series_examined,
+            delta.random_pages,
+        )
+    }
+
+    #[test]
+    fn lazy_ranking_refines_exactly_the_prefix_the_full_sort_would() {
+        // Every series appears three times, so every bound ties twice and
+        // only the id decides the order.
+        let base = RandomWalkGenerator::new(41, 64).dataset(400);
+        let mut data = Dataset::empty(64);
+        for round in 0..3 {
+            for i in 0..400 {
+                data.push(base.series((i + round * 7) % 400).values());
+            }
+        }
+        let store = Arc::new(DatasetStore::new(data));
+        let options = BuildOptions::default()
+            .with_segments(16)
+            .with_train_samples(200);
+        let idx = VaPlusFile::build_on_store(store.clone(), &options).unwrap();
+        let dims = idx.quantizer.dims();
+
+        let modes = [
+            (AnswerMode::Exact, None),
+            (AnswerMode::EpsilonApproximate { epsilon: 0.5 }, None),
+            (
+                AnswerMode::DeltaEpsilon {
+                    delta: 0.9,
+                    epsilon: 0.25,
+                },
+                None,
+            ),
+            (AnswerMode::NgApproximate, None),
+            (AnswerMode::Exact, Some(hydra_core::Budget::raw_reads(7))),
+        ];
+        let mut ranking = LazyRanking::new();
+        for (qi, q) in RandomWalkGenerator::new(97, 64)
+            .series_batch(6)
+            .into_iter()
+            .enumerate()
+        {
+            let q_dft = idx.quantizer.dft(q.values());
+            let bounds: Vec<f64> = idx
+                .cells
+                .chunks_exact(dims)
+                .map(|cell| {
+                    let cell = hydra_transforms::VaPlusCell {
+                        cells: cell.to_vec(),
+                    };
+                    idx.quantizer.lower_bound(&q_dft, &cell)
+                })
+                .collect();
+            // The same bounds with NaNs (either sign) planted among the ties.
+            let mut poisoned = bounds.clone();
+            for i in (qi..poisoned.len()).step_by(53) {
+                poisoned[i] = if i % 2 == 0 { f64::NAN } else { -f64::NAN };
+            }
+            for (mode, budget) in modes {
+                let query = Query::knn(q.clone(), 5).with_mode(mode).with_budget(budget);
+                let ctx = format!("query {qi} {mode:?} budget {budget:?}");
+                for bounds in [&bounds, &poisoned] {
+                    let expected = refine_trace(&idx, &query, full_sort(bounds).into_iter());
+                    ranking.reset(bounds);
+                    let got = refine_trace(&idx, &query, ranking.by_ref());
+                    assert_eq!(got, expected, "{ctx}");
+                    assert!(!got.0.is_empty(), "{ctx}");
+                }
+                // And the whole query: same answers and counted work as the
+                // full-sort pipeline over the per-pair bounds.
+                let (_, answers, examined, random_pages) =
+                    refine_trace(&idx, &query, full_sort(&bounds).into_iter());
+                let mut stats = QueryStats::default();
+                store.reset_io();
+                let got = idx.answer(&query, &mut stats).unwrap();
+                assert_eq!(got.answers(), answers.answers(), "{ctx}");
+                assert_eq!(stats.raw_series_examined, examined, "{ctx}");
+                // The filter pass charges one random page of its own.
+                assert_eq!(stats.random_page_accesses, random_pages + 1, "{ctx}");
+                assert_eq!(stats.lower_bounds_computed, 1200, "{ctx}");
+            }
         }
     }
 

@@ -189,3 +189,140 @@ fn vaplus_lower_bound_never_exceeds_distance() {
         }
     }
 }
+
+/// Queries no friendly workload produces: NaN, ±inf, constant, all-NaN.
+fn hostile_queries(rng: &mut StdRng, len: usize) -> Vec<Vec<f32>> {
+    let mut queries = vec![series(rng, len), vec![0.0; len], vec![3.5; len]];
+    for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut q = series(rng, len);
+        q[len / 3] = special;
+        queries.push(q);
+        queries.push(vec![special; len]);
+    }
+    let mut mixed = series(rng, len);
+    mixed[0] = f32::INFINITY;
+    mixed[len - 1] = f32::NEG_INFINITY;
+    queries.push(mixed);
+    queries
+}
+
+/// Random series plus exact duplicates and constant series.
+fn hostile_collection(rng: &mut StdRng, len: usize) -> Vec<Vec<f32>> {
+    let mut data: Vec<Vec<f32>> = (0..40).map(|_| series(rng, len)).collect();
+    for i in 0..10 {
+        data.push(data[i * 3].clone());
+    }
+    data.push(vec![0.0; len]);
+    data.push(vec![-7.25; len]);
+    data
+}
+
+fn bits_of(bounds: &[f64]) -> Vec<u64> {
+    bounds.iter().map(|b| b.to_bits()).collect()
+}
+
+/// The table-driven sweeps must reproduce the per-pair lower bounds bit for
+/// bit — that is what keeps pruning, answers and counters unchanged. CI runs
+/// this under native dispatch and `HYDRA_SIMD=portable`.
+#[test]
+fn sax_sweep_is_bit_identical_to_the_per_pair_mindist_on_hostile_inputs() {
+    // (length, segments, bits): ragged segment widths, a 6-segment word (two
+    // tail-lane segments), alphabets of 2 and 65536 symbols.
+    for (case, (len, segments, bits)) in [
+        (250usize, 16usize, 8u8),
+        (64, 6, 8),
+        (250, 6, 3),
+        (64, 16, 1),
+        (64, 16, 16),
+        (64, 1, 8),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(0x5EE9 + case as u64);
+        let params = SaxParams::new(len, segments, bits);
+        let words: Vec<_> = hostile_collection(&mut rng, len)
+            .iter()
+            .map(|s| params.sax_word(s))
+            .collect();
+        let flat: Vec<u16> = words.iter().flat_map(|w| w.symbols.clone()).collect();
+        for (qi, q) in hostile_queries(&mut rng, len).iter().enumerate() {
+            let q_paa = params.paa().transform(q);
+            let expected: Vec<f64> = words
+                .iter()
+                .map(|w| params.mindist_paa_to_isax(&q_paa, &w.to_isax(bits, bits)))
+                .collect();
+            // `rows` picks the path: the collection's own size tabulates the
+            // small alphabets, one row always computes directly.
+            for rows in [words.len(), 1] {
+                for threads in [1usize, 3] {
+                    let mut got = Vec::new();
+                    params.sweep(&q_paa, rows).sweep(&flat, threads, &mut got);
+                    assert_eq!(
+                        bits_of(&got),
+                        bits_of(&expected),
+                        "len={len} segments={segments} bits={bits} query={qi} rows={rows} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn vaplus_sweep_is_bit_identical_to_the_per_pair_bound_on_hostile_inputs() {
+    // (length, dims, total bits): a starved budget leaves most dimensions
+    // with 0 bits; 6 dimensions exercise the tail lane.
+    for (case, (len, dims, total_bits)) in [
+        (64usize, 16usize, 16usize),
+        (250, 6, 48),
+        (64, 16, 128),
+        (64, 1, 8),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(0x7AB1 + case as u64);
+        let sample: Vec<Vec<f32>> = (0..60u64)
+            .map(|i| {
+                hydra_data::RandomWalkGenerator::new(300 + i, len)
+                    .series(i)
+                    .into_values()
+            })
+            .collect();
+        let quantizer =
+            VaPlusQuantizer::train(len, dims, total_bits, sample.iter().map(|s| s.as_slice()));
+        if case == 0 {
+            assert!(
+                quantizer.bits().contains(&0),
+                "the starved budget must leave a 0-bit dimension: {:?}",
+                quantizer.bits()
+            );
+        }
+        let cells: Vec<_> = hostile_collection(&mut rng, len)
+            .iter()
+            .map(|s| quantizer.cell(s))
+            .collect();
+        let flat: Vec<u16> = cells.iter().flat_map(|c| c.cells.clone()).collect();
+        for (qi, q) in hostile_queries(&mut rng, len).iter().enumerate() {
+            let q_dft = quantizer.dft(q);
+            let expected: Vec<f64> = cells
+                .iter()
+                .map(|c| quantizer.lower_bound(&q_dft, c))
+                .collect();
+            for rows in [100_000usize, 1] {
+                for threads in [1usize, 3] {
+                    let mut got = Vec::new();
+                    quantizer
+                        .sweep(&q_dft, rows)
+                        .sweep(&flat, threads, &mut got);
+                    assert_eq!(
+                        bits_of(&got),
+                        bits_of(&expected),
+                        "len={len} dims={dims} bits={total_bits} query={qi} rows={rows} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -305,6 +305,67 @@ fn corruption_yields_typed_errors_never_panics() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Loads `payload` as an index of type `I` over a fresh store of `data`.
+fn load_payload<I>(data: &Dataset, payload: &[u8]) -> Result<I>
+where
+    I: PersistentIndex<Context = Arc<DatasetStore>>,
+{
+    let mut source = hydra_core::persist::SliceSource::new(payload);
+    I::load_payload(Arc::new(DatasetStore::new(data.clone())), &mut source)
+}
+
+/// Summary symbols index the per-query bound tables (and the breakpoint
+/// tables behind them), so a payload whose checksum is intact but whose
+/// symbols are impossible must be a typed error at load — before this check
+/// it loaded and then panicked out of bounds inside the first exact query.
+#[test]
+fn payloads_with_out_of_range_summary_symbols_are_rejected_not_panicking() {
+    // VA+file: the payload ends with the last series' cell indices.
+    let data = dataset(60, 64);
+    let opts = options().with_segments(8);
+    let built =
+        VaPlusFile::build_on_store(Arc::new(DatasetStore::new(data.clone())), &opts).unwrap();
+    let mut payload: Vec<u8> = Vec::new();
+    built.save_payload(&mut payload).unwrap();
+    assert!(load_payload::<VaPlusFile>(&data, &payload).is_ok());
+    let at = payload.len() - 2;
+    payload[at..].copy_from_slice(&u16::MAX.to_le_bytes());
+    match load_payload::<VaPlusFile>(&data, &payload) {
+        Err(Error::InvalidSnapshot(msg)) => assert!(msg.contains("cell"), "{msg}"),
+        other => panic!(
+            "an impossible cell must be InvalidSnapshot, got {:?}",
+            other.err()
+        ),
+    }
+
+    // ADS+: twelve series under a 20-entry capacity, so every node is a leaf
+    // and the first node's first entry sits right behind the fixed header:
+    // series_length (8) + segments (8) + max_bits (1) + leaf_capacity (8) +
+    // num_nodes (8), then depth (8) + word symbols (2/segment) + word bits
+    // (1/segment) + tag (1) + entry count (8) + entry id (4).
+    let data = dataset(12, 64);
+    let segments = 8;
+    let opts = options().with_segments(segments);
+    let built = AdsPlus::build_on_store(Arc::new(DatasetStore::new(data.clone())), &opts).unwrap();
+    let mut payload: Vec<u8> = Vec::new();
+    built.save_payload(&mut payload).unwrap();
+    assert!(load_payload::<AdsPlus>(&data, &payload).is_ok());
+    let at = 33 + 8 + 3 * segments + 1 + 8 + 4;
+    payload[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+    match load_payload::<AdsPlus>(&data, &payload) {
+        Err(Error::InvalidSnapshot(msg)) => assert!(msg.contains("leaf entry"), "{msg}"),
+        other => panic!(
+            "an impossible leaf symbol must be InvalidSnapshot, got {:?}",
+            other.err()
+        ),
+    }
+    // The same payload is an iSAX2+ tree, whose splits shift these symbols.
+    assert!(matches!(
+        load_payload::<Isax2Plus>(&data, &payload),
+        Err(Error::InvalidSnapshot(_))
+    ));
+}
+
 #[test]
 fn registry_cache_saves_then_loads_and_invalidates() {
     use hydra_bench::{MethodKind, SnapshotOutcome};
