@@ -900,8 +900,7 @@ pub fn approx_tradeoff(scale: ExperimentScale) -> (ResultTable, String) {
 pub const BATCH_LADDER: [usize; 4] = [1, 8, 64, 256];
 
 /// The methods with native batch kernels, in ladder order: the three scans
-/// (one amortized sequential pass), the VA+file (shared filter-file sweep)
-/// and ADS+ (shared SIMS summary-array sweep).
+/// (one amortized data pass per batch).
 pub fn batch_capable_methods() -> Vec<MethodKind> {
     MethodKind::ALL
         .into_iter()
@@ -919,9 +918,8 @@ pub fn batch_capable_methods() -> Vec<MethodKind> {
 /// Answers are validated bit-identical to the per-query loop at every batch
 /// size on the way — this function panics on any divergence.
 ///
-/// Returns the result table plus a JSON rendering (written to
-/// `BENCH_batch.json` by the `bench_batch` binary and uploaded as a CI
-/// artifact).
+/// Returns the result table plus a JSON rendering (`run_all_experiments`
+/// writes both under `results/`).
 pub fn batch_amortization(scale: ExperimentScale) -> (ResultTable, String) {
     use std::fmt::Write as _;
 
@@ -1037,7 +1035,7 @@ pub fn batch_amortization(scale: ExperimentScale) -> (ResultTable, String) {
     let json = format!(
         r#"{{
   "bench": "batch_execution",
-  "generated_by": "cargo run --release --bin bench_batch",
+  "generated_by": "cargo run --release --bin run_all_experiments",
   "host_cpus": {},
   "dataset": {{"kind": "random-walk", "series": {}, "length": 128}},
   "queries": {num_queries},

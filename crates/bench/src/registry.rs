@@ -125,17 +125,12 @@ impl MethodKind {
 
     /// Whether this method has a native batch kernel (matches the built
     /// method's `batch_answering()`, checked in the tests): the three scans
-    /// amortize their sequential pass, the VA+file its filter-file sweep and
-    /// ADS+ its SIMS summary-array sweep; the tree indexes answer batches
+    /// amortize their data pass across a batch; every index answers batches
     /// through the engine's per-query fallback.
     pub fn supports_batch(&self) -> bool {
         matches!(
             self,
-            MethodKind::UcrSuite
-                | MethodKind::Mass
-                | MethodKind::Stepwise
-                | MethodKind::VaPlusFile
-                | MethodKind::AdsPlus
+            MethodKind::UcrSuite | MethodKind::Mass | MethodKind::Stepwise
         )
     }
 

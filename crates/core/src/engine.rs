@@ -346,25 +346,18 @@ impl QueryEngine {
         // Budgeted queries take the serial path: intra-query kernels split
         // the candidate space across workers and cannot meter a single
         // best-so-far budget deterministically.
-        let answered = match self.method.intra_answering() {
-            Some(kernel) if threads > 1 && thread_scoped_io && query.budget().is_none() => {
-                measure_intra_query(
-                    self.method.as_ref(),
-                    kernel,
-                    self.io.as_deref(),
-                    query,
-                    self.fallback,
-                    self.retry,
-                    threads,
-                )?
-            }
-            _ => measure_query(
-                self.method.as_ref(),
+        let method = self.method.as_ref();
+        let answered = match method.intra_answering() {
+            Some(kernel) if threads > 1 && thread_scoped_io && query.budget().is_none() => measure(
+                method,
                 self.io.as_deref(),
                 query,
                 self.fallback,
                 self.retry,
+                0,
+                |query, stats| kernel.answer_intra(query, threads, stats),
             )?,
+            _ => measure_query(method, self.io.as_deref(), query, self.fallback, self.retry)?,
         };
         self.totals.merge(&answered.stats);
         self.queries_answered += 1;
@@ -650,13 +643,15 @@ impl EngineHandle {
     /// the fault plan. `base_attempt = 0` is exactly
     /// [`EngineHandle::answer`].
     pub fn answer_from_attempt(&self, query: &Query, base_attempt: u32) -> Result<EngineAnswer> {
-        measure_query_from_attempt(
-            self.method.as_ref(),
+        let method = self.method.as_ref();
+        measure(
+            method,
             self.io.as_deref(),
             query,
             self.fallback,
             self.retry,
             base_attempt,
+            |query, stats| method.answer(query, stats),
         )
     }
 
@@ -763,11 +758,10 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Measures one query on the calling thread: enforces the method's mode and
-/// query-kind capabilities, resets the calling thread's I/O shard, times the
-/// dyn call, and reconciles store-side traffic into the stats. Used by both
-/// the serial [`QueryEngine::answer`] path and the workload workers, so the
-/// two produce identical per-query measurements.
+/// Measures one serial query on the calling thread: [`measure`] around
+/// [`AnsweringMethod::answer`]. Used by both the serial
+/// [`QueryEngine::answer`] path and the workload workers, so the two produce
+/// identical per-query measurements.
 fn measure_query(
     method: &dyn AnsweringMethod,
     io: Option<&dyn IoSource>,
@@ -775,24 +769,32 @@ fn measure_query(
     fallback: FallbackPolicy,
     retry: RetryPolicy,
 ) -> Result<EngineAnswer> {
-    measure_query_from_attempt(method, io, query, fallback, retry, 0)
+    measure(method, io, query, fallback, retry, 0, |query, stats| {
+        method.answer(query, stats)
+    })
 }
 
-/// [`measure_query`] with the retry loop's attempt numbering shifted by
-/// `base_attempt`: the first attempt announces `base_attempt` through
+/// The one measured call of the engine: enforces the method's mode and
+/// query-kind capabilities, then — per attempt — resets the calling thread's
+/// I/O shard, times `call` (the dyn call into the method: its serial
+/// `answer`, or its intra-query kernel at a resolved worker count),
+/// isolates its panics, and reconciles store-side traffic into the stats.
+///
+/// The retry loop's attempt numbering is shifted by `base_attempt`: the
+/// first attempt announces `base_attempt` through
 /// [`IoSource::begin_attempt`], the first retry `base_attempt + 1`, and so
 /// on. The serving layer's hedged retries use this to give a speculative
 /// re-submission a *different* (but still deterministic) slice of the fault
 /// plan than the primary attempt chain — a transient fault that persists
-/// through the primary's attempts has cleared by the hedge's. `base_attempt
-/// = 0` is exactly [`measure_query`].
-fn measure_query_from_attempt(
+/// through the primary's attempts has cleared by the hedge's.
+fn measure(
     method: &dyn AnsweringMethod,
     io: Option<&dyn IoSource>,
     query: &Query,
     fallback: FallbackPolicy,
     retry: RetryPolicy,
     base_attempt: u32,
+    call: impl Fn(&Query, &mut QueryStats) -> Result<AnswerSet>,
 ) -> Result<EngineAnswer> {
     let descriptor = method.descriptor();
     // Range queries are a typed error at the engine boundary: no method in
@@ -826,9 +828,8 @@ fn measure_query_from_attempt(
         let clock = Instant::now();
         // Panic isolation: a poisoned query becomes a typed internal error
         // instead of unwinding through the workload driver.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            method.answer(query, &mut stats)
-        }));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(query, &mut stats)));
         let wall_time = clock.elapsed();
         match outcome {
             Err(panic) => return Err(Error::Internal(panic_message(panic))),
@@ -843,83 +844,6 @@ fn measure_query_from_attempt(
                     // The accumulated backoff is part of this query's cost;
                     // charged after reconciliation so the max-wins rule cannot
                     // absorb it.
-                    stats.record_io(0, backoff_penalty, 0);
-                }
-                return Ok(EngineAnswer {
-                    guarantee: answers.guarantee(),
-                    answers,
-                    stats,
-                    wall_time,
-                    attempts: attempt,
-                });
-            }
-            Ok(Err(e)) => {
-                if e.is_retriable() && attempt < retry.max_attempts {
-                    backoff_penalty = backoff_penalty.saturating_add(
-                        retry
-                            .backoff_pages
-                            .checked_shl(attempt - 1)
-                            .unwrap_or(u64::MAX),
-                    );
-                    attempt += 1;
-                    continue;
-                }
-                return Err(e.with_attempts(attempt));
-            }
-        }
-    }
-}
-
-/// Measures one intra-parallel query on the calling thread: identical to
-/// [`measure_query`] — same mode routing, same I/O reset and reconciliation,
-/// same timing placement — except the dyn call goes to the method's
-/// [`crate::method::IntraAnswering`] kernel with the resolved worker count.
-fn measure_intra_query(
-    method: &dyn AnsweringMethod,
-    kernel: &dyn crate::method::IntraAnswering,
-    io: Option<&dyn IoSource>,
-    query: &Query,
-    fallback: FallbackPolicy,
-    retry: RetryPolicy,
-    threads: usize,
-) -> Result<EngineAnswer> {
-    let descriptor = method.descriptor();
-    query.knn_k(descriptor.name)?;
-    let exact_substitute;
-    let query = if descriptor.modes.supports(query.mode()) {
-        query
-    } else {
-        match fallback {
-            FallbackPolicy::Strict => {
-                return Err(Error::unsupported_mode(descriptor.name, query.mode()))
-            }
-            FallbackPolicy::ExactFallback => {
-                exact_substitute = query.clone().with_mode(AnswerMode::Exact);
-                &exact_substitute
-            }
-        }
-    };
-    let mut attempt: u32 = 1;
-    let mut backoff_penalty: u64 = 0;
-    loop {
-        if let Some(io) = io {
-            io.begin_attempt(attempt - 1);
-            io.reset_thread_io();
-        }
-        let mut stats = QueryStats::default();
-        // hydra-lint: allow(nondeterministic-source) wall-clock measurement; answers never read it
-        let clock = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            kernel.answer_intra(query, threads, &mut stats)
-        }));
-        let wall_time = clock.elapsed();
-        match outcome {
-            Err(panic) => return Err(Error::Internal(panic_message(panic))),
-            Ok(Ok(answers)) => {
-                if let Some(io) = io {
-                    stats.reconcile_io(io.thread_io_snapshot());
-                }
-                if backoff_penalty > 0 {
                     stats.record_io(0, backoff_penalty, 0);
                 }
                 return Ok(EngineAnswer {

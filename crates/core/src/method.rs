@@ -295,8 +295,7 @@ pub trait AnsweringMethod: Send + Sync {
     /// The default is `None`: [`crate::engine::QueryEngine::answer_batch`]
     /// then answers the batch through the per-query loop, so every method
     /// keeps working unchanged. Methods that can amortize one data pass
-    /// across a batch (the scans, the VA+file filter sweep, the ADS+ SIMS
-    /// summary sweep) override this to return `Some(self)`.
+    /// across a batch (the scans) override this to return `Some(self)`.
     fn batch_answering(&self) -> Option<&dyn BatchAnswering> {
         None
     }
@@ -350,9 +349,8 @@ pub trait IntraAnswering: Send + Sync {
 /// whole batch of queries.
 ///
 /// The paper's cost model is dominated by data passes — a scan pays one full
-/// sequential sweep *per query*, and the summary-array methods pay one
-/// summary sweep per query. A method that can amortize that pass across Q
-/// queries implements this trait and exposes it through
+/// sequential sweep *per query*. A method that can amortize that pass across
+/// Q queries implements this trait and exposes it through
 /// [`AnsweringMethod::batch_answering`]; methods without a native batch
 /// kernel simply inherit the default (`None`) and the engine falls back to
 /// the per-query loop.
@@ -390,7 +388,7 @@ pub trait BatchAnswering: Send + Sync {
 /// Validates that every query of a batch has length `expected`, returning
 /// the serial path's typed [`crate::Error::LengthMismatch`] for the first
 /// mismatch in batch order. Part of the shared batch-kernel prelude, so the
-/// five native kernels cannot drift apart in their validation.
+/// native kernels cannot drift apart in their validation.
 pub fn batch_expect_length(queries: &[Query], expected: usize) -> Result<()> {
     for query in queries {
         if query.len() != expected {

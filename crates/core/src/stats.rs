@@ -131,6 +131,23 @@ impl QueryStats {
         self.io_time += other.io_time;
     }
 
+    /// The eight deterministic work counters, in declaration order —
+    /// everything except the wall-clock times, which legitimately vary run to
+    /// run. This is what the agreement suites compare bit-for-bit across
+    /// execution paths.
+    pub fn work_counters(&self) -> [u64; 8] {
+        [
+            self.raw_series_examined,
+            self.lower_bounds_computed,
+            self.leaves_visited,
+            self.internal_nodes_visited,
+            self.early_abandons,
+            self.sequential_page_accesses,
+            self.random_page_accesses,
+            self.bytes_read,
+        ]
+    }
+
     /// The I/O recorded in these stats as a snapshot.
     ///
     /// Query-side writes are not charged to queries, so `bytes_written` is

@@ -5,27 +5,14 @@ use crate::node::{
 };
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
-    parallel, replay_outcome, AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions,
-    Dataset, Error, ExactIndex, IndexFootprint, IntraAnswering, KnnHeap, MethodDescriptor,
-    ModeCapabilities, Outcome, Query, QueryStats, Result, SharedBsf,
+    parallel, AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
+    IndexFootprint, IntraAnswering, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
+use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node as TreeNode, Seed};
 use hydra_storage::DatasetStore;
 use hydra_transforms::eapca::{uniform_segmentation, valid_segmentation, Eapca, EapcaSegment};
-use std::cmp::Ordering;
-// hydra-lint: allow(hash-iteration-order) replay map is keyed lookup only; never iterated
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// How a leaf scan evaluates candidate distances: directly (the serial path)
-/// or by replaying worker-recorded [`Outcome`]s against the serial threshold
-/// (the intra-query path). Replay falls back to direct evaluation for leaves
-/// absent from the map, so correctness never depends on which leaves the
-/// workers chose to precompute.
-enum LeafEval<'a> {
-    Direct,
-    // hydra-lint: allow(hash-iteration-order) evidence fetched per leaf id; never iterated
-    Replay(&'a HashMap<usize, Vec<Outcome>>),
-}
 
 /// The DSTree index.
 pub struct DsTree {
@@ -33,27 +20,6 @@ pub struct DsTree {
     nodes: Vec<Node>,
     leaf_capacity: usize,
     initial_segments: usize,
-}
-
-struct Frontier {
-    lower_bound: f64,
-    node: usize,
-}
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.lower_bound == other.lower_bound
-    }
-}
-impl Eq for Frontier {}
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.lower_bound.total_cmp(&self.lower_bound)
-    }
 }
 
 /// Arena-level insertion machinery, shared by the serial build (over the
@@ -381,62 +347,6 @@ impl DsTree {
             .sum()
     }
 
-    /// Scans one leaf, either evaluating distances directly or replaying
-    /// worker-recorded outcomes against the serial threshold.
-    fn scan_leaf_with(
-        &self,
-        leaf: usize,
-        query: &Query,
-        heap: &mut KnnHeap,
-        meter: &mut BudgetMeter,
-        stats: &mut QueryStats,
-        eval: &LeafEval<'_>,
-    ) -> Result<()> {
-        let NodeKind::Leaf { entries } = &self.nodes[leaf].kind else {
-            return Ok(());
-        };
-        if entries.is_empty() {
-            return Ok(());
-        }
-        // Fault checkpoint for the leaf's materialized payload read, keyed
-        // by its first series so an injected fault is stable per leaf.
-        self.store.try_access(entries[0].id as u64)?;
-        stats.record_leaf_visit();
-        let leaf_bytes = (entries.len() * self.store.series_bytes()) as u64;
-        let pages = leaf_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
-        stats.record_io(pages - 1, 1, leaf_bytes);
-        let dataset = self.store.dataset();
-        let recorded = match eval {
-            LeafEval::Direct => None,
-            LeafEval::Replay(map) => map.get(&leaf),
-        };
-        for (i, e) in entries.iter().enumerate() {
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                break;
-            }
-            stats.record_raw_series_examined(1);
-            let series = dataset.series(e.id as usize);
-            let kernel = |threshold: f64| {
-                hydra_core::distance::squared_euclidean_early_abandon(
-                    query.values(),
-                    series.values(),
-                    threshold,
-                )
-            };
-            let result = match recorded {
-                Some(outcomes) => replay_outcome(outcomes[i], heap.threshold_squared(), kernel),
-                None => kernel(heap.threshold_squared()),
-            };
-            match result {
-                Some(sq) => {
-                    heap.offer(e.id as usize, sq.sqrt());
-                }
-                None => stats.record_early_abandon(),
-            }
-        }
-        Ok(())
-    }
-
     /// Descends from the root to the single most promising leaf for the query
     /// (the ng-approximate search of the DSTree).
     fn descend_to_leaf(&self, query: &[f32], stats: &mut QueryStats) -> usize {
@@ -483,84 +393,11 @@ impl AnsweringMethod for DsTree {
     }
 
     fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        self.answer_with_eval(query, stats, &LeafEval::Direct)
+        best_first::search(self, query, 1, stats)
     }
 
     fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
         Some(self)
-    }
-}
-
-impl DsTree {
-    fn answer_with_eval(
-        &self,
-        query: &Query,
-        stats: &mut QueryStats,
-        eval: &LeafEval<'_>,
-    ) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        let k = query.knn_k("DSTree")?;
-        let mode = query.mode();
-        let clock = hydra_core::RunClock::start();
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-
-        // Approximate descent seeds the best-so-far — and in ng-approximate
-        // mode this single covering leaf is the whole answer.
-        let seed_leaf = self.descend_to_leaf(query.values(), stats);
-        self.scan_leaf_with(seed_leaf, query, &mut heap, &mut meter, stats, eval)?;
-
-        if mode != AnswerMode::NgApproximate {
-            // Best-first traversal with synopsis lower bounds. `shrink` is
-            // 1 for exact search and `δ/(1+ε)` for the relaxed modes: a node
-            // is pruned as soon as its lower bound reaches `bsf * shrink`
-            // (see `AnswerMode::prune_shrink`), so `ε = 0` is bit-identical
-            // to exact search.
-            let shrink = mode.prune_shrink();
-            let mut frontier = BinaryHeap::new();
-            let root_lb = self.node_lower_bound(0, query.values());
-            stats.record_lower_bounds(1);
-            frontier.push(Frontier {
-                lower_bound: root_lb,
-                node: 0,
-            });
-            while let Some(Frontier { lower_bound, node }) = frontier.pop() {
-                if meter.is_truncated() {
-                    break; // budget exhausted: keep the best-so-far
-                }
-                if heap.is_full() && lower_bound >= heap.threshold() * shrink {
-                    break;
-                }
-                match &self.nodes[node].kind {
-                    NodeKind::Leaf { .. } => {
-                        if node != seed_leaf {
-                            self.scan_leaf_with(node, query, &mut heap, &mut meter, stats, eval)?;
-                        }
-                    }
-                    NodeKind::Internal { left, right, .. } => {
-                        stats.record_internal_visit();
-                        for child in [*left, *right] {
-                            let lb = self.node_lower_bound(child, query.values());
-                            stats.record_lower_bounds(1);
-                            if !heap.is_full() || lb < heap.threshold() * shrink {
-                                frontier.push(Frontier {
-                                    lower_bound: lb,
-                                    node: child,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
     }
 }
 
@@ -571,95 +408,57 @@ impl IntraAnswering for DsTree {
         threads: usize,
         stats: &mut QueryStats,
     ) -> Result<AnswerSet> {
-        if query.mode() == AnswerMode::NgApproximate {
-            // ng-approximate scans a single leaf: nothing to fan out.
-            return self.answer(query, stats);
+        best_first::search(self, query, threads, stats)
+    }
+}
+
+/// The DSTree bounds every node against the raw query: each node carries its
+/// own segmentation, so the query's EAPCA is computed per node.
+impl BestFirstTree for DsTree {
+    type Probe<'q> = &'q [f32];
+
+    const NAME: &'static str = "DSTree";
+
+    fn store(&self) -> &DatasetStore {
+        &self.store
+    }
+
+    fn probe<'q>(&self, query: &'q [f32]) -> &'q [f32] {
+        query
+    }
+
+    /// The approximate descent's leaf, scanned exactly once.
+    fn seed(&self, query: &&[f32], _mode: AnswerMode, stats: &mut QueryStats) -> Seed {
+        let leaf = self.descend_to_leaf(query, stats);
+        Seed {
+            leaf: Some(leaf),
+            skip: Some(leaf),
         }
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        let k = query.knn_k("DSTree")?;
-        let mode = query.mode();
-        let shrink = mode.prune_shrink();
+    }
 
-        // Phase A (serial, scratch stats): seed a best-so-far from the
-        // approximate descent, exactly as the serial path does. The replay in
-        // phase C repeats this with the real stats, so nothing is counted here.
-        let mut scratch = QueryStats::default();
-        let mut scratch_meter = BudgetMeter::new(query.budget(), self.store.len());
-        let mut seed_heap = KnnHeap::new(k);
-        let seed_leaf = self.descend_to_leaf(query.values(), &mut scratch);
-        self.scan_leaf_with(
-            seed_leaf,
-            query,
-            &mut seed_heap,
-            &mut scratch_meter,
-            &mut scratch,
-            &LeafEval::Direct,
-        )?;
-        let seed_threshold = seed_heap.threshold();
+    fn push_roots(&self, query: &&[f32], frontier: &mut Frontier, stats: &mut QueryStats) {
+        frontier.push(0, self.node_lower_bound(0, query));
+        stats.record_lower_bounds(1);
+    }
 
-        // Candidate leaves: every leaf the serial traversal could possibly
-        // scan (a superset — its bound check uses the *seed* threshold, which
-        // is never tighter than the serial threshold at visit time). The seed
-        // leaf is excluded: the traversal never rescans it, and the replayed
-        // seed scan starts from an empty heap where recorded tight-threshold
-        // abandons would all recompute anyway.
-        let candidates: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(id, node)| {
-                *id != seed_leaf
-                    && matches!(&node.kind, NodeKind::Leaf { entries } if !entries.is_empty())
-            })
-            .map(|(id, _)| id)
-            .filter(|&id| {
-                !seed_heap.is_full()
-                    || self.node_lower_bound(id, query.values()) < seed_threshold * shrink
-            })
-            .collect();
+    fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
 
-        // Phase B (parallel): evaluate candidate leaves with a shared atomic
-        // best-so-far. Workers record per-entry outcomes; thresholds may be
-        // stale or tighter than serial, which `replay_outcome` reconciles.
-        let dataset = self.store.dataset();
-        let bsf = SharedBsf::new(seed_heap.threshold_squared());
-        let per_leaf: Vec<Vec<Outcome>> = parallel::map_indexed(candidates.len(), threads, |ci| {
-            let leaf = candidates[ci];
-            let NodeKind::Leaf { entries } = &self.nodes[leaf].kind else {
-                unreachable!("candidates only contain leaves");
-            };
-            let mut local = seed_heap.clone();
-            let mut outcomes = Vec::with_capacity(entries.len());
-            for e in entries {
-                let threshold = local.threshold_squared().min(bsf.get());
-                let series = dataset.series(e.id as usize);
-                match hydra_core::distance::squared_euclidean_early_abandon(
-                    query.values(),
-                    series.values(),
-                    threshold,
-                ) {
-                    Some(sq) => {
-                        outcomes.push(Outcome::Computed(sq));
-                        local.offer(e.id as usize, sq.sqrt());
-                        bsf.update_min(local.threshold_squared());
-                    }
-                    None => outcomes.push(Outcome::Abandoned { threshold }),
-                }
+    fn node(
+        &self,
+        id: usize,
+    ) -> TreeNode<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
+        match &self.nodes[id].kind {
+            NodeKind::Leaf { entries } => TreeNode::Leaf(entries.iter().map(|e| e.id)),
+            NodeKind::Internal { left, right, .. } => {
+                TreeNode::Internal([*left, *right].into_iter())
             }
-            outcomes
-        });
-        // hydra-lint: allow(hash-iteration-order) keyed lookup during serial replay; never iterated
-        let recorded: HashMap<usize, Vec<Outcome>> = candidates.into_iter().zip(per_leaf).collect();
+        }
+    }
 
-        // Phase C (serial): replay the exact serial traversal, deciding each
-        // candidate from the recorded evidence. Answers and counters are
-        // bit-identical to the serial path.
-        self.answer_with_eval(query, stats, &LeafEval::Replay(&recorded))
+    fn bound(&self, id: usize, query: &&[f32]) -> f64 {
+        self.node_lower_bound(id, query)
     }
 }
 

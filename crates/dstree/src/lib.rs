@@ -18,7 +18,8 @@
 //! which follows from the per-segment inequality
 //! `Σ_j (x_j − y_j)² ≥ w·(μx − μy)² + w·(σx − σy)²`.
 //!
-//! Exact search is a best-first traversal with this bound, seeded by an
+//! Exact search is a best-first traversal with this bound (the shared
+//! `hydra_storage::best_first::search`), seeded by an
 //! approximate descent to the most promising leaf — the structure responsible
 //! for the DSTree's paper-reported profile: expensive (CPU-bound) index
 //! construction, excellent query-time clustering and pruning.

@@ -20,9 +20,9 @@
 use crate::tree::{IsaxTree, NodeKind};
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
-    parallel, AnswerMode, AnswerSet, AnsweringMethod, BatchAnswering, BudgetMeter, BuildOptions,
-    Dataset, Error, ExactIndex, IndexFootprint, IntraAnswering, KnnHeap, MethodDescriptor,
-    ModeCapabilities, Query, QueryStats, Result,
+    parallel, AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error,
+    ExactIndex, IndexFootprint, IntraAnswering, KnnHeap, MethodDescriptor, ModeCapabilities, Query,
+    QueryStats, Result,
 };
 use hydra_storage::DatasetStore;
 use hydra_transforms::sax::{SaxParams, SaxWord};
@@ -183,9 +183,8 @@ impl AdsPlus {
         Ok(())
     }
 
-    /// One SIMS query — the single body behind the serial, intra-query and
-    /// batch entry points. `bounds` and `heap` are scratch the caller may
-    /// reuse across queries.
+    /// One SIMS query — the single body behind the serial and intra-query
+    /// entry points.
     ///
     /// The MINDIST bounds of step 2 depend only on the query summary (never
     /// on the seeded best-so-far), so the sweep splits over `threads` workers
@@ -199,14 +198,12 @@ impl AdsPlus {
         query: &Query,
         k: usize,
         threads: usize,
-        bounds: &mut Vec<f64>,
-        heap: &mut KnnHeap,
         stats: &mut QueryStats,
     ) -> Result<AnswerSet> {
         let mode = query.mode();
         let params = self.tree.params();
         let query_paa = params.paa().transform(query.values());
-        heap.reset(k);
+        let mut heap = KnnHeap::new(k);
         let mut meter = BudgetMeter::new(query.budget(), self.store.len());
         // Thread-scoped snapshot: under a parallel workload each worker must
         // observe only its own raw-file traffic.
@@ -215,24 +212,25 @@ impl AdsPlus {
         // Step 1: approximate search for the initial bsf — the whole answer
         // in ng-approximate mode.
         let ng = mode == AnswerMode::NgApproximate;
-        self.approximate_bsf(query, &query_paa, heap, &mut meter, stats, ng)?;
+        self.approximate_bsf(query, &query_paa, &mut heap, &mut meter, stats, ng)?;
         if !ng {
             // Step 2: in-memory lower bounds against every full-resolution
             // summary, table-driven (see `hydra_transforms::sweep`).
             let n = self.store.len();
+            let mut bounds = Vec::new();
             params
                 .sweep(&query_paa, n)
-                .sweep(&self.summaries, threads, bounds);
+                .sweep(&self.summaries, threads, &mut bounds);
             stats.record_lower_bounds(n as u64);
             // Step 3: skip-sequential scan over the raw file.
             let shrink = mode.prune_shrink();
-            self.skip_sequential_scan(query, bounds, shrink, heap, &mut meter, stats)?;
+            self.skip_sequential_scan(query, &bounds, shrink, &mut heap, &mut meter, stats)?;
         }
 
         let delta = self.store.thread_io_snapshot().since(&io_before);
         stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
         let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.take_answer_set().with_guarantee(guarantee))
+        Ok(heap.into_answer_set().with_guarantee(guarantee))
     }
 }
 
@@ -258,10 +256,6 @@ impl AnsweringMethod for AdsPlus {
         self.answer_intra(query, 1, stats)
     }
 
-    fn batch_answering(&self) -> Option<&dyn BatchAnswering> {
-        Some(self)
-    }
-
     fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
         Some(self)
     }
@@ -284,38 +278,9 @@ impl IntraAnswering for AdsPlus {
         )?;
         let k = query.knn_k("ADS+")?;
         let clock = hydra_core::RunClock::start();
-        let answer = self.sims(
-            query,
-            k,
-            threads,
-            &mut Vec::new(),
-            &mut KnnHeap::new(k),
-            stats,
-        )?;
+        let answer = self.sims(query, k, threads, stats)?;
         stats.cpu_time += clock.elapsed();
         Ok(answer)
-    }
-}
-
-impl BatchAnswering for AdsPlus {
-    /// The batched SIMS: the per-query path with one bounds buffer and one
-    /// heap reused across the batch, each query's phases running over a
-    /// head-invalidated store delta so their I/O is attributed exactly as
-    /// the serial path. With a per-query bound table there is no work left
-    /// to share between the queries of a batch.
-    fn answer_batch(&self, queries: &[Query], stats: &mut [QueryStats]) -> Result<Vec<AnswerSet>> {
-        hydra_core::method::batch_expect_length(queries, self.store.series_length())?;
-        let ks = hydra_core::method::batch_knn_ks(queries, "ADS+")?;
-        let clock = hydra_core::RunClock::start();
-        let mut bounds = Vec::new();
-        let mut heap = KnnHeap::new(1);
-        let mut answers = Vec::with_capacity(queries.len());
-        for ((query, &k), stats) in queries.iter().zip(&ks).zip(stats.iter_mut()) {
-            self.store.invalidate_head();
-            answers.push(self.sims(query, k, 1, &mut bounds, &mut heap, stats)?);
-        }
-        hydra_core::method::share_batch_cpu_time(stats, clock.elapsed());
-        Ok(answers)
     }
 }
 
@@ -533,64 +498,6 @@ mod tests {
             assert_eq!(s1.raw_series_examined, s2.raw_series_examined);
             assert_eq!(s1.random_page_accesses, s2.random_page_accesses);
         }
-    }
-
-    #[test]
-    fn batched_sims_matches_the_per_query_path_including_ng_queries() {
-        use hydra_core::{Parallelism, QueryEngine};
-        let (store, _) = build(400, 64, 20);
-        let mut queries: Vec<Query> = RandomWalkGenerator::new(173, 64)
-            .series_batch(4)
-            .into_iter()
-            .map(|s| Query::knn(s, 3))
-            .collect();
-        // An ng query in the middle of the batch must skip the shared
-        // summary sweep, exactly like the serial path.
-        queries.insert(
-            2,
-            Query::nearest_neighbor(store.dataset().series(77).to_owned_series())
-                .with_mode(AnswerMode::NgApproximate),
-        );
-        let options = BuildOptions::default()
-            .with_segments(16)
-            .with_leaf_capacity(20)
-            .with_alphabet_size(256);
-        let engine_on = |st: &Arc<DatasetStore>| {
-            QueryEngine::new(
-                Box::new(AdsPlus::build_on_store(st.clone(), &options).unwrap()),
-                st.len(),
-            )
-            .with_io_source(st.clone())
-        };
-        let mut serial = engine_on(&store);
-        let serial_answers: Vec<_> = queries.iter().map(|q| serial.answer(q).unwrap()).collect();
-        let store2 = Arc::new(DatasetStore::new(store.dataset().clone()));
-        let mut batched = engine_on(&store2);
-        let batch_answers = batched.answer_batch(&queries, Parallelism::Serial).unwrap();
-        for (qi, (a, b)) in serial_answers.iter().zip(&batch_answers).enumerate() {
-            assert_eq!(a.answers, b.answers, "query {qi}");
-            assert_eq!(a.guarantee, b.guarantee, "query {qi}");
-            assert_eq!(
-                a.stats.raw_series_examined, b.stats.raw_series_examined,
-                "query {qi}"
-            );
-            assert_eq!(
-                a.stats.lower_bounds_computed, b.stats.lower_bounds_computed,
-                "query {qi}"
-            );
-            assert_eq!(a.stats.leaves_visited, b.stats.leaves_visited, "query {qi}");
-            assert_eq!(a.stats.early_abandons, b.stats.early_abandons, "query {qi}");
-            assert_eq!(
-                a.stats.sequential_page_accesses, b.stats.sequential_page_accesses,
-                "query {qi}"
-            );
-            assert_eq!(
-                a.stats.random_page_accesses, b.stats.random_page_accesses,
-                "query {qi}"
-            );
-        }
-        // The ng query recorded no lower bounds in either path.
-        assert_eq!(serial_answers[2].stats.lower_bounds_computed, 0);
     }
 
     #[test]

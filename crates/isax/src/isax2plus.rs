@@ -9,59 +9,26 @@
 //! * **exact** queries with a best-first traversal ordered by the MINDIST
 //!   lower bound, seeded with the approximate answer as the initial
 //!   best-so-far and pruning every subtree whose MINDIST is not below it.
+//!
+//! The traversal, the leaf scan and the intra-query fan-out are the shared
+//! `hydra_storage::best_first::search`; this module supplies the MINDIST
+//! bound, the seed lookup and the root children it starts from.
 
-use crate::tree::{IsaxTree, NodeId, NodeKind};
+use crate::tree::{IsaxTree, NodeKind};
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
-    parallel, replay_outcome, AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions,
-    Dataset, Error, ExactIndex, IndexFootprint, IntraAnswering, KnnHeap, MethodDescriptor,
-    ModeCapabilities, Outcome, Query, QueryStats, Result, SharedBsf,
+    parallel, AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
+    IndexFootprint, IntraAnswering, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
+use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node, Seed};
 use hydra_storage::DatasetStore;
 use hydra_transforms::sax::{SaxParams, SaxWord};
-use std::cmp::Ordering;
-// hydra-lint: allow(hash-iteration-order) replay map is keyed lookup only; never iterated
-use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
-
-/// How a leaf scan evaluates candidate distances: directly (the serial path)
-/// or by replaying worker-recorded [`Outcome`]s against the serial threshold
-/// (the intra-query path). Replay falls back to direct evaluation for leaves
-/// absent from the map, so correctness never depends on which leaves the
-/// workers chose to precompute.
-enum LeafEval<'a> {
-    Direct,
-    // hydra-lint: allow(hash-iteration-order) evidence fetched per leaf id; never iterated
-    Replay(&'a HashMap<NodeId, Vec<Outcome>>),
-}
 
 /// The iSAX2+ index.
 pub struct Isax2Plus {
     store: Arc<DatasetStore>,
     tree: IsaxTree,
-}
-
-/// Priority-queue entry for best-first traversal (min-heap on MINDIST).
-struct Frontier {
-    mindist: f64,
-    node: NodeId,
-}
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.mindist == other.mindist
-    }
-}
-impl Eq for Frontier {}
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap.
-        other.mindist.total_cmp(&self.mindist)
-    }
 }
 
 impl Isax2Plus {
@@ -102,66 +69,6 @@ impl Isax2Plus {
     pub fn store(&self) -> &DatasetStore {
         &self.store
     }
-
-    /// Scans one leaf — computing exact distances of its entries against the
-    /// query, charging one random access plus sequential pages for the
-    /// leaf's materialized payload — with an explicit evaluation source:
-    /// `Direct` runs the early-abandoning kernel; `Replay` decides each
-    /// entry from the worker-recorded [`Outcome`] via [`replay_outcome`],
-    /// recomputing only when the record cannot decide. Counters and I/O
-    /// charges are identical either way.
-    fn scan_leaf_with(
-        &self,
-        leaf: NodeId,
-        query: &Query,
-        heap: &mut KnnHeap,
-        meter: &mut BudgetMeter,
-        stats: &mut QueryStats,
-        eval: &LeafEval<'_>,
-    ) -> Result<()> {
-        let NodeKind::Leaf { entries } = &self.tree.node(leaf).kind else {
-            return Ok(());
-        };
-        // Fault checkpoint for the leaf's materialized payload read, keyed
-        // by its first series so an injected fault is stable per leaf.
-        if let Some(first) = entries.first() {
-            self.store.try_access(first.id as u64)?;
-        }
-        stats.record_leaf_visit();
-        let leaf_bytes = (entries.len() * self.store.series_bytes()) as u64;
-        let pages = leaf_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
-        stats.record_io(pages - 1, 1, leaf_bytes);
-        let dataset = self.store.dataset();
-        let recorded = match eval {
-            LeafEval::Direct => None,
-            LeafEval::Replay(map) => map.get(&leaf),
-        };
-        for (i, e) in entries.iter().enumerate() {
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                break;
-            }
-            stats.record_raw_series_examined(1);
-            let series = dataset.series(e.id as usize);
-            let kernel = |threshold: f64| {
-                hydra_core::distance::squared_euclidean_early_abandon(
-                    query.values(),
-                    series.values(),
-                    threshold,
-                )
-            };
-            let result = match recorded {
-                Some(outcomes) => replay_outcome(outcomes[i], heap.threshold_squared(), kernel),
-                None => kernel(heap.threshold_squared()),
-            };
-            match result {
-                Some(sq) => {
-                    heap.offer(e.id as usize, sq.sqrt());
-                }
-                None => stats.record_early_abandon(),
-            }
-        }
-        Ok(())
-    }
 }
 
 fn log2_ceil(x: usize) -> u32 {
@@ -183,7 +90,7 @@ impl AnsweringMethod for Isax2Plus {
     }
 
     fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        self.answer_with_eval(query, stats, &LeafEval::Direct)
+        best_first::search(self, query, 1, stats)
     }
 
     fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
@@ -192,189 +99,76 @@ impl AnsweringMethod for Isax2Plus {
 }
 
 impl IntraAnswering for Isax2Plus {
-    /// MESSI-style intra-query search: a serial seeding pass (into scratch
-    /// stats, discarded) establishes the initial best-so-far; every leaf
-    /// whose MINDIST could survive that threshold is then scanned by the
-    /// worker pool — each worker starts from a clone of the seed heap and
-    /// prunes against the tighter of its local threshold and the
-    /// [`SharedBsf`] — recording one [`Outcome`] per entry from the
-    /// in-memory dataset. The real answer is produced by re-running the full
-    /// serial traversal ([`Isax2Plus::answer_with_eval`]) with those
-    /// outcomes replayed against the serial thresholds, so answers,
-    /// counters, and I/O charges are bit-identical to the serial path.
-    /// ng-approximate queries visit a single leaf and simply run serially.
     fn answer_intra(
         &self,
         query: &Query,
         threads: usize,
         stats: &mut QueryStats,
     ) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        if query.mode() == AnswerMode::NgApproximate {
-            return self.answer(query, stats);
-        }
-        let k = query.knn_k("iSAX2+")?;
-        let params = self.tree.params().clone();
-        let query_paa = params.paa().transform(query.values());
-        let query_sax = params.sax_word_from_paa(&query_paa);
-
-        // Phase A (serial, scratch counters): seed the best-so-far exactly
-        // like the serial phase 1. The replay re-runs this seeding with the
-        // real stats, so the scratch pass records nothing.
-        let mut scratch = QueryStats::default();
-        let mut scratch_meter = BudgetMeter::new(query.budget(), self.store.len());
-        let mut seed_heap = KnnHeap::new(k);
-        if let Some(leaf) = self.tree.locate_leaf(&query_sax, &mut scratch) {
-            self.scan_leaf_with(
-                leaf,
-                query,
-                &mut seed_heap,
-                &mut scratch_meter,
-                &mut scratch,
-                &LeafEval::Direct,
-            )?;
-        }
-
-        // Candidate leaves: everything the serial traversal could visit. The
-        // serial threshold only tightens below the seed threshold, so leaves
-        // at or beyond `seed_threshold * shrink` are provably never scanned
-        // (when the seed heap is not yet full, nothing is provable and every
-        // leaf is a candidate).
-        let shrink = query.mode().prune_shrink();
-        let seed_threshold = seed_heap.threshold();
-        let candidates: Vec<NodeId> = self
-            .tree
-            .leaves()
-            .filter(|&leaf| {
-                !seed_heap.is_full()
-                    || self.tree.mindist(&query_paa, leaf) < seed_threshold * shrink
-            })
-            .collect();
-
-        // Phase B: fan the candidate leaves out over the workers.
-        let bsf = SharedBsf::new(seed_heap.threshold_squared());
-        let per_leaf: Vec<Vec<Outcome>> = parallel::map_indexed(candidates.len(), threads, |ci| {
-            let NodeKind::Leaf { entries } = &self.tree.node(candidates[ci]).kind else {
-                return Vec::new();
-            };
-            let dataset = self.store.dataset();
-            let mut local = seed_heap.clone();
-            let mut out = Vec::with_capacity(entries.len());
-            for e in entries {
-                let threshold = local.threshold_squared().min(bsf.get());
-                match hydra_core::distance::squared_euclidean_early_abandon(
-                    query.values(),
-                    dataset.series(e.id as usize).values(),
-                    threshold,
-                ) {
-                    Some(sq) => {
-                        out.push(Outcome::Computed(sq));
-                        local.offer(e.id as usize, sq.sqrt());
-                        bsf.update_min(local.threshold_squared());
-                    }
-                    None => out.push(Outcome::Abandoned { threshold }),
-                }
-            }
-            out
-        });
-        // hydra-lint: allow(hash-iteration-order) keyed lookup during serial replay; never iterated
-        let recorded: HashMap<NodeId, Vec<Outcome>> =
-            candidates.into_iter().zip(per_leaf).collect();
-
-        // Phase C (serial): the full serial algorithm, deciding every leaf
-        // entry from the recorded evidence.
-        self.answer_with_eval(query, stats, &LeafEval::Replay(&recorded))
+        best_first::search(self, query, threads, stats)
     }
 }
 
-impl Isax2Plus {
-    /// The full serial answering algorithm, parameterized by the leaf
-    /// evaluation source — shared verbatim by [`AnsweringMethod::answer`]
-    /// (`Direct`) and the intra-query replay phase (`Replay`), so the two
-    /// traverse, count, and prune identically by construction.
-    fn answer_with_eval(
-        &self,
-        query: &Query,
-        stats: &mut QueryStats,
-        eval: &LeafEval<'_>,
-    ) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        let k = query.knn_k("iSAX2+")?;
-        let mode = query.mode();
-        let clock = hydra_core::RunClock::start();
-        let params = self.tree.params().clone();
-        let query_paa = params.paa().transform(query.values());
-        let query_sax = params.sax_word_from_paa(&query_paa);
+/// iSAX2+ bounds nodes with MINDIST between the query's PAA and the node's
+/// iSAX word; the query's own SAX word picks the seed leaf.
+impl BestFirstTree for Isax2Plus {
+    type Probe<'q> = (Vec<f32>, SaxWord);
 
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        // Phase 1: ng-approximate search seeds the best-so-far — and in
-        // ng-approximate mode this covering leaf is the whole answer, so that
-        // mode falls back to the MINDIST-nearest leaf when the query's region
-        // was never populated (exact search keeps the plain lookup so its
-        // work counters are unchanged: the traversal finds every leaf anyway).
-        let seed = if mode == AnswerMode::NgApproximate {
-            self.tree.locate_nearest_leaf(&query_paa, &query_sax, stats)
+    const NAME: &'static str = "iSAX2+";
+
+    fn store(&self) -> &DatasetStore {
+        &self.store
+    }
+
+    fn probe(&self, query: &[f32]) -> (Vec<f32>, SaxWord) {
+        let params = self.tree.params();
+        let paa = params.paa().transform(query);
+        let sax = params.sax_word_from_paa(&paa);
+        (paa, sax)
+    }
+
+    /// The leaf covering the query's SAX word. ng-approximate mode, where
+    /// that leaf is the whole answer, falls back to the MINDIST-nearest leaf
+    /// when the query's region was never populated; the other modes keep the
+    /// plain lookup (the traversal finds every leaf anyway) — and their
+    /// traversal scans the seed leaf again when it pops it.
+    fn seed(&self, (paa, sax): &Self::Probe<'_>, mode: AnswerMode, stats: &mut QueryStats) -> Seed {
+        let leaf = if mode == AnswerMode::NgApproximate {
+            self.tree.locate_nearest_leaf(paa, sax, stats)
         } else {
-            self.tree.locate_leaf(&query_sax, stats)
+            self.tree.locate_leaf(sax, stats)
         };
-        if let Some(leaf) = seed {
-            self.scan_leaf_with(leaf, query, &mut heap, &mut meter, stats, eval)?;
+        Seed { leaf, skip: None }
+    }
+
+    fn push_roots(
+        &self,
+        (paa, _): &Self::Probe<'_>,
+        frontier: &mut Frontier,
+        stats: &mut QueryStats,
+    ) {
+        for root_child in self.tree.root_children() {
+            frontier.push(root_child, self.tree.mindist(paa, root_child));
+            stats.record_lower_bounds(1);
         }
-        if mode != AnswerMode::NgApproximate {
-            // Phase 2: best-first traversal with MINDIST pruning, relaxed by
-            // `shrink = δ/(1+ε)` in the approximate modes (1 for exact, so
-            // ε = 0 is bit-identical to exact search).
-            let shrink = mode.prune_shrink();
-            let mut frontier = BinaryHeap::new();
-            for root_child in self.tree.root_children() {
-                let mindist = self.tree.mindist(&query_paa, root_child);
-                stats.record_lower_bounds(1);
-                frontier.push(Frontier {
-                    mindist,
-                    node: root_child,
-                });
-            }
-            while let Some(Frontier { mindist, node }) = frontier.pop() {
-                if meter.is_truncated() {
-                    break; // budget exhausted: keep the best-so-far
-                }
-                if heap.is_full() && mindist >= heap.threshold() * shrink {
-                    break; // everything else in the frontier is at least as far
-                }
-                match &self.tree.node(node).kind {
-                    NodeKind::Leaf { .. } => {
-                        self.scan_leaf_with(node, query, &mut heap, &mut meter, stats, eval)?
-                    }
-                    NodeKind::Internal { left, right, .. } => {
-                        stats.record_internal_visit();
-                        for child in [*left, *right] {
-                            let d = self.tree.mindist(&query_paa, child);
-                            stats.record_lower_bounds(1);
-                            if !heap.is_full() || d < heap.threshold() * shrink {
-                                frontier.push(Frontier {
-                                    mindist: d,
-                                    node: child,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.tree.num_nodes()
+    }
+
+    fn node(
+        &self,
+        id: usize,
+    ) -> Node<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
+        match &self.tree.node(id).kind {
+            NodeKind::Leaf { entries } => Node::Leaf(entries.iter().map(|e| e.id)),
+            NodeKind::Internal { left, right, .. } => Node::Internal([*left, *right].into_iter()),
         }
-        stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+    }
+
+    fn bound(&self, id: usize, (paa, _): &Self::Probe<'_>) -> f64 {
+        self.tree.mindist(paa, id)
     }
 }
 
@@ -588,6 +382,47 @@ mod tests {
             assert_eq!(s1.lower_bounds_computed, s2.lower_bounds_computed);
             assert_eq!(s1.leaves_visited, s2.leaves_visited);
         }
+    }
+
+    #[test]
+    fn empty_leaves_cost_no_visit_and_no_page() {
+        // More duplicates than a leaf holds: no segment separates them, so
+        // every split sends all of them to one child and leaves the sibling
+        // empty.
+        let len = 32;
+        let dup = RandomWalkGenerator::new(5, len).series(0);
+        let mut data = Dataset::empty(len);
+        for _ in 0..6 {
+            data.push(dup.values());
+        }
+        for s in RandomWalkGenerator::new(6, len).series_batch(4) {
+            data.push(s.values());
+        }
+        let options = BuildOptions::default()
+            .with_segments(4)
+            .with_leaf_capacity(4)
+            .with_alphabet_size(4);
+        let idx = Isax2Plus::build(&data, &options).unwrap();
+        let occupied = idx
+            .tree()
+            .leaves()
+            .filter(|&leaf| {
+                matches!(&idx.tree().node(leaf).kind, NodeKind::Leaf { entries } if !entries.is_empty())
+            })
+            .count() as u64;
+        assert!(
+            idx.tree().leaves().count() as u64 > occupied,
+            "the duplicates must leave an empty sibling behind"
+        );
+        // k beyond the dataset size: the heap never fills, nothing is pruned,
+        // and the traversal reaches every leaf — the empty ones included.
+        let mut stats = QueryStats::default();
+        let ans = idx.answer(&Query::knn(dup, 11), &mut stats).unwrap();
+        assert_eq!(ans.len(), 10);
+        // One visit and one random page per occupied leaf, plus the seed
+        // leaf's rescan; the empty leaves read zero bytes and cost nothing.
+        assert_eq!(stats.leaves_visited, occupied + 1);
+        assert_eq!(stats.random_page_accesses, occupied + 1);
     }
 
     #[test]

@@ -21,9 +21,8 @@ use hydra_core::{
     AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error, ExactIndex,
     IndexFootprint, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
+use hydra_storage::best_first::Frontier;
 use hydra_storage::DatasetStore;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 #[derive(Clone, Debug)]
@@ -61,27 +60,6 @@ pub struct MTree {
     /// Distance computations performed while building (the M-tree's dominant
     /// construction cost).
     build_distance_computations: u64,
-}
-
-struct Frontier {
-    lower_bound: f64,
-    node: usize,
-}
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.lower_bound == other.lower_bound
-    }
-}
-impl Eq for Frontier {}
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.lower_bound.total_cmp(&self.lower_bound)
-    }
 }
 
 impl MTree {
@@ -489,14 +467,11 @@ impl AnsweringMethod for MTree {
         // cheap pre-filters keep the exact threshold: they only skip work
         // that cannot improve the best-so-far, which is always allowed.
         let shrink = mode.prune_shrink();
-        let mut frontier = BinaryHeap::new();
+        let mut frontier = Frontier::new();
         let root_d = dist_to_pivot(&self.nodes[self.root]);
         stats.record_lower_bounds(1);
-        frontier.push(Frontier {
-            lower_bound: (root_d - self.nodes[self.root].radius).max(0.0),
-            node: self.root,
-        });
-        while let Some(Frontier { lower_bound, node }) = frontier.pop() {
+        frontier.push(self.root, (root_d - self.nodes[self.root].radius).max(0.0));
+        while let Some((node, lower_bound)) = frontier.pop() {
             if meter.is_truncated() {
                 break; // budget exhausted: keep the best-so-far
             }
@@ -524,10 +499,7 @@ impl AnsweringMethod for MTree {
                         stats.record_lower_bounds(1);
                         let lb = (d_child - child_node.radius).max(0.0);
                         if !heap.is_full() || lb < heap.threshold() * shrink {
-                            frontier.push(Frontier {
-                                lower_bound: lb,
-                                node: child,
-                            });
+                            frontier.push(child, lb);
                         }
                     }
                 }

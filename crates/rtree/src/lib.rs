@@ -11,19 +11,19 @@
 //!
 //! The lower-bounding distance from a query to an MBR is the segment-width-
 //! weighted distance from the query's PAA values to the rectangle, which never
-//! exceeds the true Euclidean distance — so the best-first k-NN search is
-//! exact. As in the paper, this classic spatial index struggles as
-//! dimensionality and dataset size grow (MBRs overlap heavily), which is the
-//! behaviour the benchmark documents.
+//! exceeds the true Euclidean distance — so the best-first k-NN search (the
+//! shared `hydra_storage::best_first::search`) is exact. As in the paper,
+//! this classic spatial index struggles as dimensionality and dataset size
+//! grow (MBRs overlap heavily), which is the behaviour the benchmark
+//! documents.
 
 use hydra_core::{
-    AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error, ExactIndex,
-    IndexFootprint, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
+    AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
+    IndexFootprint, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
+use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node as TreeNode, Seed};
 use hydra_storage::DatasetStore;
 use hydra_transforms::Paa;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A minimum bounding rectangle in PAA space.
@@ -157,27 +157,6 @@ pub struct RStarTree {
     leaf_capacity: usize,
     fanout: usize,
     weights: Vec<usize>,
-}
-
-struct Frontier {
-    lower_bound: f64,
-    node: usize,
-}
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.lower_bound == other.lower_bound
-    }
-}
-impl Eq for Frontier {}
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.lower_bound.total_cmp(&self.lower_bound)
-    }
 }
 
 impl RStarTree {
@@ -426,48 +405,6 @@ impl RStarTree {
             }
         }
     }
-
-    fn scan_leaf(
-        &self,
-        leaf: usize,
-        query: &Query,
-        heap: &mut KnnHeap,
-        meter: &mut BudgetMeter,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let NodeKind::Leaf { entries } = &self.nodes[leaf].kind else {
-            return Ok(());
-        };
-        if entries.is_empty() {
-            return Ok(());
-        }
-        // Fault checkpoint for the leaf's materialized payload read, keyed
-        // by its first series so an injected fault is stable per leaf.
-        self.store.try_access(entries[0].id as u64)?;
-        stats.record_leaf_visit();
-        let leaf_bytes = (entries.len() * self.store.series_bytes()) as u64;
-        let pages = leaf_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
-        stats.record_io(pages - 1, 1, leaf_bytes);
-        let dataset = self.store.dataset();
-        for e in entries {
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                break;
-            }
-            stats.record_raw_series_examined(1);
-            let series = dataset.series(e.id as usize);
-            match hydra_core::distance::squared_euclidean_early_abandon(
-                query.values(),
-                series.values(),
-                heap.threshold_squared(),
-            ) {
-                Some(sq) => {
-                    heap.offer(e.id as usize, sq.sqrt());
-                }
-                None => stats.record_early_abandon(),
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The R*-tree split heuristic shared by leaf and internal splits: choose the
@@ -537,83 +474,74 @@ impl AnsweringMethod for RStarTree {
     }
 
     fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        let k = query.knn_k("R*-tree")?;
-        let mode = query.mode();
-        let clock = hydra_core::RunClock::start();
-        let q_paa = self.paa.transform(query.values());
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
+        best_first::search(self, query, 1, stats)
+    }
+}
 
-        if mode == AnswerMode::NgApproximate {
-            // ng-approximate: descend to the MBR-closest leaf and scan it.
-            let mut current = self.root;
-            while let NodeKind::Internal { children } = &self.nodes[current].kind {
-                stats.record_internal_visit();
-                let mut best = children[0];
-                let mut best_d = f64::INFINITY;
-                for &child in children {
-                    let d = self.nodes[child].mbr.mindist_sq(&q_paa, &self.weights);
-                    stats.record_lower_bounds(1);
-                    if d < best_d {
-                        best_d = d;
-                        best = child;
-                    }
-                }
-                current = best;
-            }
-            self.scan_leaf(current, query, &mut heap, &mut meter, stats)?;
-            stats.cpu_time += clock.elapsed();
-            let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-            return Ok(heap.into_answer_set().with_guarantee(guarantee));
-        }
+/// The R*-tree bounds a node with the segment-width-weighted distance from
+/// the query's PAA point to the node's MBR.
+impl BestFirstTree for RStarTree {
+    type Probe<'q> = Vec<f32>;
 
-        // Exact / ε-relaxed best-first traversal: a subtree is pruned as soon
-        // as its MBR lower bound reaches `bsf * shrink` with
-        // `shrink = δ/(1+ε)` (1 for exact, so ε = 0 is bit-identical).
-        let shrink = mode.prune_shrink();
-        let mut frontier = BinaryHeap::new();
-        frontier.push(Frontier {
-            lower_bound: 0.0,
-            node: self.root,
-        });
-        while let Some(Frontier { lower_bound, node }) = frontier.pop() {
-            if meter.is_truncated() {
-                break; // budget exhausted: keep the best-so-far
-            }
-            if heap.is_full() && lower_bound >= heap.threshold() * shrink {
-                break;
-            }
-            match &self.nodes[node].kind {
-                NodeKind::Leaf { .. } => {
-                    self.scan_leaf(node, query, &mut heap, &mut meter, stats)?
-                }
-                NodeKind::Internal { children } => {
-                    stats.record_internal_visit();
-                    for &child in children {
-                        let lb = self.nodes[child]
-                            .mbr
-                            .mindist_sq(&q_paa, &self.weights)
-                            .sqrt();
-                        stats.record_lower_bounds(1);
-                        if !heap.is_full() || lb < heap.threshold() * shrink {
-                            frontier.push(Frontier {
-                                lower_bound: lb,
-                                node: child,
-                            });
-                        }
-                    }
-                }
-            }
+    const NAME: &'static str = "R*-tree";
+
+    fn store(&self) -> &DatasetStore {
+        &self.store
+    }
+
+    fn probe(&self, query: &[f32]) -> Vec<f32> {
+        self.paa.transform(query)
+    }
+
+    /// Only ng-approximate search seeds: it descends to the MBR-closest leaf
+    /// at every level. The other modes start the traversal from an empty
+    /// best-so-far.
+    fn seed(&self, q_paa: &Vec<f32>, mode: AnswerMode, stats: &mut QueryStats) -> Seed {
+        if mode != AnswerMode::NgApproximate {
+            return Seed::default();
         }
-        stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+        let mut current = self.root;
+        while let NodeKind::Internal { children } = &self.nodes[current].kind {
+            stats.record_internal_visit();
+            let mut best = children[0];
+            let mut best_d = f64::INFINITY;
+            for &child in children {
+                let d = self.nodes[child].mbr.mindist_sq(q_paa, &self.weights);
+                stats.record_lower_bounds(1);
+                if d < best_d {
+                    best_d = d;
+                    best = child;
+                }
+            }
+            current = best;
+        }
+        Seed {
+            leaf: Some(current),
+            skip: None,
+        }
+    }
+
+    /// The root covers everything: it starts at 0 for free.
+    fn push_roots(&self, _: &Vec<f32>, frontier: &mut Frontier, _: &mut QueryStats) {
+        frontier.push(self.root, 0.0);
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn node(
+        &self,
+        id: usize,
+    ) -> TreeNode<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
+        match &self.nodes[id].kind {
+            NodeKind::Leaf { entries } => TreeNode::Leaf(entries.iter().map(|e| e.id)),
+            NodeKind::Internal { children } => TreeNode::Internal(children.iter().copied()),
+        }
+    }
+
+    fn bound(&self, id: usize, q_paa: &Vec<f32>) -> f64 {
+        self.nodes[id].mbr.mindist_sq(q_paa, &self.weights).sqrt()
     }
 }
 

@@ -13,31 +13,21 @@
 //!
 //! Exact search is a best-first traversal ordered by the prefix lower bound;
 //! when a leaf is reached, all of its raw series are read (one contiguous leaf
-//! read) and refined with early-abandoning Euclidean distance.
+//! read) and refined with early-abandoning Euclidean distance. The traversal,
+//! the leaf scan and the intra-query fan-out are the shared
+//! `hydra_storage::best_first::search`; this crate supplies the prefix bound
+//! and the word descent that seeds it.
 
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
-    parallel, replay_outcome, AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions,
-    Dataset, Error, ExactIndex, IndexFootprint, IntraAnswering, KnnHeap, MethodDescriptor,
-    ModeCapabilities, Outcome, Query, QueryStats, Result, SharedBsf,
+    parallel, AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
+    IndexFootprint, IntraAnswering, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
+use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node, Seed};
 use hydra_storage::DatasetStore;
 use hydra_transforms::{BinningMethod, SfaParams, SfaQuantizer, SfaWord};
-use std::cmp::Ordering;
-// hydra-lint: allow(hash-iteration-order) replay map is keyed lookup only; never iterated
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// How a leaf scan evaluates candidate distances: directly (the serial path)
-/// or by replaying worker-recorded [`Outcome`]s against the serial threshold
-/// (the intra-query path). Replay falls back to direct evaluation for leaves
-/// absent from the map, so correctness never depends on which leaves the
-/// workers chose to precompute.
-enum LeafEval<'a> {
-    Direct,
-    // hydra-lint: allow(hash-iteration-order) evidence fetched per leaf id; never iterated
-    Replay(&'a HashMap<usize, Vec<Outcome>>),
-}
 
 /// One entry stored in a trie leaf.
 #[derive(Clone, Debug)]
@@ -68,27 +58,6 @@ pub struct SfaTrie {
     /// Prefix (and therefore depth) of each node; the root has an empty prefix.
     prefixes: Vec<Vec<u8>>,
     leaf_capacity: usize,
-}
-
-struct Frontier {
-    lower_bound: f64,
-    node: usize,
-}
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.lower_bound == other.lower_bound
-    }
-}
-impl Eq for Frontier {}
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.lower_bound.total_cmp(&self.lower_bound)
-    }
 }
 
 impl SfaTrie {
@@ -240,62 +209,6 @@ impl SfaTrie {
         self.nodes[0] = TrieNode::Internal { children };
     }
 
-    /// Scans one leaf, either evaluating distances directly or replaying
-    /// worker-recorded outcomes against the serial threshold.
-    fn scan_leaf_with(
-        &self,
-        leaf: usize,
-        query: &Query,
-        heap: &mut KnnHeap,
-        meter: &mut BudgetMeter,
-        stats: &mut QueryStats,
-        eval: &LeafEval<'_>,
-    ) -> Result<()> {
-        let TrieNode::Leaf { entries } = &self.nodes[leaf] else {
-            return Ok(());
-        };
-        if entries.is_empty() {
-            return Ok(());
-        }
-        // Fault checkpoint for the leaf's materialized payload read, keyed
-        // by its first series so an injected fault is stable per leaf.
-        self.store.try_access(entries[0].id as u64)?;
-        stats.record_leaf_visit();
-        let leaf_bytes = (entries.len() * self.store.series_bytes()) as u64;
-        let pages = leaf_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
-        stats.record_io(pages - 1, 1, leaf_bytes);
-        let dataset = self.store.dataset();
-        let recorded = match eval {
-            LeafEval::Direct => None,
-            LeafEval::Replay(map) => map.get(&leaf),
-        };
-        for (i, e) in entries.iter().enumerate() {
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                break;
-            }
-            stats.record_raw_series_examined(1);
-            let series = dataset.series(e.id as usize);
-            let kernel = |threshold: f64| {
-                hydra_core::distance::squared_euclidean_early_abandon(
-                    query.values(),
-                    series.values(),
-                    threshold,
-                )
-            };
-            let result = match recorded {
-                Some(outcomes) => replay_outcome(outcomes[i], heap.threshold_squared(), kernel),
-                None => kernel(heap.threshold_squared()),
-            };
-            match result {
-                Some(sq) => {
-                    heap.offer(e.id as usize, sq.sqrt());
-                }
-                None => stats.record_early_abandon(),
-            }
-        }
-        Ok(())
-    }
-
     /// Descends to the leaf matching the query's word as far as possible
     /// (ng-approximate search).
     fn descend(&self, word: &SfaWord, stats: &mut QueryStats) -> usize {
@@ -386,83 +299,11 @@ impl AnsweringMethod for SfaTrie {
     }
 
     fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        self.answer_with_eval(query, stats, &LeafEval::Direct)
+        best_first::search(self, query, 1, stats)
     }
 
     fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
         Some(self)
-    }
-}
-
-impl SfaTrie {
-    fn answer_with_eval(
-        &self,
-        query: &Query,
-        stats: &mut QueryStats,
-        eval: &LeafEval<'_>,
-    ) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        let k = query.knn_k("SFA trie")?;
-        let mode = query.mode();
-        let clock = hydra_core::RunClock::start();
-        let q_dft = self.quantizer.dft(query.values());
-        let q_word = self.quantizer.word_from_dft(&q_dft);
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-
-        // Approximate descent for the initial best-so-far — the whole answer
-        // in ng-approximate mode.
-        let seed_leaf = self.descend(&q_word, stats);
-        self.scan_leaf_with(seed_leaf, query, &mut heap, &mut meter, stats, eval)?;
-
-        if mode != AnswerMode::NgApproximate {
-            // Best-first traversal on prefix lower bounds, relaxed by
-            // `shrink = δ/(1+ε)` in the approximate modes (1 for exact, so
-            // ε = 0 is bit-identical to exact search).
-            let shrink = mode.prune_shrink();
-            let mut frontier = BinaryHeap::new();
-            frontier.push(Frontier {
-                lower_bound: 0.0,
-                node: 0,
-            });
-            while let Some(Frontier { lower_bound, node }) = frontier.pop() {
-                if meter.is_truncated() {
-                    break; // budget exhausted: keep the best-so-far
-                }
-                if heap.is_full() && lower_bound >= heap.threshold() * shrink {
-                    break;
-                }
-                match &self.nodes[node] {
-                    TrieNode::Leaf { .. } => {
-                        if node != seed_leaf {
-                            self.scan_leaf_with(node, query, &mut heap, &mut meter, stats, eval)?;
-                        }
-                    }
-                    TrieNode::Internal { children } => {
-                        stats.record_internal_visit();
-                        for &child in children.values() {
-                            let prefix = &self.prefixes[child];
-                            let lb = self.quantizer.mindist_prefix(&q_dft, prefix, prefix.len());
-                            stats.record_lower_bounds(1);
-                            if !heap.is_full() || lb < heap.threshold() * shrink {
-                                frontier.push(Frontier {
-                                    lower_bound: lb,
-                                    node: child,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
     }
 }
 
@@ -473,101 +314,58 @@ impl IntraAnswering for SfaTrie {
         threads: usize,
         stats: &mut QueryStats,
     ) -> Result<AnswerSet> {
-        if query.mode() == AnswerMode::NgApproximate {
-            // ng-approximate scans a single leaf: nothing to fan out.
-            return self.answer(query, stats);
+        best_first::search(self, query, threads, stats)
+    }
+}
+
+/// The trie bounds a node with the prefix lower bound between the query's
+/// DFT and the node's word prefix; the query's own word picks the seed leaf.
+impl BestFirstTree for SfaTrie {
+    type Probe<'q> = (Vec<f32>, SfaWord);
+
+    const NAME: &'static str = "SFA trie";
+
+    fn store(&self) -> &DatasetStore {
+        &self.store
+    }
+
+    fn probe(&self, query: &[f32]) -> (Vec<f32>, SfaWord) {
+        let dft = self.quantizer.dft(query);
+        let word = self.quantizer.word_from_dft(&dft);
+        (dft, word)
+    }
+
+    /// The approximate descent's leaf, scanned exactly once.
+    fn seed(&self, (_, word): &Self::Probe<'_>, _mode: AnswerMode, stats: &mut QueryStats) -> Seed {
+        let leaf = self.descend(word, stats);
+        Seed {
+            leaf: Some(leaf),
+            skip: Some(leaf),
         }
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
+    }
+
+    /// The root's empty prefix bounds nothing: it starts at 0 for free.
+    fn push_roots(&self, _: &Self::Probe<'_>, frontier: &mut Frontier, _: &mut QueryStats) {
+        frontier.push(0, 0.0);
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn node(
+        &self,
+        id: usize,
+    ) -> Node<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
+        match &self.nodes[id] {
+            TrieNode::Leaf { entries } => Node::Leaf(entries.iter().map(|e| e.id)),
+            TrieNode::Internal { children } => Node::Internal(children.values().copied()),
         }
-        let k = query.knn_k("SFA trie")?;
-        let mode = query.mode();
-        let shrink = mode.prune_shrink();
-        let q_dft = self.quantizer.dft(query.values());
-        let q_word = self.quantizer.word_from_dft(&q_dft);
+    }
 
-        // Phase A (serial, scratch stats): seed a best-so-far from the
-        // approximate descent, exactly as the serial path does. The replay in
-        // phase C repeats this with the real stats, so nothing is counted here.
-        let mut scratch = QueryStats::default();
-        let mut scratch_meter = BudgetMeter::new(query.budget(), self.store.len());
-        let mut seed_heap = KnnHeap::new(k);
-        let seed_leaf = self.descend(&q_word, &mut scratch);
-        self.scan_leaf_with(
-            seed_leaf,
-            query,
-            &mut seed_heap,
-            &mut scratch_meter,
-            &mut scratch,
-            &LeafEval::Direct,
-        )?;
-        let seed_threshold = seed_heap.threshold();
-
-        // Candidate leaves: every leaf the serial traversal could possibly
-        // scan (a superset — its bound check uses the *seed* threshold, which
-        // is never tighter than the serial threshold at visit time). The seed
-        // leaf is excluded: the traversal never rescans it, and the replayed
-        // seed scan starts from an empty heap where recorded tight-threshold
-        // abandons would all recompute anyway.
-        let candidates: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(id, node)| {
-                *id != seed_leaf
-                    && matches!(node, TrieNode::Leaf { entries } if !entries.is_empty())
-            })
-            .map(|(id, _)| id)
-            .filter(|&id| {
-                if !seed_heap.is_full() {
-                    return true;
-                }
-                let prefix = &self.prefixes[id];
-                let lb = self.quantizer.mindist_prefix(&q_dft, prefix, prefix.len());
-                lb < seed_threshold * shrink
-            })
-            .collect();
-
-        // Phase B (parallel): evaluate candidate leaves with a shared atomic
-        // best-so-far. Workers record per-entry outcomes; thresholds may be
-        // stale or tighter than serial, which `replay_outcome` reconciles.
-        let dataset = self.store.dataset();
-        let bsf = SharedBsf::new(seed_heap.threshold_squared());
-        let per_leaf: Vec<Vec<Outcome>> = parallel::map_indexed(candidates.len(), threads, |ci| {
-            let leaf = candidates[ci];
-            let TrieNode::Leaf { entries } = &self.nodes[leaf] else {
-                unreachable!("candidates only contain leaves");
-            };
-            let mut local = seed_heap.clone();
-            let mut outcomes = Vec::with_capacity(entries.len());
-            for e in entries {
-                let threshold = local.threshold_squared().min(bsf.get());
-                let series = dataset.series(e.id as usize);
-                match hydra_core::distance::squared_euclidean_early_abandon(
-                    query.values(),
-                    series.values(),
-                    threshold,
-                ) {
-                    Some(sq) => {
-                        outcomes.push(Outcome::Computed(sq));
-                        local.offer(e.id as usize, sq.sqrt());
-                        bsf.update_min(local.threshold_squared());
-                    }
-                    None => outcomes.push(Outcome::Abandoned { threshold }),
-                }
-            }
-            outcomes
-        });
-        // hydra-lint: allow(hash-iteration-order) keyed lookup during serial replay; never iterated
-        let recorded: HashMap<usize, Vec<Outcome>> = candidates.into_iter().zip(per_leaf).collect();
-
-        // Phase C (serial): replay the exact serial traversal, deciding each
-        // candidate from the recorded evidence. Answers and counters are
-        // bit-identical to the serial path.
-        self.answer_with_eval(query, stats, &LeafEval::Replay(&recorded))
+    fn bound(&self, id: usize, (dft, _): &Self::Probe<'_>) -> f64 {
+        let prefix = &self.prefixes[id];
+        self.quantizer.mindist_prefix(dft, prefix, prefix.len())
     }
 }
 

@@ -31,7 +31,12 @@
 //! * [`partition`] splits a dataset into deterministic contiguous shard
 //!   partitions, each wrapped in its own store by the serving layer's
 //!   scatter-gather front-end.
+//! * [`best_first`] is the one best-first k-NN search the tree indexes answer
+//!   through — frontier, pruning, budgeted leaf refinement over a store's
+//!   materialized payloads with their page charges, and the intra-query leaf
+//!   fan-out with its serial replay.
 
+pub mod best_first;
 pub mod buffer;
 pub mod cost;
 pub mod counters;

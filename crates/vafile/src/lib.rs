@@ -25,9 +25,9 @@ pub mod rank;
 
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
-    AnswerMode, AnswerSet, AnsweringMethod, BatchAnswering, BudgetMeter, BuildOptions, Dataset,
-    Error, ExactIndex, IndexFootprint, IntraAnswering, KnnHeap, MethodDescriptor, ModeCapabilities,
-    Query, QueryStats, Result,
+    AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error, ExactIndex,
+    IndexFootprint, IntraAnswering, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats,
+    Result,
 };
 use hydra_storage::DatasetStore;
 use hydra_transforms::VaPlusQuantizer;
@@ -97,7 +97,7 @@ impl VaPlusFile {
     }
 
     /// Records one (logical) sequential pass over the filter file — what
-    /// phase 1 costs every query, batched or not.
+    /// phase 1 costs every query.
     fn record_filter_pass(&self, stats: &mut QueryStats) {
         let approx_pages = (self.approximation_bytes as u64)
             .div_ceil(self.store.page_bytes() as u64)
@@ -151,8 +151,8 @@ impl VaPlusFile {
         Ok(())
     }
 
-    /// One VA+file query — the single body behind the serial, intra-query
-    /// and batch entry points. `scratch` may be reused across queries.
+    /// One VA+file query — the single body behind the serial and
+    /// intra-query entry points.
     ///
     /// Each phase-1 lower bound is an independent, pruning-free computation,
     /// so the filter-file sweep splits over `threads` workers and merges in
@@ -165,7 +165,6 @@ impl VaPlusFile {
         query: &Query,
         k: usize,
         threads: usize,
-        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<AnswerSet> {
         let q_dft = self.quantizer.dft(query.values());
@@ -173,41 +172,25 @@ impl VaPlusFile {
         // Phase 1: scan the filter file (sequential, small) computing bounds.
         self.record_filter_pass(stats);
         let n = self.store.len();
+        let mut bounds = Vec::new();
         self.quantizer
             .sweep(&q_dft, n)
-            .sweep(&self.cells, threads, &mut scratch.bounds);
+            .sweep(&self.cells, threads, &mut bounds);
         stats.record_lower_bounds(n as u64);
-        scratch.ranking.reset(&scratch.bounds);
+        let mut ranking = LazyRanking::new();
+        ranking.reset(&bounds);
 
         // Phase 2: mode-aware refinement (see `refine_ranked`).
-        scratch.heap.reset(k);
+        let mut heap = KnnHeap::new(k);
         let mut meter = BudgetMeter::new(query.budget(), n);
         // Thread-scoped snapshot: under a parallel workload each worker must
         // observe only its own refinement traffic.
         let before = self.store.thread_io_snapshot();
-        let (ranking, heap) = (&mut scratch.ranking, &mut scratch.heap);
-        self.refine_ranked(query, k, ranking, heap, &mut meter, stats)?;
+        self.refine_ranked(query, k, &mut ranking, &mut heap, &mut meter, stats)?;
         let delta = self.store.thread_io_snapshot().since(&before);
         stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
         let guarantee = meter.guarantee(query.mode().guarantee(), stats.raw_series_examined);
-        Ok(scratch.heap.take_answer_set().with_guarantee(guarantee))
-    }
-}
-
-/// Per-worker buffers of [`VaPlusFile::filter_and_refine`].
-struct Scratch {
-    bounds: Vec<f64>,
-    ranking: LazyRanking,
-    heap: KnnHeap,
-}
-
-impl Scratch {
-    fn new() -> Self {
-        Self {
-            bounds: Vec::new(),
-            ranking: LazyRanking::new(),
-            heap: KnnHeap::new(1),
-        }
+        Ok(heap.into_answer_set().with_guarantee(guarantee))
     }
 }
 
@@ -227,10 +210,6 @@ impl AnsweringMethod for VaPlusFile {
 
     fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
         self.answer_intra(query, 1, stats)
-    }
-
-    fn batch_answering(&self) -> Option<&dyn BatchAnswering> {
-        Some(self)
     }
 
     fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
@@ -254,31 +233,9 @@ impl IntraAnswering for VaPlusFile {
         )?;
         let k = query.knn_k("VA+file")?;
         let clock = hydra_core::RunClock::start();
-        let answer = self.filter_and_refine(query, k, threads, &mut Scratch::new(), stats)?;
+        let answer = self.filter_and_refine(query, k, threads, stats)?;
         stats.cpu_time += clock.elapsed();
         Ok(answer)
-    }
-}
-
-impl BatchAnswering for VaPlusFile {
-    /// The batched VA+file: the per-query path with the bounds buffer, the
-    /// ranking buffer and the heap reused across the batch, each query's
-    /// refinement running over a head-invalidated store delta so its random
-    /// accesses are attributed exactly as the serial path. With a per-query
-    /// bound table there is no work left to share between the queries of a
-    /// batch; mixed answering modes compose freely.
-    fn answer_batch(&self, queries: &[Query], stats: &mut [QueryStats]) -> Result<Vec<AnswerSet>> {
-        hydra_core::method::batch_expect_length(queries, self.store.series_length())?;
-        let ks = hydra_core::method::batch_knn_ks(queries, "VA+file")?;
-        let clock = hydra_core::RunClock::start();
-        let mut scratch = Scratch::new();
-        let mut answers = Vec::with_capacity(queries.len());
-        for ((query, &k), stats) in queries.iter().zip(&ks).zip(stats.iter_mut()) {
-            self.store.invalidate_head();
-            answers.push(self.filter_and_refine(query, k, 1, &mut scratch, stats)?);
-        }
-        hydra_core::method::share_batch_cpu_time(stats, clock.elapsed());
-        Ok(answers)
     }
 }
 
@@ -521,57 +478,6 @@ mod tests {
             let (a, e) = (relaxed.nearest().unwrap(), exact.nearest().unwrap());
             assert!(a.distance + 1e-9 >= e.distance);
             assert!(a.distance <= 2.0 * e.distance + 1e-9);
-        }
-    }
-
-    #[test]
-    fn mixed_mode_batches_match_the_per_query_path() {
-        use hydra_core::{Parallelism, QueryEngine};
-        let (store, _) = build(300, 64);
-        let make_queries = || -> Vec<Query> {
-            let series = RandomWalkGenerator::new(61, 64).series_batch(4);
-            vec![
-                Query::knn(series[0].clone(), 3),
-                Query::knn(series[1].clone(), 2).with_mode(AnswerMode::NgApproximate),
-                Query::knn(series[2].clone(), 3)
-                    .with_mode(AnswerMode::EpsilonApproximate { epsilon: 0.5 }),
-                Query::knn(series[3].clone(), 1).with_mode(AnswerMode::DeltaEpsilon {
-                    delta: 0.9,
-                    epsilon: 0.25,
-                }),
-            ]
-        };
-        let queries = make_queries();
-        let options = BuildOptions::default()
-            .with_segments(16)
-            .with_train_samples(200);
-        let engine_on = |st: &Arc<DatasetStore>| {
-            QueryEngine::new(
-                Box::new(VaPlusFile::build_on_store(st.clone(), &options).unwrap()),
-                st.len(),
-            )
-            .with_io_source(st.clone())
-        };
-        let mut serial = engine_on(&store);
-        let serial_answers: Vec<_> = queries.iter().map(|q| serial.answer(q).unwrap()).collect();
-        let store2 = Arc::new(DatasetStore::new(store.dataset().clone()));
-        let mut batched = engine_on(&store2);
-        let batch_answers = batched.answer_batch(&queries, Parallelism::Serial).unwrap();
-        for (qi, (a, b)) in serial_answers.iter().zip(&batch_answers).enumerate() {
-            assert_eq!(a.answers, b.answers, "query {qi} (guarantee included)");
-            assert_eq!(a.guarantee, b.guarantee, "query {qi}");
-            assert_eq!(
-                a.stats.raw_series_examined, b.stats.raw_series_examined,
-                "query {qi}"
-            );
-            assert_eq!(
-                a.stats.lower_bounds_computed, b.stats.lower_bounds_computed,
-                "query {qi}"
-            );
-            assert_eq!(
-                a.stats.random_page_accesses, b.stats.random_page_accesses,
-                "query {qi}"
-            );
         }
     }
 

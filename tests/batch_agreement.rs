@@ -9,24 +9,9 @@
 //! or rejected exactly as the per-query path.
 
 use hydra_bench::MethodKind;
-use hydra_core::{AnswerMode, EngineAnswer, Error, Parallelism, Query, QueryStats};
+use hydra_core::{AnswerMode, EngineAnswer, Error, Parallelism, Query};
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
-
-/// The counter fields of `QueryStats` (everything except the wall-clock
-/// times, which legitimately vary run to run).
-fn counters(stats: &QueryStats) -> [u64; 8] {
-    [
-        stats.raw_series_examined,
-        stats.lower_bounds_computed,
-        stats.leaves_visited,
-        stats.internal_nodes_visited,
-        stats.early_abandons,
-        stats.sequential_page_accesses,
-        stats.random_page_accesses,
-        stats.bytes_read,
-    ]
-}
 
 fn assert_batch_matches_serial(
     kind: MethodKind,
@@ -49,8 +34,8 @@ fn assert_batch_matches_serial(
             kind.name()
         );
         assert_eq!(
-            counters(&s.stats),
-            counters(&b.stats),
+            s.stats.work_counters(),
+            b.stats.work_counters(),
             "{} per-query stats diverged on query {qi} ({label})",
             kind.name()
         );
@@ -76,7 +61,7 @@ fn answer_batch_is_bit_identical_to_the_serial_loop_for_all_ten_methods() {
     for kind in MethodKind::ALL {
         let mut engine = kind.engine(&data, &opts).unwrap();
         let serial: Vec<_> = queries.iter().map(|q| engine.answer(q).unwrap()).collect();
-        let serial_totals = counters(engine.totals());
+        let serial_totals = engine.totals().work_counters();
 
         // The batch size × thread count cross product, including a size that
         // does not divide the workload and the whole-workload batch.
@@ -90,7 +75,7 @@ fn answer_batch_is_bit_identical_to_the_serial_loop_for_all_ten_methods() {
                 let label = format!("batch={batch} {parallelism:?}");
                 assert_batch_matches_serial(kind, &serial, &batched, &label);
                 assert_eq!(
-                    counters(batched_engine.totals()),
+                    batched_engine.totals().work_counters(),
                     serial_totals,
                     "{} workload totals diverged ({label})",
                     kind.name()
@@ -162,7 +147,7 @@ fn mixed_mode_batches_are_routed_like_the_per_query_path() {
             .answer_workload(&mixed, Parallelism::Serial)
             .unwrap_err();
         let serial_answered = serial_engine.queries_answered();
-        let serial_totals = counters(serial_engine.totals());
+        let serial_totals = serial_engine.totals().work_counters();
 
         let mut batched_engine = kind.engine(&data, &opts).unwrap();
         match batched_engine.answer_batch(&mixed, Parallelism::Serial) {
@@ -184,7 +169,7 @@ fn mixed_mode_batches_are_routed_like_the_per_query_path() {
             kind.name()
         );
         assert_eq!(
-            counters(batched_engine.totals()),
+            batched_engine.totals().work_counters(),
             serial_totals,
             "{}: prefix totals must match the per-query loop",
             kind.name()

@@ -17,8 +17,7 @@
 
 use hydra_bench::MethodKind;
 use hydra_core::{
-    Budget, Dataset, EngineAnswer, Error, Guarantee, Parallelism, Query, QueryEngine, QueryStats,
-    RetryPolicy,
+    Budget, Dataset, EngineAnswer, Error, Guarantee, Parallelism, Query, QueryEngine, RetryPolicy,
 };
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
@@ -26,21 +25,6 @@ use hydra_storage::{DatasetStore, FaultConfig, FaultPlan};
 use std::sync::Arc;
 
 const SEED: u64 = 0xBAD5EED;
-
-/// The counter fields of `QueryStats` (everything except the wall-clock
-/// times, which legitimately vary run to run).
-fn counters(stats: &QueryStats) -> [u64; 8] {
-    [
-        stats.raw_series_examined,
-        stats.lower_bounds_computed,
-        stats.leaves_visited,
-        stats.internal_nodes_visited,
-        stats.early_abandons,
-        stats.sequential_page_accesses,
-        stats.random_page_accesses,
-        stats.bytes_read,
-    ]
-}
 
 /// An aggressive all-classes mix: enough faults that every method hits some,
 /// every transient clearing within two attempts.
@@ -87,7 +71,7 @@ fn digest(a: &EngineAnswer) -> String {
     format!(
         "{:?} {:?} attempts={} {:?}",
         a.answers.answers(),
-        counters(&a.stats),
+        a.stats.work_counters(),
         a.attempts,
         a.guarantee
     )
@@ -195,8 +179,8 @@ fn a_disabled_fault_plan_is_bit_identical_to_the_clean_store() {
                     kind.name()
                 );
                 assert_eq!(
-                    counters(&c.stats),
-                    counters(&d.stats),
+                    c.stats.work_counters(),
+                    d.stats.work_counters(),
                     "{} work counters diverged on query {qi} ({parallelism:?})",
                     kind.name()
                 );

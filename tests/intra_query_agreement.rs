@@ -9,24 +9,9 @@
 //! (R*-tree, M-tree).
 
 use hydra_bench::MethodKind;
-use hydra_core::{AnswerMode, Parallelism, Query, QueryStats};
+use hydra_core::{AnswerMode, Parallelism, Query};
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
-
-/// The counter fields of `QueryStats` (everything except the wall-clock
-/// times, which legitimately vary run to run).
-fn counters(stats: &QueryStats) -> [u64; 8] {
-    [
-        stats.raw_series_examined,
-        stats.lower_bounds_computed,
-        stats.leaves_visited,
-        stats.internal_nodes_visited,
-        stats.early_abandons,
-        stats.sequential_page_accesses,
-        stats.random_page_accesses,
-        stats.bytes_read,
-    ]
-}
 
 #[test]
 fn answer_intra_matches_serial_for_all_ten_methods_and_thread_counts() {
@@ -85,8 +70,8 @@ fn answer_intra_matches_serial_for_all_ten_methods_and_thread_counts() {
                     kind.name()
                 );
                 assert_eq!(
-                    counters(&expected.stats),
-                    counters(&got.stats),
+                    expected.stats.work_counters(),
+                    got.stats.work_counters(),
                     "{} per-query stats diverged on query {qi} at {parallelism:?}",
                     kind.name()
                 );

@@ -7,24 +7,9 @@
 //! the same index as a serial build.
 
 use hydra_bench::MethodKind;
-use hydra_core::{Parallelism, Query, QueryStats};
+use hydra_core::{Parallelism, Query};
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
-
-/// The counter fields of `QueryStats` (everything except the wall-clock
-/// times, which legitimately vary run to run).
-fn counters(stats: &QueryStats) -> [u64; 8] {
-    [
-        stats.raw_series_examined,
-        stats.lower_bounds_computed,
-        stats.leaves_visited,
-        stats.internal_nodes_visited,
-        stats.early_abandons,
-        stats.sequential_page_accesses,
-        stats.random_page_accesses,
-        stats.bytes_read,
-    ]
-}
 
 #[test]
 fn answer_workload_at_4_threads_matches_the_serial_loop_for_all_ten_methods() {
@@ -43,7 +28,7 @@ fn answer_workload_at_4_threads_matches_the_serial_loop_for_all_ten_methods() {
     for kind in MethodKind::ALL {
         let mut engine = kind.engine(&data, &opts).unwrap();
         let serial: Vec<_> = queries.iter().map(|q| engine.answer(q).unwrap()).collect();
-        let serial_totals = counters(engine.totals());
+        let serial_totals = engine.totals().work_counters();
         engine.reset_totals();
         let parallel = engine
             .answer_workload(&queries, Parallelism::Threads(4))
@@ -58,14 +43,14 @@ fn answer_workload_at_4_threads_matches_the_serial_loop_for_all_ten_methods() {
                 kind.name()
             );
             assert_eq!(
-                counters(&s.stats),
-                counters(&p.stats),
+                s.stats.work_counters(),
+                p.stats.work_counters(),
                 "{} per-query stats diverged on query {qi}",
                 kind.name()
             );
         }
         assert_eq!(
-            counters(engine.totals()),
+            engine.totals().work_counters(),
             serial_totals,
             "{} workload totals diverged",
             kind.name()

@@ -25,27 +25,12 @@
 //!    answers instead of errors.
 
 use hydra_bench::MethodKind;
-use hydra_core::{AnswerMode, Error, Guarantee, Query, QueryStats};
+use hydra_core::{AnswerMode, Error, Guarantee, Query};
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
 use hydra_serve::ServeConfig;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// The counter fields of `QueryStats` (everything except the wall-clock
-/// times, which legitimately vary run to run).
-fn counters(stats: &QueryStats) -> [u64; 8] {
-    [
-        stats.raw_series_examined,
-        stats.lower_bounds_computed,
-        stats.leaves_visited,
-        stats.internal_nodes_visited,
-        stats.early_abandons,
-        stats.sequential_page_accesses,
-        stats.random_page_accesses,
-        stats.bytes_read,
-    ]
-}
 
 /// An uncached service config: the pipeline tests compare cold answers.
 fn uncached(shards: usize) -> ServeConfig {
@@ -109,8 +94,8 @@ fn one_shard_service_is_bit_identical_to_the_engine_for_all_methods_and_modes() 
                 kind.name()
             );
             assert_eq!(
-                counters(&served.stats),
-                counters(&expected.stats),
+                served.stats.work_counters(),
+                expected.stats.work_counters(),
                 "{} query {qi}: one-shard work counters diverged",
                 kind.name()
             );
@@ -177,8 +162,8 @@ fn the_async_pipeline_matches_the_serial_reference_for_every_mode_and_shard_coun
                 );
                 assert_eq!(served.guarantee, reference.guarantee);
                 assert_eq!(
-                    counters(&served.stats),
-                    counters(&reference.stats),
+                    served.stats.work_counters(),
+                    reference.stats.work_counters(),
                     "{} query {qi} at {shards} shards: pipeline counters diverged",
                     kind.name()
                 );

@@ -18,7 +18,7 @@
 //!    run. Wall-clock never influences any of it.
 
 use hydra_bench::MethodKind;
-use hydra_core::{AnswerMode, Error, Guarantee, Query, QueryStats, RetryPolicy};
+use hydra_core::{AnswerMode, Error, Guarantee, Query, RetryPolicy};
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
 use hydra_serve::{
@@ -27,21 +27,6 @@ use hydra_serve::{
 use hydra_storage::{FaultConfig, FaultPlan};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// The counter fields of `QueryStats` (everything except the wall-clock
-/// times, which legitimately vary run to run).
-fn counters(stats: &QueryStats) -> [u64; 8] {
-    [
-        stats.raw_series_examined,
-        stats.lower_bounds_computed,
-        stats.leaves_visited,
-        stats.internal_nodes_visited,
-        stats.early_abandons,
-        stats.sequential_page_accesses,
-        stats.random_page_accesses,
-        stats.bytes_read,
-    ]
-}
 
 /// An uncached config with the whole resilience stack armed.
 fn resilient(shards: usize, faults: FaultPlan, quorum: QuorumPolicy) -> ServeConfig {
@@ -124,7 +109,7 @@ fn run_sweep(service: &QueryService, queries: &[Query]) -> Vec<Outcome> {
             Ok(answer) => Outcome::Answered {
                 answers: answer.answers,
                 guarantee: answer.guarantee,
-                counters: counters(&answer.stats),
+                counters: answer.stats.work_counters(),
             },
             Err(err) => Outcome::Failed(err.to_string()),
         })
@@ -171,8 +156,8 @@ fn fault_free_resilience_is_bit_identical_to_the_strict_service() {
                     kind.name()
                 );
                 assert_eq!(
-                    counters(&served.stats),
-                    counters(&expected.stats),
+                    served.stats.work_counters(),
+                    expected.stats.work_counters(),
                     "{} query {qi} at {shards} shards: armed counters diverged",
                     kind.name()
                 );

@@ -1,0 +1,139 @@
+//! Cross-commit golden for the four best-first tree searches.
+//!
+//! The agreement suites compare execution paths *within* one build; this
+//! suite pins DSTree, iSAX2+, the SFA trie and the R*-tree against a fixture
+//! recorded on an earlier commit, so a refactor of the shared search cannot
+//! change an answer, a guarantee or a work counter on every path at once
+//! without a test noticing. Each fixture line is one (tree, mode, query,
+//! path): the guarantee, `QueryStats::work_counters()` and every answer as
+//! `id:distance.to_bits()`.
+//!
+//! `fixtures/tree_search_golden.txt` was printed by `print_fixture` below on
+//! the commit before the trees moved onto `hydra_storage::best_first` (plus
+//! the iSAX2+ empty-leaf fix). To re-record after an intended change:
+//!
+//! ```text
+//! cargo test -p hydra-integration --test tree_search_golden -- \
+//!     --ignored --nocapture | grep '^tree|' > tests/fixtures/tree_search_golden.txt
+//! ```
+
+use hydra_bench::MethodKind;
+use hydra_core::{AnswerMode, Budget, Dataset, Query, QueryStats, Series};
+use hydra_data::RandomWalkGenerator;
+use hydra_integration::options;
+use std::fmt::Write;
+
+const FIXTURE: &str = include_str!("fixtures/tree_search_golden.txt");
+
+/// Length 250 over 16 segments (uneven segment widths), with the inputs the
+/// friendly random-walk suites avoid: a run of exact duplicates (more than a
+/// leaf holds, so splits cannot separate them) and constant series.
+const LEN: usize = 250;
+
+fn golden_dataset() -> Dataset {
+    let walks = RandomWalkGenerator::new(1401, LEN);
+    let mut data = Dataset::empty(LEN);
+    for i in 0..360u64 {
+        data.push(walks.series(i).values());
+        if i % 15 == 0 {
+            // 24 scattered copies of one series (first at index 1).
+            data.push(walks.series(1000).values());
+        }
+    }
+    for level in [0.0f32, 0.0, 0.0, 1.5, -2.0] {
+        data.push(&vec![level; LEN]);
+    }
+    data
+}
+
+fn golden_queries(data: &Dataset) -> Vec<Series> {
+    let mut queries = RandomWalkGenerator::new(1402, LEN).series_batch(8);
+    // A member, the duplicated series, a constant, and a perturbed member.
+    queries.push(data.series(200).to_owned_series());
+    queries.push(data.series(1).to_owned_series());
+    queries.push(Series::new(vec![0.0; LEN]));
+    let mut noisy = data.series(77).values().to_vec();
+    for (i, v) in noisy.iter_mut().enumerate() {
+        *v += 0.05 * ((i % 5) as f32 - 2.0);
+    }
+    queries.push(Series::new(noisy));
+    queries
+}
+
+fn golden_modes() -> [(&'static str, AnswerMode, Option<Budget>); 5] {
+    let epsilon = 0.25;
+    [
+        ("exact", AnswerMode::Exact, None),
+        ("ng", AnswerMode::NgApproximate, None),
+        ("eps", AnswerMode::EpsilonApproximate { epsilon }, None),
+        (
+            "delta-eps",
+            AnswerMode::DeltaEpsilon {
+                delta: 0.8,
+                epsilon,
+            },
+            None,
+        ),
+        // 30 raw reads against leaves of 20: the budget trips mid-leaf.
+        ("truncated", AnswerMode::Exact, Some(Budget::raw_reads(30))),
+    ]
+}
+
+fn render() -> String {
+    let data = golden_dataset();
+    let queries = golden_queries(&data);
+    let mut out = String::new();
+    for kind in [
+        MethodKind::DsTree,
+        MethodKind::Isax2Plus,
+        MethodKind::SfaTrie,
+        MethodKind::RStarTree,
+    ] {
+        let method = kind.build_boxed(&data, &options(LEN)).unwrap();
+        for (mode_name, mode, budget) in golden_modes() {
+            for (qi, series) in queries.iter().enumerate() {
+                let query = Query::knn(series.clone(), 5)
+                    .with_mode(mode)
+                    .with_budget(budget);
+                for (path, threads) in [("serial", 1), ("intra3", 3)] {
+                    let mut stats = QueryStats::default();
+                    let answers = match method.intra_answering() {
+                        Some(kernel) if threads > 1 => {
+                            kernel.answer_intra(&query, threads, &mut stats)
+                        }
+                        _ => method.answer(&query, &mut stats),
+                    }
+                    .unwrap();
+                    write!(
+                        out,
+                        "tree|{}|{mode_name}|q{qi:02}|{path}|{:?}|{:?}|",
+                        kind.name(),
+                        answers.guarantee(),
+                        stats.work_counters(),
+                    )
+                    .unwrap();
+                    for answer in answers.iter() {
+                        write!(out, " {}:{}", answer.id, answer.distance.to_bits()).unwrap();
+                    }
+                    out.push('\n');
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn tree_searches_reproduce_the_recorded_fixture() {
+    let rendered = render();
+    for (i, (got, want)) in rendered.lines().zip(FIXTURE.lines()).enumerate() {
+        assert_eq!(got, want, "fixture line {}", i + 1);
+    }
+    assert_eq!(rendered.lines().count(), FIXTURE.lines().count());
+}
+
+#[test]
+#[ignore = "generator: prints the fixture for the commit it runs on"]
+fn print_fixture() {
+    print!("\n{}", render());
+}
