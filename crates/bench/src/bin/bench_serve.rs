@@ -14,16 +14,17 @@
 //! Results go to stdout and to `BENCH_serve.json` so later PRs have a
 //! serving trajectory to compare against.
 //!
-//! Takes the shared flags: `--shards N` replaces the default 1/2/4 shard
-//! ladder with the single count N, `--deadline-ms D` replaces the default
-//! deadline ladder with the single deadline D (`0` skips the deadline
-//! lane), `--quorum P` (`all` / `best-effort` / a count) overrides the
-//! chaos lane's best-effort merge policy, and `--shard-fault-seed S`
-//! overrides its fault seed (`0` runs the lane fault-free). Latencies
-//! include scheduler queueing on the host, so absolute numbers are only
-//! comparable within one machine.
+//! Takes the shared [`RunConfig`] flags: `--shards N` replaces the default
+//! 1/2/4 shard ladder with the single count N, `--deadline-ms D` replaces
+//! the default deadline ladder with the single deadline D (`0` skips the
+//! deadline lane), `--quorum P` (`all` / `best-effort` / a count)
+//! overrides the chaos lane's best-effort merge policy, and
+//! `--shard-fault-seed S` overrides its fault seed (`0` runs the lane
+//! fault-free). Latencies include scheduler queueing on the host, so
+//! absolute numbers are only comparable within one machine.
 
 use hydra_bench::registry::MethodKind;
+use hydra_bench::RunConfig;
 use hydra_core::{parallel, BuildOptions, Error, Guarantee, Query, RetryPolicy, RunClock};
 use hydra_data::{QueryWorkload, RandomWalkGenerator, WorkloadSpec};
 use hydra_serve::{
@@ -173,17 +174,11 @@ fn run_cell(service: &QueryService, queries: &[Query], offered_qps: f64) -> Cell
 }
 
 fn main() {
-    let shards_flag = hydra_bench::cli::init_shards();
-    let shard_ladder: Vec<usize> = if std::env::var("HYDRA_SHARDS").is_ok() {
-        vec![shards_flag]
-    } else {
-        SHARD_LADDER.to_vec()
-    };
-    let deadline_flag = hydra_bench::cli::init_deadline_ms();
-    let deadline_ladder: Vec<u64> = if std::env::var("HYDRA_DEADLINE_MS").is_ok() {
-        deadline_flag.into_iter().collect()
-    } else {
-        DEADLINE_LADDER.to_vec()
+    let cfg = RunConfig::from_args();
+    let shard_ladder: Vec<usize> = cfg.shards.map_or(SHARD_LADDER.to_vec(), |n| vec![n]);
+    let deadline_ladder: Vec<u64> = match cfg.deadline_ms {
+        Some(ms) => [ms].into_iter().filter(|&ms| ms > 0).collect(),
+        None => DEADLINE_LADDER.to_vec(),
     };
 
     let data = RandomWalkGenerator::new(0xDA7A, LENGTH).dataset(SERIES);
@@ -310,18 +305,8 @@ fn main() {
     // much of the fleet must answer. `--quorum` overrides the lane's
     // best-effort default, `--shard-fault-seed` the default seed (0 runs the
     // lane fault-free as a plumbing check).
-    let quorum_flag = hydra_bench::cli::init_quorum();
-    let quorum = if std::env::var("HYDRA_QUORUM").is_ok() {
-        quorum_flag
-    } else {
-        QuorumPolicy::BestEffort
-    };
-    let seed_flag = hydra_bench::cli::init_shard_fault_seed();
-    let fault_seed = if std::env::var("HYDRA_SHARD_FAULT_SEED").is_ok() {
-        seed_flag
-    } else {
-        CHAOS_FAULT_SEED
-    };
+    let quorum = cfg.quorum.unwrap_or(QuorumPolicy::BestEffort);
+    let fault_seed = cfg.shard_fault_seed.unwrap_or(CHAOS_FAULT_SEED);
     println!("\nchaos lane: quorum {quorum}, shard-fault seed {fault_seed:#x}");
     let mut chaos_rows = String::new();
     for &shards in &shard_ladder {

@@ -7,17 +7,17 @@
 //! Writes `results/approx_tradeoff.csv` and `results/approx_tradeoff.json`
 //! (the JSON is uploaded as a CI artifact by the `approx-smoke` job).
 //!
-//! This binary sweeps the whole mode ladder itself, so it takes no `--mode`
-//! flag (unlike the per-figure binaries).
+//! This binary sweeps the whole mode ladder itself, so `--mode` (which
+//! drives the per-figure binaries) has no effect here.
 
-use hydra_bench::experiments::{approx_tradeoff, ExperimentScale};
+use hydra_bench::experiments::approx_tradeoff;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 use std::io::Write as _;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    let (table, json) = approx_tradeoff(ExperimentScale::from_env());
+    let cfg = RunConfig::from_args();
+    let (table, json) = approx_tradeoff(&cfg);
     println!("{}", table.to_text());
     let dir = results_dir();
     let csv_path = table.write_csv(&dir, "approx_tradeoff").expect("write csv");

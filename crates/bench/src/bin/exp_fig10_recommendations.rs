@@ -1,14 +1,12 @@
 //! EXP-F10: regenerates Figure 10 (the recommendation matrix).
 
-use hydra_bench::experiments::{fig10_recommendations, ExperimentScale};
+use hydra_bench::experiments::fig10_recommendations;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let table = fig10_recommendations(ExperimentScale::from_env());
+    let cfg = RunConfig::from_args();
+    let table = fig10_recommendations(&cfg);
     println!("{}", table.to_text());
     let path = table
         .write_csv(&results_dir(), "fig10_recommendations")

@@ -1,14 +1,12 @@
 //! EXP-F2: regenerates Figure 2 (leaf-size parametrization).
 
-use hydra_bench::experiments::{fig2_leaf_size, ExperimentScale};
+use hydra_bench::experiments::fig2_leaf_size;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let table = fig2_leaf_size(ExperimentScale::from_env());
+    let cfg = RunConfig::from_args();
+    let table = fig2_leaf_size(&cfg);
     println!("{}", table.to_text());
     let path = table
         .write_csv(&results_dir(), "fig2_leaf_size")

@@ -1,15 +1,13 @@
 //! EXP-F4: regenerates Figure 4 (sequential and random disk accesses vs
 //! dataset size and series length).
 
-use hydra_bench::experiments::{fig4_disk_accesses, ExperimentScale};
+use hydra_bench::experiments::fig4_disk_accesses;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let (by_size, by_length) = fig4_disk_accesses(ExperimentScale::from_env());
+    let cfg = RunConfig::from_args();
+    let (by_size, by_length) = fig4_disk_accesses(&cfg);
     println!("{}", by_size.to_text());
     println!("{}", by_length.to_text());
     let dir = results_dir();

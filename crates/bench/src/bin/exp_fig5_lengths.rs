@@ -1,14 +1,12 @@
 //! EXP-F5: regenerates Figure 5 (scalability with increasing series lengths).
 
-use hydra_bench::experiments::{fig5_lengths, ExperimentScale};
+use hydra_bench::experiments::fig5_lengths;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let table = fig5_lengths(ExperimentScale::from_env());
+    let cfg = RunConfig::from_args();
+    let table = fig5_lengths(&cfg);
     println!("{}", table.to_text());
     let path = table
         .write_csv(&results_dir(), "fig5_lengths")

@@ -1,15 +1,13 @@
 //! EXP-F6: regenerates Figure 6 (scalability comparison, HDD model).
 
-use hydra_bench::experiments::{fig6_fig7_platform_comparison, ExperimentScale};
+use hydra_bench::experiments::fig6_fig7_platform_comparison;
 use hydra_bench::harness::Platform;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let table = fig6_fig7_platform_comparison(ExperimentScale::from_env(), Platform::Hdd);
+    let cfg = RunConfig::from_args();
+    let table = fig6_fig7_platform_comparison(&cfg, Platform::Hdd);
     println!("{}", table.to_text());
     let path = table
         .write_csv(&results_dir(), "fig6_hdd")

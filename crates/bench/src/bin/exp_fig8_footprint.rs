@@ -1,17 +1,14 @@
 //! EXP-F8: regenerates Figure 8 (index footprint and tightness of the lower
 //! bound).
 
-use hydra_bench::experiments::{fig8_footprint, fig8_tlb, ExperimentScale};
+use hydra_bench::experiments::{fig8_footprint, fig8_tlb};
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let scale = ExperimentScale::from_env();
-    let footprint = fig8_footprint(scale);
-    let tlb = fig8_tlb(scale);
+    let cfg = RunConfig::from_args();
+    let footprint = fig8_footprint(&cfg);
+    let tlb = fig8_tlb(&cfg);
     println!("{}", footprint.to_text());
     println!("{}", tlb.to_text());
     let dir = results_dir();

@@ -1,14 +1,12 @@
 //! EXP-F9: regenerates Figure 9 (pruning ratio per method and workload).
 
-use hydra_bench::experiments::{fig9_pruning, ExperimentScale};
+use hydra_bench::experiments::fig9_pruning;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let table = fig9_pruning(ExperimentScale::from_env());
+    let cfg = RunConfig::from_args();
+    let table = fig9_pruning(&cfg);
     println!("{}", table.to_text());
     let path = table
         .write_csv(&results_dir(), "fig9_pruning")

@@ -2,13 +2,11 @@
 
 use hydra_bench::experiments::methods_table;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let table = methods_table();
+    let cfg = RunConfig::from_args();
+    let table = methods_table(&cfg);
     println!("{}", table.to_text());
     let path = table
         .write_csv(&results_dir(), "table1_methods")

@@ -13,17 +13,18 @@
 //! Writes `BENCH_robust.json` and `results/robustness.{csv,json}` (the JSON
 //! is uploaded as a CI artifact by the `chaos-smoke` job).
 //!
-//! This binary sweeps the fault ladder itself, so it takes no `--fault-seed`
-//! or `--budget` flag (those drive the per-figure binaries); `--threads N`
-//! and `HYDRA_SCALE` apply as usual.
+//! This binary sweeps the fault ladder itself, so `--fault-seed` and
+//! `--budget` (which drive the per-figure binaries) have no effect here;
+//! `--threads N` and `--scale S` apply as usual.
 
-use hydra_bench::experiments::{robustness, ExperimentScale};
+use hydra_bench::experiments::robustness;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 use std::io::Write as _;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    let (table, json) = robustness(ExperimentScale::from_env());
+    let cfg = RunConfig::from_args();
+    let (table, json) = robustness(&cfg);
     println!("{}", table.to_text());
 
     let bench_path =

@@ -1,15 +1,13 @@
 //! EXP-T2: regenerates Table 2 (the best method per platform, dataset and
 //! scenario).
 
-use hydra_bench::experiments::{table2_winners, ExperimentScale};
+use hydra_bench::experiments::table2_winners;
 use hydra_bench::report::results_dir;
+use hydra_bench::RunConfig;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let (table, _winners) = table2_winners(ExperimentScale::from_env());
+    let cfg = RunConfig::from_args();
+    let (table, _winners) = table2_winners(&cfg);
     println!("{}", table.to_text());
     let path = table
         .write_csv(&results_dir(), "table2_winners")

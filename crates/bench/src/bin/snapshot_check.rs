@@ -16,17 +16,16 @@
 //! unexpected rebuild exits non-zero.
 
 use hydra_bench::registry::{MethodKind, SnapshotOutcome};
-use hydra_bench::run_build;
-use hydra_core::{BuildOptions, Parallelism, Query};
+use hydra_bench::{run_build, RunConfig};
+use hydra_core::{BuildOptions, Query};
 use hydra_data::{QueryWorkload, RandomWalkGenerator, WorkloadSpec};
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    let dir = hydra_bench::cli::init_index_dir().unwrap_or_else(|| {
-        std::env::set_var("HYDRA_INDEX_DIR", "snapshots");
-        "snapshots".into()
-    });
-    let expect_loaded = std::env::args().any(|a| a == "--expect-loaded");
+    let mut cfg = RunConfig::from_args();
+    let dir = cfg
+        .index_dir
+        .get_or_insert_with(|| "snapshots".into())
+        .clone();
 
     let data = RandomWalkGenerator::new(0xC0FFEE, 96).dataset(600);
     let workload = QueryWorkload::generate(
@@ -49,15 +48,15 @@ fn main() {
             continue;
         }
         let (mut cached_engine, build) =
-            run_build(kind, &data, &options).expect("snapshot-aware build");
+            run_build(kind, &data, &options, &cfg).expect("snapshot-aware build");
         let cached = cached_engine
-            .answer_workload(&queries, Parallelism::from_env())
+            .answer_workload(&queries, cfg.threads)
             .expect("cached queries");
 
         // Fresh rebuild, bypassing the cache.
         let mut fresh_engine = kind.engine(&data, &options).expect("fresh build");
         let fresh = fresh_engine
-            .answer_workload(&queries, Parallelism::from_env())
+            .answer_workload(&queries, cfg.threads)
             .expect("fresh queries");
 
         let mut ok = true;
@@ -80,7 +79,7 @@ fn main() {
                 ok = false;
             }
         }
-        if expect_loaded && !build.snapshot.loaded() {
+        if cfg.expect_loaded && !build.snapshot.loaded() {
             eprintln!(
                 "FAIL {}: expected a snapshot load, got {:?}",
                 kind.name(),

@@ -1,879 +1,345 @@
-//! Minimal command-line plumbing shared by every experiment binary.
+//! The one run configuration shared by every experiment binary.
 //!
-//! The suite avoids external argument-parsing crates; the cross-cutting flags
-//! are:
+//! Each binary calls [`RunConfig::from_args`] once at the top of `main` and
+//! passes the result explicitly — to [`crate::harness::run_build`],
+//! [`crate::harness::run_queries`], [`crate::experiments::default_options`]
+//! and every `experiments::*` function. Nothing travels through the process
+//! environment. The suite avoids external argument-parsing crates; every flag
+//! accepts both `--flag v` and `--flag=v`, and an unknown flag, a missing
+//! value or a malformed value is an error naming the flag (exit status 2),
+//! never a silent fallback that would record results under the wrong
+//! configuration:
 //!
-//! * `--threads N` — worker-thread count for query workloads *and* index
-//!   construction. [`init_threads`] parses it and exports `HYDRA_THREADS`,
-//!   which is where the harness ([`crate::harness::run_queries`]) and the
-//!   shared build options ([`crate::experiments::default_options`]) read it
-//!   back from.
-//! * `--index-dir DIR` — the on-disk index snapshot directory.
-//!   [`init_index_dir`] parses it and exports `HYDRA_INDEX_DIR`, which
-//!   [`crate::harness::run_build`] reads back: with the directory set, a
-//!   valid snapshot is *loaded* instead of rebuilding the index, and a fresh
-//!   build saves a snapshot for the next run — turning a multi-method sweep
-//!   from one rebuild per run into one build ever.
-//! * `--mode exact|ng|eps:<v>|deltaeps:<d>,<e>` — the answering mode query
-//!   workloads run under. [`init_mode`] parses and validates it and exports
-//!   `HYDRA_MODE`, which [`crate::harness::run_queries`] reads back when
-//!   constructing its queries. Methods that cannot answer the mode surface a
-//!   typed `UnsupportedMode` error (never a silent exact fallback).
-//! * `--batch N` — the query-batch size. [`init_batch`] parses it and exports
-//!   `HYDRA_BATCH`, which [`crate::harness::run_queries`] reads back: with a
-//!   batch size set, workloads run through `QueryEngine::answer_batch` in
-//!   batches of `N` queries, amortizing one data pass per batch for methods
-//!   with a native batch kernel. `0` (or unset) keeps the per-query loop.
-//!   Batches compose with `--mode` and `--threads` (thread-parallel across
-//!   batch chunks); answers and per-query counters are identical either way.
-//! * `--fault-seed N` — the deterministic fault-injection seed.
-//!   [`init_fault_seed`] parses it and exports `HYDRA_FAULT_SEED`, which
-//!   robustness binaries read back to construct a seeded
-//!   [`hydra_storage::FaultPlan`] on the store. `0` (or unset) runs
-//!   fault-free; the same seed reproduces the same fault sequence.
-//! * `--budget B` — the per-query anytime budget in raw series reads
-//!   (`inf` = unbudgeted). [`init_budget`] parses it and exports
-//!   `HYDRA_BUDGET`, which [`crate::harness::run_queries`] reads back when
-//!   constructing its queries: on exhaustion a method stops and returns its
-//!   best-so-far answer tagged `Guarantee::Truncated`.
-//! * `--shards N` — the serving layer's engine-shard count. [`init_shards`]
-//!   parses it and exports `HYDRA_SHARDS`, which the `bench_serve` binary
-//!   reads back when partitioning the dataset into per-shard engines.
-//! * `--deadline-ms D` — the serving layer's per-request deadline in
-//!   milliseconds. [`init_deadline_ms`] parses it and exports
-//!   `HYDRA_DEADLINE_MS`, which `bench_serve` reads back: the deadline is
-//!   mapped onto a raw-read budget under the storage cost model, so late
-//!   queries degrade to `Guarantee::Truncated` instead of timing out. `0`
-//!   (or unset) serves without deadlines.
-//! * `--quorum Q` — the serving layer's quorum policy (`all`, `best-effort`,
-//!   or a shard count). [`init_quorum`] parses it through
-//!   [`QuorumPolicy::parse`] and exports `HYDRA_QUORUM`, which `bench_serve`
-//!   reads back: with fewer than a full quorum answering, the merge over the
-//!   survivors is served tagged `Guarantee::Partial` instead of failing.
-//! * `--shard-fault-seed N` — the serving layer's shard-fault seed.
-//!   [`init_shard_fault_seed`] parses it and exports
-//!   `HYDRA_SHARD_FAULT_SEED`, which `bench_serve` reads back to construct a
-//!   service-level [`hydra_storage::FaultPlan`]; every shard derives its own
-//!   independent fault stream from it. `0` (or unset) serves fault-free.
+//! | flag | default | meaning |
+//! |---|---|---|
+//! | `--threads N` | serial | worker threads for query workloads *and* index builds; `0` = one per CPU |
+//! | `--index-dir DIR` | none | snapshot directory: a valid index snapshot is *loaded* instead of rebuilt, and a fresh build saves one |
+//! | `--mode M` | `exact` | answering mode, `exact` / `ng` / `eps:<v>` / `deltaeps:<d>,<e>`; a method that cannot answer it is a typed `UnsupportedMode` error |
+//! | `--batch N` | `0` | run workloads through `QueryEngine::answer_batch` in chunks of `N` (`0` = per-query); answers and counters are identical either way |
+//! | `--fault-seed N` | `0` | seeded [`hydra_storage::FaultPlan`] on the store plus a recovering retry policy (`0` = fault-free) |
+//! | `--budget B` | `inf` | per-query raw-read budget; exhausted queries return best-so-far answers tagged `Guarantee::Truncated` |
+//! | `--scale S` | `small` | experiment dataset sizes, `smoke` / `small` / `full` ([`ExperimentScale`]) |
+//! | `--shards N` | ladder | `bench_serve`: a single shard count (≥ 1) instead of its 1/2/4 ladder |
+//! | `--deadline-ms D` | ladder | `bench_serve`: a single request deadline instead of its ladder (`0` skips the deadline lane) |
+//! | `--quorum Q` | lane default | `bench_serve`: the chaos lane's [`QuorumPolicy`], `all` / `best-effort` / a shard count |
+//! | `--shard-fault-seed N` | lane default | `bench_serve`: the chaos lane's per-shard fault seed (`0` = fault-free) |
+//! | `--expect-loaded` | off | `snapshot_check`: fail unless every index was loaded from its snapshot |
 //!
-//! One call to each at the top of `main` wires a whole experiment binary.
+//! A binary that sweeps a setting itself (`exp_approx_tradeoff` the modes,
+//! `exp_robustness` the faults and budgets) ignores the matching flag.
 
+use crate::experiments::ExperimentScale;
 use hydra_core::{AnswerMode, Budget, Parallelism};
 use hydra_serve::QuorumPolicy;
 use std::path::PathBuf;
 
-/// Parses `--threads N` (or `--threads=N`) from the process arguments,
-/// exports the value via `HYDRA_THREADS`, and returns the resolved worker
-/// count. Without the flag, an already-set `HYDRA_THREADS` is left alone
-/// (defaulting to serial when that is unset too). `--threads 0` means one
-/// worker per CPU.
-///
-/// A `--threads` flag with a missing or unparseable value aborts the process:
-/// silently falling back to serial would record benchmark results under the
-/// wrong configuration.
-pub fn init_threads() -> usize {
-    match threads_from(std::env::args()) {
-        Some(Ok(requested)) => std::env::set_var("HYDRA_THREADS", requested.to_string()),
-        Some(Err(bad)) => {
-            eprintln!("error: invalid --threads value {bad:?} (expected a number; 0 = one worker per CPU)");
+/// Every run setting of an experiment binary, parsed once from its flags.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunConfig {
+    /// `--threads`: query-workload and index-build parallelism.
+    pub threads: Parallelism,
+    /// `--index-dir`: where index snapshots are loaded from and saved to.
+    pub index_dir: Option<PathBuf>,
+    /// `--mode`: the answering mode of every workload query.
+    pub mode: AnswerMode,
+    /// `--batch`: the query-batch size (`0` = per-query execution).
+    pub batch: usize,
+    /// `--fault-seed`: the store's fault-injection seed (`0` = fault-free).
+    pub fault_seed: u64,
+    /// `--budget`: the per-query raw-read budget (`None` = unbudgeted).
+    pub budget: Option<Budget>,
+    /// `--shards`: a fixed serving shard count (`None` = the bench's ladder).
+    pub shards: Option<usize>,
+    /// `--deadline-ms`: a fixed request deadline (`None` = the bench's
+    /// ladder, `Some(0)` = no deadline lane).
+    pub deadline_ms: Option<u64>,
+    /// `--quorum`: the chaos lane's quorum policy (`None` = its default).
+    pub quorum: Option<QuorumPolicy>,
+    /// `--shard-fault-seed`: the chaos lane's fault seed (`None` = its
+    /// default).
+    pub shard_fault_seed: Option<u64>,
+    /// `--scale`: experiment dataset sizes.
+    pub scale: ExperimentScale,
+    /// `--expect-loaded`: `snapshot_check` requires every index to load.
+    pub expect_loaded: bool,
+}
+
+impl Default for RunConfig {
+    /// The configuration of a binary run without flags.
+    fn default() -> Self {
+        Self {
+            threads: Parallelism::Serial,
+            index_dir: None,
+            mode: AnswerMode::Exact,
+            batch: 0,
+            fault_seed: 0,
+            budget: None,
+            shards: None,
+            deadline_ms: None,
+            quorum: None,
+            shard_fault_seed: None,
+            scale: ExperimentScale::small(),
+            expect_loaded: false,
+        }
+    }
+}
+
+impl RunConfig {
+    /// Parses the process arguments; on an error prints it and exits with
+    /// status 2.
+    pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
             std::process::exit(2);
+        })
+    }
+
+    /// Parses a flag list (without the program name). Every flag accepts
+    /// `--flag v` and `--flag=v`; an unknown flag, a missing value or a
+    /// malformed value is an error naming the flag.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut cfg = Self::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if arg == "--expect-loaded" {
+                cfg.expect_loaded = true;
+                continue;
+            }
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+                None => (arg, None),
+            };
+            cfg.set(&flag, &inline.or_else(|| args.next()).unwrap_or_default())?;
         }
-        None => {}
+        Ok(cfg)
     }
-    Parallelism::from_env().worker_threads()
-}
 
-/// Extracts the `--threads` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but not a number.
-fn threads_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<usize, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--threads" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<usize>().map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--index-dir DIR` (or `--index-dir=DIR`) from the process
-/// arguments, exports the value via `HYDRA_INDEX_DIR`, and returns the
-/// directory the run persists index snapshots under. Without the flag, an
-/// already-set `HYDRA_INDEX_DIR` is respected; `None` (no persistence, every
-/// build is fresh) when that is unset too.
-///
-/// A `--index-dir` flag with a missing value aborts the process: silently
-/// rebuilding everything would defeat the point of asking for persistence.
-pub fn init_index_dir() -> Option<PathBuf> {
-    match index_dir_from(std::env::args()) {
-        Some(Ok(dir)) => std::env::set_var("HYDRA_INDEX_DIR", &dir),
-        Some(Err(())) => {
-            eprintln!("error: --index-dir requires a directory path");
-            std::process::exit(2);
+    /// Sets the one setting `flag` names from its raw value.
+    fn set(&mut self, flag: &str, raw: &str) -> Result<(), String> {
+        let bad = |expected: &str| format!("invalid {flag} value {raw:?} (expected {expected})");
+        match flag {
+            "--threads" => {
+                self.threads =
+                    match number(raw).ok_or_else(|| bad("a number; 0 = one worker per CPU"))? {
+                        0 => Parallelism::Auto,
+                        1 => Parallelism::Serial,
+                        n => Parallelism::Threads(n),
+                    }
+            }
+            "--index-dir" if raw.trim().is_empty() => return Err(bad("a directory path")),
+            "--index-dir" => self.index_dir = Some(PathBuf::from(raw)),
+            "--mode" => {
+                self.mode = AnswerMode::parse(raw)
+                    .map_err(|_| bad("exact | ng | eps:<v> | deltaeps:<d>,<e>"))?
+            }
+            "--batch" => {
+                self.batch = number(raw).ok_or_else(|| bad("a number; 0 = per-query execution"))?
+            }
+            "--fault-seed" => {
+                self.fault_seed = number(raw).ok_or_else(|| bad("a number; 0 = no faults"))?
+            }
+            "--budget" => {
+                self.budget = Budget::parse(raw).map_err(|_| bad("`inf` or a raw-read count"))?
+            }
+            "--shards" => {
+                let shards = number(raw).filter(|&n| n >= 1);
+                self.shards = Some(shards.ok_or_else(|| bad("a shard count >= 1"))?)
+            }
+            "--deadline-ms" => {
+                self.deadline_ms = Some(number(raw).ok_or_else(|| bad("milliseconds; 0 = none"))?)
+            }
+            "--quorum" => {
+                self.quorum = Some(
+                    QuorumPolicy::parse(raw.trim())
+                        .map_err(|_| bad("`all`, `best-effort`, or a shard count >= 1"))?,
+                )
+            }
+            "--shard-fault-seed" => {
+                self.shard_fault_seed =
+                    Some(number(raw).ok_or_else(|| bad("a number; 0 = no faults"))?)
+            }
+            "--scale" => {
+                self.scale = match raw.trim() {
+                    "smoke" => ExperimentScale::smoke(),
+                    "small" => ExperimentScale::small(),
+                    "full" => ExperimentScale::full(),
+                    _ => return Err(bad("smoke | small | full")),
+                }
+            }
+            _ => return Err(format!("unknown flag {flag:?} (expected one of {FLAGS})")),
         }
-        None => {}
-    }
-    index_dir_from_env()
-}
-
-/// The snapshot directory currently exported through `HYDRA_INDEX_DIR`
-/// (empty means unset).
-pub fn index_dir_from_env() -> Option<PathBuf> {
-    match std::env::var("HYDRA_INDEX_DIR") {
-        Ok(dir) if !dir.trim().is_empty() => Some(PathBuf::from(dir)),
-        _ => None,
+        Ok(())
     }
 }
 
-/// Extracts the `--index-dir` value from an argument list: `None` when the
-/// flag is absent, `Some(Err(()))` when it is present without a value.
-fn index_dir_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<String, ()>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--index-dir" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--index-dir=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(if raw.trim().is_empty() {
-            Err(())
-        } else {
-            Ok(raw)
-        });
-    }
-    None
+/// `raw` as a number, or `None` when it is not one.
+fn number<T: std::str::FromStr>(raw: &str) -> Option<T> {
+    raw.trim().parse().ok()
 }
 
-/// Parses `--mode M` (or `--mode=M`) from the process arguments, validates it
-/// through [`AnswerMode::parse`], exports the canonical form via `HYDRA_MODE`,
-/// and returns the mode the run's query workloads use. Without the flag, an
-/// already-set `HYDRA_MODE` is respected; [`AnswerMode::Exact`] when that is
-/// unset too.
-///
-/// A `--mode` flag with a missing or invalid value aborts the process:
-/// silently answering exactly would record results under the wrong mode.
-pub fn init_mode() -> AnswerMode {
-    match mode_from(std::env::args()) {
-        Some(Ok(mode)) => std::env::set_var("HYDRA_MODE", mode.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --mode value {bad:?} (expected exact | ng | eps:<v> | deltaeps:<d>,<e>)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    mode_from_env()
-}
-
-/// The answering mode currently exported through `HYDRA_MODE`
-/// ([`AnswerMode::Exact`] when unset).
-///
-/// A set-but-invalid `HYDRA_MODE` aborts the process, exactly like an
-/// invalid `--mode` flag: silently answering exactly would record results
-/// under the wrong mode.
-pub fn mode_from_env() -> AnswerMode {
-    match std::env::var("HYDRA_MODE") {
-        Ok(raw) if !raw.trim().is_empty() => AnswerMode::parse(&raw).unwrap_or_else(|_| {
-            eprintln!(
-                "error: invalid HYDRA_MODE value {raw:?} (expected exact | ng | eps:<v> | deltaeps:<d>,<e>)"
-            );
-            std::process::exit(2);
-        }),
-        _ => AnswerMode::Exact,
-    }
-}
-
-/// Extracts the `--mode` value from an argument list: `None` when the flag is
-/// absent, `Some(Err(raw))` when it is present but not a valid mode.
-fn mode_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<AnswerMode, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--mode" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--mode=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(AnswerMode::parse(&raw).map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--batch N` (or `--batch=N`) from the process arguments, exports
-/// the value via `HYDRA_BATCH`, and returns the batch size the run's query
-/// workloads use. Without the flag, an already-set `HYDRA_BATCH` is
-/// respected; `0` (per-query execution, no batching) when that is unset too.
-///
-/// A `--batch` flag with a missing or unparseable value aborts the process:
-/// silently running per-query would record benchmark results under the wrong
-/// configuration.
-pub fn init_batch() -> usize {
-    match batch_from(std::env::args()) {
-        Some(Ok(batch)) => std::env::set_var("HYDRA_BATCH", batch.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --batch value {bad:?} (expected a number; 0 = per-query execution)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    batch_from_env()
-}
-
-/// The batch size currently exported through `HYDRA_BATCH` (`0` — per-query
-/// execution — when unset).
-///
-/// A set-but-unparseable `HYDRA_BATCH` falls back to per-query execution with
-/// a warning on stderr, mirroring `Parallelism::from_env`.
-pub fn batch_from_env() -> usize {
-    let Ok(raw) = std::env::var("HYDRA_BATCH") else {
-        return 0;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring unparseable HYDRA_BATCH={raw:?}; running per-query \
-                 (expected a number; 0 = per-query execution)"
-            );
-            0
-        }
-    }
-}
-
-/// Extracts the `--batch` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but not a number.
-fn batch_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<usize, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--batch" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--batch=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<usize>().map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--fault-seed N` (or `--fault-seed=N`) from the process arguments,
-/// exports the value via `HYDRA_FAULT_SEED`, and returns it. The seed
-/// deterministically drives the storage layer's [`hydra_storage::FaultPlan`]
-/// in binaries that construct one; `0` (or unset) disables fault injection.
-///
-/// A `--fault-seed` flag with a missing or unparseable value aborts the
-/// process: silently running fault-free would record robustness results under
-/// the wrong configuration.
-pub fn init_fault_seed() -> u64 {
-    match fault_seed_from(std::env::args()) {
-        Some(Ok(seed)) => std::env::set_var("HYDRA_FAULT_SEED", seed.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --fault-seed value {bad:?} (expected a number; 0 = no faults)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    fault_seed_from_env()
-}
-
-/// The fault seed currently exported through `HYDRA_FAULT_SEED` (`0` — no
-/// fault injection — when unset).
-///
-/// A set-but-unparseable `HYDRA_FAULT_SEED` falls back to fault-free with a
-/// warning on stderr, mirroring `batch_from_env`.
-pub fn fault_seed_from_env() -> u64 {
-    let Ok(raw) = std::env::var("HYDRA_FAULT_SEED") else {
-        return 0;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring unparseable HYDRA_FAULT_SEED={raw:?}; running fault-free \
-                 (expected a number; 0 = no faults)"
-            );
-            0
-        }
-    }
-}
-
-/// Extracts the `--fault-seed` value from an argument list: `None` when the
-/// flag is absent, `Some(Err(raw))` when it is present but not a number.
-fn fault_seed_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<u64, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--fault-seed" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--fault-seed=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<u64>().map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--budget B` (or `--budget=B`, with `B` either `inf` or a raw-read
-/// count) from the process arguments, exports the canonical value via
-/// `HYDRA_BUDGET`, and returns the per-query [`Budget`] the run's workloads
-/// attach to their queries. Without the flag, an already-set `HYDRA_BUDGET`
-/// is respected; `None` (unbudgeted, every query runs to completion) when
-/// that is unset too.
-///
-/// A `--budget` flag with a missing or invalid value aborts the process:
-/// silently running unbudgeted would record anytime-answering results under
-/// the wrong configuration.
-pub fn init_budget() -> Option<Budget> {
-    match budget_from(std::env::args()) {
-        Some(Ok(budget)) => std::env::set_var(
-            "HYDRA_BUDGET",
-            budget.map_or("inf".to_string(), |b| b.limit().to_string()),
-        ),
-        Some(Err(bad)) => {
-            eprintln!("error: invalid --budget value {bad:?} (expected `inf` or a raw-read count)");
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    budget_from_env()
-}
-
-/// The per-query budget currently exported through `HYDRA_BUDGET` (`None` —
-/// unbudgeted — when unset or `inf`).
-///
-/// A set-but-invalid `HYDRA_BUDGET` aborts the process, exactly like an
-/// invalid `--budget` flag.
-pub fn budget_from_env() -> Option<Budget> {
-    match std::env::var("HYDRA_BUDGET") {
-        Ok(raw) if !raw.trim().is_empty() => Budget::parse(&raw).unwrap_or_else(|_| {
-            eprintln!(
-                "error: invalid HYDRA_BUDGET value {raw:?} (expected `inf` or a raw-read count)"
-            );
-            std::process::exit(2);
-        }),
-        _ => None,
-    }
-}
-
-/// Extracts the `--budget` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but not `inf`/a number.
-fn budget_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<Option<Budget>, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--budget" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--budget=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(Budget::parse(&raw).map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--shards N` (or `--shards=N`) from the process arguments, exports
-/// the value via `HYDRA_SHARDS`, and returns the serving layer's shard count.
-/// Without the flag, an already-set `HYDRA_SHARDS` is respected; `1` (a
-/// single unsharded engine) when that is unset too.
-///
-/// A `--shards` flag with a missing, unparseable or zero value aborts the
-/// process: silently serving unsharded would record results under the wrong
-/// configuration.
-pub fn init_shards() -> usize {
-    match shards_from(std::env::args()) {
-        Some(Ok(shards)) => std::env::set_var("HYDRA_SHARDS", shards.to_string()),
-        Some(Err(bad)) => {
-            eprintln!("error: invalid --shards value {bad:?} (expected a shard count >= 1)");
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    shards_from_env()
-}
-
-/// The shard count currently exported through `HYDRA_SHARDS` (`1` — a single
-/// unsharded engine — when unset).
-///
-/// A set-but-invalid `HYDRA_SHARDS` falls back to unsharded with a warning on
-/// stderr, mirroring `batch_from_env`.
-pub fn shards_from_env() -> usize {
-    let Ok(raw) = std::env::var("HYDRA_SHARDS") else {
-        return 1;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!(
-                "warning: ignoring invalid HYDRA_SHARDS={raw:?}; serving unsharded \
-                 (expected a shard count >= 1)"
-            );
-            1
-        }
-    }
-}
-
-/// Extracts the `--shards` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but not a count ≥ 1.
-fn shards_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<usize, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--shards" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--shards=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(raw),
-        });
-    }
-    None
-}
-
-/// Parses `--deadline-ms D` (or `--deadline-ms=D`) from the process
-/// arguments, exports the value via `HYDRA_DEADLINE_MS`, and returns the
-/// serving layer's per-request deadline (`None` — no deadline — for `0`).
-/// Without the flag, an already-set `HYDRA_DEADLINE_MS` is respected; `None`
-/// when that is unset too.
-///
-/// A `--deadline-ms` flag with a missing or unparseable value aborts the
-/// process: silently serving without deadlines would record results under
-/// the wrong configuration.
-pub fn init_deadline_ms() -> Option<u64> {
-    match deadline_ms_from(std::env::args()) {
-        Some(Ok(ms)) => std::env::set_var("HYDRA_DEADLINE_MS", ms.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --deadline-ms value {bad:?} (expected milliseconds; 0 = none)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    deadline_ms_from_env()
-}
-
-/// The deadline currently exported through `HYDRA_DEADLINE_MS` (`None` — no
-/// deadline — when unset or `0`).
-///
-/// A set-but-unparseable `HYDRA_DEADLINE_MS` falls back to no deadline with a
-/// warning on stderr, mirroring `batch_from_env`.
-pub fn deadline_ms_from_env() -> Option<u64> {
-    let Ok(raw) = std::env::var("HYDRA_DEADLINE_MS") else {
-        return None;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(0) => None,
-        Ok(ms) => Some(ms),
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring unparseable HYDRA_DEADLINE_MS={raw:?}; serving without \
-                 deadlines (expected milliseconds; 0 = none)"
-            );
-            None
-        }
-    }
-}
-
-/// Extracts the `--deadline-ms` value from an argument list: `None` when the
-/// flag is absent, `Some(Err(raw))` when it is present but not a number.
-fn deadline_ms_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<u64, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--deadline-ms" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--deadline-ms=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<u64>().map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--quorum Q` (or `--quorum=Q`, with `Q` one of `all`,
-/// `best-effort`, or a shard count) from the process arguments, exports the
-/// canonical form via `HYDRA_QUORUM`, and returns the serving layer's quorum
-/// policy. Without the flag, an already-set `HYDRA_QUORUM` is respected;
-/// [`QuorumPolicy::AllShards`] (the strict pre-resilience behaviour) when
-/// that is unset too.
-///
-/// A `--quorum` flag with a missing or invalid value aborts the process:
-/// silently serving strict would record availability results under the wrong
-/// configuration.
-pub fn init_quorum() -> QuorumPolicy {
-    match quorum_from(std::env::args()) {
-        Some(Ok(policy)) => std::env::set_var("HYDRA_QUORUM", policy.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --quorum value {bad:?} (expected `all`, `best-effort`, or a shard count >= 1)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    quorum_from_env()
-}
-
-/// The quorum policy currently exported through `HYDRA_QUORUM`
-/// ([`QuorumPolicy::AllShards`] when unset).
-///
-/// A set-but-invalid `HYDRA_QUORUM` falls back to strict quorum with a
-/// warning on stderr, mirroring `batch_from_env`.
-pub fn quorum_from_env() -> QuorumPolicy {
-    let Ok(raw) = std::env::var("HYDRA_QUORUM") else {
-        return QuorumPolicy::AllShards;
-    };
-    match QuorumPolicy::parse(raw.trim()) {
-        Ok(policy) => policy,
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring invalid HYDRA_QUORUM={raw:?}; serving strict \
-                 (expected `all`, `best-effort`, or a shard count >= 1)"
-            );
-            QuorumPolicy::AllShards
-        }
-    }
-}
-
-/// Extracts the `--quorum` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but invalid.
-fn quorum_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<QuorumPolicy, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--quorum" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--quorum=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(QuorumPolicy::parse(raw.trim()).map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--shard-fault-seed N` (or `--shard-fault-seed=N`) from the
-/// process arguments, exports the value via `HYDRA_SHARD_FAULT_SEED`, and
-/// returns it. The seed drives the serving layer's per-shard fault domains
-/// (each shard derives an independent stream via
-/// [`hydra_storage::FaultPlan::for_shard`]); `0` (or unset) serves
-/// fault-free, and the same seed reproduces the same degraded run.
-///
-/// A `--shard-fault-seed` flag with a missing or unparseable value aborts
-/// the process: silently serving fault-free would record resilience results
-/// under the wrong configuration.
-pub fn init_shard_fault_seed() -> u64 {
-    match shard_fault_seed_from(std::env::args()) {
-        Some(Ok(seed)) => std::env::set_var("HYDRA_SHARD_FAULT_SEED", seed.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --shard-fault-seed value {bad:?} (expected a number; 0 = no faults)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    shard_fault_seed_from_env()
-}
-
-/// The shard-fault seed currently exported through `HYDRA_SHARD_FAULT_SEED`
-/// (`0` — fault-free serving — when unset).
-///
-/// A set-but-unparseable `HYDRA_SHARD_FAULT_SEED` falls back to fault-free
-/// with a warning on stderr, mirroring `fault_seed_from_env`.
-pub fn shard_fault_seed_from_env() -> u64 {
-    let Ok(raw) = std::env::var("HYDRA_SHARD_FAULT_SEED") else {
-        return 0;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring unparseable HYDRA_SHARD_FAULT_SEED={raw:?}; serving \
-                 fault-free (expected a number; 0 = no faults)"
-            );
-            0
-        }
-    }
-}
-
-/// Extracts the `--shard-fault-seed` value from an argument list: `None`
-/// when the flag is absent, `Some(Err(raw))` when it is present but not a
-/// number.
-fn shard_fault_seed_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<u64, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--shard-fault-seed" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--shard-fault-seed=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<u64>().map_err(|_| raw));
-    }
-    None
-}
+/// Every flag [`RunConfig::parse`] accepts.
+const FLAGS: &str = "--threads --index-dir --mode --batch --fault-seed --budget --scale \
+                     --shards --deadline-ms --quorum --shard-fault-seed --expect-loaded";
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Parallelism::{Auto, Serial, Threads};
 
-    fn argv(args: &[&str]) -> impl Iterator<Item = String> {
-        args.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
+    /// (group, argv, the config it parses to or the text its error contains).
+    type Row = (&'static str, &'static str, Result<RunConfig, &'static str>);
+
+    fn ok(set: impl FnOnce(&mut RunConfig)) -> Result<RunConfig, &'static str> {
+        let mut cfg = RunConfig::default();
+        set(&mut cfg);
+        Ok(cfg)
+    }
+
+    /// The whole flag matrix: every flag in its `--f v`, `--f=v`,
+    /// missing-value and malformed forms, plus the defaults and typos. Each
+    /// test below checks one group of rows.
+    #[rustfmt::skip]
+    fn table() -> Vec<Row> {
+        vec![
+            ("defaults", "", ok(|_| {})),
+            ("defaults", "--scale small", ok(|_| {})),
+            ("defaults", "--scale smoke", ok(|c| c.scale = ExperimentScale::smoke())),
+            ("defaults", "--scale=full", ok(|c| c.scale = ExperimentScale::full())),
+            ("defaults", "--expect-loaded", ok(|c| c.expect_loaded = true)),
+            ("defaults", "--threads 4 --batch=8 --mode ng", ok(|c| {
+                c.threads = Threads(4);
+                c.batch = 8;
+                c.mode = AnswerMode::NgApproximate;
+            })),
+            ("typos", "--thread 4", Err(r#"unknown flag "--thread""#)),
+            ("typos", "--scale smok", Err(r#"invalid --scale value "smok""#)),
+            ("typos", "--scale", Err(r#"invalid --scale value """#)),
+            ("typos", "snapshots", Err(r#"unknown flag "snapshots""#)),
+            ("typos", "--threads --batch 8", Err(r#"invalid --threads value "--batch""#)),
+            ("threads", "--threads 4", ok(|c| c.threads = Threads(4))),
+            ("threads", "--threads=8", ok(|c| c.threads = Threads(8))),
+            ("threads", "--threads 0", ok(|c| c.threads = Auto)),
+            ("threads", "--threads 1", ok(|c| c.threads = Serial)),
+            ("threads", "--threads", Err(r#"invalid --threads value """#)),
+            ("threads", "--threads=", Err(r#"invalid --threads value """#)),
+            ("threads", "--threads lots", Err(r#"invalid --threads value "lots""#)),
+            ("index-dir", "--index-dir snapshots", ok(|c| c.index_dir = Some("snapshots".into()))),
+            ("index-dir", "--index-dir=/tmp/idx", ok(|c| c.index_dir = Some("/tmp/idx".into()))),
+            ("index-dir", "--index-dir", Err(r#"invalid --index-dir value """#)),
+            ("index-dir", "--index-dir=", Err(r#"invalid --index-dir value """#)),
+            ("mode", "--mode ng", ok(|c| c.mode = AnswerMode::NgApproximate)),
+            ("mode", "--mode=eps:0.1", ok(|c| c.mode = AnswerMode::EpsilonApproximate { epsilon: 0.1 })),
+            ("mode", "--mode deltaeps:0.9,0.25", ok(|c| {
+                c.mode = AnswerMode::DeltaEpsilon { delta: 0.9, epsilon: 0.25 }
+            })),
+            ("mode", "--mode", Err(r#"invalid --mode value """#)),
+            ("mode", "--mode sloppy", Err(r#"invalid --mode value "sloppy""#)),
+            ("mode", "--mode eps:-1", Err(r#"invalid --mode value "eps:-1""#)),
+            ("batch", "--batch 64", ok(|c| c.batch = 64)),
+            ("batch", "--batch=8", ok(|c| c.batch = 8)),
+            ("batch", "--batch 0", ok(|_| {})),
+            ("batch", "--batch", Err(r#"invalid --batch value """#)),
+            ("batch", "--batch many", Err(r#"invalid --batch value "many""#)),
+            ("fault-seed", "--fault-seed 42", ok(|c| c.fault_seed = 42)),
+            ("fault-seed", "--fault-seed=7", ok(|c| c.fault_seed = 7)),
+            ("fault-seed", "--fault-seed", Err(r#"invalid --fault-seed value """#)),
+            ("fault-seed", "--fault-seed chaos", Err(r#"invalid --fault-seed value "chaos""#)),
+            ("budget", "--budget 500", ok(|c| c.budget = Some(Budget::raw_reads(500)))),
+            ("budget", "--budget=inf", ok(|_| {})),
+            ("budget", "--budget", Err(r#"invalid --budget value """#)),
+            ("budget", "--budget soon", Err(r#"invalid --budget value "soon""#)),
+            ("shards", "--shards 4", ok(|c| c.shards = Some(4))),
+            ("shards", "--shards=2", ok(|c| c.shards = Some(2))),
+            ("shards", "--shards", Err(r#"invalid --shards value """#)),
+            ("shards", "--shards 0", Err(r#"invalid --shards value "0""#)),
+            ("shards", "--shards many", Err(r#"invalid --shards value "many""#)),
+            ("deadline-ms", "--deadline-ms 250", ok(|c| c.deadline_ms = Some(250))),
+            ("deadline-ms", "--deadline-ms=0", ok(|c| c.deadline_ms = Some(0))),
+            ("deadline-ms", "--deadline-ms", Err(r#"invalid --deadline-ms value """#)),
+            ("deadline-ms", "--deadline-ms soon", Err(r#"invalid --deadline-ms value "soon""#)),
+            ("quorum", "--quorum all", ok(|c| c.quorum = Some(QuorumPolicy::AllShards))),
+            ("quorum", "--quorum=best-effort", ok(|c| c.quorum = Some(QuorumPolicy::BestEffort))),
+            ("quorum", "--quorum 2", ok(|c| c.quorum = Some(QuorumPolicy::AtLeast(2)))),
+            ("quorum", "--quorum", Err(r#"invalid --quorum value """#)),
+            ("quorum", "--quorum 0", Err(r#"invalid --quorum value "0""#)),
+            ("quorum", "--quorum most", Err(r#"invalid --quorum value "most""#)),
+            ("shard-fault-seed", "--shard-fault-seed 42", ok(|c| c.shard_fault_seed = Some(42))),
+            ("shard-fault-seed", "--shard-fault-seed=7", ok(|c| c.shard_fault_seed = Some(7))),
+            ("shard-fault-seed", "--shard-fault-seed", Err(r#"invalid --shard-fault-seed value """#)),
+            ("shard-fault-seed", "--shard-fault-seed chaos", Err(r#"invalid --shard-fault-seed value "chaos""#)),
+        ]
+    }
+
+    fn check(group: &str) {
+        let rows: Vec<Row> = table().into_iter().filter(|row| row.0 == group).collect();
+        assert!(!rows.is_empty(), "no rows in group {group}");
+        for (_, argv, want) in rows {
+            let got = RunConfig::parse(argv.split_whitespace().map(str::to_string));
+            match (&want, &got) {
+                (Ok(want), Ok(got)) => assert_eq!(got, want, "{argv:?}"),
+                (Err(text), Err(msg)) => assert!(msg.contains(text), "{argv:?}: {msg}"),
+                _ => panic!("{argv:?}: expected {want:?}, got {got:?}"),
+            }
+        }
     }
 
     #[test]
-    fn parses_shards_forms() {
-        assert_eq!(shards_from(argv(&["bin", "--shards", "4"])), Some(Ok(4)));
-        assert_eq!(shards_from(argv(&["bin", "--shards=2"])), Some(Ok(2)));
-        assert_eq!(shards_from(argv(&["bin"])), None);
-        assert_eq!(
-            shards_from(argv(&["bin", "--shards", "0"])),
-            Some(Err("0".into())),
-            "zero shards is invalid"
-        );
-        assert_eq!(
-            shards_from(argv(&["bin", "--shards", "many"])),
-            Some(Err("many".into()))
-        );
-        assert_eq!(
-            shards_from(argv(&["bin", "--shards"])),
-            Some(Err("".into()))
-        );
-    }
-
-    #[test]
-    fn parses_deadline_ms_forms() {
-        assert_eq!(
-            deadline_ms_from(argv(&["bin", "--deadline-ms", "250"])),
-            Some(Ok(250))
-        );
-        assert_eq!(
-            deadline_ms_from(argv(&["bin", "--deadline-ms=0"])),
-            Some(Ok(0)),
-            "0 is valid and means no deadline"
-        );
-        assert_eq!(deadline_ms_from(argv(&["bin"])), None);
-        assert_eq!(
-            deadline_ms_from(argv(&["bin", "--deadline-ms", "soon"])),
-            Some(Err("soon".into()))
-        );
-        assert_eq!(
-            deadline_ms_from(argv(&["bin", "--deadline-ms"])),
-            Some(Err("".into()))
-        );
-    }
-
-    #[test]
-    fn parses_quorum_forms() {
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum", "all"])),
-            Some(Ok(QuorumPolicy::AllShards))
-        );
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum=best-effort"])),
-            Some(Ok(QuorumPolicy::BestEffort))
-        );
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum", "2"])),
-            Some(Ok(QuorumPolicy::AtLeast(2)))
-        );
-        assert_eq!(quorum_from(argv(&["bin"])), None);
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum", "0"])),
-            Some(Err("0".into())),
-            "zero-shard quorum is invalid"
-        );
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum", "most"])),
-            Some(Err("most".into()))
-        );
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum"])),
-            Some(Err(String::new()))
-        );
-    }
-
-    #[test]
-    fn parses_shard_fault_seed_forms() {
-        assert_eq!(
-            shard_fault_seed_from(argv(&["bin", "--shard-fault-seed", "42"])),
-            Some(Ok(42))
-        );
-        assert_eq!(
-            shard_fault_seed_from(argv(&["bin", "--shard-fault-seed=7"])),
-            Some(Ok(7))
-        );
-        assert_eq!(shard_fault_seed_from(argv(&["bin"])), None);
-        assert_eq!(
-            shard_fault_seed_from(argv(&["bin", "--shard-fault-seed", "chaos"])),
-            Some(Err("chaos".into()))
-        );
-        assert_eq!(
-            shard_fault_seed_from(argv(&["bin", "--shard-fault-seed"])),
-            Some(Err(String::new()))
-        );
-    }
-
-    #[test]
-    fn parses_separate_and_joined_forms() {
-        assert_eq!(threads_from(argv(&["bin", "--threads", "4"])), Some(Ok(4)));
-        assert_eq!(threads_from(argv(&["bin", "--threads=8"])), Some(Ok(8)));
-        assert_eq!(threads_from(argv(&["bin", "--threads", "0"])), Some(Ok(0)));
-        assert_eq!(threads_from(argv(&["bin"])), None);
-    }
-
-    #[test]
-    fn parses_index_dir_forms() {
-        assert_eq!(
-            index_dir_from(argv(&["bin", "--index-dir", "snapshots"])),
-            Some(Ok("snapshots".into()))
-        );
-        assert_eq!(
-            index_dir_from(argv(&["bin", "--index-dir=/tmp/idx"])),
-            Some(Ok("/tmp/idx".into()))
-        );
-        assert_eq!(index_dir_from(argv(&["bin"])), None);
-        assert_eq!(index_dir_from(argv(&["bin", "--index-dir"])), Some(Err(())));
-        assert_eq!(
-            index_dir_from(argv(&["bin", "--index-dir="])),
-            Some(Err(()))
-        );
-    }
-
-    #[test]
-    fn parses_mode_forms() {
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode", "ng"])),
-            Some(Ok(AnswerMode::NgApproximate))
-        );
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode=eps:0.1"])),
-            Some(Ok(AnswerMode::EpsilonApproximate { epsilon: 0.1 }))
-        );
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode", "deltaeps:0.9,0.25"])),
-            Some(Ok(AnswerMode::DeltaEpsilon {
-                delta: 0.9,
-                epsilon: 0.25
-            }))
-        );
-        assert_eq!(mode_from(argv(&["bin"])), None);
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode", "sloppy"])),
-            Some(Err("sloppy".into()))
-        );
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode", "eps:-1"])),
-            Some(Err("eps:-1".into()))
-        );
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode"])),
-            Some(Err(String::new()))
-        );
-    }
-
-    #[test]
-    fn parses_batch_forms() {
-        assert_eq!(batch_from(argv(&["bin", "--batch", "64"])), Some(Ok(64)));
-        assert_eq!(batch_from(argv(&["bin", "--batch=8"])), Some(Ok(8)));
-        assert_eq!(batch_from(argv(&["bin", "--batch", "0"])), Some(Ok(0)));
-        assert_eq!(batch_from(argv(&["bin"])), None);
-        assert_eq!(
-            batch_from(argv(&["bin", "--batch"])),
-            Some(Err(String::new()))
-        );
-        assert_eq!(
-            batch_from(argv(&["bin", "--batch", "many"])),
-            Some(Err("many".into()))
-        );
-    }
-
-    #[test]
-    fn parses_fault_seed_forms() {
-        assert_eq!(
-            fault_seed_from(argv(&["bin", "--fault-seed", "42"])),
-            Some(Ok(42))
-        );
-        assert_eq!(
-            fault_seed_from(argv(&["bin", "--fault-seed=7"])),
-            Some(Ok(7))
-        );
-        assert_eq!(fault_seed_from(argv(&["bin"])), None);
-        assert_eq!(
-            fault_seed_from(argv(&["bin", "--fault-seed", "chaos"])),
-            Some(Err("chaos".into()))
-        );
-        assert_eq!(
-            fault_seed_from(argv(&["bin", "--fault-seed"])),
-            Some(Err(String::new()))
-        );
-    }
-
-    #[test]
-    fn parses_budget_forms() {
-        assert_eq!(
-            budget_from(argv(&["bin", "--budget", "500"])),
-            Some(Ok(Some(Budget::raw_reads(500))))
-        );
-        assert_eq!(budget_from(argv(&["bin", "--budget=inf"])), Some(Ok(None)));
-        assert_eq!(budget_from(argv(&["bin"])), None);
-        assert_eq!(
-            budget_from(argv(&["bin", "--budget", "soon"])),
-            Some(Err("soon".into()))
-        );
-        assert_eq!(
-            budget_from(argv(&["bin", "--budget"])),
-            Some(Err(String::new()))
-        );
+    fn defaults_and_scale() {
+        check("defaults");
     }
 
     #[test]
     fn missing_or_malformed_values_are_reported_not_ignored() {
-        assert_eq!(
-            threads_from(argv(&["bin", "--threads"])),
-            Some(Err(String::new()))
-        );
-        assert_eq!(
-            threads_from(argv(&["bin", "--threads", "lots"])),
-            Some(Err("lots".into()))
-        );
-        assert_eq!(
-            threads_from(argv(&["bin", "--threads="])),
-            Some(Err(String::new()))
-        );
+        check("typos");
+    }
+
+    #[test]
+    fn parses_separate_and_joined_forms() {
+        check("threads");
+    }
+
+    #[test]
+    fn parses_index_dir_forms() {
+        check("index-dir");
+    }
+
+    #[test]
+    fn parses_mode_forms() {
+        check("mode");
+    }
+
+    #[test]
+    fn parses_batch_forms() {
+        check("batch");
+    }
+
+    #[test]
+    fn parses_fault_seed_forms() {
+        check("fault-seed");
+    }
+
+    #[test]
+    fn parses_budget_forms() {
+        check("budget");
+    }
+
+    #[test]
+    fn parses_shards_forms() {
+        check("shards");
+    }
+
+    #[test]
+    fn parses_deadline_ms_forms() {
+        check("deadline-ms");
+    }
+
+    #[test]
+    fn parses_quorum_forms() {
+        check("quorum");
+    }
+
+    #[test]
+    fn parses_shard_fault_seed_forms() {
+        check("shard-fault-seed");
     }
 }

@@ -2,17 +2,21 @@
 //! paper's evaluation section. Each returns [`ResultTable`]s that the
 //! corresponding binary prints and writes to `results/*.csv`.
 //!
-//! The experiments run on laptop-scale datasets; sizes are controlled by
-//! [`ExperimentScale`] (override with the `HYDRA_SCALE` environment variable:
-//! `smoke`, `small` (default), or `full`). Absolute numbers therefore differ
+//! Every function takes the run's [`RunConfig`]; its thread count, snapshot
+//! directory, answering mode, batch size, fault seed and budget reach every
+//! build and workload through [`default_options`], [`run_build`] and
+//! [`run_queries`]. The experiments run on laptop-scale datasets whose sizes
+//! the config's [`ExperimentScale`] sets (`--scale smoke|small|full`,
+//! default `small`). Absolute numbers therefore differ
 //! from the paper's multi-hundred-GB runs, but the *shapes* — which method
 //! wins where, how access patterns change with size, length and hardware —
 //! are what `EXPERIMENTS.md` tracks.
 
+use crate::cli::RunConfig;
 use crate::harness::{run_build, run_queries, Platform, WorkloadMeasurement};
 use crate::registry::MethodKind;
 use crate::report::{fmt_pct, fmt_secs, ResultTable};
-use hydra_core::{AnswerMode, BuildOptions, Dataset, Parallelism, Query};
+use hydra_core::{AnswerMode, BuildOptions, Dataset, Query};
 use hydra_data::{
     DomainDataset, DomainGenerator, QueryWorkload, RandomWalkGenerator, WorkloadSpec,
 };
@@ -58,15 +62,6 @@ impl ExperimentScale {
         }
     }
 
-    /// Reads the scale from the `HYDRA_SCALE` environment variable.
-    pub fn from_env() -> Self {
-        match std::env::var("HYDRA_SCALE").as_deref() {
-            Ok("smoke") => Self::smoke(),
-            Ok("full") => Self::full(),
-            _ => Self::small(),
-        }
-    }
-
     /// The ladder of dataset sizes standing in for the paper's 25GB → 1TB
     /// sweep: 1/4×, 1/2×, 1×, 2.5× of the reference size.
     pub fn size_ladder(&self) -> Vec<usize> {
@@ -95,15 +90,15 @@ impl ExperimentScale {
 /// (root fanout 256), keeping the ratio of fanout to collection size in the
 /// same regime as the paper's setup; `fig8_tlb` keeps the paper's 16
 /// coefficients since TLB is independent of tree geometry.
-pub fn default_options() -> BuildOptions {
+pub fn default_options(cfg: &RunConfig) -> BuildOptions {
     BuildOptions::default()
         .with_segments(8)
         .with_leaf_capacity(100)
         .with_train_samples(1_000)
         // Index builds use the same worker count as the query workloads
-        // (`--threads` / HYDRA_THREADS); the built indexes are identical for
-        // every thread count, so measurements stay comparable.
-        .with_build_threads(hydra_core::Parallelism::from_env().worker_threads())
+        // (`--threads`); the built indexes are identical for every thread
+        // count, so measurements stay comparable.
+        .with_build_threads(cfg.threads.worker_threads())
 }
 
 fn synth_dataset(count: usize, length: usize) -> Dataset {
@@ -128,7 +123,7 @@ fn ctrl_workload(name: &str, dataset: &Dataset, queries: usize) -> QueryWorkload
 
 /// Table 1: the method property matrix, extended with the answering-mode
 /// capability columns of the sequel study.
-pub fn methods_table() -> ResultTable {
+pub fn methods_table(cfg: &RunConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Table 1 — similarity search methods and answering-mode capabilities",
         &[
@@ -144,7 +139,7 @@ pub fn methods_table() -> ResultTable {
     let yes_no = |b: bool| if b { "yes" } else { "no" }.to_string();
     let data = synth_dataset(200, 64);
     for kind in MethodKind::ALL {
-        let (engine, _) = run_build(kind, &data, &default_options()).expect("build");
+        let (engine, _) = run_build(kind, &data, &default_options(cfg), cfg).expect("build");
         let d = engine.descriptor();
         table.push_row(vec![
             d.name.to_string(),
@@ -166,7 +161,7 @@ pub fn methods_table() -> ResultTable {
 
 /// Figure 2: leaf-size parametrization. For each tunable index, sweep the
 /// leaf capacity and report (normalized) build and query times.
-pub fn fig2_leaf_size(scale: ExperimentScale) -> ResultTable {
+pub fn fig2_leaf_size(cfg: &RunConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Figure 2 — leaf size parametrization (HDD model, times normalized per method)",
         &[
@@ -177,8 +172,8 @@ pub fn fig2_leaf_size(scale: ExperimentScale) -> ResultTable {
             "normalized_total",
         ],
     );
-    let dataset = synth_dataset(scale.base_series, 256);
-    let workload = rand_workload(&dataset, scale.queries.min(20));
+    let dataset = synth_dataset(cfg.scale.base_series, 256);
+    let workload = rand_workload(&dataset, cfg.scale.queries.min(20));
     let methods = [
         (MethodKind::AdsPlus, vec![50usize, 100, 500, 1000]),
         (MethodKind::DsTree, vec![50, 100, 500, 1000]),
@@ -191,9 +186,9 @@ pub fn fig2_leaf_size(scale: ExperimentScale) -> ResultTable {
         let mut rows = Vec::new();
         let mut max_total = 0.0f64;
         for capacity in capacities {
-            let options = default_options().with_leaf_capacity(capacity);
-            let (mut engine, build) = run_build(kind, &dataset, &options).expect("build");
-            let run = run_queries(&mut engine, &workload).expect("queries");
+            let options = default_options(cfg).with_leaf_capacity(capacity);
+            let (mut engine, build) = run_build(kind, &dataset, &options, cfg).expect("build");
+            let run = run_queries(&mut engine, &workload, cfg).expect("queries");
             let idx = build.total_time(Platform::Hdd).as_secs_f64();
             let query = run.total_time(Platform::Hdd).as_secs_f64();
             max_total = max_total.max(idx + query);
@@ -214,7 +209,7 @@ pub fn fig2_leaf_size(scale: ExperimentScale) -> ResultTable {
 
 /// Figure 3: per-method scalability with dataset size, with the CPU vs I/O
 /// breakdown of build + 100-query workloads (HDD model).
-pub fn fig3_scalability(scale: ExperimentScale) -> ResultTable {
+pub fn fig3_scalability(cfg: &RunConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Figure 3 — scalability with increasing dataset sizes (HDD model)",
         &[
@@ -229,7 +224,7 @@ pub fn fig3_scalability(scale: ExperimentScale) -> ResultTable {
     );
     let model = Platform::Hdd;
     for kind in MethodKind::ALL {
-        for &size in &scale.size_ladder() {
+        for &size in &cfg.scale.size_ladder() {
             // The paper stops M-tree / R*-tree / Stepwise / MASS runs beyond a
             // day; here everything completes, but keep the slow methods on the
             // smaller sizes so the full sweep stays fast.
@@ -237,13 +232,14 @@ pub fn fig3_scalability(scale: ExperimentScale) -> ResultTable {
                 kind,
                 MethodKind::MTree | MethodKind::RStarTree | MethodKind::Mass | MethodKind::Stepwise
             );
-            if slow && size > scale.base_series {
+            if slow && size > cfg.scale.base_series {
                 continue;
             }
             let dataset = synth_dataset(size, 256);
-            let workload = rand_workload(&dataset, scale.queries.min(20));
-            let (mut engine, build) = run_build(kind, &dataset, &default_options()).expect("build");
-            let run = run_queries(&mut engine, &workload).expect("queries");
+            let workload = rand_workload(&dataset, cfg.scale.queries.min(20));
+            let (mut engine, build) =
+                run_build(kind, &dataset, &default_options(cfg), cfg).expect("build");
+            let run = run_queries(&mut engine, &workload, cfg).expect("queries");
             let idx_io = model.cost_model().total_time(&build.io);
             let total = build.cpu_time + idx_io + run.total_time(model);
             table.push_row(vec![
@@ -262,7 +258,7 @@ pub fn fig3_scalability(scale: ExperimentScale) -> ResultTable {
 
 /// Figure 4: number of sequential and random disk accesses per query for the
 /// best six methods, across dataset sizes and series lengths.
-pub fn fig4_disk_accesses(scale: ExperimentScale) -> (ResultTable, ResultTable) {
+pub fn fig4_disk_accesses(cfg: &RunConfig) -> (ResultTable, ResultTable) {
     let headers = &[
         "method",
         "x_value",
@@ -310,21 +306,23 @@ pub fn fig4_disk_accesses(scale: ExperimentScale) -> (ResultTable, ResultTable) 
             ]);
         };
     for kind in MethodKind::BEST_SIX {
-        for &size in &scale.size_ladder() {
+        for &size in &cfg.scale.size_ladder() {
             let dataset = synth_dataset(size, 256);
-            let workload = rand_workload(&dataset, scale.queries.min(20));
-            let (mut engine, _) = run_build(kind, &dataset, &default_options()).expect("build");
-            let run = run_queries(&mut engine, &workload).expect("queries");
+            let workload = rand_workload(&dataset, cfg.scale.queries.min(20));
+            let (mut engine, _) =
+                run_build(kind, &dataset, &default_options(cfg), cfg).expect("build");
+            let run = run_queries(&mut engine, &workload, cfg).expect("queries");
             record(&mut by_size, kind, size.to_string(), &run);
         }
-        for &length in &scale.length_ladder() {
+        for &length in &cfg.scale.length_ladder() {
             // Like the paper, the dataset *size in bytes* stays fixed while
             // the length varies, so longer series mean fewer of them.
-            let count = (scale.base_series / 2 * 256 / length).max(200);
+            let count = (cfg.scale.base_series / 2 * 256 / length).max(200);
             let dataset = synth_dataset(count, length);
-            let workload = rand_workload(&dataset, scale.queries.min(20));
-            let (mut engine, _) = run_build(kind, &dataset, &default_options()).expect("build");
-            let run = run_queries(&mut engine, &workload).expect("queries");
+            let workload = rand_workload(&dataset, cfg.scale.queries.min(20));
+            let (mut engine, _) =
+                run_build(kind, &dataset, &default_options(cfg), cfg).expect("build");
+            let run = run_queries(&mut engine, &workload, cfg).expect("queries");
             record(&mut by_length, kind, length.to_string(), &run);
         }
     }
@@ -333,7 +331,7 @@ pub fn fig4_disk_accesses(scale: ExperimentScale) -> (ResultTable, ResultTable) 
 
 /// Figure 5: scalability with increasing series lengths (fixed dataset size,
 /// 16 segments for all summarizations), Idx+Exact100 and Idx+Exact10K.
-pub fn fig5_lengths(scale: ExperimentScale) -> ResultTable {
+pub fn fig5_lengths(cfg: &RunConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Figure 5 — scalability with increasing series lengths (HDD model)",
         &[
@@ -345,14 +343,15 @@ pub fn fig5_lengths(scale: ExperimentScale) -> ResultTable {
     );
     let model = Platform::Hdd;
     for kind in MethodKind::BEST_SIX {
-        for &length in &scale.length_ladder() {
+        for &length in &cfg.scale.length_ladder() {
             // Fixed dataset size in bytes (the paper's 100GB), so longer
             // series mean proportionally fewer of them.
-            let count = (scale.base_series / 2 * 256 / length).max(200);
+            let count = (cfg.scale.base_series / 2 * 256 / length).max(200);
             let dataset = synth_dataset(count, length);
-            let workload = rand_workload(&dataset, scale.queries.min(20));
-            let (mut engine, build) = run_build(kind, &dataset, &default_options()).expect("build");
-            let run = run_queries(&mut engine, &workload).expect("queries");
+            let workload = rand_workload(&dataset, cfg.scale.queries.min(20));
+            let (mut engine, build) =
+                run_build(kind, &dataset, &default_options(cfg), cfg).expect("build");
+            let run = run_queries(&mut engine, &workload, cfg).expect("queries");
             let idx = build.total_time(model);
             let q100 = run.extrapolated_time(model, 100);
             let q10k = run.extrapolated_time(model, 10_000);
@@ -370,7 +369,7 @@ pub fn fig5_lengths(scale: ExperimentScale) -> ResultTable {
 /// Figures 6 and 7: the scalability comparison of the best six methods for
 /// the four scenarios (Idx, Exact100, Idx+Exact100, Idx+Exact10K) on a given
 /// platform model.
-pub fn fig6_fig7_platform_comparison(scale: ExperimentScale, platform: Platform) -> ResultTable {
+pub fn fig6_fig7_platform_comparison(cfg: &RunConfig, platform: Platform) -> ResultTable {
     let mut table = ResultTable::new(
         format!(
             "Figures 6/7 — scalability comparison ({} model)",
@@ -386,11 +385,12 @@ pub fn fig6_fig7_platform_comparison(scale: ExperimentScale, platform: Platform)
         ],
     );
     for kind in MethodKind::BEST_SIX {
-        for &size in &scale.size_ladder() {
+        for &size in &cfg.scale.size_ladder() {
             let dataset = synth_dataset(size, 256);
-            let workload = rand_workload(&dataset, scale.queries.min(20));
-            let (mut engine, build) = run_build(kind, &dataset, &default_options()).expect("build");
-            let run = run_queries(&mut engine, &workload).expect("queries");
+            let workload = rand_workload(&dataset, cfg.scale.queries.min(20));
+            let (mut engine, build) =
+                run_build(kind, &dataset, &default_options(cfg), cfg).expect("build");
+            let run = run_queries(&mut engine, &workload, cfg).expect("queries");
             let idx = build.total_time(platform);
             let exact100 = run.extrapolated_time(platform, 100);
             let exact10k = run.extrapolated_time(platform, 10_000);
@@ -409,7 +409,7 @@ pub fn fig6_fig7_platform_comparison(scale: ExperimentScale, platform: Platform)
 
 /// Figure 8a–8e: index footprint (node counts, sizes, fill factors) across
 /// dataset sizes.
-pub fn fig8_footprint(scale: ExperimentScale) -> ResultTable {
+pub fn fig8_footprint(cfg: &RunConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Figure 8a-8e — index footprint vs dataset size",
         &[
@@ -431,9 +431,9 @@ pub fn fig8_footprint(scale: ExperimentScale) -> ResultTable {
         MethodKind::VaPlusFile,
     ];
     for kind in indexes {
-        for &size in &scale.size_ladder() {
+        for &size in &cfg.scale.size_ladder() {
             let dataset = synth_dataset(size, 256);
-            let (_, build) = run_build(kind, &dataset, &default_options()).expect("build");
+            let (_, build) = run_build(kind, &dataset, &default_options(cfg), cfg).expect("build");
             let fp = build.footprint.expect("index footprint");
             table.push_row(vec![
                 kind.name().to_string(),
@@ -457,14 +457,14 @@ pub fn fig8_footprint(scale: ExperimentScale) -> ResultTable {
 /// summarization's lower bound to the true distance, averaged over a sample —
 /// which preserves the ordering the paper reports (VA+/ADS+ tightest, SFA with
 /// alphabet 8 loosest, DSTree/iSAX in between).
-pub fn fig8_tlb(scale: ExperimentScale) -> ResultTable {
+pub fn fig8_tlb(cfg: &RunConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Figure 8f — tightness of the lower bound vs series length",
         &["method", "series_length", "tlb"],
     );
-    let pairs = scale.queries.max(20);
-    for &length in &scale.length_ladder() {
-        let dataset = synth_dataset(2_000.min(scale.base_series), length);
+    let pairs = cfg.scale.queries.max(20);
+    for &length in &cfg.scale.length_ladder() {
+        let dataset = synth_dataset(2_000.min(cfg.scale.base_series), length);
         let workload = rand_workload(&dataset, pairs);
         let segments = 16.min(length);
         // Train the learned quantizers on a dataset sample.
@@ -530,7 +530,7 @@ pub fn fig8_tlb(scale: ExperimentScale) -> ResultTable {
 
 /// Figure 9: pruning ratio of the five indexes across workloads (Synth-Rand,
 /// Synth-Ctrl and the four domain-flavoured controlled workloads).
-pub fn fig9_pruning(scale: ExperimentScale) -> ResultTable {
+pub fn fig9_pruning(cfg: &RunConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Figure 9 — pruning ratio per method and workload",
         &["method", "workload", "mean_pruning", "p25", "median", "p75"],
@@ -542,30 +542,31 @@ pub fn fig9_pruning(scale: ExperimentScale) -> ResultTable {
         MethodKind::SfaTrie,
         MethodKind::VaPlusFile,
     ];
-    let size = (scale.base_series / 2).max(1_000);
+    let size = (cfg.scale.base_series / 2).max(1_000);
     // (name, dataset) pairs: synthetic plus the four domain stand-ins.
     let mut workloads: Vec<(String, Dataset, QueryWorkload)> = Vec::new();
     let synth = synth_dataset(size, 256);
     workloads.push((
         "Synth-Rand".to_string(),
         synth.clone(),
-        rand_workload(&synth, scale.queries.min(30)),
+        rand_workload(&synth, cfg.scale.queries.min(30)),
     ));
     workloads.push((
         "Synth-Ctrl".to_string(),
         synth.clone(),
-        ctrl_workload("Synth-Ctrl", &synth, scale.queries.min(30)),
+        ctrl_workload("Synth-Ctrl", &synth, cfg.scale.queries.min(30)),
     ));
     for domain in DomainDataset::ALL {
         let data = DomainGenerator::new(domain, 0xD0).dataset(size);
         let name = format!("{}-Ctrl", domain.name());
-        let wl = ctrl_workload(&name, &data, scale.queries.min(30));
+        let wl = ctrl_workload(&name, &data, cfg.scale.queries.min(30));
         workloads.push((name, data, wl));
     }
     for kind in indexes {
         for (name, dataset, workload) in &workloads {
-            let (mut engine, _) = run_build(kind, dataset, &default_options()).expect("build");
-            let run = run_queries(&mut engine, workload).expect("queries");
+            let (mut engine, _) =
+                run_build(kind, dataset, &default_options(cfg), cfg).expect("build");
+            let run = run_queries(&mut engine, workload, cfg).expect("queries");
             let mut ratios = run.pruning_ratios();
             ratios.sort_by(f64::total_cmp);
             let q = |p: f64| ratios[((ratios.len() - 1) as f64 * p).round() as usize];
@@ -594,7 +595,7 @@ pub struct ScenarioWinners {
 }
 
 /// Table 2: the best method per {platform × dataset × scenario}.
-pub fn table2_winners(scale: ExperimentScale) -> (ResultTable, Vec<ScenarioWinners>) {
+pub fn table2_winners(cfg: &RunConfig) -> (ResultTable, Vec<ScenarioWinners>) {
     let mut table = ResultTable::new(
         "Table 2 — best method per scenario",
         &[
@@ -613,26 +614,30 @@ pub fn table2_winners(scale: ExperimentScale) -> (ResultTable, Vec<ScenarioWinne
     let mut datasets: Vec<(String, Dataset)> = vec![
         (
             "Small".to_string(),
-            synth_dataset(scale.base_series / 4, 256),
+            synth_dataset(cfg.scale.base_series / 4, 256),
         ),
-        ("Large".to_string(), synth_dataset(scale.base_series, 256)),
+        (
+            "Large".to_string(),
+            synth_dataset(cfg.scale.base_series, 256),
+        ),
     ];
     for domain in DomainDataset::ALL {
         datasets.push((
             domain.name().to_string(),
-            DomainGenerator::new(domain, 0xD1).dataset(scale.base_series / 2),
+            DomainGenerator::new(domain, 0xD1).dataset(cfg.scale.base_series / 2),
         ));
     }
     let mut all_winners = Vec::new();
     for platform in [Platform::Hdd, Platform::Ssd] {
         for (name, dataset) in &datasets {
-            let workload = ctrl_workload(&format!("{name}-Ctrl"), dataset, scale.queries.min(30));
+            let workload =
+                ctrl_workload(&format!("{name}-Ctrl"), dataset, cfg.scale.queries.min(30));
             // Run every candidate method once.
             let mut runs: Vec<(MethodKind, Duration, WorkloadMeasurement)> = Vec::new();
             for kind in MethodKind::BEST_SIX {
                 let (mut engine, build) =
-                    run_build(kind, dataset, &default_options()).expect("build");
-                let run = run_queries(&mut engine, &workload).expect("queries");
+                    run_build(kind, dataset, &default_options(cfg), cfg).expect("build");
+                let run = run_queries(&mut engine, &workload, cfg).expect("queries");
                 runs.push((kind, build.total_time(platform), run));
             }
             // Easy/hard query split by average pruning ratio across methods.
@@ -697,7 +702,7 @@ pub fn table2_winners(scale: ExperimentScale) -> (ResultTable, Vec<ScenarioWinne
 
 /// Figure 10: the recommendation matrix (short/long series × in-memory/disk-
 /// resident collections) for the Idx+Exact10K scenario on the HDD model.
-pub fn fig10_recommendations(scale: ExperimentScale) -> ResultTable {
+pub fn fig10_recommendations(cfg: &RunConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Figure 10 — recommended method (Idx + 10K queries, HDD model)",
         &["series_length", "collection", "recommended", "runner_up"],
@@ -708,34 +713,35 @@ pub fn fig10_recommendations(scale: ExperimentScale) -> ResultTable {
             "short (256)",
             "in-memory (small)",
             256usize,
-            scale.base_series / 4,
+            cfg.scale.base_series / 4,
         ),
         (
             "short (256)",
             "disk-resident (large)",
             256,
-            scale.base_series,
+            cfg.scale.base_series,
         ),
         (
             "long (2048)",
             "in-memory (small)",
             2048,
-            scale.base_series / 16,
+            cfg.scale.base_series / 16,
         ),
         (
             "long (2048)",
             "disk-resident (large)",
             2048,
-            scale.base_series / 4,
+            cfg.scale.base_series / 4,
         ),
     ];
     for (length_label, collection_label, length, size) in cells {
         let dataset = synth_dataset(size.max(500), length);
-        let workload = rand_workload(&dataset, scale.queries.min(20));
+        let workload = rand_workload(&dataset, cfg.scale.queries.min(20));
         let mut totals: Vec<(&'static str, f64)> = Vec::new();
         for kind in MethodKind::BEST_SIX {
-            let (mut engine, build) = run_build(kind, &dataset, &default_options()).expect("build");
-            let run = run_queries(&mut engine, &workload).expect("queries");
+            let (mut engine, build) =
+                run_build(kind, &dataset, &default_options(cfg), cfg).expect("build");
+            let run = run_queries(&mut engine, &workload, cfg).expect("queries");
             let total = build.total_time(platform) + run.extrapolated_time(platform, 10_000);
             totals.push((kind.name(), total.as_secs_f64()));
         }
@@ -776,17 +782,16 @@ pub fn approx_mode_ladder() -> Vec<AnswerMode> {
 ///
 /// Returns the result table plus a JSON rendering (written by the
 /// `exp_approx_tradeoff` binary and uploaded as a CI artifact).
-pub fn approx_tradeoff(scale: ExperimentScale) -> (ResultTable, String) {
+pub fn approx_tradeoff(cfg: &RunConfig) -> (ResultTable, String) {
     use std::fmt::Write as _;
 
-    let dataset = synth_dataset(scale.base_series, 128);
-    let workload = rand_workload(&dataset, scale.queries.min(20));
+    let dataset = synth_dataset(cfg.scale.base_series, 128);
+    let workload = rand_workload(&dataset, cfg.scale.queries.min(20));
     let queries: Vec<Query> = workload
         .queries()
         .iter()
         .map(|s| Query::nearest_neighbor(s.clone()))
         .collect();
-    let parallelism = Parallelism::from_env();
 
     let mut table = ResultTable::new(
         "Approximate answering trade-off — error ratio and speedup vs exact",
@@ -804,10 +809,10 @@ pub fn approx_tradeoff(scale: ExperimentScale) -> (ResultTable, String) {
         if !kind.modes().any_approximate() {
             continue;
         }
-        let mut engine = kind.engine(&dataset, &default_options()).expect("build");
+        let mut engine = kind.engine(&dataset, &default_options(cfg)).expect("build");
 
         let exact = engine
-            .answer_workload(&queries, parallelism)
+            .answer_workload(&queries, cfg.threads)
             .expect("exact workload");
         let exact_wall: f64 = exact.iter().map(|a| a.wall_time.as_secs_f64()).sum();
         let exact_examined: u64 = exact.iter().map(|a| a.stats.raw_series_examined).sum();
@@ -821,7 +826,7 @@ pub fn approx_tradeoff(scale: ExperimentScale) -> (ResultTable, String) {
             })
             .collect();
         let zero = engine
-            .answer_workload(&zero_queries, parallelism)
+            .answer_workload(&zero_queries, cfg.threads)
             .expect("eps:0 workload");
         for (qi, (e, z)) in exact.iter().zip(&zero).enumerate() {
             assert_eq!(
@@ -842,7 +847,7 @@ pub fn approx_tradeoff(scale: ExperimentScale) -> (ResultTable, String) {
             let mode_queries: Vec<Query> =
                 queries.iter().map(|q| q.clone().with_mode(mode)).collect();
             let run = engine
-                .answer_workload(&mode_queries, parallelism)
+                .answer_workload(&mode_queries, cfg.threads)
                 .unwrap_or_else(|e| panic!("{} {mode} workload: {e}", kind.name()));
             let wall: f64 = run.iter().map(|a| a.wall_time.as_secs_f64()).sum();
             let examined: u64 = run.iter().map(|a| a.stats.raw_series_examined).sum();
@@ -889,8 +894,8 @@ pub fn approx_tradeoff(scale: ExperimentScale) -> (ResultTable, String) {
   ]
 }}
 "#,
-        scale.base_series,
-        scale.queries.min(20),
+        cfg.scale.base_series,
+        cfg.scale.queries.min(20),
     );
     (table, json)
 }
@@ -920,20 +925,19 @@ pub fn batch_capable_methods() -> Vec<MethodKind> {
 ///
 /// Returns the result table plus a JSON rendering (`run_all_experiments`
 /// writes both under `results/`).
-pub fn batch_amortization(scale: ExperimentScale) -> (ResultTable, String) {
+pub fn batch_amortization(cfg: &RunConfig) -> (ResultTable, String) {
     use std::fmt::Write as _;
 
     // Enough queries that the larger ladder steps actually form full
     // batches at the default scales, without blowing up smoke runs.
-    let num_queries = (scale.queries * 8).clamp(32, 256);
-    let dataset = synth_dataset(scale.base_series, 128);
+    let num_queries = (cfg.scale.queries * 8).clamp(32, 256);
+    let dataset = synth_dataset(cfg.scale.base_series, 128);
     let workload = rand_workload(&dataset, num_queries);
     let queries: Vec<Query> = workload
         .queries()
         .iter()
         .map(|s| Query::nearest_neighbor(s.clone()))
         .collect();
-    let parallelism = Parallelism::from_env();
 
     let mut table = ResultTable::new(
         "Batched query execution — throughput and physical pages per query",
@@ -949,7 +953,7 @@ pub fn batch_amortization(scale: ExperimentScale) -> (ResultTable, String) {
     );
     let mut json_rows = String::new();
     for kind in batch_capable_methods() {
-        let mut engine = kind.engine(&dataset, &default_options()).expect("build");
+        let mut engine = kind.engine(&dataset, &default_options(cfg)).expect("build");
 
         // The per-query baseline wall time. Its physical traffic is emitted
         // from the batch=1 measurement below: batch 1 performs store reads
@@ -959,7 +963,7 @@ pub fn batch_amortization(scale: ExperimentScale) -> (ResultTable, String) {
         // charge modelled filter-file passes that never touch the store).
         let clock = hydra_core::RunClock::start();
         let reference = engine
-            .answer_workload(&queries, parallelism)
+            .answer_workload(&queries, cfg.threads)
             .expect("per-query workload");
         let base_wall = clock.elapsed().as_secs_f64();
         let mut emit = |batch: usize, wall: f64, io: hydra_core::IoSnapshot| {
@@ -998,7 +1002,7 @@ pub fn batch_amortization(scale: ExperimentScale) -> (ResultTable, String) {
             for chunk in queries.chunks(batch) {
                 answered.extend(
                     engine
-                        .answer_batch(chunk, parallelism)
+                        .answer_batch(chunk, cfg.threads)
                         .unwrap_or_else(|e| panic!("{} batch={batch}: {e}", kind.name())),
                 );
                 let io = engine
@@ -1047,7 +1051,7 @@ pub fn batch_amortization(scale: ExperimentScale) -> (ResultTable, String) {
 }}
 "#,
         hydra_core::parallel::available_threads(),
-        scale.base_series,
+        cfg.scale.base_series,
         BATCH_LADDER
             .iter()
             .map(|b| b.to_string())
@@ -1090,7 +1094,7 @@ pub fn robustness_methods() -> Vec<MethodKind> {
 /// Returns the result table plus a JSON rendering (written to
 /// `BENCH_robust.json` and `results/robustness.json` by the `exp_robustness`
 /// binary and uploaded as a CI artifact).
-pub fn robustness(scale: ExperimentScale) -> (ResultTable, String) {
+pub fn robustness(cfg: &RunConfig) -> (ResultTable, String) {
     use crate::registry::SnapshotOutcome;
     use hydra_core::{Budget, Completion, Error, RetryPolicy};
     use hydra_storage::{DatasetStore, FaultConfig, FaultPlan};
@@ -1107,8 +1111,8 @@ pub fn robustness(scale: ExperimentScale) -> (ResultTable, String) {
         max_transient_attempts: 2,
     };
 
-    let dataset = synth_dataset(scale.base_series, 128);
-    let num_queries = scale.queries.min(20);
+    let dataset = synth_dataset(cfg.scale.base_series, 128);
+    let num_queries = cfg.scale.queries.min(20);
     let workload = rand_workload(&dataset, num_queries);
     let base_queries: Vec<Query> = workload
         .queries()
@@ -1146,7 +1150,7 @@ pub fn robustness(scale: ExperimentScale) -> (ResultTable, String) {
 
     for kind in robustness_methods() {
         // The fault-free exact baseline every degraded cell is scored against.
-        let mut baseline = kind.engine(&dataset, &default_options()).expect("build");
+        let mut baseline = kind.engine(&dataset, &default_options(cfg)).expect("build");
         let exact: Vec<_> = base_queries
             .iter()
             .map(|q| baseline.answer(q).expect("fault-free query"))
@@ -1167,7 +1171,7 @@ pub fn robustness(scale: ExperimentScale) -> (ResultTable, String) {
                     };
                     let store = Arc::new(DatasetStore::new(dataset.clone()).with_fault_plan(plan));
                     let mut engine = kind
-                        .engine_on_store(store, &default_options())
+                        .engine_on_store(store, &default_options(cfg))
                         .expect("build")
                         .with_retry_policy(retry);
 
@@ -1264,7 +1268,7 @@ pub fn robustness(scale: ExperimentScale) -> (ResultTable, String) {
                         .with_fault_plan(FaultPlan::seeded(FAULT_SEED, config_at(rate))),
                 );
                 let (_, outcome) = kind
-                    .engine_with_snapshot(store, &default_options(), &dir)
+                    .engine_with_snapshot(store, &default_options(cfg), &dir)
                     .expect("snapshot cycle");
                 match outcome {
                     SnapshotOutcome::Recovered { .. } => recovered += 1,
@@ -1323,7 +1327,7 @@ pub fn robustness(scale: ExperimentScale) -> (ResultTable, String) {
   ]
 }}
 "#,
-        scale.base_series,
+        cfg.scale.base_series,
         FAULT_RATE_LADDER
             .iter()
             .map(|r| r.to_string())
@@ -1337,11 +1341,19 @@ pub fn robustness(scale: ExperimentScale) -> (ResultTable, String) {
 mod tests {
     use super::*;
 
-    fn tiny() -> ExperimentScale {
-        ExperimentScale {
-            base_series: 400,
-            queries: 8,
+    /// A run without flags at a test-sized scale.
+    fn at(base_series: usize, queries: usize) -> RunConfig {
+        RunConfig {
+            scale: ExperimentScale {
+                base_series,
+                queries,
+            },
+            ..RunConfig::default()
         }
+    }
+
+    fn tiny() -> RunConfig {
+        at(400, 8)
     }
 
     #[test]
@@ -1359,7 +1371,7 @@ mod tests {
 
     #[test]
     fn methods_table_lists_all_ten() {
-        let t = methods_table();
+        let t = methods_table(&RunConfig::default());
         assert_eq!(t.num_rows(), 10);
         let text = t.to_text();
         assert!(text.contains("UCR-Suite"));
@@ -1369,7 +1381,7 @@ mod tests {
 
     #[test]
     fn approx_tradeoff_covers_every_capable_method_and_mode() {
-        let (t, json) = approx_tradeoff(tiny());
+        let (t, json) = approx_tradeoff(&tiny());
         let capable = MethodKind::ALL
             .iter()
             .filter(|k| k.modes().any_approximate())
@@ -1389,7 +1401,8 @@ mod tests {
 
     #[test]
     fn batch_amortization_shows_the_single_amortized_pass() {
-        let (t, json) = batch_amortization(tiny());
+        let cfg = tiny();
+        let (t, json) = batch_amortization(&cfg);
         // One per-query baseline row plus one row per ladder step, for each
         // batch-capable method.
         assert_eq!(
@@ -1416,7 +1429,7 @@ mod tests {
         // Each batch of B costs min(threads, B) physical passes (one per
         // thread chunk) instead of B, so the per-query share shrinks by
         // B / min(threads, B).
-        let threads = Parallelism::from_env().worker_threads() as f64;
+        let threads = cfg.threads.worker_threads() as f64;
         let expected_8 = per_query * threads.min(8.0) / 8.0;
         assert!(
             seq_of("8") <= expected_8 + 1.0,
@@ -1430,17 +1443,14 @@ mod tests {
 
     #[test]
     fn fig9_pruning_produces_rows_for_every_method_and_workload() {
-        let t = fig9_pruning(tiny());
+        let t = fig9_pruning(&tiny());
         // 5 indexes x 6 workloads
         assert_eq!(t.num_rows(), 30);
     }
 
     #[test]
     fn fig8_tlb_orders_va_above_sfa() {
-        let t = fig8_tlb(ExperimentScale {
-            base_series: 600,
-            queries: 20,
-        });
+        let t = fig8_tlb(&at(600, 20));
         let csv = t.to_csv();
         // Extract the length-256 rows and compare VA+file vs SFA TLB.
         let mut va = 0.0;
@@ -1465,11 +1475,7 @@ mod tests {
 
     #[test]
     fn table2_produces_winners_for_all_cells() {
-        let scale = ExperimentScale {
-            base_series: 300,
-            queries: 6,
-        };
-        let (table, winners) = table2_winners(scale);
+        let (table, winners) = table2_winners(&at(300, 6));
         // 2 platforms x 6 datasets
         assert_eq!(table.num_rows(), 12);
         assert_eq!(winners.len(), 12);

@@ -3,12 +3,14 @@
 //!
 //! Every method is driven through the uniform [`QueryEngine`] built by the
 //! registry; the harness only adds workload iteration, extrapolation and the
-//! platform cost models on top.
+//! platform cost models on top. Builds and workloads take the run's
+//! [`RunConfig`] explicitly: snapshot directory, fault seed, threads, mode,
+//! batch size and budget all come from it.
 
+use crate::cli::RunConfig;
 use crate::registry::{MethodKind, SnapshotOutcome};
 use hydra_core::{
-    AnswerMode, BuildOptions, Dataset, IoSnapshot, Parallelism, Query, QueryEngine, QueryStats,
-    Result, RetryPolicy,
+    BuildOptions, Dataset, IoSnapshot, Query, QueryEngine, QueryStats, Result, RetryPolicy,
 };
 use hydra_data::QueryWorkload;
 use hydra_storage::{CostModel, DatasetStore, FaultConfig, FaultPlan, StorageProfile};
@@ -191,14 +193,12 @@ impl WorkloadMeasurement {
 /// Builds a method over `dataset` through the registry, returning the
 /// measuring engine plus the build measurement.
 ///
-/// When an index snapshot directory is configured (`HYDRA_INDEX_DIR`, set by
-/// the binaries' `--index-dir` flag), index methods load a valid snapshot
-/// instead of rebuilding — keyed on the dataset fingerprint and the tuned
-/// build options — and save one after a fresh build, so repeated sweeps pay
-/// the construction cost once.
+/// With `cfg.index_dir` set, index methods load a valid snapshot instead of
+/// rebuilding — keyed on the dataset fingerprint and the tuned build options
+/// — and save one after a fresh build, so repeated sweeps pay the
+/// construction cost once.
 ///
-/// When a fault seed is configured (`HYDRA_FAULT_SEED`, set by the binaries'
-/// `--fault-seed` flag; 0 disables), the store is built with a seeded
+/// With a nonzero `cfg.fault_seed`, the store is built with a seeded
 /// [`FaultPlan`] at [`FaultConfig::standard`] rates and the engine gets a
 /// default retry policy that outlasts every planned transient, so any
 /// experiment binary runs under chaos without code changes.
@@ -206,11 +206,17 @@ pub fn run_build(
     kind: MethodKind,
     dataset: &Dataset,
     options: &BuildOptions,
+    cfg: &RunConfig,
 ) -> Result<(QueryEngine, BuildMeasurement)> {
-    let store = Arc::new(fault_planned_store(dataset));
+    let store = match cfg.fault_seed {
+        0 => DatasetStore::new(dataset.clone()),
+        seed => DatasetStore::new(dataset.clone())
+            .with_fault_plan(FaultPlan::seeded(seed, FaultConfig::standard())),
+    };
+    let store = Arc::new(store);
     let chaos = store.fault_plan().is_active();
-    let (engine, snapshot) = match crate::cli::index_dir_from_env() {
-        Some(dir) => kind.engine_with_snapshot(store, options, &dir)?,
+    let (engine, snapshot) = match &cfg.index_dir {
+        Some(dir) => kind.engine_with_snapshot(store, options, dir)?,
         None => (
             kind.engine_on_store(store, options)?,
             SnapshotOutcome::Unsupported,
@@ -231,115 +237,48 @@ pub fn run_build(
     Ok((engine, measurement))
 }
 
-/// A store over `dataset`, fault-planned when `HYDRA_FAULT_SEED` is set to a
-/// nonzero seed (see [`run_build`]).
-fn fault_planned_store(dataset: &Dataset) -> DatasetStore {
-    let store = DatasetStore::new(dataset.clone());
-    match crate::cli::fault_seed_from_env() {
-        0 => store,
-        seed => store.with_fault_plan(FaultPlan::seeded(seed, FaultConfig::standard())),
-    }
-}
-
-/// Runs a 1-NN query workload through an engine, measuring each query.
+/// Runs a 1-NN query workload through an engine under `cfg`'s thread count,
+/// answering mode, query-batch size and per-query budget, measuring each
+/// query.
 ///
-/// The worker-thread count comes from the environment (`HYDRA_THREADS`, set
-/// by the binaries' `--threads` flag; serial when unset), so does the
-/// answering mode (`HYDRA_MODE`, set by `--mode`; exact when unset), and so
-/// does the query-batch size (`HYDRA_BATCH`, set by `--batch`; per-query when
-/// unset) — every existing experiment runs parallel, mode-aware and batched
-/// without code changes. See [`run_queries_with_batch`] for the measurement
-/// rules.
+/// With `cfg.batch == 0` the workload runs through the per-query
+/// `answer_workload` driver; with `cfg.batch == N > 0` it runs through
+/// `QueryEngine::answer_batch` in chunks of `N` queries, so methods with a
+/// native batch kernel amortize one data pass per chunk. Either way the
+/// engine resets each worker's counter shard before each query and
+/// reconciles store-side traffic with the stats the method recorded itself,
+/// so answers and per-query work counters are identical to the serial
+/// per-query loop for every thread count and batch size (only wall-clock
+/// `cpu_time` varies — batched runs report the amortized per-query share).
+/// The method kind is recovered from the engine's descriptor, so it cannot
+/// drift from the engine the caller passes. A mode outside the method's
+/// capabilities is a typed `UnsupportedMode` error (the engine's strict
+/// fallback policy), never a silent exact run.
 pub fn run_queries(
     engine: &mut QueryEngine,
     workload: &QueryWorkload,
-) -> Result<WorkloadMeasurement> {
-    run_queries_with_batch(
-        engine,
-        workload,
-        Parallelism::from_env(),
-        crate::cli::mode_from_env(),
-        crate::cli::batch_from_env(),
-    )
-}
-
-/// Runs a 1-NN query workload through an engine with an explicit thread
-/// count in exact mode, measuring each query (see
-/// [`run_queries_with_mode`]).
-pub fn run_queries_with(
-    engine: &mut QueryEngine,
-    workload: &QueryWorkload,
-    parallelism: Parallelism,
-) -> Result<WorkloadMeasurement> {
-    run_queries_with_mode(engine, workload, parallelism, AnswerMode::Exact)
-}
-
-/// Runs a 1-NN query workload through an engine with an explicit thread
-/// count and answering mode, measuring each query.
-///
-/// The engine resets each worker's counter shard before each query and
-/// reconciles store-side traffic with the stats the method recorded itself,
-/// so the measurement here is a straight read-out, and per-query work
-/// counters are identical for every `parallelism` (only wall-clock `cpu_time`
-/// varies with scheduling). The method kind is recovered from the engine's
-/// descriptor, so it cannot drift from the engine the caller passes. A mode
-/// outside the method's capabilities is a typed `UnsupportedMode` error
-/// (the engine's strict fallback policy), never a silent exact run.
-pub fn run_queries_with_mode(
-    engine: &mut QueryEngine,
-    workload: &QueryWorkload,
-    parallelism: Parallelism,
-    mode: AnswerMode,
-) -> Result<WorkloadMeasurement> {
-    run_queries_with_batch(engine, workload, parallelism, mode, 0)
-}
-
-/// Runs a 1-NN query workload through an engine with an explicit thread
-/// count, answering mode and query-batch size, measuring each query.
-///
-/// With `batch == 0` the workload runs through the per-query
-/// `answer_workload` driver; with `batch == N > 0` it runs through
-/// `QueryEngine::answer_batch` in chunks of `N` queries, so methods with a
-/// native batch kernel amortize one data pass per chunk. Either way the
-/// engine guarantees answers and per-query work counters identical to the
-/// serial per-query loop for every `parallelism` and batch size (only
-/// wall-clock `cpu_time` varies — batched runs report the amortized
-/// per-query share). The method kind is recovered from the engine's
-/// descriptor, so it cannot drift from the engine the caller passes. A mode
-/// outside the method's capabilities is a typed `UnsupportedMode` error
-/// (the engine's strict fallback policy), never a silent exact run.
-///
-/// Every query additionally carries the environment's answering budget
-/// (`HYDRA_BUDGET`, set by the binaries' `--budget` flag; unlimited when
-/// unset), so deadline-bounded anytime runs need no code changes either.
-pub fn run_queries_with_batch(
-    engine: &mut QueryEngine,
-    workload: &QueryWorkload,
-    parallelism: Parallelism,
-    mode: AnswerMode,
-    batch: usize,
+    cfg: &RunConfig,
 ) -> Result<WorkloadMeasurement> {
     let name = engine.descriptor().name;
     let kind = MethodKind::from_name(name).ok_or_else(|| {
         hydra_core::Error::invalid_parameter("engine", format!("unknown method {name:?}"))
     })?;
     let dataset_size = engine.dataset_size();
-    let budget = crate::cli::budget_from_env();
     let query_list: Vec<Query> = workload
         .queries()
         .iter()
         .map(|series| {
             Ok(Query::nearest_neighbor(series.clone())
-                .try_with_mode(mode)?
-                .with_budget(budget))
+                .try_with_mode(cfg.mode)?
+                .with_budget(cfg.budget))
         })
         .collect::<Result<_>>()?;
-    let answered = if batch == 0 {
-        engine.answer_workload(&query_list, parallelism)?
+    let answered = if cfg.batch == 0 {
+        engine.answer_workload(&query_list, cfg.threads)?
     } else {
         let mut all = Vec::with_capacity(query_list.len());
-        for chunk in query_list.chunks(batch) {
-            all.extend(engine.answer_batch(chunk, parallelism)?);
+        for chunk in query_list.chunks(cfg.batch) {
+            all.extend(engine.answer_batch(chunk, cfg.threads)?);
         }
         all
     };
@@ -360,6 +299,7 @@ pub fn run_queries_with_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hydra_core::{AnswerMode, Parallelism};
     use hydra_data::{RandomWalkGenerator, WorkloadSpec};
 
     fn small_setup() -> (Dataset, QueryWorkload, BuildOptions) {
@@ -378,11 +318,12 @@ mod tests {
     #[test]
     fn build_and_query_measurements_are_populated() {
         let (data, workload, options) = small_setup();
-        let (mut engine, build) = run_build(MethodKind::DsTree, &data, &options).unwrap();
+        let (mut engine, build) =
+            run_build(MethodKind::DsTree, &data, &options, &RunConfig::default()).unwrap();
         assert!(build.cpu_time > Duration::ZERO);
         assert!(build.io.bytes_written > 0, "index construction must write");
         assert!(build.footprint.is_some());
-        let run = run_queries(&mut engine, &workload).unwrap();
+        let run = run_queries(&mut engine, &workload, &RunConfig::default()).unwrap();
         assert_eq!(run.kind, MethodKind::DsTree);
         assert_eq!(run.queries.len(), 12);
         assert!(run.total_time(Platform::Hdd) >= run.cpu_time());
@@ -397,8 +338,9 @@ mod tests {
     #[test]
     fn scan_has_zero_pruning_and_finite_times() {
         let (data, workload, options) = small_setup();
-        let (mut engine, _) = run_build(MethodKind::UcrSuite, &data, &options).unwrap();
-        let run = run_queries(&mut engine, &workload).unwrap();
+        let (mut engine, _) =
+            run_build(MethodKind::UcrSuite, &data, &options, &RunConfig::default()).unwrap();
+        let run = run_queries(&mut engine, &workload, &RunConfig::default()).unwrap();
         assert_eq!(run.mean_pruning_ratio(), 0.0);
         let t10k = run.extrapolated_time(Platform::Hdd, 10_000);
         let t100 = run.total_time(Platform::Hdd);
@@ -408,8 +350,9 @@ mod tests {
     #[test]
     fn platform_models_order_io_costs_sensibly() {
         let (data, workload, options) = small_setup();
-        let (mut engine, _) = run_build(MethodKind::AdsPlus, &data, &options).unwrap();
-        let run = run_queries(&mut engine, &workload).unwrap();
+        let (mut engine, _) =
+            run_build(MethodKind::AdsPlus, &data, &options, &RunConfig::default()).unwrap();
+        let run = run_queries(&mut engine, &workload, &RunConfig::default()).unwrap();
         // ADS+ is seek-heavy: the HDD I/O model must charge it more than SSD.
         assert!(run.io_time(Platform::Hdd) >= run.io_time(Platform::Ssd));
         assert_eq!(Platform::Hdd.name(), "HDD");
@@ -419,11 +362,20 @@ mod tests {
     #[test]
     fn parallel_workload_run_matches_serial_counters() {
         let (data, workload, options) = small_setup();
-        let (mut serial_engine, _) = run_build(MethodKind::Isax2Plus, &data, &options).unwrap();
-        let serial = run_queries_with(&mut serial_engine, &workload, Parallelism::Serial).unwrap();
+        let (mut serial_engine, _) = run_build(
+            MethodKind::Isax2Plus,
+            &data,
+            &options,
+            &RunConfig::default(),
+        )
+        .unwrap();
+        let serial = run_queries(&mut serial_engine, &workload, &RunConfig::default()).unwrap();
         serial_engine.reset_totals();
-        let parallel =
-            run_queries_with(&mut serial_engine, &workload, Parallelism::Threads(4)).unwrap();
+        let threads = RunConfig {
+            threads: Parallelism::Threads(4),
+            ..RunConfig::default()
+        };
+        let parallel = run_queries(&mut serial_engine, &workload, &threads).unwrap();
         assert_eq!(parallel.queries.len(), serial.queries.len());
         for (s, p) in serial.queries.iter().zip(&parallel.queries) {
             assert_eq!(s.stats.raw_series_examined, p.stats.raw_series_examined);
@@ -438,19 +390,16 @@ mod tests {
     fn batched_runs_match_per_query_runs() {
         let (data, workload, options) = small_setup();
         for kind in [MethodKind::UcrSuite, MethodKind::VaPlusFile] {
-            let (mut engine, _) = run_build(kind, &data, &options).unwrap();
-            let per_query = run_queries_with(&mut engine, &workload, Parallelism::Serial).unwrap();
+            let (mut engine, _) = run_build(kind, &data, &options, &RunConfig::default()).unwrap();
+            let per_query = run_queries(&mut engine, &workload, &RunConfig::default()).unwrap();
             engine.reset_totals();
             // A batch size that does not divide the workload exercises the
             // remainder chunk too.
-            let batched = run_queries_with_batch(
-                &mut engine,
-                &workload,
-                Parallelism::Serial,
-                AnswerMode::Exact,
-                5,
-            )
-            .unwrap();
+            let batch = RunConfig {
+                batch: 5,
+                ..RunConfig::default()
+            };
+            let batched = run_queries(&mut engine, &workload, &batch).unwrap();
             assert_eq!(batched.queries.len(), per_query.queries.len());
             for (a, b) in per_query.queries.iter().zip(&batched.queries) {
                 assert_eq!(
@@ -469,15 +418,14 @@ mod tests {
     fn mode_aware_runs_route_through_the_engine() {
         let (data, workload, options) = small_setup();
         // A capable index answers ng-approximate with far less work.
-        let (mut engine, _) = run_build(MethodKind::DsTree, &data, &options).unwrap();
-        let exact = run_queries_with(&mut engine, &workload, Parallelism::Serial).unwrap();
-        let ng = run_queries_with_mode(
-            &mut engine,
-            &workload,
-            Parallelism::Serial,
-            AnswerMode::NgApproximate,
-        )
-        .unwrap();
+        let (mut engine, _) =
+            run_build(MethodKind::DsTree, &data, &options, &RunConfig::default()).unwrap();
+        let exact = run_queries(&mut engine, &workload, &RunConfig::default()).unwrap();
+        let ng_cfg = RunConfig {
+            mode: AnswerMode::NgApproximate,
+            ..RunConfig::default()
+        };
+        let ng = run_queries(&mut engine, &workload, &ng_cfg).unwrap();
         let exact_examined: u64 = exact
             .queries
             .iter()
@@ -489,14 +437,10 @@ mod tests {
             "{ng_examined} vs {exact_examined}"
         );
         // A scan rejects the mode with a typed error, never a silent run.
-        let (mut scan, _) = run_build(MethodKind::UcrSuite, &data, &options).unwrap();
+        let (mut scan, _) =
+            run_build(MethodKind::UcrSuite, &data, &options, &RunConfig::default()).unwrap();
         assert!(matches!(
-            run_queries_with_mode(
-                &mut scan,
-                &workload,
-                Parallelism::Serial,
-                AnswerMode::NgApproximate
-            ),
+            run_queries(&mut scan, &workload, &ng_cfg),
             Err(hydra_core::Error::UnsupportedMode { .. })
         ));
     }
@@ -504,8 +448,14 @@ mod tests {
     #[test]
     fn mean_time_of_subsets() {
         let (data, workload, options) = small_setup();
-        let (mut engine, _) = run_build(MethodKind::VaPlusFile, &data, &options).unwrap();
-        let run = run_queries(&mut engine, &workload).unwrap();
+        let (mut engine, _) = run_build(
+            MethodKind::VaPlusFile,
+            &data,
+            &options,
+            &RunConfig::default(),
+        )
+        .unwrap();
+        let run = run_queries(&mut engine, &workload, &RunConfig::default()).unwrap();
         let all: Vec<usize> = (0..run.queries.len()).collect();
         let mean_all = run.mean_time_of(&all, Platform::Ssd);
         assert!(mean_all > Duration::ZERO);

@@ -15,16 +15,12 @@
 //! * [`report`] — plain-text / CSV emitters for the result tables plus the
 //!   uniform `BENCH_<name>.json` artifact writer every bench bin routes
 //!   through;
-//! * [`cli`] — the shared flags: `--threads N` (multi-threaded query driver
-//!   and parallel index builds), `--index-dir DIR` (snapshot cache),
-//!   `--mode exact|ng|eps:<v>|deltaeps:<d>,<e>` (answering mode),
-//!   `--batch N` (batched query execution through
-//!   `QueryEngine::answer_batch`), `--fault-seed N` (seeded deterministic
-//!   fault injection with a recovering retry policy; 0 disables), and
-//!   `--budget B` (per-query raw-read budget; `inf` or a count —
-//!   exhausted queries return best-so-far answers tagged
-//!   `Guarantee::Truncated`), `--shards N` (service-layer shard count) and
-//!   `--deadline-ms D` (service-layer request deadline; 0 = none).
+//! * [`cli`] — [`RunConfig`]: every run setting, parsed once from the
+//!   binary's flags and passed explicitly to the harness and the
+//!   experiments — `--threads N`, `--index-dir DIR`, `--mode M`,
+//!   `--batch N`, `--fault-seed N`, `--budget B`, `--scale S`, and
+//!   `bench_serve`'s `--shards N`, `--deadline-ms D`, `--quorum Q` and
+//!   `--shard-fault-seed N` (the flag table is in the module docs).
 //!
 //! Every figure and table has a dedicated binary under `src/bin/` (see
 //! `DESIGN.md` for the experiment index); Criterion micro-benchmarks for the
@@ -36,9 +32,9 @@ pub mod harness;
 pub mod registry;
 pub mod report;
 
+pub use cli::RunConfig;
 pub use harness::{
-    run_build, run_queries, run_queries_with, run_queries_with_batch, run_queries_with_mode,
-    BuildMeasurement, Platform, QueryMeasurement, WorkloadMeasurement,
+    run_build, run_queries, BuildMeasurement, Platform, QueryMeasurement, WorkloadMeasurement,
 };
 pub use registry::{MethodKind, SnapshotOutcome};
 pub use report::ResultTable;

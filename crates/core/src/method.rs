@@ -97,8 +97,6 @@ pub struct BuildOptions {
     /// Alphabet size (cardinality) for symbolic summarizations
     /// (iSAX default 256, SFA tuned to 8 in the paper).
     pub alphabet_size: usize,
-    /// Memory budget, in bytes, available for build-time buffering.
-    pub buffer_bytes: usize,
     /// Sample size used when a method learns breakpoints / quantization
     /// intervals from the data (SFA, VA+file, M-tree sampling).
     pub train_samples: usize,
@@ -115,7 +113,6 @@ impl Default for BuildOptions {
             leaf_capacity: 100,
             segments: 16,
             alphabet_size: 256,
-            buffer_bytes: 256 << 20,
             train_samples: 1000,
             build_threads: 1,
         }
@@ -138,12 +135,6 @@ impl BuildOptions {
     /// Sets the alphabet size.
     pub fn with_alphabet_size(mut self, alphabet_size: usize) -> Self {
         self.alphabet_size = alphabet_size;
-        self
-    }
-
-    /// Sets the build buffer budget in bytes.
-    pub fn with_buffer_bytes(mut self, buffer_bytes: usize) -> Self {
-        self.buffer_bytes = buffer_bytes;
         self
     }
 
@@ -468,13 +459,11 @@ mod tests {
             .with_leaf_capacity(500)
             .with_segments(8)
             .with_alphabet_size(16)
-            .with_buffer_bytes(1 << 20)
             .with_train_samples(42)
             .with_build_threads(4);
         assert_eq!(o.leaf_capacity, 500);
         assert_eq!(o.segments, 8);
         assert_eq!(o.alphabet_size, 16);
-        assert_eq!(o.buffer_bytes, 1 << 20);
         assert_eq!(o.train_samples, 42);
         assert_eq!(o.build_threads, 4);
         assert_eq!(BuildOptions::default().build_threads, 1, "serial default");

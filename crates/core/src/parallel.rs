@@ -5,8 +5,7 @@
 //! MESSI, Hercules). This module provides the small, dependency-free building
 //! blocks the rest of the suite parallelizes with:
 //!
-//! * [`Parallelism`] — how many worker threads a workload or build may use,
-//!   with an environment override (`HYDRA_THREADS`);
+//! * [`Parallelism`] — how many worker threads a workload or build may use;
 //! * [`map_indexed`] — a work-queue over `0..count` (dynamic load balancing,
 //!   results returned in index order);
 //! * [`map_chunks`] — contiguous range partitioning (static load balancing,
@@ -96,29 +95,6 @@ impl Parallelism {
             Parallelism::Serial => 1,
             Parallelism::Threads(n) => (*n).max(1),
             Parallelism::Auto => available_threads(),
-        }
-    }
-
-    /// Reads the setting from the `HYDRA_THREADS` environment variable:
-    /// unset or `1` means serial, `0` means one thread per CPU, any other
-    /// number is a fixed thread count. An unparseable value falls back to
-    /// serial with a warning on stderr — silently ignoring a typo would
-    /// record measurements under the wrong configuration.
-    pub fn from_env() -> Self {
-        let Ok(raw) = std::env::var("HYDRA_THREADS") else {
-            return Parallelism::Serial;
-        };
-        match raw.trim().parse::<usize>() {
-            Ok(1) => Parallelism::Serial,
-            Ok(0) => Parallelism::Auto,
-            Ok(n) => Parallelism::Threads(n),
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring unparseable HYDRA_THREADS={raw:?}; running serial \
-                     (expected a number; 0 = one worker per CPU)"
-                );
-                Parallelism::Serial
-            }
         }
     }
 }

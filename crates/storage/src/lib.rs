@@ -18,8 +18,6 @@
 //!   profile (fast sequential throughput, expensive seeks — the paper's RAID0
 //!   server) and an SSD profile (cheap seeks, lower sequential throughput),
 //!   which is what produces the HDD/SSD winner reversal of Figures 6–7.
-//! * [`BufferPool`] provides a simple build-time buffer manager with a byte
-//!   budget, mimicking the buffering knobs the paper tunes.
 //! * [`snapshot`] persists built indexes to disk as versioned, checksummed
 //!   files keyed on a dataset + build-options fingerprint, with save and
 //!   load charged through the same counters — measured snapshot I/O instead
@@ -37,7 +35,6 @@
 //!   fan-out with its serial replay.
 
 pub mod best_first;
-pub mod buffer;
 pub mod cost;
 pub mod counters;
 pub mod fault;
@@ -45,7 +42,6 @@ pub mod partition;
 pub mod snapshot;
 pub mod store;
 
-pub use buffer::BufferPool;
 pub use cost::{CostModel, StorageProfile};
 pub use counters::{IoCounters, IoSnapshot};
 pub use fault::{FaultConfig, FaultPlan};

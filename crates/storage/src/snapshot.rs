@@ -62,7 +62,6 @@ pub fn options_fingerprint(options: &BuildOptions) -> u64 {
     h.write_u64(options.leaf_capacity as u64);
     h.write_u64(options.segments as u64);
     h.write_u64(options.alphabet_size as u64);
-    h.write_u64(options.buffer_bytes as u64);
     h.write_u64(options.train_samples as u64);
     h.finish()
 }

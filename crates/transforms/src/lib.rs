@@ -7,7 +7,6 @@
 //! | Technique | Module | Used by |
 //! |---|---|---|
 //! | Piecewise Aggregate Approximation (PAA) | [`paa`] | SAX/iSAX, R*-tree |
-//! | Adaptive Piecewise Constant Approximation (APCA) | [`apca`] | (predecessor of EAPCA) |
 //! | Extended APCA (EAPCA: per-segment mean + std) | [`eapca`] | DSTree |
 //! | Discrete Fourier Transform (DFT, via FFT) | [`fft`] | VA+file, SFA, MASS |
 //! | Discrete Haar Wavelet Transform (DHWT) | [`dhwt`] | Stepwise |
@@ -20,7 +19,6 @@
 //! the reduced space never exceeds the true Euclidean distance in the original
 //! space, which is what lets indexes prune without false dismissals.
 
-pub mod apca;
 pub mod dhwt;
 pub mod eapca;
 pub mod fft;

@@ -423,17 +423,21 @@ fn registry_cache_saves_then_loads_and_invalidates() {
 }
 
 #[test]
-fn run_build_skips_the_rebuild_when_the_env_names_an_index_dir() {
-    // The only test in this binary that touches HYDRA_INDEX_DIR (env vars
-    // are process-global; every other test passes directories explicitly).
-    use hydra_bench::{run_build, MethodKind};
+fn run_build_skips_the_rebuild_when_the_config_names_an_index_dir() {
+    use hydra_bench::{run_build, MethodKind, RunConfig};
     let data = dataset(200, 64);
     let opts = options().with_segments(8);
-    let dir = temp_dir("env-run-build");
-    std::env::set_var("HYDRA_INDEX_DIR", &dir);
-    let first = run_build(MethodKind::DsTree, &data, &opts).unwrap().1;
-    let second = run_build(MethodKind::DsTree, &data, &opts).unwrap().1;
-    std::env::remove_var("HYDRA_INDEX_DIR");
+    let dir = temp_dir("config-run-build");
+    let cached = RunConfig {
+        index_dir: Some(dir.clone()),
+        ..RunConfig::default()
+    };
+    let first = run_build(MethodKind::DsTree, &data, &opts, &cached)
+        .unwrap()
+        .1;
+    let second = run_build(MethodKind::DsTree, &data, &opts, &cached)
+        .unwrap()
+        .1;
     assert!(
         matches!(first.snapshot, hydra_bench::SnapshotOutcome::Saved { .. }),
         "{:?}",
@@ -445,8 +449,11 @@ fn run_build_skips_the_rebuild_when_the_env_names_an_index_dir() {
         second.footprint.as_ref().map(|f| f.total_nodes),
         first.footprint.as_ref().map(|f| f.total_nodes)
     );
-    // Without the env var, run_build builds fresh and touches no snapshot.
-    let third = run_build(MethodKind::DsTree, &data, &opts).unwrap().1;
+    // Without an index directory, run_build builds fresh and touches no
+    // snapshot.
+    let third = run_build(MethodKind::DsTree, &data, &opts, &RunConfig::default())
+        .unwrap()
+        .1;
     assert_eq!(third.snapshot, hydra_bench::SnapshotOutcome::Unsupported);
     std::fs::remove_dir_all(&dir).ok();
 }
