@@ -904,8 +904,8 @@ pub fn approx_tradeoff(cfg: &RunConfig) -> (ResultTable, String) {
 /// per-query loop the speedups are measured against).
 pub const BATCH_LADDER: [usize; 4] = [1, 8, 64, 256];
 
-/// The methods with native batch kernels, in ladder order: the three scans
-/// (one amortized data pass per batch).
+/// The methods with native batch kernels, in ladder order: UCR-Suite (one
+/// amortized data pass per batch).
 pub fn batch_capable_methods() -> Vec<MethodKind> {
     MethodKind::ALL
         .into_iter()

@@ -124,34 +124,11 @@ impl MethodKind {
     }
 
     /// Whether this method has a native batch kernel (matches the built
-    /// method's `batch_answering()`, checked in the tests): the three scans
-    /// amortize their data pass across a batch; every index answers batches
+    /// method's `batch_answering()`, checked in the tests): UCR-Suite shares
+    /// its one data pass across a batch; every other method answers batches
     /// through the engine's per-query fallback.
     pub fn supports_batch(&self) -> bool {
-        matches!(
-            self,
-            MethodKind::UcrSuite | MethodKind::Mass | MethodKind::Stepwise
-        )
-    }
-
-    /// Whether this method has a native intra-query parallel kernel (matches
-    /// the built method's `intra_answering()`, checked in the tests): the
-    /// three scans partition their candidate range, the VA+file and ADS+ their
-    /// summary sweeps, and the three data-series trees fan their candidate
-    /// leaves out over workers; the R*-tree and M-tree answer through the
-    /// engine's serial fallback.
-    pub fn supports_intra(&self) -> bool {
-        matches!(
-            self,
-            MethodKind::UcrSuite
-                | MethodKind::Mass
-                | MethodKind::Stepwise
-                | MethodKind::VaPlusFile
-                | MethodKind::AdsPlus
-                | MethodKind::DsTree
-                | MethodKind::Isax2Plus
-                | MethodKind::SfaTrie
-        )
+        matches!(self, MethodKind::UcrSuite)
     }
 
     /// Method-appropriate build options derived from shared defaults: the SFA
@@ -602,23 +579,6 @@ mod tests {
                 method.batch_answering().is_some(),
                 kind.supports_batch(),
                 "{} batch-capability drift between registry and method",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
-    fn registry_intra_capability_matches_the_built_methods() {
-        let data = RandomWalkGenerator::new(1, 32).dataset(60);
-        let options = BuildOptions::default()
-            .with_leaf_capacity(10)
-            .with_train_samples(30);
-        for kind in MethodKind::ALL {
-            let method = kind.build_boxed(&data, &options).unwrap();
-            assert_eq!(
-                method.intra_answering().is_some(),
-                kind.supports_intra(),
-                "{} intra-capability drift between registry and method",
                 kind.name()
             );
         }

@@ -301,15 +301,26 @@ impl QueryEngine {
         self.queries_answered = 0;
     }
 
+    /// Whether the I/O source (if any) keeps per-thread counters, the
+    /// precondition for running anything concurrently over it (see
+    /// [`IoSource::has_thread_scoped_counters`]).
+    fn thread_scoped_io(&self) -> bool {
+        self.io
+            .as_ref()
+            .is_none_or(|io| io.has_thread_scoped_counters())
+    }
+
     /// Answers a query in its requested mode, measuring it and folding the
     /// stats into the running totals.
     pub fn answer(&mut self, query: &Query) -> Result<EngineAnswer> {
-        let answered = measure_query(
+        let answered = measure(
             self.method.as_ref(),
             self.io.as_deref(),
             query,
             self.fallback,
             self.retry,
+            0,
+            1,
         )?;
         self.totals.merge(&answered.stats);
         self.queries_answered += 1;
@@ -325,40 +336,35 @@ impl QueryEngine {
     /// (intra-query parallelism), measuring it and folding the stats into
     /// the running totals exactly like [`QueryEngine::answer`].
     ///
-    /// The determinism contract of the suite extends here: for every method,
-    /// thread count and dispatch kernel, the answer set, its guarantee and
-    /// the per-query logical work counters are **bit-identical** to the
-    /// serial [`QueryEngine::answer`] path (only wall-clock times vary).
-    /// Methods without a native intra-query kernel (see
-    /// [`AnsweringMethod::intra_answering`]), a resolved thread count of 1,
-    /// or an [`IoSource`] without thread-scoped counters all fall back to
-    /// the serial path, which trivially satisfies the contract.
+    /// The determinism contract of the suite extends here: for every method
+    /// and thread count, the answer set, its guarantee and the per-query
+    /// logical work counters are **bit-identical** to the serial
+    /// [`QueryEngine::answer`] path (only wall-clock times vary), because the
+    /// worker count is just the `threads` argument of the method's one
+    /// [`AnsweringMethod::search`]. Budgeted queries and an [`IoSource`]
+    /// without thread-scoped counters are searched with one thread.
     pub fn answer_intra(
         &mut self,
         query: &Query,
         parallelism: Parallelism,
     ) -> Result<EngineAnswer> {
-        let threads = parallelism.worker_threads();
-        let thread_scoped_io = self
-            .io
-            .as_ref()
-            .is_none_or(|io| io.has_thread_scoped_counters());
-        // Budgeted queries take the serial path: intra-query kernels split
-        // the candidate space across workers and cannot meter a single
-        // best-so-far budget deterministically.
-        let method = self.method.as_ref();
-        let answered = match method.intra_answering() {
-            Some(kernel) if threads > 1 && thread_scoped_io && query.budget().is_none() => measure(
-                method,
-                self.io.as_deref(),
-                query,
-                self.fallback,
-                self.retry,
-                0,
-                |query, stats| kernel.answer_intra(query, threads, stats),
-            )?,
-            _ => measure_query(method, self.io.as_deref(), query, self.fallback, self.retry)?,
+        // Budgeted queries take the serial path: an intra-query fan-out
+        // splits the candidate space across workers and cannot meter a
+        // single best-so-far budget.
+        let threads = if self.thread_scoped_io() && query.budget().is_none() {
+            parallelism.worker_threads()
+        } else {
+            1
         };
+        let answered = measure(
+            self.method.as_ref(),
+            self.io.as_deref(),
+            query,
+            self.fallback,
+            self.retry,
+            0,
+            threads,
+        )?;
         self.totals.merge(&answered.stats);
         self.queries_answered += 1;
         Ok(answered)
@@ -385,14 +391,9 @@ impl QueryEngine {
         parallelism: Parallelism,
     ) -> Result<Vec<EngineAnswer>> {
         let threads = parallelism.worker_threads().min(queries.len().max(1));
-        let thread_scoped_io = self
-            .io
-            .as_ref()
-            .is_none_or(|io| io.has_thread_scoped_counters());
-        // Concurrency is only sound over thread-scoped counters (see
-        // [`IoSource::has_thread_scoped_counters`]); otherwise fall back to
-        // the serial loop, which is always correct.
-        if threads <= 1 || !thread_scoped_io {
+        // Concurrency is only sound over thread-scoped counters; otherwise
+        // fall back to the serial loop, which is always correct.
+        if threads <= 1 || !self.thread_scoped_io() {
             return queries.iter().map(|q| self.answer(q)).collect();
         }
         let method: &dyn AnsweringMethod = self.method.as_ref();
@@ -408,7 +409,7 @@ impl QueryEngine {
                 if abort.load(std::sync::atomic::Ordering::Relaxed) {
                     return None;
                 }
-                let result = measure_query(method, io, &queries[i], fallback, retry);
+                let result = measure(method, io, &queries[i], fallback, retry, 0, 1);
                 if result.is_err() {
                     abort.store(true, std::sync::atomic::Ordering::Relaxed);
                 }
@@ -423,7 +424,7 @@ impl QueryEngine {
                 // have answered it, so repair it here on the calling thread.
                 // (Skips above the first error are unreachable: the `?` on
                 // that error returns first.)
-                None => measure_query(method, io, &queries[i], fallback, retry)?,
+                None => measure(method, io, &queries[i], fallback, retry, 0, 1)?,
             };
             self.totals.merge(&answered.stats);
             self.queries_answered += 1;
@@ -478,7 +479,7 @@ impl QueryEngine {
         if queries.iter().any(|q| q.budget().is_some()) {
             return self.answer_workload(queries, parallelism);
         }
-        // Engine-boundary routing, mirroring `measure_query`: substitute
+        // Engine-boundary routing, mirroring `measure`: substitute
         // unsupported modes under the exact-fallback policy, and stop the
         // batch at the first rejected query — the serial loop answers the
         // queries before it, then surfaces its typed error. The common case
@@ -560,11 +561,7 @@ impl QueryEngine {
             .expect("checked by answer_batch");
         let io = self.io.as_deref();
         let threads = parallelism.worker_threads().min(queries.len().max(1));
-        let thread_scoped_io = self
-            .io
-            .as_ref()
-            .is_none_or(|src| src.has_thread_scoped_counters());
-        if threads <= 1 || !thread_scoped_io {
+        if threads <= 1 || !self.thread_scoped_io() {
             return run_batch_chunk(kernel, io, queries);
         }
         let ranges = parallel::split_ranges(queries.len(), threads);
@@ -607,7 +604,7 @@ impl QueryEngine {
 /// lock. A handle drops the aggregates and keeps only the immutable parts —
 /// the built method behind an `Arc`, the I/O source, the policies — so
 /// cloning is two reference-count bumps and [`EngineHandle::answer`] takes
-/// `&self`. Per-query measurement goes through the *same* [`measure_query`]
+/// `&self`. Per-query measurement goes through the *same* [`measure`]
 /// path as [`QueryEngine::answer`], so a handle's answers, guarantees and
 /// reconciled stats are bit-identical to the engine it came from; callers
 /// aggregate the returned [`EngineAnswer`]s themselves.
@@ -625,13 +622,7 @@ impl EngineHandle {
     /// measurement discipline of [`QueryEngine::answer`] (same mode routing,
     /// I/O reset/reconciliation, retry loop and panic isolation).
     pub fn answer(&self, query: &Query) -> Result<EngineAnswer> {
-        measure_query(
-            self.method.as_ref(),
-            self.io.as_deref(),
-            query,
-            self.fallback,
-            self.retry,
-        )
+        self.answer_from_attempt(query, 0)
     }
 
     /// Like [`EngineHandle::answer`], but with the retry loop's attempt
@@ -643,15 +634,14 @@ impl EngineHandle {
     /// the fault plan. `base_attempt = 0` is exactly
     /// [`EngineHandle::answer`].
     pub fn answer_from_attempt(&self, query: &Query, base_attempt: u32) -> Result<EngineAnswer> {
-        let method = self.method.as_ref();
         measure(
-            method,
+            self.method.as_ref(),
             self.io.as_deref(),
             query,
             self.fallback,
             self.retry,
             base_attempt,
-            |query, stats| method.answer(query, stats),
+            1,
         )
     }
 
@@ -701,8 +691,10 @@ impl QueryEngine {
 }
 
 /// Runs the batch kernel over one contiguous chunk on the calling thread:
-/// resets the thread's I/O shard, times the kernel, collects per-query stats,
-/// and snapshots the chunk's physical store traffic.
+/// announces attempt 0 and resets the thread's I/O shard (as [`measure`]
+/// does before a first attempt, so a stale attempt number left by an earlier
+/// retried query cannot change fault decisions), times the kernel, collects
+/// per-query stats, and snapshots the chunk's physical store traffic.
 fn run_batch_chunk(
     kernel: &dyn crate::method::BatchAnswering,
     io: Option<&dyn IoSource>,
@@ -712,6 +704,7 @@ fn run_batch_chunk(
         return Ok((Vec::new(), IoSnapshot::default()));
     }
     if let Some(io) = io {
+        io.begin_attempt(0);
         io.reset_thread_io();
     }
     let mut stats = vec![QueryStats::default(); queries.len()];
@@ -758,27 +751,12 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Measures one serial query on the calling thread: [`measure`] around
-/// [`AnsweringMethod::answer`]. Used by both the serial
-/// [`QueryEngine::answer`] path and the workload workers, so the two produce
-/// identical per-query measurements.
-fn measure_query(
-    method: &dyn AnsweringMethod,
-    io: Option<&dyn IoSource>,
-    query: &Query,
-    fallback: FallbackPolicy,
-    retry: RetryPolicy,
-) -> Result<EngineAnswer> {
-    measure(method, io, query, fallback, retry, 0, |query, stats| {
-        method.answer(query, stats)
-    })
-}
-
 /// The one measured call of the engine: enforces the method's mode and
 /// query-kind capabilities, then — per attempt — resets the calling thread's
-/// I/O shard, times `call` (the dyn call into the method: its serial
-/// `answer`, or its intra-query kernel at a resolved worker count),
+/// I/O shard, times the dyn [`AnsweringMethod::search`] at `threads` workers,
 /// isolates its panics, and reconciles store-side traffic into the stats.
+/// Every door of the engine and of [`EngineHandle`] answers through it, so
+/// all of them produce identical per-query measurements.
 ///
 /// The retry loop's attempt numbering is shifted by `base_attempt`: the
 /// first attempt announces `base_attempt` through
@@ -794,7 +772,7 @@ fn measure(
     fallback: FallbackPolicy,
     retry: RetryPolicy,
     base_attempt: u32,
-    call: impl Fn(&Query, &mut QueryStats) -> Result<AnswerSet>,
+    threads: usize,
 ) -> Result<EngineAnswer> {
     let descriptor = method.descriptor();
     // Range queries are a typed error at the engine boundary: no method in
@@ -828,8 +806,9 @@ fn measure(
         let clock = Instant::now();
         // Panic isolation: a poisoned query becomes a typed internal error
         // instead of unwinding through the workload driver.
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(query, &mut stats)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            method.search(query, threads, &mut stats)
+        }));
         let wall_time = clock.elapsed();
         match outcome {
             Err(panic) => return Err(Error::Internal(panic_message(panic))),
@@ -904,7 +883,7 @@ mod tests {
             }
         }
 
-        fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+        fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
             self.io.record(self.data.len() as u64);
             let mut heap = KnnHeap::new(query.k().unwrap_or(1));
             for (i, s) in self.data.iter().enumerate() {
@@ -1045,7 +1024,7 @@ mod tests {
                     modes: crate::method::ModeCapabilities::exact_only(),
                 }
             }
-            fn answer(&self, _q: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+            fn search(&self, _q: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
                 stats.record_io(100, 10, 1 << 20);
                 Ok(AnswerSet::default())
             }
@@ -1129,7 +1108,7 @@ mod tests {
                     modes: crate::method::ModeCapabilities::exact_only(),
                 }
             }
-            fn answer(&self, q: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+            fn search(&self, q: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
                 if q.values()[0] < 0.0 {
                     return Err(crate::Error::EmptyDataset);
                 }
@@ -1160,8 +1139,13 @@ mod tests {
         fn descriptor(&self) -> MethodDescriptor {
             self.inner.descriptor()
         }
-        fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-            self.inner.answer(query, stats)
+        fn search(
+            &self,
+            query: &Query,
+            threads: usize,
+            stats: &mut QueryStats,
+        ) -> Result<AnswerSet> {
+            self.inner.search(query, threads, stats)
         }
         fn batch_answering(&self) -> Option<&dyn crate::method::BatchAnswering> {
             Some(self)
@@ -1342,7 +1326,7 @@ mod tests {
                     modes: crate::method::ModeCapabilities::exact_only(),
                 }
             }
-            fn answer(&self, _q: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+            fn search(&self, _q: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
                 stats.record_raw_series_examined(1);
                 Ok(AnswerSet::default())
             }

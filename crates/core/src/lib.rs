@@ -16,15 +16,17 @@
 //!   and the exact / ng-approximate / ε- / δ-ε-approximate answering modes of
 //!   the sequel study) in [`query`],
 //! * the common interface implemented by every method evaluated in the paper
-//!   ([`AnsweringMethod`], [`ExactIndex`]) in [`method`],
+//!   ([`AnsweringMethod`], whose one answering body
+//!   [`AnsweringMethod::search`] takes the intra-query worker count as an
+//!   argument, and [`ExactIndex`]) in [`method`],
 //! * the unified dyn-dispatch query driver ([`QueryEngine`]) that answers and
 //!   measures queries identically across all ten methods in [`engine`],
-//!   including the multi-threaded workload driver
-//!   ([`QueryEngine::answer_workload`]) and the batched driver
-//!   ([`QueryEngine::answer_batch`], backed by the opt-in
-//!   [`method::BatchAnswering`] capability that amortizes one data pass
-//!   across a whole batch of queries) built on the primitives in
-//!   [`parallel`],
+//!   including the intra-query driver ([`QueryEngine::answer_intra`]), the
+//!   multi-threaded workload driver ([`QueryEngine::answer_workload`]) and
+//!   the batched driver ([`QueryEngine::answer_batch`], backed by the opt-in
+//!   [`method::BatchAnswering`] capability through which UCR-Suite shares
+//!   one data pass across a whole batch of queries) built on the primitives
+//!   in [`parallel`],
 //! * the persistence interface ([`PersistentIndex`]) through which index
 //!   methods snapshot their built structure to disk and reload it
 //!   bit-identically in a later session (see `hydra_storage::snapshot` for
@@ -66,8 +68,8 @@ pub use error::{Error, Result};
 pub use hash::Fnv1a;
 pub use knn::{replay_outcome, Answer, AnswerSet, BaseGuarantee, Guarantee, KnnHeap, Outcome};
 pub use method::{
-    AnsweringMethod, BatchAnswering, BuildOptions, ExactIndex, IndexFootprint, IntraAnswering,
-    MethodDescriptor, ModeCapabilities,
+    AnsweringMethod, BatchAnswering, BuildOptions, ExactIndex, IndexFootprint, MethodDescriptor,
+    ModeCapabilities,
 };
 pub use parallel::{Parallelism, SharedBsf};
 pub use persist::{PersistentIndex, SnapshotSink, SnapshotSource};

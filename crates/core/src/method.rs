@@ -243,7 +243,7 @@ impl IndexFootprint {
 
 /// A method able to answer whole-matching similarity queries.
 ///
-/// The query's [`AnswerMode`] selects what `answer` must deliver: in
+/// The query's [`AnswerMode`] selects what `search` must deliver: in
 /// [`AnswerMode::Exact`] it returns the *exact* answer set (the true k
 /// nearest neighbours — the invariant validated throughout the test suite by
 /// comparison against the brute-force scan); in the approximate modes it
@@ -256,15 +256,36 @@ impl IndexFootprint {
 ///
 /// `Send + Sync` are supertraits so that every built method can be shared
 /// across the worker threads of [`crate::engine::QueryEngine::answer_workload`]
-/// by reference: `answer` takes `&self`, and any interior state a method needs
+/// by reference: `search` takes `&self`, and any interior state a method needs
 /// must therefore be thread-safe by construction.
 pub trait AnsweringMethod: Send + Sync {
     /// Static description of the method (Table 1 row).
     fn descriptor(&self) -> MethodDescriptor;
 
-    /// Answers a query in its requested mode, recording work counters into
-    /// `stats`.
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet>;
+    /// Answers a query in its requested mode with up to `threads` workers
+    /// cooperating on it (MESSI/ParIS-style intra-query parallelism),
+    /// recording work counters into `stats`. Every method has exactly this
+    /// one answering body; `threads = 1` is the serial search.
+    ///
+    /// # Contract (enforced by `tests/intra_query_agreement.rs`)
+    ///
+    /// For every supported [`AnswerMode`] and every `threads`, the returned
+    /// `AnswerSet` (answers *and* guarantee) and the counters written into
+    /// `stats` are **bit-identical** to `threads = 1`; only the wall-clock
+    /// time fields may differ. Methods achieve this by splitting the
+    /// threshold-independent work (summary sweeps), or by letting workers
+    /// race ahead on the in-memory dataset under
+    /// [`crate::parallel::SharedBsf`] thresholds while recording
+    /// [`crate::knn::Outcome`]s that the one counted pass — the one that
+    /// touches `stats` and the store — resolves against the serial
+    /// thresholds (see [`crate::knn::replay_outcome`]). Methods with nothing
+    /// to split (Stepwise, the R*-tree, the M-tree) ignore `threads`.
+    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet>;
+
+    /// Answers a query serially: `search(query, 1, stats)`.
+    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+        self.search(query, 1, stats)
+    }
 
     /// Answers a query, discarding statistics.
     fn answer_simple(&self, query: &Query) -> Result<AnswerSet> {
@@ -285,55 +306,11 @@ pub trait AnsweringMethod: Send + Sync {
     ///
     /// The default is `None`: [`crate::engine::QueryEngine::answer_batch`]
     /// then answers the batch through the per-query loop, so every method
-    /// keeps working unchanged. Methods that can amortize one data pass
-    /// across a batch (the scans) override this to return `Some(self)`.
+    /// keeps working unchanged. UCR-Suite, whose query is one full data
+    /// pass, overrides this to share that pass across a batch.
     fn batch_answering(&self) -> Option<&dyn BatchAnswering> {
         None
     }
-
-    /// The method's native intra-query kernel, when it has one.
-    ///
-    /// The default is `None`: [`crate::engine::QueryEngine::answer_intra`]
-    /// then answers on the calling thread exactly like
-    /// [`QueryEngine::answer`](crate::engine::QueryEngine::answer), so every
-    /// method keeps working unchanged. Methods whose per-query work splits
-    /// (the scans, the summary sweeps, tree leaf refinement) override this
-    /// to return `Some(self)`.
-    fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
-        None
-    }
-}
-
-/// The opt-in intra-query parallel answering capability: several worker
-/// threads cooperate on **one** query (MESSI/ParIS-style), sharing a
-/// best-so-far through [`crate::parallel::SharedBsf`].
-///
-/// # Contract (enforced by `tests/intra_query_agreement.rs`)
-///
-/// For every supported [`AnswerMode`], thread count and dispatch kernel, the
-/// returned `AnswerSet` (answers *and* guarantee) and the counters written
-/// into `stats` must be **bit-identical** to what
-/// [`AnsweringMethod::answer`] produces for the same query. Only the
-/// wall-clock time fields may differ. Implementations achieve this by
-/// splitting the threshold-independent work (summary sweeps), or by letting
-/// workers race ahead under shared-bsf thresholds while recording
-/// [`crate::knn::Outcome`]s that a serial replay pass — the one that touches
-/// `stats` and the counted store — resolves against the serial thresholds
-/// (see [`crate::knn::replay_outcome`]).
-///
-/// Implementations may assume the engine has already routed modes, but must
-/// validate lengths and dataset emptiness exactly like their serial path.
-/// `threads` is the resolved worker count (≥ 2; the engine answers serially
-/// otherwise).
-pub trait IntraAnswering: Send + Sync {
-    /// Answers one query with `threads` cooperating workers, recording the
-    /// serial path's exact logical work counters into `stats`.
-    fn answer_intra(
-        &self,
-        query: &Query,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet>;
 }
 
 /// The opt-in batched answering capability: one shared data pass answers a
@@ -352,15 +329,11 @@ pub trait IntraAnswering: Send + Sync {
 /// into `stats[i]` must be bit-identical to what the engine's serial
 /// per-query path produces for `queries[i]` — including the store-reconciled
 /// I/O attribution (see [`crate::stats::QueryStats::reconcile_io`]). Only the
-/// wall-clock time fields may differ. The kernel must therefore:
-///
-/// * keep each query's best-so-far evolution independent and in the same
-///   candidate order as the serial code path;
-/// * self-attribute per-query *logical* I/O (the pages the query would have
-///   cost on its own), leaving the shared pass's *physical* traffic on the
-///   store counters for the engine to observe at batch scope;
-/// * invalidate the simulated disk head before any per-query private read
-///   phase, mirroring the engine's per-query counter reset.
+/// wall-clock time fields may differ. The kernel must therefore keep each
+/// query's best-so-far evolution independent and in the same candidate order
+/// as the serial code path, and read through the same fallible store path,
+/// so the batch meets the same faults and every query is charged the pages
+/// its serial pass would observe.
 ///
 /// Implementations may assume the engine has already routed modes (every
 /// query's [`AnswerMode`] is within the method's capabilities) but must still
@@ -374,56 +347,6 @@ pub trait BatchAnswering: Send + Sync {
     /// `stats` has the same length as `queries` (zero-initialized by the
     /// engine).
     fn answer_batch(&self, queries: &[Query], stats: &mut [QueryStats]) -> Result<Vec<AnswerSet>>;
-}
-
-/// Validates that every query of a batch has length `expected`, returning
-/// the serial path's typed [`crate::Error::LengthMismatch`] for the first
-/// mismatch in batch order. Part of the shared batch-kernel prelude, so the
-/// native kernels cannot drift apart in their validation.
-pub fn batch_expect_length(queries: &[Query], expected: usize) -> Result<()> {
-    for query in queries {
-        if query.len() != expected {
-            return Err(crate::Error::LengthMismatch {
-                expected,
-                actual: query.len(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Validates that every query of a batch is an exact-mode query, returning
-/// the serial path's typed [`crate::Error::UnsupportedMode`] (naming
-/// `method`) for the first non-exact query in batch order. Used by the
-/// exact-only scans' batch kernels.
-pub fn batch_expect_exact(queries: &[Query], method: &'static str) -> Result<()> {
-    for query in queries {
-        if !query.mode().is_exact() {
-            return Err(crate::Error::unsupported_mode(method, query.mode()));
-        }
-    }
-    Ok(())
-}
-
-/// Collects the `k` of every k-NN query of a batch, returning the typed
-/// [`crate::Error::UnsupportedQuery`] (naming `method`) for the first range
-/// query in batch order.
-pub fn batch_knn_ks(queries: &[Query], method: &'static str) -> Result<Vec<usize>> {
-    queries.iter().map(|q| q.knn_k(method)).collect()
-}
-
-/// Distributes a shared pass's elapsed wall time evenly across the batch's
-/// per-query stats — the amortized per-query CPU cost a batch kernel
-/// reports in place of the serial path's per-query timing. No-op on an
-/// empty batch.
-pub fn share_batch_cpu_time(stats: &mut [QueryStats], elapsed: std::time::Duration) {
-    if stats.is_empty() {
-        return;
-    }
-    let share = elapsed / stats.len() as u32;
-    for stats in stats.iter_mut() {
-        stats.cpu_time += share;
-    }
 }
 
 /// An index structure built over a dataset ahead of query time.
@@ -564,7 +487,12 @@ mod tests {
             }
         }
 
-        fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+        fn search(
+            &self,
+            query: &Query,
+            _threads: usize,
+            stats: &mut QueryStats,
+        ) -> Result<AnswerSet> {
             let k = query.knn_k("BruteForce")?;
             let mut heap = KnnHeap::new(k);
             for (i, s) in self.data.iter().enumerate() {
@@ -574,40 +502,6 @@ mod tests {
             }
             Ok(heap.into_answer_set())
         }
-    }
-
-    #[test]
-    fn batch_prelude_helpers_mirror_the_serial_checks() {
-        let q32 = Query::nearest_neighbor(Series::new(vec![0.0; 32]));
-        let q16 = Query::knn(Series::new(vec![0.0; 16]), 3);
-        assert!(batch_expect_length(std::slice::from_ref(&q32), 32).is_ok());
-        assert!(matches!(
-            batch_expect_length(&[q32.clone(), q16.clone()], 32),
-            Err(crate::Error::LengthMismatch {
-                expected: 32,
-                actual: 16
-            })
-        ));
-        assert!(batch_expect_exact(std::slice::from_ref(&q32), "Scan").is_ok());
-        let ng = q32
-            .clone()
-            .with_mode(crate::query::AnswerMode::NgApproximate);
-        assert!(matches!(
-            batch_expect_exact(&[q32.clone(), ng], "Scan"),
-            Err(crate::Error::UnsupportedMode { method: "Scan", .. })
-        ));
-        assert_eq!(batch_knn_ks(&[q32.clone(), q16], "M").unwrap(), vec![1, 3]);
-        let range = Query::range(Series::new(vec![0.0; 32]), 1.0);
-        assert!(matches!(
-            batch_knn_ks(&[q32, range], "M"),
-            Err(crate::Error::UnsupportedQuery { method: "M", .. })
-        ));
-        let mut stats = vec![QueryStats::default(); 4];
-        share_batch_cpu_time(&mut stats, std::time::Duration::from_millis(8));
-        assert!(stats
-            .iter()
-            .all(|s| s.cpu_time == std::time::Duration::from_millis(2)));
-        share_batch_cpu_time(&mut [], std::time::Duration::from_millis(8));
     }
 
     #[test]

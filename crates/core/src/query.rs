@@ -396,6 +396,19 @@ impl Query {
         self.series.is_empty()
     }
 
+    /// `Ok` when the query has length `expected` (the indexed series
+    /// length), a typed [`Error::LengthMismatch`] otherwise.
+    pub fn expect_len(&self, expected: usize) -> Result<()> {
+        if self.len() == expected {
+            Ok(())
+        } else {
+            Err(Error::LengthMismatch {
+                expected,
+                actual: self.len(),
+            })
+        }
+    }
+
     /// The query kind (k-NN or range).
     #[inline]
     pub fn kind(&self) -> QueryKind {

@@ -166,9 +166,8 @@ impl QueryStats {
     /// raw-file traffic, so whichever accounting path recorded more pages
     /// wins and neither is lost.
     ///
-    /// This is the single reconciliation rule of the suite — applied by the
-    /// engine around every serial query, and by batch kernels per query so
-    /// that batched stats stay bit-identical to the serial path.
+    /// This is the single reconciliation rule of the suite, applied by the
+    /// engine around every measured query.
     pub fn reconcile_io(&mut self, observed: IoSnapshot) {
         if observed.total_pages() > self.io_snapshot().total_pages() {
             self.sequential_page_accesses = observed.sequential_pages;

@@ -6,7 +6,7 @@ use crate::node::{
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
     parallel, AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
-    IndexFootprint, IntraAnswering, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
+    IndexFootprint, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
 use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node as TreeNode, Seed};
 use hydra_storage::DatasetStore;
@@ -392,22 +392,7 @@ impl AnsweringMethod for DsTree {
         Some(ExactIndex::footprint(self))
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        best_first::search(self, query, 1, stats)
-    }
-
-    fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
-        Some(self)
-    }
-}
-
-impl IntraAnswering for DsTree {
-    fn answer_intra(
-        &self,
-        query: &Query,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
+    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         best_first::search(self, query, threads, stats)
     }
 }
@@ -902,11 +887,7 @@ mod tests {
             let serial = idx.answer(query, &mut serial_stats).unwrap();
             for threads in [2usize, 4] {
                 let mut stats = QueryStats::default();
-                let got = idx
-                    .intra_answering()
-                    .unwrap()
-                    .answer_intra(query, threads, &mut stats)
-                    .unwrap();
+                let got = idx.search(query, threads, &mut stats).unwrap();
                 assert_eq!(serial, got, "threads={threads}");
                 assert_eq!(serial_stats.raw_series_examined, stats.raw_series_examined);
                 assert_eq!(serial_stats.early_abandons, stats.early_abandons);

@@ -21,8 +21,8 @@ use crate::tree::{IsaxTree, NodeKind};
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
     parallel, AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error,
-    ExactIndex, IndexFootprint, IntraAnswering, KnnHeap, MethodDescriptor, ModeCapabilities, Query,
-    QueryStats, Result,
+    ExactIndex, IndexFootprint, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats,
+    Result,
 };
 use hydra_storage::DatasetStore;
 use hydra_transforms::sax::{SaxParams, SaxWord};
@@ -183,8 +183,7 @@ impl AdsPlus {
         Ok(())
     }
 
-    /// One SIMS query — the single body behind the serial and intra-query
-    /// entry points.
+    /// One SIMS query at `threads` workers.
     ///
     /// The MINDIST bounds of step 2 depend only on the query summary (never
     /// on the seeded best-so-far), so the sweep splits over `threads` workers
@@ -252,30 +251,11 @@ impl AnsweringMethod for AdsPlus {
         Some(ExactIndex::footprint(self))
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        self.answer_intra(query, 1, stats)
-    }
-
-    fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
-        Some(self)
-    }
-}
-
-impl IntraAnswering for AdsPlus {
-    /// Intra-query SIMS: step 2's in-memory sweep over the summary array —
-    /// the CPU bulk of an ADS+ exact query — splits into one contiguous
-    /// chunk per worker (see [`AdsPlus::sims`]); one thread is the serial
-    /// path.
-    fn answer_intra(
-        &self,
-        query: &Query,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
-        hydra_core::method::batch_expect_length(
-            std::slice::from_ref(query),
-            self.store.series_length(),
-        )?;
+    /// SIMS: step 2's in-memory sweep over the summary array — the CPU bulk
+    /// of an ADS+ exact query — splits into one contiguous chunk per worker
+    /// (see [`AdsPlus::sims`]); one thread is the serial search.
+    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+        query.expect_len(self.store.series_length())?;
         let k = query.knn_k("ADS+")?;
         let clock = hydra_core::RunClock::start();
         let answer = self.sims(query, k, threads, stats)?;

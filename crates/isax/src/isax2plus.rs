@@ -18,7 +18,7 @@ use crate::tree::{IsaxTree, NodeKind};
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
     parallel, AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
-    IndexFootprint, IntraAnswering, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
+    IndexFootprint, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
 use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node, Seed};
 use hydra_storage::DatasetStore;
@@ -89,22 +89,7 @@ impl AnsweringMethod for Isax2Plus {
         Some(ExactIndex::footprint(self))
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        best_first::search(self, query, 1, stats)
-    }
-
-    fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
-        Some(self)
-    }
-}
-
-impl IntraAnswering for Isax2Plus {
-    fn answer_intra(
-        &self,
-        query: &Query,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
+    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         best_first::search(self, query, threads, stats)
     }
 }

@@ -416,13 +416,10 @@ impl AnsweringMethod for MTree {
         Some(ExactIndex::footprint(self))
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
+    /// The M-tree's pivot pre-filters read the live threshold, so there is
+    /// nothing to split: `threads` is ignored.
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+        query.expect_len(self.store.series_length())?;
         let k = query.knn_k("M-tree")?;
         let mode = query.mode();
         let clock = hydra_core::RunClock::start();

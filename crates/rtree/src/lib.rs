@@ -473,7 +473,9 @@ impl AnsweringMethod for RStarTree {
         Some(ExactIndex::footprint(self))
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+    /// Always serial: the R*-tree has no exact-mode seed, so a fan-out
+    /// would refine every leaf; `threads` is ignored.
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         best_first::search(self, query, 1, stats)
     }
 }

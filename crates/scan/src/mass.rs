@@ -19,8 +19,8 @@
 
 use hydra_core::parallel::map_chunks;
 use hydra_core::{
-    AnswerSet, AnsweringMethod, BatchAnswering, BudgetMeter, Error, IntraAnswering, KnnHeap,
-    MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
+    AnswerSet, AnsweringMethod, BudgetMeter, Error, KnnHeap, MethodDescriptor, ModeCapabilities,
+    Query, QueryStats, Result, RunClock,
 };
 use hydra_storage::DatasetStore;
 use hydra_transforms::fft::{Complex, Fft};
@@ -46,10 +46,25 @@ impl MassScan {
         &self.store
     }
 
-    fn spectrum_and_norm(&self, values: &[f32]) -> (Vec<Complex>, f64) {
-        let spectrum = self.fft.forward_real(values);
-        let norm_sq: f64 = values.iter().map(|&v| (v as f64) * (v as f64)).sum();
-        (spectrum, norm_sq)
+    /// `ED²(Q, C) = ||Q||² + ||C||² − 2·(Q · C)` for one candidate, with the
+    /// dot product taken over the spectra: `Q·C = (1/n) Σ conj(F(Q))·F(C)`.
+    /// `c_spec` is the caller's spectrum scratch, reused across candidates
+    /// so the hot loop performs no per-candidate allocation.
+    fn squared_distance(
+        &self,
+        q_spec: &[Complex],
+        q_norm_sq: f64,
+        values: &[f32],
+        c_spec: &mut Vec<Complex>,
+    ) -> f64 {
+        self.fft.forward_real_into(values, c_spec);
+        let c_norm_sq: f64 = values.iter().map(|&v| (v as f64) * (v as f64)).sum();
+        let mut dot = 0.0f64;
+        for (q, c) in q_spec.iter().zip(c_spec.iter()) {
+            dot += q.re * c.re + q.im * c.im;
+        }
+        dot /= values.len() as f64;
+        (q_norm_sq + c_norm_sq - 2.0 * dot).max(0.0)
     }
 }
 
@@ -63,49 +78,59 @@ impl AnsweringMethod for MassScan {
         }
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+    /// One counted sequential pass offering every candidate's distance. Each
+    /// distance is a fixed, pruning-free computation, so with `threads > 1`
+    /// the candidate range first splits into one contiguous chunk per worker
+    /// with **no** shared state: each worker computes, from the in-memory
+    /// dataset, the exact squared distance the pass would, and the counted
+    /// pass offers the precomputed values — so answers, budget stops, faults
+    /// and I/O are the same bits for every thread count.
+    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         if self.store.is_empty() {
             return Err(Error::EmptyDataset);
         }
         let n = self.store.series_length();
-        if query.len() != n {
-            return Err(Error::LengthMismatch {
-                expected: n,
-                actual: query.len(),
-            });
-        }
+        query.expect_len(n)?;
         if !query.mode().is_exact() {
             return Err(Error::unsupported_mode("MASS", query.mode()));
         }
         let k = query.knn_k("MASS")?;
         let mut heap = KnnHeap::new(k);
         let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        let clock = hydra_core::RunClock::start();
-        let (q_spec, q_norm_sq) = self.spectrum_and_norm(query.values());
+        let clock = RunClock::start();
+        let q_spec = self.fft.forward_real(query.values());
+        let q_norm_sq: f64 = query
+            .values()
+            .iter()
+            .map(|&v| (v as f64) * (v as f64))
+            .sum();
         // Thread-scoped snapshot: under a parallel workload each worker must
         // observe only its own scan traffic.
         let before = self.store.thread_io_snapshot();
-        // One spectrum scratch per query, reused across every candidate: the
-        // hot loop performs no per-candidate allocation.
-        let mut c_spec: Vec<Complex> = Vec::with_capacity(n);
+        let squared: Vec<f64> = if threads > 1 {
+            let dataset = self.store.dataset();
+            map_chunks(self.store.len(), threads, |range| {
+                let mut c_spec = Vec::with_capacity(n);
+                range
+                    .map(|id| {
+                        let values = dataset.series(id).values();
+                        self.squared_distance(&q_spec, q_norm_sq, values, &mut c_spec)
+                    })
+                    .collect()
+            })
+        } else {
+            Vec::new()
+        };
+        let mut c_spec = Vec::with_capacity(n);
         self.store.try_scan_all(|id, series| {
             if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
                 return Ok(ControlFlow::Break(()));
             }
             stats.record_raw_series_examined(1);
-            self.fft.forward_real_into(series.values(), &mut c_spec);
-            let c_norm_sq: f64 = series
-                .values()
-                .iter()
-                .map(|&v| (v as f64) * (v as f64))
-                .sum();
-            // Dot product via the spectra: Q·C = (1/n) Σ conj(F(Q))·F(C).
-            let mut dot = 0.0f64;
-            for (q, c) in q_spec.iter().zip(c_spec.iter()) {
-                dot += q.re * c.re + q.im * c.im;
-            }
-            dot /= n as f64;
-            let sq = (q_norm_sq + c_norm_sq - 2.0 * dot).max(0.0);
+            let sq = match squared.get(id) {
+                Some(&sq) => sq,
+                None => self.squared_distance(&q_spec, q_norm_sq, series.values(), &mut c_spec),
+            };
             heap.offer(id, sq.sqrt());
             Ok(ControlFlow::Continue(()))
         })?;
@@ -114,130 +139,6 @@ impl AnsweringMethod for MassScan {
         stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
         let guarantee = meter.guarantee(query.mode().guarantee(), stats.raw_series_examined);
         Ok(heap.into_answer_set().with_guarantee(guarantee))
-    }
-
-    fn batch_answering(&self) -> Option<&dyn BatchAnswering> {
-        Some(self)
-    }
-
-    fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
-        Some(self)
-    }
-}
-
-impl IntraAnswering for MassScan {
-    /// Intra-query MASS: the distance of each candidate is a fixed, pruning-
-    /// free computation (spectrum + dot product), so the candidate range
-    /// splits into one contiguous chunk per worker with **no** shared state
-    /// at all — each worker keeps its own spectrum scratch and produces the
-    /// exact squared distance the serial loop would. A serial replay offers
-    /// the precomputed values in storage order inside the counted
-    /// [`DatasetStore::scan_all`] pass, reproducing the serial I/O envelope
-    /// and heap evolution bit for bit.
-    fn answer_intra(
-        &self,
-        query: &Query,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
-        if self.store.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
-        let n = self.store.series_length();
-        if query.len() != n {
-            return Err(Error::LengthMismatch {
-                expected: n,
-                actual: query.len(),
-            });
-        }
-        if !query.mode().is_exact() {
-            return Err(Error::unsupported_mode("MASS", query.mode()));
-        }
-        let k = query.knn_k("MASS")?;
-        let clock = hydra_core::RunClock::start();
-        let (q_spec, q_norm_sq) = self.spectrum_and_norm(query.values());
-        let before = self.store.thread_io_snapshot();
-        let dataset = self.store.dataset();
-        let squared: Vec<f64> = map_chunks(self.store.len(), threads, |range| {
-            let mut c_spec: Vec<Complex> = Vec::with_capacity(n);
-            let mut out = Vec::with_capacity(range.len());
-            for id in range {
-                let values = dataset.series(id).values();
-                self.fft.forward_real_into(values, &mut c_spec);
-                let c_norm_sq: f64 = values.iter().map(|&v| (v as f64) * (v as f64)).sum();
-                let mut dot = 0.0f64;
-                for (q, c) in q_spec.iter().zip(c_spec.iter()) {
-                    dot += q.re * c.re + q.im * c.im;
-                }
-                dot /= n as f64;
-                out.push((q_norm_sq + c_norm_sq - 2.0 * dot).max(0.0));
-            }
-            out
-        });
-        let mut heap = KnnHeap::new(k);
-        self.store.scan_all(|id, _series| {
-            stats.record_raw_series_examined(1);
-            heap.offer(id, squared[id].sqrt());
-        });
-        stats.cpu_time += clock.elapsed();
-        let delta = self.store.thread_io_snapshot().since(&before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-        Ok(heap.into_answer_set())
-    }
-}
-
-impl BatchAnswering for MassScan {
-    /// The batched MASS scan: one sequential pass over the dataset, and —
-    /// the CPU amortization the FFT structure makes possible — **one**
-    /// candidate spectrum per candidate shared by every query of the batch,
-    /// instead of Q transforms per candidate. Each query's distance is the
-    /// same spectra dot product as the serial path, so answers and per-query
-    /// counters are bit-identical to the per-query loop.
-    fn answer_batch(&self, queries: &[Query], stats: &mut [QueryStats]) -> Result<Vec<AnswerSet>> {
-        if self.store.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
-        let n = self.store.series_length();
-        hydra_core::method::batch_expect_length(queries, n)?;
-        hydra_core::method::batch_expect_exact(queries, "MASS")?;
-        let ks = hydra_core::method::batch_knn_ks(queries, "MASS")?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let clock = hydra_core::RunClock::start();
-        let query_spectra: Vec<(Vec<Complex>, f64)> = queries
-            .iter()
-            .map(|q| self.spectrum_and_norm(q.values()))
-            .collect();
-        let mut heaps: Vec<KnnHeap> = ks.iter().map(|&k| KnnHeap::new(k)).collect();
-        let mut c_spec: Vec<Complex> = Vec::with_capacity(n);
-        self.store.scan_all(|id, series| {
-            self.fft.forward_real_into(series.values(), &mut c_spec);
-            let c_norm_sq: f64 = series
-                .values()
-                .iter()
-                .map(|&v| (v as f64) * (v as f64))
-                .sum();
-            for (((q_spec, q_norm_sq), heap), stats) in
-                query_spectra.iter().zip(&mut heaps).zip(stats.iter_mut())
-            {
-                stats.record_raw_series_examined(1);
-                let mut dot = 0.0f64;
-                for (q, c) in q_spec.iter().zip(c_spec.iter()) {
-                    dot += q.re * c.re + q.im * c.im;
-                }
-                dot /= n as f64;
-                let sq = (q_norm_sq + c_norm_sq - 2.0 * dot).max(0.0);
-                heap.offer(id, sq.sqrt());
-            }
-        });
-        let pages = self.store.total_pages();
-        let bytes = (self.store.len() * self.store.series_bytes()) as u64;
-        for stats in stats.iter_mut() {
-            stats.record_io(pages - 1, 1, bytes);
-        }
-        hydra_core::method::share_batch_cpu_time(stats, clock.elapsed());
-        Ok(heaps.into_iter().map(KnnHeap::into_answer_set).collect())
     }
 }
 
@@ -311,39 +212,6 @@ mod tests {
         assert_eq!(stats.raw_series_examined, 100);
         assert_eq!(stats.random_page_accesses, 1);
         assert!(stats.cpu_time.as_nanos() > 0);
-    }
-
-    #[test]
-    fn batched_mass_matches_the_serial_loop_with_one_shared_spectrum_pass() {
-        use hydra_core::{Parallelism, QueryEngine};
-        let queries: Vec<Query> = RandomWalkGenerator::new(91, 64)
-            .series_batch(5)
-            .into_iter()
-            .map(|s| Query::knn(s, 2))
-            .collect();
-        let s1 = store(150, 64);
-        let mut serial =
-            QueryEngine::new(Box::new(MassScan::new(s1.clone())), s1.len()).with_io_source(s1);
-        let serial_answers: Vec<_> = queries.iter().map(|q| serial.answer(q).unwrap()).collect();
-
-        let s2 = store(150, 64);
-        let mut batched = QueryEngine::new(Box::new(MassScan::new(s2.clone())), s2.len())
-            .with_io_source(s2.clone());
-        let batch_answers = batched.answer_batch(&queries, Parallelism::Serial).unwrap();
-        for (a, b) in serial_answers.iter().zip(&batch_answers) {
-            assert_eq!(a.answers, b.answers, "distances must be bit-identical");
-            assert_eq!(a.stats.raw_series_examined, b.stats.raw_series_examined);
-            assert_eq!(
-                a.stats.sequential_page_accesses,
-                b.stats.sequential_page_accesses
-            );
-            assert_eq!(a.stats.bytes_read, b.stats.bytes_read);
-        }
-        // One physical pass amortized over the 5 queries.
-        assert_eq!(
-            batched.last_batch_io().unwrap().total_pages(),
-            s2.total_pages()
-        );
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! sequential reads plus a final random-access refinement step — the access
 //! pattern responsible for its high cost in the paper's evaluation.
 
-use hydra_core::parallel::map_chunks;
 use hydra_core::{
-    AnswerSet, AnsweringMethod, BatchAnswering, BudgetMeter, Error, IntraAnswering, KnnHeap,
-    MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
+    AnswerSet, AnsweringMethod, BudgetMeter, Error, KnnHeap, MethodDescriptor, ModeCapabilities,
+    Query, QueryStats, Result, RunClock,
 };
 use hydra_storage::DatasetStore;
 use hydra_transforms::HaarTransform;
@@ -87,187 +86,6 @@ impl Stepwise {
     pub fn preprocessing_bytes(&self) -> u64 {
         self.preprocessing_bytes
     }
-
-    /// Runs one filter level for one query: updates its prefix distances and
-    /// alive set, records the level's (logical) sequential read and the
-    /// lower-bound evaluations. `uppers` is caller-provided scratch, refilled
-    /// here — reused across levels (and, in the batched kernel, across
-    /// queries) so the filter loop performs no per-level allocation.
-    ///
-    /// Shared verbatim by the serial path and the batch kernel, so per-query
-    /// filtering work is bit-identical between the two.
-    #[allow(clippy::too_many_arguments)]
-    fn filter_level(
-        &self,
-        level: usize,
-        q_coeffs: &[f32],
-        k: usize,
-        prefix_sq: &mut [f64],
-        alive: &mut [bool],
-        alive_count: &mut usize,
-        uppers: &mut [f64],
-        stats: &mut QueryStats,
-    ) {
-        let n = self.store.len();
-        let lo = if level == 0 { 0 } else { 1usize << (level - 1) };
-        let hi = (1usize << level).min(q_coeffs.len());
-        let q_rest: f64 = q_coeffs[hi..]
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>();
-        // Reading this level's coefficients for the alive candidates is a
-        // sequential pass over the level file.
-        let level_bytes = (*alive_count * (hi - lo) * std::mem::size_of::<f32>()) as u64;
-        let level_pages = level_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
-        stats.record_io(level_pages.saturating_sub(1), 1, level_bytes);
-
-        // Update prefix distances and bounds.
-        let mut best_upper = f64::INFINITY;
-        uppers.fill(f64::INFINITY);
-        for id in 0..n {
-            if !alive[id] {
-                continue;
-            }
-            let coeffs = &self.levels[level][id];
-            let mut add = 0.0f64;
-            for (j, &c) in coeffs.iter().enumerate() {
-                let d = (q_coeffs[lo + j] - c) as f64;
-                add += d * d;
-            }
-            prefix_sq[id] += add;
-            stats.record_lower_bounds(1);
-            let rest = self.residuals[level][id].sqrt() + q_rest.sqrt();
-            let upper = (prefix_sq[id] + rest * rest).sqrt();
-            uppers[id] = upper;
-            if upper < best_upper {
-                best_upper = upper;
-            }
-        }
-        Self::prune_level(k, best_upper, uppers, prefix_sq, alive, alive_count);
-    }
-
-    /// The pruning half of a filter level, shared verbatim by the serial,
-    /// batched, and intra-query paths: keep the k best upper bounds as the
-    /// pruning threshold (so that a k-NN query never prunes a potential
-    /// member of the answer set) and kill every candidate whose lower bound
-    /// exceeds it.
-    fn prune_level(
-        k: usize,
-        best_upper: f64,
-        uppers: &[f64],
-        prefix_sq: &[f64],
-        alive: &mut [bool],
-        alive_count: &mut usize,
-    ) {
-        let threshold = if k == 1 {
-            best_upper
-        } else {
-            let mut ub: Vec<f64> = uppers.iter().copied().filter(|u| u.is_finite()).collect();
-            ub.sort_by(|a, b| a.total_cmp(b));
-            ub.get(k - 1).copied().unwrap_or(best_upper)
-        };
-        for (flag, p_sq) in alive.iter_mut().zip(prefix_sq.iter()) {
-            if *flag && p_sq.sqrt() > threshold + 1e-9 {
-                *flag = false;
-                *alive_count -= 1;
-            }
-        }
-    }
-
-    /// The intra-query variant of [`Stepwise::filter_level`]: the per-candidate
-    /// prefix/upper-bound updates are independent, so they split into one
-    /// contiguous chunk per worker; each worker computes `(new_prefix, upper)`
-    /// with the serial path's exact arithmetic (the update is pruning-free —
-    /// no shared state). The level's I/O charge, counter writes, writeback
-    /// and pruning run serially through the same code as the serial level,
-    /// so the alive set evolves bit-identically.
-    #[allow(clippy::too_many_arguments)]
-    fn filter_level_intra(
-        &self,
-        level: usize,
-        q_coeffs: &[f32],
-        k: usize,
-        threads: usize,
-        prefix_sq: &mut [f64],
-        alive: &mut [bool],
-        alive_count: &mut usize,
-        uppers: &mut [f64],
-        stats: &mut QueryStats,
-    ) {
-        let n = self.store.len();
-        let lo = if level == 0 { 0 } else { 1usize << (level - 1) };
-        let hi = (1usize << level).min(q_coeffs.len());
-        let q_rest: f64 = q_coeffs[hi..]
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>();
-        let level_bytes = (*alive_count * (hi - lo) * std::mem::size_of::<f32>()) as u64;
-        let level_pages = level_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
-        stats.record_io(level_pages.saturating_sub(1), 1, level_bytes);
-
-        let updates: Vec<Option<(f64, f64)>> = map_chunks(n, threads, |range| {
-            range
-                .map(|id| {
-                    if !alive[id] {
-                        return None;
-                    }
-                    let coeffs = &self.levels[level][id];
-                    let mut add = 0.0f64;
-                    for (j, &c) in coeffs.iter().enumerate() {
-                        let d = (q_coeffs[lo + j] - c) as f64;
-                        add += d * d;
-                    }
-                    let new_prefix = prefix_sq[id] + add;
-                    let rest = self.residuals[level][id].sqrt() + q_rest.sqrt();
-                    let upper = (new_prefix + rest * rest).sqrt();
-                    Some((new_prefix, upper))
-                })
-                .collect()
-        });
-
-        let mut best_upper = f64::INFINITY;
-        uppers.fill(f64::INFINITY);
-        for (id, update) in updates.into_iter().enumerate() {
-            let Some((new_prefix, upper)) = update else {
-                continue;
-            };
-            prefix_sq[id] = new_prefix;
-            stats.record_lower_bounds(1);
-            uppers[id] = upper;
-            if upper < best_upper {
-                best_upper = upper;
-            }
-        }
-        Self::prune_level(k, best_upper, uppers, prefix_sq, alive, alive_count);
-    }
-
-    /// Refines the surviving candidates of one query on the raw data
-    /// (random accesses through the fallible store path), offering them into
-    /// `heap`. Stops early — keeping the best-so-far answers — when the
-    /// query's budget meter trips.
-    fn refine(
-        &self,
-        query: &Query,
-        alive: &[bool],
-        heap: &mut KnnHeap,
-        meter: &mut BudgetMeter,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        for id in alive
-            .iter()
-            .enumerate()
-            .filter_map(|(id, &a)| a.then_some(id))
-        {
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                return Ok(());
-            }
-            let series = self.store.try_read_series(id)?;
-            stats.record_raw_series_examined(1);
-            let d = hydra_core::distance::euclidean(query.values(), series.values());
-            heap.offer(id, d);
-        }
-        Ok(())
-    }
 }
 
 impl AnsweringMethod for Stepwise {
@@ -280,19 +98,17 @@ impl AnsweringMethod for Stepwise {
         }
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        let n_len = self.store.series_length();
-        if query.len() != n_len {
-            return Err(Error::LengthMismatch {
-                expected: n_len,
-                actual: query.len(),
-            });
-        }
+    /// Reads the coefficient levels one at a time, pruning on the
+    /// prefix bounds, then refines the survivors on the raw data. Each level
+    /// depends on the previous level's pruning, so there is nothing to split
+    /// across workers: `threads` is ignored.
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+        query.expect_len(self.store.series_length())?;
         if !query.mode().is_exact() {
             return Err(Error::unsupported_mode("Stepwise", query.mode()));
         }
         let k = query.knn_k("Stepwise")?;
-        let clock = hydra_core::RunClock::start();
+        let clock = RunClock::start();
         let q_coeffs = self.haar.transform(query.values());
         let n = self.store.len();
 
@@ -303,184 +119,75 @@ impl AnsweringMethod for Stepwise {
         let mut alive_count = n;
         let mut uppers = vec![f64::INFINITY; n];
 
-        for level in 0..self.levels.len() {
-            self.filter_level(
-                level,
-                &q_coeffs,
-                k,
-                &mut prefix_sq,
-                &mut alive,
-                &mut alive_count,
-                &mut uppers,
-                stats,
-            );
-        }
+        for (level, (coefficients, residuals)) in
+            self.levels.iter().zip(&self.residuals).enumerate()
+        {
+            let lo = if level == 0 { 0 } else { 1usize << (level - 1) };
+            let hi = (1usize << level).min(q_coeffs.len());
+            let q_rest: f64 = q_coeffs[hi..]
+                .iter()
+                .map(|&v| (v as f64) * (v as f64))
+                .sum::<f64>();
+            // Reading this level's coefficients for the alive candidates is a
+            // sequential pass over the level file.
+            let level_bytes = (alive_count * (hi - lo) * std::mem::size_of::<f32>()) as u64;
+            let level_pages = level_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
+            stats.record_io(level_pages.saturating_sub(1), 1, level_bytes);
 
-        // Refinement: exact distances on the raw data for the survivors,
-        // charged as random accesses.
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        self.refine(query, &alive, &mut heap, &mut meter, stats)?;
-        stats.cpu_time += clock.elapsed();
-        // I/O for the refinement reads was recorded by the store counters;
-        // the engine reconciles it into the stats snapshot.
-        let guarantee = meter.guarantee(query.mode().guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
-    }
-
-    fn batch_answering(&self) -> Option<&dyn BatchAnswering> {
-        Some(self)
-    }
-
-    fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
-        Some(self)
-    }
-}
-
-impl IntraAnswering for Stepwise {
-    /// Intra-query Stepwise: each filter level's per-candidate bound updates
-    /// fan out across workers ([`Stepwise::filter_level_intra`]) while the
-    /// level ordering, I/O charges and pruning stay serial; the refinement
-    /// distances of the surviving candidates are computed in parallel from
-    /// the in-memory dataset, then replayed in id order through counted
-    /// [`DatasetStore::read_series`] calls so the random-access profile and
-    /// heap evolution match the serial path bit for bit.
-    fn answer_intra(
-        &self,
-        query: &Query,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
-        let n_len = self.store.series_length();
-        if query.len() != n_len {
-            return Err(Error::LengthMismatch {
-                expected: n_len,
-                actual: query.len(),
-            });
-        }
-        if !query.mode().is_exact() {
-            return Err(Error::unsupported_mode("Stepwise", query.mode()));
-        }
-        let k = query.knn_k("Stepwise")?;
-        let clock = hydra_core::RunClock::start();
-        let q_coeffs = self.haar.transform(query.values());
-        let n = self.store.len();
-
-        let mut prefix_sq = vec![0.0f64; n];
-        let mut alive: Vec<bool> = vec![true; n];
-        let mut alive_count = n;
-        let mut uppers = vec![f64::INFINITY; n];
-
-        for level in 0..self.levels.len() {
-            self.filter_level_intra(
-                level,
-                &q_coeffs,
-                k,
-                threads,
-                &mut prefix_sq,
-                &mut alive,
-                &mut alive_count,
-                &mut uppers,
-                stats,
-            );
-        }
-
-        // Parallel refinement distances (exact, threshold-free) from the
-        // in-memory dataset, replayed serially with counted reads.
-        let survivors: Vec<usize> = alive
-            .iter()
-            .enumerate()
-            .filter_map(|(id, &a)| a.then_some(id))
-            .collect();
-        let dataset = self.store.dataset();
-        let distances: Vec<f64> = map_chunks(survivors.len(), threads, |range| {
-            range
-                .map(|i| {
-                    let id = survivors[i];
-                    hydra_core::distance::euclidean(query.values(), dataset.series(id).values())
-                })
-                .collect()
-        });
-        let mut heap = KnnHeap::new(k);
-        for (&id, &d) in survivors.iter().zip(&distances) {
-            let _series = self.store.read_series(id);
-            stats.record_raw_series_examined(1);
-            heap.offer(id, d);
-        }
-        stats.cpu_time += clock.elapsed();
-        Ok(heap.into_answer_set())
-    }
-}
-
-impl BatchAnswering for Stepwise {
-    /// The batched multi-step filter: the level loop moves outermost, so one
-    /// pass over each level's coefficient storage serves every query of the
-    /// batch (the level's arrays stay cache-resident across the Q per-query
-    /// updates) before the next level is touched. Each query's alive set,
-    /// prefix distances and pruning thresholds evolve exactly as on the
-    /// serial path, and its refinement reads are individually attributed
-    /// through head-invalidated store deltas, so answers and per-query
-    /// counters are bit-identical to the per-query loop.
-    fn answer_batch(&self, queries: &[Query], stats: &mut [QueryStats]) -> Result<Vec<AnswerSet>> {
-        hydra_core::method::batch_expect_length(queries, self.store.series_length())?;
-        hydra_core::method::batch_expect_exact(queries, "Stepwise")?;
-        let ks = hydra_core::method::batch_knn_ks(queries, "Stepwise")?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let clock = hydra_core::RunClock::start();
-        let n = self.store.len();
-        let q_coeffs: Vec<Vec<f32>> = queries
-            .iter()
-            .map(|q| self.haar.transform(q.values()))
-            .collect();
-        let mut prefix_sq: Vec<Vec<f64>> = vec![vec![0.0f64; n]; queries.len()];
-        let mut alive: Vec<Vec<bool>> = vec![vec![true; n]; queries.len()];
-        let mut alive_counts = vec![n; queries.len()];
-        // One upper-bound scratch shared by every (level, query) pass.
-        let mut uppers = vec![f64::INFINITY; n];
-
-        for level in 0..self.levels.len() {
-            for qi in 0..queries.len() {
-                self.filter_level(
-                    level,
-                    &q_coeffs[qi],
-                    ks[qi],
-                    &mut prefix_sq[qi],
-                    &mut alive[qi],
-                    &mut alive_counts[qi],
-                    &mut uppers,
-                    &mut stats[qi],
-                );
+            // Update prefix distances and bounds.
+            let mut best_upper = f64::INFINITY;
+            uppers.fill(f64::INFINITY);
+            for id in (0..n).filter(|&id| alive[id]) {
+                let mut add = 0.0f64;
+                for (j, &c) in coefficients[id].iter().enumerate() {
+                    let d = (q_coeffs[lo + j] - c) as f64;
+                    add += d * d;
+                }
+                prefix_sq[id] += add;
+                stats.record_lower_bounds(1);
+                let rest = residuals[id].sqrt() + q_rest.sqrt();
+                let upper = (prefix_sq[id] + rest * rest).sqrt();
+                uppers[id] = upper;
+                if upper < best_upper {
+                    best_upper = upper;
+                }
+            }
+            // Keep the k best upper bounds as the pruning threshold (so a
+            // k-NN query never prunes a potential member of the answer set)
+            // and kill every candidate whose lower bound exceeds it.
+            let threshold = if k == 1 {
+                best_upper
+            } else {
+                let mut ub: Vec<f64> = uppers.iter().copied().filter(|u| u.is_finite()).collect();
+                ub.sort_by(|a, b| a.total_cmp(b));
+                ub.get(k - 1).copied().unwrap_or(best_upper)
+            };
+            for (flag, p_sq) in alive.iter_mut().zip(&prefix_sq) {
+                if *flag && p_sq.sqrt() > threshold + 1e-9 {
+                    *flag = false;
+                    alive_count -= 1;
+                }
             }
         }
 
-        // Per-query refinement: invalidate the simulated disk head first so
-        // the store delta classifies this query's reads exactly as the
-        // serial path (whose engine-level counter reset freshens the head),
-        // then reconcile the observed refinement traffic like the engine
-        // does around a serial query.
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut heap = KnnHeap::new(1);
-        for ((query, &k), (alive, stats)) in queries
-            .iter()
-            .zip(&ks)
-            .zip(alive.iter().zip(stats.iter_mut()))
-        {
-            heap.reset(k);
-            self.store.invalidate_head();
-            let before = self.store.thread_io_snapshot();
-            // Budgeted queries never reach the batch kernel (the engine
-            // routes them through the per-query loop), so this meter only
-            // carries the fault plan's fallible read path.
-            let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-            self.refine(query, alive, &mut heap, &mut meter, stats)?;
-            let observed = self.store.thread_io_snapshot().since(&before);
-            stats.reconcile_io(observed);
-            answers.push(heap.take_answer_set());
+        // Refinement: exact distances on the raw data for the survivors,
+        // random accesses through the fallible store path (recorded by the
+        // store counters, which the engine reconciles into the stats). A
+        // tripped budget keeps the best-so-far answers.
+        let mut heap = KnnHeap::new(k);
+        let mut meter = BudgetMeter::new(query.budget(), n);
+        for id in (0..n).filter(|&id| alive[id]) {
+            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
+                break;
+            }
+            let series = self.store.try_read_series(id)?;
+            stats.record_raw_series_examined(1);
+            let d = hydra_core::distance::euclidean(query.values(), series.values());
+            heap.offer(id, d);
         }
-        hydra_core::method::share_batch_cpu_time(stats, clock.elapsed());
-        Ok(answers)
+        stats.cpu_time += clock.elapsed();
+        let guarantee = meter.guarantee(query.mode().guarantee(), stats.raw_series_examined);
+        Ok(heap.into_answer_set().with_guarantee(guarantee))
     }
 }
 
@@ -565,52 +272,6 @@ mod tests {
         s.answer(&Query::nearest_neighbor(q), &mut stats).unwrap();
         let io = st.io_snapshot();
         assert!(io.random_pages >= 1, "refinement reads are random accesses");
-    }
-
-    #[test]
-    fn batched_stepwise_matches_the_serial_loop_counters_included() {
-        use hydra_core::{Parallelism, QueryEngine};
-        // Mix member queries (strong pruning, few refinement reads) with
-        // random ones (many survivors) so the per-query I/O attribution and
-        // the engine's reconciliation rule are both exercised.
-        let st = store(250, 64);
-        let mut queries: Vec<Query> = RandomWalkGenerator::new(92, 64)
-            .series_batch(4)
-            .into_iter()
-            .map(|s| Query::knn(s, 3))
-            .collect();
-        queries.push(Query::nearest_neighbor(
-            st.dataset().series(111).to_owned_series(),
-        ));
-        let mut serial = QueryEngine::new(Box::new(Stepwise::build(st.clone()).unwrap()), st.len())
-            .with_io_source(st);
-        let serial_answers: Vec<_> = queries.iter().map(|q| serial.answer(q).unwrap()).collect();
-
-        let st2 = store(250, 64);
-        let mut batched =
-            QueryEngine::new(Box::new(Stepwise::build(st2.clone()).unwrap()), st2.len())
-                .with_io_source(st2);
-        let batch_answers = batched.answer_batch(&queries, Parallelism::Serial).unwrap();
-        for (qi, (a, b)) in serial_answers.iter().zip(&batch_answers).enumerate() {
-            assert_eq!(a.answers, b.answers, "query {qi}");
-            assert_eq!(
-                a.stats.raw_series_examined, b.stats.raw_series_examined,
-                "query {qi}"
-            );
-            assert_eq!(
-                a.stats.lower_bounds_computed, b.stats.lower_bounds_computed,
-                "query {qi}"
-            );
-            assert_eq!(
-                a.stats.sequential_page_accesses, b.stats.sequential_page_accesses,
-                "query {qi}"
-            );
-            assert_eq!(
-                a.stats.random_page_accesses, b.stats.random_page_accesses,
-                "query {qi}"
-            );
-            assert_eq!(a.stats.bytes_read, b.stats.bytes_read, "query {qi}");
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ use hydra_core::distance::{
 };
 use hydra_core::parallel::map_chunks;
 use hydra_core::{
-    replay_outcome, AnswerSet, AnsweringMethod, BatchAnswering, BudgetMeter, Error, IntraAnswering,
-    KnnHeap, MethodDescriptor, ModeCapabilities, Outcome, Query, QueryStats, Result, SharedBsf,
+    replay_outcome, AnswerSet, AnsweringMethod, BatchAnswering, BudgetMeter, Error, KnnHeap,
+    MethodDescriptor, ModeCapabilities, Outcome, Query, QueryStats, Result, RunClock, SharedBsf,
 };
 use hydra_storage::DatasetStore;
 use std::ops::ControlFlow;
@@ -40,6 +40,19 @@ impl UcrScan {
     pub fn num_series(&self) -> usize {
         self.store.len()
     }
+
+    /// The typed errors the serial path reports for `query`, in its order;
+    /// `Ok(k)` when the query can be scanned.
+    fn validate(&self, query: &Query) -> Result<usize> {
+        if self.store.is_empty() {
+            return Err(Error::EmptyDataset);
+        }
+        query.expect_len(self.store.series_length())?;
+        if !query.mode().is_exact() {
+            return Err(Error::unsupported_mode("UCR-Suite", query.mode()));
+        }
+        query.knn_k("UCR-Suite")
+    }
 }
 
 impl AnsweringMethod for UcrScan {
@@ -52,38 +65,59 @@ impl AnsweringMethod for UcrScan {
         }
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        if self.store.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        if !query.mode().is_exact() {
-            return Err(Error::unsupported_mode("UCR-Suite", query.mode()));
-        }
-        let k = query.knn_k("UCR-Suite")?;
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
+    /// One counted sequential pass with reordered early abandoning against
+    /// the best-so-far. With `threads > 1` the candidate range is first split
+    /// ParIS-style into one contiguous chunk per worker: every worker prunes
+    /// the in-memory dataset (no store traffic) against the tighter of its
+    /// own heap and the [`SharedBsf`], recording one [`Outcome`] per
+    /// candidate, and the counted pass decides each candidate from its
+    /// outcome via [`replay_outcome`] — so answers, `early_abandons`, budget
+    /// stops, faults and I/O are the same bits for every thread count.
+    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+        let k = self.validate(query)?;
         let order = QueryOrder::new(query.values());
         // Thread-scoped snapshot: under a parallel workload each worker must
         // observe only its own scan traffic.
         let before = self.store.thread_io_snapshot();
-        let clock = hydra_core::RunClock::start();
+        let clock = RunClock::start();
+        let outcomes: Vec<Outcome> = if threads > 1 {
+            let dataset = self.store.dataset();
+            let bsf = SharedBsf::new(f64::INFINITY);
+            map_chunks(self.store.len(), threads, |range| {
+                let mut local = KnnHeap::new(k);
+                let mut out = Vec::with_capacity(range.len());
+                for id in range {
+                    let threshold = local.threshold_squared().min(bsf.get());
+                    let values = dataset.series(id).values();
+                    match squared_euclidean_reordered(query.values(), values, &order, threshold) {
+                        Some(sq) => {
+                            out.push(Outcome::Computed(sq));
+                            local.offer(id, sq.sqrt());
+                            bsf.update_min(local.threshold_squared());
+                        }
+                        None => out.push(Outcome::Abandoned { threshold }),
+                    }
+                }
+                out
+            })
+        } else {
+            Vec::new()
+        };
+        let mut heap = KnnHeap::new(k);
+        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
         self.store.try_scan_all(|id, series| {
             if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
                 return Ok(ControlFlow::Break(()));
             }
             stats.record_raw_series_examined(1);
-            match squared_euclidean_reordered(
-                query.values(),
-                series.values(),
-                &order,
-                heap.threshold_squared(),
-            ) {
+            let threshold = heap.threshold_squared();
+            let distance =
+                |t| squared_euclidean_reordered(query.values(), series.values(), &order, t);
+            let squared = match outcomes.get(id) {
+                Some(&outcome) => replay_outcome(outcome, threshold, distance),
+                None => distance(threshold),
+            };
+            match squared {
                 Some(sq) => {
                     heap.offer(id, sq.sqrt());
                 }
@@ -101,115 +135,34 @@ impl AnsweringMethod for UcrScan {
     fn batch_answering(&self) -> Option<&dyn BatchAnswering> {
         Some(self)
     }
-
-    fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
-        Some(self)
-    }
-}
-
-impl IntraAnswering for UcrScan {
-    /// ParIS-style intra-query scan: the candidate range is split into one
-    /// contiguous chunk per worker; every worker prunes against the tighter
-    /// of its own local heap and the [`SharedBsf`], recording one [`Outcome`]
-    /// per candidate from the in-memory dataset (no store traffic). A serial
-    /// replay then walks the counted [`DatasetStore::scan_all`] pass in
-    /// storage order and decides every candidate from its recorded outcome
-    /// via [`replay_outcome`], so answers, `early_abandons`, and the full
-    /// logical I/O pass are bit-identical to [`AnsweringMethod::answer`].
-    fn answer_intra(
-        &self,
-        query: &Query,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
-        if self.store.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
-        if query.len() != self.store.series_length() {
-            return Err(Error::LengthMismatch {
-                expected: self.store.series_length(),
-                actual: query.len(),
-            });
-        }
-        if !query.mode().is_exact() {
-            return Err(Error::unsupported_mode("UCR-Suite", query.mode()));
-        }
-        let k = query.knn_k("UCR-Suite")?;
-        let order = QueryOrder::new(query.values());
-        let before = self.store.thread_io_snapshot();
-        let clock = hydra_core::RunClock::start();
-        let dataset = self.store.dataset();
-        let bsf = SharedBsf::new(f64::INFINITY);
-        let outcomes: Vec<Outcome> = map_chunks(self.store.len(), threads, |range| {
-            let mut local = KnnHeap::new(k);
-            let mut out = Vec::with_capacity(range.len());
-            for id in range {
-                let threshold = local.threshold_squared().min(bsf.get());
-                match squared_euclidean_reordered(
-                    query.values(),
-                    dataset.series(id).values(),
-                    &order,
-                    threshold,
-                ) {
-                    Some(sq) => {
-                        out.push(Outcome::Computed(sq));
-                        local.offer(id, sq.sqrt());
-                        bsf.update_min(local.threshold_squared());
-                    }
-                    None => out.push(Outcome::Abandoned { threshold }),
-                }
-            }
-            out
-        });
-        // Serial replay: the counted scan reproduces the serial pass exactly.
-        let mut heap = KnnHeap::new(k);
-        self.store.scan_all(|id, series| {
-            stats.record_raw_series_examined(1);
-            let replayed = replay_outcome(outcomes[id], heap.threshold_squared(), |t| {
-                squared_euclidean_reordered(query.values(), series.values(), &order, t)
-            });
-            match replayed {
-                Some(sq) => {
-                    heap.offer(id, sq.sqrt());
-                }
-                None => stats.record_early_abandon(),
-            }
-        });
-        stats.cpu_time += clock.elapsed();
-        let delta = self.store.thread_io_snapshot().since(&before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-        Ok(heap.into_answer_set())
-    }
 }
 
 impl BatchAnswering for UcrScan {
-    /// The batched scan: **one** sequential pass over the dataset evaluates
-    /// every query of the batch against each candidate (query-major, the
-    /// candidate stays cache-resident across the Q inner kernels), with each
-    /// query early-abandoning against its own best-so-far.
+    /// The batched scan: **one** counted sequential pass over the dataset
+    /// evaluates every query of the batch against each candidate
+    /// (query-major, the candidate stays cache-resident across the Q inner
+    /// kernels), with each query early-abandoning against its own
+    /// best-so-far.
     ///
-    /// Candidates are visited in the same storage order as the serial scan
-    /// and each query's best-so-far evolves independently, so answers and
-    /// per-query counters (series examined, early abandons, the full logical
-    /// pass of I/O) are bit-identical to the per-query loop — only the
-    /// *physical* traffic shrinks from Q passes to one.
+    /// Candidates are visited in the same storage order as the serial scan,
+    /// through the same fallible read path, and each query's best-so-far
+    /// evolves independently; every query is charged the shared pass's
+    /// observed I/O, exactly as its serial pass observes its own. Answers
+    /// and per-query counters are therefore bit-identical to the per-query
+    /// loop — only the *physical* traffic shrinks from Q passes to one.
     fn answer_batch(&self, queries: &[Query], stats: &mut [QueryStats]) -> Result<Vec<AnswerSet>> {
-        if self.store.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
-        hydra_core::method::batch_expect_length(queries, self.store.series_length())?;
-        hydra_core::method::batch_expect_exact(queries, "UCR-Suite")?;
-        let ks = hydra_core::method::batch_knn_ks(queries, "UCR-Suite")?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let clock = hydra_core::RunClock::start();
+        let ks = queries
+            .iter()
+            .map(|query| self.validate(query))
+            .collect::<Result<Vec<usize>>>()?;
+        let before = self.store.thread_io_snapshot();
+        let clock = RunClock::start();
         let query_values: Vec<&[f32]> = queries.iter().map(|q| q.values()).collect();
         let orders: Vec<QueryOrder> = query_values.iter().map(|q| QueryOrder::new(q)).collect();
         let mut heaps: Vec<KnnHeap> = ks.iter().map(|&k| KnnHeap::new(k)).collect();
         let mut thresholds = vec![f64::INFINITY; queries.len()];
         let mut distances: Vec<Option<f64>> = vec![None; queries.len()];
-        self.store.scan_all(|id, series| {
+        self.store.try_scan_all(|id, series| {
             for (threshold, heap) in thresholds.iter_mut().zip(&heaps) {
                 *threshold = heap.threshold_squared();
             }
@@ -230,16 +183,16 @@ impl BatchAnswering for UcrScan {
                     None => stats.record_early_abandon(),
                 }
             }
-        });
-        // Each query keeps the logical cost of its own full pass (identical
-        // to the serial loop); the shared pass's physical traffic stays on
-        // the store counters for the engine's batch-scoped accounting.
-        let pages = self.store.total_pages();
-        let bytes = (self.store.len() * self.store.series_bytes()) as u64;
+            Ok(ControlFlow::Continue(()))
+        })?;
+        // Per-query wall time inside a shared pass is ill-defined; each
+        // query reports an even share of it.
+        let cpu_share = clock.elapsed() / queries.len().max(1) as u32;
+        let delta = self.store.thread_io_snapshot().since(&before);
         for stats in stats.iter_mut() {
-            stats.record_io(pages - 1, 1, bytes);
+            stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
+            stats.cpu_time += cpu_share;
         }
-        hydra_core::method::share_batch_cpu_time(stats, clock.elapsed());
         Ok(heaps.into_iter().map(KnnHeap::into_answer_set).collect())
     }
 }
@@ -413,7 +366,7 @@ mod tests {
             let serial = scan.answer(&q, &mut serial_stats).unwrap();
             for threads in [2usize, 4] {
                 let mut stats = QueryStats::default();
-                let got = scan.answer_intra(&q, threads, &mut stats).unwrap();
+                let got = scan.search(&q, threads, &mut stats).unwrap();
                 assert_eq!(serial, got);
                 assert_eq!(serial_stats.raw_series_examined, stats.raw_series_examined);
                 assert_eq!(serial_stats.early_abandons, stats.early_abandons);

@@ -599,7 +599,7 @@ mod tests {
             }
         }
 
-        fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+        fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
             let mut heap = KnnHeap::new(query.k().unwrap_or(1));
             for i in 0..self.store.len() {
                 let s = self.store.read_series(i);
@@ -628,7 +628,7 @@ mod tests {
             }
         }
 
-        fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+        fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
             if self.calls.fetch_add(1, Ordering::Relaxed) >= self.fail_from {
                 return Err(Error::EmptyDataset);
             }
@@ -1056,7 +1056,7 @@ mod tests {
             }
         }
 
-        fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
+        fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
             let call = self.calls.fetch_add(1, Ordering::Relaxed);
             if self.fail_calls.contains(&call) {
                 return Err(Error::EmptyDataset);

@@ -21,7 +21,7 @@
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
     parallel, AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
-    IndexFootprint, IntraAnswering, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
+    IndexFootprint, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
 use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node, Seed};
 use hydra_storage::DatasetStore;
@@ -298,22 +298,7 @@ impl AnsweringMethod for SfaTrie {
         Some(ExactIndex::footprint(self))
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        best_first::search(self, query, 1, stats)
-    }
-
-    fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
-        Some(self)
-    }
-}
-
-impl IntraAnswering for SfaTrie {
-    fn answer_intra(
-        &self,
-        query: &Query,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
+    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         best_first::search(self, query, threads, stats)
     }
 }
@@ -718,11 +703,7 @@ mod tests {
             let serial = idx.answer(query, &mut serial_stats).unwrap();
             for threads in [2usize, 4] {
                 let mut stats = QueryStats::default();
-                let got = idx
-                    .intra_answering()
-                    .unwrap()
-                    .answer_intra(query, threads, &mut stats)
-                    .unwrap();
+                let got = idx.search(query, threads, &mut stats).unwrap();
                 assert_eq!(serial, got, "threads={threads}");
                 assert_eq!(serial_stats.raw_series_examined, stats.raw_series_examined);
                 assert_eq!(serial_stats.early_abandons, stats.early_abandons);

@@ -21,7 +21,7 @@
 use crate::DatasetStore;
 use hydra_core::distance::squared_euclidean_early_abandon;
 use hydra_core::{
-    parallel, replay_outcome, AnswerMode, AnswerSet, BudgetMeter, Error, KnnHeap, Outcome, Query,
+    parallel, replay_outcome, AnswerMode, AnswerSet, BudgetMeter, KnnHeap, Outcome, Query,
     QueryStats, Result, RunClock, SharedBsf,
 };
 use std::cmp::Ordering;
@@ -165,12 +165,7 @@ fn search_with<T: BestFirstTree>(
     record: impl FnOnce(&T::Probe<'_>, &KnnHeap, Option<usize>) -> Recorded,
 ) -> Result<AnswerSet> {
     let store = tree.store();
-    if query.len() != store.series_length() {
-        return Err(Error::LengthMismatch {
-            expected: store.series_length(),
-            actual: query.len(),
-        });
-    }
+    query.expect_len(store.series_length())?;
     let k = query.knn_k(T::NAME)?;
     let mode = query.mode();
     let clock = RunClock::start();
@@ -321,7 +316,7 @@ fn fan_out<T: BestFirstTree>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_core::{Budget, Dataset, Guarantee, Series};
+    use hydra_core::{Budget, Dataset, Error, Guarantee, Series};
     use std::sync::Mutex;
 
     const LEN: usize = 8;

@@ -248,36 +248,33 @@ impl DatasetStore {
     /// `Ok(true)` when the scan reached the end, `Ok(false)` when `f` broke
     /// out early.
     ///
-    /// Pages are charged *incrementally* — each series charges only the pages
-    /// past the furthest page already charged by this scan, and fully
-    /// overlapped series charge bytes only — so a complete pass records
-    /// exactly what `scan_all` records (one potential seek, then sequential
-    /// pages, all bytes), and a truncated pass charges only what it read.
+    /// The pages of the series read so far form one contiguous run, charged
+    /// once when the pass ends — on completion, on `Break`, or on either
+    /// error — so a complete pass records exactly what `scan_all` records
+    /// (one potential seek, then sequential pages, all bytes) and a truncated
+    /// pass charges only what it read. Latency surcharges never move the
+    /// head, so the counters end exactly as if every series had been charged
+    /// as it was read. `f` must not read through this store itself.
     pub fn try_scan_all<F>(&self, mut f: F) -> Result<bool>
     where
         F: FnMut(usize, SeriesView<'_>) -> Result<ControlFlow<()>>,
     {
-        let n = self.dataset.len();
-        if n == 0 {
-            return Ok(true);
-        }
-        let (mut next_page, _) = self.page_range(0);
-        for i in 0..n {
-            self.fault_check(i as u64)?;
-            let (first, last) = self.page_range(i);
-            if last >= next_page {
-                let from = next_page.max(first);
-                self.counters
-                    .record_read_run(from, last - from + 1, self.series_bytes as u64);
-                next_page = last + 1;
-            } else {
-                self.counters.record_read_bytes(self.series_bytes as u64);
+        // The run starts at page 0; `next_page` is one past its last page.
+        let mut next_page = 0u64;
+        let mut bytes = 0u64;
+        let complete = (|| -> Result<bool> {
+            for i in 0..self.dataset.len() {
+                self.fault_check(i as u64)?;
+                next_page = self.page_range(i).1 + 1;
+                bytes += self.series_bytes as u64;
+                if let ControlFlow::Break(()) = f(i, self.dataset.series(i))? {
+                    return Ok(false);
+                }
             }
-            if let ControlFlow::Break(()) = f(i, self.dataset.series(i))? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+            Ok(true)
+        })();
+        self.counters.record_read_run(0, next_page, bytes);
+        complete
     }
 
     /// A fault checkpoint for access paths that do their own I/O accounting
@@ -298,24 +295,6 @@ impl DatasetStore {
     /// skipped regions even when the next read happens to be contiguous).
     pub fn seek(&self) {
         self.counters.record_seek();
-    }
-
-    /// Forgets the calling thread's disk-head position without touching its
-    /// counters — the next read is classified random, exactly as after
-    /// [`DatasetStore::reset_thread_io`].
-    ///
-    /// This is the batch-scoped attribution primitive: the engine resets a
-    /// worker's counter shard once per *query* on the serial path, but a
-    /// batch kernel answers many queries inside one engine-level reset. The
-    /// kernel calls this before each query's private read phase so that the
-    /// per-query `thread_io_snapshot` deltas classify sequential vs random
-    /// pages exactly as a serial run would, while the shard keeps
-    /// accumulating the batch's true physical totals.
-    pub fn invalidate_head(&self) {
-        // Same counter operation as an explicit seek; kept as a named alias
-        // so the two use cases cannot drift apart if seek classification
-        // ever changes.
-        self.seek();
     }
 
     /// Records `bytes` of index payload written to this store's disk.
@@ -462,23 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_head_classifies_like_a_fresh_reset_without_losing_counts() {
-        // Two "queries" inside one batch: reading series 4 directly after
-        // series 3 would normally continue the head; invalidating between
-        // them reproduces the per-query-reset classification (a cold random
-        // access) while the shard keeps both queries' totals.
-        let store = DatasetStore::new(dataset(64, 1024)); // 1 series = 1 page
-        store.read_series(3);
-        let between = store.thread_io_snapshot();
-        store.invalidate_head();
-        store.read_series(4);
-        let delta = store.thread_io_snapshot().since(&between);
-        assert_eq!(delta.random_pages, 1, "post-invalidation read is random");
-        assert_eq!(delta.sequential_pages, 0);
-        assert_eq!(store.thread_io_snapshot().total_pages(), 2, "nothing lost");
-    }
-
-    #[test]
     fn index_writes_are_tracked() {
         let store = DatasetStore::new(dataset(10, 256));
         store.record_index_write(12345);
@@ -560,6 +522,77 @@ mod tests {
         // Series 0..=7 live in pages 0 and 1.
         assert_eq!(io.total_pages(), 2);
         assert_eq!(io.bytes_read, 8 * 1024);
+    }
+
+    #[test]
+    fn try_scan_all_charges_one_run_exactly_like_per_series_charging() {
+        use crate::fault::FaultConfig;
+        use std::ops::ControlFlow::{Break, Continue};
+        // 300-value series: some share a page, some straddle two.
+        let surcharging = FaultConfig {
+            latency: 0.3,
+            latency_pages: 2,
+            ..Default::default()
+        };
+        let failing = FaultConfig {
+            read_error: 0.05,
+            ..surcharging
+        };
+        let plans = [
+            FaultPlan::disabled(),
+            FaultPlan::seeded(5, surcharging),
+            FaultPlan::seeded(6, failing),
+        ];
+        let mut failures = 0;
+        for plan in plans {
+            for stop in [None, Some(0), Some(17), Some(99)] {
+                let scanned = DatasetStore::new(dataset(100, 300)).with_fault_plan(plan);
+                // Leave the head mid-file: the run's first page is random.
+                scanned.read_series(40);
+                let result = scanned.try_scan_all(|i, _| {
+                    Ok(if Some(i) == stop {
+                        Break(())
+                    } else {
+                        Continue(())
+                    })
+                });
+                // The reference charges every series as it is read.
+                let reference = DatasetStore::new(dataset(100, 300));
+                reference.read_series(40);
+                let mut next_page = 0;
+                let mut failed = false;
+                for i in 0..=stop.unwrap_or(99) {
+                    let outcome = plan.read_outcome(i as u64, fault::current_attempt());
+                    if plan.is_active() {
+                        reference.counters.record_surcharge(outcome.surcharge_pages);
+                        if outcome.error.is_some() {
+                            failed = true;
+                            break;
+                        }
+                    }
+                    let (first, last) = reference.page_range(i);
+                    if last >= next_page {
+                        let from = next_page.max(first);
+                        let bytes = reference.series_bytes as u64;
+                        reference
+                            .counters
+                            .record_read_run(from, last - from + 1, bytes);
+                        next_page = last + 1;
+                    } else {
+                        reference
+                            .counters
+                            .record_read_bytes(reference.series_bytes as u64);
+                    }
+                }
+                assert_eq!(result.is_err(), failed);
+                failures += usize::from(failed);
+                if !failed {
+                    assert_eq!(result.unwrap(), stop.is_none());
+                }
+                assert_eq!(scanned.io_snapshot(), reference.io_snapshot());
+            }
+        }
+        assert!(failures > 0, "the failing plan fails some passes");
     }
 
     #[test]

@@ -26,8 +26,7 @@ pub mod rank;
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
     AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error, ExactIndex,
-    IndexFootprint, IntraAnswering, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats,
-    Result,
+    IndexFootprint, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
 use hydra_storage::DatasetStore;
 use hydra_transforms::VaPlusQuantizer;
@@ -151,8 +150,7 @@ impl VaPlusFile {
         Ok(())
     }
 
-    /// One VA+file query — the single body behind the serial and
-    /// intra-query entry points.
+    /// One VA+file query at `threads` workers.
     ///
     /// Each phase-1 lower bound is an independent, pruning-free computation,
     /// so the filter-file sweep splits over `threads` workers and merges in
@@ -208,29 +206,11 @@ impl AnsweringMethod for VaPlusFile {
         Some(ExactIndex::footprint(self))
     }
 
-    fn answer(&self, query: &Query, stats: &mut QueryStats) -> Result<AnswerSet> {
-        self.answer_intra(query, 1, stats)
-    }
-
-    fn intra_answering(&self) -> Option<&dyn IntraAnswering> {
-        Some(self)
-    }
-}
-
-impl IntraAnswering for VaPlusFile {
-    /// Intra-query VA+file: the phase-1 filter-file sweep — the method's CPU
-    /// bulk — splits into one contiguous cell range per worker (see
-    /// [`VaPlusFile::filter_and_refine`]); one thread is the serial path.
-    fn answer_intra(
-        &self,
-        query: &Query,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
-        hydra_core::method::batch_expect_length(
-            std::slice::from_ref(query),
-            self.store.series_length(),
-        )?;
+    /// The phase-1 filter-file sweep — the method's CPU bulk — splits into
+    /// one contiguous cell range per worker (see
+    /// [`VaPlusFile::filter_and_refine`]); one thread is the serial search.
+    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+        query.expect_len(self.store.series_length())?;
         let k = query.knn_k("VA+file")?;
         let clock = hydra_core::RunClock::start();
         let answer = self.filter_and_refine(query, k, threads, stats)?;
@@ -496,7 +476,7 @@ mod tests {
         let mut heap = KnnHeap::new(k);
         let mut meter = BudgetMeter::new(query.budget(), idx.store.len());
         let mut stats = QueryStats::default();
-        idx.store.invalidate_head();
+        idx.store.seek();
         let before = idx.store.thread_io_snapshot();
         let ranked = ranked.inspect(|&(lb, id)| drawn.push((lb.to_bits(), id)));
         idx.refine_ranked(query, k, ranked, &mut heap, &mut meter, &mut stats)

@@ -9,6 +9,8 @@
 //! * the same fault seed produces the same outcome, run to run and across
 //!   thread counts (fault decisions are pure functions of seed, key and
 //!   attempt — never of scheduling);
+//! * the intra-query and batch paths meet the same faults as the per-query
+//!   path and report the same answers, counters and attempts;
 //! * a disabled fault plan is **bit-identical** to a store without fault
 //!   injection, answers and per-query work counters alike;
 //! * a tight budget returns a non-empty best-so-far answer tagged
@@ -157,6 +159,55 @@ fn recovering_retries_answer_every_query_identically_across_parallelism() {
             "{}: threaded outcome is not reproducible",
             kind.name()
         );
+    }
+}
+
+#[test]
+fn intra_and_batch_paths_meet_the_same_faults_as_answer() {
+    let data = dataset(300, 64, 42);
+    let queries = chaos_queries(&data);
+    let retry = RetryPolicy::new(4, 2);
+    // Latency only: nothing fails, so a batch kernel completes and must carry
+    // every query's surcharge pages itself.
+    let latency_only = FaultConfig {
+        latency: 0.1,
+        latency_pages: 4,
+        ..FaultConfig::default()
+    };
+    for config in [chaos_config(), latency_only] {
+        for kind in MethodKind::ALL {
+            let engine = || engine_with_plan(kind, &data, FaultPlan::seeded(SEED, config), retry);
+            let digests = |answers: Vec<EngineAnswer>| -> Vec<String> {
+                answers.iter().map(digest).collect()
+            };
+            // Answered right before the serial batch on the same thread, so
+            // the batch starts after a retried query's last attempt.
+            let mut serial = engine();
+            let expected: Vec<String> = queries
+                .iter()
+                .map(|q| digest(&serial.answer(q).unwrap()))
+                .collect();
+            let batch_serial = engine().answer_batch(&queries, Parallelism::Serial);
+            let mut intra = engine();
+            let intra: Vec<String> = queries
+                .iter()
+                .map(|q| digest(&intra.answer_intra(q, Parallelism::Threads(2)).unwrap()))
+                .collect();
+            let batch_threads = engine().answer_batch(&queries, Parallelism::Threads(2));
+            let paths = [
+                ("answer_batch(Serial)", digests(batch_serial.unwrap())),
+                ("answer_intra(Threads(2))", intra),
+                ("answer_batch(Threads(2))", digests(batch_threads.unwrap())),
+            ];
+            for (path, got) in paths {
+                assert_eq!(
+                    got,
+                    expected,
+                    "{}: {path} diverged from answer under {config:?}",
+                    kind.name()
+                );
+            }
+        }
     }
 }
 

@@ -4,9 +4,9 @@
 //! the ten methods, answering a single query through
 //! `QueryEngine::answer_intra` with multiple worker threads returns answer
 //! sets, guarantees and per-query work counters **bit-identical** to the
-//! serial path — whether the method has a native intra kernel (the scans, the
-//! filter files, the data-series trees) or falls back to serial execution
-//! (R*-tree, M-tree).
+//! serial path — whether the method's one `AnsweringMethod::search` splits
+//! its work across the threads (UCR-Suite, MASS, the filter files, the
+//! data-series trees) or ignores them (Stepwise, R*-tree, M-tree).
 
 use hydra_bench::MethodKind;
 use hydra_core::{AnswerMode, Parallelism, Query};
@@ -78,29 +78,4 @@ fn answer_intra_matches_serial_for_all_ten_methods_and_thread_counts() {
             }
         }
     }
-}
-
-#[test]
-fn intra_capable_methods_expose_their_kernel_through_the_registry() {
-    // `answer_intra` silently falls back to serial for methods without a
-    // kernel; this pins down which of the ten actually parallelize so a
-    // regression in kernel wiring cannot hide behind the fallback.
-    let with_kernel: Vec<&str> = MethodKind::ALL
-        .iter()
-        .filter(|k| k.supports_intra())
-        .map(|k| k.name())
-        .collect();
-    assert_eq!(
-        with_kernel,
-        [
-            "ADS+",
-            "DSTree",
-            "iSAX2+",
-            "SFA trie",
-            "VA+file",
-            "UCR-Suite",
-            "MASS",
-            "Stepwise"
-        ]
-    );
 }

@@ -1,20 +1,25 @@
-//! Cross-commit golden for the four best-first tree searches.
+//! Cross-commit golden for all ten methods' one answering body.
 //!
 //! The agreement suites compare execution paths *within* one build; this
-//! suite pins DSTree, iSAX2+, the SFA trie and the R*-tree against a fixture
-//! recorded on an earlier commit, so a refactor of the shared search cannot
-//! change an answer, a guarantee or a work counter on every path at once
-//! without a test noticing. Each fixture line is one (tree, mode, query,
-//! path): the guarantee, `QueryStats::work_counters()` and every answer as
-//! `id:distance.to_bits()`.
+//! suite pins every method's `AnsweringMethod::search` — serial and at 3
+//! threads — against a fixture recorded on an earlier commit, so a refactor
+//! of a shared search cannot change an answer, a guarantee or a work counter
+//! on every path at once without a test noticing. Each fixture line is one
+//! (method, mode, query, path): the guarantee, `QueryStats::work_counters()`
+//! and every answer as `id:distance.to_bits()`. Only the modes a method
+//! supports are rendered.
 //!
-//! `fixtures/tree_search_golden.txt` was printed by `print_fixture` below on
-//! the commit before the trees moved onto `hydra_storage::best_first` (plus
-//! the iSAX2+ empty-leaf fix). To re-record after an intended change:
+//! `tree|` lines cover the four best-first trees (DSTree, iSAX2+, SFA trie,
+//! R*-tree) and were printed by `print_fixture` below on the commit before
+//! they moved onto `hydra_storage::best_first` (plus the iSAX2+ empty-leaf
+//! fix). `method|` lines cover the other six (UCR-Suite, MASS, Stepwise,
+//! ADS+, VA+file, M-tree) and were printed on the commit before each method
+//! was folded into one `search` body; they skip the budget × 3-thread pair,
+//! which the engine never runs. To re-record after an intended change:
 //!
 //! ```text
 //! cargo test -p hydra-integration --test tree_search_golden -- \
-//!     --ignored --nocapture | grep '^tree|' > tests/fixtures/tree_search_golden.txt
+//!     --ignored --nocapture | grep -E '^(tree|method)\|' > tests/fixtures/tree_search_golden.txt
 //! ```
 
 use hydra_bench::MethodKind;
@@ -79,9 +84,45 @@ fn golden_modes() -> [(&'static str, AnswerMode, Option<Budget>); 5] {
     ]
 }
 
-fn render() -> String {
+/// Appends one line per (mode the method supports, query, path) of `kind`.
+/// `budget_intra` keeps the budget × 3-thread pair, which the engine never
+/// runs (it answers budgeted queries serially); only the tree lines keep it.
+fn render_kind(out: &mut String, prefix: &str, kind: MethodKind, budget_intra: bool) {
     let data = golden_dataset();
     let queries = golden_queries(&data);
+    let method = kind.build_boxed(&data, &options(LEN)).unwrap();
+    for (mode_name, mode, budget) in golden_modes() {
+        if !kind.supports_mode(mode) {
+            continue;
+        }
+        for (qi, series) in queries.iter().enumerate() {
+            let query = Query::knn(series.clone(), 5)
+                .with_mode(mode)
+                .with_budget(budget);
+            for (path, threads) in [("serial", 1), ("intra3", 3)] {
+                if threads > 1 && budget.is_some() && !budget_intra {
+                    continue;
+                }
+                let mut stats = QueryStats::default();
+                let answers = method.search(&query, threads, &mut stats).unwrap();
+                write!(
+                    out,
+                    "{prefix}|{}|{mode_name}|q{qi:02}|{path}|{:?}|{:?}|",
+                    kind.name(),
+                    answers.guarantee(),
+                    stats.work_counters(),
+                )
+                .unwrap();
+                for answer in answers.iter() {
+                    write!(out, " {}:{}", answer.id, answer.distance.to_bits()).unwrap();
+                }
+                out.push('\n');
+            }
+        }
+    }
+}
+
+fn render() -> String {
     let mut out = String::new();
     for kind in [
         MethodKind::DsTree,
@@ -89,36 +130,17 @@ fn render() -> String {
         MethodKind::SfaTrie,
         MethodKind::RStarTree,
     ] {
-        let method = kind.build_boxed(&data, &options(LEN)).unwrap();
-        for (mode_name, mode, budget) in golden_modes() {
-            for (qi, series) in queries.iter().enumerate() {
-                let query = Query::knn(series.clone(), 5)
-                    .with_mode(mode)
-                    .with_budget(budget);
-                for (path, threads) in [("serial", 1), ("intra3", 3)] {
-                    let mut stats = QueryStats::default();
-                    let answers = match method.intra_answering() {
-                        Some(kernel) if threads > 1 => {
-                            kernel.answer_intra(&query, threads, &mut stats)
-                        }
-                        _ => method.answer(&query, &mut stats),
-                    }
-                    .unwrap();
-                    write!(
-                        out,
-                        "tree|{}|{mode_name}|q{qi:02}|{path}|{:?}|{:?}|",
-                        kind.name(),
-                        answers.guarantee(),
-                        stats.work_counters(),
-                    )
-                    .unwrap();
-                    for answer in answers.iter() {
-                        write!(out, " {}:{}", answer.id, answer.distance.to_bits()).unwrap();
-                    }
-                    out.push('\n');
-                }
-            }
-        }
+        render_kind(&mut out, "tree", kind, true);
+    }
+    for kind in [
+        MethodKind::UcrSuite,
+        MethodKind::Mass,
+        MethodKind::Stepwise,
+        MethodKind::AdsPlus,
+        MethodKind::VaPlusFile,
+        MethodKind::MTree,
+    ] {
+        render_kind(&mut out, "method", kind, false);
     }
     out
 }
