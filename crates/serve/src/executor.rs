@@ -14,19 +14,18 @@
 //!   wakers re-enqueue their task at the back of the queue. An atomic
 //!   `queued` flag per task coalesces concurrent wakes so a task sits in the
 //!   queue at most once.
-//! * **Two drive modes.** [`Executor::run_until_idle`] drains the queue on
-//!   the calling thread (the deterministic mode the agreement tests use, and
-//!   the default); [`Executor::run_until_idle_threaded`] drains it on N
-//!   scoped workers for throughput, at the cost of completion-order (never
-//!   answer-value) determinism. [`Executor::run_one`] polls a single task,
-//!   letting an event loop interleave its own work (the load generator's
-//!   open-loop arrival schedule) with task progress.
+//! * **One drive mode, on the caller's thread.** [`Executor::run_until_idle`]
+//!   drains the queue on the calling thread; [`Executor::run_one`] polls a
+//!   single task, letting an event loop interleave its own work (the load
+//!   generator's open-loop arrival schedule) with task progress. Parallelism
+//!   lives inside a task instead: the service's scatter runs a request's
+//!   shards on scoped threads and joins them before the task's poll returns.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
@@ -187,63 +186,10 @@ impl Executor {
     }
 
     /// Drains the ready queue on the calling thread, running every task that
-    /// is or becomes ready, in FIFO order, until none is. This is the
-    /// deterministic drive mode: for a fixed spawn/wake script the poll
-    /// sequence is always the same.
+    /// is or becomes ready, in FIFO order, until none is. For a fixed
+    /// spawn/wake script the poll sequence is always the same.
     pub fn run_until_idle(&self) {
         while self.run_one() {}
-    }
-
-    /// Drains the ready queue on `threads` scoped worker threads. Workers
-    /// exit when the queue is empty and no task is mid-poll (a mid-poll task
-    /// may re-enqueue itself or others). Falls back to the single-threaded
-    /// drain for `threads <= 1`.
-    ///
-    /// Task *values* stay deterministic — each future computes the same
-    /// result wherever it runs — but completion order does not; callers that
-    /// need ordered results await join handles in submission order.
-    pub fn run_until_idle_threaded(&self, threads: usize) {
-        if threads <= 1 {
-            return self.run_until_idle();
-        }
-        let in_flight = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let task = {
-                        let mut queue = self.inner.queue.lock();
-                        match queue.pop_front() {
-                            Some(task) => {
-                                // Claimed under the queue lock so the
-                                // empty+idle exit check below cannot race
-                                // past a just-popped task.
-                                in_flight.fetch_add(1, Ordering::AcqRel);
-                                task
-                            }
-                            None => {
-                                if in_flight.load(Ordering::Acquire) == 0 {
-                                    return;
-                                }
-                                drop(queue);
-                                std::thread::yield_now();
-                                continue;
-                            }
-                        }
-                    };
-                    task.queued.store(false, Ordering::Release);
-                    let waker = Waker::from(task.clone());
-                    let mut cx = Context::from_waker(&waker);
-                    let mut slot = task.future.lock();
-                    if let Some(future) = slot.as_mut() {
-                        if future.as_mut().poll(&mut cx).is_ready() {
-                            *slot = None;
-                        }
-                    }
-                    drop(slot);
-                    in_flight.fetch_sub(1, Ordering::AcqRel);
-                });
-            }
-        });
     }
 
     /// The number of tasks currently in the ready queue.
@@ -259,8 +205,8 @@ impl Default for Executor {
 }
 
 /// A future that suspends once and re-enqueues its task at the back of the
-/// FIFO queue: the executor's cooperative yield point. Scatter stages use it
-/// to get every shard task *spawned* before the first one runs to completion.
+/// FIFO queue: the executor's cooperative yield point, letting every
+/// already-ready task run before the yielding one resumes.
 pub struct YieldNow {
     yielded: bool,
 }
@@ -364,28 +310,6 @@ mod tests {
         assert!(ex.run_one());
         assert!(h2.is_finished());
         assert!(!ex.run_one(), "queue drained");
-    }
-
-    #[test]
-    fn threaded_drain_completes_all_tasks() {
-        let ex = Executor::new();
-        let counter = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..32)
-            .map(|i| {
-                let counter = counter.clone();
-                ex.spawn(async move {
-                    yield_now().await;
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    i
-                })
-            })
-            .collect();
-        ex.run_until_idle_threaded(4);
-        assert_eq!(counter.load(Ordering::Relaxed), 32);
-        // Values are deterministic even though completion order is not.
-        for (i, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.try_take(), Some(i));
-        }
     }
 
     #[test]

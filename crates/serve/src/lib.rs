@@ -7,9 +7,8 @@
 //! The crate stacks four small layers:
 //!
 //! * [`executor`] — a vendored-minimal async executor with a deterministic
-//!   FIFO task queue (the registry is offline, so no tokio). Single-threaded
-//!   drives are pure functions of the spawn/wake order; an optional scoped
-//!   thread pool trades completion-order determinism for throughput.
+//!   FIFO task queue (the registry is offline, so no tokio), driven on the
+//!   caller's thread as a pure function of the spawn/wake order.
 //! * [`shard`] — per-shard [`EngineHandle`](hydra_core::EngineHandle)s over
 //!   contiguous [`partition_dataset`](hydra_storage::partition_dataset)
 //!   partitions, plus the scatter-gather k-NN merge. Exact k-NN is
@@ -24,7 +23,8 @@
 //!   errors, deadline-to-[`Budget`](hydra_core::Budget) mapping so late
 //!   queries degrade to [`Guarantee::Truncated`](hydra_core::Guarantee)
 //!   instead of timing out, and the request pipeline gluing cache, scatter
-//!   and gather onto the executor.
+//!   and gather onto the executor; the scatter runs a request's shards in
+//!   parallel on min(shards, CPUs) threads, the caller among them.
 //! * [`breaker`] + [`resilience`] — partial-failure handling: each shard is
 //!   an independent seeded fault domain
 //!   ([`FaultPlan::for_shard`](hydra_storage::FaultPlan::for_shard)) guarded

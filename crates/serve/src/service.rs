@@ -12,19 +12,20 @@
 //! [`Budget`](hydra_core::Budget) — a late query degrades to a best-so-far
 //! answer tagged [`Guarantee::Truncated`](hydra_core::Guarantee) instead of
 //! timing out. The request future then consults the **answer cache** (keyed
-//! on dataset fingerprint × canonical query hash × mode) and on a miss
-//! scatters one task per shard onto the executor, gathers in shard order,
-//! and merges via [`merge_shard_answers`] — the exact per-shard calls and
-//! merge of the serial [`scatter_gather`] reference, so the pipeline's
-//! answers are bit-identical to it.
+//! on dataset fingerprint × canonical query hash × mode) and on a miss runs
+//! the admitted shards in parallel on min(shards, CPUs) threads (the caller
+//! plus scoped helpers, all claiming shards from one counter), gathers in
+//! shard order, and merges via [`merge_shard_answers`] — the exact
+//! per-shard calls and merge of the serial [`scatter_gather`] reference, so
+//! the pipeline's answers are bit-identical to it whatever the thread count.
 
 use crate::cache::{AnswerCache, CacheKey, CacheStats, CachedAnswer};
 use crate::executor::Executor;
 use crate::resilience::{ResilienceConfig, ShardHealth, ShardHealthReport};
 use crate::shard::{merge_quorum, scatter_gather, ShardEngine};
 use hydra_core::{
-    AnswerMode, AnswerSet, Budget, Dataset, EngineAnswer, Error, Guarantee, Query, QueryEngine,
-    QueryStats, Result,
+    parallel, AnswerMode, AnswerSet, Budget, Dataset, EngineAnswer, Error, Guarantee, Query,
+    QueryEngine, QueryStats, Result,
 };
 use hydra_storage::{partition_dataset, snapshot, CostModel, DatasetStore};
 use parking_lot::Mutex;
@@ -43,9 +44,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Answer-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Worker threads driving the executor in [`QueryService::drive`]; 1 is
-    /// the deterministic single-threaded mode.
-    pub worker_threads: usize,
     /// Default request deadline; mapped onto a raw-read budget for queries
     /// that carry none. `None` leaves queries unbudgeted.
     pub deadline_ms: Option<u64>,
@@ -63,7 +61,6 @@ impl Default for ServeConfig {
             shards: 1,
             queue_capacity: 64,
             cache_capacity: 256,
-            worker_threads: 1,
             deadline_ms: None,
             cost_model: CostModel::ssd(),
             resilience: ResilienceConfig::default(),
@@ -92,7 +89,9 @@ pub struct ServeAnswer {
     pub guarantee: Guarantee,
     /// Summed per-shard work counters (zero-cost for cache hits).
     pub stats: QueryStats,
-    /// Engine wall time: the slowest shard of the cold run; zero for hits.
+    /// Engine wall time of the cold run: the slowest shard's, because the
+    /// scatter runs the shards in parallel (a lower bound on the scatter's
+    /// elapsed time when shards outnumber CPUs); zero for hits.
     pub wall_time: Duration,
     /// Max attempts over the shards of the cold run; zero for hits.
     pub attempts: u32,
@@ -137,6 +136,9 @@ struct ServiceInner {
     dataset_fingerprint: u64,
     total_size: usize,
     series_bytes: u64,
+    /// Threads a miss's scatter runs on: the host's CPUs, read once here
+    /// because `available_parallelism` re-reads the cgroup files per call.
+    scatter_threads: usize,
     in_flight: AtomicUsize,
     accepted: AtomicU64,
     shed: AtomicU64,
@@ -206,6 +208,7 @@ impl QueryService {
                 dataset_fingerprint,
                 total_size: dataset.len(),
                 series_bytes,
+                scatter_threads: parallel::available_threads(),
                 in_flight: AtomicUsize::new(0),
                 accepted: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
@@ -253,7 +256,7 @@ impl QueryService {
         };
         let state = inner.clone();
         let join = inner.executor.spawn(async move {
-            let result = process_request(&state, &query).await;
+            let result = process_request(&state, &query);
             if result.is_ok() {
                 state.completed.fetch_add(1, Ordering::Relaxed);
             }
@@ -263,16 +266,9 @@ impl QueryService {
         Ok(RequestHandle { join })
     }
 
-    /// Drives the executor until no task is ready: single-threaded (the
-    /// deterministic mode) for `worker_threads <= 1`, scoped workers
-    /// otherwise.
+    /// Drives the executor on the calling thread until no task is ready.
     pub fn drive(&self) {
-        let threads = self.inner.config.worker_threads;
-        if threads > 1 {
-            self.inner.executor.run_until_idle_threaded(threads);
-        } else {
-            self.inner.executor.run_until_idle();
-        }
+        self.inner.executor.run_until_idle();
     }
 
     /// Polls one ready task; `false` when none is ready. The load
@@ -407,20 +403,10 @@ fn attainable_guarantee(query: &Query) -> Guarantee {
     }
 }
 
-/// One shard's dispatch: denied by its breaker, or in flight (primary plus
-/// an optional hedge).
-enum Dispatch {
-    Denied,
-    Flight {
-        primary: crate::executor::JoinHandle<Result<EngineAnswer>>,
-        hedge: Option<crate::executor::JoinHandle<Result<EngineAnswer>>>,
-    },
-}
-
 /// One request: strength-gated cache lookup, then a breaker-gated,
-/// optionally hedged scatter, a quorum-checked gather, and on total failure
-/// a stale-but-honestly-tagged cache fallback.
-async fn process_request(inner: &Arc<ServiceInner>, query: &Query) -> Result<ServeAnswer> {
+/// optionally hedged parallel scatter, a quorum-checked gather, and on total
+/// failure a stale-but-honestly-tagged cache fallback.
+fn process_request(inner: &ServiceInner, query: &Query) -> Result<ServeAnswer> {
     let key = cache_key(inner, query);
     let required = attainable_guarantee(query);
     if let Some(hit) = inner.cache.lock().get(&key, &required) {
@@ -433,61 +419,54 @@ async fn process_request(inner: &Arc<ServiceInner>, query: &Query) -> Result<Ser
             from_cache: true,
         });
     }
-    // Scatter: one executor task per shard, spawned before any is awaited so
-    // a threaded drive can run them concurrently. Each shard's breaker rules
-    // on admission first; a denied shard contributes a typed CircuitOpen
-    // outcome without any engine work. A shard whose recent answers were
-    // slow gets a hedge: a speculative clone submission running from a
+    // Admission, serially in shard order: each shard's breaker rules first;
+    // a denied shard (`None`) contributes a typed CircuitOpen outcome
+    // without any engine work. A shard whose recent answers were slow gets
+    // a hedge (`Some(true)`): a speculative clone submission running from a
     // shifted fault-attempt base (past the retry budget), so planned
     // transients that doom the primary are already cleared for it.
-    let dispatches: Vec<_> = inner
-        .shards
+    let flights: Vec<Option<bool>> = inner
+        .health
         .iter()
-        .enumerate()
-        .map(|(i, shard)| {
-            let mut health = inner.health[i].lock();
+        .map(|health| {
+            let mut health = health.lock();
             if !health.admit() {
-                return (i, shard.range.clone(), Dispatch::Denied);
+                return None;
             }
             let hedging = health.should_hedge();
             if hedging {
                 health.record_hedge_launched();
             }
-            drop(health);
-            let primary = {
-                let shard = shard.clone();
-                let query = query.clone();
-                inner.executor.spawn(async move { shard.answer(&query) })
-            };
-            let hedge = hedging.then(|| {
-                let handle = shard.handle.clone();
-                let query = query.clone();
-                let base = handle.retry_policy().max_attempts;
-                inner
-                    .executor
-                    .spawn(async move { handle.answer_from_attempt(&query, base) })
-            });
-            (i, shard.range.clone(), Dispatch::Flight { primary, hedge })
+            Some(hedging)
         })
         .collect();
+    // Scatter: the admitted shards run in parallel. A shard's hedge runs
+    // after its primary on the same thread, so each engine sees the calls in
+    // the order a serial scatter makes them; shards share no mutable state.
+    let results = scatter(flights.len(), inner.scatter_threads, |i| {
+        let shard = &inner.shards[i];
+        flights[i].map(|hedging| {
+            let primary = shard.answer(query);
+            let hedge = hedging.then(|| {
+                let base = shard.handle.retry_policy().max_attempts;
+                shard.handle.answer_from_attempt(query, base)
+            });
+            (primary, hedge)
+        })
+    });
     // Gather in shard order: the merge input order — and therefore the merge
     // itself — is deterministic regardless of completion order, and shard
     // errors surface in shard order exactly like the serial reference. The
-    // winner between a primary and its hedge is decided by task order, never
+    // winner between a primary and its hedge is decided by call order, never
     // completion time: the primary wins whenever it succeeded, so fault-free
     // hedges never perturb answers or stats.
-    let mut parts = Vec::with_capacity(dispatches.len());
-    for (i, range, dispatch) in dispatches {
-        let outcome: Result<EngineAnswer> = match dispatch {
-            Dispatch::Denied => Err(Error::CircuitOpen { shard: i }),
-            Dispatch::Flight { primary, hedge } => {
-                let primary_result = primary.await;
-                let hedge_result = match hedge {
-                    Some(h) => Some(h.await),
-                    None => None,
-                };
+    let mut parts = Vec::with_capacity(results.len());
+    for (i, (shard, result)) in inner.shards.iter().zip(results).enumerate() {
+        let outcome: Result<EngineAnswer> = match result {
+            None => Err(Error::CircuitOpen { shard: i }),
+            Some((primary, hedge)) => {
                 let mut health = inner.health[i].lock();
-                let outcome = match (primary_result, hedge_result) {
+                let outcome = match (primary, hedge) {
                     (Ok(answer), _) => Ok(answer),
                     (Err(_), Some(Ok(answer))) => {
                         health.record_hedge_won();
@@ -509,7 +488,7 @@ async fn process_request(inner: &Arc<ServiceInner>, query: &Query) -> Result<Ser
                 outcome
             }
         };
-        parts.push((range, outcome));
+        parts.push((shard.range.clone(), outcome));
     }
     let k = query.k().unwrap_or(1);
     let shards_total = parts.len() as u32;
@@ -562,12 +541,48 @@ async fn process_request(inner: &Arc<ServiceInner>, query: &Query) -> Result<Ser
     }
 }
 
+/// Applies `f` to every shard index in `0..count` on the calling thread plus
+/// up to `threads - 1` scoped helpers, all claiming indices from one shared
+/// counter, and returns the results in index order. The caller claims work
+/// too, so a request never idles waiting for a helper to be scheduled: when
+/// the other CPUs are busy, the caller takes the remaining shards itself and
+/// the scatter degrades to the serial order instead of stalling.
+fn scatter<T: Send>(count: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(count))
+            .map(|_| scope.spawn(claim))
+            .collect();
+        let mut done = claim();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Maps a deadline onto a raw-read budget under a storage cost model: the
 /// bytes the model's sequential bandwidth delivers within the deadline,
 /// divided by the series size, clamped to ≥ 1 read (the budget contract
 /// never returns an empty answer). Each shard receives the full budget —
-/// shards are independent stores scanned in parallel, so the deadline bounds
-/// each shard's own I/O, not the sum.
+/// shards are independent stores that the scatter searches in parallel, so
+/// the deadline bounds each shard's own I/O, not the sum.
 pub fn deadline_budget(deadline_ms: u64, series_bytes: u64, model: &CostModel) -> Budget {
     let deadline_secs = deadline_ms as f64 / 1000.0;
     let bytes = deadline_secs * model.sequential_bytes_per_sec;
@@ -583,30 +598,39 @@ mod tests {
     use hydra_core::{AnsweringMethod, KnnHeap, MethodDescriptor, Series};
     use std::sync::atomic::AtomicU64;
 
-    /// A store-reading brute-force scan, so shard answers flow through the
+    /// A brute-force k-NN over a store, so shard answers flow through the
     /// real counted-I/O path.
+    fn scan_store(store: &DatasetStore, query: &Query, stats: &mut QueryStats) -> AnswerSet {
+        let mut heap = KnnHeap::new(query.k().unwrap_or(1));
+        for i in 0..store.len() {
+            let s = store.read_series(i);
+            stats.record_raw_series_examined(1);
+            heap.offer(i, hydra_core::euclidean(query.values(), s.values()));
+        }
+        heap.into_answer_set()
+    }
+
+    fn descriptor(name: &'static str) -> MethodDescriptor {
+        MethodDescriptor {
+            name,
+            representation: "raw",
+            is_index: false,
+            modes: hydra_core::ModeCapabilities::exact_only(),
+        }
+    }
+
+    /// A store-reading brute-force scan.
     struct StoreScan {
         store: Arc<DatasetStore>,
     }
 
     impl AnsweringMethod for StoreScan {
         fn descriptor(&self) -> MethodDescriptor {
-            MethodDescriptor {
-                name: "StoreScan",
-                representation: "raw",
-                is_index: false,
-                modes: hydra_core::ModeCapabilities::exact_only(),
-            }
+            descriptor("StoreScan")
         }
 
         fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
-            let mut heap = KnnHeap::new(query.k().unwrap_or(1));
-            for i in 0..self.store.len() {
-                let s = self.store.read_series(i);
-                stats.record_raw_series_examined(1);
-                heap.offer(i, hydra_core::euclidean(query.values(), s.values()));
-            }
-            Ok(heap.into_answer_set())
+            Ok(scan_store(&self.store, query, stats))
         }
     }
 
@@ -620,42 +644,35 @@ mod tests {
 
     impl AnsweringMethod for FlakyScan {
         fn descriptor(&self) -> MethodDescriptor {
-            MethodDescriptor {
-                name: "FlakyScan",
-                representation: "raw",
-                is_index: false,
-                modes: hydra_core::ModeCapabilities::exact_only(),
-            }
+            descriptor("FlakyScan")
         }
 
         fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
             if self.calls.fetch_add(1, Ordering::Relaxed) >= self.fail_from {
                 return Err(Error::EmptyDataset);
             }
-            let mut heap = KnnHeap::new(query.k().unwrap_or(1));
-            for i in 0..self.store.len() {
-                let s = self.store.read_series(i);
-                stats.record_raw_series_examined(1);
-                heap.offer(i, hydra_core::euclidean(query.values(), s.values()));
-            }
-            Ok(heap.into_answer_set())
+            Ok(scan_store(&self.store, query, stats))
         }
     }
 
-    /// A two-shard service whose shard 1 fails from its `fail_from`-th call.
+    fn flaky_engine(store: Arc<DatasetStore>, fail_from: u64) -> Result<QueryEngine> {
+        let size = store.len();
+        Ok(QueryEngine::new(
+            Box::new(FlakyScan {
+                store: store.clone(),
+                fail_from,
+                calls: AtomicU64::new(0),
+            }),
+            size,
+        )
+        .with_io_source(store))
+    }
+
+    /// A service whose shard `i` fails from its `fail_from[i]`-th call.
     fn degraded_service(config: ServeConfig, fail_from: &[u64]) -> QueryService {
         let fail_from = fail_from.to_vec();
         QueryService::build(&dataset(24), config, move |i, store| {
-            let size = store.len();
-            Ok(QueryEngine::new(
-                Box::new(FlakyScan {
-                    store: store.clone(),
-                    fail_from: fail_from[i],
-                    calls: AtomicU64::new(0),
-                }),
-                size,
-            )
-            .with_io_source(store))
+            flaky_engine(store, fail_from[i])
         })
         .expect("service builds")
     }
@@ -780,38 +797,139 @@ mod tests {
         assert!(matches!(err, Err(Error::InvalidParameter { .. })));
     }
 
-    #[test]
-    fn threaded_drive_returns_the_same_answers() {
-        let single = service(ServeConfig {
-            shards: 4,
-            cache_capacity: 0,
-            worker_threads: 1,
-            ..ServeConfig::default()
-        });
-        let threaded = service(ServeConfig {
-            shards: 4,
-            cache_capacity: 0,
-            worker_threads: 4,
-            ..ServeConfig::default()
-        });
-        let queries: Vec<Query> = (0..6).map(|i| query(i as f32, 3)).collect();
-        let expected: Vec<_> = queries
-            .iter()
-            .map(|q| single.answer(q.clone()).unwrap())
-            .collect();
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| threaded.submit(q.clone()).unwrap())
-            .collect();
-        threaded.drive();
-        for (h, e) in handles.iter().zip(&expected) {
-            let got = h.try_take().unwrap().unwrap();
-            assert_eq!(got.answers, e.answers);
-            assert_eq!(got.stats, e.stats);
+    /// A scan whose every search waits at a rendezvous shared by all shards:
+    /// it proceeds once `parties` searches have arrived, or fails with a
+    /// typed error after 5 s — so a serial scatter errors instead of hanging.
+    struct Rendezvous {
+        store: Arc<DatasetStore>,
+        arrived: Arc<AtomicUsize>,
+        parties: usize,
+    }
+
+    impl AnsweringMethod for Rendezvous {
+        fn descriptor(&self) -> MethodDescriptor {
+            descriptor("Rendezvous")
+        }
+
+        fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+            self.arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while self.arrived.load(Ordering::SeqCst) < self.parties {
+                if std::time::Instant::now() >= deadline {
+                    return Err(Error::Internal(
+                        "rendezvous timed out: the shards ran one after another".to_string(),
+                    ));
+                }
+                std::thread::yield_now();
+            }
+            Ok(scan_store(&self.store, query, stats))
         }
     }
 
+    #[test]
+    fn one_requests_shards_run_concurrently() {
+        if parallel::available_threads() < 2 {
+            eprintln!("skipped one_requests_shards_run_concurrently: needs at least 2 CPUs");
+            return;
+        }
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let svc = QueryService::build(
+            &dataset(24),
+            ServeConfig {
+                shards: 2,
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+            |_, store| {
+                let size = store.len();
+                Ok(QueryEngine::new(
+                    Box::new(Rendezvous {
+                        store: store.clone(),
+                        arrived: arrived.clone(),
+                        parties: 2,
+                    }),
+                    size,
+                )
+                .with_io_source(store))
+            },
+        )
+        .unwrap();
+        let served = svc
+            .answer(query(3.0, 3))
+            .expect("both shards of one request met at the rendezvous");
+        assert_eq!(served.guarantee, Guarantee::Exact);
+        assert_eq!(
+            served.answers,
+            svc.reference_answer(&query(3.0, 3)).unwrap().answers
+        );
+    }
+
     const NEVER: u64 = u64::MAX;
+
+    /// Everything one run of [`four_shard_script`] exposes, wall times aside.
+    type ScriptRun = (
+        Vec<std::result::Result<(AnswerSet, Guarantee, QueryStats, u32), String>>,
+        Vec<Vec<crate::breaker::BreakerEvent>>,
+        Vec<ShardHealthReport>,
+    );
+
+    /// Sixteen requests against four shards with a breaker, hedging and a
+    /// best-effort quorum: shard 0 is healthy, shards 1 and 3 fail on listed
+    /// calls (hedges may rescue them), shard 2 fails for good from its
+    /// fourth call and trips its breaker.
+    fn four_shard_script() -> ScriptRun {
+        let svc = QueryService::build(
+            &dataset(48),
+            ServeConfig {
+                shards: 4,
+                cache_capacity: 0,
+                resilience: ResilienceConfig {
+                    quorum: QuorumPolicy::BestEffort,
+                    breaker: Some(BreakerConfig {
+                        failure_threshold: 2,
+                        open_duration: 500,
+                        failure_charge: 100,
+                        denied_charge: 100,
+                    }),
+                    hedge: hedging(),
+                    ..ResilienceConfig::default()
+                },
+                ..ServeConfig::default()
+            },
+            |i, store| match i {
+                1 => call_fail_engine(store, vec![1, 4, 5]),
+                2 => flaky_engine(store, 3),
+                3 => call_fail_engine(store, vec![2]),
+                _ => call_fail_engine(store, vec![]),
+            },
+        )
+        .unwrap();
+        let answers = (0..16)
+            .map(|i| {
+                svc.answer(query(i as f32, 3))
+                    .map(|a| (a.answers, a.guarantee, a.stats, a.attempts))
+                    .map_err(|e| format!("{e:?}"))
+            })
+            .collect();
+        (answers, svc.breaker_traces(), svc.resilience_report())
+    }
+
+    #[test]
+    fn parallel_scatter_repeats_bit_identically() {
+        let first = four_shard_script();
+        let (answers, _, report) = &first;
+        assert!(report[1].hedges_won >= 1, "a hedge rescued shard 1");
+        assert!(report[2].breaker_opened >= 1, "shard 2's breaker tripped");
+        assert!(
+            answers
+                .iter()
+                .any(|a| matches!(a, Ok((_, Guarantee::Partial { .. }, ..)))),
+            "some merges were partial"
+        );
+        for _ in 1..10 {
+            assert_eq!(four_shard_script(), first);
+        }
+    }
 
     #[test]
     fn all_shards_quorum_propagates_a_failing_shard() {
@@ -1048,12 +1166,7 @@ mod tests {
 
     impl AnsweringMethod for CallFailScan {
         fn descriptor(&self) -> MethodDescriptor {
-            MethodDescriptor {
-                name: "CallFailScan",
-                representation: "raw",
-                is_index: false,
-                modes: hydra_core::ModeCapabilities::exact_only(),
-            }
+            descriptor("CallFailScan")
         }
 
         fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
@@ -1061,62 +1174,68 @@ mod tests {
             if self.fail_calls.contains(&call) {
                 return Err(Error::EmptyDataset);
             }
-            let mut heap = KnnHeap::new(query.k().unwrap_or(1));
-            for i in 0..self.store.len() {
-                let s = self.store.read_series(i);
-                stats.record_raw_series_examined(1);
-                heap.offer(i, hydra_core::euclidean(query.values(), s.values()));
-            }
-            Ok(heap.into_answer_set())
+            Ok(scan_store(&self.store, query, stats))
         }
+    }
+
+    /// A scan on each shard's partition, failing on the listed call indices.
+    fn call_fail_engine(store: Arc<DatasetStore>, fail_calls: Vec<u64>) -> Result<QueryEngine> {
+        let size = store.len();
+        Ok(QueryEngine::new(
+            Box::new(CallFailScan {
+                store: store.clone(),
+                fail_calls,
+                calls: AtomicU64::new(0),
+            }),
+            size,
+        )
+        .with_io_source(store))
+    }
+
+    fn hedging() -> Option<crate::resilience::HedgeConfig> {
+        Some(crate::resilience::HedgeConfig {
+            quantile: 0.5,
+            window: 8,
+            min_samples: 1,
+        })
     }
 
     #[test]
     fn a_hedge_rescues_a_failing_primary() {
-        // One shard; call 0 (the warm-up request) succeeds, call 1 (the
-        // second request's primary) fails, call 2 (its hedge) succeeds. The
-        // hedge window is warm after one sample, so the second request
-        // launches primary + hedge; the hedge's answer is served.
+        // Two shards. On shard 1, call 0 (the warm-up request) succeeds,
+        // call 1 (the second request's primary) fails, call 2 (its hedge)
+        // succeeds; shard 0 never fails. The hedge window is warm after one
+        // sample, so the second request launches primary + hedge on both
+        // shards, and shard 1's rescue runs while shard 0 runs on the other
+        // worker.
         let svc = QueryService::build(
             &dataset(24),
             ServeConfig {
+                shards: 2,
                 cache_capacity: 0,
                 resilience: ResilienceConfig {
-                    hedge: Some(crate::resilience::HedgeConfig {
-                        quantile: 0.5,
-                        window: 8,
-                        min_samples: 1,
-                    }),
+                    hedge: hedging(),
                     ..ResilienceConfig::default()
                 },
                 ..ServeConfig::default()
             },
-            |_, store| {
-                let size = store.len();
-                Ok(QueryEngine::new(
-                    Box::new(CallFailScan {
-                        store: store.clone(),
-                        fail_calls: vec![1],
-                        calls: AtomicU64::new(0),
-                    }),
-                    size,
-                )
-                .with_io_source(store))
-            },
+            |i, store| call_fail_engine(store, if i == 1 { vec![1] } else { vec![] }),
         )
         .unwrap();
-        let warm = svc.answer(query(1.0, 3)).unwrap();
+        svc.answer(query(1.0, 3)).unwrap();
         let rescued = svc.answer(query(2.0, 3)).unwrap();
         assert_eq!(rescued.guarantee, Guarantee::Exact, "the hedge answered");
-        assert_eq!(
-            rescued.answers.answers().len(),
-            warm.answers.answers().len()
-        );
+        let reference = svc.reference_answer(&query(2.0, 3)).unwrap();
+        assert_eq!(rescued.answers, reference.answers);
+        assert_eq!(rescued.stats, reference.stats);
         let report = svc.resilience_report();
+        assert_eq!(report[1].hedges_launched, 1);
+        assert_eq!(report[1].hedges_won, 1);
+        assert_eq!(report[1].successes, 2);
+        assert_eq!(report[1].failures, 0, "the rescued request is a success");
         assert_eq!(report[0].hedges_launched, 1);
-        assert_eq!(report[0].hedges_won, 1);
+        assert_eq!(report[0].hedges_won, 0, "shard 0's primary answered");
         assert_eq!(report[0].successes, 2);
-        assert_eq!(report[0].failures, 0, "the rescued request is a success");
     }
 
     #[test]
@@ -1128,11 +1247,7 @@ mod tests {
             ServeConfig {
                 cache_capacity: 0,
                 resilience: ResilienceConfig {
-                    hedge: Some(crate::resilience::HedgeConfig {
-                        quantile: 0.5,
-                        window: 8,
-                        min_samples: 1,
-                    }),
+                    hedge: hedging(),
                     ..ResilienceConfig::default()
                 },
                 ..ServeConfig::default()

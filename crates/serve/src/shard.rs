@@ -64,8 +64,9 @@ pub fn merge_shard_answers(
             merged.push(Answer::new(range.start + a.id, a.distance));
         }
         stats.merge(&part.stats);
-        // The scatter ran the shards concurrently; the gather completes when
-        // the slowest shard does.
+        // The service's scatter runs the shards in parallel, so the gather
+        // completes when the slowest shard does (later when shards outnumber
+        // CPUs).
         wall_time = wall_time.max(part.wall_time);
         attempts = attempts.max(part.attempts);
     }
