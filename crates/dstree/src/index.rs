@@ -445,6 +445,19 @@ impl BestFirstTree for DsTree {
     fn bound(&self, id: usize, query: &&[f32]) -> f64 {
         self.node_lower_bound(id, query)
     }
+
+    /// Each entry's EAPCA against the query's, under the leaf's segmentation.
+    fn entry_bounds(&self, id: usize, query: &&[f32]) -> Vec<f64> {
+        let node = &self.nodes[id];
+        let NodeKind::Leaf { entries } = &node.kind else {
+            return Vec::new();
+        };
+        let q_eapca = Eapca::compute(query, &node.segmentation);
+        entries
+            .iter()
+            .map(|e| q_eapca.lower_bound(&e.eapca, &node.segmentation))
+            .collect()
+    }
 }
 
 impl DsTree {

@@ -23,6 +23,7 @@ use hydra_core::{
 use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node, Seed};
 use hydra_storage::DatasetStore;
 use hydra_transforms::sax::{SaxParams, SaxWord};
+use hydra_transforms::BoundSweep;
 use std::sync::Arc;
 
 /// The iSAX2+ index.
@@ -95,9 +96,11 @@ impl AnsweringMethod for Isax2Plus {
 }
 
 /// iSAX2+ bounds nodes with MINDIST between the query's PAA and the node's
-/// iSAX word; the query's own SAX word picks the seed leaf.
+/// iSAX word, and leaf entries with the same MINDIST on their full SAX word
+/// through one per-query sweep table; the query's own SAX word picks the
+/// seed leaf.
 impl BestFirstTree for Isax2Plus {
-    type Probe<'q> = (Vec<f32>, SaxWord);
+    type Probe<'q> = (Vec<f32>, SaxWord, BoundSweep<'q>);
 
     const NAME: &'static str = "iSAX2+";
 
@@ -105,30 +108,38 @@ impl BestFirstTree for Isax2Plus {
         &self.store
     }
 
-    fn probe(&self, query: &[f32]) -> (Vec<f32>, SaxWord) {
+    fn probe<'q>(&'q self, query: &'q [f32]) -> Self::Probe<'q> {
         let params = self.tree.params();
         let paa = params.paa().transform(query);
         let sax = params.sax_word_from_paa(&paa);
-        (paa, sax)
+        let sweep = params.sweep(&paa, self.store.len());
+        (paa, sax, sweep)
     }
 
-    /// The leaf covering the query's SAX word. ng-approximate mode, where
-    /// that leaf is the whole answer, falls back to the MINDIST-nearest leaf
-    /// when the query's region was never populated; the other modes keep the
-    /// plain lookup (the traversal finds every leaf anyway) — and their
-    /// traversal scans the seed leaf again when it pops it.
-    fn seed(&self, (paa, sax): &Self::Probe<'_>, mode: AnswerMode, stats: &mut QueryStats) -> Seed {
+    /// The leaf covering the query's SAX word, scanned exactly once.
+    /// ng-approximate mode, where that leaf is the whole answer, falls back
+    /// to the MINDIST-nearest leaf when the query's region was never
+    /// populated; the other modes keep the plain lookup (the traversal finds
+    /// every leaf anyway). Skipping the seed when the traversal pops it is
+    /// safe: every entry the seed scan abandoned or bounded out met a
+    /// threshold at least as loose as any later one.
+    fn seed(
+        &self,
+        (paa, sax, _): &Self::Probe<'_>,
+        mode: AnswerMode,
+        stats: &mut QueryStats,
+    ) -> Seed {
         let leaf = if mode == AnswerMode::NgApproximate {
             self.tree.locate_nearest_leaf(paa, sax, stats)
         } else {
             self.tree.locate_leaf(sax, stats)
         };
-        Seed { leaf, skip: None }
+        Seed { leaf, skip: leaf }
     }
 
     fn push_roots(
         &self,
-        (paa, _): &Self::Probe<'_>,
+        (paa, _, _): &Self::Probe<'_>,
         frontier: &mut Frontier,
         stats: &mut QueryStats,
     ) {
@@ -152,8 +163,18 @@ impl BestFirstTree for Isax2Plus {
         }
     }
 
-    fn bound(&self, id: usize, (paa, _): &Self::Probe<'_>) -> f64 {
+    fn bound(&self, id: usize, (paa, _, _): &Self::Probe<'_>) -> f64 {
         self.tree.mindist(paa, id)
+    }
+
+    fn entry_bounds(&self, id: usize, (_, _, sweep): &Self::Probe<'_>) -> Vec<f64> {
+        match &self.tree.node(id).kind {
+            NodeKind::Leaf { entries } => entries
+                .iter()
+                .map(|e| sweep.bound(&e.sax.symbols))
+                .collect(),
+            NodeKind::Internal { .. } => Vec::new(),
+        }
     }
 }
 
@@ -404,10 +425,10 @@ mod tests {
         let mut stats = QueryStats::default();
         let ans = idx.answer(&Query::knn(dup, 11), &mut stats).unwrap();
         assert_eq!(ans.len(), 10);
-        // One visit and one random page per occupied leaf, plus the seed
-        // leaf's rescan; the empty leaves read zero bytes and cost nothing.
-        assert_eq!(stats.leaves_visited, occupied + 1);
-        assert_eq!(stats.random_page_accesses, occupied + 1);
+        // One visit and one random page per occupied leaf (the seed leaf is
+        // scanned once); the empty leaves read zero bytes and cost nothing.
+        assert_eq!(stats.leaves_visited, occupied);
+        assert_eq!(stats.random_page_accesses, occupied);
     }
 
     #[test]

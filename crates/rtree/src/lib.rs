@@ -545,6 +545,17 @@ impl BestFirstTree for RStarTree {
     fn bound(&self, id: usize, q_paa: &Vec<f32>) -> f64 {
         self.nodes[id].mbr.mindist_sq(q_paa, &self.weights).sqrt()
     }
+
+    /// The PAA bound between the query's point and each entry's.
+    fn entry_bounds(&self, id: usize, q_paa: &Vec<f32>) -> Vec<f64> {
+        match &self.nodes[id].kind {
+            NodeKind::Leaf { entries } => entries
+                .iter()
+                .map(|e| self.paa.lower_bound(q_paa, &e.point))
+                .collect(),
+            NodeKind::Internal { .. } => Vec::new(),
+        }
+    }
 }
 
 impl ExactIndex for RStarTree {

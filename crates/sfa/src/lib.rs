@@ -352,6 +352,17 @@ impl BestFirstTree for SfaTrie {
         let prefix = &self.prefixes[id];
         self.quantizer.mindist_prefix(dft, prefix, prefix.len())
     }
+
+    /// The full-word bound between the query's DFT and each entry's word.
+    fn entry_bounds(&self, id: usize, (dft, _): &Self::Probe<'_>) -> Vec<f64> {
+        match &self.nodes[id] {
+            TrieNode::Leaf { entries } => entries
+                .iter()
+                .map(|e| self.quantizer.mindist(dft, &e.word))
+                .collect(),
+            TrieNode::Internal { .. } => Vec::new(),
+        }
+    }
 }
 
 impl ExactIndex for SfaTrie {

@@ -6,17 +6,26 @@
 //! leaves with an early-abandoning distance over the leaf's materialized
 //! payload. [`search`] is that algorithm, written once; a tree implements
 //! [`BestFirstTree`] to supply only what really differs — how it summarizes
-//! the query, where it seeds, what it starts from, and a node's children,
-//! bound and series ids.
+//! the query, where it seeds, what it starts from, a node's children, bound
+//! and series ids, and each leaf entry's bound.
+//!
+//! Every leaf scan filters before it reads, as in Hercules and MESSI: each
+//! entry is first bounded from the per-series summary the leaf already
+//! stores (EAPCA, SAX word, SFA word or PAA point; counted as a lower
+//! bound), and an entry whose bound — less the `ENTRY_SLACK` that covers
+//! the `f32` rounding of those summaries — reaches `bsf · shrink` is never
+//! refined and never counted as raw. A leaf whose every entry is bounded out
+//! is not read at all: no page, no leaf visit, no fault checkpoint.
 //!
 //! With `threads > 1` the same call is the MESSI-style intra-query search:
 //! after the seed scan, every leaf the traversal could still reach is
-//! evaluated by a worker pool sharing an atomic best-so-far, each worker
-//! recording one [`Outcome`] per entry; the traversal — the only part that
-//! touches `stats` and the budget — then decides every entry from that
-//! evidence through [`replay_outcome`], recomputing only where a worker's
-//! threshold was tighter than the serial one. Answers, guarantees and all
-//! work counters are therefore the same bits for every thread count.
+//! bounded and evaluated by a worker pool sharing an atomic best-so-far,
+//! each worker recording the leaf's entry bounds and one [`Outcome`] per
+//! entry it did not bound out; the traversal — the only part that touches
+//! `stats` and the budget — then decides every entry from that evidence
+//! through [`replay_outcome`], recomputing only where a worker's threshold
+//! was tighter than the serial one. Answers, guarantees and all work
+//! counters are therefore the same bits for every thread count.
 
 use crate::DatasetStore;
 use hydra_core::distance::squared_euclidean_early_abandon;
@@ -97,8 +106,9 @@ pub struct Seed {
 
 /// The parts of a best-first tree search that differ between trees.
 pub trait BestFirstTree: Sync {
-    /// The per-query summary the tree bounds its nodes against.
-    type Probe<'q>
+    /// The per-query summary the tree bounds its nodes and entries against
+    /// (shared with the fan-out's workers).
+    type Probe<'q>: Sync
     where
         Self: 'q;
 
@@ -108,8 +118,9 @@ pub trait BestFirstTree: Sync {
     /// The store the leaves materialize their series from.
     fn store(&self) -> &DatasetStore;
 
-    /// Summarizes the query.
-    fn probe<'q>(&self, query: &'q [f32]) -> Self::Probe<'q>;
+    /// Summarizes the query (and prepares whatever per-query state bounding
+    /// its nodes and entries needs).
+    fn probe<'q>(&'q self, query: &'q [f32]) -> Self::Probe<'q>;
 
     /// Picks the seed leaf for `mode`, recording the descent's node visits
     /// (and any bounds it computes) into `stats`.
@@ -131,12 +142,75 @@ pub trait BestFirstTree: Sync {
     /// The lower bound on the distance from the query to anything below
     /// node `id`.
     fn bound(&self, id: usize, probe: &Self::Probe<'_>) -> f64;
+
+    /// The lower bound on the distance from the query to every entry of
+    /// leaf `id`, in scan order, computed from the per-series summary the
+    /// leaf already stores.
+    fn entry_bounds(&self, id: usize, probe: &Self::Probe<'_>) -> Vec<f64>;
 }
 
-/// Per-entry outcomes recorded ahead of the counted traversal, by leaf id.
-/// Leaves absent from the record are evaluated directly, so correctness
-/// never depends on which leaves were precomputed.
-type Recorded = BTreeMap<usize, Vec<Outcome>>;
+/// Slack on every per-entry prune, relative to the scale of the summaries:
+/// an entry is bounded out only when its bound, lowered by `ENTRY_SLACK ·
+/// (bound + ‖query‖)`, still reaches `bsf · shrink`. The per-series
+/// summaries are stored in `f32` (EAPCA means and σ, PAA values, and the PAA
+/// / DFT the symbolic words were cut from), so a computed bound can exceed
+/// its exact value by a few `f32` ulps of the values summarized. That
+/// matters twice: a bound that is tight in exact arithmetic (EAPCA against a
+/// constant query equals the true distance) lands above the distance the
+/// kernel computes, relative to the bound; and against a near-duplicate the
+/// true bound is ~0 while the rounding stays at the data's scale, bounded by
+/// `‖query‖`. `2⁻²⁰` is 16× an `f32` ulp.
+const ENTRY_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// The per-entry prune of one query.
+#[derive(Clone, Copy)]
+struct EntryFilter {
+    /// `ENTRY_SLACK · ‖query‖`.
+    absolute: f64,
+    shrink: f64,
+}
+
+impl EntryFilter {
+    fn new(query: &Query) -> Self {
+        let norm = query
+            .values()
+            .iter()
+            .map(|&v| f64::from(v).powi(2))
+            .sum::<f64>();
+        Self {
+            absolute: ENTRY_SLACK * norm.sqrt(),
+            shrink: query.mode().prune_shrink(),
+        }
+    }
+
+    /// `bound` lowered by the slack: a floor on the exact distance (NaN for
+    /// an infinite bound, which is never pruned on).
+    fn floor(self, bound: f64) -> f64 {
+        bound - ENTRY_SLACK * bound - self.absolute
+    }
+
+    /// Whether an entry whose lower bound is `bound` provably cannot come
+    /// under `threshold` (a distance, not its square) beyond the mode's
+    /// `shrink`.
+    fn bounded_out(self, bound: f64, threshold: f64) -> bool {
+        self.floor(bound) >= threshold * self.shrink
+    }
+}
+
+/// What is known about a leaf's entries before the traversal reads it.
+#[derive(Debug, Default)]
+struct LeafEvidence {
+    /// Each entry's lower bound, in scan order.
+    bounds: Vec<f64>,
+    /// Per entry, what a fan-out worker observed (`None` where it bounded
+    /// the entry out); empty when the leaf is evaluated directly.
+    outcomes: Vec<Option<Outcome>>,
+}
+
+/// Evidence recorded ahead of the counted traversal, by leaf id. Leaves
+/// absent from the record are bounded and evaluated directly, so
+/// correctness never depends on which leaves were precomputed.
+type Recorded = BTreeMap<usize, LeafEvidence>;
 
 /// Answers `query` over `tree` in its requested mode with `threads` workers
 /// (`1` is the serial search), recording the work counters into `stats`.
@@ -173,9 +247,23 @@ fn search_with<T: BestFirstTree>(
     let mut heap = KnnHeap::new(k);
     let mut meter = BudgetMeter::new(query.budget(), store.len());
 
+    let direct = |leaf| LeafEvidence {
+        bounds: tree.entry_bounds(leaf, &probe),
+        outcomes: Vec::new(),
+    };
     let seed = tree.seed(&probe, mode, stats);
-    if let Some(Node::Leaf(ids)) = seed.leaf.map(|leaf| tree.node(leaf)) {
-        scan_leaf(store, query, ids, None, &mut heap, &mut meter, stats)?;
+    if let Some(leaf) = seed.leaf {
+        if let Node::Leaf(ids) = tree.node(leaf) {
+            scan_leaf(
+                store,
+                query,
+                ids,
+                direct(leaf),
+                &mut heap,
+                &mut meter,
+                stats,
+            )?;
+        }
     }
     // In ng-approximate mode the seed leaf is the whole answer.
     if mode != AnswerMode::NgApproximate {
@@ -183,7 +271,7 @@ fn search_with<T: BestFirstTree>(
         // modes: a node is pruned as soon as its bound reaches
         // `bsf * shrink`, so `ε = 0` is bit-identical to exact search.
         let shrink = mode.prune_shrink();
-        let recorded = record(&probe, &heap, seed.skip);
+        let mut recorded = record(&probe, &heap, seed.skip);
         let mut frontier = Frontier::new();
         tree.push_roots(&probe, &mut frontier, stats);
         while let Some((node, lower_bound)) = frontier.pop() {
@@ -196,7 +284,7 @@ fn search_with<T: BestFirstTree>(
             match tree.node(node) {
                 Node::Leaf(ids) => {
                     if Some(node) != seed.skip {
-                        let evidence = recorded.get(&node).map(Vec::as_slice);
+                        let evidence = recorded.remove(&node).unwrap_or_else(|| direct(node));
                         scan_leaf(store, query, ids, evidence, &mut heap, &mut meter, stats)?;
                     }
                 }
@@ -218,15 +306,18 @@ fn search_with<T: BestFirstTree>(
     Ok(heap.into_answer_set().with_guarantee(guarantee))
 }
 
-/// Refines one leaf against the best-so-far, charging one random access plus
-/// sequential pages for its materialized payload. With `recorded` evidence
-/// each entry is decided through [`replay_outcome`] instead of the kernel;
+/// Refines one leaf against the best-so-far, filtering its entries on their
+/// lower bounds first. A leaf whose every entry is bounded out is never
+/// read: it costs its bounds and nothing else. Otherwise it is charged one
+/// random access plus sequential pages for its materialized payload, and
+/// only the entries not bounded out are refined — each through
+/// [`replay_outcome`] when a worker recorded it, else with the kernel;
 /// counters and I/O charges are identical either way.
 fn scan_leaf(
     store: &DatasetStore,
     query: &Query,
     ids: impl ExactSizeIterator<Item = u32>,
-    recorded: Option<&[Outcome]>,
+    evidence: LeafEvidence,
     heap: &mut KnnHeap,
     meter: &mut BudgetMeter,
     stats: &mut QueryStats,
@@ -236,6 +327,17 @@ fn scan_leaf(
     let Some(&first) = ids.peek() else {
         return Ok(());
     };
+    let LeafEvidence { bounds, outcomes } = evidence;
+    debug_assert_eq!(bounds.len(), ids.len());
+    stats.record_lower_bounds(bounds.len() as u64);
+    // An under-full heap's threshold is infinite: nothing is bounded out.
+    let filter = EntryFilter::new(query);
+    if bounds
+        .iter()
+        .all(|&bound| filter.bounded_out(bound, heap.threshold()))
+    {
+        return Ok(());
+    }
     // Fault checkpoint for the payload read, keyed by the leaf's first
     // series so an injected fault is stable per leaf.
     store.try_access(first as u64)?;
@@ -244,22 +346,30 @@ fn scan_leaf(
     let pages = leaf_bytes.div_ceil(store.page_bytes() as u64).max(1);
     stats.record_io(pages - 1, 1, leaf_bytes);
     let dataset = store.dataset();
-    for (i, id) in ids.enumerate() {
+    for (i, (id, &bound)) in ids.zip(&bounds).enumerate() {
         if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
             break;
+        }
+        if filter.bounded_out(bound, heap.threshold()) {
+            continue;
         }
         stats.record_raw_series_examined(1);
         let series = dataset.series(id as usize);
         let kernel = |threshold: f64| {
             squared_euclidean_early_abandon(query.values(), series.values(), threshold)
         };
-        let result = match recorded {
-            Some(outcomes) => replay_outcome(outcomes[i], heap.threshold_squared(), kernel),
+        let result = match outcomes.get(i).copied().flatten() {
+            Some(outcome) => replay_outcome(outcome, heap.threshold_squared(), kernel),
             None => kernel(heap.threshold_squared()),
         };
         match result {
             Some(sq) => {
-                heap.offer(id as usize, sq.sqrt());
+                let distance = sq.sqrt();
+                debug_assert!(
+                    filter.floor(bound).partial_cmp(&distance) != Some(Ordering::Greater),
+                    "series {id}: lower bound {bound} above its distance {distance}"
+                );
+                heap.offer(id as usize, distance);
             }
             None => stats.record_early_abandon(),
         }
@@ -271,10 +381,12 @@ fn scan_leaf(
 /// scan after the seed: the traversal's threshold only tightens below the
 /// seeded one, so a leaf whose bound already reaches `seeded · shrink` is
 /// provably never scanned (while the seeded heap is not full nothing is
-/// provable and every leaf is a candidate). Each worker starts from a clone
-/// of the seeded heap and abandons against the tighter of its own threshold
-/// and the shared best-so-far; its thresholds may be stale or tighter than
-/// the traversal's, which [`replay_outcome`] reconciles.
+/// provable and every leaf is a candidate). Each worker bounds its leaf's
+/// entries, starts from a clone of the seeded heap and abandons — or skips
+/// an entry outright on its bound — against the tighter of its own
+/// threshold and the shared best-so-far; its thresholds may be stale or
+/// tighter than the traversal's, which [`replay_outcome`] reconciles (an
+/// entry a worker skipped is recomputed if the traversal needs it).
 fn fan_out<T: BestFirstTree>(
     tree: &T,
     query: &Query,
@@ -283,7 +395,8 @@ fn fan_out<T: BestFirstTree>(
     skip: Option<usize>,
     threads: usize,
 ) -> Recorded {
-    let limit = seeded.threshold() * query.mode().prune_shrink();
+    let filter = EntryFilter::new(query);
+    let limit = seeded.threshold() * filter.shrink;
     let candidates: Vec<usize> = (0..tree.num_nodes())
         .filter(|&id| Some(id) != skip)
         .filter(|&id| matches!(tree.node(id), Node::Leaf(ids) if ids.len() > 0))
@@ -291,24 +404,33 @@ fn fan_out<T: BestFirstTree>(
         .collect();
     let dataset = tree.store().dataset();
     let bsf = SharedBsf::new(seeded.threshold_squared());
-    let per_leaf: Vec<Vec<Outcome>> = parallel::map_indexed(candidates.len(), threads, |ci| {
+    let per_leaf: Vec<LeafEvidence> = parallel::map_indexed(candidates.len(), threads, |ci| {
         let Node::Leaf(ids) = tree.node(candidates[ci]) else {
-            return Vec::new();
+            return LeafEvidence::default();
         };
+        let bounds = tree.entry_bounds(candidates[ci], probe);
         let mut local = seeded.clone();
-        ids.map(|id| {
-            let threshold = local.threshold_squared().min(bsf.get());
-            let series = dataset.series(id as usize);
-            match squared_euclidean_early_abandon(query.values(), series.values(), threshold) {
-                Some(sq) => {
-                    local.offer(id as usize, sq.sqrt());
-                    bsf.update_min(local.threshold_squared());
-                    Outcome::Computed(sq)
+        let outcomes = ids
+            .zip(&bounds)
+            .map(|(id, &bound)| {
+                let threshold = local.threshold_squared().min(bsf.get());
+                if filter.bounded_out(bound, threshold.sqrt()) {
+                    return None;
                 }
-                None => Outcome::Abandoned { threshold },
-            }
-        })
-        .collect()
+                let series = dataset.series(id as usize).values();
+                Some(
+                    match squared_euclidean_early_abandon(query.values(), series, threshold) {
+                        Some(sq) => {
+                            local.offer(id as usize, sq.sqrt());
+                            bsf.update_min(local.threshold_squared());
+                            Outcome::Computed(sq)
+                        }
+                        None => Outcome::Abandoned { threshold },
+                    },
+                )
+            })
+            .collect();
+        LeafEvidence { bounds, outcomes }
     });
     candidates.into_iter().zip(per_leaf).collect()
 }
@@ -327,11 +449,13 @@ mod tests {
     }
 
     /// A hand-built tree whose bounds are data, not a summarization: node
-    /// `i` is bounded by `bounds[i]` whatever the query.
+    /// `i` is bounded by `bounds[i]` and series `j` by `entry_bounds[j]`
+    /// whatever the query.
     struct Toy {
         store: DatasetStore,
         nodes: Vec<Kind>,
         bounds: Vec<f64>,
+        entry_bounds: Vec<f64>,
         seed: Seed,
         /// Every node id `node()` was asked for, in call order.
         looked_up: Mutex<Vec<usize>>,
@@ -368,14 +492,27 @@ mod tests {
         fn bound(&self, id: usize, _: &()) -> f64 {
             self.bounds[id]
         }
+        fn entry_bounds(&self, id: usize, _: &()) -> Vec<f64> {
+            match &self.nodes[id] {
+                Kind::Leaf(ids) => ids.iter().map(|&i| self.entry_bounds[i as usize]).collect(),
+                Kind::Internal(_) => Vec::new(),
+            }
+        }
     }
 
     /// Series `i` is the constant `levels[i]`, so its distance to a constant
     /// query `q` is `|levels[i] - q| * sqrt(LEN)`.
     fn toy(levels: &[f32], nodes: Vec<Kind>, bounds: Vec<f64>, seed: Seed) -> Toy {
         let flat = levels.iter().flat_map(|&v| [v; LEN]).collect();
+        toy_of(flat, nodes, bounds, seed)
+    }
+
+    /// A toy over explicit series, `LEN` values each, every entry bound 0.
+    fn toy_of(flat: Vec<f32>, nodes: Vec<Kind>, bounds: Vec<f64>, seed: Seed) -> Toy {
+        let store = DatasetStore::new(Dataset::from_flat(flat, LEN));
         Toy {
-            store: DatasetStore::new(Dataset::from_flat(flat, LEN)),
+            entry_bounds: vec![0.0; store.len()],
+            store,
             nodes,
             bounds,
             seed,
@@ -419,10 +556,14 @@ mod tests {
         // insertion sequence) would reorder leaf visits and with them every
         // early-abandon counter of the real trees.
         assert_eq!(*tree.looked_up.lock().unwrap(), vec![0, 1, 3, 2, 4]);
-        // 8 series in 4 one-page leaves, 1 internal node, 4 child bounds;
-        // only the first series of leaves 1 and 4 improves the best-so-far.
+        // 8 series in 4 one-page leaves, 1 internal node, 4 child bounds
+        // plus 8 (zero) entry bounds; only the first series of leaves 1 and
+        // 4 improves the best-so-far.
         let leaf_bytes = (2 * LEN * 4) as u64;
-        assert_eq!(stats.work_counters(), [8, 4, 4, 1, 6, 0, 4, 4 * leaf_bytes]);
+        assert_eq!(
+            stats.work_counters(),
+            [8, 12, 4, 1, 6, 0, 4, 4 * leaf_bytes]
+        );
     }
 
     #[test]
@@ -443,14 +584,92 @@ mod tests {
         assert_eq!(ids(&a1), vec![6, 7]);
         assert_eq!((s1.leaves_visited, s2.leaves_visited), (4, 5));
         assert_eq!((s1.raw_series_examined, s2.raw_series_examined), (8, 10));
-        assert_eq!(s1.lower_bounds_computed, s2.lower_bounds_computed);
+        // The rescan bounds the seed's two entries again.
+        assert_eq!(s1.lower_bounds_computed + 2, s2.lower_bounds_computed);
         // ng-approximate: the seed leaf is the whole answer either way.
         let ng = query.clone().with_mode(AnswerMode::NgApproximate);
         let mut stats = QueryStats::default();
         let answers = search(&twice, &ng, 1, &mut stats).unwrap();
         assert_eq!(ids(&answers), vec![2, 3]);
         assert_eq!(answers.guarantee(), Guarantee::None);
-        assert_eq!(stats.work_counters()[..4], [2, 0, 1, 0]);
+        assert_eq!(stats.work_counters()[..4], [2, 2, 1, 0]);
+    }
+
+    #[test]
+    fn a_leaf_whose_entries_are_all_bounded_out_costs_no_page_and_no_visit() {
+        let query = constant_query(0.0, 1);
+        let plain = flat_toy(Seed::default());
+        let mut bounded = flat_toy(Seed::default());
+        // Leaf 1 (levels 10, 11) seeds the best-so-far at 10·√8. Then leaf 3
+        // (levels 30, 31) is bounded out whole, and in leaf 2 (levels 20,
+        // 21) only series 3 is; each of these bounds is the true distance.
+        for id in [3, 4, 5] {
+            bounded.entry_bounds[id] = [0.0, 0.0, 0.0, 21.0, 30.0, 31.0][id] * (LEN as f64).sqrt();
+        }
+        let mut plain_stats = QueryStats::default();
+        let expected = search(&plain, &query, 1, &mut plain_stats).unwrap();
+        for threads in [1, 3] {
+            let mut stats = QueryStats::default();
+            let answers = search(&bounded, &query, threads, &mut stats).unwrap();
+            assert_eq!(answers, expected);
+            assert_eq!(answers.guarantee(), Guarantee::Exact);
+            let leaf_bytes = (2 * LEN * 4) as u64;
+            // Same 4 + 8 bounds; one leaf and three series fewer, one of
+            // them an early abandon.
+            assert_eq!(
+                plain_stats.work_counters(),
+                [8, 12, 4, 1, 6, 0, 4, 4 * leaf_bytes]
+            );
+            assert_eq!(
+                stats.work_counters(),
+                [5, 12, 3, 1, 3, 0, 3, 3 * leaf_bytes]
+            );
+        }
+    }
+
+    #[test]
+    fn entry_bounds_as_tight_as_the_true_distance_never_drop_an_answer() {
+        // 24 series [1.2; 7] ++ [b], b shrinking with the id, so the series
+        // scanned last are the nearest to the zero query — all within 2⁻³⁰
+        // of each other. Each entry's bound is its true distance as an f32
+        // summary stores it (the EAPCA σ against a constant query): rounded
+        // up by ~2⁻²⁵, past every farther series. Pruning on `bound ≥ bsf`
+        // would keep the first five scanned; the slack keeps the true five.
+        let b0 = 0.001f32.to_bits();
+        let flat: Vec<f32> = (0..24u32)
+            .flat_map(|id| {
+                let mut series = [1.2f32; LEN];
+                series[LEN - 1] = f32::from_bits(b0 + (23 - id) * 4096);
+                series
+            })
+            .collect();
+        let mut nodes = vec![Kind::Internal((1..=6).collect())];
+        nodes.extend((0..6).map(|l| Kind::Leaf((l * 4..l * 4 + 4).collect())));
+        // Leaf bounds rise with the leaf, so leaves are scanned in id order.
+        let leaf_bounds = (0..7).map(|l| l as f64 / 10.0).collect();
+        let mut tree = toy_of(flat, nodes, leaf_bounds, Seed::default());
+        let query = constant_query(0.0, 5);
+        let distance = |tree: &Toy, id: usize| {
+            let series = tree.store.dataset().series(id);
+            squared_euclidean_early_abandon(query.values(), series.values(), f64::INFINITY)
+                .unwrap()
+                .sqrt()
+        };
+        let distances: Vec<f64> = (0..24).map(|id| distance(&tree, id)).collect();
+        tree.entry_bounds = distances.iter().map(|&d| f64::from(d as f32)).collect();
+        assert!(
+            (1..24).all(|id| distances[id] < distances[id - 1])
+                && tree.entry_bounds.iter().all(|&bound| bound > distances[0]),
+            "every bound must round up past every distance"
+        );
+        let truth: Vec<u64> = distances[19..].iter().rev().map(|d| d.to_bits()).collect();
+        for threads in [1, 3] {
+            let mut stats = QueryStats::default();
+            let answers = search(&tree, &query, threads, &mut stats).unwrap();
+            let got: Vec<u64> = answers.iter().map(|a| a.distance.to_bits()).collect();
+            assert_eq!(got, truth, "threads {threads}");
+            assert_eq!(ids(&answers), vec![23, 22, 21, 20, 19]);
+        }
     }
 
     #[test]
@@ -498,52 +717,73 @@ mod tests {
             leaf: Some(5),
             skip: Some(5),
         };
-        let (tree, leaves) = bushy_toy(seed);
+        let (mut tree, leaves) = bushy_toy(seed);
         for query in [
             constant_query(42.0, 3),
             constant_query(42.0, 3).with_mode(AnswerMode::EpsilonApproximate { epsilon: 0.5 }),
             constant_query(7.0, 1).with_budget(Some(Budget::raw_reads(12))),
         ] {
-            let mut direct_stats = QueryStats::default();
-            let direct = search(&tree, &query, 1, &mut direct_stats).unwrap();
-            assert!(direct_stats.early_abandons > 0, "the evidence must matter");
-
-            let dataset = tree.store.dataset();
-            let true_sq = |id: u32| {
-                let series = dataset.series(id as usize);
+            let true_sq = |tree: &Toy, id: u32| {
+                let series = tree.store.dataset().series(id as usize);
                 squared_euclidean_early_abandon(query.values(), series.values(), f64::INFINITY)
                     .unwrap()
             };
-            let record = |outcome: &dyn Fn(u32) -> Outcome, keep: &dyn Fn(usize) -> bool| {
+            // Valid entry bounds, loose enough that the kernel still abandons.
+            tree.entry_bounds = (0..30).map(|id| true_sq(&tree, id).sqrt() / 4.0).collect();
+            let tree = &tree;
+            let mut direct_stats = QueryStats::default();
+            let direct = search(tree, &query, 1, &mut direct_stats).unwrap();
+            assert!(direct_stats.early_abandons > 0, "the evidence must matter");
+            assert!(
+                direct_stats.raw_series_examined < 25,
+                "the entry bounds must matter"
+            );
+
+            let true_sq = |id| true_sq(tree, id);
+            let record = |outcome: &dyn Fn(u32) -> Option<Outcome>,
+                          keep: &dyn Fn(usize) -> bool| {
                 leaves
                     .iter()
                     .enumerate()
                     .filter(|(l, _)| keep(*l))
-                    .map(|(l, ids)| (l + 3, ids.iter().map(|&id| outcome(id)).collect()))
+                    .map(|(l, ids)| {
+                        let evidence = LeafEvidence {
+                            bounds: tree.entry_bounds(l + 3, &()),
+                            outcomes: ids.iter().map(|&id| outcome(id)).collect(),
+                        };
+                        (l + 3, evidence)
+                    })
                     .collect::<Recorded>()
             };
             // A worker far ahead of the traversal: it abandoned everything
             // against a threshold tighter than any the traversal will hold.
-            let tighter = |id| Outcome::Abandoned {
-                threshold: true_sq(id) / 4.0,
+            let tighter = |id| {
+                Some(Outcome::Abandoned {
+                    threshold: true_sq(id) / 4.0,
+                })
             };
             // A worker far behind: it abandoned only just, or never.
-            let stale = |id| Outcome::Abandoned {
-                threshold: f64::from_bits(true_sq(id).to_bits() - 1),
+            let stale = |id| {
+                Some(Outcome::Abandoned {
+                    threshold: f64::from_bits(true_sq(id).to_bits() - 1),
+                })
             };
-            let never = |id| Outcome::Computed(true_sq(id));
+            let never = |id| Some(Outcome::Computed(true_sq(id)));
+            // A worker that bounded every entry out.
+            let skipped = |_| None;
             let all = |_: usize| true;
             let odd = |l: usize| l % 2 == 1;
             let records = [
                 record(&tighter, &all),
                 record(&stale, &all),
                 record(&never, &all),
+                record(&skipped, &all),
                 record(&stale, &odd),
                 record(&tighter, &|_| false),
             ];
             for (ri, recorded) in records.into_iter().enumerate() {
                 let mut stats = QueryStats::default();
-                let replayed = search_with(&tree, &query, &mut stats, |_, _, _| recorded).unwrap();
+                let replayed = search_with(tree, &query, &mut stats, |_, _, _| recorded).unwrap();
                 assert_eq!(replayed, direct, "record {ri}");
                 assert_eq!(
                     stats.work_counters(),
@@ -553,7 +793,7 @@ mod tests {
             }
             for threads in [2, 3] {
                 let mut stats = QueryStats::default();
-                let fanned = search(&tree, &query, threads, &mut stats).unwrap();
+                let fanned = search(tree, &query, threads, &mut stats).unwrap();
                 assert_eq!(fanned, direct, "threads {threads}");
                 assert_eq!(stats.work_counters(), direct_stats.work_counters());
             }
@@ -574,7 +814,9 @@ mod tests {
         seeded.offer(1, 2.0);
         let recorded = fan_out(&tree, &query, &(), &seeded, tree.seed.skip, 2);
         assert_eq!(recorded.keys().copied().collect::<Vec<_>>(), vec![5, 6, 7]);
-        assert!(recorded.values().all(|outcomes| outcomes.len() == 5));
+        assert!(recorded
+            .values()
+            .all(|leaf| leaf.bounds.len() == 5 && leaf.outcomes.len() == 5));
         // Until the seeded heap is full nothing is provably pruned.
         let recorded = fan_out(&tree, &query, &(), &KnnHeap::new(2), None, 2);
         assert_eq!(

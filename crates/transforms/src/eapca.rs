@@ -8,9 +8,12 @@
 //! split; tightening the mean/std range on an existing segment = "horizontal"
 //! split).
 //!
-//! The lower-bounding distance used here is the per-segment mean distance
-//! weighted by segment width, which lower-bounds the Euclidean distance for
-//! any segmentation (it is the PAA bound on a non-uniform grid).
+//! The lower-bounding distance used here is `√Σ w·((Δμ)² + (Δσ)²)` over the
+//! segments, `w` being a segment's width. It lower-bounds the Euclidean
+//! distance for any segmentation: over one segment the squared distance is
+//! `w·((Δμ)² + σa² + σb² − 2·cov)`, and `cov ≤ σa·σb` (Cauchy–Schwarz). The
+//! σ term makes it at least as tight as the PAA bound on the same grid, and
+//! exact for a constant series against anything.
 
 /// Per-segment statistics: mean and standard deviation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -69,16 +72,18 @@ impl Eapca {
     }
 
     /// Lower-bounding distance between two EAPCA representations under the
-    /// same `segmentation` (weighted distance between segment means).
+    /// same `segmentation`: the width-weighted distance between segment
+    /// means and standard deviations (see the module docs).
     pub fn lower_bound(&self, other: &Eapca, segmentation: &[usize]) -> f64 {
         debug_assert_eq!(self.len(), other.len());
         debug_assert_eq!(self.len(), segmentation.len());
         let mut sum = 0.0f64;
         let mut start = 0usize;
-        for (i, &end) in segmentation.iter().enumerate() {
+        for ((a, b), &end) in self.segments.iter().zip(&other.segments).zip(segmentation) {
             let w = (end - start) as f64;
-            let d = (self.segments[i].mean - other.segments[i].mean) as f64;
-            sum += w * d * d;
+            let d_mean = a.mean as f64 - b.mean as f64;
+            let d_std = a.std_dev as f64 - b.std_dev as f64;
+            sum += w * (d_mean * d_mean + d_std * d_std);
             start = end;
         }
         sum.sqrt()
@@ -209,6 +214,32 @@ mod tests {
         let ea = Eapca::compute(&a, &segmentation);
         let eb = Eapca::compute(&b, &segmentation);
         assert!(ea.lower_bound(&eb, &segmentation) <= euclidean(&a, &b) + 1e-5);
+    }
+
+    #[test]
+    fn the_std_term_tightens_the_mean_bound_and_is_exact_for_a_constant() {
+        let a = lcg_series(64, 7);
+        let b = lcg_series(64, 8);
+        let segmentation = vec![3, 10, 50, 64];
+        let ea = Eapca::compute(&a, &segmentation);
+        let eb = Eapca::compute(&b, &segmentation);
+        let flat = |e: &Eapca| Eapca {
+            segments: e
+                .segments
+                .iter()
+                .map(|s| EapcaSegment {
+                    mean: s.mean,
+                    std_dev: 0.0,
+                })
+                .collect(),
+        };
+        let mean_only = flat(&ea).lower_bound(&flat(&eb), &segmentation);
+        assert!(ea.lower_bound(&eb, &segmentation) > mean_only);
+        // Against a constant every series sits at exactly √Σ w·(Δμ² + σ²).
+        let zero = Eapca::compute(&[0.0; 64], &segmentation);
+        let lb = zero.lower_bound(&eb, &segmentation);
+        let ed = euclidean(&[0.0; 64], &b);
+        assert!((lb - ed).abs() <= 1e-5 * ed, "LB {lb} vs ED {ed}");
     }
 
     #[test]

@@ -165,12 +165,11 @@ impl SaxParams {
     /// bit-identical to `mindist_paa_to_isax(query_paa, &w.to_isax(b, b))`
     /// with `b = max_bits`, because each `(segment, symbol)` term is the
     /// interval kernel's own value for that one segment.
-    pub fn sweep<'a>(
-        &'a self,
-        query_paa: &'a [f32],
-        rows: usize,
-    ) -> BoundSweep<impl Fn(usize, u16) -> f64 + Sync + 'a> {
+    pub fn sweep(&self, query_paa: &[f32], rows: usize) -> BoundSweep<'_> {
         debug_assert_eq!(query_paa.len(), self.segments());
+        // Owned, so a tree's per-query probe can hold the sweep beside the
+        // PAA it was built from.
+        let query_paa = query_paa.to_vec();
         let term = move |segment: usize, symbol: u16| {
             let (low, high) = self.symbol_range(symbol, self.max_bits);
             hydra_core::simd::interval_mindist_weighted_sq(

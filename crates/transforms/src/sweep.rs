@@ -13,71 +13,87 @@
 //! ([`SaxParams::mindist_paa_to_isax`](crate::sax::SaxParams::mindist_paa_to_isax),
 //! [`VaPlusQuantizer::lower_bound`](crate::vaplus::VaPlusQuantizer::lower_bound)).
 //!
-//! The table only pays when more lookups follow than it has entries (a
-//! 65 536-symbol alphabet over a 300-series shard would spend longer filling
-//! it than sweeping), so below that point the terms are computed directly
-//! from the summaries, in the same order and to the same bits.
+//! Every row of the table is zero-padded to one power-of-16 width, compiled
+//! in, so a lookup is a masked load with no per-dimension offset and no
+//! bounds check. The table only pays when more lookups follow than it has
+//! entries (a 65 536-symbol alphabet over a 300-series shard would spend
+//! longer filling it than sweeping), so below that point the terms are
+//! computed directly from the summaries, in the same order and to the same
+//! bits.
 
 use hydra_core::parallel;
 
 /// Accumulator lanes of the `hydra_core::simd` interval kernels.
 const LANES: usize = 4;
 
+/// One dimension's squared-bound term for a symbol.
+type Term<'a> = Box<dyn Fn(usize, u16) -> f64 + Sync + 'a>;
+
 /// One query's lower-bound evaluator over flat `u16` summaries (`dims`
 /// symbols per series, dataset order).
-pub struct BoundSweep<F> {
-    /// Start of each dimension's row in `terms`; `offsets[dims]` is its end.
-    offsets: Vec<usize>,
-    /// `terms[offsets[d] + symbol]`; empty when bounds are computed directly.
+pub struct BoundSweep<'a> {
+    dims: usize,
+    /// Row width: the largest cardinality rounded up to a power of 16, so
+    /// every lookup runs through one of four compiled row widths.
+    width: usize,
+    /// `terms[d * width + symbol]`, every row zero-padded to `width`; empty
+    /// when bounds are computed directly.
     terms: Vec<f64>,
-    term: F,
+    term: Term<'a>,
 }
 
-impl<F: Fn(usize, u16) -> f64 + Sync> BoundSweep<F> {
+impl<'a> BoundSweep<'a> {
     /// Prepares a sweep over `rows` summaries whose dimension `d` takes
     /// symbols in `0..cardinalities[d]`. `term(d, symbol)` is that pair's
     /// contribution to the squared bound.
-    pub fn new(cardinalities: impl IntoIterator<Item = usize>, rows: usize, term: F) -> Self {
-        let mut offsets = vec![0usize];
-        let mut total = 0usize;
-        for cardinality in cardinalities {
-            total += cardinality;
-            offsets.push(total);
-        }
-        let dims = offsets.len() - 1;
+    pub fn new(
+        cardinalities: impl IntoIterator<Item = usize>,
+        rows: usize,
+        term: impl Fn(usize, u16) -> f64 + Sync + 'a,
+    ) -> Self {
+        let cardinalities: Vec<usize> = cardinalities.into_iter().collect();
+        let dims = cardinalities.len();
+        let widest = cardinalities.iter().copied().max().unwrap_or(1);
+        let width = [16, 256, 4096]
+            .into_iter()
+            .find(|&w| widest <= w)
+            .unwrap_or(1 << 16);
         let mut terms = Vec::new();
-        if total <= rows.saturating_mul(dims) {
-            terms.reserve_exact(total);
-            for (d, row) in offsets.windows(2).enumerate() {
-                terms.extend((0..row[1] - row[0]).map(|symbol| term(d, symbol as u16)));
+        if cardinalities.iter().sum::<usize>() <= rows.saturating_mul(dims) {
+            // A zero term is a valid (if loose) bound for any symbol, so the
+            // padding can never make a bound unsafe.
+            terms = vec![0.0; dims * width];
+            for (d, (row, &cardinality)) in terms
+                .chunks_exact_mut(width)
+                .zip(&cardinalities)
+                .enumerate()
+            {
+                for (symbol, slot) in row[..cardinality].iter_mut().enumerate() {
+                    *slot = term(d, symbol as u16);
+                }
             }
         }
         Self {
-            offsets,
+            dims,
+            width,
             terms,
-            term,
+            term: Box::new(term),
         }
     }
 
     /// Symbols per summary.
     pub fn dims(&self) -> usize {
-        self.offsets.len() - 1
+        self.dims
     }
 
     /// The lower bound of one summary. Every symbol must be inside its
     /// dimension's cardinality (builders guarantee it, snapshot loaders
     /// check it): the table is indexed by it.
     pub fn bound(&self, word: &[u16]) -> f64 {
-        debug_assert_eq!(word.len(), self.dims());
-        if self.terms.is_empty() {
-            accumulate(word, &self.term)
-        } else {
-            accumulate(word, |d, symbol| {
-                let at = self.offsets[d] + symbol as usize;
-                debug_assert!(at < self.offsets[d + 1], "symbol {symbol} outside row {d}");
-                self.terms[at]
-            })
-        }
+        debug_assert_eq!(word.len(), self.dims);
+        let mut bound = 0.0;
+        self.bounds_into(word, |b| bound = b);
+        bound
     }
 
     /// Sweeps `summaries` on `threads` workers (contiguous chunks, merged in
@@ -85,21 +101,64 @@ impl<F: Fn(usize, u16) -> f64 + Sync> BoundSweep<F> {
     pub fn sweep(&self, summaries: &[u16], threads: usize, bounds: &mut Vec<f64>) {
         if threads <= 1 {
             bounds.clear();
-            bounds.extend(self.bounds_of(summaries));
+            self.bounds_into(summaries, |b| bounds.push(b));
         } else {
-            let dims = self.dims().max(1);
+            let dims = self.dims.max(1);
             *bounds = parallel::map_chunks(summaries.len() / dims, threads, |range| {
-                self.bounds_of(&summaries[range.start * dims..range.end * dims])
-                    .collect()
+                let mut chunk = Vec::with_capacity(range.len());
+                self.bounds_into(&summaries[range.start * dims..range.end * dims], |b| {
+                    chunk.push(b)
+                });
+                chunk
             });
         }
     }
 
-    fn bounds_of<'a>(&'a self, words: &'a [u16]) -> impl Iterator<Item = f64> + 'a {
-        words
-            .chunks_exact(self.dims().max(1))
-            .map(|word| self.bound(word))
+    /// Hands the bound of every `dims`-symbol word of `words` to `out`, in
+    /// order, choosing the row width once for the whole run.
+    fn bounds_into(&self, words: &[u16], out: impl FnMut(f64)) {
+        debug_assert_eq!(words.len() % self.dims.max(1), 0);
+        match (self.terms.is_empty(), self.width) {
+            (true, _) => self.words(words, out, |word| {
+                accumulate(word, |d, symbol| (self.term)(d, symbol))
+            }),
+            (false, 16) => self.words(words, out, |word| lookup::<16>(word, &self.terms)),
+            (false, 256) => self.words(words, out, |word| lookup::<256>(word, &self.terms)),
+            (false, 4096) => self.words(words, out, |word| lookup::<4096>(word, &self.terms)),
+            (false, _) => self.words(words, out, |word| lookup::<65536>(word, &self.terms)),
+        }
     }
+
+    #[inline(always)]
+    fn words(&self, words: &[u16], mut out: impl FnMut(f64), bound: impl Fn(&[u16]) -> f64) {
+        for word in words.chunks_exact(self.dims.max(1)) {
+            out(bound(word));
+        }
+    }
+}
+
+/// [`accumulate`] over a table of `W`-wide rows. With `W` a power of two
+/// known at compile time, `symbol & (W - 1)` is provably inside its row: a
+/// lookup is one masked load, with no offset arithmetic and no bounds check.
+#[inline(always)]
+fn lookup<const W: usize>(word: &[u16], terms: &[f64]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let mut chunks = word.chunks_exact(LANES);
+    let mut rows = terms.chunks_exact(LANES * W);
+    for (chunk, rows) in (&mut chunks).zip(&mut rows) {
+        for lane in 0..LANES {
+            acc[lane] += rows[lane * W + (chunk[lane] as usize & (W - 1))];
+        }
+    }
+    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for (&symbol, row) in chunks
+        .remainder()
+        .iter()
+        .zip(rows.remainder().chunks_exact(W))
+    {
+        sum += row[symbol as usize & (W - 1)];
+    }
+    sum.sqrt()
 }
 
 /// `sqrt` of the sum of `term(i, word[i])`, in the interval kernels' order.
@@ -131,24 +190,33 @@ mod tests {
 
     #[test]
     fn table_and_direct_paths_agree_bit_for_bit_at_any_thread_count() {
-        for dims in [1usize, 4, 6, 16] {
-            let cardinalities = vec![8usize; dims];
-            let rows = 50usize;
-            let summaries: Vec<u16> = (0..rows * dims).map(|i| (i * 7 % 8) as u16).collect();
-            // 8 * dims entries <= 50 * dims lookups: tabulated.
-            let table = BoundSweep::new(cardinalities.iter().copied(), rows, term);
-            assert!(!table.terms.is_empty());
-            // One row only: fewer lookups than entries, computed directly.
-            let direct = BoundSweep::new(cardinalities.iter().copied(), 1, term);
-            assert!(direct.terms.is_empty());
-            let mut expected = Vec::new();
-            direct.sweep(&summaries, 1, &mut expected);
-            assert_eq!(expected.len(), rows);
-            for threads in [1usize, 3] {
-                let mut got = vec![f64::NAN; 3];
-                table.sweep(&summaries, threads, &mut got);
+        // Every row width (16, 256, 4096, 65536), ragged per-dimension
+        // cardinalities, and word lengths with and without a ragged tail.
+        for widest in [8usize, 200, 3000, 40_000] {
+            for dims in [1usize, 4, 6, 16] {
+                let cardinalities: Vec<usize> =
+                    (0..dims).map(|d| (widest >> (d % 3)).max(1)).collect();
+                // Enough rows that every entry is looked up: tabulated.
+                let rows = 50 + widest;
+                let summaries: Vec<u16> = (0..rows * dims)
+                    .map(|i| (i * 7919 % cardinalities[i % dims]) as u16)
+                    .collect();
+                let table = BoundSweep::new(cardinalities.iter().copied(), rows, term);
+                assert!(!table.terms.is_empty());
+                // One row only: fewer lookups than entries, computed directly.
+                let direct = BoundSweep::new(cardinalities.iter().copied(), 1, term);
+                assert!(direct.terms.is_empty());
+                let mut expected = Vec::new();
+                direct.sweep(&summaries, 1, &mut expected);
+                assert_eq!(expected.len(), rows);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-                assert_eq!(bits(&got), bits(&expected), "dims={dims} threads={threads}");
+                for threads in [1usize, 3] {
+                    let mut got = vec![f64::NAN; 3];
+                    table.sweep(&summaries, threads, &mut got);
+                    assert_eq!(bits(&got), bits(&expected), "{widest} {dims} {threads}");
+                }
+                let first = table.bound(&summaries[..dims]);
+                assert_eq!(first.to_bits(), expected[0].to_bits());
             }
         }
     }

@@ -231,11 +231,7 @@ impl VaPlusQuantizer {
     /// [`VaPlusQuantizer::lower_bound`] on the same cell, because each
     /// `(dimension, cell)` term is the interval kernel's own value for that
     /// one dimension.
-    pub fn sweep<'a>(
-        &'a self,
-        query_dft: &'a [f32],
-        rows: usize,
-    ) -> BoundSweep<impl Fn(usize, u16) -> f64 + Sync + 'a> {
+    pub fn sweep<'a>(&'a self, query_dft: &'a [f32], rows: usize) -> BoundSweep<'a> {
         debug_assert_eq!(query_dft.len(), self.dims);
         let term = move |d: usize, cell: u16| {
             let (low, high) = self.interval(d, cell);

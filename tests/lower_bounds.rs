@@ -105,9 +105,17 @@ fn eapca_lower_bound_never_exceeds_distance() {
         let segmentation = uniform_segmentation(64, segments);
         let ea = Eapca::compute(&a, &segmentation);
         let eb = Eapca::compute(&b, &segmentation);
+        let lb = ea.lower_bound(&eb, &segmentation);
         assert!(
-            ea.lower_bound(&eb, &segmentation) <= euclidean(&a, &b) + 1e-3,
+            lb <= euclidean(&a, &b) + 1e-3,
             "case {case}: EAPCA bound above distance with {segments} segments"
+        );
+        // The σ term only adds: never looser than PAA on the same grid.
+        let paa = Paa::new(64, segments);
+        let paa_lb = paa.lower_bound(&paa.transform(&a), &paa.transform(&b));
+        assert!(
+            lb + 1e-3 >= paa_lb,
+            "case {case}: EAPCA bound {lb} below the PAA bound {paa_lb}"
         );
     }
 }

@@ -10,9 +10,14 @@
 //! supports are rendered.
 //!
 //! `tree|` lines cover the four best-first trees (DSTree, iSAX2+, SFA trie,
-//! R*-tree) and were printed by `print_fixture` below on the commit before
-//! they moved onto `hydra_storage::best_first` (plus the iSAX2+ empty-leaf
-//! fix). `method|` lines cover the other six (UCR-Suite, MASS, Stepwise,
+//! R*-tree). They were first printed by `print_fixture` below on the commit
+//! before the trees moved onto `hydra_storage::best_first`, and re-recorded
+//! when its leaf scan started bounding every entry on its stored summary
+//! (and iSAX2+ stopped rescanning its seed leaf): every `exact` and `ng`
+//! line kept its guarantee and answer bits there, only the counters moved,
+//! and the ε / δ-ε / budgeted answers moved within their guarantees. The
+//! entry bounds of iSAX2+ come from the SAX table, so the fixture must
+//! reproduce on both SIMD dispatch tiers. `method|` lines cover the other six (UCR-Suite, MASS, Stepwise,
 //! ADS+, VA+file, M-tree) and were printed on the commit before each method
 //! was folded into one `search` body; they skip the budget × 3-thread pair,
 //! which the engine never runs. To re-record after an intended change:
