@@ -5,13 +5,13 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hydra_data::RandomWalkGenerator;
+use hydra_storage::refine::LazyRanking;
 use hydra_transforms::eapca::{uniform_segmentation, Eapca};
 use hydra_transforms::fft::dft_summary;
 use hydra_transforms::sax::SaxParams;
 use hydra_transforms::sfa::{SfaParams, SfaQuantizer};
 use hydra_transforms::vaplus::VaPlusQuantizer;
 use hydra_transforms::{HaarTransform, Paa};
-use hydra_vafile::rank::LazyRanking;
 
 fn bench_transforms(c: &mut Criterion) {
     let mut group = c.benchmark_group("summarize_series");
@@ -130,7 +130,7 @@ fn bench_sweeps(c: &mut Criterion) {
     for i in 0..rows as u64 {
         cells.extend(va.cell(gen.series(i).values()).cells);
     }
-    let mut ranking = LazyRanking::new();
+    let mut ranking = LazyRanking::default();
     group.bench_function(BenchmarkId::new("vaplus_sweep_rank", "100k"), |b| {
         b.iter(|| {
             va.sweep(&q_dft, rows).sweep(&cells, 1, &mut bounds);

@@ -13,17 +13,23 @@
 //!    lower bound is below the bsf, skipping (seeking over) the pruned ones,
 //!    and refines the bsf as it goes.
 //!
+//! Steps 1 and 3 run through the scan-side driver, [`hydra_storage::refine`]
+//! (an id list, then skip-sequential runs over the step-2 bounds), which
+//! owns the query frame and the budgeted per-candidate step; ADS+ supplies
+//! the descent, the sweep and the kernels.
+//!
 //! Every skip is a random disk access — the behaviour that makes ADS+ the
 //! fastest method to build but sensitive to seek latency on HDDs (and very
 //! fast on SSDs), exactly the trade-off the paper analyses.
 
 use crate::tree::{IsaxTree, NodeKind};
+use hydra_core::distance::{squared_euclidean, squared_euclidean_early_abandon};
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
-    parallel, AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error,
-    ExactIndex, IndexFootprint, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats,
-    Result,
+    parallel, AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
+    IndexFootprint, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
+use hydra_storage::refine::{self, EarlyAbandon, Full};
 use hydra_storage::DatasetStore;
 use hydra_transforms::sax::{SaxParams, SaxWord};
 use std::sync::Arc;
@@ -84,153 +90,6 @@ impl AdsPlus {
     pub fn store(&self) -> &DatasetStore {
         &self.store
     }
-
-    /// Seeds the best-so-far with an ng-approximate search: descend to the
-    /// covering leaf and read its series from the raw file (random accesses).
-    ///
-    /// With `nearest_fallback` (the ng-approximate mode, which must always
-    /// visit one leaf) a query whose region was never populated descends to
-    /// the MINDIST-nearest leaf instead of seeding nothing; exact search
-    /// keeps the plain lookup so its work counters are unchanged.
-    fn approximate_bsf(
-        &self,
-        query: &Query,
-        query_paa: &[f32],
-        heap: &mut KnnHeap,
-        meter: &mut BudgetMeter,
-        stats: &mut QueryStats,
-        nearest_fallback: bool,
-    ) -> Result<()> {
-        let params = self.tree.params();
-        let sax = params.sax_word_from_paa(query_paa);
-        let located = if nearest_fallback {
-            self.tree.locate_nearest_leaf(query_paa, &sax, stats)
-        } else {
-            self.tree.locate_leaf(&sax, stats)
-        };
-        let Some(leaf) = located else {
-            return Ok(());
-        };
-        stats.record_leaf_visit();
-        if let NodeKind::Leaf { entries } = &self.tree.node(leaf).kind {
-            for e in entries {
-                if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                    break;
-                }
-                let series = self.store.try_read_series(e.id as usize)?;
-                stats.record_raw_series_examined(1);
-                let d = hydra_core::distance::euclidean(query.values(), series.values());
-                heap.offer(e.id as usize, d);
-            }
-        }
-        Ok(())
-    }
-
-    /// SIMS step 3 for one query: the skip-sequential pass over the raw
-    /// file, reading contiguous runs of non-pruned candidates (one seek +
-    /// sequential transfer per run) and refining the best-so-far. The
-    /// ε-relaxed modes skip a candidate as soon as its bound reaches
-    /// `bsf * shrink` with `shrink = δ/(1+ε)` (1 for exact, so ε = 0 is
-    /// bit-identical).
-    fn skip_sequential_scan(
-        &self,
-        query: &Query,
-        bounds: &[f64],
-        shrink: f64,
-        heap: &mut KnnHeap,
-        meter: &mut BudgetMeter,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let n = self.store.len();
-        let mut id = 0usize;
-        while id < n {
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                break;
-            }
-            if heap.is_full() && bounds[id] >= heap.threshold() * shrink {
-                id += 1;
-                continue;
-            }
-            // Extend a contiguous run of non-pruned candidates and read it in
-            // one go (one seek + sequential transfer). A budget stop caps the
-            // run so a nearly exhausted budget never pays for unread series.
-            let run_start = id;
-            let threshold = heap.threshold() * shrink;
-            let max_run = meter
-                .limit()
-                .map(|l| (l.saturating_sub(stats.raw_series_examined)).max(1) as usize)
-                .unwrap_or(usize::MAX);
-            while id < n && id - run_start < max_run && !(heap.is_full() && bounds[id] >= threshold)
-            {
-                id += 1;
-            }
-            let run = self.store.try_read_run(run_start, id - run_start)?;
-            for (offset, series) in run.iter().enumerate() {
-                let sid = run_start + offset;
-                stats.record_raw_series_examined(1);
-                match hydra_core::distance::squared_euclidean_early_abandon(
-                    query.values(),
-                    series.values(),
-                    heap.threshold_squared(),
-                ) {
-                    Some(sq) => {
-                        heap.offer(sid, sq.sqrt());
-                    }
-                    None => stats.record_early_abandon(),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One SIMS query at `threads` workers.
-    ///
-    /// The MINDIST bounds of step 2 depend only on the query summary (never
-    /// on the seeded best-so-far), so the sweep splits over `threads` workers
-    /// and merges in order to the same array; the bsf-seeding descent
-    /// (step 1) and the skip-sequential raw-file pass (step 3, whose skip
-    /// pattern follows the evolving best-so-far and whose reads are counted)
-    /// are serial. Answers, counters and I/O are therefore the same bits for
-    /// every thread count in every answering mode.
-    fn sims(
-        &self,
-        query: &Query,
-        k: usize,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
-        let mode = query.mode();
-        let params = self.tree.params();
-        let query_paa = params.paa().transform(query.values());
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        // Thread-scoped snapshot: under a parallel workload each worker must
-        // observe only its own raw-file traffic.
-        let io_before = self.store.thread_io_snapshot();
-
-        // Step 1: approximate search for the initial bsf — the whole answer
-        // in ng-approximate mode.
-        let ng = mode == AnswerMode::NgApproximate;
-        self.approximate_bsf(query, &query_paa, &mut heap, &mut meter, stats, ng)?;
-        if !ng {
-            // Step 2: in-memory lower bounds against every full-resolution
-            // summary, table-driven (see `hydra_transforms::sweep`).
-            let n = self.store.len();
-            let mut bounds = Vec::new();
-            params
-                .sweep(&query_paa, n)
-                .sweep(&self.summaries, threads, &mut bounds);
-            stats.record_lower_bounds(n as u64);
-            // Step 3: skip-sequential scan over the raw file.
-            let shrink = mode.prune_shrink();
-            self.skip_sequential_scan(query, &bounds, shrink, &mut heap, &mut meter, stats)?;
-        }
-
-        let delta = self.store.thread_io_snapshot().since(&io_before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
-    }
 }
 
 fn log2_ceil(x: usize) -> u32 {
@@ -251,16 +110,64 @@ impl AnsweringMethod for AdsPlus {
         Some(ExactIndex::footprint(self))
     }
 
-    /// SIMS: step 2's in-memory sweep over the summary array — the CPU bulk
-    /// of an ADS+ exact query — splits into one contiguous chunk per worker
-    /// (see [`AdsPlus::sims`]); one thread is the serial search.
+    /// One SIMS query at `threads` workers, visiting candidates through
+    /// the scan-side driver.
+    ///
+    /// The MINDIST bounds of step 2 — the CPU bulk of an exact query —
+    /// depend only on the query summary (never on the seeded best-so-far),
+    /// so the sweep splits over `threads` workers and merges in order to the
+    /// same array; the bsf-seeding descent (step 1) and the skip-sequential
+    /// raw-file pass (step 3, whose skip pattern follows the evolving
+    /// best-so-far and whose reads are counted) are serial. Answers,
+    /// counters and I/O are therefore the same bits for every thread count
+    /// in every answering mode.
     fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         query.expect_len(self.store.series_length())?;
         let k = query.knn_k("ADS+")?;
-        let clock = hydra_core::RunClock::start();
-        let answer = self.sims(query, k, threads, stats)?;
-        stats.cpu_time += clock.elapsed();
-        Ok(answer)
+        refine::search(&self.store, query, k, stats, |refiner| {
+            let params = self.tree.params();
+            let query_paa = params.paa().transform(query.values());
+
+            // Step 1: descend to the covering leaf and read its series
+            // (random accesses) for the initial bsf — the whole answer in
+            // ng-approximate mode. That mode must always visit one leaf, so a
+            // query whose region was never populated descends to the
+            // MINDIST-nearest leaf instead of seeding nothing; exact search
+            // keeps the plain lookup.
+            let ng = query.mode() == AnswerMode::NgApproximate;
+            let sax = params.sax_word_from_paa(&query_paa);
+            let located = if ng {
+                self.tree
+                    .locate_nearest_leaf(&query_paa, &sax, refiner.stats)
+            } else {
+                self.tree.locate_leaf(&sax, refiner.stats)
+            };
+            if let Some(leaf) = located {
+                refiner.stats.record_leaf_visit();
+                if let NodeKind::Leaf { entries } = &self.tree.node(leaf).kind {
+                    let kernel = Full(|values: &[f32]| squared_euclidean(query.values(), values));
+                    refiner.ids(entries.iter().map(|e| e.id as usize), kernel)?;
+                }
+            }
+            if ng {
+                return Ok(());
+            }
+            // Step 2: in-memory lower bounds against every full-resolution
+            // summary, table-driven (see `hydra_transforms::sweep`).
+            let n = self.store.len();
+            let mut bounds = Vec::new();
+            params
+                .sweep(&query_paa, n)
+                .sweep(&self.summaries, threads, &mut bounds);
+            refiner.stats.record_lower_bounds(n as u64);
+            // Step 3: skip-sequential scan over the raw file.
+            refiner.skip_sequential(
+                &bounds,
+                EarlyAbandon(|values: &[f32], threshold| {
+                    squared_euclidean_early_abandon(query.values(), values, threshold)
+                }),
+            )
+        })
     }
 }
 

@@ -12,6 +12,12 @@
 //! * [`stepwise::Stepwise`] — the multi-step DHWT filter: coefficients are
 //!   stored level by level; candidates are pruned with lower/upper bounds as
 //!   levels are read, and only survivors are refined on the raw data.
+//!
+//! All three answer through the scan-side filter-and-refine driver,
+//! [`hydra_storage::refine`], which owns the query frame (clock, I/O delta,
+//! heap, budget, guarantee) and the per-candidate step: UCR-Suite and MASS
+//! in storage order, Stepwise over its list of survivors. Each method keeps
+//! only its bound source and its refine kernel.
 
 pub mod mass;
 pub mod stepwise;

@@ -17,14 +17,13 @@
 //! reproduces its observed behaviour in the study: a very high CPU cost and
 //! one sequential pass of I/O per query.
 
-use hydra_core::parallel::map_chunks;
 use hydra_core::{
-    AnswerSet, AnsweringMethod, BudgetMeter, Error, KnnHeap, MethodDescriptor, ModeCapabilities,
-    Query, QueryStats, Result, RunClock,
+    AnswerSet, AnsweringMethod, Error, MethodDescriptor, ModeCapabilities, Query, QueryStats,
+    Result,
 };
+use hydra_storage::refine::{self, Full};
 use hydra_storage::DatasetStore;
 use hydra_transforms::fft::{Complex, Fft};
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// The MASS whole-matching scan.
@@ -78,13 +77,13 @@ impl AnsweringMethod for MassScan {
         }
     }
 
-    /// One counted sequential pass offering every candidate's distance. Each
-    /// distance is a fixed, pruning-free computation, so with `threads > 1`
-    /// the candidate range first splits into one contiguous chunk per worker
-    /// with **no** shared state: each worker computes, from the in-memory
-    /// dataset, the exact squared distance the pass would, and the counted
-    /// pass offers the precomputed values — so answers, budget stops, faults
-    /// and I/O are the same bits for every thread count.
+    /// One counted sequential pass offering every candidate's distance, in
+    /// storage order through [`refine`]. Each distance is a fixed,
+    /// pruning-free computation, so with `threads > 1` the workers compute,
+    /// from the in-memory dataset, the exact squared distance the pass
+    /// would, and the counted pass offers the precomputed values — answers,
+    /// budget stops, faults and I/O are the same bits for every thread
+    /// count.
     fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         if self.store.is_empty() {
             return Err(Error::EmptyDataset);
@@ -95,50 +94,20 @@ impl AnsweringMethod for MassScan {
             return Err(Error::unsupported_mode("MASS", query.mode()));
         }
         let k = query.knn_k("MASS")?;
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        let clock = RunClock::start();
-        let q_spec = self.fft.forward_real(query.values());
-        let q_norm_sq: f64 = query
-            .values()
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum();
-        // Thread-scoped snapshot: under a parallel workload each worker must
-        // observe only its own scan traffic.
-        let before = self.store.thread_io_snapshot();
-        let squared: Vec<f64> = if threads > 1 {
-            let dataset = self.store.dataset();
-            map_chunks(self.store.len(), threads, |range| {
+        refine::search(&self.store, query, k, stats, |refiner| {
+            let q_spec = &self.fft.forward_real(query.values());
+            let q_norm_sq: f64 = query
+                .values()
+                .iter()
+                .map(|&v| (v as f64) * (v as f64))
+                .sum();
+            refiner.storage_order(threads, || {
                 let mut c_spec = Vec::with_capacity(n);
-                range
-                    .map(|id| {
-                        let values = dataset.series(id).values();
-                        self.squared_distance(&q_spec, q_norm_sq, values, &mut c_spec)
-                    })
-                    .collect()
+                Full(move |values: &[f32]| {
+                    self.squared_distance(q_spec, q_norm_sq, values, &mut c_spec)
+                })
             })
-        } else {
-            Vec::new()
-        };
-        let mut c_spec = Vec::with_capacity(n);
-        self.store.try_scan_all(|id, series| {
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                return Ok(ControlFlow::Break(()));
-            }
-            stats.record_raw_series_examined(1);
-            let sq = match squared.get(id) {
-                Some(&sq) => sq,
-                None => self.squared_distance(&q_spec, q_norm_sq, series.values(), &mut c_spec),
-            };
-            heap.offer(id, sq.sqrt());
-            Ok(ControlFlow::Continue(()))
-        })?;
-        stats.cpu_time += clock.elapsed();
-        let delta = self.store.thread_io_snapshot().since(&before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-        let guarantee = meter.guarantee(query.mode().guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+        })
     }
 }
 

@@ -14,10 +14,12 @@
 //! sequential reads plus a final random-access refinement step — the access
 //! pattern responsible for its high cost in the paper's evaluation.
 
+use hydra_core::distance::squared_euclidean;
 use hydra_core::{
-    AnswerSet, AnsweringMethod, BudgetMeter, Error, KnnHeap, MethodDescriptor, ModeCapabilities,
-    Query, QueryStats, Result, RunClock,
+    AnswerSet, AnsweringMethod, Error, MethodDescriptor, ModeCapabilities, Query, QueryStats,
+    Result,
 };
+use hydra_storage::refine::{self, Full};
 use hydra_storage::DatasetStore;
 use hydra_transforms::HaarTransform;
 use std::sync::Arc;
@@ -86,29 +88,13 @@ impl Stepwise {
     pub fn preprocessing_bytes(&self) -> u64 {
         self.preprocessing_bytes
     }
-}
 
-impl AnsweringMethod for Stepwise {
-    fn descriptor(&self) -> MethodDescriptor {
-        MethodDescriptor {
-            name: "Stepwise",
-            representation: "DHWT",
-            is_index: false,
-            modes: ModeCapabilities::exact_only(),
-        }
-    }
-
-    /// Reads the coefficient levels one at a time, pruning on the
-    /// prefix bounds, then refines the survivors on the raw data. Each level
-    /// depends on the previous level's pruning, so there is nothing to split
-    /// across workers: `threads` is ignored.
-    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
-        query.expect_len(self.store.series_length())?;
-        if !query.mode().is_exact() {
-            return Err(Error::unsupported_mode("Stepwise", query.mode()));
-        }
-        let k = query.knn_k("Stepwise")?;
-        let clock = RunClock::start();
+    /// The level-wise filter: reads one coefficient level at a time (a
+    /// sequential pass over the level file, charged to `stats`), maintains
+    /// every surviving candidate's prefix lower bound and residual upper
+    /// bound, and kills each candidate whose lower bound exceeds the `k`-th
+    /// smallest upper bound. Returns which candidates survive.
+    fn filter_levels(&self, query: &Query, k: usize, stats: &mut QueryStats) -> Vec<bool> {
         let q_coeffs = self.haar.transform(query.values());
         let n = self.store.len();
 
@@ -117,7 +103,7 @@ impl AnsweringMethod for Stepwise {
         let mut prefix_sq = vec![0.0f64; n];
         let mut alive: Vec<bool> = vec![true; n];
         let mut alive_count = n;
-        let mut uppers = vec![f64::INFINITY; n];
+        let mut uppers = Vec::with_capacity(n);
 
         for (level, (coefficients, residuals)) in
             self.levels.iter().zip(&self.residuals).enumerate()
@@ -134,9 +120,8 @@ impl AnsweringMethod for Stepwise {
             let level_pages = level_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
             stats.record_io(level_pages.saturating_sub(1), 1, level_bytes);
 
-            // Update prefix distances and bounds.
-            let mut best_upper = f64::INFINITY;
-            uppers.fill(f64::INFINITY);
+            // Update prefix distances and collect the finite upper bounds.
+            uppers.clear();
             for id in (0..n).filter(|&id| alive[id]) {
                 let mut add = 0.0f64;
                 for (j, &c) in coefficients[id].iter().enumerate() {
@@ -147,20 +132,18 @@ impl AnsweringMethod for Stepwise {
                 stats.record_lower_bounds(1);
                 let rest = residuals[id].sqrt() + q_rest.sqrt();
                 let upper = (prefix_sq[id] + rest * rest).sqrt();
-                uppers[id] = upper;
-                if upper < best_upper {
-                    best_upper = upper;
+                if upper.is_finite() {
+                    uppers.push(upper);
                 }
             }
-            // Keep the k best upper bounds as the pruning threshold (so a
+            // Keep the k-th best upper bound as the pruning threshold (so a
             // k-NN query never prunes a potential member of the answer set)
-            // and kill every candidate whose lower bound exceeds it.
-            let threshold = if k == 1 {
-                best_upper
+            // and kill every candidate whose lower bound exceeds it. With
+            // fewer than k finite upper bounds nothing can be pruned.
+            let threshold = if uppers.len() < k {
+                f64::INFINITY
             } else {
-                let mut ub: Vec<f64> = uppers.iter().copied().filter(|u| u.is_finite()).collect();
-                ub.sort_by(|a, b| a.total_cmp(b));
-                ub.get(k - 1).copied().unwrap_or(best_upper)
+                *uppers.select_nth_unstable_by(k - 1, f64::total_cmp).1
             };
             for (flag, p_sq) in alive.iter_mut().zip(&prefix_sq) {
                 if *flag && p_sq.sqrt() > threshold + 1e-9 {
@@ -169,25 +152,43 @@ impl AnsweringMethod for Stepwise {
                 }
             }
         }
+        alive
+    }
+}
 
-        // Refinement: exact distances on the raw data for the survivors,
-        // random accesses through the fallible store path (recorded by the
-        // store counters, which the engine reconciles into the stats). A
-        // tripped budget keeps the best-so-far answers.
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), n);
-        for id in (0..n).filter(|&id| alive[id]) {
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                break;
-            }
-            let series = self.store.try_read_series(id)?;
-            stats.record_raw_series_examined(1);
-            let d = hydra_core::distance::euclidean(query.values(), series.values());
-            heap.offer(id, d);
+impl AnsweringMethod for Stepwise {
+    fn descriptor(&self) -> MethodDescriptor {
+        MethodDescriptor {
+            name: "Stepwise",
+            representation: "DHWT",
+            is_index: false,
+            modes: ModeCapabilities::exact_only(),
         }
-        stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(query.mode().guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+    }
+
+    /// Reads the coefficient levels one at a time, pruning on the prefix
+    /// bounds, then refines the survivors on the raw data through
+    /// [`refine`], one random read each. Each level depends on the previous
+    /// level's pruning, so there is nothing to split across workers:
+    /// `threads` is ignored.
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+        query.expect_len(self.store.series_length())?;
+        if !query.mode().is_exact() {
+            return Err(Error::unsupported_mode("Stepwise", query.mode()));
+        }
+        let k = query.knn_k("Stepwise")?;
+        refine::search(&self.store, query, k, stats, |refiner| {
+            let alive = self.filter_levels(query, k, refiner.stats);
+            let survivors = alive
+                .iter()
+                .enumerate()
+                .filter(|(_, &a)| a)
+                .map(|(id, _)| id);
+            refiner.ids(
+                survivors,
+                Full(|values: &[f32]| squared_euclidean(query.values(), values)),
+            )
+        })
     }
 }
 
@@ -272,6 +273,35 @@ mod tests {
         s.answer(&Query::nearest_neighbor(q), &mut stats).unwrap();
         let io = st.io_snapshot();
         assert!(io.random_pages >= 1, "refinement reads are random accesses");
+    }
+
+    #[test]
+    fn reported_pages_count_the_level_file_and_the_refinement_reads() {
+        use hydra_core::QueryEngine;
+        let st = store(2000, 256);
+        let s = Stepwise::build(st.clone()).unwrap();
+        let query = Query::knn(RandomWalkGenerator::new(9, 256).series(0), 10);
+        // The level-file pages alone, as the filter charges them.
+        let mut levels = QueryStats::default();
+        s.filter_levels(&query, 10, &mut levels);
+        let mut engine = QueryEngine::new(Box::new(s), st.len()).with_io_source(st.clone());
+        st.reset_io();
+        let reported = engine.answer(&query).unwrap().stats;
+        // What the raw file saw: the survivors' refinement reads.
+        let refinement = st.io_snapshot();
+        assert!(refinement.random_pages > 0 && levels.random_page_accesses > 0);
+        assert_eq!(
+            reported.sequential_page_accesses,
+            levels.sequential_page_accesses + refinement.sequential_pages
+        );
+        assert_eq!(
+            reported.random_page_accesses,
+            levels.random_page_accesses + refinement.random_pages
+        );
+        assert_eq!(
+            reported.bytes_read,
+            levels.bytes_read + refinement.bytes_read
+        );
     }
 
     #[test]

@@ -10,11 +10,11 @@
 use hydra_core::distance::{
     squared_euclidean_multi_reordered, squared_euclidean_reordered, QueryOrder,
 };
-use hydra_core::parallel::map_chunks;
 use hydra_core::{
-    replay_outcome, AnswerSet, AnsweringMethod, BatchAnswering, BudgetMeter, Error, KnnHeap,
-    MethodDescriptor, ModeCapabilities, Outcome, Query, QueryStats, Result, RunClock, SharedBsf,
+    AnswerSet, AnsweringMethod, BatchAnswering, Error, KnnHeap, MethodDescriptor, ModeCapabilities,
+    Query, QueryStats, Result, RunClock,
 };
+use hydra_storage::refine::{self, EarlyAbandon};
 use hydra_storage::DatasetStore;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -66,70 +66,19 @@ impl AnsweringMethod for UcrScan {
     }
 
     /// One counted sequential pass with reordered early abandoning against
-    /// the best-so-far. With `threads > 1` the candidate range is first split
-    /// ParIS-style into one contiguous chunk per worker: every worker prunes
-    /// the in-memory dataset (no store traffic) against the tighter of its
-    /// own heap and the [`SharedBsf`], recording one [`Outcome`] per
-    /// candidate, and the counted pass decides each candidate from its
-    /// outcome via [`replay_outcome`] — so answers, `early_abandons`, budget
-    /// stops, faults and I/O are the same bits for every thread count.
+    /// the best-so-far, in storage order through [`refine`] (which splits
+    /// the pass ParIS-style over `threads` workers and replays their
+    /// outcomes, so every thread count gives the same bits).
     fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         let k = self.validate(query)?;
         let order = QueryOrder::new(query.values());
-        // Thread-scoped snapshot: under a parallel workload each worker must
-        // observe only its own scan traffic.
-        let before = self.store.thread_io_snapshot();
-        let clock = RunClock::start();
-        let outcomes: Vec<Outcome> = if threads > 1 {
-            let dataset = self.store.dataset();
-            let bsf = SharedBsf::new(f64::INFINITY);
-            map_chunks(self.store.len(), threads, |range| {
-                let mut local = KnnHeap::new(k);
-                let mut out = Vec::with_capacity(range.len());
-                for id in range {
-                    let threshold = local.threshold_squared().min(bsf.get());
-                    let values = dataset.series(id).values();
-                    match squared_euclidean_reordered(query.values(), values, &order, threshold) {
-                        Some(sq) => {
-                            out.push(Outcome::Computed(sq));
-                            local.offer(id, sq.sqrt());
-                            bsf.update_min(local.threshold_squared());
-                        }
-                        None => out.push(Outcome::Abandoned { threshold }),
-                    }
-                }
-                out
+        refine::search(&self.store, query, k, stats, |refiner| {
+            refiner.storage_order(threads, || {
+                EarlyAbandon(|values: &[f32], threshold| {
+                    squared_euclidean_reordered(query.values(), values, &order, threshold)
+                })
             })
-        } else {
-            Vec::new()
-        };
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
-        self.store.try_scan_all(|id, series| {
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                return Ok(ControlFlow::Break(()));
-            }
-            stats.record_raw_series_examined(1);
-            let threshold = heap.threshold_squared();
-            let distance =
-                |t| squared_euclidean_reordered(query.values(), series.values(), &order, t);
-            let squared = match outcomes.get(id) {
-                Some(&outcome) => replay_outcome(outcome, threshold, distance),
-                None => distance(threshold),
-            };
-            match squared {
-                Some(sq) => {
-                    heap.offer(id, sq.sqrt());
-                }
-                None => stats.record_early_abandon(),
-            }
-            Ok(ControlFlow::Continue(()))
-        })?;
-        stats.cpu_time += clock.elapsed();
-        let delta = self.store.thread_io_snapshot().since(&before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-        let guarantee = meter.guarantee(query.mode().guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+        })
     }
 
     fn batch_answering(&self) -> Option<&dyn BatchAnswering> {

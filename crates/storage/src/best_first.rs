@@ -23,15 +23,20 @@
 //! each worker recording the leaf's entry bounds and one [`Outcome`] per
 //! entry it did not bound out; the traversal — the only part that touches
 //! `stats` and the budget — then decides every entry from that evidence
-//! through [`replay_outcome`], recomputing only where a worker's threshold
-//! was tighter than the serial one. Answers, guarantees and all work
-//! counters are therefore the same bits for every thread count.
+//! through [`hydra_core::replay_outcome`], recomputing only where a
+//! worker's threshold was tighter than the serial one. Answers, guarantees
+//! and all work counters are therefore the same bits for every thread
+//! count.
+//!
+//! The query frame (clock, heap, budget, guarantee) and the per-entry
+//! refine step are the scan-side driver's, [`crate::refine`], so the two
+//! drivers differ only in how they order candidates.
 
+use crate::refine::{self, EarlyAbandon, Refiner};
 use crate::DatasetStore;
 use hydra_core::distance::squared_euclidean_early_abandon;
 use hydra_core::{
-    parallel, replay_outcome, AnswerMode, AnswerSet, BudgetMeter, KnnHeap, Outcome, Query,
-    QueryStats, Result, RunClock, SharedBsf,
+    parallel, AnswerMode, AnswerSet, KnnHeap, Outcome, Query, QueryStats, Result, SharedBsf,
 };
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -162,16 +167,17 @@ pub trait BestFirstTree: Sync {
 /// `‖query‖`. `2⁻²⁰` is 16× an `f32` ulp.
 const ENTRY_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
 
-/// The per-entry prune of one query.
+/// The per-entry prune of one query (also the tolerance of the scan-side
+/// driver's bound assertions, [`crate::refine`]).
 #[derive(Clone, Copy)]
-struct EntryFilter {
+pub(crate) struct EntryFilter {
     /// `ENTRY_SLACK · ‖query‖`.
     absolute: f64,
-    shrink: f64,
+    pub(crate) shrink: f64,
 }
 
 impl EntryFilter {
-    fn new(query: &Query) -> Self {
+    pub(crate) fn new(query: &Query) -> Self {
         let norm = query
             .values()
             .iter()
@@ -185,7 +191,7 @@ impl EntryFilter {
 
     /// `bound` lowered by the slack: a floor on the exact distance (NaN for
     /// an infinite bound, which is never pruned on).
-    fn floor(self, bound: f64) -> f64 {
+    pub(crate) fn floor(self, bound: f64) -> f64 {
         bound - ENTRY_SLACK * bound - self.absolute
     }
 
@@ -242,85 +248,69 @@ fn search_with<T: BestFirstTree>(
     query.expect_len(store.series_length())?;
     let k = query.knn_k(T::NAME)?;
     let mode = query.mode();
-    let clock = RunClock::start();
-    let probe = tree.probe(query.values());
-    let mut heap = KnnHeap::new(k);
-    let mut meter = BudgetMeter::new(query.budget(), store.len());
-
-    let direct = |leaf| LeafEvidence {
-        bounds: tree.entry_bounds(leaf, &probe),
-        outcomes: Vec::new(),
-    };
-    let seed = tree.seed(&probe, mode, stats);
-    if let Some(leaf) = seed.leaf {
-        if let Node::Leaf(ids) = tree.node(leaf) {
-            scan_leaf(
-                store,
-                query,
-                ids,
-                direct(leaf),
-                &mut heap,
-                &mut meter,
-                stats,
-            )?;
+    refine::search(store, query, k, stats, |r| {
+        let probe = tree.probe(query.values());
+        let direct = |leaf| LeafEvidence {
+            bounds: tree.entry_bounds(leaf, &probe),
+            outcomes: Vec::new(),
+        };
+        let seed = tree.seed(&probe, mode, r.stats);
+        if let Some(leaf) = seed.leaf {
+            if let Node::Leaf(ids) = tree.node(leaf) {
+                scan_leaf(r, query, ids, direct(leaf))?;
+            }
         }
-    }
-    // In ng-approximate mode the seed leaf is the whole answer.
-    if mode != AnswerMode::NgApproximate {
-        // `shrink` is 1 for exact search and `δ/(1+ε)` for the relaxed
-        // modes: a node is pruned as soon as its bound reaches
-        // `bsf * shrink`, so `ε = 0` is bit-identical to exact search.
-        let shrink = mode.prune_shrink();
-        let mut recorded = record(&probe, &heap, seed.skip);
+        // In ng-approximate mode the seed leaf is the whole answer.
+        if mode == AnswerMode::NgApproximate {
+            return Ok(());
+        }
+        // A node is pruned as soon as its bound reaches `bsf * shrink`
+        // (`r.limit()`), so `ε = 0` is bit-identical to exact search.
+        let mut recorded = record(&probe, &r.heap, seed.skip);
         let mut frontier = Frontier::new();
-        tree.push_roots(&probe, &mut frontier, stats);
+        tree.push_roots(&probe, &mut frontier, r.stats);
         while let Some((node, lower_bound)) = frontier.pop() {
-            if meter.is_truncated() {
+            if r.meter.is_truncated() {
                 break; // budget exhausted: keep the best-so-far
             }
-            if heap.is_full() && lower_bound >= heap.threshold() * shrink {
+            if r.heap.is_full() && lower_bound >= r.limit() {
                 break; // everything else in the frontier is at least as far
             }
             match tree.node(node) {
                 Node::Leaf(ids) => {
                     if Some(node) != seed.skip {
                         let evidence = recorded.remove(&node).unwrap_or_else(|| direct(node));
-                        scan_leaf(store, query, ids, evidence, &mut heap, &mut meter, stats)?;
+                        scan_leaf(r, query, ids, evidence)?;
                     }
                 }
                 Node::Internal(children) => {
-                    stats.record_internal_visit();
+                    r.stats.record_internal_visit();
                     for child in children {
                         let bound = tree.bound(child, &probe);
-                        stats.record_lower_bounds(1);
-                        if !heap.is_full() || bound < heap.threshold() * shrink {
+                        r.stats.record_lower_bounds(1);
+                        if !r.heap.is_full() || bound < r.limit() {
                             frontier.push(child, bound);
                         }
                     }
                 }
             }
         }
-    }
-    stats.cpu_time += clock.elapsed();
-    let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-    Ok(heap.into_answer_set().with_guarantee(guarantee))
+        Ok(())
+    })
 }
 
 /// Refines one leaf against the best-so-far, filtering its entries on their
 /// lower bounds first. A leaf whose every entry is bounded out is never
 /// read: it costs its bounds and nothing else. Otherwise it is charged one
 /// random access plus sequential pages for its materialized payload, and
-/// only the entries not bounded out are refined — each through
-/// [`replay_outcome`] when a worker recorded it, else with the kernel;
-/// counters and I/O charges are identical either way.
+/// only the entries not bounded out are refined through the scan side's
+/// per-candidate step — replaying a worker's recorded outcome where there
+/// is one; counters and I/O charges are identical either way.
 fn scan_leaf(
-    store: &DatasetStore,
+    r: &mut Refiner<'_>,
     query: &Query,
     ids: impl ExactSizeIterator<Item = u32>,
     evidence: LeafEvidence,
-    heap: &mut KnnHeap,
-    meter: &mut BudgetMeter,
-    stats: &mut QueryStats,
 ) -> Result<()> {
     let mut ids = ids.peekable();
     // An empty leaf has no payload: nothing to read, nothing to count.
@@ -329,50 +319,33 @@ fn scan_leaf(
     };
     let LeafEvidence { bounds, outcomes } = evidence;
     debug_assert_eq!(bounds.len(), ids.len());
-    stats.record_lower_bounds(bounds.len() as u64);
+    r.stats.record_lower_bounds(bounds.len() as u64);
     // An under-full heap's threshold is infinite: nothing is bounded out.
-    let filter = EntryFilter::new(query);
-    if bounds
-        .iter()
-        .all(|&bound| filter.bounded_out(bound, heap.threshold()))
-    {
+    let bounded_out = |r: &Refiner<'_>, bound| r.filter.bounded_out(bound, r.heap.threshold());
+    if bounds.iter().all(|&bound| bounded_out(r, bound)) {
         return Ok(());
     }
     // Fault checkpoint for the payload read, keyed by the leaf's first
     // series so an injected fault is stable per leaf.
+    let store = r.store;
     store.try_access(first as u64)?;
-    stats.record_leaf_visit();
+    r.stats.record_leaf_visit();
     let leaf_bytes = (ids.len() * store.series_bytes()) as u64;
     let pages = leaf_bytes.div_ceil(store.page_bytes() as u64).max(1);
-    stats.record_io(pages - 1, 1, leaf_bytes);
-    let dataset = store.dataset();
+    r.stats.record_io(pages - 1, 1, leaf_bytes);
+    let mut kernel = EarlyAbandon(|values: &[f32], threshold| {
+        squared_euclidean_early_abandon(query.values(), values, threshold)
+    });
     for (i, (id, &bound)) in ids.zip(&bounds).enumerate() {
-        if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
+        if r.should_stop() {
             break;
         }
-        if filter.bounded_out(bound, heap.threshold()) {
+        if bounded_out(r, bound) {
             continue;
         }
-        stats.record_raw_series_examined(1);
-        let series = dataset.series(id as usize);
-        let kernel = |threshold: f64| {
-            squared_euclidean_early_abandon(query.values(), series.values(), threshold)
-        };
-        let result = match outcomes.get(i).copied().flatten() {
-            Some(outcome) => replay_outcome(outcome, heap.threshold_squared(), kernel),
-            None => kernel(heap.threshold_squared()),
-        };
-        match result {
-            Some(sq) => {
-                let distance = sq.sqrt();
-                debug_assert!(
-                    filter.floor(bound).partial_cmp(&distance) != Some(Ordering::Greater),
-                    "series {id}: lower bound {bound} above its distance {distance}"
-                );
-                heap.offer(id as usize, distance);
-            }
-            None => stats.record_early_abandon(),
-        }
+        let series = store.dataset().series(id as usize);
+        let outcome = outcomes.get(i).copied().flatten();
+        r.refine(id as usize, bound, series.values(), &mut kernel, outcome);
     }
     Ok(())
 }
@@ -385,8 +358,9 @@ fn scan_leaf(
 /// entries, starts from a clone of the seeded heap and abandons — or skips
 /// an entry outright on its bound — against the tighter of its own
 /// threshold and the shared best-so-far; its thresholds may be stale or
-/// tighter than the traversal's, which [`replay_outcome`] reconciles (an
-/// entry a worker skipped is recomputed if the traversal needs it).
+/// tighter than the traversal's, which [`hydra_core::replay_outcome`]
+/// reconciles (an entry a worker skipped is recomputed if the traversal
+/// needs it).
 fn fan_out<T: BestFirstTree>(
     tree: &T,
     query: &Query,

@@ -33,12 +33,20 @@
 //!   through — frontier, pruning, budgeted leaf refinement over a store's
 //!   materialized payloads with their page charges, and the intra-query leaf
 //!   fan-out with its serial replay.
+//! * [`refine`] is its scan-side twin, the one filter-and-refine driver
+//!   UCR-Suite, MASS, Stepwise, ADS+ and the VA+file answer through — the
+//!   query frame (clock, I/O delta, heap, budget, guarantee) and one
+//!   per-candidate step in four visiting orders: storage order,
+//!   skip-sequential runs, lazily ranked by bound, an explicit id list.
+//!   `best_first` runs inside the same frame and refines with the same
+//!   step.
 
 pub mod best_first;
 pub mod cost;
 pub mod counters;
 pub mod fault;
 pub mod partition;
+pub mod refine;
 pub mod snapshot;
 pub mod store;
 

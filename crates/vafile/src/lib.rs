@@ -10,27 +10,30 @@
 //!
 //! 1. **Filtering** — a sequential pass over the (small) filter file computes
 //!    a lower bound for every candidate from a per-query table of cell terms;
-//!    candidates are ranked by lower bound, lazily (see [`rank`]).
+//!    candidates are ranked by lower bound, lazily
+//!    ([`hydra_storage::refine::LazyRanking`]).
 //! 2. **Refinement** — candidates are visited in increasing lower-bound order;
 //!    the raw series of each surviving candidate is fetched (a random /
 //!    skip-sequential access on the raw file) and its exact distance computed,
-//!    until the next lower bound exceeds the best-so-far k-th distance.
+//!    until the next lower bound exceeds the best-so-far k-th distance. This
+//!    is the ranked order of the scan-side driver,
+//!    [`hydra_storage::refine`], which owns the query frame and the budgeted
+//!    per-candidate step; the VA+file supplies its bounds and kernel.
 //!
 //! This is the access pattern responsible for the method's behaviour in the
 //! paper: almost no sequential raw-data reads, a number of random accesses
 //! proportional to the unpruned candidates, and excellent pruning thanks to
 //! the tight, data-adaptive quantization.
 
-pub mod rank;
-
+use hydra_core::distance::squared_euclidean;
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
-    AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error, ExactIndex,
-    IndexFootprint, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
+    AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex, IndexFootprint,
+    MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
+use hydra_storage::refine::{self, Full, LazyRanking};
 use hydra_storage::DatasetStore;
 use hydra_transforms::VaPlusQuantizer;
-use rank::LazyRanking;
 use std::sync::Arc;
 
 /// The VA+file index.
@@ -94,102 +97,6 @@ impl VaPlusFile {
     pub fn approximation_bytes(&self) -> usize {
         self.approximation_bytes
     }
-
-    /// Records one (logical) sequential pass over the filter file — what
-    /// phase 1 costs every query.
-    fn record_filter_pass(&self, stats: &mut QueryStats) {
-        let approx_pages = (self.approximation_bytes as u64)
-            .div_ceil(self.store.page_bytes() as u64)
-            .max(1);
-        stats.record_io(
-            approx_pages.saturating_sub(1),
-            1,
-            self.approximation_bytes as u64,
-        );
-    }
-
-    /// Phase 2 for one query: visit candidates in increasing lower-bound
-    /// order, refining on raw data. The stopping rule depends on the mode:
-    /// exact refinement stops when the next lower bound exceeds the
-    /// best-so-far, the ε-relaxed modes stop as soon as it exceeds
-    /// `bsf * shrink` (`shrink = δ/(1+ε)`; 1 for exact, so ε = 0 is
-    /// bit-identical), and the ng-approximate mode refines only the `k`
-    /// best-ranked candidates (the VA+file has no leaves — its "one leaf
-    /// visit" is the k-deep filter-file prefix).
-    ///
-    /// Raw reads go through the fallible store path, and the query's budget
-    /// meter can cut the refinement short (the heap keeps its best-so-far).
-    fn refine_ranked(
-        &self,
-        query: &Query,
-        k: usize,
-        ranked: impl Iterator<Item = (f64, usize)>,
-        heap: &mut KnnHeap,
-        meter: &mut BudgetMeter,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let mode = query.mode();
-        let shrink = mode.prune_shrink();
-        let ng_budget = if mode == AnswerMode::NgApproximate {
-            k
-        } else {
-            usize::MAX
-        };
-        for (lb, id) in ranked.take(ng_budget) {
-            if heap.is_full() && lb > heap.threshold() * shrink {
-                break;
-            }
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                break;
-            }
-            let series = self.store.try_read_series(id)?;
-            stats.record_raw_series_examined(1);
-            let d = hydra_core::distance::euclidean(query.values(), series.values());
-            heap.offer(id, d);
-        }
-        Ok(())
-    }
-
-    /// One VA+file query at `threads` workers.
-    ///
-    /// Each phase-1 lower bound is an independent, pruning-free computation,
-    /// so the filter-file sweep splits over `threads` workers and merges in
-    /// order to the same array. Ranking and the mode-aware refinement (whose
-    /// stopping rule depends on the evolving best-so-far and whose reads are
-    /// counted) are serial, so answers, counters and I/O are the same bits
-    /// for every thread count in every answering mode.
-    fn filter_and_refine(
-        &self,
-        query: &Query,
-        k: usize,
-        threads: usize,
-        stats: &mut QueryStats,
-    ) -> Result<AnswerSet> {
-        let q_dft = self.quantizer.dft(query.values());
-
-        // Phase 1: scan the filter file (sequential, small) computing bounds.
-        self.record_filter_pass(stats);
-        let n = self.store.len();
-        let mut bounds = Vec::new();
-        self.quantizer
-            .sweep(&q_dft, n)
-            .sweep(&self.cells, threads, &mut bounds);
-        stats.record_lower_bounds(n as u64);
-        let mut ranking = LazyRanking::new();
-        ranking.reset(&bounds);
-
-        // Phase 2: mode-aware refinement (see `refine_ranked`).
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), n);
-        // Thread-scoped snapshot: under a parallel workload each worker must
-        // observe only its own refinement traffic.
-        let before = self.store.thread_io_snapshot();
-        self.refine_ranked(query, k, &mut ranking, &mut heap, &mut meter, stats)?;
-        let delta = self.store.thread_io_snapshot().since(&before);
-        stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);
-        let guarantee = meter.guarantee(query.mode().guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
-    }
 }
 
 impl AnsweringMethod for VaPlusFile {
@@ -206,16 +113,39 @@ impl AnsweringMethod for VaPlusFile {
         Some(ExactIndex::footprint(self))
     }
 
-    /// The phase-1 filter-file sweep — the method's CPU bulk — splits into
-    /// one contiguous cell range per worker (see
-    /// [`VaPlusFile::filter_and_refine`]); one thread is the serial search.
+    /// One VA+file query at `threads` workers. Phase 1 charges one
+    /// (logical) sequential pass over the filter file and bounds every
+    /// candidate; each bound is an independent, pruning-free computation, so
+    /// the sweep — the method's CPU bulk — splits into one contiguous cell
+    /// range per worker and merges in order to the same array. Phase 2
+    /// refines in increasing lower-bound order ([`refine::Refiner::ranked`]): exact
+    /// refinement stops when the next lower bound exceeds the best-so-far,
+    /// the ε-relaxed modes as soon as it exceeds `bsf * shrink`, and the
+    /// ng-approximate mode refines only the `k` best-ranked candidates (the
+    /// VA+file has no leaves — its "one leaf visit" is the k-deep filter-file
+    /// prefix). Ranking and refinement are serial, so answers, counters and
+    /// I/O are the same bits for every thread count in every answering mode.
     fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         query.expect_len(self.store.series_length())?;
         let k = query.knn_k("VA+file")?;
-        let clock = hydra_core::RunClock::start();
-        let answer = self.filter_and_refine(query, k, threads, stats)?;
-        stats.cpu_time += clock.elapsed();
-        Ok(answer)
+        let approx_bytes = self.approximation_bytes as u64;
+        let approx_pages = approx_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
+        refine::search(&self.store, query, k, stats, |refiner| {
+            // Phase 1: scan the filter file (sequential, small) computing bounds.
+            refiner.stats.record_io(approx_pages - 1, 1, approx_bytes);
+            let n = self.store.len();
+            let mut bounds = Vec::new();
+            let q_dft = self.quantizer.dft(query.values());
+            self.quantizer
+                .sweep(&q_dft, n)
+                .sweep(&self.cells, threads, &mut bounds);
+            refiner.stats.record_lower_bounds(n as u64);
+            let mut ranking = LazyRanking::default();
+            ranking.reset(&bounds);
+            // Phase 2: mode-aware refinement.
+            let kernel = Full(|values: &[f32]| squared_euclidean(query.values(), values));
+            refiner.ranked(ranking, kernel)
+        })
     }
 }
 
@@ -333,7 +263,7 @@ impl PersistentIndex for VaPlusFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::full_sort;
+    use hydra_core::AnswerMode;
     use hydra_data::RandomWalkGenerator;
     use hydra_scan::ucr::brute_force_knn;
 
@@ -465,7 +395,8 @@ mod tests {
     /// answer, and the counted work.
     type RefineTrace = (Vec<(u64, usize)>, AnswerSet, u64, u64);
 
-    /// Runs phase 2 over `ranked` on a cold head, as the engine would.
+    /// Runs phase 2 over `ranked` through the driver on a cold head, as the
+    /// engine would.
     fn refine_trace(
         idx: &VaPlusFile,
         query: &Query,
@@ -473,21 +404,31 @@ mod tests {
     ) -> RefineTrace {
         let k = query.knn_k("VA+file").unwrap();
         let mut drawn = Vec::new();
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), idx.store.len());
         let mut stats = QueryStats::default();
         idx.store.seek();
-        let before = idx.store.thread_io_snapshot();
         let ranked = ranked.inspect(|&(lb, id)| drawn.push((lb.to_bits(), id)));
-        idx.refine_ranked(query, k, ranked, &mut heap, &mut meter, &mut stats)
-            .unwrap();
-        let delta = idx.store.thread_io_snapshot().since(&before);
+        let kernel = Full(|values: &[f32]| squared_euclidean(query.values(), values));
+        let answers = refine::search(&idx.store, query, k, &mut stats, |refiner| {
+            refiner.ranked(ranked, kernel)
+        })
+        .unwrap();
         (
             drawn,
-            heap.into_answer_set(),
+            answers,
             stats.raw_series_examined,
-            delta.random_pages,
+            stats.random_page_accesses,
         )
+    }
+
+    /// The ranking [`LazyRanking`] stands in for — a stable full sort by
+    /// bound, a NaN bound ranked as `−∞` — as the reference.
+    fn full_sort(bounds: &[f64]) -> Vec<(f64, usize)> {
+        let sane = bounds
+            .iter()
+            .map(|&lb| if lb.is_nan() { f64::NEG_INFINITY } else { lb });
+        let mut ranked: Vec<(f64, usize)> = sane.zip(0..).collect();
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+        ranked
     }
 
     #[test]
@@ -521,7 +462,7 @@ mod tests {
             (AnswerMode::NgApproximate, None),
             (AnswerMode::Exact, Some(hydra_core::Budget::raw_reads(7))),
         ];
-        let mut ranking = LazyRanking::new();
+        let mut ranking = LazyRanking::default();
         for (qi, q) in RandomWalkGenerator::new(97, 64)
             .series_batch(6)
             .into_iter()

@@ -57,6 +57,33 @@ fn every_method_is_exact_for_k_greater_than_one() {
 }
 
 #[test]
+fn every_method_is_exact_when_k_reaches_the_dataset_size() {
+    // A serve shard can hold fewer series than a query asks for: every
+    // method must then return all of them, in brute-force order.
+    let n = 30;
+    let data = dataset(n, 64, 91);
+    let methods = all_methods(&data);
+    let queries = QueryWorkload::generate(
+        "Synth-Rand",
+        &data,
+        &WorkloadSpec::random(13).with_num_queries(3),
+    );
+    for (name, method) in &methods {
+        for q in queries.queries() {
+            for k in [n - 1, n, n + 10] {
+                let expected = brute_force_knn(&data, q.values(), k);
+                let got = method.answer_simple(&Query::knn(q.clone(), k)).unwrap();
+                assert_eq!(got.len(), k.min(n), "{name} at k={k} over {n} series");
+                assert!(
+                    got.distances_match(&expected, 1e-3),
+                    "{name} diverged from brute force at k={k} over {n} series"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn every_method_is_exact_on_every_domain_dataset() {
     // The four domain stand-ins exercise very different summarizability
     // profiles (smooth, periodic, bursty, high-entropy); exactness must hold

@@ -20,7 +20,10 @@
 //! reproduce on both SIMD dispatch tiers. `method|` lines cover the other six (UCR-Suite, MASS, Stepwise,
 //! ADS+, VA+file, M-tree) and were printed on the commit before each method
 //! was folded into one `search` body; they skip the budget × 3-thread pair,
-//! which the engine never runs. To re-record after an intended change:
+//! which the engine never runs. Stepwise's were re-recorded when its
+//! refinement reads started being counted: only the last three counters
+//! (sequential pages, random pages, bytes read) moved. To re-record after an
+//! intended change:
 //!
 //! ```text
 //! cargo test -p hydra-integration --test tree_search_golden -- \
