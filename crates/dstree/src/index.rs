@@ -1,7 +1,16 @@
 //! The DSTree index: construction, splitting and exact search.
+//!
+//! A leaf holds its series ids and one flat block of their EAPCA summaries
+//! (one (mean, σ) pair per segment of the leaf's segmentation per entry), so
+//! bounding a leaf's entries is one loop over one block. Every node has its
+//! own segmentation, but they are all cut from a few hundred distinct
+//! segments: the tree keeps those in a `SegmentDictionary` (derived at
+//! build and at load, never persisted), a query computes its mean and σ over
+//! each distinct segment once, and every node bound, entry bound and descent
+//! step reads them from that per-query table.
 
 use crate::node::{
-    choose_split, enumerate_splits, LeafEntry, Node, NodeKind, NodeSynopsis, SplitAttribute,
+    choose_split, enumerate_splits, Node, NodeKind, NodeSynopsis, SplitAttribute, SplitSpec,
 };
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
@@ -20,6 +29,77 @@ pub struct DsTree {
     nodes: Vec<Node>,
     leaf_capacity: usize,
     initial_segments: usize,
+    dictionary: SegmentDictionary,
+}
+
+/// The distinct segments of every node's segmentation and of every split's
+/// tested segment, with each node's segments as indices into them.
+#[derive(Debug, Default)]
+struct SegmentDictionary {
+    /// `(start, end)` of each distinct segment, in order of first use.
+    spans: Vec<(usize, usize)>,
+    /// The width of each distinct segment, as the bounds weigh it.
+    widths: Vec<f64>,
+    /// Node `n`'s segments are `keys[starts[n]..starts[n + 1]]`.
+    keys: Vec<u32>,
+    starts: Vec<usize>,
+    /// Per node, the segment its split tests (0 for a leaf).
+    routes: Vec<u32>,
+}
+
+impl SegmentDictionary {
+    fn new(nodes: &[Node]) -> Self {
+        let mut dictionary = Self::default();
+        let mut index: BTreeMap<(usize, usize), u32> = BTreeMap::new();
+        let mut key = |span: (usize, usize)| {
+            *index.entry(span).or_insert_with(|| {
+                dictionary.spans.push(span);
+                dictionary.widths.push((span.1 - span.0) as f64);
+                (dictionary.spans.len() - 1) as u32
+            })
+        };
+        let mut keys = Vec::new();
+        let mut starts = vec![0];
+        let mut routes = Vec::with_capacity(nodes.len());
+        for node in nodes {
+            let mut start = 0;
+            for &end in &node.segmentation {
+                keys.push(key((start, end)));
+                start = end;
+            }
+            starts.push(keys.len());
+            routes.push(match &node.kind {
+                NodeKind::Internal { split, .. } => key(split_span(split)),
+                NodeKind::Leaf { .. } => 0,
+            });
+        }
+        dictionary.keys = keys;
+        dictionary.starts = starts;
+        dictionary.routes = routes;
+        dictionary
+    }
+
+    /// The dictionary keys of node `id`'s segments, in segment order.
+    fn keys(&self, id: usize) -> &[u32] {
+        &self.keys[self.starts[id]..self.starts[id + 1]]
+    }
+
+    /// The bytes it holds.
+    fn bytes(&self) -> usize {
+        self.spans.len() * (2 * std::mem::size_of::<usize>() + 8)
+            + self.keys.len() * 4
+            + self.starts.len() * std::mem::size_of::<usize>()
+            + self.routes.len() * 4
+    }
+}
+
+/// The `(start, end)` of the segment a split tests.
+fn split_span(split: &SplitSpec) -> (usize, usize) {
+    let start = match split.segment {
+        0 => 0,
+        segment => split.segmentation[segment - 1],
+    };
+    (start, split.segmentation[split.segment])
 }
 
 /// Arena-level insertion machinery, shared by the serial build (over the
@@ -63,85 +143,66 @@ impl TreeBuilder<'_> {
             }
         }
         // Push the entry into the leaf.
-        let leaf_segmentation = self.nodes[current].segmentation.clone();
-        let eapca = Eapca::compute(&series, &leaf_segmentation);
-        if let NodeKind::Leaf { entries } = &mut self.nodes[current].kind {
-            entries.push(LeafEntry { id, eapca });
+        let eapca = Eapca::compute(&series, &self.nodes[current].segmentation);
+        if let NodeKind::Leaf { ids, summaries } = &mut self.nodes[current].kind {
+            ids.push(id);
+            summaries.extend(eapca.segments);
         }
         self.maybe_split(current);
     }
 
     fn maybe_split(&mut self, leaf: usize) {
-        let over_full = match &self.nodes[leaf].kind {
-            NodeKind::Leaf { entries } => entries.len() > self.leaf_capacity,
-            NodeKind::Internal { .. } => false,
+        let node = &self.nodes[leaf];
+        let NodeKind::Leaf { ids, summaries } = &node.kind else {
+            return;
         };
-        if !over_full {
+        if ids.len() <= self.leaf_capacity {
             return;
         }
-        let segmentation = self.nodes[leaf].segmentation.clone();
-        let synopsis = self.nodes[leaf].synopsis.clone();
-        let entries = match &self.nodes[leaf].kind {
-            NodeKind::Leaf { entries } => entries.clone(),
-            NodeKind::Internal { .. } => return,
-        };
+        let dataset = self.dataset;
         let candidates = enumerate_splits(
-            |id| self.dataset.series(id as usize).values().to_vec(),
-            &entries,
-            &segmentation,
-            &synopsis,
+            |id| dataset.series(id as usize).values().to_vec(),
+            ids,
+            summaries,
+            &node.segmentation,
+            &node.synopsis,
         );
         let Some(best) = choose_split(&candidates) else {
             return; // degenerate: identical entries, keep the over-full leaf
         };
         let spec = best.spec.clone();
+        let ids = ids.clone();
         let child_segmentation = spec.segmentation.clone();
         let num_child_segments = child_segmentation.len();
-        let depth = self.nodes[leaf].depth;
+        let depth = node.depth;
 
-        let mut left_entries = Vec::new();
-        let mut right_entries = Vec::new();
-        let mut left_syn = NodeSynopsis::new(num_child_segments);
-        let mut right_syn = NodeSynopsis::new(num_child_segments);
-        for e in entries {
-            let series = self.series_values(e.id);
+        let mut children = [0, 1].map(|_| Node {
+            segmentation: child_segmentation.clone(),
+            synopsis: NodeSynopsis::new(num_child_segments),
+            kind: NodeKind::Leaf {
+                ids: Vec::new(),
+                summaries: Vec::new(),
+            },
+            depth: depth + 1,
+        });
+        for id in ids {
+            let series = self.series_values(id);
             let child_eapca = Eapca::compute(&series, &child_segmentation);
             let value = match spec.attribute {
                 SplitAttribute::Mean => child_eapca.segments[spec.segment].mean,
                 SplitAttribute::StdDev => child_eapca.segments[spec.segment].std_dev,
             };
-            if value <= spec.threshold {
-                left_syn.absorb(&child_eapca);
-                left_entries.push(LeafEntry {
-                    id: e.id,
-                    eapca: child_eapca,
-                });
-            } else {
-                right_syn.absorb(&child_eapca);
-                right_entries.push(LeafEntry {
-                    id: e.id,
-                    eapca: child_eapca,
-                });
+            let side = if value <= spec.threshold { 0 } else { 1 };
+            let child = &mut children[side];
+            child.synopsis.absorb(&child_eapca);
+            if let NodeKind::Leaf { ids, summaries } = &mut child.kind {
+                ids.push(id);
+                summaries.extend(child_eapca.segments);
             }
         }
         let left_id = self.nodes.len();
-        self.nodes.push(Node {
-            segmentation: child_segmentation.clone(),
-            synopsis: left_syn,
-            kind: NodeKind::Leaf {
-                entries: left_entries,
-            },
-            depth: depth + 1,
-        });
-        let right_id = self.nodes.len();
-        self.nodes.push(Node {
-            segmentation: child_segmentation,
-            synopsis: right_syn,
-            kind: NodeKind::Leaf {
-                entries: right_entries,
-            },
-            depth: depth + 1,
-        });
+        let right_id = left_id + 1;
+        self.nodes.extend(children);
         self.nodes[leaf].kind = NodeKind::Internal {
             split: spec,
             left: left_id,
@@ -186,7 +247,8 @@ impl DsTree {
             segmentation: segmentation.clone(),
             synopsis: NodeSynopsis::new(initial_segments),
             kind: NodeKind::Leaf {
-                entries: Vec::new(),
+                ids: Vec::new(),
+                summaries: Vec::new(),
             },
             depth: 0,
         };
@@ -195,6 +257,7 @@ impl DsTree {
             nodes: vec![root],
             leaf_capacity: options.leaf_capacity,
             initial_segments,
+            dictionary: SegmentDictionary::default(),
         };
         // One sequential pass over the raw data, inserting every series.
         store.scan_all(|_, _| {});
@@ -224,7 +287,7 @@ impl DsTree {
         }
         // Leaves materialize the raw series.
         store.record_index_write((store.len() * store.series_bytes()) as u64);
-        Ok(tree)
+        Ok(tree.finish())
     }
 
     /// Routes `start..end` through the frozen tree and builds each partition's
@@ -341,24 +404,51 @@ impl DsTree {
         self.nodes
             .iter()
             .map(|n| match &n.kind {
-                NodeKind::Leaf { entries } => entries.len(),
+                NodeKind::Leaf { ids, .. } => ids.len(),
                 _ => 0,
             })
             .sum()
     }
 
+    /// Derives the per-query lookup structure from the finished nodes and
+    /// trims every leaf block to what it holds: the last step of a build
+    /// and of a snapshot load.
+    fn finish(mut self) -> Self {
+        for node in &mut self.nodes {
+            if let NodeKind::Leaf { ids, summaries } = &mut node.kind {
+                ids.shrink_to_fit();
+                summaries.shrink_to_fit();
+            }
+        }
+        self.dictionary = SegmentDictionary::new(&self.nodes);
+        self
+    }
+
+    /// The query's (mean, σ) and width over each segment of node `id`, in
+    /// segment order, read from the probe.
+    fn query_segments<'a>(
+        &'a self,
+        id: usize,
+        probe: &'a [EapcaSegment],
+    ) -> impl Iterator<Item = (EapcaSegment, f64)> + 'a {
+        self.dictionary.keys(id).iter().map(|&key| {
+            let key = key as usize;
+            (probe[key], self.dictionary.widths[key])
+        })
+    }
+
     /// Descends from the root to the single most promising leaf for the query
     /// (the ng-approximate search of the DSTree).
-    fn descend_to_leaf(&self, query: &[f32], stats: &mut QueryStats) -> usize {
+    fn descend_to_leaf(&self, probe: &[EapcaSegment], stats: &mut QueryStats) -> usize {
         let mut current = 0usize;
         loop {
             match &self.nodes[current].kind {
                 NodeKind::Internal { split, left, right } => {
                     stats.record_internal_visit();
-                    let routing = Eapca::compute(query, &split.segmentation);
+                    let routing = probe[self.dictionary.routes[current] as usize];
                     let value = match split.attribute {
-                        SplitAttribute::Mean => routing.segments[split.segment].mean,
-                        SplitAttribute::StdDev => routing.segments[split.segment].std_dev,
+                        SplitAttribute::Mean => routing.mean,
+                        SplitAttribute::StdDev => routing.std_dev,
                     };
                     current = if value <= split.threshold {
                         *left
@@ -369,12 +459,6 @@ impl DsTree {
                 NodeKind::Leaf { .. } => return current,
             }
         }
-    }
-
-    fn node_lower_bound(&self, node: usize, query: &[f32]) -> f64 {
-        let n = &self.nodes[node];
-        let q_eapca = Eapca::compute(query, &n.segmentation);
-        n.synopsis.lower_bound(&q_eapca, &n.segmentation)
     }
 }
 
@@ -397,10 +481,12 @@ impl AnsweringMethod for DsTree {
     }
 }
 
-/// The DSTree bounds every node against the raw query: each node carries its
-/// own segmentation, so the query's EAPCA is computed per node.
+/// The DSTree's probe is the query's mean and σ over every distinct segment
+/// of the tree (its `SegmentDictionary`), each computed once, exactly as
+/// [`Eapca::compute`] computes that segment: every node's query EAPCA is
+/// then a gather from it.
 impl BestFirstTree for DsTree {
-    type Probe<'q> = &'q [f32];
+    type Probe<'q> = Vec<EapcaSegment>;
 
     const NAME: &'static str = "DSTree";
 
@@ -408,21 +494,30 @@ impl BestFirstTree for DsTree {
         &self.store
     }
 
-    fn probe<'q>(&self, query: &'q [f32]) -> &'q [f32] {
-        query
+    fn probe(&self, query: &[f32]) -> Vec<EapcaSegment> {
+        self.dictionary
+            .spans
+            .iter()
+            .map(|&(start, end)| EapcaSegment::compute(&query[start..end]))
+            .collect()
     }
 
     /// The approximate descent's leaf, scanned exactly once.
-    fn seed(&self, query: &&[f32], _mode: AnswerMode, stats: &mut QueryStats) -> Seed {
-        let leaf = self.descend_to_leaf(query, stats);
+    fn seed(&self, probe: &Vec<EapcaSegment>, _mode: AnswerMode, stats: &mut QueryStats) -> Seed {
+        let leaf = self.descend_to_leaf(probe, stats);
         Seed {
             leaf: Some(leaf),
             skip: Some(leaf),
         }
     }
 
-    fn push_roots(&self, query: &&[f32], frontier: &mut Frontier, stats: &mut QueryStats) {
-        frontier.push(0, self.node_lower_bound(0, query));
+    fn push_roots(
+        &self,
+        probe: &Vec<EapcaSegment>,
+        frontier: &mut Frontier,
+        stats: &mut QueryStats,
+    ) {
+        frontier.push(0, self.bound(0, probe));
         stats.record_lower_bounds(1);
     }
 
@@ -435,27 +530,35 @@ impl BestFirstTree for DsTree {
         id: usize,
     ) -> TreeNode<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
         match &self.nodes[id].kind {
-            NodeKind::Leaf { entries } => TreeNode::Leaf(entries.iter().map(|e| e.id)),
+            NodeKind::Leaf { ids, .. } => TreeNode::Leaf(ids.iter().copied()),
             NodeKind::Internal { left, right, .. } => {
                 TreeNode::Internal([*left, *right].into_iter())
             }
         }
     }
 
-    fn bound(&self, id: usize, query: &&[f32]) -> f64 {
-        self.node_lower_bound(id, query)
+    fn bound(&self, id: usize, probe: &Vec<EapcaSegment>) -> f64 {
+        let segments = self.query_segments(id, probe);
+        self.nodes[id].synopsis.lower_bound_of(segments)
     }
 
-    /// Each entry's EAPCA against the query's, under the leaf's segmentation.
-    fn entry_bounds(&self, id: usize, query: &&[f32]) -> Vec<f64> {
-        let node = &self.nodes[id];
-        let NodeKind::Leaf { entries } = &node.kind else {
+    /// Each entry's EAPCA against the query's, under the leaf's segmentation:
+    /// one pass over the leaf's block, with [`Eapca::lower_bound`]'s
+    /// arithmetic in its order.
+    fn entry_bounds(&self, id: usize, probe: &Vec<EapcaSegment>) -> Vec<f64> {
+        let NodeKind::Leaf { summaries, .. } = &self.nodes[id].kind else {
             return Vec::new();
         };
-        let q_eapca = Eapca::compute(query, &node.segmentation);
-        entries
-            .iter()
-            .map(|e| q_eapca.lower_bound(&e.eapca, &node.segmentation))
+        let query: Vec<(EapcaSegment, f64)> = self.query_segments(id, probe).collect();
+        summaries
+            .chunks_exact(query.len())
+            .map(|entry| {
+                let mut sum = 0.0f64;
+                for ((q, width), e) in query.iter().zip(entry) {
+                    sum += q.gap_sq(e, *width);
+                }
+                sum.sqrt()
+            })
             .collect()
     }
 }
@@ -546,12 +649,13 @@ impl PersistentIndex for DsTree {
                     out.put_usize(*left)?;
                     out.put_usize(*right)?;
                 }
-                NodeKind::Leaf { entries } => {
+                NodeKind::Leaf { ids, summaries } => {
                     out.put_u8(1)?;
-                    out.put_usize(entries.len())?;
-                    for e in entries {
-                        out.put_u32(e.id)?;
-                        for seg in &e.eapca.segments {
+                    out.put_usize(ids.len())?;
+                    let segments = node.segmentation.len();
+                    for (&id, entry) in ids.iter().zip(summaries.chunks_exact(segments)) {
+                        out.put_u32(id)?;
+                        for seg in entry {
                             out.put_f32(seg.mean)?;
                             out.put_f32(seg.std_dev)?;
                         }
@@ -622,7 +726,7 @@ impl PersistentIndex for DsTree {
                         )));
                     }
                     NodeKind::Internal {
-                        split: crate::node::SplitSpec {
+                        split: SplitSpec {
                             segmentation: split_segmentation,
                             segment,
                             attribute,
@@ -636,7 +740,8 @@ impl PersistentIndex for DsTree {
                 1 => {
                     let entry_bytes = 4 + segmentation.len() * 8;
                     let count = input.get_count(entry_bytes)?;
-                    let mut entries = Vec::with_capacity(count);
+                    let mut ids = Vec::with_capacity(count);
+                    let mut summaries = Vec::with_capacity(count * segmentation.len());
                     for _ in 0..count {
                         let id = input.get_u32()?;
                         if id as usize >= n || seen[id as usize] {
@@ -645,18 +750,14 @@ impl PersistentIndex for DsTree {
                             )));
                         }
                         seen[id as usize] = true;
-                        let mut segments = Vec::with_capacity(segmentation.len());
+                        ids.push(id);
                         for _ in 0..segmentation.len() {
                             let mean = input.get_f32()?;
                             let std_dev = input.get_f32()?;
-                            segments.push(EapcaSegment { mean, std_dev });
+                            summaries.push(EapcaSegment { mean, std_dev });
                         }
-                        entries.push(LeafEntry {
-                            id,
-                            eapca: Eapca { segments },
-                        });
                     }
-                    NodeKind::Leaf { entries }
+                    NodeKind::Leaf { ids, summaries }
                 }
                 tag => return Err(invalid(format!("unknown node tag {tag}"))),
             };
@@ -680,7 +781,9 @@ impl PersistentIndex for DsTree {
             nodes,
             leaf_capacity,
             initial_segments,
-        })
+            dictionary: SegmentDictionary::default(),
+        }
+        .finish())
     }
 }
 
@@ -699,15 +802,18 @@ impl ExactIndex for DsTree {
             memory_bytes += std::mem::size_of::<Node>()
                 + n.segmentation.len() * std::mem::size_of::<usize>()
                 + n.synopsis.segments.len() * std::mem::size_of::<crate::node::SegmentSynopsis>();
-            if let NodeKind::Leaf { entries } = &n.kind {
+            if let NodeKind::Leaf { ids, summaries } = &n.kind {
                 leaf_nodes += 1;
-                leaf_fill_factors.push(entries.len() as f64 / self.leaf_capacity as f64);
+                leaf_fill_factors.push(ids.len() as f64 / self.leaf_capacity as f64);
                 leaf_depths.push(n.depth);
-                disk_bytes += entries.len() * self.store.series_bytes();
-                memory_bytes +=
-                    entries.len() * (std::mem::size_of::<LeafEntry>() + n.segmentation.len() * 8);
+                disk_bytes += ids.len() * self.store.series_bytes();
+                // The leaf block: a 4-byte id and a (mean, σ) pair per segment
+                // per entry.
+                memory_bytes += ids.len() * std::mem::size_of::<u32>()
+                    + summaries.len() * std::mem::size_of::<EapcaSegment>();
             }
         }
+        memory_bytes += self.dictionary.bytes();
         IndexFootprint {
             total_nodes: self.nodes.len(),
             leaf_nodes,
@@ -943,7 +1049,7 @@ mod tests {
                     .nodes
                     .iter()
                     .filter_map(|n| match &n.kind {
-                        NodeKind::Leaf { entries } => Some((n.depth, entries.len())),
+                        NodeKind::Leaf { ids, .. } => Some((n.depth, ids.len())),
                         _ => None,
                     })
                     .collect();
@@ -987,6 +1093,117 @@ mod tests {
             .answer_simple(&Query::nearest_neighbor(hydra_core::Series::new(series)))
             .unwrap();
         assert!(ans.nearest().unwrap().distance < 1e-6);
+    }
+
+    /// Checks, at every node, the query EAPCA gathered from the probe against
+    /// `Eapca::compute` over the node's segmentation, and the table-driven
+    /// node bound, descent routing value and entry bounds against the
+    /// per-node functions they replace — all bit for bit.
+    fn assert_dictionary_matches_per_node(tree: &DsTree, query: &[f32], ctx: &str) {
+        let bits = |s: &EapcaSegment| (s.mean.to_bits(), s.std_dev.to_bits());
+        let probe = tree.probe(query);
+        for (id, node) in tree.nodes.iter().enumerate() {
+            let expected = Eapca::compute(query, &node.segmentation);
+            let gathered: Vec<_> = tree.query_segments(id, &probe).collect();
+            assert_eq!(
+                gathered.iter().map(|(s, _)| bits(s)).collect::<Vec<_>>(),
+                expected.segments.iter().map(bits).collect::<Vec<_>>(),
+                "{ctx}: node {id}"
+            );
+            assert_eq!(
+                tree.bound(id, &probe).to_bits(),
+                node.synopsis
+                    .lower_bound(&expected, &node.segmentation)
+                    .to_bits(),
+                "{ctx}: node {id}"
+            );
+            match &node.kind {
+                NodeKind::Internal { split, .. } => {
+                    let routing = Eapca::compute(query, &split.segmentation);
+                    assert_eq!(
+                        bits(&probe[tree.dictionary.routes[id] as usize]),
+                        bits(&routing.segments[split.segment]),
+                        "{ctx}: node {id}"
+                    );
+                }
+                NodeKind::Leaf { summaries, .. } => {
+                    let per_entry: Vec<u64> = summaries
+                        .chunks_exact(node.segmentation.len())
+                        .map(|entry| {
+                            let entry = Eapca {
+                                segments: entry.to_vec(),
+                            };
+                            expected.lower_bound(&entry, &node.segmentation).to_bits()
+                        })
+                        .collect();
+                    let swept: Vec<u64> = tree
+                        .entry_bounds(id, &probe)
+                        .iter()
+                        .map(|b| b.to_bits())
+                        .collect();
+                    assert_eq!(swept, per_entry, "{ctx}: leaf {id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_segment_dictionary_reproduces_every_per_node_eapca_bit_for_bit() {
+        // Two initial segments and small leaves, so vertical splits happen
+        // and the nodes' segmentations differ.
+        let store = Arc::new(DatasetStore::new(
+            RandomWalkGenerator::new(91, 64).dataset(800),
+        ));
+        let options = BuildOptions::default()
+            .with_segments(2)
+            .with_leaf_capacity(10);
+        let idx = DsTree::build_on_store(store.clone(), &options).unwrap();
+        assert!(
+            idx.nodes
+                .iter()
+                .any(|n| n.segmentation.len() > idx.initial_segments()),
+            "the tree must hold refined segmentations"
+        );
+        let walk = RandomWalkGenerator::new(77, 64).series(0).into_values();
+        let queries = [
+            ("walk", walk.clone()),
+            ("constant", vec![3.25; 64]),
+            ("large", walk.iter().map(|v| v * 1e30).collect()),
+            ("subnormal", walk.iter().map(|v| v * 1e-40).collect()),
+            ("member", store.dataset().series(17).values().to_vec()),
+        ];
+        for (name, query) in &queries {
+            assert_dictionary_matches_per_node(&idx, query, name);
+        }
+        // A snapshot round trip derives the same dictionary from the loaded
+        // nodes.
+        let mut payload: Vec<u8> = Vec::new();
+        idx.save_payload(&mut payload).unwrap();
+        let mut source = hydra_core::persist::SliceSource::new(&payload);
+        let loaded = DsTree::load_payload(store, &mut source).unwrap();
+        assert_eq!(loaded.dictionary.spans, idx.dictionary.spans);
+        for (name, query) in &queries {
+            assert_dictionary_matches_per_node(&loaded, query, &format!("loaded {name}"));
+        }
+    }
+
+    #[test]
+    fn footprint_counts_what_the_leaf_blocks_hold() {
+        let (_, idx) = build(500, 64, 25);
+        let nodes = idx.nodes.iter().map(|n| {
+            std::mem::size_of::<Node>()
+                + n.segmentation.len() * std::mem::size_of::<usize>()
+                + n.synopsis.segments.len() * std::mem::size_of::<crate::node::SegmentSynopsis>()
+        });
+        // Per entry: a 4-byte id and one 8-byte (mean, σ) pair per segment.
+        let entries = idx.nodes.iter().map(|n| match &n.kind {
+            NodeKind::Leaf { ids, .. } => ids.len() * (4 + n.segmentation.len() * 8),
+            NodeKind::Internal { .. } => 0,
+        });
+        assert_eq!(
+            idx.footprint().memory_bytes,
+            nodes.sum::<usize>() + entries.sum::<usize>() + idx.dictionary.bytes()
+        );
     }
 
     #[test]

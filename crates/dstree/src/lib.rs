@@ -23,6 +23,10 @@
 //! approximate descent to the most promising leaf — the structure responsible
 //! for the DSTree's paper-reported profile: expensive (CPU-bound) index
 //! construction, excellent query-time clustering and pruning.
+//!
+//! Leaves keep their entries' EAPCA in one flat block, and a query computes
+//! its mean and σ once per distinct segment of the tree, so node bounds,
+//! entry bounds and the descent are table lookups (see [`index`]).
 
 pub mod index;
 pub mod node;

@@ -1,6 +1,6 @@
 //! DSTree node structures: per-node segmentation, synopsis, and split policy.
 
-use hydra_transforms::eapca::{split_segment, Eapca};
+use hydra_transforms::eapca::{split_segment, Eapca, EapcaSegment};
 
 /// The attribute a horizontal split tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,18 +135,26 @@ impl NodeSynopsis {
     pub fn lower_bound(&self, query: &Eapca, segmentation: &[usize]) -> f64 {
         debug_assert_eq!(query.len(), self.segments.len());
         debug_assert_eq!(segmentation.len(), self.segments.len());
+        let widths = segmentation.iter().scan(0, |start, &end| {
+            let width = (end - *start) as f64;
+            *start = end;
+            Some(width)
+        });
+        self.lower_bound_of(query.segments.iter().copied().zip(widths))
+    }
+
+    /// [`NodeSynopsis::lower_bound`] over the query's statistics and width
+    /// of each segment, in segment order: the form a per-query table of
+    /// segment statistics is bounded through, to the same bits.
+    #[inline]
+    pub fn lower_bound_of(&self, query: impl Iterator<Item = (EapcaSegment, f64)>) -> f64 {
         let mut sum = 0.0f64;
-        let mut start = 0usize;
-        for (i, &end) in segmentation.iter().enumerate() {
-            let w = (end - start) as f64;
-            let syn = &self.segments[i];
+        for (syn, (q, w)) in self.segments.iter().zip(query) {
             if !syn.is_empty() {
-                let q = &query.segments[i];
                 let d_mean = interval_distance(q.mean, syn.min_mean, syn.max_mean) as f64;
                 let d_std = interval_distance(q.std_dev, syn.min_std, syn.max_std) as f64;
                 sum += w * (d_mean * d_mean + d_std * d_std);
             }
-            start = end;
         }
         sum.sqrt()
     }
@@ -184,16 +192,6 @@ fn interval_distance(value: f32, low: f32, high: f32) -> f32 {
     }
 }
 
-/// One stored leaf entry: a series id plus its EAPCA under the leaf's
-/// segmentation.
-#[derive(Clone, Debug)]
-pub struct LeafEntry {
-    /// Position of the series in the dataset.
-    pub id: u32,
-    /// EAPCA of the series under the leaf's segmentation.
-    pub eapca: Eapca,
-}
-
 /// The payload of a DSTree node.
 #[derive(Clone, Debug)]
 pub enum NodeKind {
@@ -208,8 +206,11 @@ pub enum NodeKind {
     },
     /// Leaf node holding entries.
     Leaf {
-        /// The entries stored in the leaf.
-        entries: Vec<LeafEntry>,
+        /// The series ids of the entries, in insertion (scan) order.
+        ids: Vec<u32>,
+        /// Their EAPCA under the leaf's segmentation, one (mean, σ) pair per
+        /// segment per entry, in the order of `ids`.
+        summaries: Vec<EapcaSegment>,
     },
 }
 
@@ -253,12 +254,14 @@ impl CandidateSplit {
     }
 }
 
-/// Enumerates candidate splits for a leaf: horizontal splits on the mean and
-/// std of every segment, plus vertical splits that halve a segment and split
-/// on the mean of its left half.
+/// Enumerates candidate splits for a leaf holding `ids` with `summaries`
+/// (their EAPCA under `segmentation`, flat): horizontal splits on the mean
+/// and std of every segment, plus vertical splits that halve a segment and
+/// split on the mean of its left half.
 pub fn enumerate_splits(
     series_of: impl Fn(u32) -> Vec<f32>,
-    entries: &[LeafEntry],
+    ids: &[u32],
+    summaries: &[EapcaSegment],
     segmentation: &[usize],
     synopsis: &NodeSynopsis,
 ) -> Vec<CandidateSplit> {
@@ -274,10 +277,10 @@ pub fn enumerate_splits(
                 SplitAttribute::StdDev => (syn.min_std + syn.max_std) / 2.0,
             };
             let mut left = 0usize;
-            for e in entries {
+            for entry in summaries.chunks_exact(segmentation.len()) {
                 let v = match attribute {
-                    SplitAttribute::Mean => e.eapca.segments[seg].mean,
-                    SplitAttribute::StdDev => e.eapca.segments[seg].std_dev,
+                    SplitAttribute::Mean => entry[seg].mean,
+                    SplitAttribute::StdDev => entry[seg].std_dev,
                 };
                 if v <= threshold {
                     left += 1;
@@ -292,7 +295,7 @@ pub fn enumerate_splits(
                     is_vertical: false,
                 },
                 left_count: left,
-                right_count: entries.len() - left,
+                right_count: ids.len() - left,
             });
         }
     }
@@ -306,9 +309,9 @@ pub fn enumerate_splits(
         // mean range and the resulting balance.
         let mut min_mean = f32::INFINITY;
         let mut max_mean = f32::NEG_INFINITY;
-        let mut means = Vec::with_capacity(entries.len());
-        for e in entries {
-            let series = series_of(e.id);
+        let mut means = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let series = series_of(id);
             let eapca = Eapca::compute(&series, &refined);
             let m = eapca.segments[seg].mean;
             min_mean = min_mean.min(m);
@@ -326,7 +329,7 @@ pub fn enumerate_splits(
                 is_vertical: true,
             },
             left_count: left,
-            right_count: entries.len() - left,
+            right_count: ids.len() - left,
         });
     }
     candidates
@@ -440,30 +443,37 @@ mod tests {
         assert_eq!(interval_distance(1.5, 1.0, 2.0), 0.0);
     }
 
-    fn make_entries(count: usize, len: usize, seg: &[usize]) -> (Vec<LeafEntry>, Vec<Vec<f32>>) {
+    /// A leaf block of `count` series: (ids, flat summaries, raw series).
+    type Block = (Vec<u32>, Vec<EapcaSegment>, Vec<Vec<f32>>);
+
+    fn make_block(count: usize, len: usize, seg: &[usize]) -> Block {
         let raw: Vec<Vec<f32>> = (0..count)
             .map(|i| lcg_series(len, 300 + i as u64))
             .collect();
-        let entries = raw
+        let summaries = raw
             .iter()
-            .enumerate()
-            .map(|(i, s)| LeafEntry {
-                id: i as u32,
-                eapca: Eapca::compute(s, seg),
-            })
+            .flat_map(|s| Eapca::compute(s, seg).segments)
             .collect();
-        (entries, raw)
+        ((0..count as u32).collect(), summaries, raw)
+    }
+
+    fn synopsis_of(summaries: &[EapcaSegment], segments: usize) -> NodeSynopsis {
+        let mut syn = NodeSynopsis::new(segments);
+        for entry in summaries.chunks_exact(segments) {
+            syn.absorb(&Eapca {
+                segments: entry.to_vec(),
+            });
+        }
+        syn
     }
 
     #[test]
     fn enumerate_splits_produces_horizontal_and_vertical_candidates() {
         let seg = uniform_segmentation(32, 4);
-        let (entries, raw) = make_entries(30, 32, &seg);
-        let mut syn = NodeSynopsis::new(4);
-        for e in &entries {
-            syn.absorb(&e.eapca);
-        }
-        let candidates = enumerate_splits(|id| raw[id as usize].clone(), &entries, &seg, &syn);
+        let (ids, summaries, raw) = make_block(30, 32, &seg);
+        let syn = synopsis_of(&summaries, 4);
+        let candidates =
+            enumerate_splits(|id| raw[id as usize].clone(), &ids, &summaries, &seg, &syn);
         assert!(candidates.iter().any(|c| !c.spec.is_vertical));
         assert!(candidates.iter().any(|c| c.spec.is_vertical));
         // Horizontal: 2 per segment; vertical: 1 per splittable segment.
@@ -476,12 +486,10 @@ mod tests {
     #[test]
     fn choose_split_prefers_balanced_effective_splits() {
         let seg = uniform_segmentation(32, 4);
-        let (entries, raw) = make_entries(40, 32, &seg);
-        let mut syn = NodeSynopsis::new(4);
-        for e in &entries {
-            syn.absorb(&e.eapca);
-        }
-        let candidates = enumerate_splits(|id| raw[id as usize].clone(), &entries, &seg, &syn);
+        let (ids, summaries, raw) = make_block(40, 32, &seg);
+        let syn = synopsis_of(&summaries, 4);
+        let candidates =
+            enumerate_splits(|id| raw[id as usize].clone(), &ids, &summaries, &seg, &syn);
         let best = choose_split(&candidates).expect("some split must be effective");
         assert!(best.is_effective());
         assert!(
@@ -494,17 +502,13 @@ mod tests {
     fn choose_split_returns_none_for_identical_entries() {
         let seg = uniform_segmentation(8, 2);
         let series = vec![1.0f32; 8];
-        let entries: Vec<LeafEntry> = (0..5)
-            .map(|i| LeafEntry {
-                id: i,
-                eapca: Eapca::compute(&series, &seg),
-            })
+        let ids: Vec<u32> = (0..5).collect();
+        let summaries: Vec<EapcaSegment> = ids
+            .iter()
+            .flat_map(|_| Eapca::compute(&series, &seg).segments)
             .collect();
-        let mut syn = NodeSynopsis::new(2);
-        for e in &entries {
-            syn.absorb(&e.eapca);
-        }
-        let candidates = enumerate_splits(|_| series.clone(), &entries, &seg, &syn);
+        let syn = synopsis_of(&summaries, 2);
+        let candidates = enumerate_splits(|_| series.clone(), &ids, &summaries, &seg, &syn);
         assert!(
             choose_split(&candidates).is_none(),
             "identical entries cannot be separated"

@@ -31,7 +31,7 @@ use hydra_core::{
 };
 use hydra_storage::refine::{self, EarlyAbandon, Full};
 use hydra_storage::DatasetStore;
-use hydra_transforms::sax::{SaxParams, SaxWord};
+use hydra_transforms::sax::SaxParams;
 use std::sync::Arc;
 
 /// The ADS+ adaptive index.
@@ -48,7 +48,7 @@ impl AdsPlus {
     ///
     /// `options.build_threads` workers summarize the collection and build the
     /// root-child subtrees in parallel; the resulting tree is identical for
-    /// every thread count (see [`IsaxTree::from_entries`]).
+    /// every thread count (see [`IsaxTree::from_summaries`]).
     pub fn build_on_store(store: Arc<DatasetStore>, options: &BuildOptions) -> Result<Self> {
         if store.is_empty() {
             return Err(Error::EmptyDataset);
@@ -60,17 +60,8 @@ impl AdsPlus {
         // One sequential pass over the raw data (charged up front), then
         // summarization spread over the workers in dataset order.
         store.scan_all(|_, _| {});
-        let dataset = store.dataset();
-        let entries: Vec<(u32, SaxWord)> = parallel::map_chunks(store.len(), threads, |range| {
-            range
-                .map(|id| (id as u32, params.sax_word(dataset.series(id).values())))
-                .collect()
-        });
-        let mut summaries = Vec::with_capacity(store.len() * options.segments);
-        for (_, sax) in &entries {
-            summaries.extend_from_slice(&sax.symbols);
-        }
-        let tree = IsaxTree::from_entries(params, options.leaf_capacity, entries, threads);
+        let summaries = crate::isax2plus::summarize(&store, &params, threads);
+        let tree = IsaxTree::from_summaries(params, options.leaf_capacity, &summaries, threads);
         // Only the summaries are written out: the index is tiny on disk.
         let summary_bytes = store.len() * options.segments * 2;
         store.record_index_write(summary_bytes as u64);
@@ -138,15 +129,15 @@ impl AnsweringMethod for AdsPlus {
             let sax = params.sax_word_from_paa(&query_paa);
             let located = if ng {
                 self.tree
-                    .locate_nearest_leaf(&query_paa, &sax, refiner.stats)
+                    .locate_nearest_leaf(&query_paa, &sax.symbols, refiner.stats)
             } else {
-                self.tree.locate_leaf(&sax, refiner.stats)
+                self.tree.locate_leaf(&sax.symbols, refiner.stats)
             };
             if let Some(leaf) = located {
                 refiner.stats.record_leaf_visit();
-                if let NodeKind::Leaf { entries } = &self.tree.node(leaf).kind {
+                if let NodeKind::Leaf { ids, .. } = &self.tree.node(leaf).kind {
                     let kernel = Full(|values: &[f32]| squared_euclidean(query.values(), values));
-                    refiner.ids(entries.iter().map(|e| e.id as usize), kernel)?;
+                    refiner.ids(ids.iter().map(|&id| id as usize), kernel)?;
                 }
             }
             if ng {
@@ -208,16 +199,14 @@ impl PersistentIndex for AdsPlus {
     fn load_payload(store: Arc<DatasetStore>, input: &mut dyn SnapshotSource) -> Result<Self> {
         let tree = IsaxTree::read_snapshot(input)?;
         crate::isax2plus::validate_tree_against_store(&tree, &store)?;
-        // Rebuild the dataset-order summary array from the leaf entries
+        // Rebuild the dataset-order summary array from the leaf blocks
         // (validated above: every id in 0..n appears exactly once).
         let segments = tree.params().segments();
         let mut summaries = vec![0u16; store.len() * segments];
-        for leaf in tree.leaves() {
-            if let NodeKind::Leaf { entries } = &tree.node(leaf).kind {
-                for e in entries {
-                    let at = e.id as usize * segments;
-                    summaries[at..at + segments].copy_from_slice(&e.sax.symbols);
-                }
+        for (ids, words) in tree.leaf_blocks() {
+            for (&id, word) in ids.iter().zip(words.chunks_exact(segments)) {
+                let at = id as usize * segments;
+                summaries[at..at + segments].copy_from_slice(word);
             }
         }
         Ok(Self {

@@ -22,7 +22,7 @@ use hydra_core::{
 };
 use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node, Seed};
 use hydra_storage::DatasetStore;
-use hydra_transforms::sax::{SaxParams, SaxWord};
+use hydra_transforms::sax::{NodeBounds, SaxParams, SaxWord};
 use hydra_transforms::BoundSweep;
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ impl Isax2Plus {
     ///
     /// `options.build_threads` workers summarize the collection and build the
     /// root-child subtrees in parallel; the resulting tree is identical for
-    /// every thread count (see [`IsaxTree::from_entries`]).
+    /// every thread count (see [`IsaxTree::from_summaries`]).
     pub fn build_on_store(store: Arc<DatasetStore>, options: &BuildOptions) -> Result<Self> {
         if store.is_empty() {
             return Err(Error::EmptyDataset);
@@ -49,13 +49,8 @@ impl Isax2Plus {
         // One sequential pass over the raw data (charged up front), then
         // summarization and subtree construction spread over the workers.
         store.scan_all(|_, _| {});
-        let dataset = store.dataset();
-        let entries: Vec<(u32, SaxWord)> = parallel::map_chunks(store.len(), threads, |range| {
-            range
-                .map(|id| (id as u32, params.sax_word(dataset.series(id).values())))
-                .collect()
-        });
-        let tree = IsaxTree::from_entries(params, options.leaf_capacity, entries, threads);
+        let summaries = summarize(&store, &params, threads);
+        let tree = IsaxTree::from_summaries(params, options.leaf_capacity, &summaries, threads);
         // Leaves materialize raw series: account for the bulk-load write.
         store.record_index_write((store.len() * store.series_bytes()) as u64);
         Ok(Self { store, tree })
@@ -74,6 +69,17 @@ impl Isax2Plus {
 
 fn log2_ceil(x: usize) -> u32 {
     (usize::BITS - x.next_power_of_two().leading_zeros()).saturating_sub(1)
+}
+
+/// The full-cardinality SAX words of every series of `store`, flat in id
+/// order (`segments` symbols each), summarized on `threads` workers.
+pub(crate) fn summarize(store: &DatasetStore, params: &SaxParams, threads: usize) -> Vec<u16> {
+    let dataset = store.dataset();
+    parallel::map_chunks(store.len(), threads, |range| {
+        range
+            .flat_map(|id| params.sax_word(dataset.series(id).values()).symbols)
+            .collect()
+    })
 }
 
 impl AnsweringMethod for Isax2Plus {
@@ -95,12 +101,22 @@ impl AnsweringMethod for Isax2Plus {
     }
 }
 
+/// iSAX2+'s per-query state: the query's PAA and SAX word, the MINDIST
+/// table its node words are bounded from, and the sweep table its leaf
+/// blocks are bounded from.
+pub struct Probe<'q> {
+    paa: Vec<f32>,
+    sax: SaxWord,
+    nodes: NodeBounds,
+    entries: BoundSweep<'q>,
+}
+
 /// iSAX2+ bounds nodes with MINDIST between the query's PAA and the node's
-/// iSAX word, and leaf entries with the same MINDIST on their full SAX word
-/// through one per-query sweep table; the query's own SAX word picks the
-/// seed leaf.
+/// iSAX word, and leaf entries with the same MINDIST on their full SAX word,
+/// each from one per-query table; the query's own SAX word picks the seed
+/// leaf.
 impl BestFirstTree for Isax2Plus {
-    type Probe<'q> = (Vec<f32>, SaxWord, BoundSweep<'q>);
+    type Probe<'q> = Probe<'q>;
 
     const NAME: &'static str = "iSAX2+";
 
@@ -108,12 +124,15 @@ impl BestFirstTree for Isax2Plus {
         &self.store
     }
 
-    fn probe<'q>(&'q self, query: &'q [f32]) -> Self::Probe<'q> {
+    fn probe<'q>(&'q self, query: &'q [f32]) -> Probe<'q> {
         let params = self.tree.params();
         let paa = params.paa().transform(query);
-        let sax = params.sax_word_from_paa(&paa);
-        let sweep = params.sweep(&paa, self.store.len());
-        (paa, sax, sweep)
+        Probe {
+            sax: params.sax_word_from_paa(&paa),
+            nodes: self.tree.node_bounds(&paa),
+            entries: params.sweep(&paa, self.store.len()),
+            paa,
+        }
     }
 
     /// The leaf covering the query's SAX word, scanned exactly once.
@@ -123,28 +142,19 @@ impl BestFirstTree for Isax2Plus {
     /// every leaf anyway). Skipping the seed when the traversal pops it is
     /// safe: every entry the seed scan abandoned or bounded out met a
     /// threshold at least as loose as any later one.
-    fn seed(
-        &self,
-        (paa, sax, _): &Self::Probe<'_>,
-        mode: AnswerMode,
-        stats: &mut QueryStats,
-    ) -> Seed {
+    fn seed(&self, probe: &Probe<'_>, mode: AnswerMode, stats: &mut QueryStats) -> Seed {
         let leaf = if mode == AnswerMode::NgApproximate {
-            self.tree.locate_nearest_leaf(paa, sax, stats)
+            self.tree
+                .locate_nearest_leaf(&probe.paa, &probe.sax.symbols, stats)
         } else {
-            self.tree.locate_leaf(sax, stats)
+            self.tree.locate_leaf(&probe.sax.symbols, stats)
         };
         Seed { leaf, skip: leaf }
     }
 
-    fn push_roots(
-        &self,
-        (paa, _, _): &Self::Probe<'_>,
-        frontier: &mut Frontier,
-        stats: &mut QueryStats,
-    ) {
-        for root_child in self.tree.root_children() {
-            frontier.push(root_child, self.tree.mindist(paa, root_child));
+    fn push_roots(&self, probe: &Probe<'_>, frontier: &mut Frontier, stats: &mut QueryStats) {
+        for (root_child, bound) in self.tree.root_bounds(&probe.nodes) {
+            frontier.push(root_child, bound);
             stats.record_lower_bounds(1);
         }
     }
@@ -158,23 +168,22 @@ impl BestFirstTree for Isax2Plus {
         id: usize,
     ) -> Node<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
         match &self.tree.node(id).kind {
-            NodeKind::Leaf { entries } => Node::Leaf(entries.iter().map(|e| e.id)),
+            NodeKind::Leaf { ids, .. } => Node::Leaf(ids.iter().copied()),
             NodeKind::Internal { left, right, .. } => Node::Internal([*left, *right].into_iter()),
         }
     }
 
-    fn bound(&self, id: usize, (paa, _, _): &Self::Probe<'_>) -> f64 {
-        self.tree.mindist(paa, id)
+    fn bound(&self, id: usize, probe: &Probe<'_>) -> f64 {
+        probe.nodes.mindist(&self.tree.node(id).word)
     }
 
-    fn entry_bounds(&self, id: usize, (_, _, sweep): &Self::Probe<'_>) -> Vec<f64> {
-        match &self.tree.node(id).kind {
-            NodeKind::Leaf { entries } => entries
-                .iter()
-                .map(|e| sweep.bound(&e.sax.symbols))
-                .collect(),
-            NodeKind::Internal { .. } => Vec::new(),
+    /// One sweep over the leaf's block of SAX words.
+    fn entry_bounds(&self, id: usize, probe: &Probe<'_>) -> Vec<f64> {
+        let mut bounds = Vec::new();
+        if let NodeKind::Leaf { words, .. } = &self.tree.node(id).kind {
+            probe.entries.sweep(words, 1, &mut bounds);
         }
+        bounds
     }
 }
 
@@ -209,17 +218,15 @@ pub(crate) fn validate_tree_against_store(tree: &IsaxTree, store: &DatasetStore)
     }
     let n = store.len();
     let mut seen = vec![false; n];
-    for leaf in tree.leaves() {
-        if let NodeKind::Leaf { entries } = &tree.node(leaf).kind {
-            for e in entries {
-                let id = e.id as usize;
-                if id >= n || seen[id] {
-                    return Err(Error::InvalidSnapshot(format!(
-                        "leaf entry id {id} is out of range or duplicated (store holds {n})"
-                    )));
-                }
-                seen[id] = true;
+    for (ids, _) in tree.leaf_blocks() {
+        for &id in ids {
+            let id = id as usize;
+            if id >= n || seen[id] {
+                return Err(Error::InvalidSnapshot(format!(
+                    "leaf entry id {id} is out of range or duplicated (store holds {n})"
+                )));
             }
+            seen[id] = true;
         }
     }
     if tree.num_entries() != n {
@@ -413,7 +420,7 @@ mod tests {
             .tree()
             .leaves()
             .filter(|&leaf| {
-                matches!(&idx.tree().node(leaf).kind, NodeKind::Leaf { entries } if !entries.is_empty())
+                matches!(&idx.tree().node(leaf).kind, NodeKind::Leaf { ids, .. } if !ids.is_empty())
             })
             .count() as u64;
         assert!(
@@ -442,6 +449,16 @@ mod tests {
             "leaves materialize all raw series"
         );
         assert!(fp.mean_fill_factor() > 0.0);
+        // In memory: each node with its word (2-byte symbol and 1-byte bit
+        // count per segment), each leaf entry as its block holds it (a 4-byte
+        // id and 16 2-byte symbols), and each root child's 1-bit word and id.
+        let roots = idx.tree().root_children().count();
+        assert_eq!(
+            fp.memory_bytes,
+            fp.total_nodes * (std::mem::size_of::<crate::tree::Node>() + 16 * 3)
+                + 600 * (4 + 16 * 2)
+                + roots * (8 + 16 * 2)
+        );
     }
 
     #[test]

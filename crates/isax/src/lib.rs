@@ -14,7 +14,7 @@
 //!
 //! Both share the [`tree::IsaxTree`] structure, which mirrors the fact that in
 //! the paper the two indexes have identical tree shapes for identical leaf
-//! sizes.
+//! sizes. Its leaves hold their entries' SAX words in one flat block each.
 
 pub mod ads;
 pub mod isax2plus;

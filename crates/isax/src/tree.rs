@@ -6,25 +6,23 @@
 //! more bit and redistributes the leaf's entries between the two children.
 //! The split segment is chosen to balance the two children as evenly as
 //! possible (the iSAX 2.0 splitting policy).
+//!
+//! Summaries are stored flat, as MESSI stores them: a leaf holds its series
+//! ids and one contiguous block of their full-cardinality SAX words
+//! (`segments` symbols per entry, the layout of ADS+'s dataset-order summary
+//! array), so bounding a leaf's entries is one sweep over one block; and the
+//! root children's 1-bit words sit in one array beside their node ids, so
+//! bounding every root child is one sweep too. Node words are bounded from a
+//! per-query [`NodeBounds`] table sized to the deepest word the tree holds.
 
 use hydra_core::persist::{SnapshotSink, SnapshotSource};
 use hydra_core::{parallel, Error, IndexFootprint, QueryStats, Result};
-use hydra_transforms::sax::{IsaxWord, SaxParams, SaxWord};
-// hydra-lint: allow(hash-iteration-order) key_index is slot lookup only; keys get sorted
-use std::collections::{BTreeMap, HashMap};
+use hydra_transforms::sax::{IsaxWord, NodeBounds, SaxParams};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// Identifier of a node inside the tree's arena.
 pub type NodeId = usize;
-
-/// One entry stored in a leaf: the series position and its full-cardinality
-/// SAX word.
-#[derive(Clone, Debug)]
-pub struct LeafEntry {
-    /// Position of the series in the dataset.
-    pub id: u32,
-    /// Full-cardinality SAX word of the series.
-    pub sax: SaxWord,
-}
 
 /// The payload of a node.
 #[derive(Clone, Debug)]
@@ -40,8 +38,11 @@ pub enum NodeKind {
     },
     /// A leaf node holding entries.
     Leaf {
-        /// The entries stored in this leaf.
-        entries: Vec<LeafEntry>,
+        /// The series ids of the entries, in insertion (scan) order.
+        ids: Vec<u32>,
+        /// Their full-cardinality SAX words, `segments` symbols per entry,
+        /// in the order of `ids`.
+        words: Vec<u16>,
     },
 }
 
@@ -58,8 +59,8 @@ pub struct Node {
 
 /// An iSAX tree: a forest of root children keyed by their 1-bit words.
 ///
-/// Root children are held in a `BTreeMap` so that iterating them (the
-/// best-first search seeds one frontier entry per root child) follows a
+/// Root children are kept sorted by their 1-bit word so that iterating them
+/// (the best-first search seeds one frontier entry per root child) follows a
 /// deterministic key order — two structurally identical trees, e.g. a fresh
 /// build and a reloaded snapshot, then traverse identically even when
 /// MINDIST values tie.
@@ -68,7 +69,12 @@ pub struct IsaxTree {
     params: SaxParams,
     leaf_capacity: usize,
     nodes: Vec<Node>,
-    root_children: BTreeMap<Vec<u16>, NodeId>,
+    /// The root children's 1-bit words, `segments` symbols each, sorted.
+    root_words: Vec<u16>,
+    /// The root children's node ids, in the order of `root_words`.
+    root_ids: Vec<NodeId>,
+    /// The most bits any segment of any node word holds.
+    deepest_bits: u8,
 }
 
 impl IsaxTree {
@@ -79,7 +85,9 @@ impl IsaxTree {
             params,
             leaf_capacity,
             nodes: Vec::new(),
-            root_children: BTreeMap::new(),
+            root_words: Vec::new(),
+            root_ids: Vec::new(),
+            deepest_bits: 1,
         }
     }
 
@@ -103,9 +111,9 @@ impl IsaxTree {
         &self.nodes[id]
     }
 
-    /// The ids of the root children.
+    /// The ids of the root children, in 1-bit word order.
     pub fn root_children(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.root_children.values().copied()
+        self.root_ids.iter().copied()
     }
 
     /// Iterates over all leaf node ids.
@@ -117,68 +125,108 @@ impl IsaxTree {
             .map(|(i, _)| i)
     }
 
+    /// The entries of every leaf: `(ids, words)` per leaf, in arena order.
+    pub fn leaf_blocks(&self) -> impl Iterator<Item = (&[u32], &[u16])> + '_ {
+        self.nodes.iter().filter_map(|n| match &n.kind {
+            NodeKind::Leaf { ids, words } => Some((&ids[..], &words[..])),
+            NodeKind::Internal { .. } => None,
+        })
+    }
+
     /// Total number of entries stored in the tree.
     pub fn num_entries(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| match &n.kind {
-                NodeKind::Leaf { entries } => entries.len(),
-                _ => 0,
-            })
-            .sum()
+        self.leaf_blocks().map(|(ids, _)| ids.len()).sum()
     }
 
-    fn root_key(&self, sax: &SaxWord) -> Vec<u16> {
+    /// The per-query table every node word of this tree is bounded from.
+    pub fn node_bounds(&self, query_paa: &[f32]) -> NodeBounds {
+        self.params.node_bounds(query_paa, self.deepest_bits)
+    }
+
+    /// Every root child with its MINDIST from `table`, in 1-bit word order:
+    /// one sweep over the flat root words.
+    pub fn root_bounds<'a>(
+        &'a self,
+        table: &'a NodeBounds,
+    ) -> impl Iterator<Item = (NodeId, f64)> + 'a {
+        self.root_children()
+            .zip(table.one_bit_mindists(&self.root_words))
+    }
+
+    /// The 1-bit root key of a full-cardinality word.
+    fn root_key(&self, word: &[u16]) -> Vec<u16> {
         let shift = self.params.max_bits() - 1;
-        sax.symbols.iter().map(|&s| s >> shift).collect()
+        word.iter().map(|&s| s >> shift).collect()
     }
 
-    /// Bulk-builds a tree from `(id, word)` entries using up to `threads`
-    /// workers.
+    /// The root child slot of `key`: `Ok` where it is, `Err` where it would
+    /// be inserted to keep the keys sorted.
+    fn root_slot(&self, key: &[u16]) -> std::result::Result<usize, usize> {
+        let segments = self.params.segments();
+        let (mut low, mut high) = (0, self.root_ids.len());
+        while low < high {
+            let mid = (low + high) / 2;
+            match self.root_words[mid * segments..(mid + 1) * segments].cmp(key) {
+                Ordering::Less => low = mid + 1,
+                Ordering::Equal => return Ok(mid),
+                Ordering::Greater => high = mid,
+            }
+        }
+        Err(low)
+    }
+
+    /// Bulk-builds a tree over `summaries`, the full-cardinality SAX words of
+    /// series `0..n` stored flat in id order (`segments` symbols each), using
+    /// up to `threads` workers.
     ///
-    /// Entries are grouped by their 1-bit root key; each root-child subtree is
-    /// then built independently (inserting its entries in the given order) and
-    /// the finished subtrees are grafted into one arena. Because an insert
-    /// only ever touches the subtree of its own root child, this produces a
-    /// tree with **exactly the same shape** as serially inserting the entries
-    /// in order — for every thread count, including 1 — so a parallel build is
-    /// indistinguishable from a serial one.
-    pub fn from_entries(
+    /// Series are grouped by their 1-bit root key; each root-child subtree is
+    /// then built independently (inserting its series in id order) and the
+    /// finished subtrees are grafted into one arena. Because an insert only
+    /// ever touches the subtree of its own root child, this produces a tree
+    /// with **exactly the same shape** as serially inserting the series in
+    /// id order — for every thread count, including 1 — so a parallel build
+    /// is indistinguishable from a serial one.
+    pub fn from_summaries(
         params: SaxParams,
         leaf_capacity: usize,
-        entries: Vec<(u32, SaxWord)>,
+        summaries: &[u16],
         threads: usize,
     ) -> Self {
-        type RootBucket = (Vec<u16>, Vec<(u32, SaxWord)>);
+        let segments = params.segments();
         let mut tree = Self::new(params.clone(), leaf_capacity);
-        // Group by root key, preserving the entry order inside each bucket;
-        // sort the keys so the arena layout is deterministic.
-        let mut buckets: Vec<RootBucket> = Vec::new();
-        // hydra-lint: allow(hash-iteration-order) slot lookup only; bucket keys are sorted below
-        let mut key_index: HashMap<Vec<u16>, usize> = HashMap::new();
-        for (id, sax) in entries {
-            let key = tree.root_key(&sax);
-            let slot = *key_index.entry(key.clone()).or_insert_with(|| {
-                buckets.push((key, Vec::new()));
-                buckets.len() - 1
-            });
-            buckets[slot].1.push((id, sax));
-        }
-        buckets.sort_by(|a, b| a.0.cmp(&b.0));
-        let (keys, payloads): (Vec<_>, Vec<_>) = buckets.into_iter().unzip();
+        // Group by root key, preserving id order inside each group (a stable
+        // sort); the groups come out in key order, so the arena layout is
+        // deterministic.
+        let keys: Vec<u16> = tree.root_key(summaries);
+        let key = |id: u32| &keys[id as usize * segments..(id as usize + 1) * segments];
+        let mut order: Vec<u32> = (0..(summaries.len() / segments.max(1)) as u32).collect();
+        order.sort_by(|&a, &b| key(a).cmp(key(b)));
+        let groups: Vec<Vec<u32>> = order
+            .chunk_by(|&a, &b| key(a) == key(b))
+            .map(<[u32]>::to_vec)
+            .collect();
         // Build each root-child subtree as its own single-root-child tree,
-        // consuming its bucket (no per-word copies on the build path).
-        let subtrees: Vec<IsaxTree> = parallel::map_items(payloads, threads, |_, bucket| {
+        // its leaf blocks trimmed to what they hold.
+        let subtrees: Vec<IsaxTree> = parallel::map_items(groups, threads, |_, ids| {
             let mut subtree = IsaxTree::new(params.clone(), leaf_capacity);
-            for (id, sax) in bucket {
-                subtree.insert(id, sax);
+            for id in ids {
+                let at = id as usize * segments;
+                subtree.insert(id, &summaries[at..at + segments]);
+            }
+            for node in &mut subtree.nodes {
+                if let NodeKind::Leaf { ids, words } = &mut node.kind {
+                    ids.shrink_to_fit();
+                    words.shrink_to_fit();
+                }
             }
             subtree
         });
         // Graft the subtree arenas into one, offsetting child indices.
-        for (key, subtree) in keys.into_iter().zip(subtrees) {
+        for subtree in subtrees {
             let offset = tree.nodes.len();
-            let root_child = subtree.root_children[&key] + offset;
+            tree.root_words.extend_from_slice(&subtree.root_words);
+            tree.root_ids.push(subtree.root_ids[0] + offset);
+            tree.deepest_bits = tree.deepest_bits.max(subtree.deepest_bits);
             for mut node in subtree.nodes {
                 if let NodeKind::Internal { left, right, .. } = &mut node.kind {
                     *left += offset;
@@ -186,127 +234,150 @@ impl IsaxTree {
                 }
                 tree.nodes.push(node);
             }
-            tree.root_children.insert(key, root_child);
         }
         tree
     }
 
-    /// Inserts one series (by id and full SAX word) into the tree, splitting
-    /// leaves as needed.
-    pub fn insert(&mut self, id: u32, sax: SaxWord) {
-        let key = self.root_key(&sax);
-        let root_child = match self.root_children.get(&key) {
-            Some(&nid) => nid,
-            None => {
-                let word = IsaxWord::root_of(&sax, self.params.max_bits());
+    /// Inserts one series (by id and full-cardinality SAX word) into the
+    /// tree, splitting leaves as needed.
+    pub fn insert(&mut self, id: u32, word: &[u16]) {
+        debug_assert_eq!(word.len(), self.params.segments());
+        let key = self.root_key(word);
+        let root_child = match self.root_slot(&key) {
+            Ok(slot) => self.root_ids[slot],
+            Err(slot) => {
                 let nid = self.nodes.len();
                 self.nodes.push(Node {
-                    word,
+                    word: IsaxWord {
+                        bits: vec![1; key.len()],
+                        symbols: key.clone(),
+                        max_bits: self.params.max_bits(),
+                    },
                     kind: NodeKind::Leaf {
-                        entries: Vec::new(),
+                        ids: Vec::new(),
+                        words: Vec::new(),
                     },
                     depth: 1,
                 });
-                self.root_children.insert(key, nid);
+                let segments = key.len();
+                self.root_words
+                    .splice(slot * segments..slot * segments, key);
+                self.root_ids.insert(slot, nid);
                 nid
             }
         };
-        let mut current = root_child;
+        let leaf = self.descend(root_child, word, None);
+        if let NodeKind::Leaf { ids, words } = &mut self.nodes[leaf].kind {
+            ids.push(id);
+            words.extend_from_slice(word);
+        }
+        self.maybe_split(leaf);
+    }
+
+    /// Follows `word` from `node` down to the leaf whose region contains it,
+    /// recording each internal node passed into `stats`.
+    fn descend(
+        &self,
+        mut node: NodeId,
+        word: &[u16],
+        mut stats: Option<&mut QueryStats>,
+    ) -> NodeId {
         while let NodeKind::Internal {
             split_segment,
             left,
             right,
-        } = &self.nodes[current].kind
+        } = self.nodes[node].kind
         {
-            let (left, right, seg) = (*left, *right, *split_segment);
-            let child_bits = self.nodes[left].word.bits[seg];
+            if let Some(stats) = stats.as_deref_mut() {
+                stats.record_internal_visit();
+            }
+            let child_bits = self.nodes[left].word.bits[split_segment];
             let shift = self.params.max_bits() - child_bits;
-            let sym = sax.symbols[seg] >> shift;
-            current = if sym & 1 == 0 { left } else { right };
+            node = if (word[split_segment] >> shift) & 1 == 0 {
+                left
+            } else {
+                right
+            };
         }
-        if let NodeKind::Leaf { entries } = &mut self.nodes[current].kind {
-            entries.push(LeafEntry { id, sax });
-        }
-        self.maybe_split(current);
+        node
     }
 
     /// Splits `leaf` if it exceeds the capacity and a useful split exists.
     fn maybe_split(&mut self, leaf: NodeId) {
-        {
-            let needs_split = match &self.nodes[leaf].kind {
-                NodeKind::Leaf { entries } => entries.len() > self.leaf_capacity,
-                NodeKind::Internal { .. } => false,
-            };
-            if !needs_split {
-                return;
-            }
-            let Some(segment) = self.choose_split_segment(leaf) else {
-                // No segment can be refined further: allow the over-full leaf.
-                return;
-            };
-            let word = self.nodes[leaf].word.clone();
-            let depth = self.nodes[leaf].depth;
-            let (left_word, right_word) = word
-                .split(segment)
-                // hydra-lint: allow(lib-unwrap) segment was chosen from the splittable set above
-                .expect("chosen segment must be splittable");
-            let entries = match std::mem::replace(
-                &mut self.nodes[leaf].kind,
-                NodeKind::Internal {
-                    split_segment: segment,
-                    left: 0,
-                    right: 0,
-                },
-            ) {
-                NodeKind::Leaf { entries } => entries,
-                NodeKind::Internal { .. } => unreachable!(),
-            };
-            let child_bits = left_word.bits[segment];
-            let shift = self.params.max_bits() - child_bits;
-            let mut left_entries = Vec::new();
-            let mut right_entries = Vec::new();
-            for e in entries {
-                let sym = e.sax.symbols[segment] >> shift;
-                if sym & 1 == 0 {
-                    left_entries.push(e);
-                } else {
-                    right_entries.push(e);
-                }
-            }
-            let left_len = left_entries.len();
-            let right_len = right_entries.len();
-            let left_id = self.nodes.len();
-            self.nodes.push(Node {
-                word: left_word,
-                kind: NodeKind::Leaf {
-                    entries: left_entries,
-                },
-                depth: depth + 1,
-            });
-            let right_id = self.nodes.len();
-            self.nodes.push(Node {
-                word: right_word,
-                kind: NodeKind::Leaf {
-                    entries: right_entries,
-                },
-                depth: depth + 1,
-            });
-            self.nodes[leaf].kind = NodeKind::Internal {
+        let needs_split = match &self.nodes[leaf].kind {
+            NodeKind::Leaf { ids, .. } => ids.len() > self.leaf_capacity,
+            NodeKind::Internal { .. } => false,
+        };
+        if !needs_split {
+            return;
+        }
+        let Some(segment) = self.choose_split_segment(leaf) else {
+            // No segment can be refined further: allow the over-full leaf.
+            return;
+        };
+        let word = self.nodes[leaf].word.clone();
+        let depth = self.nodes[leaf].depth;
+        let (left_word, right_word) = word
+            .split(segment)
+            // hydra-lint: allow(lib-unwrap) segment was chosen from the splittable set above
+            .expect("chosen segment must be splittable");
+        let (ids, words) = match std::mem::replace(
+            &mut self.nodes[leaf].kind,
+            NodeKind::Internal {
                 split_segment: segment,
-                left: left_id,
-                right: right_id,
-            };
-            // Recurse into whichever child is still over-full (at most one can
-            // hold all the entries).
-            let next = if left_len > self.leaf_capacity {
-                left_id
-            } else if right_len > self.leaf_capacity {
-                right_id
+                left: 0,
+                right: 0,
+            },
+        ) {
+            NodeKind::Leaf { ids, words } => (ids, words),
+            NodeKind::Internal { .. } => unreachable!(),
+        };
+        let child_bits = left_word.bits[segment];
+        self.deepest_bits = self.deepest_bits.max(child_bits);
+        let shift = self.params.max_bits() - child_bits;
+        let segments = self.params.segments();
+        let (mut left_ids, mut left_words) = (Vec::new(), Vec::new());
+        let (mut right_ids, mut right_words) = (Vec::new(), Vec::new());
+        for (&id, word) in ids.iter().zip(words.chunks_exact(segments)) {
+            if (word[segment] >> shift) & 1 == 0 {
+                left_ids.push(id);
+                left_words.extend_from_slice(word);
             } else {
-                return;
-            };
-            // Recurse into the over-full child.
-            self.maybe_split(next);
+                right_ids.push(id);
+                right_words.extend_from_slice(word);
+            }
+        }
+        let left_len = left_ids.len();
+        let right_len = right_ids.len();
+        let left_id = self.nodes.len();
+        self.nodes.push(Node {
+            word: left_word,
+            kind: NodeKind::Leaf {
+                ids: left_ids,
+                words: left_words,
+            },
+            depth: depth + 1,
+        });
+        let right_id = self.nodes.len();
+        self.nodes.push(Node {
+            word: right_word,
+            kind: NodeKind::Leaf {
+                ids: right_ids,
+                words: right_words,
+            },
+            depth: depth + 1,
+        });
+        self.nodes[leaf].kind = NodeKind::Internal {
+            split_segment: segment,
+            left: left_id,
+            right: right_id,
+        };
+        // Recurse into whichever child is still over-full (at most one can
+        // hold all the entries).
+        if left_len > self.leaf_capacity {
+            self.maybe_split(left_id);
+        } else if right_len > self.leaf_capacity {
+            self.maybe_split(right_id);
         }
     }
 
@@ -315,9 +386,8 @@ impl IsaxTree {
     /// segment separates the entries at all (degenerate identical words).
     fn choose_split_segment(&self, leaf: NodeId) -> Option<usize> {
         let node = &self.nodes[leaf];
-        let entries = match &node.kind {
-            NodeKind::Leaf { entries } => entries,
-            NodeKind::Internal { .. } => return None,
+        let NodeKind::Leaf { ids, words } = &node.kind else {
+            return None;
         };
         let segments = self.params.segments();
         let max_bits = self.params.max_bits();
@@ -328,11 +398,11 @@ impl IsaxTree {
                 continue;
             }
             let shift = max_bits - (bits + 1);
-            let left = entries
-                .iter()
-                .filter(|e| (e.sax.symbols[seg] >> shift) & 1 == 0)
+            let left = words
+                .chunks_exact(segments)
+                .filter(|word| (word[seg] >> shift) & 1 == 0)
                 .count();
-            let right = entries.len() - left;
+            let right = ids.len() - left;
             if left == 0 || right == 0 {
                 continue;
             }
@@ -345,42 +415,29 @@ impl IsaxTree {
         if best.is_none() {
             // Fall back to any refinable segment (keeps cardinality growing so
             // later inserts can separate), provided at least one exists.
-            return (0..segments).find(|&seg| self.nodes[leaf].word.bits[seg] < max_bits);
+            return (0..segments).find(|&seg| node.word.bits[seg] < max_bits);
         }
         best.map(|(_, seg)| seg)
     }
 
-    /// Finds the leaf whose region contains `sax`, if any, descending from the
-    /// matching root child. Records node visits into `stats`.
-    pub fn locate_leaf(&self, sax: &SaxWord, stats: &mut QueryStats) -> Option<NodeId> {
-        let key = self.root_key(sax);
-        let mut current = *self.root_children.get(&key)?;
-        loop {
-            match &self.nodes[current].kind {
-                NodeKind::Internal {
-                    split_segment,
-                    left,
-                    right,
-                } => {
-                    stats.record_internal_visit();
-                    let child_bits = self.nodes[*left].word.bits[*split_segment];
-                    let shift = self.params.max_bits() - child_bits;
-                    let sym = sax.symbols[*split_segment] >> shift;
-                    current = if sym & 1 == 0 { *left } else { *right };
-                }
-                NodeKind::Leaf { .. } => return Some(current),
-            }
-        }
+    /// Finds the leaf whose region contains the full-cardinality `word`, if
+    /// any, descending from the matching root child. Records node visits
+    /// into `stats`.
+    pub fn locate_leaf(&self, word: &[u16], stats: &mut QueryStats) -> Option<NodeId> {
+        let slot = self.root_slot(&self.root_key(word)).ok()?;
+        Some(self.descend(self.root_ids[slot], word, Some(stats)))
     }
 
-    /// The MINDIST lower bound between a query's PAA values and a node.
+    /// The MINDIST lower bound between a query's PAA values and a node,
+    /// computed directly (no table): for the few bounds an ng-approximate
+    /// descent needs.
     pub fn mindist(&self, query_paa: &[f32], node: NodeId) -> f64 {
         self.params
             .mindist_paa_to_isax(query_paa, &self.nodes[node].word)
     }
 
     /// Like [`IsaxTree::locate_leaf`], but never gives up: when no root child
-    /// covers `sax` (the query's region was never populated), descends from
+    /// covers `word` (the query's region was never populated), descends from
     /// the MINDIST-closest root child, picking the MINDIST-closer side at
     /// every split. Used by ng-approximate answering, which must always visit
     /// one leaf; exact search keeps [`IsaxTree::locate_leaf`] so its seeding
@@ -388,10 +445,10 @@ impl IsaxTree {
     pub fn locate_nearest_leaf(
         &self,
         query_paa: &[f32],
-        sax: &SaxWord,
+        word: &[u16],
         stats: &mut QueryStats,
     ) -> Option<NodeId> {
-        if let Some(leaf) = self.locate_leaf(sax, stats) {
+        if let Some(leaf) = self.locate_leaf(word, stats) {
             return Some(leaf);
         }
         let mut current = self.root_children().min_by(|&a, &b| {
@@ -443,20 +500,20 @@ impl IsaxTree {
                     out.put_usize(*left)?;
                     out.put_usize(*right)?;
                 }
-                NodeKind::Leaf { entries } => {
+                NodeKind::Leaf { ids, words } => {
                     out.put_u8(1)?;
-                    out.put_usize(entries.len())?;
-                    for e in entries {
-                        out.put_u32(e.id)?;
-                        for &sym in &e.sax.symbols {
+                    out.put_usize(ids.len())?;
+                    for (&id, word) in ids.iter().zip(words.chunks_exact(segments)) {
+                        out.put_u32(id)?;
+                        for &sym in word {
                             out.put_u16(sym)?;
                         }
                     }
                 }
             }
         }
-        out.put_usize(self.root_children.len())?;
-        for (key, &node) in &self.root_children {
+        out.put_usize(self.root_ids.len())?;
+        for (key, &node) in self.root_words.chunks_exact(segments).zip(&self.root_ids) {
             for &k in key {
                 out.put_u16(k)?;
             }
@@ -489,6 +546,7 @@ impl IsaxTree {
         let params = SaxParams::new(series_length, segments, max_bits);
         let num_nodes = input.get_count(segments * 3 + 2)?;
         let mut nodes = Vec::with_capacity(num_nodes);
+        let mut deepest_bits = 1;
         for _ in 0..num_nodes {
             let depth = input.get_usize()?;
             let mut symbols = Vec::with_capacity(segments);
@@ -511,6 +569,7 @@ impl IsaxTree {
                          {max_bits}-bit table"
                     )));
                 }
+                deepest_bits = deepest_bits.max(b);
             }
             let word = IsaxWord {
                 symbols,
@@ -536,10 +595,10 @@ impl IsaxTree {
                 }
                 1 => {
                     let count = input.get_count(4 + segments * 2)?;
-                    let mut entries = Vec::with_capacity(count);
+                    let mut ids = Vec::with_capacity(count);
+                    let mut words = Vec::with_capacity(count * segments);
                     for _ in 0..count {
                         let id = input.get_u32()?;
-                        let mut sax_symbols = Vec::with_capacity(segments);
                         for seg in 0..segments {
                             let sym = input.get_u16()?;
                             // Same reason as the node words above: the SIMS
@@ -550,23 +609,20 @@ impl IsaxTree {
                                      the {max_bits}-bit table"
                                 )));
                             }
-                            sax_symbols.push(sym);
+                            words.push(sym);
                         }
-                        entries.push(LeafEntry {
-                            id,
-                            sax: SaxWord {
-                                symbols: sax_symbols,
-                            },
-                        });
+                        ids.push(id);
                     }
-                    NodeKind::Leaf { entries }
+                    NodeKind::Leaf { ids, words }
                 }
                 tag => return Err(invalid(format!("unknown node tag {tag}"))),
             };
             nodes.push(Node { word, kind, depth });
         }
         let num_roots = input.get_count(segments * 2 + 8)?;
-        let mut root_children = BTreeMap::new();
+        // Through a map, so a directory written out of order (or with a key
+        // twice, the last one winning) loads into the same sorted layout.
+        let mut directory = BTreeMap::new();
         for _ in 0..num_roots {
             let mut key = Vec::with_capacity(segments);
             for _ in 0..segments {
@@ -578,35 +634,48 @@ impl IsaxTree {
                     "root child {node} outside the arena of {num_nodes}"
                 )));
             }
-            root_children.insert(key, node);
+            directory.insert(key, node);
         }
+        let (root_words, root_ids) = directory.into_iter().fold(
+            (Vec::new(), Vec::new()),
+            |(mut words, mut ids), (key, node)| {
+                words.extend(key);
+                ids.push(node);
+                (words, ids)
+            },
+        );
         Ok(IsaxTree {
             params,
             leaf_capacity,
             nodes,
-            root_children,
+            root_words,
+            root_ids,
+            deepest_bits,
         })
     }
 
     /// Builds the footprint report for this tree, given the byte cost of one
     /// leaf entry on disk (raw series bytes for iSAX2+, summary bytes for
-    /// ADS+).
+    /// ADS+). In memory an entry is what its leaf block holds, a 4-byte id
+    /// and its `segments` 2-byte symbols, and a root child is its flat 1-bit
+    /// word and node id.
     pub fn footprint(&self, entry_disk_bytes: usize) -> IndexFootprint {
         let mut leaf_fill_factors = Vec::new();
         let mut leaf_depths = Vec::new();
         let mut leaf_nodes = 0usize;
         let mut disk_bytes = 0usize;
         for n in &self.nodes {
-            if let NodeKind::Leaf { entries } = &n.kind {
+            if let NodeKind::Leaf { ids, .. } = &n.kind {
                 leaf_nodes += 1;
-                leaf_fill_factors.push(entries.len() as f64 / self.leaf_capacity as f64);
+                leaf_fill_factors.push(ids.len() as f64 / self.leaf_capacity as f64);
                 leaf_depths.push(n.depth);
-                disk_bytes += entries.len() * entry_disk_bytes;
+                disk_bytes += ids.len() * entry_disk_bytes;
             }
         }
-        let memory_bytes = self.nodes.len()
-            * (std::mem::size_of::<Node>() + self.params.segments() * 3)
-            + self.num_entries() * (std::mem::size_of::<LeafEntry>() + self.params.segments() * 2);
+        let segments = self.params.segments();
+        let memory_bytes = self.nodes.len() * (std::mem::size_of::<Node>() + segments * 3)
+            + self.num_entries() * (std::mem::size_of::<u32>() + segments * 2)
+            + self.root_ids.len() * (std::mem::size_of::<NodeId>() + segments * 2);
         IndexFootprint {
             total_nodes: self.nodes.len(),
             leaf_nodes,
@@ -622,6 +691,7 @@ impl IsaxTree {
 mod tests {
     use super::*;
     use hydra_data::RandomWalkGenerator;
+    use hydra_transforms::sax::SaxWord;
 
     fn params() -> SaxParams {
         SaxParams::new(64, 8, 8)
@@ -632,7 +702,7 @@ mod tests {
         let p = params();
         let mut tree = IsaxTree::new(p.clone(), leaf_capacity);
         for (i, s) in data.iter().enumerate() {
-            tree.insert(i as u32, p.sax_word(s.values()));
+            tree.insert(i as u32, &p.sax_word(s.values()).symbols);
         }
         (tree, data)
     }
@@ -649,10 +719,10 @@ mod tests {
     fn leaves_respect_capacity_unless_degenerate() {
         let (tree, _) = build_tree(1000, 16);
         for leaf in tree.leaves() {
-            if let NodeKind::Leaf { entries } = &tree.node(leaf).kind {
+            if let NodeKind::Leaf { ids, .. } = &tree.node(leaf).kind {
                 // Random-walk SAX words are diverse enough that no leaf should
                 // stay over-full after splitting.
-                assert!(entries.len() <= 16, "leaf holds {} entries", entries.len());
+                assert!(ids.len() <= 16, "leaf holds {} entries", ids.len());
             }
         }
     }
@@ -662,12 +732,13 @@ mod tests {
         let (tree, _) = build_tree(300, 8);
         for leaf in tree.leaves() {
             let node = tree.node(leaf);
-            if let NodeKind::Leaf { entries } = &node.kind {
-                for e in entries {
-                    assert!(
-                        node.word.contains(&e.sax),
-                        "leaf word must cover its entries"
-                    );
+            if let NodeKind::Leaf { ids, words } = &node.kind {
+                assert_eq!(words.len(), ids.len() * 8, "one word per entry");
+                for word in words.chunks_exact(8) {
+                    let sax = SaxWord {
+                        symbols: word.to_vec(),
+                    };
+                    assert!(node.word.contains(&sax), "leaf word must cover its entries");
                 }
             }
         }
@@ -681,11 +752,11 @@ mod tests {
         for i in (0..400).step_by(37) {
             let sax = p.sax_word(data.series(i).values());
             let leaf = tree
-                .locate_leaf(&sax, &mut stats)
+                .locate_leaf(&sax.symbols, &mut stats)
                 .expect("series word must map to a leaf");
-            if let NodeKind::Leaf { entries } = &tree.node(leaf).kind {
+            if let NodeKind::Leaf { ids, .. } = &tree.node(leaf).kind {
                 assert!(
-                    entries.iter().any(|e| e.id == i as u32),
+                    ids.contains(&(i as u32)),
                     "series {i} must be in the located leaf"
                 );
             }
@@ -701,7 +772,7 @@ mod tests {
         let q = data.series(0);
         let paa = p.paa().transform(q.values());
         let sax = p.sax_word(q.values());
-        let leaf = tree.locate_leaf(&sax, &mut stats).unwrap();
+        let leaf = tree.locate_leaf(&sax.symbols, &mut stats).unwrap();
         assert!(tree.mindist(&paa, leaf) < 1e-9);
     }
 
@@ -745,7 +816,7 @@ mod tests {
         let series = vec![0.5f32; 64];
         let sax = p.sax_word(&series);
         for i in 0..100 {
-            tree.insert(i, sax.clone());
+            tree.insert(i, &sax.symbols);
         }
         assert_eq!(tree.num_entries(), 100);
     }
@@ -764,7 +835,7 @@ mod tests {
             .map(|l| {
                 let n = tree.node(l);
                 match &n.kind {
-                    NodeKind::Leaf { entries } => (n.depth, entries.len()),
+                    NodeKind::Leaf { ids, .. } => (n.depth, ids.len()),
                     _ => unreachable!(),
                 }
             })
@@ -785,6 +856,12 @@ mod tests {
         assert_eq!(reloaded.num_nodes(), tree.num_nodes());
         assert_eq!(reloaded.num_entries(), tree.num_entries());
         assert_eq!(shape(&reloaded), shape(&tree));
+        // The derived state comes back too: the sorted root directory and
+        // the depth the node-bound table is sized to.
+        assert_eq!(reloaded.root_words, tree.root_words);
+        assert_eq!(reloaded.root_ids, tree.root_ids);
+        assert_eq!(reloaded.deepest_bits, tree.deepest_bits);
+        assert!(tree.deepest_bits > 1);
 
         // Forge the first node's first per-segment bit count beyond max_bits:
         // header is series_length (8) + segments (8) + max_bits (1) +
@@ -805,30 +882,31 @@ mod tests {
     }
 
     #[test]
-    fn from_entries_matches_incremental_insertion_for_any_thread_count() {
+    fn from_summaries_matches_incremental_insertion_for_any_thread_count() {
         let data = RandomWalkGenerator::new(5, 64).dataset(700);
         let p = params();
-        let entries: Vec<(u32, SaxWord)> = data
+        let summaries: Vec<u16> = data
             .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, p.sax_word(s.values())))
+            .flat_map(|s| p.sax_word(s.values()).symbols)
             .collect();
         let mut incremental = IsaxTree::new(p.clone(), 16);
-        for (id, sax) in &entries {
-            incremental.insert(*id, sax.clone());
+        for (id, word) in summaries.chunks_exact(8).enumerate() {
+            incremental.insert(id as u32, word);
         }
         let expected = shape(&incremental);
         for threads in [1usize, 4] {
-            let bulk = IsaxTree::from_entries(p.clone(), 16, entries.clone(), threads);
+            let bulk = IsaxTree::from_summaries(p.clone(), 16, &summaries, threads);
             assert_eq!(bulk.num_entries(), 700, "threads={threads}");
             assert_eq!(shape(&bulk), expected, "threads={threads}");
+            assert_eq!(bulk.root_words, incremental.root_words, "threads={threads}");
+            assert_eq!(bulk.deepest_bits, incremental.deepest_bits);
             // Every entry must still be locatable in a covering leaf.
             let mut stats = QueryStats::default();
             for i in (0..700).step_by(97) {
                 let sax = p.sax_word(data.series(i).values());
-                let leaf = bulk.locate_leaf(&sax, &mut stats).unwrap();
-                if let NodeKind::Leaf { entries } = &bulk.node(leaf).kind {
-                    assert!(entries.iter().any(|e| e.id == i as u32));
+                let leaf = bulk.locate_leaf(&sax.symbols, &mut stats).unwrap();
+                if let NodeKind::Leaf { ids, .. } = &bulk.node(leaf).kind {
+                    assert!(ids.contains(&(i as u32)));
                 }
             }
         }

@@ -17,6 +17,17 @@
 //! refined and never counted as raw. A leaf whose every entry is bounded out
 //! is not read at all: no page, no leaf visit, no fault checkpoint.
 //!
+//! For DSTree and iSAX2+ both bound hooks are table lookups, like the
+//! `hydra_transforms::sweep` of ADS+ and the VA+file. The tree's
+//! [`BestFirstTree::probe`] fills its per-query tables once (iSAX: the
+//! query's MINDIST term for every segment, cardinality and symbol; DSTree:
+//! the query's mean and σ over every distinct segment of the tree), so a
+//! node's [`BestFirstTree::bound`] is one lookup per segment. Their leaves
+//! keep the entries' summaries in one flat block, so
+//! [`BestFirstTree::entry_bounds`] is one pass over that block. In debug
+//! builds the popped node's bound, like each entry's, is asserted not to
+//! exceed any distance its leaf's scan computes in full.
+//!
 //! With `threads > 1` the same call is the MESSI-style intra-query search:
 //! after the seed scan, every leaf the traversal could still reach is
 //! bounded and evaluated by a worker pool sharing an atomic best-so-far,
@@ -257,7 +268,8 @@ fn search_with<T: BestFirstTree>(
         let seed = tree.seed(&probe, mode, r.stats);
         if let Some(leaf) = seed.leaf {
             if let Node::Leaf(ids) = tree.node(leaf) {
-                scan_leaf(r, query, ids, direct(leaf))?;
+                // The descent computes no bound for the leaf it lands on.
+                scan_leaf(r, query, ids, f64::NEG_INFINITY, direct(leaf))?;
             }
         }
         // In ng-approximate mode the seed leaf is the whole answer.
@@ -280,7 +292,7 @@ fn search_with<T: BestFirstTree>(
                 Node::Leaf(ids) => {
                     if Some(node) != seed.skip {
                         let evidence = recorded.remove(&node).unwrap_or_else(|| direct(node));
-                        scan_leaf(r, query, ids, evidence)?;
+                        scan_leaf(r, query, ids, lower_bound, evidence)?;
                     }
                 }
                 Node::Internal(children) => {
@@ -305,11 +317,14 @@ fn search_with<T: BestFirstTree>(
 /// random access plus sequential pages for its materialized payload, and
 /// only the entries not bounded out are refined through the scan side's
 /// per-candidate step — replaying a worker's recorded outcome where there
-/// is one; counters and I/O charges are identical either way.
+/// is one; counters and I/O charges are identical either way. In debug
+/// builds the leaf's `node_bound` (−∞ where the traversal computed none),
+/// less the slack, is asserted not to exceed any distance computed in full.
 fn scan_leaf(
     r: &mut Refiner<'_>,
     query: &Query,
     ids: impl ExactSizeIterator<Item = u32>,
+    node_bound: f64,
     evidence: LeafEvidence,
 ) -> Result<()> {
     let mut ids = ids.peekable();
@@ -345,7 +360,14 @@ fn scan_leaf(
         }
         let series = store.dataset().series(id as usize);
         let outcome = outcomes.get(i).copied().flatten();
-        r.refine(id as usize, bound, series.values(), &mut kernel, outcome);
+        if let Some(distance) = r.refine(id as usize, bound, series.values(), &mut kernel, outcome)
+        {
+            debug_assert!(
+                !(node_bound.is_finite() && distance.is_finite())
+                    || r.filter.floor(node_bound) <= distance,
+                "series {id}: its leaf's bound {node_bound} is above its distance {distance}"
+            );
+        }
     }
     Ok(())
 }
@@ -644,6 +666,22 @@ mod tests {
             assert_eq!(got, truth, "threads {threads}");
             assert_eq!(ids(&answers), vec![23, 22, 21, 20, 19]);
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "its leaf's bound")]
+    fn a_node_bound_above_a_distance_computed_in_full_fails_the_debug_assertion() {
+        let mut tree = flat_toy(Seed::default());
+        // Leaf 4 holds levels 1 and 2, at √8 and 2·√8 from the zero query,
+        // yet claims 5: its first series is computed in full below that.
+        tree.bounds[4] = 5.0;
+        let _ = search(
+            &tree,
+            &constant_query(0.0, 1),
+            1,
+            &mut QueryStats::default(),
+        );
     }
 
     #[test]

@@ -143,7 +143,8 @@ impl Refiner<'_> {
     /// the current threshold — or a worker's recorded `outcome`, replayed —
     /// then `offer`, or an early abandon. In debug builds a finite lower
     /// `bound` (−∞ where the order has none), less `ENTRY_SLACK`, is
-    /// asserted not to exceed a finite distance computed in full.
+    /// asserted not to exceed a finite distance computed in full. Returns
+    /// that distance (`None` for an early abandon).
     pub(crate) fn refine<K: RefineKernel>(
         &mut self,
         id: usize,
@@ -151,7 +152,7 @@ impl Refiner<'_> {
         values: &[f32],
         kernel: &mut K,
         outcome: Option<Outcome>,
-    ) {
+    ) -> Option<f64> {
         self.stats.record_raw_series_examined(1);
         let threshold = if K::ABANDONS {
             self.heap.threshold_squared()
@@ -164,13 +165,14 @@ impl Refiner<'_> {
         };
         let Some(distance) = squared.map(f64::sqrt) else {
             self.stats.record_early_abandon();
-            return;
+            return None;
         };
         debug_assert!(
             !(bound.is_finite() && distance.is_finite()) || self.filter.floor(bound) <= distance,
             "series {id}: lower bound {bound} above its distance {distance}"
         );
         self.heap.offer(id, distance);
+        Some(distance)
     }
 
     /// Storage order: one counted sequential pass over the whole store.

@@ -41,21 +41,7 @@ impl Eapca {
         let mut segments = Vec::with_capacity(segmentation.len());
         let mut start = 0usize;
         for &end in segmentation {
-            let slice = &series[start..end];
-            let n = slice.len() as f64;
-            let mean = slice.iter().map(|&v| v as f64).sum::<f64>() / n;
-            let var = slice
-                .iter()
-                .map(|&v| {
-                    let d = v as f64 - mean;
-                    d * d
-                })
-                .sum::<f64>()
-                / n;
-            segments.push(EapcaSegment {
-                mean: mean as f32,
-                std_dev: var.sqrt() as f32,
-            });
+            segments.push(EapcaSegment::compute(&series[start..end]));
             start = end;
         }
         Self { segments }
@@ -80,13 +66,40 @@ impl Eapca {
         let mut sum = 0.0f64;
         let mut start = 0usize;
         for ((a, b), &end) in self.segments.iter().zip(&other.segments).zip(segmentation) {
-            let w = (end - start) as f64;
-            let d_mean = a.mean as f64 - b.mean as f64;
-            let d_std = a.std_dev as f64 - b.std_dev as f64;
-            sum += w * (d_mean * d_mean + d_std * d_std);
+            sum += a.gap_sq(b, (end - start) as f64);
             start = end;
         }
         sum.sqrt()
+    }
+}
+
+impl EapcaSegment {
+    /// The mean and population standard deviation of one segment's points
+    /// (both accumulated in `f64`, stored as `f32`).
+    pub fn compute(values: &[f32]) -> Self {
+        let n = values.len() as f64;
+        let mean = values.iter().map(|&v| v as f64).sum::<f64>() / n;
+        let var = values
+            .iter()
+            .map(|&v| {
+                let d = v as f64 - mean;
+                d * d
+            })
+            .sum::<f64>()
+            / n;
+        Self {
+            mean: mean as f32,
+            std_dev: var.sqrt() as f32,
+        }
+    }
+
+    /// One segment's term of [`Eapca::lower_bound`], `w·((Δμ)² + (Δσ)²)` for
+    /// a segment of width `width`.
+    #[inline]
+    pub fn gap_sq(&self, other: &EapcaSegment, width: f64) -> f64 {
+        let d_mean = self.mean as f64 - other.mean as f64;
+        let d_std = self.std_dev as f64 - other.std_dev as f64;
+        width * (d_mean * d_mean + d_std * d_std)
     }
 }
 

@@ -33,7 +33,7 @@ pub use dhwt::HaarTransform;
 pub use eapca::{Eapca, EapcaSegment};
 pub use fft::{dft_summary, Complex, Fft};
 pub use paa::Paa;
-pub use sax::{IsaxWord, SaxParams, SaxWord};
+pub use sax::{IsaxWord, NodeBounds, SaxParams, SaxWord};
 pub use sfa::{BinningMethod, SfaParams, SfaQuantizer, SfaWord};
 pub use sweep::BoundSweep;
 pub use vaplus::{VaPlusCell, VaPlusQuantizer};

@@ -14,7 +14,7 @@
 
 use crate::gaussian::{sax_breakpoints, symbol_for_value};
 use crate::paa::Paa;
-use crate::sweep::BoundSweep;
+use crate::sweep::{accumulate, BoundSweep};
 
 /// Shared parameters of a SAX summarization: segment layout and the maximum
 /// (full) cardinality breakpoint table.
@@ -160,24 +160,38 @@ impl SaxParams {
             .sqrt()
     }
 
+    /// The interval kernel's value for one segment alone: `segment`'s term
+    /// of `mindist_paa_to_isax` for a word holding `symbol` at `bits` there.
+    ///
+    /// Both per-query tables below are filled from it, which is why their
+    /// bounds are bit-identical to the per-pair MINDIST: the kernel adds a
+    /// segment's term `(w·d)·d` into lane `segment % 4` (or, past the last
+    /// whole group of four, straight into the sum) and reduces the lanes as
+    /// `(a0 + a1) + (a2 + a3)`; a one-segment call computes that same term
+    /// and adds it to zero, and the tables' lookups are summed in that same
+    /// lane order (`hydra_transforms::sweep`).
+    fn term(&self, query_paa: &[f32], segment: usize, symbol: u16, bits: u8) -> f64 {
+        let (low, high) = self.symbol_range(symbol, bits);
+        hydra_core::simd::interval_mindist_weighted_sq(
+            &query_paa[segment..=segment],
+            &[low],
+            &[high],
+            &[self.paa.segment_width(segment) as f64],
+        )
+    }
+
     /// One query's MINDIST sweep over `rows` full-cardinality SAX words
     /// stored flat (`segments` symbols each): every swept bound is
     /// bit-identical to `mindist_paa_to_isax(query_paa, &w.to_isax(b, b))`
     /// with `b = max_bits`, because each `(segment, symbol)` term is the
-    /// interval kernel's own value for that one segment.
+    /// interval kernel's own value for that one segment (`SaxParams::term`).
     pub fn sweep(&self, query_paa: &[f32], rows: usize) -> BoundSweep<'_> {
         debug_assert_eq!(query_paa.len(), self.segments());
         // Owned, so a tree's per-query probe can hold the sweep beside the
         // PAA it was built from.
         let query_paa = query_paa.to_vec();
         let term = move |segment: usize, symbol: u16| {
-            let (low, high) = self.symbol_range(symbol, self.max_bits);
-            hydra_core::simd::interval_mindist_weighted_sq(
-                &query_paa[segment..=segment],
-                &[low],
-                &[high],
-                &[self.paa.segment_width(segment) as f64],
-            )
+            self.term(&query_paa, segment, symbol, self.max_bits)
         };
         let cardinality = 1usize << self.max_bits;
         BoundSweep::new(
@@ -185,6 +199,60 @@ impl SaxParams {
             rows,
             term,
         )
+    }
+
+    /// One query's MINDIST table over iSAX node words whose segments hold at
+    /// most `bits` bits: the term of every `(segment, bits, symbol)`, so a
+    /// node's bound is `segments` lookups ([`NodeBounds::mindist`]),
+    /// bit-identical to `mindist_paa_to_isax` by the argument of
+    /// `SaxParams::term`. A tree sizes `bits` to its deepest node word, so
+    /// the table holds `segments · (2^(bits+1) − 2)` terms.
+    pub fn node_bounds(&self, query_paa: &[f32], bits: u8) -> NodeBounds {
+        debug_assert_eq!(query_paa.len(), self.segments());
+        let bits = bits.clamp(1, self.max_bits);
+        let row = (2usize << bits) - 2;
+        let mut terms = Vec::with_capacity(self.segments() * row);
+        for segment in 0..self.segments() {
+            for level in 1..=bits {
+                for symbol in 0..1u32 << level {
+                    terms.push(self.term(query_paa, segment, symbol as u16, level));
+                }
+            }
+        }
+        NodeBounds { row, terms }
+    }
+}
+
+/// One query's MINDIST table over iSAX node words ([`SaxParams::node_bounds`]).
+#[derive(Clone, Debug)]
+pub struct NodeBounds {
+    /// Terms per segment: the `2^b` symbols of cardinality level `b` start
+    /// at `2^b − 2` within a segment's row.
+    row: usize,
+    /// `terms[segment · row + 2^bits − 2 + symbol]`.
+    terms: Vec<f64>,
+}
+
+impl NodeBounds {
+    /// MINDIST between the query and `word`, whose segments must hold no
+    /// more bits than the table was built for.
+    pub fn mindist(&self, word: &IsaxWord) -> f64 {
+        debug_assert_eq!(word.len() * self.row, self.terms.len());
+        accumulate(&word.symbols, |segment, symbol| {
+            let level = (1usize << word.bits[segment]) - 2;
+            self.terms[segment * self.row + level + symbol as usize]
+        })
+    }
+
+    /// MINDIST between the query and each of the 1-bit words stored flat in
+    /// `words` (`segments` symbols each), in order.
+    pub fn one_bit_mindists<'a>(&'a self, words: &'a [u16]) -> impl Iterator<Item = f64> + 'a {
+        let segments = self.terms.len() / self.row;
+        words.chunks_exact(segments.max(1)).map(move |word| {
+            accumulate(word, |segment, symbol| {
+                self.terms[segment * self.row + symbol as usize]
+            })
+        })
     }
 }
 
@@ -269,11 +337,6 @@ impl IsaxWord {
         left.symbols[segment] = self.symbols[segment] << 1;
         right.symbols[segment] = (self.symbols[segment] << 1) | 1;
         Some((left, right))
-    }
-
-    /// The root word (every segment at 1 bit, symbol taken from `full`).
-    pub fn root_of(full: &SaxWord, max_bits: u8) -> IsaxWord {
-        full.to_isax(1, max_bits)
     }
 }
 
@@ -387,7 +450,7 @@ mod tests {
         let params = SaxParams::new(32, 4, 4);
         let s = lcg_series(32, 77);
         let full = params.sax_word(&s);
-        let root = IsaxWord::root_of(&full, 4);
+        let root = full.to_isax(1, 4);
         assert!(root.contains(&full));
         let (left, right) = root.split(0).unwrap();
         // Exactly one of the children contains the word.

@@ -86,18 +86,10 @@ impl<'a> BoundSweep<'a> {
         self.dims
     }
 
-    /// The lower bound of one summary. Every symbol must be inside its
-    /// dimension's cardinality (builders guarantee it, snapshot loaders
-    /// check it): the table is indexed by it.
-    pub fn bound(&self, word: &[u16]) -> f64 {
-        debug_assert_eq!(word.len(), self.dims);
-        let mut bound = 0.0;
-        self.bounds_into(word, |b| bound = b);
-        bound
-    }
-
     /// Sweeps `summaries` on `threads` workers (contiguous chunks, merged in
-    /// order) and leaves the bounds, one per summary, in `bounds`.
+    /// order) and leaves the bounds, one per summary, in `bounds`. Every
+    /// symbol must be inside its dimension's cardinality (builders guarantee
+    /// it, snapshot loaders check it): the table is indexed by it.
     pub fn sweep(&self, summaries: &[u16], threads: usize, bounds: &mut Vec<f64>) {
         if threads <= 1 {
             bounds.clear();
@@ -163,7 +155,7 @@ fn lookup<const W: usize>(word: &[u16], terms: &[f64]) -> f64 {
 
 /// `sqrt` of the sum of `term(i, word[i])`, in the interval kernels' order.
 #[inline(always)]
-fn accumulate(word: &[u16], term: impl Fn(usize, u16) -> f64) -> f64 {
+pub(crate) fn accumulate(word: &[u16], term: impl Fn(usize, u16) -> f64) -> f64 {
     let mut acc = [0.0f64; LANES];
     let mut chunks = word.chunks_exact(LANES);
     let mut base = 0usize;
@@ -215,8 +207,9 @@ mod tests {
                     table.sweep(&summaries, threads, &mut got);
                     assert_eq!(bits(&got), bits(&expected), "{widest} {dims} {threads}");
                 }
-                let first = table.bound(&summaries[..dims]);
-                assert_eq!(first.to_bits(), expected[0].to_bits());
+                let mut first = Vec::new();
+                table.sweep(&summaries[..dims], 1, &mut first);
+                assert_eq!(first[0].to_bits(), expected[0].to_bits());
             }
         }
     }
@@ -228,7 +221,9 @@ mod tests {
         let sweep = BoundSweep::new([1usize; 6], 1, |d, _| values[d]);
         let lanes: f64 = (1e16 + 1.0) + (-1e16 + 1.0);
         let expected = ((lanes + 3.0) + 5.0).sqrt();
-        assert_eq!(sweep.bound(&[0; 6]).to_bits(), expected.to_bits());
+        let mut bound = Vec::new();
+        sweep.sweep(&[0; 6], 1, &mut bound);
+        assert_eq!(bound[0].to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 
 use hydra_core::distance::euclidean;
 use hydra_core::series::z_normalize;
+use hydra_isax::tree::IsaxTree;
 use hydra_transforms::eapca::{uniform_segmentation, Eapca};
 use hydra_transforms::fft::{dft_lower_bound, dft_summary};
-use hydra_transforms::sax::SaxParams;
+use hydra_transforms::sax::{IsaxWord, SaxParams, SaxWord};
 use hydra_transforms::sfa::{BinningMethod, SfaParams, SfaQuantizer};
 use hydra_transforms::vaplus::VaPlusQuantizer;
 use hydra_transforms::{HaarTransform, Paa};
@@ -273,6 +274,140 @@ fn sax_sweep_is_bit_identical_to_the_per_pair_mindist_on_hostile_inputs() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// `full` cut to `bits[s]` bits in segment `s`.
+fn mixed_word(full: &SaxWord, bits: &[u8], max_bits: u8) -> IsaxWord {
+    IsaxWord {
+        symbols: full
+            .symbols
+            .iter()
+            .zip(bits)
+            .map(|(&symbol, &b)| symbol >> (max_bits - b))
+            .collect(),
+        bits: bits.to_vec(),
+        max_bits,
+    }
+}
+
+/// The iSAX trees bound their nodes from a per-query `(segment, bits,
+/// symbol)` table and their root children from one sweep over flat 1-bit
+/// words; both must reproduce `mindist_paa_to_isax` bit for bit, for every
+/// mix of per-segment cardinalities a node word can hold and on both
+/// dispatch tiers.
+#[test]
+fn isax_node_table_is_bit_identical_to_the_per_pair_mindist_on_hostile_inputs() {
+    // (length, segments, max bits, table bits): 16 segments (whole lanes)
+    // and 6 (a ragged tail of two), ragged segment widths, tables sized to
+    // the full cardinality and to a shallower tree.
+    for (case, (len, segments, max_bits, table_bits)) in [
+        (250usize, 16usize, 8u8, 8u8),
+        (250, 16, 8, 3),
+        (64, 6, 8, 8),
+        (250, 6, 3, 3),
+        (64, 6, 16, 5),
+        (64, 16, 1, 1),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(0x1A5A + case as u64);
+        let params = SaxParams::new(len, segments, max_bits);
+        let full: Vec<SaxWord> = hostile_collection(&mut rng, len)
+            .iter()
+            .map(|s| params.sax_word(s))
+            .collect();
+        // Every level in every segment (rotations of a staircase), uniform
+        // words at every level, and random mixes.
+        let mut mixes: Vec<Vec<u8>> = (0..table_bits)
+            .flat_map(|r| {
+                [
+                    (0..segments)
+                        .map(|s| 1 + (s as u8 + r) % table_bits)
+                        .collect(),
+                    vec![1 + r; segments],
+                ]
+            })
+            .collect();
+        mixes.extend((0..8).map(|_| {
+            (0..segments)
+                .map(|_| rng.gen_range(0..usize::from(table_bits)) as u8 + 1)
+                .collect()
+        }));
+        let words: Vec<IsaxWord> = full
+            .iter()
+            .flat_map(|w| mixes.iter().map(|bits| mixed_word(w, bits, max_bits)))
+            .collect();
+        let one_bit: Vec<u16> = full
+            .iter()
+            .flat_map(|w| w.to_isax(1, max_bits).symbols)
+            .collect();
+        for (qi, q) in hostile_queries(&mut rng, len).iter().enumerate() {
+            let q_paa = params.paa().transform(q);
+            let table = params.node_bounds(&q_paa, table_bits);
+            for (wi, word) in words.iter().enumerate() {
+                assert_eq!(
+                    table.mindist(word).to_bits(),
+                    params.mindist_paa_to_isax(&q_paa, word).to_bits(),
+                    "case={case} query={qi} word={wi} bits={:?}",
+                    word.bits
+                );
+            }
+            let expected: Vec<f64> = full
+                .iter()
+                .map(|w| params.mindist_paa_to_isax(&q_paa, &w.to_isax(1, max_bits)))
+                .collect();
+            let swept: Vec<f64> = table.one_bit_mindists(&one_bit).collect();
+            assert_eq!(
+                bits_of(&swept),
+                bits_of(&expected),
+                "case={case} query={qi}"
+            );
+        }
+    }
+}
+
+/// The same identity inside a built iSAX tree: every node's table bound and
+/// every root child's swept bound equal the per-pair MINDIST of its word.
+#[test]
+fn isax_tree_node_and_root_bounds_are_the_per_pair_mindist() {
+    let len = 250;
+    for (case, segments) in [16usize, 6].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0x7EE + case as u64);
+        let params = SaxParams::new(len, segments, 8);
+        let mut data = hostile_collection(&mut rng, len);
+        data.extend((0..400u64).map(|i| {
+            hydra_data::RandomWalkGenerator::new(60 + i, len)
+                .series(i)
+                .into_values()
+        }));
+        let summaries: Vec<u16> = data
+            .iter()
+            .flat_map(|s| params.sax_word(s).symbols)
+            .collect();
+        let tree = IsaxTree::from_summaries(params.clone(), 8, &summaries, 1);
+        assert!(tree.num_nodes() > tree.root_children().count());
+        for (qi, q) in hostile_queries(&mut rng, len).iter().enumerate() {
+            let q_paa = params.paa().transform(q);
+            let table = tree.node_bounds(&q_paa);
+            for id in 0..tree.num_nodes() {
+                assert_eq!(
+                    table.mindist(&tree.node(id).word).to_bits(),
+                    tree.mindist(&q_paa, id).to_bits(),
+                    "segments={segments} query={qi} node={id}"
+                );
+            }
+            let roots: Vec<(usize, u64)> = tree
+                .root_bounds(&table)
+                .map(|(id, bound)| (id, bound.to_bits()))
+                .collect();
+            let expected: Vec<(usize, u64)> = tree
+                .root_children()
+                .map(|id| (id, tree.mindist(&q_paa, id).to_bits()))
+                .collect();
+            assert_eq!(roots, expected, "segments={segments} query={qi}");
         }
     }
 }

@@ -165,6 +165,54 @@ fn sfa_trie_round_trips_bit_identically() {
     assert_round_trip::<SfaTrie, _>("sfatrie", &data, &opts, SfaTrie::build_on_store);
 }
 
+/// FNV-1a digest of `index`'s snapshot payload, the bytes `save_index` wraps.
+fn payload_digest<I: PersistentIndex>(index: &I) -> u64 {
+    let mut payload: Vec<u8> = Vec::new();
+    index.save_payload(&mut payload).unwrap();
+    let mut hasher = hydra_core::hash::Fnv1a::new();
+    hasher.write_bytes(&payload);
+    hasher.finish()
+}
+
+/// Cross-commit golden for the on-disk format of the three tree snapshots:
+/// the payload digests were recorded on the commit before the trees' leaves
+/// moved to flat summary blocks, so an in-memory layout change that leaks
+/// into the bytes — and would strand every existing `--index-dir` cache —
+/// fails here. The dataset carries a run of duplicates longer than a leaf
+/// and constant series, so degenerate splits are in the bytes too.
+#[test]
+fn tree_snapshot_payloads_match_the_recorded_digests() {
+    let len = 64;
+    let walks = RandomWalkGenerator::new(2929, len);
+    let mut data = Dataset::empty(len);
+    for i in 0..300u64 {
+        data.push(walks.series(i).values());
+        if i % 10 == 0 {
+            data.push(walks.series(5000).values());
+        }
+    }
+    for level in [0.0f32, 0.0, -1.25] {
+        data.push(&vec![level; len]);
+    }
+    let store = || Arc::new(DatasetStore::new(data.clone()));
+    let opts = options();
+    let digests = [
+        payload_digest(&DsTree::build_on_store(store(), &opts.clone().with_segments(8)).unwrap()),
+        payload_digest(&Isax2Plus::build_on_store(store(), &opts).unwrap()),
+        payload_digest(&AdsPlus::build_on_store(store(), &opts).unwrap()),
+    ];
+    // iSAX2+ and ADS+ write the same iSAX tree, so their payloads agree.
+    assert_eq!(
+        digests,
+        [
+            4_003_491_479_337_630_393,
+            9_411_367_254_519_154_624,
+            9_411_367_254_519_154_624
+        ],
+        "dstree / isax2plus / adsplus payload digests"
+    );
+}
+
 #[test]
 fn parallel_build_and_loaded_snapshot_are_the_same_index() {
     // Build at 4 threads, snapshot, reload: the loaded index must agree with
