@@ -3,24 +3,34 @@
 //! ADS+ builds the iSAX tree using **only the summaries** of the raw series —
 //! leaves hold series positions and SAX words, never raw values — which makes
 //! index construction dramatically cheaper than iSAX2+ (the paper's Figure 6a).
-//! The cost is shifted to query time. Exact queries use SIMS:
+//! The cost is shifted to query time. Exact search (and the ε and δ-ε modes)
+//! uses SIMS:
 //!
-//! 1. an ng-approximate tree descent reads the raw series of one leaf from the
-//!    raw file to obtain an initial best-so-far (bsf);
-//! 2. the MINDIST lower bound between the query and *every* series' full-
+//! 1. the MINDIST lower bound between the query and *every* series' full-
 //!    resolution iSAX summary is computed in memory;
+//! 2. the `2k` series with the smallest bounds are read (random accesses)
+//!    and refined first, so the best-so-far (bsf) is tight before any skip
+//!    is decided — as MESSI and Hercules seed theirs from the best
+//!    summaries rather than from one leaf;
 //! 3. a skip-sequential pass over the raw file reads only the series whose
-//!    lower bound is below the bsf, skipping (seeking over) the pruned ones,
-//!    and refines the bsf as it goes.
+//!    lower bound is below the bsf, skipping (seeking over) the pruned ones
+//!    at page granularity — a run bridges bounded-out series up to the page
+//!    after its last one — and refines the bsf as it goes.
 //!
-//! Steps 1 and 3 run through the scan-side driver, [`hydra_storage::refine`]
-//! (an id list, then skip-sequential runs over the step-2 bounds), which
-//! owns the query frame and the budgeted per-candidate step; ADS+ supplies
-//! the descent, the sweep and the kernels.
+//! The ng-approximate mode instead answers from one leaf: the tree descent
+//! to the covering leaf (or the MINDIST-nearest one).
+//!
+//! Steps 2 and 3 (and the ng leaf) run through the scan-side driver,
+//! [`hydra_storage::refine`] ([`Refiner::skip_sequential`] over the step-1
+//! bounds, an id list for the leaf), which owns the query frame and the
+//! budgeted per-candidate step; ADS+ supplies the descent, the sweep and
+//! the kernels.
 //!
 //! Every skip is a random disk access — the behaviour that makes ADS+ the
 //! fastest method to build but sensitive to seek latency on HDDs (and very
 //! fast on SSDs), exactly the trade-off the paper analyses.
+//!
+//! [`Refiner::skip_sequential`]: hydra_storage::refine::Refiner::skip_sequential
 
 use crate::tree::{IsaxTree, NodeKind};
 use hydra_core::distance::{squared_euclidean, squared_euclidean_early_abandon};
@@ -81,6 +91,20 @@ impl AdsPlus {
     pub fn store(&self) -> &DatasetStore {
         &self.store
     }
+
+    /// SIMS step 1: the MINDIST lower bound from the query to every
+    /// full-resolution summary, in dataset order, table-driven (see
+    /// `hydra_transforms::sweep`) and split over `threads` workers.
+    fn bounds(&self, query_paa: &[f32], threads: usize, stats: &mut QueryStats) -> Vec<f64> {
+        let n = self.store.len();
+        let mut bounds = Vec::new();
+        self.tree
+            .params()
+            .sweep(query_paa, n)
+            .sweep(&self.summaries, threads, &mut bounds);
+        stats.record_lower_bounds(n as u64);
+        bounds
+    }
 }
 
 fn log2_ceil(x: usize) -> u32 {
@@ -104,12 +128,12 @@ impl AnsweringMethod for AdsPlus {
     /// One SIMS query at `threads` workers, visiting candidates through
     /// the scan-side driver.
     ///
-    /// The MINDIST bounds of step 2 — the CPU bulk of an exact query —
-    /// depend only on the query summary (never on the seeded best-so-far),
-    /// so the sweep splits over `threads` workers and merges in order to the
-    /// same array; the bsf-seeding descent (step 1) and the skip-sequential
-    /// raw-file pass (step 3, whose skip pattern follows the evolving
-    /// best-so-far and whose reads are counted) are serial. Answers,
+    /// The MINDIST bounds of step 1 — the CPU bulk of an exact query —
+    /// depend only on the query summary (never on the best-so-far), so the
+    /// sweep splits over `threads` workers and merges in order to the same
+    /// array; the seed and the skip-sequential raw-file pass (steps 2 and 3,
+    /// whose reads are counted and whose skips follow the evolving
+    /// best-so-far) are serial, as is the ng-approximate leaf. Answers,
     /// counters and I/O are therefore the same bits for every thread count
     /// in every answering mode.
     fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
@@ -118,40 +142,25 @@ impl AnsweringMethod for AdsPlus {
         refine::search(&self.store, query, k, stats, |refiner| {
             let params = self.tree.params();
             let query_paa = params.paa().transform(query.values());
-
-            // Step 1: descend to the covering leaf and read its series
-            // (random accesses) for the initial bsf — the whole answer in
-            // ng-approximate mode. That mode must always visit one leaf, so a
-            // query whose region was never populated descends to the
-            // MINDIST-nearest leaf instead of seeding nothing; exact search
-            // keeps the plain lookup.
-            let ng = query.mode() == AnswerMode::NgApproximate;
-            let sax = params.sax_word_from_paa(&query_paa);
-            let located = if ng {
-                self.tree
-                    .locate_nearest_leaf(&query_paa, &sax.symbols, refiner.stats)
-            } else {
-                self.tree.locate_leaf(&sax.symbols, refiner.stats)
-            };
-            if let Some(leaf) = located {
-                refiner.stats.record_leaf_visit();
-                if let NodeKind::Leaf { ids, .. } = &self.tree.node(leaf).kind {
-                    let kernel = Full(|values: &[f32]| squared_euclidean(query.values(), values));
-                    refiner.ids(ids.iter().map(|&id| id as usize), kernel)?;
+            if query.mode() == AnswerMode::NgApproximate {
+                // The whole answer comes from one leaf: the covering one, or
+                // the MINDIST-nearest when the query's region was never
+                // populated, so the mode always visits a leaf.
+                let sax = params.sax_word_from_paa(&query_paa);
+                let leaf = self
+                    .tree
+                    .locate_nearest_leaf(&query_paa, &sax.symbols, refiner.stats);
+                if let Some(leaf) = leaf {
+                    refiner.stats.record_leaf_visit();
+                    if let NodeKind::Leaf { ids, .. } = &self.tree.node(leaf).kind {
+                        let kernel =
+                            Full(|values: &[f32]| squared_euclidean(query.values(), values));
+                        refiner.ids(ids.iter().map(|&id| id as usize), kernel)?;
+                    }
                 }
-            }
-            if ng {
                 return Ok(());
             }
-            // Step 2: in-memory lower bounds against every full-resolution
-            // summary, table-driven (see `hydra_transforms::sweep`).
-            let n = self.store.len();
-            let mut bounds = Vec::new();
-            params
-                .sweep(&query_paa, n)
-                .sweep(&self.summaries, threads, &mut bounds);
-            refiner.stats.record_lower_bounds(n as u64);
-            // Step 3: skip-sequential scan over the raw file.
+            let bounds = self.bounds(&query_paa, threads, refiner.stats);
             refiner.skip_sequential(
                 &bounds,
                 EarlyAbandon(|values: &[f32], threshold| {
@@ -288,9 +297,9 @@ mod tests {
     #[test]
     fn sims_performs_skip_sequential_access() {
         // Plant near-duplicates of an off-dataset base series at scattered
-        // positions. The approximate descent seeds a small but non-zero bsf,
-        // so SIMS must seek to each scattered surviving candidate while still
-        // pruning the bulk of the file.
+        // positions. The seed (the two best-bounded series) sets a small but
+        // non-zero bsf, so SIMS must seek to each scattered surviving
+        // candidate while still pruning the bulk of the file.
         let len = 64;
         let gen = RandomWalkGenerator::new(71, len);
         let base = gen.series(5000);
@@ -335,6 +344,48 @@ mod tests {
             "skip-sequential scans should incur several seeks, got {}",
             stats.random_page_accesses
         );
+    }
+
+    #[test]
+    fn every_series_is_read_once_when_k_reaches_the_dataset_size() {
+        let (store, idx) = build(300, 64, 20);
+        let q = RandomWalkGenerator::new(172, 64).series(3);
+        for k in [300usize, 400] {
+            let mut stats = QueryStats::default();
+            let ans = idx.answer(&Query::knn(q.clone(), k), &mut stats).unwrap();
+            assert_eq!(ans.len(), 300, "k={k}");
+            assert_eq!(stats.raw_series_examined, 300, "k={k}");
+            assert_eq!(stats.bytes_read, 300 * store.series_bytes() as u64, "k={k}");
+        }
+    }
+
+    /// ROADMAP 7b, the `BoundSweep` site: a sweep bound above a distance the
+    /// seed computes in full trips the driver's assertion.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "above its distance")]
+    fn a_sweep_bound_above_a_seed_distance_fails_the_debug_assertion() {
+        let (store, idx) = build(200, 64, 20);
+        let q = RandomWalkGenerator::new(173, 64).series(1);
+        let query = Query::knn(q, 3);
+        let paa = idx.tree.params().paa().transform(query.values());
+        let mut stats = QueryStats::default();
+        let mut bounds = idx.bounds(&paa, 1, &mut stats);
+        // Every bound raised above the farthest distance: the seed's first
+        // read is refined in full against an empty heap.
+        let farthest = (0..store.len())
+            .map(|id| squared_euclidean(query.values(), store.dataset().series(id).values()))
+            .fold(0.0f64, f64::max)
+            .sqrt();
+        for bound in &mut bounds {
+            *bound += farthest + 1.0;
+        }
+        let _ = refine::search(&store, &query, 3, &mut stats, |refiner| {
+            refiner.skip_sequential(
+                &bounds,
+                Full(|v: &[f32]| squared_euclidean(query.values(), v)),
+            )
+        });
     }
 
     #[test]

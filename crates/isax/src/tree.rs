@@ -440,8 +440,8 @@ impl IsaxTree {
     /// covers `word` (the query's region was never populated), descends from
     /// the MINDIST-closest root child, picking the MINDIST-closer side at
     /// every split. Used by ng-approximate answering, which must always visit
-    /// one leaf; exact search keeps [`IsaxTree::locate_leaf`] so its seeding
-    /// (and its work counters) are unchanged.
+    /// one leaf; iSAX2+'s exact search keeps [`IsaxTree::locate_leaf`] so its
+    /// seeding (and its work counters) are unchanged.
     pub fn locate_nearest_leaf(
         &self,
         query_paa: &[f32],

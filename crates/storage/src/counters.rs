@@ -169,13 +169,27 @@ impl IoCounters {
     /// (each thread models its own disk head), random otherwise; the remaining
     /// pages of the run are sequential.
     pub fn record_read_run(&self, first_page: u64, pages: u64, bytes: u64) {
+        self.record_run(first_page, pages, bytes, false);
+    }
+
+    /// Like [`IoCounters::record_read_run`], except that a run starting on
+    /// the page this thread's head is on finds that page still buffered: it
+    /// is not charged again, and the run's other pages are sequential. A
+    /// forward reader that stopped inside a page resumes there without a
+    /// seek.
+    pub fn record_read_onward(&self, first_page: u64, pages: u64, bytes: u64) {
+        self.record_run(first_page, pages, bytes, true);
+    }
+
+    fn record_run(&self, first_page: u64, pages: u64, bytes: u64, onward: bool) {
         if pages == 0 {
             return;
         }
         let shard = self.shard();
         let mut shard = shard.lock();
-        let is_sequential = shard.last_page == Some(first_page.wrapping_sub(1));
-        if is_sequential {
+        if onward && shard.last_page == Some(first_page) {
+            shard.snapshot.sequential_pages += pages - 1;
+        } else if shard.last_page == Some(first_page.wrapping_sub(1)) {
             shard.snapshot.sequential_pages += pages;
         } else {
             shard.snapshot.random_pages += 1;
@@ -356,6 +370,26 @@ mod tests {
         assert_eq!(snap.random_pages, 1);
         assert_eq!(snap.sequential_pages, 2);
         assert_eq!(snap.bytes_read, 175);
+    }
+
+    #[test]
+    fn an_onward_run_does_not_pay_again_for_the_page_the_head_is_on() {
+        let c = IoCounters::new();
+        c.record_read_run(0, 2, 100);
+        // Starts on page 1, where the head is: only page 2 is new.
+        c.record_read_onward(1, 2, 40);
+        // Inside the head's page: bytes only.
+        c.record_read_onward(2, 1, 10);
+        // Not on the head's page: the usual rule (page 3 follows, page 9 seeks).
+        c.record_read_onward(3, 1, 10);
+        c.record_read_onward(9, 2, 10);
+        let snap = c.snapshot();
+        assert_eq!(snap.random_pages, 2);
+        assert_eq!(snap.sequential_pages, 4);
+        assert_eq!(snap.bytes_read, 170);
+        // The plain rule still treats a re-read of the head's page as random.
+        c.record_read_run(10, 1, 10);
+        assert_eq!(c.snapshot().random_pages, 3);
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! * **storage order** ([`Refiner::storage_order`]): one counted sequential
 //!   pass (UCR-Suite, MASS), with the ParIS-style pre-pass at `threads > 1`;
 //! * **skip-sequential runs** over a bounds array
-//!   ([`Refiner::skip_sequential`]): ADS+ step 3;
+//!   ([`Refiner::skip_sequential`]): ADS+'s SIMS — a seed of the `2k`
+//!   best-bounded series, then runs at page granularity that bridge
+//!   bounded-out series and never re-read a seeded one;
 //! * **lazily ranked by bound** ([`Refiner::ranked`] over a
 //!   [`LazyRanking`]): the VA+file;
-//! * an **explicit id list** ([`Refiner::ids`]): the ADS+ seed leaf and
-//!   Stepwise's survivors.
+//! * an **explicit id list** ([`Refiner::ids`]): ADS+'s ng-approximate
+//!   leaf and Stepwise's survivors.
 //!
 //! A method keeps only what really differs: its bound source and its refine
 //! kernel ([`EarlyAbandon`] or [`Full`] over a generic closure), so no dynamic
@@ -227,35 +229,62 @@ impl Refiner<'_> {
         Ok(())
     }
 
-    /// Skip-sequential runs over `bounds` (one lower bound per series, in
-    /// storage order): contiguous runs of candidates whose bound is below
-    /// `bsf · shrink` are each read as one run (one seek, then sequential
-    /// pages) and refined; a candidate whose bound reaches it is skipped. A
-    /// budget caps a run at the reads it has left, so a nearly exhausted
-    /// budget never pays for unread series.
+    /// SIMS' visiting order over `bounds` (one lower bound per series, in
+    /// storage order).
+    ///
+    /// First the seed: the `min(2k, n)` best-bounded series, in ascending
+    /// `(bound, id)` order (a NaN bound ranks as `−∞`, as in
+    /// [`LazyRanking`]), one random read each, so the best-so-far is tight
+    /// before any run is sized. Then skip-sequential runs over the rest: a
+    /// run starts at the next unseeded candidate whose bound is below
+    /// `bsf · shrink` and continues through bounded-out series as long as
+    /// the next candidate starts no later than the page after the run's last
+    /// page. Such bridged series are read and charged but neither refined
+    /// nor counted as examined; a seeded series ends a run, so no series is
+    /// refined twice, and a run that resumes on the page the last one ended
+    /// on pays no seek for it. A budget caps the candidates a run refines at
+    /// the reads it has left. The seed starts with a seek, so the counters
+    /// never depend on where an earlier read on this thread left the head.
     pub fn skip_sequential(&mut self, bounds: &[f64], mut kernel: impl RefineKernel) -> Result<()> {
-        let mut id = 0usize;
-        while id < bounds.len() {
+        let n = bounds.len();
+        self.store.seek();
+        let mut seeded = vec![false; n];
+        for id in smallest(bounds, SEED_PER_K.saturating_mul(self.heap.k())) {
             if self.should_stop() {
+                return Ok(());
+            }
+            seeded[id] = true;
+            let series = self.store.try_read_series(id)?;
+            self.refine(id, bounds[id], series.values(), &mut kernel, None);
+        }
+        let store = self.store;
+        let mut id = 0usize;
+        while !self.should_stop() {
+            let (full, limit) = (self.heap.is_full(), self.limit());
+            let candidate = |i: usize| !(seeded[i] || full && bounds[i] >= limit);
+            let Some(start) = (id..n).find(|&i| candidate(i)) else {
                 break;
-            }
-            let limit = self.limit();
-            let bounded_out = |bound: f64| self.heap.is_full() && bound >= limit;
-            if bounded_out(bounds[id]) {
-                id += 1;
-                continue;
-            }
-            let start = id;
-            let max_run = self.meter.limit().map_or(usize::MAX, |limit| {
+            };
+            let budget = self.meter.limit().map_or(usize::MAX, |limit| {
                 limit.saturating_sub(self.stats.raw_series_examined).max(1) as usize
             });
-            while id < bounds.len() && id - start < max_run && !bounded_out(bounds[id]) {
-                id += 1;
+            let (mut end, mut refined) = (start + 1, 1);
+            while refined < budget {
+                let reach = store.page_range(end - 1).1 + 1;
+                let next = (end..n)
+                    .take_while(|&i| !seeded[i] && store.page_range(i).0 <= reach)
+                    .find(|&i| candidate(i));
+                let Some(next) = next else { break };
+                end = next + 1;
+                refined += 1;
             }
-            let run = self.store.try_read_run(start, id - start)?;
+            let run = store.try_read_run(start, end - start)?;
             for (sid, series) in (start..).zip(run) {
-                self.refine(sid, bounds[sid], series.values(), &mut kernel, None);
+                if candidate(sid) {
+                    self.refine(sid, bounds[sid], series.values(), &mut kernel, None);
+                }
             }
+            id = end;
         }
         Ok(())
     }
@@ -300,6 +329,53 @@ impl Refiner<'_> {
     }
 }
 
+/// The skip-sequential seed refines this many best-bounded series per
+/// neighbour asked for, so the heap is full before any run is sized. On the
+/// benchmark's ADS+ service (k = 10, seeds 1–7), 2k read 6 % less modelled
+/// HDD time than k on every seed; fixed seeds of 30 and 100 (the leaf
+/// capacity) came within 1.2 % of 2k, but a fixed size leaves the heap
+/// under-full once k exceeds it.
+const SEED_PER_K: usize = 2;
+
+/// The ids of the `m` smallest `(bound, id)` keys of `bounds` (a NaN bound
+/// ranks as `−∞`), in ascending order: one pass that keeps at most `2m`
+/// keys, halving them with a selection whenever the buffer fills, so the
+/// cost is `O(n)` and nothing of size `n` is sorted.
+fn smallest(bounds: &[f64], m: usize) -> Vec<usize> {
+    let m = m.min(bounds.len());
+    if m == 0 {
+        return Vec::new();
+    }
+    let mut kept: Vec<Entry> = Vec::with_capacity(2 * m);
+    // Once set, every key at or above the cutoff orders after `m` kept
+    // entries: ids only grow, so a tie on the key loses on the id. `coarse`
+    // is the cutoff as a bound: a bound above it is out without its key.
+    let mut cutoff = i64::MAX;
+    let mut coarse = f64::INFINITY;
+    for (id, &bound) in bounds.iter().enumerate() {
+        if bound > coarse {
+            continue;
+        }
+        let key = rank_key(bound);
+        if key >= cutoff {
+            continue;
+        }
+        if kept.len() == 2 * m {
+            kept.select_nth_unstable(m - 1);
+            kept.truncate(m);
+            cutoff = kept[m - 1].0;
+            coarse = f64::from_bits(total_order_key(cutoff) as u64);
+            if key >= cutoff {
+                continue;
+            }
+        }
+        kept.push((key, id));
+    }
+    kept.sort_unstable();
+    kept.truncate(m);
+    kept.into_iter().map(|(_, id)| id).collect()
+}
+
 /// Runs at most this long are sorted outright instead of partitioned.
 const SORT_RUN: usize = 256;
 
@@ -311,6 +387,18 @@ type Entry = (i64, usize);
 #[inline]
 fn total_order_key(bits: i64) -> i64 {
     bits ^ ((((bits >> 63) as u64) >> 1) as i64)
+}
+
+/// The ranking key of a lower bound: its `total_cmp` place, with a NaN bound
+/// — which bounds nothing — ranked as `−∞`.
+#[inline]
+fn rank_key(bound: f64) -> i64 {
+    let bound = if bound.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        bound
+    };
+    total_order_key(bound.to_bits() as i64)
 }
 
 /// Yields `(lower_bound, id)` in ascending `(total_cmp, id)` order, sorting
@@ -338,11 +426,12 @@ impl LazyRanking {
     /// ranking but keeping its allocations.
     pub fn reset(&mut self, bounds: &[f64]) {
         self.entries.clear();
-        self.entries
-            .extend(bounds.iter().enumerate().map(|(id, &lb)| {
-                let lb = if lb.is_nan() { f64::NEG_INFINITY } else { lb };
-                (total_order_key(lb.to_bits() as i64), id)
-            }));
+        self.entries.extend(
+            bounds
+                .iter()
+                .enumerate()
+                .map(|(id, &lb)| (rank_key(lb), id)),
+        );
         self.sorted = 0;
         self.next = 0;
         self.boundaries.clear();
@@ -482,13 +571,18 @@ mod tests {
         let (store, query, distances) = tiny();
         let bounds: Vec<f64> = distances.iter().map(|d| d / 2.0).collect();
         let query = query.with_budget(Some(Budget::raw_reads(0)));
-        // The ranked order starts from the smallest bound, i.e. the true
-        // nearest neighbour; every other order from series 0.
+        // The ranked order and the skip-sequential seed start from the
+        // smallest bound, i.e. the true nearest neighbour; every other order
+        // from series 0.
         let nearest = ids(&brute_force(&distances, 1))[0];
         for order in ORDERS {
             let mut stats = QueryStats::default();
             let got = run(&store, &query, order, &bounds, &mut stats);
-            let first = if order == "ranked" { nearest } else { 0 };
+            let first = if matches!(order, "ranked" | "skip") {
+                nearest
+            } else {
+                0
+            };
             assert_eq!(ids(&got), vec![first], "{order}");
             assert_eq!(got.nearest().unwrap().distance, distances[first], "{order}");
             assert_eq!(stats.raw_series_examined, 1, "{order}");
@@ -514,6 +608,101 @@ mod tests {
             assert_eq!(got.guarantee(), Guarantee::Exact, "{order}");
             assert_eq!(stats.work_counters(), [0; 8], "{order}");
         }
+    }
+
+    /// A skip-sequential pass over 16 series of 8 values whose every value
+    /// is its id, four series (128 bytes) to a page, for the zero query at
+    /// `k = 1`: the ids the kernel refined, in order, and the stats.
+    /// `bounds` uses `SEED` for the two series the seed takes, `IN` for a
+    /// candidate and `OUT` for a bounded-out series.
+    fn page_granular(bounds: &[f64], budget: Option<u64>) -> (Vec<usize>, QueryStats) {
+        let flat: Vec<f32> = (0..N * LEN).map(|i| (i / LEN) as f32).collect();
+        let store = DatasetStore::with_page_bytes(Dataset::from_flat(flat, LEN), 4 * LEN * 4);
+        let query =
+            Query::knn(Series::new(vec![0.0; LEN]), 1).with_budget(budget.map(Budget::raw_reads));
+        let mut refined = Vec::new();
+        let mut stats = QueryStats::default();
+        let kernel = Full(|v: &[f32]| {
+            refined.push(v[0] as usize);
+            squared_euclidean(query.values(), v)
+        });
+        search(&store, &query, 1, &mut stats, |r| {
+            r.skip_sequential(bounds, kernel)
+        })
+        .unwrap();
+        (refined, stats)
+    }
+
+    const SEED: f64 = -1.0;
+    const IN: f64 = 0.0;
+    const OUT: f64 = f64::INFINITY;
+
+    /// Bounds with the seed on series 14 and 15 (page 3) and candidates at
+    /// `ids`; every other series is bounded out.
+    fn candidates(ids: &[usize]) -> Vec<f64> {
+        let mut bounds = vec![OUT; N];
+        bounds[14] = SEED;
+        bounds[15] = SEED;
+        for &id in ids {
+            bounds[id] = IN;
+        }
+        bounds
+    }
+
+    const SERIES_BYTES: u64 = (LEN * 4) as u64;
+
+    #[test]
+    fn a_run_bridges_bounded_out_series_up_to_the_page_after_its_last() {
+        // Candidates 4 and 6 share page 1: one run over 4..=6, one seek.
+        // Series 5 is bridged: read and charged, never refined or counted.
+        let (refined, stats) = page_granular(&candidates(&[4, 6]), None);
+        assert_eq!(refined, vec![14, 15, 4, 6]);
+        assert_eq!(stats.raw_series_examined, 4);
+        // Two seed reads (the second re-reads page 3), then the run's seek.
+        assert_eq!(stats.random_page_accesses, 3);
+        assert_eq!(stats.sequential_page_accesses, 0);
+        assert_eq!(stats.bytes_read, (2 + 3) * SERIES_BYTES);
+        // Candidate 9 starts on page 2, the page after the run's last: the
+        // run bridges 5..=8 and reads on sequentially.
+        let (refined, stats) = page_granular(&candidates(&[4, 9]), None);
+        assert_eq!(refined, vec![14, 15, 4, 9]);
+        assert_eq!(stats.raw_series_examined, 4);
+        assert_eq!(stats.random_page_accesses, 3);
+        assert_eq!(stats.sequential_page_accesses, 1);
+        assert_eq!(stats.bytes_read, (2 + 6) * SERIES_BYTES);
+        // Candidate 13 starts on page 3, two past the run's last: a new run.
+        let (refined, stats) = page_granular(&candidates(&[4, 13]), None);
+        assert_eq!(refined, vec![14, 15, 4, 13]);
+        assert_eq!(stats.random_page_accesses, 4);
+        assert_eq!(stats.sequential_page_accesses, 0);
+        assert_eq!(stats.bytes_read, 4 * SERIES_BYTES);
+    }
+
+    #[test]
+    fn a_seeded_series_ends_a_run_and_the_next_resumes_on_its_page() {
+        // Series 5 is seeded, between candidates 4 and 6 of page 1: it is
+        // refined once, by the seed, and the run after it pays no seek.
+        let mut bounds = candidates(&[4, 6]);
+        bounds[14] = OUT;
+        bounds[5] = SEED;
+        let (refined, stats) = page_granular(&bounds, None);
+        assert_eq!(refined, vec![5, 15, 4, 6]);
+        assert_eq!(stats.raw_series_examined, 4);
+        // Seeds on pages 1 and 3, the run over 4 seeks back to page 1, and
+        // the run over 6 resumes there.
+        assert_eq!(stats.random_page_accesses, 3);
+        assert_eq!(stats.sequential_page_accesses, 0);
+        assert_eq!(stats.bytes_read, 4 * SERIES_BYTES);
+    }
+
+    #[test]
+    fn a_budget_caps_the_refined_candidates_of_a_run_not_the_bridged_ones() {
+        // Four reads: two for the seed and two for one run, which bridges
+        // 5..=8 to reach candidate 9 and stops before candidate 10.
+        let (refined, stats) = page_granular(&candidates(&[4, 9, 10]), Some(4));
+        assert_eq!(refined, vec![14, 15, 4, 9]);
+        assert_eq!(stats.raw_series_examined, 4);
+        assert_eq!(stats.bytes_read, (2 + 6) * SERIES_BYTES);
     }
 
     #[test]
@@ -593,6 +782,32 @@ mod tests {
             ranking.reset(&bounds);
             assert_eq!(ranking.by_ref().count(), n);
             assert!(ranking.next().is_none());
+        }
+    }
+
+    #[test]
+    fn the_seed_is_the_prefix_of_the_stable_full_sort() {
+        for (n, distinct) in [
+            (0usize, 1u64),
+            (1, 1),
+            (700, 3),
+            (5000, 40),
+            (5000, 1 << 30),
+        ] {
+            let mut bounds = lcg_bounds(n, 29 + n as u64, distinct);
+            for (i, special) in [f64::NAN, -0.0, 0.0, f64::NEG_INFINITY, -f64::NAN]
+                .into_iter()
+                .enumerate()
+            {
+                if i * 131 < n {
+                    bounds[i * 131] = special;
+                }
+            }
+            let expected: Vec<usize> = full_sort_bits(&bounds).iter().map(|&(_, id)| id).collect();
+            for m in [1, 3, 20, 256, n, n + 7] {
+                let got = smallest(&bounds, m);
+                assert_eq!(got, expected[..m.min(n)], "n={n} distinct={distinct} m={m}");
+            }
         }
     }
 

@@ -132,7 +132,7 @@ impl DatasetStore {
     }
 
     /// The page range `[first, last]` occupied by series `id`.
-    fn page_range(&self, id: usize) -> (u64, u64) {
+    pub fn page_range(&self, id: usize) -> (u64, u64) {
         let start_byte = (id * self.series_bytes) as u64;
         let end_byte = start_byte + self.series_bytes as u64 - 1;
         (
@@ -153,7 +153,9 @@ impl DatasetStore {
     }
 
     /// Reads `count` consecutive series starting at `first_id` as one
-    /// contiguous run (one potential seek, then sequential pages).
+    /// contiguous run (one potential seek, then sequential pages). A run
+    /// that starts on the page this thread's last read ended on resumes
+    /// there: that page is not charged again, and no seek is.
     ///
     /// Returns a slice-backed view iterator over the run.
     ///
@@ -166,7 +168,7 @@ impl DatasetStore {
         assert!(first_id + count <= self.dataset.len(), "run out of bounds");
         let (first_page, _) = self.page_range(first_id);
         let (_, last_page) = self.page_range(first_id + count - 1);
-        self.counters.record_read_run(
+        self.counters.record_read_onward(
             first_page,
             last_page - first_page + 1,
             (count * self.series_bytes) as u64,
@@ -291,8 +293,9 @@ impl DatasetStore {
         Ok(())
     }
 
-    /// Marks an explicit seek (used by skip-sequential algorithms between
-    /// skipped regions even when the next read happens to be contiguous).
+    /// Marks an explicit seek: the next read is random even when it happens
+    /// to be contiguous (a skip-sequential pass starts with one, so its
+    /// counters never depend on where an earlier read left the head).
     pub fn seek(&self) {
         self.counters.record_seek();
     }
@@ -411,6 +414,21 @@ mod tests {
         assert_eq!(io.random_pages, 1);
         assert_eq!(io.sequential_pages, 1); // 8 series * 1KiB = 2 pages total
         assert!(store.read_run(0, 0).is_empty());
+    }
+
+    #[test]
+    fn a_run_resuming_on_the_page_the_last_one_ended_on_pays_no_seek() {
+        // 4 series per page: series 5 ends on page 1, where series 6 starts.
+        let store = DatasetStore::new(dataset(16, 256));
+        store.read_run(2, 4);
+        store.read_run(6, 4);
+        let io = store.io_snapshot();
+        assert_eq!(io.random_pages, 1);
+        assert_eq!(io.sequential_pages, 2); // pages 1 and 2
+        assert_eq!(io.bytes_read, 8 * 1024);
+        // A single-series read of the head's page keeps the re-access rule.
+        store.read_series(9);
+        assert_eq!(store.io_snapshot().random_pages, 2);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use hydra_core::{AnsweringMethod, BuildOptions, Query, QueryStats};
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::dataset;
+use hydra_isax::tree::NodeKind;
 use hydra_isax::AdsPlus;
 use hydra_scan::UcrScan;
 use hydra_storage::{CostModel, DatasetStore, IoSnapshot};
@@ -147,4 +148,56 @@ fn index_construction_writes_are_visible_to_the_cost_model() {
     let model = CostModel::hdd();
     assert!(model.write_time(&io) > std::time::Duration::ZERO);
     assert!(model.total_time(&io) >= model.io_time(&io));
+}
+
+/// ROADMAP item 3's pruning target for ADS+: exact search refines at most
+/// 1.5× the series the VA+file does (the refinement floor) over the same
+/// queries. The batch includes a query whose covering leaf holds fewer than
+/// `k` series: when the best-so-far was seeded from that leaf, its first
+/// skip-sequential run was sized against an under-full heap and read the
+/// whole file.
+#[test]
+fn adsplus_refines_at_most_one_and_a_half_times_the_vafile_floor() {
+    const LEN: usize = 128;
+    let k = 10;
+    let data = dataset(4000, LEN, 41);
+    let opts = BuildOptions::default()
+        .with_segments(16)
+        .with_leaf_capacity(50);
+    let ads = AdsPlus::build_on_store(Arc::new(DatasetStore::new(data.clone())), &opts).unwrap();
+    let va = VaPlusFile::build_on_store(Arc::new(DatasetStore::new(data)), &opts).unwrap();
+    let queries = RandomWalkGenerator::new(42, LEN).series_batch(16);
+
+    let tree = ads.tree();
+    let covering_leaf_size = |q: &hydra_core::Series| {
+        let paa = tree.params().paa().transform(q.values());
+        let sax = tree.params().sax_word_from_paa(&paa);
+        let leaf = tree.locate_leaf(&sax.symbols, &mut QueryStats::default());
+        leaf.map_or(0, |leaf| match &tree.node(leaf).kind {
+            NodeKind::Leaf { ids, .. } => ids.len(),
+            NodeKind::Internal { .. } => unreachable!("locate_leaf ends on a leaf"),
+        })
+    };
+    assert!(
+        queries.iter().any(|q| covering_leaf_size(q) < k),
+        "the batch must hold a query whose covering leaf has fewer than k series"
+    );
+
+    let examined = |method: &dyn AnsweringMethod| -> u64 {
+        queries
+            .iter()
+            .map(|q| {
+                let mut stats = QueryStats::default();
+                method
+                    .answer(&Query::knn(q.clone(), k), &mut stats)
+                    .unwrap();
+                stats.raw_series_examined
+            })
+            .sum()
+    };
+    let (ads_examined, va_examined) = (examined(&ads), examined(&va));
+    assert!(
+        ads_examined * 2 <= va_examined * 3,
+        "ADS+ refined {ads_examined} series, VA+file {va_examined}: above 1.5x"
+    );
 }

@@ -22,7 +22,12 @@
 //! was folded into one `search` body; they skip the budget × 3-thread pair,
 //! which the engine never runs. Stepwise's were re-recorded when its
 //! refinement reads started being counted: only the last three counters
-//! (sequential pages, random pages, bytes read) moved. To re-record after an
+//! (sequential pages, random pages, bytes read) moved. ADS+'s were
+//! re-recorded when SIMS started seeding its best-so-far from its `2k`
+//! best-bounded series instead of the covering leaf and reading at page
+//! granularity: every exact answer kept its ids and distance bits; the ε,
+//! δ-ε and budgeted answers, which the visiting order decides, moved within
+//! their guarantees, and so did the counters. To re-record after an
 //! intended change:
 //!
 //! ```text
