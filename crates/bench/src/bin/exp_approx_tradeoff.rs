@@ -11,9 +11,8 @@
 //! drives the per-figure binaries) has no effect here.
 
 use hydra_bench::experiments::approx_tradeoff;
-use hydra_bench::report::results_dir;
+use hydra_bench::report::{results_dir, write_json};
 use hydra_bench::RunConfig;
-use std::io::Write as _;
 
 fn main() {
     let cfg = RunConfig::from_args();
@@ -22,8 +21,6 @@ fn main() {
     let dir = results_dir();
     let csv_path = table.write_csv(&dir, "approx_tradeoff").expect("write csv");
     println!("wrote {}", csv_path.display());
-    let json_path = dir.join("approx_tradeoff.json");
-    let mut file = std::fs::File::create(&json_path).expect("create approx_tradeoff.json");
-    file.write_all(json.as_bytes()).expect("write json");
+    let json_path = write_json(&dir, "approx_tradeoff", &json).expect("write json");
     println!("wrote {}", json_path.display());
 }

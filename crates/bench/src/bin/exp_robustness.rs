@@ -18,9 +18,8 @@
 //! `--threads N` and `--scale S` apply as usual.
 
 use hydra_bench::experiments::robustness;
-use hydra_bench::report::results_dir;
+use hydra_bench::report::{results_dir, write_json};
 use hydra_bench::RunConfig;
-use std::io::Write as _;
 
 fn main() {
     let cfg = RunConfig::from_args();
@@ -34,8 +33,6 @@ fn main() {
     let dir = results_dir();
     let csv_path = table.write_csv(&dir, "robustness").expect("write csv");
     println!("wrote {}", csv_path.display());
-    let json_path = dir.join("robustness.json");
-    let mut file = std::fs::File::create(&json_path).expect("create robustness.json");
-    file.write_all(json.as_bytes()).expect("write json");
+    let json_path = write_json(&dir, "robustness", &json).expect("write json");
     println!("wrote {}", json_path.display());
 }

@@ -5,7 +5,7 @@
 
 use hydra_bench::experiments as exp;
 use hydra_bench::harness::Platform;
-use hydra_bench::report::results_dir;
+use hydra_bench::report::{results_dir, write_json};
 use hydra_bench::RunConfig;
 
 fn main() {
@@ -70,12 +70,12 @@ fn main() {
     let (approx, approx_json) = exp::approx_tradeoff(&cfg);
     println!("{}", approx.to_text());
     approx.write_csv(&dir, "approx_tradeoff").unwrap();
-    std::fs::write(dir.join("approx_tradeoff.json"), approx_json).unwrap();
+    write_json(&dir, "approx_tradeoff", &approx_json).unwrap();
 
     let (batch, batch_json) = exp::batch_amortization(&cfg);
     println!("{}", batch.to_text());
     batch.write_csv(&dir, "batch_amortization").unwrap();
-    std::fs::write(dir.join("batch_amortization.json"), batch_json).unwrap();
+    write_json(&dir, "batch_amortization", &batch_json).unwrap();
 
     println!("all experiments complete; CSVs in {}", dir.display());
 }

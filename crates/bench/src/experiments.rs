@@ -1258,7 +1258,10 @@ pub fn robustness(cfg: &RunConfig) -> (ResultTable, String) {
                 kind.name(),
                 (rate * 1000.0) as u64
             ));
-            // hydra-lint: allow(uncounted-fs) harness scratch: clears snapshot dir between cycles
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "harness scratch: clears snapshot dir between cycles"
+            )]
             let _ = std::fs::remove_dir_all(&dir);
             let cycles = 3usize;
             let mut recovered = 0usize;
@@ -1284,7 +1287,10 @@ pub fn robustness(cfg: &RunConfig) -> (ResultTable, String) {
                     }
                 }
             }
-            // hydra-lint: allow(uncounted-fs) harness scratch: removes snapshot dir afterwards
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "harness scratch: removes snapshot dir afterwards"
+            )]
             let _ = std::fs::remove_dir_all(&dir);
             table.push_row(vec![
                 "snapshot".to_string(),

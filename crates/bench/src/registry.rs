@@ -383,7 +383,10 @@ where
     I: PersistentIndex<Context = Arc<DatasetStore>> + 'static,
     F: FnOnce(Arc<DatasetStore>, &BuildOptions) -> Result<I>,
 {
-    // hydra-lint: allow(uncounted-fs) dir setup only; index bytes use the counted SnapshotSink
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "dir setup only; index bytes use the counted SnapshotSink"
+    )]
     std::fs::create_dir_all(index_dir)?;
     // Hash the dataset exactly once per cycle: the same fingerprints name the
     // file and validate its header on load / stamp it on save.
@@ -484,6 +487,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory under the system temp dir"
+    )]
     fn snapshot_support_matches_the_snapshot_build_path() {
         // supports_snapshots() must agree with what build_boxed_with_snapshot
         // actually does for every method, or snapshot_check would silently
@@ -507,6 +514,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory under the system temp dir"
+    )]
     fn corrupt_snapshot_is_quarantined_and_the_next_run_loads_clean() {
         let data = RandomWalkGenerator::new(5, 32).dataset(80);
         let options = BuildOptions::default()
@@ -614,6 +625,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory under the system temp dir"
+    )]
     fn snapshot_backed_services_reload_per_shard_indexes() {
         let data = RandomWalkGenerator::new(13, 32).dataset(60);
         let options = BuildOptions::default()

@@ -1,7 +1,11 @@
 //! Result-table formatting: aligned plain text for the terminal plus CSV
 //! files under `results/` so the experiment outputs can be plotted.
 
-// hydra-lint: allow(uncounted-fs) result-table CSV output is harness reporting
+#![expect(
+    clippy::disallowed_methods,
+    reason = "result-table CSV output is harness reporting"
+)]
+
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -111,6 +115,15 @@ impl ResultTable {
         file.write_all(self.to_csv().as_bytes())?;
         Ok(path)
     }
+}
+
+/// Writes a JSON artifact into `<dir>/<file_stem>.json` and returns the path
+/// written.
+pub fn write_json(dir: &Path, file_stem: &str, json: &str) -> std::io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{file_stem}.json"));
+    fs::write(&path, json)?;
+    Ok(path)
 }
 
 /// Writes a bench bin's JSON artifact to `BENCH_<name>.json` in the current

@@ -23,10 +23,10 @@ use crate::knn::{AnswerSet, Guarantee};
 use crate::method::{AnsweringMethod, IndexFootprint, MethodDescriptor};
 use crate::parallel::{self, Parallelism};
 use crate::query::{AnswerMode, Query};
-use crate::stats::{IoSnapshot, QueryStats};
+use crate::stats::{IoSnapshot, QueryStats, RunClock};
 use crate::{Error, Result};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A source of I/O counters observed around every query.
 ///
@@ -470,9 +470,9 @@ impl QueryEngine {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        if self.method.batch_answering().is_none() {
+        let Some(kernel) = self.method.batch_answering() else {
             return self.answer_workload(queries, parallelism);
-        }
+        };
         // Budgeted queries take the per-query loop: a batch kernel shares one
         // physical pass across the whole batch and cannot stop one member's
         // search early without perturbing the others' counters.
@@ -521,7 +521,7 @@ impl QueryEngine {
         } else {
             &substituted
         };
-        match self.run_batch_kernel(routed, parallelism) {
+        match self.run_batch_kernel(kernel, routed, parallelism) {
             Ok((answers, physical_io)) => {
                 for answered in &answers {
                     self.totals.merge(&answered.stats);
@@ -551,14 +551,10 @@ impl QueryEngine {
     /// physical store traffic of all chunks.
     fn run_batch_kernel(
         &self,
+        kernel: &dyn crate::method::BatchAnswering,
         queries: &[Query],
         parallelism: Parallelism,
     ) -> Result<(Vec<EngineAnswer>, IoSnapshot)> {
-        let kernel = self
-            .method
-            .batch_answering()
-            // hydra-lint: allow(lib-unwrap) answer_batch checked batch_answering() first
-            .expect("checked by answer_batch");
         let io = self.io.as_deref();
         let threads = parallelism.worker_threads().min(queries.len().max(1));
         if threads <= 1 || !self.thread_scoped_io() {
@@ -708,8 +704,7 @@ fn run_batch_chunk(
         io.reset_thread_io();
     }
     let mut stats = vec![QueryStats::default(); queries.len()];
-    // hydra-lint: allow(nondeterministic-source) wall-clock measurement; answers never read it
-    let clock = Instant::now();
+    let clock = RunClock::start();
     // Panic isolation, like the per-query loop: a poisoned batch becomes a
     // typed internal error (answer_batch then reruns the per-query loop,
     // which reproduces serial error semantics).
@@ -802,8 +797,7 @@ fn measure(
             io.reset_thread_io();
         }
         let mut stats = QueryStats::default();
-        // hydra-lint: allow(nondeterministic-source) wall-clock measurement; answers never read it
-        let clock = Instant::now();
+        let clock = RunClock::start();
         // Panic isolation: a poisoned query becomes a typed internal error
         // instead of unwinding through the workload driver.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -899,9 +893,17 @@ mod tests {
     /// thread-scoped counters falls back to the serial loop).
     #[derive(Default)]
     struct FakeIo {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test double of the thread-sharded store counters; sums commute"
+        )]
         pages: std::sync::Mutex<std::collections::HashMap<std::thread::ThreadId, u64>>,
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test double of the thread-sharded store counters; sums commute"
+    )]
     impl FakeIo {
         fn record(&self, pages: u64) {
             *self
@@ -922,6 +924,10 @@ mod tests {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test double of the thread-sharded store counters; sums commute"
+    )]
     impl IoSource for FakeIo {
         fn io_snapshot(&self) -> IoSnapshot {
             Self::snapshot_of(self.pages.lock().unwrap().values().sum())

@@ -1,7 +1,10 @@
 //! k-NN answer bookkeeping: bounded max-heaps of best-so-far candidates.
 
 use std::cmp::Ordering;
-// hydra-lint: allow(hash-iteration-order) membership tests only; never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership tests only; never iterated"
+)]
 use std::collections::{BinaryHeap, HashSet};
 
 /// A single answer to a similarity query: a series identifier and its
@@ -458,7 +461,10 @@ impl Ord for HeapEntry {
 pub struct KnnHeap {
     k: usize,
     heap: BinaryHeap<HeapEntry>,
-    // hydra-lint: allow(hash-iteration-order) duplicate-id guard; never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate-id guard; never iterated"
+    )]
     members: HashSet<usize>,
 }
 
@@ -472,7 +478,10 @@ impl KnnHeap {
         Self {
             k,
             heap: BinaryHeap::with_capacity(k + 1),
-            // hydra-lint: allow(hash-iteration-order) duplicate-id guard; never iterated
+            #[expect(
+                clippy::disallowed_types,
+                reason = "duplicate-id guard; never iterated"
+            )]
             members: HashSet::new(),
         }
     }

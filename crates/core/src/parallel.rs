@@ -190,8 +190,13 @@ where
     });
     slots
         .into_iter()
-        // hydra-lint: allow(lib-unwrap) map_indexed fills every slot exactly once
-        .map(|s| s.expect("every index is claimed exactly once"))
+        .map(
+            #[expect(
+                clippy::expect_used,
+                reason = "map_indexed fills every slot exactly once"
+            )]
+            |s| s.expect("every index is claimed exactly once"),
+        )
         .collect()
 }
 
@@ -220,12 +225,15 @@ where
         .map(|item| std::sync::Mutex::new(Some(item)))
         .collect();
     map_indexed(slots.len(), threads, |i| {
+        #[expect(
+            clippy::expect_used,
+            reason = "take() cannot panic, so the lock cannot poison; \
+                      each index is claimed by exactly one worker"
+        )]
         let item = slots[i]
             .lock()
-            // hydra-lint: allow(lib-unwrap) take() cannot panic, so the lock cannot poison
             .expect("item mutex is never poisoned: take() cannot panic")
             .take()
-            // hydra-lint: allow(lib-unwrap) each index is claimed by exactly one worker
             .expect("every item is taken exactly once");
         f(i, item)
     })

@@ -328,9 +328,12 @@ impl Query {
     ///
     /// # Panics
     /// Panics if `k == 0`; use [`Query::try_knn`] for a fallible variant.
+    #[expect(
+        clippy::expect_used,
+        reason = "k > 0 asserted above; panic is documented"
+    )]
     pub fn knn(series: Series, k: usize) -> Self {
         assert!(k > 0, "k must be at least 1");
-        // hydra-lint: allow(lib-unwrap) k > 0 asserted above; panic is documented
         Self::try_knn(series, k).expect("validated above")
     }
 
@@ -363,12 +366,15 @@ impl Query {
     /// # Panics
     /// Panics if `radius` is negative or not finite; use [`Query::try_range`]
     /// for a fallible variant.
+    #[expect(
+        clippy::expect_used,
+        reason = "radius validated above; panic is documented"
+    )]
     pub fn range(series: Series, radius: f64) -> Self {
         assert!(
             radius.is_finite() && radius >= 0.0,
             "radius must be a non-negative finite value"
         );
-        // hydra-lint: allow(lib-unwrap) radius validated above; panic is documented
         Self::try_range(series, radius).expect("validated above")
     }
 
@@ -476,7 +482,10 @@ impl Query {
     /// a fallible variant (CLI-originated construction goes through
     /// [`AnswerMode::parse`], which validates already).
     pub fn with_mode(mut self, mode: AnswerMode) -> Self {
-        // hydra-lint: allow(lib-unwrap) documented panic; try_with_mode is the fallible twin
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic; try_with_mode is the fallible twin"
+        )]
         mode.validate().expect("invalid answer mode");
         self.mode = mode;
         self

@@ -277,9 +277,12 @@ impl Dataset {
         I: IntoIterator<Item = Series>,
     {
         let mut iter = series.into_iter();
+        #[expect(
+            clippy::expect_used,
+            reason = "non-empty input is the documented panic contract"
+        )]
         let first = iter
             .next()
-            // hydra-lint: allow(lib-unwrap) non-empty input is the documented panic contract
             .expect("dataset must contain at least one series");
         let series_length = first.len();
         let mut values = first.into_values();

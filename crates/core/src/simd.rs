@@ -249,8 +249,11 @@ fn squared_euclidean_early_abandon_portable(a: &[f32], b: &[f32], threshold: f64
 
 /// `(acc[0] + acc[1]) + (acc[2] + acc[3])` over two 2-lane halves.
 ///
-/// Safe under target-feature 1.1: every caller is itself an SSE2-or-wider
-/// `#[target_feature]` function, which makes this a safe call site.
+/// # Safety
+///
+/// The CPU must support SSE2. Safe under target-feature 1.1: every caller is
+/// itself an SSE2-or-wider `#[target_feature]` function, which makes this a
+/// safe call site.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "sse2")]
@@ -260,9 +263,13 @@ fn reduce_halves(acc01: __m128d, acc23: __m128d) -> f64 {
     _mm_cvtsd_f64(_mm_add_sd(s01, s23))
 }
 
-/// Safe under target-feature 1.1: callers already run with AVX enabled
-/// (the AVX2 kernels below imply it), which makes the lane-extract
-/// intrinsics safe to call here.
+/// Horizontal sum of the four lanes of `acc`.
+///
+/// # Safety
+///
+/// The CPU must support AVX. Safe under target-feature 1.1: callers already
+/// run with AVX enabled (the AVX2 kernels below imply it), which makes the
+/// lane-extract intrinsics safe to call here.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx")]
@@ -270,10 +277,11 @@ fn reduce256(acc: __m256d) -> f64 {
     reduce_halves(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1))
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2; `effective` guarantees it before every dispatch.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-// SAFETY (callers): the CPU must support the enabled target feature;
-// `effective` guarantees it before every dispatch.
 unsafe fn squared_euclidean_sse2(a: &[f32], b: &[f32]) -> f64 {
     let n = a.len().min(b.len());
     let mut acc01 = _mm_setzero_pd();
@@ -303,10 +311,11 @@ unsafe fn squared_euclidean_sse2(a: &[f32], b: &[f32]) -> f64 {
     sum
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2; `effective` guarantees it before every dispatch.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-// SAFETY (callers): the CPU must support the enabled target feature;
-// `effective` guarantees it before every dispatch.
 unsafe fn squared_euclidean_early_abandon_sse2(
     a: &[f32],
     b: &[f32],
@@ -349,10 +358,11 @@ unsafe fn squared_euclidean_early_abandon_sse2(
     }
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2; `effective` guarantees it before every dispatch.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY (callers): the CPU must support the enabled target feature;
-// `effective` guarantees it before every dispatch.
 unsafe fn squared_euclidean_avx2(a: &[f32], b: &[f32]) -> f64 {
     let n = a.len().min(b.len());
     let mut acc = _mm256_setzero_pd();
@@ -379,10 +389,11 @@ unsafe fn squared_euclidean_avx2(a: &[f32], b: &[f32]) -> f64 {
     sum
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2; `effective` guarantees it before every dispatch.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY (callers): the CPU must support the enabled target feature;
-// `effective` guarantees it before every dispatch.
 unsafe fn squared_euclidean_early_abandon_avx2(
     a: &[f32],
     b: &[f32],
@@ -540,10 +551,11 @@ fn interval_mindist_weighted_sq_portable(q: &[f32], low: &[f64], high: &[f64], w
     sum
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2; `effective` guarantees it before every dispatch.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-// SAFETY (callers): the CPU must support the enabled target feature;
-// `effective` guarantees it before every dispatch.
 unsafe fn interval_mindist_sq_sse2(q: &[f32], low: &[f64], high: &[f64]) -> f64 {
     let n = q.len().min(low.len()).min(high.len());
     let zero = _mm_setzero_pd();
@@ -593,10 +605,11 @@ unsafe fn interval_mindist_sq_sse2(q: &[f32], low: &[f64], high: &[f64]) -> f64 
     sum
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2; `effective` guarantees it before every dispatch.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-// SAFETY (callers): the CPU must support the enabled target feature;
-// `effective` guarantees it before every dispatch.
 unsafe fn interval_mindist_weighted_sq_sse2(
     q: &[f32],
     low: &[f64],
@@ -662,10 +675,11 @@ unsafe fn interval_mindist_weighted_sq_sse2(
     sum
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2; `effective` guarantees it before every dispatch.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY (callers): the CPU must support the enabled target feature;
-// `effective` guarantees it before every dispatch.
 unsafe fn interval_mindist_sq_avx2(q: &[f32], low: &[f64], high: &[f64]) -> f64 {
     let n = q.len().min(low.len()).min(high.len());
     let zero = _mm256_setzero_pd();
@@ -703,10 +717,11 @@ unsafe fn interval_mindist_sq_avx2(q: &[f32], low: &[f64], high: &[f64]) -> f64 
     sum
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2; `effective` guarantees it before every dispatch.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY (callers): the CPU must support the enabled target feature;
-// `effective` guarantees it before every dispatch.
 unsafe fn interval_mindist_weighted_sq_avx2(
     q: &[f32],
     low: &[f64],
@@ -922,10 +937,7 @@ mod tests {
         ];
         for &low in &edges {
             for &high in &edges {
-                let ordered = matches!(
-                    low.partial_cmp(&high),
-                    Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-                );
+                let ordered = low <= high;
                 if !ordered {
                     continue;
                 }

@@ -14,7 +14,7 @@
 //! aggregate them across a workload; [`RunClock`] / [`TimeBreakdown`] track the
 //! CPU vs I/O time split.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A point-in-time copy of I/O counters: page accesses split by access
 /// pattern, plus byte totals.
@@ -356,15 +356,22 @@ impl TimeBreakdown {
 /// region.
 #[derive(Debug)]
 pub struct RunClock {
-    start: Instant,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "measurement utility; answers never read it"
+    )]
+    start: std::time::Instant,
 }
 
 impl RunClock {
     /// Starts the clock.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "measurement utility; answers never read it"
+    )]
     pub fn start() -> Self {
         Self {
-            // hydra-lint: allow(nondeterministic-source) measurement utility; answers never read it
-            start: Instant::now(),
+            start: std::time::Instant::now(),
         }
     }
 
@@ -374,10 +381,13 @@ impl RunClock {
     }
 
     /// Restarts the clock and returns the time elapsed before the restart.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "measurement utility; answers never read it"
+    )]
     pub fn lap(&mut self) -> Duration {
         let e = self.start.elapsed();
-        // hydra-lint: allow(nondeterministic-source) measurement utility; answers never read it
-        self.start = Instant::now();
+        self.start = std::time::Instant::now();
         e
     }
 }

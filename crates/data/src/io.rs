@@ -6,9 +6,13 @@
 //! that reports the dataset size in the "GB" units the paper uses to label
 //! its experiments.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "pre-measurement ingest; counted I/O starts at DatasetStore"
+)]
+
 use hydra_core::series::Dataset;
 use hydra_core::{Error, Result};
-// hydra-lint: allow(uncounted-fs) pre-measurement ingest; counted I/O starts at DatasetStore
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;

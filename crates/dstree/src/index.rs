@@ -367,7 +367,10 @@ impl DsTree {
             let offset = self.nodes.len();
             let map_id = |child: usize| if child == 0 { leaf } else { offset + child - 1 };
             let mut local = local.into_iter();
-            // hydra-lint: allow(lib-unwrap) grow_partition always emits a root at local index 0
+            #[expect(
+                clippy::expect_used,
+                reason = "grow_partition always emits a root at local index 0"
+            )]
             let mut subtree_root = local.next().expect("partition subtree has a root");
             if let NodeKind::Internal { left, right, .. } = &mut subtree_root.kind {
                 *left = map_id(*left);

@@ -28,6 +28,9 @@
 //! its mean and σ once per distinct segment of the tree, so node bounds,
 //! entry bounds and the descent are table lookups (see [`index`]).
 
+// lib-unwrap (README "Contract lints"): library code returns typed errors.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod index;
 pub mod node;
 

@@ -16,6 +16,9 @@
 //! the paper the two indexes have identical tree shapes for identical leaf
 //! sizes. Its leaves hold their entries' SAX words in one flat block each.
 
+// lib-unwrap (README "Contract lints"): library code returns typed errors.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod ads;
 pub mod isax2plus;
 pub mod tree;

@@ -317,9 +317,12 @@ impl IsaxTree {
         };
         let word = self.nodes[leaf].word.clone();
         let depth = self.nodes[leaf].depth;
+        #[expect(
+            clippy::expect_used,
+            reason = "segment was chosen from the splittable set above"
+        )]
         let (left_word, right_word) = word
             .split(segment)
-            // hydra-lint: allow(lib-unwrap) segment was chosen from the splittable set above
             .expect("chosen segment must be splittable");
         let (ids, words) = match std::mem::replace(
             &mut self.nodes[leaf].kind,

@@ -17,6 +17,9 @@
 //! the M-tree pays many more distance computations than the summarization
 //! indexes, which is exactly the scaling weakness the paper reports.
 
+// lib-unwrap (README "Contract lints"): library code returns typed errors.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use hydra_core::{
     AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error, ExactIndex,
     IndexFootprint, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,

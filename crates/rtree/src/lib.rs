@@ -17,6 +17,9 @@
 //! grow (MBRs overlap heavily), which is the behaviour the benchmark
 //! documents.
 
+// lib-unwrap (README "Contract lints"): library code returns typed errors.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use hydra_core::{
     AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
     IndexFootprint, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,

@@ -19,6 +19,9 @@
 //! in storage order, Stepwise over its list of survivors. Each method keeps
 //! only its bound source and its refine kernel.
 
+// lib-unwrap (README "Contract lints"): library code returns typed errors.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod mass;
 pub mod stepwise;
 pub mod ucr;

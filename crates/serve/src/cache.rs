@@ -13,8 +13,9 @@ use hydra_core::{AnswerSet, Guarantee, QueryStats};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-/// The cache key: (dataset fingerprint, canonical query hash, mode tag).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// The cache key: (dataset fingerprint, canonical query hash, mode tag),
+/// ordered field by field.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheKey {
     /// [`hydra_storage::snapshot::dataset_fingerprint`] of the served dataset.
     pub dataset_fingerprint: u64,
@@ -23,6 +24,21 @@ pub struct CacheKey {
     /// The coarse mode discriminant (exact / ng / ε / δ-ε), redundant with
     /// the canonical hash but kept visible for per-mode cache accounting.
     pub mode_tag: u8,
+}
+
+// Written out rather than derived: a derived `PartialOrd` calls each
+// field's `partial_cmp`, which the float-partial-cmp contract lint bans.
+impl Ord for CacheKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let fields = |k: &Self| (k.dataset_fingerprint, k.query_hash, k.mode_tag);
+        fields(self).cmp(&fields(other))
+    }
+}
+
+impl PartialOrd for CacheKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// A cached answer: the merged scatter-gather result, minus wall-clock (a

@@ -41,9 +41,11 @@
 //! in `hydra-bench` drives open-loop arrival ladders against this crate.
 
 // Every unsafe operation inside an `unsafe fn` must sit in its own
-// `unsafe {}` block with a `// SAFETY:` comment (enforced by hydra-lint's
-// `undocumented-unsafe` rule).
+// `unsafe {}` block with a `// SAFETY:` comment (enforced by clippy's
+// `undocumented_unsafe_blocks`; see README "Contract lints").
 #![deny(unsafe_op_in_unsafe_fn)]
+// lib-unwrap (README "Contract lints"): library code returns typed errors.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod breaker;
 pub mod cache;

@@ -811,6 +811,10 @@ mod tests {
             descriptor("Rendezvous")
         }
 
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test timeout only; the answer never depends on it"
+        )]
         fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
             self.arrived.fetch_add(1, Ordering::SeqCst);
             let deadline = std::time::Instant::now() + Duration::from_secs(5);

@@ -18,6 +18,9 @@
 //! `hydra_storage::best_first::search`; this crate supplies the prefix bound
 //! and the word descent that seeds it.
 
+// lib-unwrap (README "Contract lints"): library code returns typed errors.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
     parallel, AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,

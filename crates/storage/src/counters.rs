@@ -20,11 +20,17 @@
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
-// hydra-lint: allow(hash-iteration-order) shard values are summed; u64 addition commutes
+#[expect(
+    clippy::disallowed_types,
+    reason = "shard values are summed; u64 addition commutes"
+)]
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-// hydra-lint: allow(nondeterministic-source) thread ids only shard counters; sums commute
+#[expect(
+    clippy::disallowed_types,
+    reason = "thread ids only shard counters; sums commute"
+)]
 use std::thread::{self, ThreadId};
 
 // The snapshot type lives in `hydra-core` (the query engine aggregates it
@@ -55,8 +61,11 @@ fn add(total: &mut IoSnapshot, part: &IoSnapshot) {
 
 #[derive(Debug, Default)]
 struct Registry {
-    // hydra-lint: allow(nondeterministic-source) thread id keys shard the counters; sums commute
-    // hydra-lint: allow(hash-iteration-order) iterated only to sum u64 counters, which commutes
+    #[expect(
+        clippy::disallowed_types,
+        reason = "thread id keys shard the counters; sums commute; \
+                  iterated only to sum u64 counters, which commutes"
+    )]
     shards: HashMap<ThreadId, Arc<Mutex<Shard>>>,
     /// Traffic of exited threads, folded in when their shards are collected.
     orphaned: IoSnapshot,
@@ -144,12 +153,15 @@ impl IoCounters {
             // every new worker thread's first access sweeps the shards of
             // previously exited workers.
             cache.retain(|e| e.instance.strong_count() > 0);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "selects the calling thread's shard; totals unaffected"
+            )]
             let shard = {
                 let mut registry = self.inner.registry.lock();
                 registry.collect_orphans();
                 registry
                     .shards
-                    // hydra-lint: allow(nondeterministic-source) selects the calling thread's shard; totals unaffected
                     .entry(thread::current().id())
                     .or_default()
                     .clone()

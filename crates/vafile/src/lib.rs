@@ -25,6 +25,9 @@
 //! proportional to the unpruned candidates, and excellent pruning thanks to
 //! the tight, data-adaptive quantization.
 
+// lib-unwrap (README "Contract lints"): library code returns typed errors.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use hydra_core::distance::squared_euclidean;
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 use hydra_core::{
