@@ -113,7 +113,7 @@ fn bench_sweeps(c: &mut Criterion) {
     let mut bounds = Vec::new();
     group.bench_function(BenchmarkId::new("adsplus_sweep", "100k"), |b| {
         b.iter(|| {
-            sax.sweep(&q_paa, rows).sweep(&words, 1, &mut bounds);
+            sax.sweep(&q_paa, rows).sweep(&words, &mut bounds);
             black_box(bounds.last().copied())
         })
     });
@@ -133,7 +133,7 @@ fn bench_sweeps(c: &mut Criterion) {
     let mut ranking = LazyRanking::default();
     group.bench_function(BenchmarkId::new("vaplus_sweep_rank", "100k"), |b| {
         b.iter(|| {
-            va.sweep(&q_dft, rows).sweep(&cells, 1, &mut bounds);
+            va.sweep(&q_dft, rows).sweep(&cells, &mut bounds);
             ranking.reset(&bounds);
             black_box(ranking.by_ref().take(rows * 7 / 100).last())
         })

@@ -441,7 +441,7 @@ mod tests {
                 "{}",
                 kind.name()
             );
-            let ans = engine.answer_simple(&query).unwrap();
+            let ans = engine.answer(&query).unwrap().answers;
             assert_eq!(
                 ans.nearest().unwrap().id,
                 3,

@@ -327,30 +327,25 @@ impl QueryEngine {
         Ok(answered)
     }
 
-    /// Answers a query, discarding the measurements.
-    pub fn answer_simple(&mut self, query: &Query) -> Result<AnswerSet> {
-        Ok(self.answer(query)?.answers)
-    }
-
-    /// Answers one query with `parallelism` worker threads cooperating on it
-    /// (intra-query parallelism), measuring it and folding the stats into
-    /// the running totals exactly like [`QueryEngine::answer`].
+    /// Answers one query with up to `parallelism` worker threads cooperating
+    /// on it (intra-query parallelism), measuring it and folding the stats
+    /// into the running totals exactly like [`QueryEngine::answer`].
     ///
-    /// The determinism contract of the suite extends here: for every method
-    /// and thread count, the answer set, its guarantee and the per-query
-    /// logical work counters are **bit-identical** to the serial
-    /// [`QueryEngine::answer`] path (only wall-clock times vary), because the
-    /// worker count is just the `threads` argument of the method's one
-    /// [`AnsweringMethod::search`]. Budgeted queries and an [`IoSource`]
-    /// without thread-scoped counters are searched with one thread.
+    /// The worker count is just the `threads` argument of the method's one
+    /// [`AnsweringMethod::search`], and only MASS splits work on it; every
+    /// other method answers exactly as [`QueryEngine::answer`] does. The
+    /// determinism contract of the suite extends here: for every method and
+    /// thread count, the answer set, its guarantee and the per-query logical
+    /// work counters are **bit-identical** to the serial path (only
+    /// wall-clock times vary). Budgeted queries and an [`IoSource`] without
+    /// thread-scoped counters are searched with one thread.
     pub fn answer_intra(
         &mut self,
         query: &Query,
         parallelism: Parallelism,
     ) -> Result<EngineAnswer> {
-        // Budgeted queries take the serial path: an intra-query fan-out
-        // splits the candidate space across workers and cannot meter a
-        // single best-so-far budget.
+        // Budgeted queries take the serial path: MASS's pre-pass computes
+        // every distance, where a budget stops the counted pass early.
         let threads = if self.thread_scoped_io() && query.budget().is_none() {
             parallelism.worker_threads()
         } else {
@@ -748,10 +743,11 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 
 /// The one measured call of the engine: enforces the method's mode and
 /// query-kind capabilities, then — per attempt — resets the calling thread's
-/// I/O shard, times the dyn [`AnsweringMethod::search`] at `threads` workers,
-/// isolates its panics, and reconciles store-side traffic into the stats.
-/// Every door of the engine and of [`EngineHandle`] answers through it, so
-/// all of them produce identical per-query measurements.
+/// I/O shard, times the dyn [`AnsweringMethod::search`] at `threads` workers
+/// (which only MASS splits work on), isolates its panics, and reconciles
+/// store-side traffic into the stats. Every door of the engine and of
+/// [`EngineHandle`] answers through it, so all of them produce identical
+/// per-query measurements.
 ///
 /// The retry loop's attempt numbering is shifted by `base_attempt`: the
 /// first attempt announces `base_attempt` through
@@ -1007,14 +1003,6 @@ mod tests {
         e.reset_totals();
         assert_eq!(e.queries_answered(), 0);
         assert_eq!(e.totals().raw_series_examined, 0);
-    }
-
-    #[test]
-    fn answer_simple_discards_measurements() {
-        let mut e = engine();
-        let q = Query::nearest_neighbor(Series::new(vec![5.1, 5.1]));
-        let ans = e.answer_simple(&q).unwrap();
-        assert_eq!(ans.nearest().unwrap().id, 2);
     }
 
     #[test]

@@ -345,80 +345,6 @@ impl From<KnnHeap> for AnswerSet {
     }
 }
 
-/// What an intra-query worker observed when it evaluated one candidate with
-/// an early-abandoning kernel under its own (possibly stale, possibly
-/// tighter-than-serial) threshold.
-///
-/// Workers race ahead under thresholds fed by a [`crate::parallel::SharedBsf`];
-/// the serial replay pass then reconstructs, via [`replay_outcome`], exactly
-/// what the serial code would have done at its own threshold — bit-identical
-/// answers *and* bit-identical `early_abandons` counters — recomputing a
-/// candidate only when the recorded outcome cannot decide it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Outcome {
-    /// The kernel ran to completion: the full squared distance (threshold
-    /// independent — any kernel that completes returns this exact value).
-    Computed(f64),
-    /// The kernel abandoned; `threshold` is the squared threshold the worker
-    /// actually abandoned against.
-    Abandoned {
-        /// The squared threshold in force when the worker abandoned.
-        threshold: f64,
-    },
-}
-
-/// Replays one worker-recorded [`Outcome`] against the serial path's current
-/// squared threshold, returning exactly what the serial early-abandoning
-/// kernel would have returned.
-///
-/// The reasoning rests on the kernel contract (satisfied by
-/// [`crate::distance::squared_euclidean_early_abandon`] and
-/// [`crate::distance::squared_euclidean_reordered`]): partial sums of squares
-/// are monotone non-decreasing in the absence of NaN, and a final
-/// `sum > threshold` check runs even when no intermediate check fired, so
-/// **the kernel returns `None` if and only if the full squared sum exceeds
-/// the threshold** (for NaN-free inputs). Therefore:
-///
-/// * `Computed(sq)` with finite-or-infinite `sq`: the serial kernel at
-///   threshold `t` abandons iff `sq > t`, and otherwise returns this same
-///   bit pattern;
-/// * `Computed(NaN)`: a NaN element breaks partial-sum monotonicity (the
-///   serial kernel might abandon at a finite intermediate partial the worker
-///   sailed past under a looser threshold), so the candidate is recomputed
-///   at the serial threshold;
-/// * `Abandoned { threshold: w }` with `w >= t`: some partial exceeded `w`,
-///   hence exceeds `t` too — the serial kernel provably abandons;
-/// * `Abandoned { threshold: w }` with `w < t` (the worker was *tighter*
-///   than serial, e.g. it raced ahead of the serial heap): the outcome is
-///   inconclusive and the candidate is recomputed at the serial threshold.
-///
-/// `recompute(t)` must run the same kernel the worker used, against the same
-/// operands, with threshold `t`.
-#[inline]
-pub fn replay_outcome(
-    outcome: Outcome,
-    serial_threshold: f64,
-    recompute: impl FnOnce(f64) -> Option<f64>,
-) -> Option<f64> {
-    match outcome {
-        Outcome::Computed(sq) if !sq.is_nan() => {
-            if sq > serial_threshold {
-                None
-            } else {
-                Some(sq)
-            }
-        }
-        Outcome::Computed(_) => recompute(serial_threshold),
-        Outcome::Abandoned { threshold } => {
-            if threshold >= serial_threshold {
-                None
-            } else {
-                recompute(serial_threshold)
-            }
-        }
-    }
-}
-
 /// Max-heap entry ordered by distance (largest distance on top).
 #[derive(Clone, Copy, Debug)]
 struct HeapEntry {
@@ -851,125 +777,6 @@ mod tests {
         // "equal" to an exact set with the same distances.
         let exact = AnswerSet::from_unsorted(vec![Answer::new(0, 1.0)]);
         assert_ne!(tagged, exact);
-    }
-
-    #[test]
-    fn replay_outcome_decides_from_the_recorded_evidence() {
-        let panic_recompute = |_t: f64| -> Option<f64> { panic!("must not recompute") };
-        // A finite computed distance decides both ways without recomputing.
-        assert_eq!(
-            replay_outcome(Outcome::Computed(4.0), 5.0, panic_recompute),
-            Some(4.0)
-        );
-        assert_eq!(
-            replay_outcome(Outcome::Computed(4.0), 4.0, panic_recompute),
-            Some(4.0)
-        );
-        assert_eq!(
-            replay_outcome(Outcome::Computed(4.0), 3.0, panic_recompute),
-            None
-        );
-        // An abandon under a looser-or-equal threshold proves the serial
-        // kernel abandons too.
-        assert_eq!(
-            replay_outcome(Outcome::Abandoned { threshold: 9.0 }, 9.0, panic_recompute),
-            None
-        );
-        assert_eq!(
-            replay_outcome(Outcome::Abandoned { threshold: 9.0 }, 2.0, panic_recompute),
-            None
-        );
-        // Inconclusive outcomes fall back to the serial kernel.
-        assert_eq!(
-            replay_outcome(Outcome::Abandoned { threshold: 1.0 }, 5.0, |t| {
-                assert_eq!(t, 5.0);
-                Some(3.5)
-            }),
-            Some(3.5)
-        );
-        assert_eq!(
-            replay_outcome(Outcome::Computed(f64::NAN), 5.0, |t| {
-                assert_eq!(t, 5.0);
-                None
-            }),
-            None
-        );
-    }
-
-    /// End-to-end oracle for the worker/replay protocol: workers scan range
-    /// chunks with *their own* empty heaps plus a shared best-so-far (their
-    /// thresholds are both staler and tighter than the serial heap's at
-    /// various points), and the serial replay over the recorded outcomes must
-    /// reproduce the serial scan exactly — same answers, same abandon count,
-    /// zero tolerance.
-    #[test]
-    fn replayed_worker_outcomes_reproduce_the_serial_scan_exactly() {
-        use crate::distance::squared_euclidean_early_abandon;
-        use crate::parallel::SharedBsf;
-
-        let len = 24usize;
-        let count = 160usize;
-        let mut state = 42u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f32 / (1u64 << 30) as f32) - 2.0
-        };
-        let series: Vec<Vec<f32>> = (0..count)
-            .map(|_| (0..len).map(|_| next()).collect())
-            .collect();
-        let query: Vec<f32> = (0..len).map(|_| next()).collect();
-        let k = 3;
-
-        // Serial reference.
-        let mut serial = KnnHeap::new(k);
-        let mut serial_abandons = 0u64;
-        for (id, s) in series.iter().enumerate() {
-            match squared_euclidean_early_abandon(&query, s, serial.threshold_squared()) {
-                Some(sq) => {
-                    serial.offer(id, sq.sqrt());
-                }
-                None => serial_abandons += 1,
-            }
-        }
-        let serial_answers = serial.into_answer_set();
-
-        // Worker phase: 4 contiguous ranges, per-range empty local heaps,
-        // pruning against min(local, shared bsf).
-        let bsf = SharedBsf::new(f64::INFINITY);
-        let mut outcomes: Vec<Outcome> = Vec::with_capacity(count);
-        for range in crate::parallel::split_ranges(count, 4) {
-            let mut local = KnnHeap::new(k);
-            for id in range {
-                let threshold = local.threshold_squared().min(bsf.get());
-                match squared_euclidean_early_abandon(&query, &series[id], threshold) {
-                    Some(sq) => {
-                        outcomes.push(Outcome::Computed(sq));
-                        local.offer(id, sq.sqrt());
-                        bsf.update_min(local.threshold_squared());
-                    }
-                    None => outcomes.push(Outcome::Abandoned { threshold }),
-                }
-            }
-        }
-
-        // Serial replay over the outcomes.
-        let mut replayed = KnnHeap::new(k);
-        let mut replay_abandons = 0u64;
-        for (id, outcome) in outcomes.iter().enumerate() {
-            let threshold = replayed.threshold_squared();
-            match replay_outcome(*outcome, threshold, |t| {
-                squared_euclidean_early_abandon(&query, &series[id], t)
-            }) {
-                Some(sq) => {
-                    replayed.offer(id, sq.sqrt());
-                }
-                None => replay_abandons += 1,
-            }
-        }
-        assert_eq!(replayed.into_answer_set(), serial_answers);
-        assert_eq!(replay_abandons, serial_abandons);
     }
 
     #[test]

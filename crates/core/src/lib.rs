@@ -18,7 +18,8 @@
 //! * the common interface implemented by every method evaluated in the paper
 //!   ([`AnsweringMethod`], whose one answering body
 //!   [`AnsweringMethod::search`] takes the intra-query worker count as an
-//!   argument, and [`ExactIndex`]) in [`method`],
+//!   argument, which only MASS splits work on, and [`ExactIndex`]) in
+//!   [`method`],
 //! * the unified dyn-dispatch query driver ([`QueryEngine`]) that answers and
 //!   measures queries identically across all ten methods in [`engine`],
 //!   including the intra-query driver ([`QueryEngine::answer_intra`]), the
@@ -68,12 +69,12 @@ pub use engine::{
 };
 pub use error::{Error, Result};
 pub use hash::Fnv1a;
-pub use knn::{replay_outcome, Answer, AnswerSet, BaseGuarantee, Guarantee, KnnHeap, Outcome};
+pub use knn::{Answer, AnswerSet, BaseGuarantee, Guarantee, KnnHeap};
 pub use method::{
     AnsweringMethod, BatchAnswering, BuildOptions, ExactIndex, IndexFootprint, MethodDescriptor,
     ModeCapabilities,
 };
-pub use parallel::{Parallelism, SharedBsf};
+pub use parallel::Parallelism;
 pub use persist::{PersistentIndex, SnapshotSink, SnapshotSource};
 pub use query::{AnswerMode, Budget, BudgetMeter, MatchingKind, Query, QueryKind};
 pub use series::{Dataset, Series, SeriesView};

@@ -263,23 +263,23 @@ pub trait AnsweringMethod: Send + Sync {
     fn descriptor(&self) -> MethodDescriptor;
 
     /// Answers a query in its requested mode with up to `threads` workers
-    /// cooperating on it (MESSI/ParIS-style intra-query parallelism),
-    /// recording work counters into `stats`. Every method has exactly this
-    /// one answering body; `threads = 1` is the serial search.
+    /// cooperating on it, recording work counters into `stats`. Every method
+    /// has exactly this one answering body; `threads = 1` is the serial
+    /// search.
+    ///
+    /// Only MASS splits work on `threads`: its distances are fixed and
+    /// abandon-free, so workers precompute them from the in-memory dataset
+    /// and its one counted pass offers them. Every other method searches
+    /// serially whatever `threads` is, because on a 2-CPU host their
+    /// fan-outs lost to the serial search (README "Intra-query parallelism
+    /// & SIMD").
     ///
     /// # Contract (enforced by `tests/intra_query_agreement.rs`)
     ///
     /// For every supported [`AnswerMode`] and every `threads`, the returned
     /// `AnswerSet` (answers *and* guarantee) and the counters written into
     /// `stats` are **bit-identical** to `threads = 1`; only the wall-clock
-    /// time fields may differ. Methods achieve this by splitting the
-    /// threshold-independent work (summary sweeps), or by letting workers
-    /// race ahead on the in-memory dataset under
-    /// [`crate::parallel::SharedBsf`] thresholds while recording
-    /// [`crate::knn::Outcome`]s that the one counted pass — the one that
-    /// touches `stats` and the store — resolves against the serial
-    /// thresholds (see [`crate::knn::replay_outcome`]). Methods with nothing
-    /// to split (Stepwise, the R*-tree, the M-tree) ignore `threads`.
+    /// time fields may differ.
     fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet>;
 
     /// Answers a query serially: `search(query, 1, stats)`.

@@ -2,16 +2,17 @@
 //!
 //! The paper evaluates every method single-threaded, but data series search is
 //! embarrassingly parallel across queries and across index subtrees (ParIS /
-//! MESSI, Hercules). This module provides the small, dependency-free building
-//! blocks the rest of the suite parallelizes with:
+//! MESSI, Hercules). Within one query only MASS splits work, computing its
+//! abandon-free distances in contiguous chunks ([`map_chunks`]); every
+//! other method searches serially, because on a 2-CPU host its fan-out lost
+//! to the serial search. This module provides the small, dependency-free
+//! building blocks the rest of the suite parallelizes with:
 //!
 //! * [`Parallelism`] — how many worker threads a workload or build may use;
 //! * [`map_indexed`] — a work-queue over `0..count` (dynamic load balancing,
 //!   results returned in index order);
 //! * [`map_chunks`] — contiguous range partitioning (static load balancing,
-//!   chunk outputs concatenated in chunk order, preserving index order);
-//! * [`SharedBsf`] — a shared atomic best-so-far (f64 bit patterns, monotone
-//!   decrease CAS) that intra-query workers prune against.
+//!   chunk outputs concatenated in chunk order, preserving index order).
 //!
 //! Everything is built on `std::thread::scope`, so borrowed data (datasets,
 //! built indexes) can be shared without `'static` bounds or extra `Arc`s, and
@@ -19,63 +20,7 @@
 //! of which thread finished first.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// A shared best-so-far pruning threshold for intra-query workers — the
-/// MESSI/ParIS mechanism that lets every worker abandon against the globally
-/// best candidate found so far, not just its own.
-///
-/// The value is an `f64` stored as its bit pattern in an `AtomicU64` and
-/// updated with a monotone-decrease CAS loop: [`SharedBsf::update_min`] only
-/// ever replaces the stored value with a strictly smaller one, so concurrent
-/// updates can never lose the minimum (a failed CAS re-reads and re-compares;
-/// a racing smaller value simply wins). NaN candidates never compare smaller
-/// and are therefore never stored.
-///
-/// A stale read is always *safe*: a worker that observes an older (larger)
-/// value abandons less eagerly, never wrongly — exactness does not depend on
-/// propagation timing. Intra-query kernels exploit this by reading with
-/// `Relaxed` ordering on the hot path.
-#[derive(Debug)]
-pub struct SharedBsf(AtomicU64);
-
-impl SharedBsf {
-    /// Creates a shared threshold starting at `initial` (NaN is treated as
-    /// `+inf`, i.e. "no candidate yet").
-    pub fn new(initial: f64) -> Self {
-        let v = if initial.is_nan() {
-            f64::INFINITY
-        } else {
-            initial
-        };
-        Self(AtomicU64::new(v.to_bits()))
-    }
-
-    /// The current best-so-far value (possibly momentarily stale under
-    /// concurrent updates, which is always safe — see the type docs).
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Lowers the stored value to `candidate` if it is strictly smaller,
-    /// retrying on contention. NaN candidates are ignored.
-    pub fn update_min(&self, candidate: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        // `NaN < x` is false, so a NaN candidate never enters the loop.
-        while candidate < f64::from_bits(current) {
-            match self.0.compare_exchange_weak(
-                current,
-                candidate.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How work is spread across threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -331,62 +276,6 @@ mod tests {
         let got = map_chunks(53, 1, |range| range.map(|i| i * 3).collect());
         assert_eq!(got, expected);
         assert!(map_chunks(0, 4, |r| r.collect::<Vec<_>>()).is_empty());
-    }
-
-    #[test]
-    fn shared_bsf_basic_semantics() {
-        let bsf = SharedBsf::new(f64::INFINITY);
-        assert_eq!(bsf.get(), f64::INFINITY);
-        bsf.update_min(3.0);
-        assert_eq!(bsf.get(), 3.0);
-        // Larger and NaN candidates never overwrite a smaller value.
-        bsf.update_min(4.0);
-        bsf.update_min(f64::NAN);
-        assert_eq!(bsf.get(), 3.0);
-        bsf.update_min(0.5);
-        assert_eq!(bsf.get(), 0.5);
-        // A NaN initial value means "no candidate yet".
-        let bsf = SharedBsf::new(f64::NAN);
-        assert_eq!(bsf.get(), f64::INFINITY);
-    }
-
-    /// Randomized oracle: hammer one `SharedBsf` from many threads with
-    /// seeded pseudo-random values (including duplicates and NaN) and check
-    /// the final value is exactly the serial minimum — concurrent
-    /// monotone-CAS updates must never lose the minimum.
-    #[test]
-    fn shared_bsf_never_loses_the_minimum_under_concurrency() {
-        const THREADS: u64 = 8;
-        const PER_THREAD: u64 = 5_000;
-        let bsf = SharedBsf::new(f64::INFINITY);
-        let value_of = |thread: u64, i: u64| -> f64 {
-            let mut x = thread
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(i)
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x ^= x >> 33;
-            if x.is_multiple_of(97) {
-                f64::NAN
-            } else {
-                (x % 1_000_000) as f64 / 1000.0
-            }
-        };
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let bsf = &bsf;
-                scope.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        bsf.update_min(value_of(t, i));
-                    }
-                });
-            }
-        });
-        let serial_min = (0..THREADS)
-            .flat_map(|t| (0..PER_THREAD).map(move |i| value_of(t, i)))
-            .filter(|v| !v.is_nan())
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(bsf.get().to_bits(), serial_min.to_bits());
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //!   `low <= high` (±∞ edges included) and yields `0` for NaN queries just
 //!   like the fallen-through branches.
 //!
-//! This is what lets the intra-query determinism guarantee span kernels: the
-//! same answers and the same per-query counters fall out whether dispatch
-//! picked AVX2 or the portable loop.
+//! This is what lets the determinism guarantee span kernels: the same
+//! answers and the same per-query counters fall out whether dispatch picked
+//! AVX2 or the portable loop.
 //!
 //! # Dispatch
 //!

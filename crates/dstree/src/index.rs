@@ -479,8 +479,9 @@ impl AnsweringMethod for DsTree {
         Some(ExactIndex::footprint(self))
     }
 
-    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
-        best_first::search(self, query, threads, stats)
+    /// The serial best-first search; `threads` is ignored.
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+        best_first::search(self, query, stats)
     }
 }
 
@@ -522,10 +523,6 @@ impl BestFirstTree for DsTree {
     ) {
         frontier.push(0, self.bound(0, probe));
         stats.record_lower_bounds(1);
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     fn node(
@@ -988,38 +985,6 @@ mod tests {
             let (a, e) = (relaxed.nearest().unwrap(), exact.nearest().unwrap());
             assert!(a.distance + 1e-9 >= e.distance);
             assert!(a.distance <= (1.0 + eps) * e.distance + 1e-9);
-        }
-    }
-
-    #[test]
-    fn intra_query_search_is_bit_identical_to_serial() {
-        let (store, idx) = build(500, 64, 25);
-        let mut queries: Vec<Query> = RandomWalkGenerator::new(491, 64)
-            .series_batch(5)
-            .into_iter()
-            .map(|q| Query::knn(q, 3))
-            .collect();
-        queries.push(Query::knn(store.dataset().series(222).to_owned_series(), 3));
-        queries.push(
-            Query::knn(store.dataset().series(7).to_owned_series(), 3)
-                .with_mode(AnswerMode::EpsilonApproximate { epsilon: 0.5 }),
-        );
-        for query in &queries {
-            let mut serial_stats = QueryStats::default();
-            let serial = idx.answer(query, &mut serial_stats).unwrap();
-            for threads in [2usize, 4] {
-                let mut stats = QueryStats::default();
-                let got = idx.search(query, threads, &mut stats).unwrap();
-                assert_eq!(serial, got, "threads={threads}");
-                assert_eq!(serial_stats.raw_series_examined, stats.raw_series_examined);
-                assert_eq!(serial_stats.early_abandons, stats.early_abandons);
-                assert_eq!(serial_stats.leaves_visited, stats.leaves_visited);
-                assert_eq!(
-                    serial_stats.lower_bounds_computed,
-                    stats.lower_bounds_computed
-                );
-                assert_eq!(serial_stats.bytes_read, stats.bytes_read);
-            }
         }
     }
 

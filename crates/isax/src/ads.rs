@@ -94,14 +94,14 @@ impl AdsPlus {
 
     /// SIMS step 1: the MINDIST lower bound from the query to every
     /// full-resolution summary, in dataset order, table-driven (see
-    /// `hydra_transforms::sweep`) and split over `threads` workers.
-    fn bounds(&self, query_paa: &[f32], threads: usize, stats: &mut QueryStats) -> Vec<f64> {
+    /// `hydra_transforms::sweep`).
+    fn bounds(&self, query_paa: &[f32], stats: &mut QueryStats) -> Vec<f64> {
         let n = self.store.len();
         let mut bounds = Vec::new();
         self.tree
             .params()
             .sweep(query_paa, n)
-            .sweep(&self.summaries, threads, &mut bounds);
+            .sweep(&self.summaries, &mut bounds);
         stats.record_lower_bounds(n as u64);
         bounds
     }
@@ -125,18 +125,12 @@ impl AnsweringMethod for AdsPlus {
         Some(ExactIndex::footprint(self))
     }
 
-    /// One SIMS query at `threads` workers, visiting candidates through
-    /// the scan-side driver.
-    ///
-    /// The MINDIST bounds of step 1 — the CPU bulk of an exact query —
-    /// depend only on the query summary (never on the best-so-far), so the
-    /// sweep splits over `threads` workers and merges in order to the same
-    /// array; the seed and the skip-sequential raw-file pass (steps 2 and 3,
-    /// whose reads are counted and whose skips follow the evolving
-    /// best-so-far) are serial, as is the ng-approximate leaf. Answers,
-    /// counters and I/O are therefore the same bits for every thread count
-    /// in every answering mode.
-    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+    /// One serial SIMS query, visiting candidates through the scan-side
+    /// driver: the MINDIST sweep of step 1, then the seed and the
+    /// skip-sequential raw-file pass (steps 2 and 3), or the ng-approximate
+    /// leaf. `threads` is ignored: splitting the sweep over two workers lost
+    /// to the serial query (README "Intra-query parallelism & SIMD").
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         query.expect_len(self.store.series_length())?;
         let k = query.knn_k("ADS+")?;
         refine::search(&self.store, query, k, stats, |refiner| {
@@ -160,7 +154,7 @@ impl AnsweringMethod for AdsPlus {
                 }
                 return Ok(());
             }
-            let bounds = self.bounds(&query_paa, threads, refiner.stats);
+            let bounds = self.bounds(&query_paa, refiner.stats);
             refiner.skip_sequential(
                 &bounds,
                 EarlyAbandon(|values: &[f32], threshold| {
@@ -370,7 +364,7 @@ mod tests {
         let query = Query::knn(q, 3);
         let paa = idx.tree.params().paa().transform(query.values());
         let mut stats = QueryStats::default();
-        let mut bounds = idx.bounds(&paa, 1, &mut stats);
+        let mut bounds = idx.bounds(&paa, &mut stats);
         // Every bound raised above the farthest distance: the seed's first
         // read is refined in full against an empty heap.
         let farthest = (0..store.len())

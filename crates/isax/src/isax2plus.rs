@@ -10,7 +10,7 @@
 //!   lower bound, seeded with the approximate answer as the initial
 //!   best-so-far and pruning every subtree whose MINDIST is not below it.
 //!
-//! The traversal, the leaf scan and the intra-query fan-out are the shared
+//! The traversal and the leaf scan are the shared
 //! `hydra_storage::best_first::search`; this module supplies the MINDIST
 //! bound, the seed lookup and the root children it starts from.
 
@@ -96,8 +96,9 @@ impl AnsweringMethod for Isax2Plus {
         Some(ExactIndex::footprint(self))
     }
 
-    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
-        best_first::search(self, query, threads, stats)
+    /// The serial best-first search; `threads` is ignored.
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+        best_first::search(self, query, stats)
     }
 }
 
@@ -159,10 +160,6 @@ impl BestFirstTree for Isax2Plus {
         }
     }
 
-    fn num_nodes(&self) -> usize {
-        self.tree.num_nodes()
-    }
-
     fn node(
         &self,
         id: usize,
@@ -181,7 +178,7 @@ impl BestFirstTree for Isax2Plus {
     fn entry_bounds(&self, id: usize, probe: &Probe<'_>) -> Vec<f64> {
         let mut bounds = Vec::new();
         if let NodeKind::Leaf { words, .. } = &self.tree.node(id).kind {
-            probe.entries.sweep(words, 1, &mut bounds);
+            probe.entries.sweep(words, &mut bounds);
         }
         bounds
     }

@@ -476,10 +476,9 @@ impl AnsweringMethod for RStarTree {
         Some(ExactIndex::footprint(self))
     }
 
-    /// Always serial: the R*-tree has no exact-mode seed, so a fan-out
-    /// would refine every leaf; `threads` is ignored.
+    /// The serial best-first search; `threads` is ignored.
     fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
-        best_first::search(self, query, 1, stats)
+        best_first::search(self, query, stats)
     }
 }
 
@@ -529,10 +528,6 @@ impl BestFirstTree for RStarTree {
     /// The root covers everything: it starts at 0 for free.
     fn push_roots(&self, _: &Vec<f32>, frontier: &mut Frontier, _: &mut QueryStats) {
         frontier.push(self.root, 0.0);
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     fn node(

@@ -48,7 +48,10 @@ impl MassScan {
     /// `ED²(Q, C) = ||Q||² + ||C||² − 2·(Q · C)` for one candidate, with the
     /// dot product taken over the spectra: `Q·C = (1/n) Σ conj(F(Q))·F(C)`.
     /// `c_spec` is the caller's spectrum scratch, reused across candidates
-    /// so the hot loop performs no per-candidate allocation.
+    /// so the hot loop performs no per-candidate allocation. Cancellation
+    /// can leave a tiny negative sum, clamped to 0; a NaN (a NaN value in
+    /// the candidate or the query) stays NaN, so such a candidate ranks
+    /// last, as under the other kernels, and never as an exact match.
     fn squared_distance(
         &self,
         q_spec: &[Complex],
@@ -63,7 +66,12 @@ impl MassScan {
             dot += q.re * c.re + q.im * c.im;
         }
         dot /= values.len() as f64;
-        (q_norm_sq + c_norm_sq - 2.0 * dot).max(0.0)
+        let squared = q_norm_sq + c_norm_sq - 2.0 * dot;
+        if squared.is_nan() {
+            squared
+        } else {
+            squared.max(0.0)
+        }
     }
 }
 
@@ -83,7 +91,8 @@ impl AnsweringMethod for MassScan {
     /// from the in-memory dataset, the exact squared distance the pass
     /// would, and the counted pass offers the precomputed values — answers,
     /// budget stops, faults and I/O are the same bits for every thread
-    /// count.
+    /// count. MASS is the one method that splits a query: its FFT per
+    /// candidate is CPU-bound enough for two workers to win.
     fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         if self.store.is_empty() {
             return Err(Error::EmptyDataset);
@@ -114,7 +123,7 @@ impl AnsweringMethod for MassScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ucr::brute_force_knn;
+    use crate::ucr::{brute_force_knn, UcrScan};
     use hydra_core::Series;
     use hydra_data::RandomWalkGenerator;
 
@@ -181,6 +190,31 @@ mod tests {
         assert_eq!(stats.raw_series_examined, 100);
         assert_eq!(stats.random_page_accesses, 1);
         assert!(stats.cpu_time.as_nanos() > 0);
+    }
+
+    #[test]
+    fn a_nan_series_is_never_an_exact_match_at_any_thread_count() {
+        // 200 random walks plus, as id 200, a copy of the query with one
+        // NaN value: its squared distance is NaN, which must not clamp to 0.
+        let mut data = RandomWalkGenerator::new(21, 64).dataset(200);
+        let q = RandomWalkGenerator::new(77, 64).series(0);
+        let mut poisoned = q.values().to_vec();
+        poisoned[10] = f32::NAN;
+        data.push(&poisoned);
+        let s = Arc::new(DatasetStore::new(data));
+        let query = Query::knn(q, 3);
+        let expected = UcrScan::new(s.clone()).answer_simple(&query).unwrap();
+        let expected_ids: Vec<usize> = expected.iter().map(|a| a.id).collect();
+        assert!(!expected_ids.contains(&200));
+        let m = MassScan::new(s);
+        for threads in [1, 2, 4] {
+            let got = m
+                .search(&query, threads, &mut QueryStats::default())
+                .unwrap();
+            let ids: Vec<usize> = got.iter().map(|a| a.id).collect();
+            assert_eq!(ids, expected_ids, "threads {threads}");
+            assert!(got.distances_match(&expected, 1e-3), "threads {threads}");
+        }
     }
 
     #[test]

@@ -66,14 +66,14 @@ impl AnsweringMethod for UcrScan {
     }
 
     /// One counted sequential pass with reordered early abandoning against
-    /// the best-so-far, in storage order through [`refine`] (which splits
-    /// the pass ParIS-style over `threads` workers and replays their
-    /// outcomes, so every thread count gives the same bits).
-    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+    /// the best-so-far, in storage order through [`refine`]. Serial:
+    /// `threads` is ignored, because each distance's work depends on the
+    /// best-so-far (README "Intra-query parallelism & SIMD").
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         let k = self.validate(query)?;
         let order = QueryOrder::new(query.values());
         refine::search(&self.store, query, k, stats, |refiner| {
-            refiner.storage_order(threads, || {
+            refiner.storage_order(1, || {
                 EarlyAbandon(|values: &[f32], threshold| {
                     squared_euclidean_reordered(query.values(), values, &order, threshold)
                 })
@@ -303,25 +303,6 @@ mod tests {
             batch_answers[0].stats.sequential_page_accesses,
             s2.total_pages() - 1
         );
-    }
-
-    #[test]
-    fn intra_query_scan_is_bit_identical_to_serial() {
-        let s = store(250, 96);
-        let scan = UcrScan::new(s);
-        for seed in [5u64, 6, 7] {
-            let q = Query::knn(RandomWalkGenerator::new(seed, 96).series(0), 3);
-            let mut serial_stats = QueryStats::default();
-            let serial = scan.answer(&q, &mut serial_stats).unwrap();
-            for threads in [2usize, 4] {
-                let mut stats = QueryStats::default();
-                let got = scan.search(&q, threads, &mut stats).unwrap();
-                assert_eq!(serial, got);
-                assert_eq!(serial_stats.raw_series_examined, stats.raw_series_examined);
-                assert_eq!(serial_stats.early_abandons, stats.early_abandons);
-                assert_eq!(serial_stats.bytes_read, stats.bytes_read);
-            }
-        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!
 //! Exact search is a best-first traversal ordered by the prefix lower bound;
 //! when a leaf is reached, all of its raw series are read (one contiguous leaf
-//! read) and refined with early-abandoning Euclidean distance. The traversal,
-//! the leaf scan and the intra-query fan-out are the shared
-//! `hydra_storage::best_first::search`; this crate supplies the prefix bound
+//! read) and refined with early-abandoning Euclidean distance. The traversal
+//! and the leaf scan are the shared `hydra_storage::best_first::search`;
+//! this crate supplies the prefix bound
 //! and the word descent that seeds it.
 
 // lib-unwrap (README "Contract lints"): library code returns typed errors.
@@ -301,8 +301,9 @@ impl AnsweringMethod for SfaTrie {
         Some(ExactIndex::footprint(self))
     }
 
-    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
-        best_first::search(self, query, threads, stats)
+    /// The serial best-first search; `threads` is ignored.
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+        best_first::search(self, query, stats)
     }
 }
 
@@ -335,10 +336,6 @@ impl BestFirstTree for SfaTrie {
     /// The root's empty prefix bounds nothing: it starts at 0 for free.
     fn push_roots(&self, _: &Self::Probe<'_>, frontier: &mut Frontier, _: &mut QueryStats) {
         frontier.push(0, 0.0);
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     fn node(
@@ -696,38 +693,6 @@ mod tests {
             assert_eq!(zero.answers(), exact.answers());
             assert_eq!(s1.raw_series_examined, s2.raw_series_examined);
             assert_eq!(s1.lower_bounds_computed, s2.lower_bounds_computed);
-        }
-    }
-
-    #[test]
-    fn intra_query_search_is_bit_identical_to_serial() {
-        let (store, idx) = build(400, 64, 15);
-        let mut queries: Vec<Query> = RandomWalkGenerator::new(911, 64)
-            .series_batch(5)
-            .into_iter()
-            .map(|q| Query::knn(q, 3))
-            .collect();
-        queries.push(Query::knn(store.dataset().series(123).to_owned_series(), 3));
-        queries.push(
-            Query::knn(store.dataset().series(7).to_owned_series(), 3)
-                .with_mode(AnswerMode::EpsilonApproximate { epsilon: 0.5 }),
-        );
-        for query in &queries {
-            let mut serial_stats = QueryStats::default();
-            let serial = idx.answer(query, &mut serial_stats).unwrap();
-            for threads in [2usize, 4] {
-                let mut stats = QueryStats::default();
-                let got = idx.search(query, threads, &mut stats).unwrap();
-                assert_eq!(serial, got, "threads={threads}");
-                assert_eq!(serial_stats.raw_series_examined, stats.raw_series_examined);
-                assert_eq!(serial_stats.early_abandons, stats.early_abandons);
-                assert_eq!(serial_stats.leaves_visited, stats.leaves_visited);
-                assert_eq!(
-                    serial_stats.lower_bounds_computed,
-                    stats.lower_bounds_computed
-                );
-                assert_eq!(serial_stats.bytes_read, stats.bytes_read);
-            }
         }
     }
 

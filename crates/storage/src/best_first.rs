@@ -28,16 +28,10 @@
 //! builds the popped node's bound, like each entry's, is asserted not to
 //! exceed any distance its leaf's scan computes in full.
 //!
-//! With `threads > 1` the same call is the MESSI-style intra-query search:
-//! after the seed scan, every leaf the traversal could still reach is
-//! bounded and evaluated by a worker pool sharing an atomic best-so-far,
-//! each worker recording the leaf's entry bounds and one [`Outcome`] per
-//! entry it did not bound out; the traversal — the only part that touches
-//! `stats` and the budget — then decides every entry from that evidence
-//! through [`hydra_core::replay_outcome`], recomputing only where a
-//! worker's threshold was tighter than the serial one. Answers, guarantees
-//! and all work counters are therefore the same bits for every thread
-//! count.
+//! The search is serial: on a 2-CPU host a MESSI-style fan-out of the
+//! reachable leaves over worker threads lost to it (README "Intra-query
+//! parallelism & SIMD"). MESSI's shared queues over per-series bounds are
+//! the design to follow if a bigger host shows a win.
 //!
 //! The query frame (clock, heap, budget, guarantee) and the per-entry
 //! refine step are the scan-side driver's, [`crate::refine`], so the two
@@ -46,11 +40,9 @@
 use crate::refine::{self, EarlyAbandon, Refiner};
 use crate::DatasetStore;
 use hydra_core::distance::squared_euclidean_early_abandon;
-use hydra_core::{
-    parallel, AnswerMode, AnswerSet, KnnHeap, Outcome, Query, QueryStats, Result, SharedBsf,
-};
+use hydra_core::{AnswerMode, AnswerSet, Query, QueryStats, Result};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// The traversal's priority queue: a min-heap of nodes on their lower bound.
 ///
@@ -121,10 +113,9 @@ pub struct Seed {
 }
 
 /// The parts of a best-first tree search that differ between trees.
-pub trait BestFirstTree: Sync {
-    /// The per-query summary the tree bounds its nodes and entries against
-    /// (shared with the fan-out's workers).
-    type Probe<'q>: Sync
+pub trait BestFirstTree {
+    /// The per-query summary the tree bounds its nodes and entries against.
+    type Probe<'q>
     where
         Self: 'q;
 
@@ -145,9 +136,6 @@ pub trait BestFirstTree: Sync {
     /// Pushes the entries the traversal starts from, recording the bounds it
     /// computes for them into `stats`.
     fn push_roots(&self, probe: &Self::Probe<'_>, frontier: &mut Frontier, stats: &mut QueryStats);
-
-    /// The number of nodes; node ids are `0..num_nodes()`.
-    fn num_nodes(&self) -> usize;
 
     /// The payload of node `id`.
     fn node(
@@ -214,46 +202,12 @@ impl EntryFilter {
     }
 }
 
-/// What is known about a leaf's entries before the traversal reads it.
-#[derive(Debug, Default)]
-struct LeafEvidence {
-    /// Each entry's lower bound, in scan order.
-    bounds: Vec<f64>,
-    /// Per entry, what a fan-out worker observed (`None` where it bounded
-    /// the entry out); empty when the leaf is evaluated directly.
-    outcomes: Vec<Option<Outcome>>,
-}
-
-/// Evidence recorded ahead of the counted traversal, by leaf id. Leaves
-/// absent from the record are bounded and evaluated directly, so
-/// correctness never depends on which leaves were precomputed.
-type Recorded = BTreeMap<usize, LeafEvidence>;
-
-/// Answers `query` over `tree` in its requested mode with `threads` workers
-/// (`1` is the serial search), recording the work counters into `stats`.
+/// Answers `query` over `tree` in its requested mode, recording the work
+/// counters into `stats`.
 pub fn search<T: BestFirstTree>(
     tree: &T,
     query: &Query,
-    threads: usize,
     stats: &mut QueryStats,
-) -> Result<AnswerSet> {
-    search_with(tree, query, stats, |probe, seeded, skip| {
-        if threads > 1 {
-            fan_out(tree, query, probe, seeded, skip, threads)
-        } else {
-            Recorded::new()
-        }
-    })
-}
-
-/// [`search`] with the evidence for the traversal's leaf scans supplied by
-/// `record`, called once after the seed scan with the probe, the seeded heap
-/// and the leaf the traversal skips.
-fn search_with<T: BestFirstTree>(
-    tree: &T,
-    query: &Query,
-    stats: &mut QueryStats,
-    record: impl FnOnce(&T::Probe<'_>, &KnnHeap, Option<usize>) -> Recorded,
 ) -> Result<AnswerSet> {
     let store = tree.store();
     query.expect_len(store.series_length())?;
@@ -261,15 +215,12 @@ fn search_with<T: BestFirstTree>(
     let mode = query.mode();
     refine::search(store, query, k, stats, |r| {
         let probe = tree.probe(query.values());
-        let direct = |leaf| LeafEvidence {
-            bounds: tree.entry_bounds(leaf, &probe),
-            outcomes: Vec::new(),
-        };
         let seed = tree.seed(&probe, mode, r.stats);
         if let Some(leaf) = seed.leaf {
             if let Node::Leaf(ids) = tree.node(leaf) {
                 // The descent computes no bound for the leaf it lands on.
-                scan_leaf(r, query, ids, f64::NEG_INFINITY, direct(leaf))?;
+                let bounds = tree.entry_bounds(leaf, &probe);
+                scan_leaf(r, query, ids, f64::NEG_INFINITY, bounds)?;
             }
         }
         // In ng-approximate mode the seed leaf is the whole answer.
@@ -278,7 +229,6 @@ fn search_with<T: BestFirstTree>(
         }
         // A node is pruned as soon as its bound reaches `bsf * shrink`
         // (`r.limit()`), so `ε = 0` is bit-identical to exact search.
-        let mut recorded = record(&probe, &r.heap, seed.skip);
         let mut frontier = Frontier::new();
         tree.push_roots(&probe, &mut frontier, r.stats);
         while let Some((node, lower_bound)) = frontier.pop() {
@@ -291,8 +241,8 @@ fn search_with<T: BestFirstTree>(
             match tree.node(node) {
                 Node::Leaf(ids) => {
                     if Some(node) != seed.skip {
-                        let evidence = recorded.remove(&node).unwrap_or_else(|| direct(node));
-                        scan_leaf(r, query, ids, lower_bound, evidence)?;
+                        let bounds = tree.entry_bounds(node, &probe);
+                        scan_leaf(r, query, ids, lower_bound, bounds)?;
                     }
                 }
                 Node::Internal(children) => {
@@ -316,23 +266,22 @@ fn search_with<T: BestFirstTree>(
 /// read: it costs its bounds and nothing else. Otherwise it is charged one
 /// random access plus sequential pages for its materialized payload, and
 /// only the entries not bounded out are refined through the scan side's
-/// per-candidate step — replaying a worker's recorded outcome where there
-/// is one; counters and I/O charges are identical either way. In debug
-/// builds the leaf's `node_bound` (−∞ where the traversal computed none),
-/// less the slack, is asserted not to exceed any distance computed in full.
+/// per-candidate step. `bounds` holds each entry's lower bound, in scan
+/// order. In debug builds the leaf's `node_bound` (−∞ where the traversal
+/// computed none), less the slack, is asserted not to exceed any distance
+/// computed in full.
 fn scan_leaf(
     r: &mut Refiner<'_>,
     query: &Query,
     ids: impl ExactSizeIterator<Item = u32>,
     node_bound: f64,
-    evidence: LeafEvidence,
+    bounds: Vec<f64>,
 ) -> Result<()> {
     let mut ids = ids.peekable();
     // An empty leaf has no payload: nothing to read, nothing to count.
     let Some(&first) = ids.peek() else {
         return Ok(());
     };
-    let LeafEvidence { bounds, outcomes } = evidence;
     debug_assert_eq!(bounds.len(), ids.len());
     r.stats.record_lower_bounds(bounds.len() as u64);
     // An under-full heap's threshold is infinite: nothing is bounded out.
@@ -351,7 +300,7 @@ fn scan_leaf(
     let mut kernel = EarlyAbandon(|values: &[f32], threshold| {
         squared_euclidean_early_abandon(query.values(), values, threshold)
     });
-    for (i, (id, &bound)) in ids.zip(&bounds).enumerate() {
+    for (id, &bound) in ids.zip(&bounds) {
         if r.should_stop() {
             break;
         }
@@ -359,9 +308,7 @@ fn scan_leaf(
             continue;
         }
         let series = store.dataset().series(id as usize);
-        let outcome = outcomes.get(i).copied().flatten();
-        if let Some(distance) = r.refine(id as usize, bound, series.values(), &mut kernel, outcome)
-        {
+        if let Some(distance) = r.refine(id as usize, bound, series.values(), &mut kernel, None) {
             debug_assert!(
                 !(node_bound.is_finite() && distance.is_finite())
                     || r.filter.floor(node_bound) <= distance,
@@ -372,70 +319,11 @@ fn scan_leaf(
     Ok(())
 }
 
-/// Evaluates, on `threads` workers, every leaf the traversal could still
-/// scan after the seed: the traversal's threshold only tightens below the
-/// seeded one, so a leaf whose bound already reaches `seeded · shrink` is
-/// provably never scanned (while the seeded heap is not full nothing is
-/// provable and every leaf is a candidate). Each worker bounds its leaf's
-/// entries, starts from a clone of the seeded heap and abandons — or skips
-/// an entry outright on its bound — against the tighter of its own
-/// threshold and the shared best-so-far; its thresholds may be stale or
-/// tighter than the traversal's, which [`hydra_core::replay_outcome`]
-/// reconciles (an entry a worker skipped is recomputed if the traversal
-/// needs it).
-fn fan_out<T: BestFirstTree>(
-    tree: &T,
-    query: &Query,
-    probe: &T::Probe<'_>,
-    seeded: &KnnHeap,
-    skip: Option<usize>,
-    threads: usize,
-) -> Recorded {
-    let filter = EntryFilter::new(query);
-    let limit = seeded.threshold() * filter.shrink;
-    let candidates: Vec<usize> = (0..tree.num_nodes())
-        .filter(|&id| Some(id) != skip)
-        .filter(|&id| matches!(tree.node(id), Node::Leaf(ids) if ids.len() > 0))
-        .filter(|&id| !seeded.is_full() || tree.bound(id, probe) < limit)
-        .collect();
-    let dataset = tree.store().dataset();
-    let bsf = SharedBsf::new(seeded.threshold_squared());
-    let per_leaf: Vec<LeafEvidence> = parallel::map_indexed(candidates.len(), threads, |ci| {
-        let Node::Leaf(ids) = tree.node(candidates[ci]) else {
-            return LeafEvidence::default();
-        };
-        let bounds = tree.entry_bounds(candidates[ci], probe);
-        let mut local = seeded.clone();
-        let outcomes = ids
-            .zip(&bounds)
-            .map(|(id, &bound)| {
-                let threshold = local.threshold_squared().min(bsf.get());
-                if filter.bounded_out(bound, threshold.sqrt()) {
-                    return None;
-                }
-                let series = dataset.series(id as usize).values();
-                Some(
-                    match squared_euclidean_early_abandon(query.values(), series, threshold) {
-                        Some(sq) => {
-                            local.offer(id as usize, sq.sqrt());
-                            bsf.update_min(local.threshold_squared());
-                            Outcome::Computed(sq)
-                        }
-                        None => Outcome::Abandoned { threshold },
-                    },
-                )
-            })
-            .collect();
-        LeafEvidence { bounds, outcomes }
-    });
-    candidates.into_iter().zip(per_leaf).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hydra_core::{Budget, Dataset, Error, Guarantee, Series};
-    use std::sync::Mutex;
+    use std::cell::RefCell;
 
     const LEN: usize = 8;
 
@@ -454,7 +342,7 @@ mod tests {
         entry_bounds: Vec<f64>,
         seed: Seed,
         /// Every node id `node()` was asked for, in call order.
-        looked_up: Mutex<Vec<usize>>,
+        looked_up: RefCell<Vec<usize>>,
     }
 
     impl BestFirstTree for Toy {
@@ -471,15 +359,12 @@ mod tests {
         fn push_roots(&self, _: &(), frontier: &mut Frontier, _: &mut QueryStats) {
             frontier.push(0, 0.0);
         }
-        fn num_nodes(&self) -> usize {
-            self.nodes.len()
-        }
         fn node(
             &self,
             id: usize,
         ) -> Node<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_>
         {
-            self.looked_up.lock().unwrap().push(id);
+            self.looked_up.borrow_mut().push(id);
             match &self.nodes[id] {
                 Kind::Leaf(ids) => Node::Leaf(ids.iter().copied()),
                 Kind::Internal(children) => Node::Internal(children.iter().copied()),
@@ -512,7 +397,7 @@ mod tests {
             nodes,
             bounds,
             seed,
-            looked_up: Mutex::new(Vec::new()),
+            looked_up: RefCell::new(Vec::new()),
         }
     }
 
@@ -544,14 +429,14 @@ mod tests {
     fn tied_bounds_pop_in_the_heaps_push_order_and_every_child_is_counted() {
         let tree = flat_toy(Seed::default());
         let mut stats = QueryStats::default();
-        let answers = search(&tree, &constant_query(0.0, 1), 1, &mut stats).unwrap();
+        let answers = search(&tree, &constant_query(0.0, 1), &mut stats).unwrap();
         assert_eq!(ids(&answers), vec![6]);
         assert_eq!(answers.guarantee(), Guarantee::Exact);
         // Four entries pushed 1, 2, 3, 4 on equal bounds: the binary heap
         // pops them 1, 3, 2, 4. A tie-break on anything else (node id,
         // insertion sequence) would reorder leaf visits and with them every
         // early-abandon counter of the real trees.
-        assert_eq!(*tree.looked_up.lock().unwrap(), vec![0, 1, 3, 2, 4]);
+        assert_eq!(*tree.looked_up.borrow(), vec![0, 1, 3, 2, 4]);
         // 8 series in 4 one-page leaves, 1 internal node, 4 child bounds
         // plus 8 (zero) entry bounds; only the first series of leaves 1 and
         // 4 improves the best-so-far.
@@ -574,8 +459,8 @@ mod tests {
             skip: None,
         });
         let (mut s1, mut s2) = (QueryStats::default(), QueryStats::default());
-        let a1 = search(&once, &query, 1, &mut s1).unwrap();
-        let a2 = search(&twice, &query, 1, &mut s2).unwrap();
+        let a1 = search(&once, &query, &mut s1).unwrap();
+        let a2 = search(&twice, &query, &mut s2).unwrap();
         assert_eq!(a1, a2);
         assert_eq!(ids(&a1), vec![6, 7]);
         assert_eq!((s1.leaves_visited, s2.leaves_visited), (4, 5));
@@ -585,7 +470,7 @@ mod tests {
         // ng-approximate: the seed leaf is the whole answer either way.
         let ng = query.clone().with_mode(AnswerMode::NgApproximate);
         let mut stats = QueryStats::default();
-        let answers = search(&twice, &ng, 1, &mut stats).unwrap();
+        let answers = search(&twice, &ng, &mut stats).unwrap();
         assert_eq!(ids(&answers), vec![2, 3]);
         assert_eq!(answers.guarantee(), Guarantee::None);
         assert_eq!(stats.work_counters()[..4], [2, 2, 1, 0]);
@@ -603,24 +488,22 @@ mod tests {
             bounded.entry_bounds[id] = [0.0, 0.0, 0.0, 21.0, 30.0, 31.0][id] * (LEN as f64).sqrt();
         }
         let mut plain_stats = QueryStats::default();
-        let expected = search(&plain, &query, 1, &mut plain_stats).unwrap();
-        for threads in [1, 3] {
-            let mut stats = QueryStats::default();
-            let answers = search(&bounded, &query, threads, &mut stats).unwrap();
-            assert_eq!(answers, expected);
-            assert_eq!(answers.guarantee(), Guarantee::Exact);
-            let leaf_bytes = (2 * LEN * 4) as u64;
-            // Same 4 + 8 bounds; one leaf and three series fewer, one of
-            // them an early abandon.
-            assert_eq!(
-                plain_stats.work_counters(),
-                [8, 12, 4, 1, 6, 0, 4, 4 * leaf_bytes]
-            );
-            assert_eq!(
-                stats.work_counters(),
-                [5, 12, 3, 1, 3, 0, 3, 3 * leaf_bytes]
-            );
-        }
+        let expected = search(&plain, &query, &mut plain_stats).unwrap();
+        let mut stats = QueryStats::default();
+        let answers = search(&bounded, &query, &mut stats).unwrap();
+        assert_eq!(answers, expected);
+        assert_eq!(answers.guarantee(), Guarantee::Exact);
+        let leaf_bytes = (2 * LEN * 4) as u64;
+        // Same 4 + 8 bounds; one leaf and three series fewer, one of them an
+        // early abandon.
+        assert_eq!(
+            plain_stats.work_counters(),
+            [8, 12, 4, 1, 6, 0, 4, 4 * leaf_bytes]
+        );
+        assert_eq!(
+            stats.work_counters(),
+            [5, 12, 3, 1, 3, 0, 3, 3 * leaf_bytes]
+        );
     }
 
     #[test]
@@ -659,13 +542,10 @@ mod tests {
             "every bound must round up past every distance"
         );
         let truth: Vec<u64> = distances[19..].iter().rev().map(|d| d.to_bits()).collect();
-        for threads in [1, 3] {
-            let mut stats = QueryStats::default();
-            let answers = search(&tree, &query, threads, &mut stats).unwrap();
-            let got: Vec<u64> = answers.iter().map(|a| a.distance.to_bits()).collect();
-            assert_eq!(got, truth, "threads {threads}");
-            assert_eq!(ids(&answers), vec![23, 22, 21, 20, 19]);
-        }
+        let answers = search(&tree, &query, &mut QueryStats::default()).unwrap();
+        let got: Vec<u64> = answers.iter().map(|a| a.distance.to_bits()).collect();
+        assert_eq!(got, truth);
+        assert_eq!(ids(&answers), vec![23, 22, 21, 20, 19]);
     }
 
     #[test]
@@ -676,12 +556,7 @@ mod tests {
         // Leaf 4 holds levels 1 and 2, at √8 and 2·√8 from the zero query,
         // yet claims 5: its first series is computed in full below that.
         tree.bounds[4] = 5.0;
-        let _ = search(
-            &tree,
-            &constant_query(0.0, 1),
-            1,
-            &mut QueryStats::default(),
-        );
+        let _ = search(&tree, &constant_query(0.0, 1), &mut QueryStats::default());
     }
 
     #[test]
@@ -689,7 +564,7 @@ mod tests {
         let tree = flat_toy(Seed::default());
         let query = constant_query(0.0, 1).with_budget(Some(Budget::raw_reads(3)));
         let mut stats = QueryStats::default();
-        let answers = search(&tree, &query, 1, &mut stats).unwrap();
+        let answers = search(&tree, &query, &mut stats).unwrap();
         // Leaf 1 whole, then one series of leaf 3 — whose page is charged in
         // full, as a real read would be.
         assert_eq!(stats.raw_series_examined, 3);
@@ -703,147 +578,13 @@ mod tests {
         );
     }
 
-    /// Thirty pseudo-random series in six leaves under two internal nodes,
-    /// every bound 0 (valid, and maximally tied).
-    fn bushy_toy(seed: Seed) -> (Toy, Vec<Vec<u32>>) {
-        let mut state = 0x9E37_79B9_u32;
-        let levels: Vec<f32> = (0..30)
-            .map(|_| {
-                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                (state >> 8) as f32 / (1 << 24) as f32 * 100.0
-            })
-            .collect();
-        let leaves: Vec<Vec<u32>> = (0..6).map(|l| (l * 5..l * 5 + 5).collect()).collect();
-        let mut nodes = vec![
-            Kind::Internal(vec![1, 2]),
-            Kind::Internal(vec![3, 4, 5]),
-            Kind::Internal(vec![6, 7, 8]),
-        ];
-        nodes.extend(leaves.iter().cloned().map(Kind::Leaf));
-        (toy(&levels, nodes, vec![0.0; 9], seed), leaves)
-    }
-
-    #[test]
-    fn replayed_evidence_however_adversarial_equals_direct_evaluation() {
-        let seed = Seed {
-            leaf: Some(5),
-            skip: Some(5),
-        };
-        let (mut tree, leaves) = bushy_toy(seed);
-        for query in [
-            constant_query(42.0, 3),
-            constant_query(42.0, 3).with_mode(AnswerMode::EpsilonApproximate { epsilon: 0.5 }),
-            constant_query(7.0, 1).with_budget(Some(Budget::raw_reads(12))),
-        ] {
-            let true_sq = |tree: &Toy, id: u32| {
-                let series = tree.store.dataset().series(id as usize);
-                squared_euclidean_early_abandon(query.values(), series.values(), f64::INFINITY)
-                    .unwrap()
-            };
-            // Valid entry bounds, loose enough that the kernel still abandons.
-            tree.entry_bounds = (0..30).map(|id| true_sq(&tree, id).sqrt() / 4.0).collect();
-            let tree = &tree;
-            let mut direct_stats = QueryStats::default();
-            let direct = search(tree, &query, 1, &mut direct_stats).unwrap();
-            assert!(direct_stats.early_abandons > 0, "the evidence must matter");
-            assert!(
-                direct_stats.raw_series_examined < 25,
-                "the entry bounds must matter"
-            );
-
-            let true_sq = |id| true_sq(tree, id);
-            let record = |outcome: &dyn Fn(u32) -> Option<Outcome>,
-                          keep: &dyn Fn(usize) -> bool| {
-                leaves
-                    .iter()
-                    .enumerate()
-                    .filter(|(l, _)| keep(*l))
-                    .map(|(l, ids)| {
-                        let evidence = LeafEvidence {
-                            bounds: tree.entry_bounds(l + 3, &()),
-                            outcomes: ids.iter().map(|&id| outcome(id)).collect(),
-                        };
-                        (l + 3, evidence)
-                    })
-                    .collect::<Recorded>()
-            };
-            // A worker far ahead of the traversal: it abandoned everything
-            // against a threshold tighter than any the traversal will hold.
-            let tighter = |id| {
-                Some(Outcome::Abandoned {
-                    threshold: true_sq(id) / 4.0,
-                })
-            };
-            // A worker far behind: it abandoned only just, or never.
-            let stale = |id| {
-                Some(Outcome::Abandoned {
-                    threshold: f64::from_bits(true_sq(id).to_bits() - 1),
-                })
-            };
-            let never = |id| Some(Outcome::Computed(true_sq(id)));
-            // A worker that bounded every entry out.
-            let skipped = |_| None;
-            let all = |_: usize| true;
-            let odd = |l: usize| l % 2 == 1;
-            let records = [
-                record(&tighter, &all),
-                record(&stale, &all),
-                record(&never, &all),
-                record(&skipped, &all),
-                record(&stale, &odd),
-                record(&tighter, &|_| false),
-            ];
-            for (ri, recorded) in records.into_iter().enumerate() {
-                let mut stats = QueryStats::default();
-                let replayed = search_with(tree, &query, &mut stats, |_, _, _| recorded).unwrap();
-                assert_eq!(replayed, direct, "record {ri}");
-                assert_eq!(
-                    stats.work_counters(),
-                    direct_stats.work_counters(),
-                    "record {ri}"
-                );
-            }
-            for threads in [2, 3] {
-                let mut stats = QueryStats::default();
-                let fanned = search(tree, &query, threads, &mut stats).unwrap();
-                assert_eq!(fanned, direct, "threads {threads}");
-                assert_eq!(stats.work_counters(), direct_stats.work_counters());
-            }
-        }
-    }
-
-    #[test]
-    fn the_fan_out_leaves_out_the_skipped_seed_empty_leaves_and_pruned_leaves() {
-        let (mut tree, _) = bushy_toy(Seed {
-            leaf: Some(3),
-            skip: Some(3),
-        });
-        tree.nodes[4] = Kind::Leaf(Vec::new());
-        tree.bounds[8] = f64::INFINITY;
-        let query = constant_query(42.0, 2);
-        let mut seeded = KnnHeap::new(2);
-        seeded.offer(0, 1.0);
-        seeded.offer(1, 2.0);
-        let recorded = fan_out(&tree, &query, &(), &seeded, tree.seed.skip, 2);
-        assert_eq!(recorded.keys().copied().collect::<Vec<_>>(), vec![5, 6, 7]);
-        assert!(recorded
-            .values()
-            .all(|leaf| leaf.bounds.len() == 5 && leaf.outcomes.len() == 5));
-        // Until the seeded heap is full nothing is provably pruned.
-        let recorded = fan_out(&tree, &query, &(), &KnnHeap::new(2), None, 2);
-        assert_eq!(
-            recorded.keys().copied().collect::<Vec<_>>(),
-            vec![3, 5, 6, 7, 8]
-        );
-    }
-
     #[test]
     fn wrong_length_and_range_queries_are_typed_errors_in_that_order() {
         let tree = flat_toy(Seed::default());
         let mut stats = QueryStats::default();
         let short = Query::range(Series::new(vec![0.0; 3]), 1.0);
         assert!(matches!(
-            search(&tree, &short, 1, &mut stats),
+            search(&tree, &short, &mut stats),
             Err(Error::LengthMismatch {
                 expected: LEN,
                 actual: 3
@@ -851,7 +592,7 @@ mod tests {
         ));
         let range = Query::range(Series::new(vec![0.0; LEN]), 1.0);
         assert!(matches!(
-            search(&tree, &range, 2, &mut stats),
+            search(&tree, &range, &mut stats),
             Err(Error::UnsupportedQuery { method: "toy", .. })
         ));
     }

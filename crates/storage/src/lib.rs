@@ -30,9 +30,8 @@
 //!   partitions, each wrapped in its own store by the serving layer's
 //!   scatter-gather front-end.
 //! * [`best_first`] is the one best-first k-NN search the tree indexes answer
-//!   through — frontier, pruning, budgeted leaf refinement over a store's
-//!   materialized payloads with their page charges, and the intra-query leaf
-//!   fan-out with its serial replay.
+//!   through — frontier, pruning, and budgeted leaf refinement over a
+//!   store's materialized payloads with their page charges.
 //! * [`refine`] is its scan-side twin, the one filter-and-refine driver
 //!   UCR-Suite, MASS, Stepwise, ADS+ and the VA+file answer through — the
 //!   query frame (clock, I/O delta, heap, budget, guarantee) and one

@@ -8,9 +8,9 @@
 //! answer id back to its global id by adding the shard's range start.
 //!
 //! The rule is [`hydra_core::parallel::split_ranges`]: near-equal contiguous
-//! ranges, the first `len % shards` ranges one longer. Reusing the
-//! intra-query work-splitting rule means partition boundaries are already
-//! covered by its determinism tests.
+//! ranges, the first `len % shards` ranges one longer. Reusing the rule that
+//! splits parallel builds and MASS's distance pre-pass means partition
+//! boundaries are already covered by its determinism tests.
 
 use hydra_core::parallel::split_ranges;
 use hydra_core::{Dataset, Error, Result};

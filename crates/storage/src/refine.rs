@@ -11,7 +11,8 @@
 //! read, kernel, then `offer` or an early abandon:
 //!
 //! * **storage order** ([`Refiner::storage_order`]): one counted sequential
-//!   pass (UCR-Suite, MASS), with the ParIS-style pre-pass at `threads > 1`;
+//!   pass (UCR-Suite, MASS), after a ParIS-style pre-pass at `threads > 1`
+//!   for a kernel that does not abandon (MASS);
 //! * **skip-sequential runs** over a bounds array
 //!   ([`Refiner::skip_sequential`]): ADS+'s SIMS — a seed of the `2k`
 //!   best-bounded series, then runs at page granularity that bridge
@@ -41,18 +42,16 @@ use crate::best_first::EntryFilter;
 use crate::DatasetStore;
 use hydra_core::parallel::map_chunks;
 use hydra_core::{
-    replay_outcome, AnswerMode, AnswerSet, BudgetMeter, KnnHeap, Outcome, Query, QueryStats,
-    Result, RunClock, SharedBsf,
+    AnswerMode, AnswerSet, BudgetMeter, KnnHeap, Query, QueryStats, Result, RunClock,
 };
 use std::ops::ControlFlow;
 
 /// A refine kernel: the squared Euclidean distance from the query to one
 /// candidate's values — [`EarlyAbandon`] or [`Full`].
 pub trait RefineKernel {
-    /// Whether the kernel early-abandons against the squared best-so-far. An
-    /// abandoning kernel returns `None` if and only if the full squared sum
-    /// exceeds the threshold (the contract [`replay_outcome`] rests on); a
-    /// kernel that does not abandon is always run against `+∞`.
+    /// Whether the kernel early-abandons against the squared best-so-far. A
+    /// kernel that does not abandon is always run against `+∞`, so its
+    /// result does not depend on the best-so-far.
     const ABANDONS: bool;
 
     /// The squared distance to `values`, or `None` when the kernel abandoned
@@ -142,18 +141,19 @@ impl Refiner<'_> {
     }
 
     /// Refines one candidate whose read is already counted: the kernel at
-    /// the current threshold — or a worker's recorded `outcome`, replayed —
-    /// then `offer`, or an early abandon. In debug builds a finite lower
-    /// `bound` (−∞ where the order has none), less `ENTRY_SLACK`, is
-    /// asserted not to exceed a finite distance computed in full. Returns
-    /// that distance (`None` for an early abandon).
+    /// the current threshold — or the `precomputed` squared distance of a
+    /// kernel that does not abandon — then `offer`, or an early abandon. In
+    /// debug builds a finite lower `bound` (−∞ where the order has none),
+    /// less `ENTRY_SLACK`, is asserted not to exceed a finite distance
+    /// computed in full. Returns that distance (`None` for an early
+    /// abandon).
     pub(crate) fn refine<K: RefineKernel>(
         &mut self,
         id: usize,
         bound: f64,
         values: &[f32],
         kernel: &mut K,
-        outcome: Option<Outcome>,
+        precomputed: Option<f64>,
     ) -> Option<f64> {
         self.stats.record_raw_series_examined(1);
         let threshold = if K::ABANDONS {
@@ -161,10 +161,7 @@ impl Refiner<'_> {
         } else {
             f64::INFINITY
         };
-        let squared = match outcome {
-            Some(outcome) => replay_outcome(outcome, threshold, |t| kernel.squared(values, t)),
-            None => kernel.squared(values, threshold),
-        };
+        let squared = precomputed.or_else(|| kernel.squared(values, threshold));
         let Some(distance) = squared.map(f64::sqrt) else {
             self.stats.record_early_abandon();
             return None;
@@ -179,39 +176,28 @@ impl Refiner<'_> {
 
     /// Storage order: one counted sequential pass over the whole store.
     ///
-    /// `kernel` makes one kernel per pass. With `threads > 1` the candidate
-    /// range is first split ParIS-style into one contiguous chunk per
-    /// worker: every worker evaluates the in-memory dataset (no store
-    /// traffic) against the tighter of its own heap and the [`SharedBsf`],
-    /// recording one [`Outcome`] per candidate, and the counted pass decides
-    /// each candidate from its outcome via [`replay_outcome`] — so answers,
-    /// `early_abandons`, budget stops, faults and I/O are the same bits for
-    /// every thread count.
+    /// `kernel` makes one kernel per pass. A kernel that does not abandon
+    /// (MASS) computes the same squared distance whatever the best-so-far,
+    /// so with `threads > 1` the candidate range is first split ParIS-style
+    /// into one contiguous chunk per worker, every worker computes its
+    /// chunk's distances from the in-memory dataset (no store traffic), and
+    /// the counted pass offers those values instead of calling the kernel —
+    /// answers, budget stops, faults and I/O are the same bits for every
+    /// thread count. An abandoning kernel (UCR-Suite) always runs the
+    /// counted pass alone: its work depends on the best-so-far, and a
+    /// pre-pass on two threads lost to it.
     pub fn storage_order<K: RefineKernel>(
         &mut self,
         threads: usize,
         kernel: impl Fn() -> K + Sync,
     ) -> Result<()> {
         let store = self.store;
-        let outcomes: Vec<Outcome> = if threads > 1 {
+        let precomputed: Vec<Option<f64>> = if threads > 1 && !K::ABANDONS {
             let dataset = store.dataset();
-            let k = self.heap.k();
-            let bsf = SharedBsf::new(f64::INFINITY);
             map_chunks(store.len(), threads, |range| {
                 let mut kernel = kernel();
-                let mut local = KnnHeap::new(k);
                 range
-                    .map(|id| {
-                        let threshold = local.threshold_squared().min(bsf.get());
-                        match kernel.squared(dataset.series(id).values(), threshold) {
-                            Some(sq) => {
-                                local.offer(id, sq.sqrt());
-                                bsf.update_min(local.threshold_squared());
-                                Outcome::Computed(sq)
-                            }
-                            None => Outcome::Abandoned { threshold },
-                        }
-                    })
+                    .map(|id| kernel.squared(dataset.series(id).values(), f64::INFINITY))
                     .collect()
             })
         } else {
@@ -222,8 +208,14 @@ impl Refiner<'_> {
             if self.should_stop() {
                 return Ok(ControlFlow::Break(()));
             }
-            let outcome = outcomes.get(id).copied();
-            self.refine(id, f64::NEG_INFINITY, series.values(), &mut kernel, outcome);
+            let precomputed = precomputed.get(id).copied().flatten();
+            self.refine(
+                id,
+                f64::NEG_INFINITY,
+                series.values(),
+                &mut kernel,
+                precomputed,
+            );
             Ok(ControlFlow::Continue(()))
         })?;
         Ok(())

@@ -21,13 +21,11 @@
 //! computed directly from the summaries, in the same order and to the same
 //! bits.
 
-use hydra_core::parallel;
-
 /// Accumulator lanes of the `hydra_core::simd` interval kernels.
 const LANES: usize = 4;
 
 /// One dimension's squared-bound term for a symbol.
-type Term<'a> = Box<dyn Fn(usize, u16) -> f64 + Sync + 'a>;
+type Term<'a> = Box<dyn Fn(usize, u16) -> f64 + 'a>;
 
 /// One query's lower-bound evaluator over flat `u16` summaries (`dims`
 /// symbols per series, dataset order).
@@ -49,7 +47,7 @@ impl<'a> BoundSweep<'a> {
     pub fn new(
         cardinalities: impl IntoIterator<Item = usize>,
         rows: usize,
-        term: impl Fn(usize, u16) -> f64 + Sync + 'a,
+        term: impl Fn(usize, u16) -> f64 + 'a,
     ) -> Self {
         let cardinalities: Vec<usize> = cardinalities.into_iter().collect();
         let dims = cardinalities.len();
@@ -86,24 +84,13 @@ impl<'a> BoundSweep<'a> {
         self.dims
     }
 
-    /// Sweeps `summaries` on `threads` workers (contiguous chunks, merged in
-    /// order) and leaves the bounds, one per summary, in `bounds`. Every
-    /// symbol must be inside its dimension's cardinality (builders guarantee
-    /// it, snapshot loaders check it): the table is indexed by it.
-    pub fn sweep(&self, summaries: &[u16], threads: usize, bounds: &mut Vec<f64>) {
-        if threads <= 1 {
-            bounds.clear();
-            self.bounds_into(summaries, |b| bounds.push(b));
-        } else {
-            let dims = self.dims.max(1);
-            *bounds = parallel::map_chunks(summaries.len() / dims, threads, |range| {
-                let mut chunk = Vec::with_capacity(range.len());
-                self.bounds_into(&summaries[range.start * dims..range.end * dims], |b| {
-                    chunk.push(b)
-                });
-                chunk
-            });
-        }
+    /// Sweeps `summaries` and leaves the bounds, one per summary, in
+    /// `bounds`. Every symbol must be inside its dimension's cardinality
+    /// (builders guarantee it, snapshot loaders check it): the table is
+    /// indexed by it.
+    pub fn sweep(&self, summaries: &[u16], bounds: &mut Vec<f64>) {
+        bounds.clear();
+        self.bounds_into(summaries, |b| bounds.push(b));
     }
 
     /// Hands the bound of every `dims`-symbol word of `words` to `out`, in
@@ -199,16 +186,14 @@ mod tests {
                 let direct = BoundSweep::new(cardinalities.iter().copied(), 1, term);
                 assert!(direct.terms.is_empty());
                 let mut expected = Vec::new();
-                direct.sweep(&summaries, 1, &mut expected);
+                direct.sweep(&summaries, &mut expected);
                 assert_eq!(expected.len(), rows);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-                for threads in [1usize, 3] {
-                    let mut got = vec![f64::NAN; 3];
-                    table.sweep(&summaries, threads, &mut got);
-                    assert_eq!(bits(&got), bits(&expected), "{widest} {dims} {threads}");
-                }
+                let mut got = vec![f64::NAN; 3];
+                table.sweep(&summaries, &mut got);
+                assert_eq!(bits(&got), bits(&expected), "{widest} {dims}");
                 let mut first = Vec::new();
-                table.sweep(&summaries[..dims], 1, &mut first);
+                table.sweep(&summaries[..dims], &mut first);
                 assert_eq!(first[0].to_bits(), expected[0].to_bits());
             }
         }
@@ -222,7 +207,7 @@ mod tests {
         let lanes: f64 = (1e16 + 1.0) + (-1e16 + 1.0);
         let expected = ((lanes + 3.0) + 5.0).sqrt();
         let mut bound = Vec::new();
-        sweep.sweep(&[0; 6], 1, &mut bound);
+        sweep.sweep(&[0; 6], &mut bound);
         assert_eq!(bound[0].to_bits(), expected.to_bits());
     }
 
@@ -230,10 +215,10 @@ mod tests {
     fn empty_inputs_sweep_to_nothing() {
         let sweep = BoundSweep::new([4usize, 4], 0, term);
         let mut bounds = vec![1.0];
-        sweep.sweep(&[], 2, &mut bounds);
+        sweep.sweep(&[], &mut bounds);
         assert!(bounds.is_empty());
         let no_dims = BoundSweep::new(std::iter::empty(), 10, term);
-        no_dims.sweep(&[], 1, &mut bounds);
+        no_dims.sweep(&[], &mut bounds);
         assert!(bounds.is_empty());
     }
 }

@@ -116,19 +116,16 @@ impl AnsweringMethod for VaPlusFile {
         Some(ExactIndex::footprint(self))
     }
 
-    /// One VA+file query at `threads` workers. Phase 1 charges one
-    /// (logical) sequential pass over the filter file and bounds every
-    /// candidate; each bound is an independent, pruning-free computation, so
-    /// the sweep — the method's CPU bulk — splits into one contiguous cell
-    /// range per worker and merges in order to the same array. Phase 2
-    /// refines in increasing lower-bound order ([`refine::Refiner::ranked`]): exact
-    /// refinement stops when the next lower bound exceeds the best-so-far,
-    /// the ε-relaxed modes as soon as it exceeds `bsf * shrink`, and the
-    /// ng-approximate mode refines only the `k` best-ranked candidates (the
-    /// VA+file has no leaves — its "one leaf visit" is the k-deep filter-file
-    /// prefix). Ranking and refinement are serial, so answers, counters and
-    /// I/O are the same bits for every thread count in every answering mode.
-    fn search(&self, query: &Query, threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
+    /// One serial VA+file query; `threads` is ignored (README "Intra-query
+    /// parallelism & SIMD"). Phase 1 charges one (logical) sequential pass
+    /// over the filter file and bounds every candidate with one table-driven
+    /// sweep. Phase 2 refines in increasing lower-bound order
+    /// ([`refine::Refiner::ranked`]): exact refinement stops when the next
+    /// lower bound exceeds the best-so-far, the ε-relaxed modes as soon as it
+    /// exceeds `bsf * shrink`, and the ng-approximate mode refines only the
+    /// `k` best-ranked candidates (the VA+file has no leaves — its "one leaf
+    /// visit" is the k-deep filter-file prefix).
+    fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
         query.expect_len(self.store.series_length())?;
         let k = query.knn_k("VA+file")?;
         let approx_bytes = self.approximation_bytes as u64;
@@ -141,7 +138,7 @@ impl AnsweringMethod for VaPlusFile {
             let q_dft = self.quantizer.dft(query.values());
             self.quantizer
                 .sweep(&q_dft, n)
-                .sweep(&self.cells, threads, &mut bounds);
+                .sweep(&self.cells, &mut bounds);
             refiner.stats.record_lower_bounds(n as u64);
             let mut ranking = LazyRanking::default();
             ranking.reset(&bounds);

@@ -4,9 +4,10 @@
 //! the ten methods, answering a single query through
 //! `QueryEngine::answer_intra` with multiple worker threads returns answer
 //! sets, guarantees and per-query work counters **bit-identical** to the
-//! serial path — whether the method's one `AnsweringMethod::search` splits
-//! its work across the threads (UCR-Suite, MASS, the filter files, the
-//! data-series trees) or ignores them (Stepwise, R*-tree, M-tree).
+//! serial path. MASS is the one method whose `AnsweringMethod::search`
+//! splits its work across the threads (a pre-pass of precomputed
+//! distances); the other nine ignore them, so for those this pins that the
+//! engine's intra-query door adds nothing of its own.
 
 use hydra_bench::MethodKind;
 use hydra_core::{AnswerMode, Parallelism, Query};

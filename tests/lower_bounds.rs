@@ -264,15 +264,13 @@ fn sax_sweep_is_bit_identical_to_the_per_pair_mindist_on_hostile_inputs() {
             // `rows` picks the path: the collection's own size tabulates the
             // small alphabets, one row always computes directly.
             for rows in [words.len(), 1] {
-                for threads in [1usize, 3] {
-                    let mut got = Vec::new();
-                    params.sweep(&q_paa, rows).sweep(&flat, threads, &mut got);
-                    assert_eq!(
-                        bits_of(&got),
-                        bits_of(&expected),
-                        "len={len} segments={segments} bits={bits} query={qi} rows={rows} threads={threads}"
-                    );
-                }
+                let mut got = Vec::new();
+                params.sweep(&q_paa, rows).sweep(&flat, &mut got);
+                assert_eq!(
+                    bits_of(&got),
+                    bits_of(&expected),
+                    "len={len} segments={segments} bits={bits} query={qi} rows={rows}"
+                );
             }
         }
     }
@@ -454,17 +452,13 @@ fn vaplus_sweep_is_bit_identical_to_the_per_pair_bound_on_hostile_inputs() {
                 .map(|c| quantizer.lower_bound(&q_dft, c))
                 .collect();
             for rows in [100_000usize, 1] {
-                for threads in [1usize, 3] {
-                    let mut got = Vec::new();
-                    quantizer
-                        .sweep(&q_dft, rows)
-                        .sweep(&flat, threads, &mut got);
-                    assert_eq!(
-                        bits_of(&got),
-                        bits_of(&expected),
-                        "len={len} dims={dims} bits={total_bits} query={qi} rows={rows} threads={threads}"
-                    );
-                }
+                let mut got = Vec::new();
+                quantizer.sweep(&q_dft, rows).sweep(&flat, &mut got);
+                assert_eq!(
+                    bits_of(&got),
+                    bits_of(&expected),
+                    "len={len} dims={dims} bits={total_bits} query={qi} rows={rows}"
+                );
             }
         }
     }

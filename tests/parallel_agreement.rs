@@ -97,8 +97,8 @@ fn parallel_index_builds_match_serial_builds() {
         );
         let mut serial = serial;
         for (qi, q) in queries.iter().enumerate() {
-            let a = serial.answer_simple(q).unwrap();
-            let b = parallel.answer_simple(q).unwrap();
+            let a = serial.answer(q).unwrap().answers;
+            let b = parallel.answer(q).unwrap().answers;
             assert!(
                 a.distances_match(&b, 1e-12),
                 "{} parallel-built index diverged on query {qi}",

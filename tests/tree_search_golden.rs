@@ -17,8 +17,8 @@
 //! line kept its guarantee and answer bits there, only the counters moved,
 //! and the ε / δ-ε / budgeted answers moved within their guarantees. The
 //! entry bounds of iSAX2+ come from the SAX table, so the fixture must
-//! reproduce on both SIMD dispatch tiers. `method|` lines cover the other six (UCR-Suite, MASS, Stepwise,
-//! ADS+, VA+file, M-tree) and were printed on the commit before each method
+//! reproduce on both SIMD dispatch tiers. `method|` lines cover the other
+//! six (UCR-Suite, MASS, Stepwise, ADS+, VA+file, M-tree) and were printed on the commit before each method
 //! was folded into one `search` body; they skip the budget × 3-thread pair,
 //! which the engine never runs. Stepwise's were re-recorded when its
 //! refinement reads started being counted: only the last three counters
@@ -27,7 +27,11 @@
 //! best-bounded series instead of the covering leaf and reading at page
 //! granularity: every exact answer kept its ids and distance bits; the ε,
 //! δ-ε and budgeted answers, which the visiting order decides, moved within
-//! their guarantees, and so did the counters. To re-record after an
+//! their guarantees, and so did the counters. The `intra3` lines were
+//! recorded while DSTree, iSAX2+, the SFA trie, UCR-Suite, ADS+ and the
+//! VA+file still split a query over threads; they now search serially at
+//! any thread count, so for all nine methods but MASS those lines equal the
+//! serial ones by construction, and they stayed byte-identical. To re-record after an
 //! intended change:
 //!
 //! ```text
