@@ -28,7 +28,11 @@
 //! [`squared_euclidean_early_abandon`]) dispatch through [`crate::simd`] to
 //! explicit SSE2/AVX2 implementations when the CPU has them; every dispatch
 //! target is bit-identical to the portable 4-lane path. The *reordered*
-//! kernels stay scalar — their per-dimension gathers defeat SIMD loads.
+//! kernels stay scalar — their per-dimension gathers defeat SIMD loads. Over
+//! an in-memory corpus the pass they run is memory-bound, not compute-bound:
+//! a series read in query order, not address order, gives the hardware
+//! prefetcher nothing to follow. So both query drivers of `hydra-storage`
+//! prefetch each series before they refine it ([`crate::simd::prefetch`]).
 
 const LANES: usize = 4;
 /// Threshold-check cadence of the early-abandoning kernels, in dimensions.

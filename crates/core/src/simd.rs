@@ -137,6 +137,34 @@ fn effective(kernel: Kernel) -> Kernel {
 }
 
 // ---------------------------------------------------------------------------
+// Cache hint
+// ---------------------------------------------------------------------------
+
+/// `f32` values per 64-byte cache line.
+const LINE_VALUES: usize = 64 / std::mem::size_of::<f32>();
+
+/// Asks the CPU to pull every cache line of `values` into L1 ahead of use.
+///
+/// A hint only: it reads nothing the program observes and changes no value,
+/// so it does not depend on the dispatch tier. On x86-64 it issues one
+/// `prefetcht0` per 64 bytes of the slice plus one for its last value (SSE
+/// is baseline there); on other architectures it does nothing.
+#[inline]
+pub fn prefetch(values: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let last = values.len().checked_sub(1);
+        for i in (0..values.len()).step_by(LINE_VALUES).chain(last) {
+            // SAFETY: `i < values.len()`, so the address is inside the slice;
+            // a prefetch never faults and writes nothing.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(values.as_ptr().add(i).cast::<i8>()) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = values;
+}
+
+// ---------------------------------------------------------------------------
 // Squared Euclidean distance
 // ---------------------------------------------------------------------------
 
@@ -1032,5 +1060,18 @@ mod tests {
             interval_mindist_weighted_sq(&q, &low, &high, &w).to_bits(),
             interval_mindist_weighted_sq_with(active_kernel(), &q, &low, &high, &w).to_bits()
         );
+    }
+
+    #[test]
+    fn prefetch_accepts_empty_ragged_and_unaligned_slices_and_changes_nothing() {
+        let values = adversarial_series(3 * LINE_VALUES + 5, 4);
+        let before: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+        prefetch(&[]);
+        prefetch(&values);
+        prefetch(&values[..1]);
+        prefetch(&values[3..3 + LINE_VALUES + 1]);
+        prefetch(&values[values.len()..]);
+        let after: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(after, before);
     }
 }

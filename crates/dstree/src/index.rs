@@ -528,7 +528,8 @@ impl BestFirstTree for DsTree {
     fn node(
         &self,
         id: usize,
-    ) -> TreeNode<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
+    ) -> TreeNode<impl ExactSizeIterator<Item = u32> + Clone + '_, impl Iterator<Item = usize> + '_>
+    {
         match &self.nodes[id].kind {
             NodeKind::Leaf { ids, .. } => TreeNode::Leaf(ids.iter().copied()),
             NodeKind::Internal { left, right, .. } => {

@@ -163,7 +163,8 @@ impl BestFirstTree for Isax2Plus {
     fn node(
         &self,
         id: usize,
-    ) -> Node<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
+    ) -> Node<impl ExactSizeIterator<Item = u32> + Clone + '_, impl Iterator<Item = usize> + '_>
+    {
         match &self.tree.node(id).kind {
             NodeKind::Leaf { ids, .. } => Node::Leaf(ids.iter().copied()),
             NodeKind::Internal { left, right, .. } => Node::Internal([*left, *right].into_iter()),

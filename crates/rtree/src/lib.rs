@@ -533,7 +533,8 @@ impl BestFirstTree for RStarTree {
     fn node(
         &self,
         id: usize,
-    ) -> TreeNode<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
+    ) -> TreeNode<impl ExactSizeIterator<Item = u32> + Clone + '_, impl Iterator<Item = usize> + '_>
+    {
         match &self.nodes[id].kind {
             NodeKind::Leaf { entries } => TreeNode::Leaf(entries.iter().map(|e| e.id)),
             NodeKind::Internal { children } => TreeNode::Internal(children.iter().copied()),

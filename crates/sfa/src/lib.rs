@@ -341,7 +341,8 @@ impl BestFirstTree for SfaTrie {
     fn node(
         &self,
         id: usize,
-    ) -> Node<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_> {
+    ) -> Node<impl ExactSizeIterator<Item = u32> + Clone + '_, impl Iterator<Item = usize> + '_>
+    {
         match &self.nodes[id] {
             TrieNode::Leaf { entries } => Node::Leaf(entries.iter().map(|e| e.id)),
             TrieNode::Internal { children } => Node::Internal(children.values().copied()),

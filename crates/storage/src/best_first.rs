@@ -15,7 +15,11 @@
 //! bound), and an entry whose bound — less the `ENTRY_SLACK` that covers
 //! the `f32` rounding of those summaries — reaches `bsf · shrink` is never
 //! refined and never counted as raw. A leaf whose every entry is bounded out
-//! is not read at all: no page, no leaf visit, no fault checkpoint.
+//! is not read at all: no page, no leaf visit, no fault checkpoint. The
+//! scan takes two passes over a leaf: the first bounds the entries and
+//! prefetches each one it keeps (`DatasetStore::prefetch`, uncounted), so
+//! the second, which refines them, does not wait on DRAM for every
+//! scattered id.
 //!
 //! For DSTree and iSAX2+ both bound hooks are table lookups, like the
 //! `hydra_transforms::sweep` of ADS+ and the VA+file. The tree's
@@ -141,7 +145,7 @@ pub trait BestFirstTree {
     fn node(
         &self,
         id: usize,
-    ) -> Node<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_>;
+    ) -> Node<impl ExactSizeIterator<Item = u32> + Clone + '_, impl Iterator<Item = usize> + '_>;
 
     /// The lower bound on the distance from the query to anything below
     /// node `id`.
@@ -270,28 +274,38 @@ pub fn search<T: BestFirstTree>(
 /// order. In debug builds the leaf's `node_bound` (−∞ where the traversal
 /// computed none), less the slack, is asserted not to exceed any distance
 /// computed in full.
+///
+/// The scan takes two passes over the leaf. The first prefetches every entry
+/// the current threshold keeps — at most one leaf of series — so the second,
+/// which refines them, does not wait on memory for each scattered id.
 fn scan_leaf(
     r: &mut Refiner<'_>,
     query: &Query,
-    ids: impl ExactSizeIterator<Item = u32>,
+    ids: impl ExactSizeIterator<Item = u32> + Clone,
     node_bound: f64,
     bounds: Vec<f64>,
 ) -> Result<()> {
-    let mut ids = ids.peekable();
     // An empty leaf has no payload: nothing to read, nothing to count.
-    let Some(&first) = ids.peek() else {
+    let Some(first) = ids.clone().next() else {
         return Ok(());
     };
     debug_assert_eq!(bounds.len(), ids.len());
     r.stats.record_lower_bounds(bounds.len() as u64);
+    let store = r.store;
     // An under-full heap's threshold is infinite: nothing is bounded out.
     let bounded_out = |r: &Refiner<'_>, bound| r.filter.bounded_out(bound, r.heap.threshold());
-    if bounds.iter().all(|&bound| bounded_out(r, bound)) {
+    let mut kept = false;
+    for (id, &bound) in ids.clone().zip(&bounds) {
+        if !bounded_out(r, bound) {
+            store.prefetch(id as usize);
+            kept = true;
+        }
+    }
+    if !kept {
         return Ok(());
     }
     // Fault checkpoint for the payload read, keyed by the leaf's first
     // series so an injected fault is stable per leaf.
-    let store = r.store;
     store.try_access(first as u64)?;
     r.stats.record_leaf_visit();
     let leaf_bytes = (ids.len() * store.series_bytes()) as u64;
@@ -362,7 +376,7 @@ mod tests {
         fn node(
             &self,
             id: usize,
-        ) -> Node<impl ExactSizeIterator<Item = u32> + '_, impl Iterator<Item = usize> + '_>
+        ) -> Node<impl ExactSizeIterator<Item = u32> + Clone + '_, impl Iterator<Item = usize> + '_>
         {
             self.looked_up.borrow_mut().push(id);
             match &self.nodes[id] {

@@ -22,6 +22,15 @@
 //! * an **explicit id list** ([`Refiner::ids`]): ADS+'s ng-approximate
 //!   leaf and Stepwise's survivors.
 //!
+//! The corpus is in memory, so refinement waits on DRAM whenever the
+//! hardware prefetcher cannot guess the next series. Each order therefore
+//! hints the series it will refine next with `DatasetStore::prefetch`,
+//! which no counter sees: the storage-order pass prefetches four series
+//! ahead (inside [`DatasetStore::try_scan_all`]), the skip-sequential order
+//! prefetches its whole seed before refining it and the candidates four
+//! ahead inside each run, and the ranked and id-list orders prefetch the
+//! next candidate while they refine the current one.
+//!
 //! A method keeps only what really differs: its bound source and its refine
 //! kernel ([`EarlyAbandon`] or [`Full`] over a generic closure), so no dynamic
 //! dispatch enters the per-candidate loop. The tree indexes answer through
@@ -39,6 +48,7 @@
 //! candidate drawn.
 
 use crate::best_first::EntryFilter;
+use crate::store::PREFETCH_AHEAD;
 use crate::DatasetStore;
 use hydra_core::parallel::map_chunks;
 use hydra_core::{
@@ -241,7 +251,11 @@ impl Refiner<'_> {
         let n = bounds.len();
         self.store.seek();
         let mut seeded = vec![false; n];
-        for id in smallest(bounds, SEED_PER_K.saturating_mul(self.heap.k())) {
+        let seeds = smallest(bounds, SEED_PER_K.saturating_mul(self.heap.k()));
+        for &id in &seeds {
+            self.store.prefetch(id);
+        }
+        for id in seeds {
             if self.should_stop() {
                 return Ok(());
             }
@@ -271,7 +285,14 @@ impl Refiner<'_> {
                 refined += 1;
             }
             let run = store.try_read_run(start, end - start)?;
+            let prefetch = |i: usize| {
+                if i < end && candidate(i) {
+                    store.prefetch(i);
+                }
+            };
+            (start..start + PREFETCH_AHEAD).for_each(prefetch);
             for (sid, series) in (start..).zip(run) {
+                prefetch(sid + PREFETCH_AHEAD);
                 if candidate(sid) {
                     self.refine(sid, bounds[sid], series.values(), &mut kernel, None);
                 }
@@ -291,12 +312,16 @@ impl Refiner<'_> {
     ) -> Result<()> {
         let ng = self.mode == AnswerMode::NgApproximate;
         let take = if ng { self.heap.k() } else { usize::MAX };
-        for (bound, id) in ranking.take(take) {
+        let mut ranking = ranking.take(take).peekable();
+        while let Some((bound, id)) = ranking.next() {
             if self.heap.is_full() && bound > self.limit() {
                 break;
             }
             if self.should_stop() {
                 break;
+            }
+            if let Some(&(_, next)) = ranking.peek() {
+                self.store.prefetch(next);
             }
             let series = self.store.try_read_series(id)?;
             self.refine(id, bound, series.values(), &mut kernel, None);
@@ -310,9 +335,13 @@ impl Refiner<'_> {
         ids: impl IntoIterator<Item = usize>,
         mut kernel: impl RefineKernel,
     ) -> Result<()> {
-        for id in ids {
+        let mut ids = ids.into_iter().peekable();
+        while let Some(id) = ids.next() {
             if self.should_stop() {
                 break;
+            }
+            if let Some(&next) = ids.peek() {
+                self.store.prefetch(next);
             }
             let series = self.store.try_read_series(id)?;
             self.refine(id, f64::NEG_INFINITY, series.values(), &mut kernel, None);

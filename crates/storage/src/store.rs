@@ -5,6 +5,14 @@
 //! the shared [`IoCounters`]. Indexes and scans read raw series exclusively
 //! through this interface so that their access patterns are measured under
 //! identical rules — the paper's "same conditions for every method" principle.
+//!
+//! The dataset lives in memory, so what a "read" costs in wall time is DRAM
+//! traffic. A series refined in an order the hardware prefetcher cannot
+//! follow (query-ordered dimensions, scattered ids) waits on memory, so the
+//! query drivers announce the series they will refine next through
+//! `DatasetStore::prefetch`, an uncounted cache hint: it touches no
+//! counter, no head position and no fault plan. [`DatasetStore::try_scan_all`]
+//! issues it `PREFETCH_AHEAD` series ahead of its pass.
 
 use crate::counters::{IoCounters, IoSnapshot};
 use crate::fault::{self, FaultPlan};
@@ -15,6 +23,12 @@ use std::ops::ControlFlow;
 
 /// Default page size: 4 KiB, a typical filesystem block.
 pub const DEFAULT_PAGE_BYTES: usize = 4096;
+
+/// How many series ahead of the one being refined a pass in storage order
+/// prefetches. Timing the UCR-Suite pass over 100k 256-value series put a
+/// look-ahead of 1, 2, 4 and 8 at 68 %, 67 %, 65 % and 67 % of the pass
+/// without one (README "Memory traffic").
+pub(crate) const PREFETCH_AHEAD: usize = 4;
 
 /// A page-granular, access-counting view over a dataset.
 #[derive(Clone, Debug)]
@@ -157,25 +171,36 @@ impl DatasetStore {
     /// that starts on the page this thread's last read ended on resumes
     /// there: that page is not charged again, and no seek is.
     ///
-    /// Returns a slice-backed view iterator over the run.
+    /// The run is charged when it is read; the returned iterator only
+    /// yields views over it, in storage order.
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
-    pub fn read_run(&self, first_id: usize, count: usize) -> Vec<SeriesView<'_>> {
-        if count == 0 {
-            return Vec::new();
+    pub fn read_run(
+        &self,
+        first_id: usize,
+        count: usize,
+    ) -> impl ExactSizeIterator<Item = SeriesView<'_>> + '_ {
+        if count > 0 {
+            assert!(first_id + count <= self.dataset.len(), "run out of bounds");
+            let (first_page, _) = self.page_range(first_id);
+            let (_, last_page) = self.page_range(first_id + count - 1);
+            self.counters.record_read_onward(
+                first_page,
+                last_page - first_page + 1,
+                (count * self.series_bytes) as u64,
+            );
         }
-        assert!(first_id + count <= self.dataset.len(), "run out of bounds");
-        let (first_page, _) = self.page_range(first_id);
-        let (_, last_page) = self.page_range(first_id + count - 1);
-        self.counters.record_read_onward(
-            first_page,
-            last_page - first_page + 1,
-            (count * self.series_bytes) as u64,
-        );
-        (first_id..first_id + count)
-            .map(|i| self.dataset.series(i))
-            .collect()
+        (first_id..first_id + count).map(|i| self.dataset.series(i))
+    }
+
+    /// Hints the CPU to pull series `id` into cache ahead of a read. It is
+    /// not a read: no counter, head position or fault plan sees it, and an
+    /// `id` past the end is ignored.
+    pub(crate) fn prefetch(&self, id: usize) {
+        if id < self.dataset.len() {
+            hydra_core::simd::prefetch(self.dataset.series(id).values());
+        }
     }
 
     /// Sequentially scans the whole dataset (the UCR-Suite / sequential-scan
@@ -229,17 +254,20 @@ impl DatasetStore {
     /// typed [`Error::NotFound`] errors, and the fault plan (keyed on the
     /// run's first id) may inject retriable failures. Under the disabled
     /// plan the charged I/O is identical to `read_run`.
-    pub fn try_read_run(&self, first_id: usize, count: usize) -> Result<Vec<SeriesView<'_>>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        if first_id + count > self.dataset.len() {
+    pub fn try_read_run(
+        &self,
+        first_id: usize,
+        count: usize,
+    ) -> Result<impl ExactSizeIterator<Item = SeriesView<'_>> + '_> {
+        if count > 0 && first_id + count > self.dataset.len() {
             return Err(Error::NotFound(format!(
                 "series run {first_id}..{}",
                 first_id + count
             )));
         }
-        self.fault_check(first_id as u64)?;
+        if count > 0 {
+            self.fault_check(first_id as u64)?;
+        }
         Ok(self.read_run(first_id, count))
     }
 
@@ -256,7 +284,9 @@ impl DatasetStore {
     /// (one potential seek, then sequential pages, all bytes) and a truncated
     /// pass charges only what it read. Latency surcharges never move the
     /// head, so the counters end exactly as if every series had been charged
-    /// as it was read. `f` must not read through this store itself.
+    /// as it was read. `f` must not read through this store itself. The pass
+    /// prefetches the series `PREFETCH_AHEAD` (4) places ahead of the one it
+    /// hands to `f`.
     pub fn try_scan_all<F>(&self, mut f: F) -> Result<bool>
     where
         F: FnMut(usize, SeriesView<'_>) -> Result<ControlFlow<()>>,
@@ -269,6 +299,7 @@ impl DatasetStore {
                 self.fault_check(i as u64)?;
                 next_page = self.page_range(i).1 + 1;
                 bytes += self.series_bytes as u64;
+                self.prefetch(i + PREFETCH_AHEAD);
                 if let ControlFlow::Break(()) = f(i, self.dataset.series(i))? {
                     return Ok(false);
                 }
@@ -407,21 +438,21 @@ mod tests {
     #[test]
     fn read_run_counts_one_seek() {
         let store = DatasetStore::new(dataset(100, 256));
-        let run = store.read_run(40, 8);
+        let mut run = store.read_run(40, 8);
         assert_eq!(run.len(), 8);
-        assert_eq!(run[0].values()[0], 40.0 * 256.0);
+        assert_eq!(run.next().unwrap().values()[0], 40.0 * 256.0);
         let io = store.io_snapshot();
         assert_eq!(io.random_pages, 1);
         assert_eq!(io.sequential_pages, 1); // 8 series * 1KiB = 2 pages total
-        assert!(store.read_run(0, 0).is_empty());
+        assert_eq!(store.read_run(0, 0).len(), 0);
     }
 
     #[test]
     fn a_run_resuming_on_the_page_the_last_one_ended_on_pays_no_seek() {
         // 4 series per page: series 5 ends on page 1, where series 6 starts.
         let store = DatasetStore::new(dataset(16, 256));
-        store.read_run(2, 4);
-        store.read_run(6, 4);
+        let _ = store.read_run(2, 4);
+        let _ = store.read_run(6, 4);
         let io = store.io_snapshot();
         assert_eq!(io.random_pages, 1);
         assert_eq!(io.sequential_pages, 2); // pages 1 and 2
@@ -438,7 +469,7 @@ mod tests {
         let mut id = 0;
         let mut skips = 0;
         while id < 400 {
-            store.read_run(id, 4); // one page worth
+            let _ = store.read_run(id, 4); // one page worth
             id += 40; // skip ahead
             skips += 1;
         }
@@ -484,6 +515,52 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_is_uncounted_and_leaves_the_head_where_it_was() {
+        // 4 series per page: the run 2..6 ends on page 1, where 6..10 starts.
+        let hinted = DatasetStore::new(dataset(16, 256));
+        let plain = DatasetStore::new(dataset(16, 256));
+        let _ = hinted.read_run(2, 4);
+        let _ = plain.read_run(2, 4);
+        let (total, thread) = (hinted.io_snapshot(), hinted.thread_io_snapshot());
+        for id in [0, 6, 15, 16, usize::MAX] {
+            hinted.prefetch(id);
+        }
+        assert_eq!(hinted.io_snapshot(), total);
+        assert_eq!(hinted.thread_io_snapshot(), thread);
+        // The next run still resumes on the head's page: no seek.
+        let _ = hinted.read_run(6, 4);
+        let _ = plain.read_run(6, 4);
+        assert_eq!(hinted.io_snapshot(), plain.io_snapshot());
+        assert_eq!(hinted.io_snapshot().random_pages, 1);
+        // A single read is classified as it would be without the hints.
+        hinted.prefetch(0);
+        hinted.read_series(0);
+        plain.read_series(0);
+        assert_eq!(hinted.io_snapshot(), plain.io_snapshot());
+    }
+
+    #[test]
+    fn prefetch_neither_fails_nor_consults_an_always_failing_fault_plan() {
+        let config = crate::fault::FaultConfig {
+            read_error: 1.0,
+            latency: 1.0,
+            latency_pages: 3,
+            ..Default::default()
+        };
+        let plan = FaultPlan::seeded(9, config);
+        let hinted = DatasetStore::new(dataset(10, 256)).with_fault_plan(plan);
+        let plain = DatasetStore::new(dataset(10, 256)).with_fault_plan(plan);
+        for id in [0, 3, 9, 10, usize::MAX] {
+            hinted.prefetch(id);
+        }
+        // Consulting the plan would have charged its latency surcharge.
+        assert_eq!(hinted.io_snapshot(), IoSnapshot::default());
+        assert!(hinted.try_read_series(3).is_err());
+        assert!(plain.try_read_series(3).is_err());
+        assert_eq!(hinted.io_snapshot(), plain.io_snapshot());
+    }
+
+    #[test]
     #[should_panic(expected = "out of bounds")]
     fn read_run_bounds_checked() {
         let store = DatasetStore::new(dataset(10, 256));
@@ -496,8 +573,8 @@ mod tests {
         let b = DatasetStore::new(dataset(100, 256));
         a.read_series(7);
         b.try_read_series(7).unwrap();
-        a.read_run(40, 8);
-        b.try_read_run(40, 8).unwrap();
+        let _ = a.read_run(40, 8);
+        let _ = b.try_read_run(40, 8).unwrap();
         assert_eq!(a.io_snapshot(), b.io_snapshot());
         a.reset_io();
         b.reset_io();
@@ -520,7 +597,7 @@ mod tests {
             store.try_read_run(8, 5),
             Err(hydra_core::Error::NotFound(_))
         ));
-        assert!(store.try_read_run(8, 0).unwrap().is_empty());
+        assert_eq!(store.try_read_run(8, 0).unwrap().len(), 0);
     }
 
     #[test]
