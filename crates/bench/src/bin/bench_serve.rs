@@ -9,7 +9,7 @@
 //! cache's hit rate; a second lane sweeps a deadline ladder and asserts that
 //! deadline-bounded requests degrade to `Guarantee::Truncated` answers
 //! instead of erroring; a third, chaos lane re-runs the shard ladder with
-//! per-shard fault injection, circuit breakers and hedged retries, and
+//! per-shard fault injection, circuit breakers and engine retries, and
 //! reports availability, degraded-answer counts and breaker activity.
 //! Results go to stdout and to `BENCH_serve.json` so later PRs have a
 //! serving trajectory to compare against.
@@ -28,8 +28,8 @@ use hydra_bench::RunConfig;
 use hydra_core::{parallel, BuildOptions, Error, Guarantee, Query, RetryPolicy, RunClock};
 use hydra_data::{QueryWorkload, RandomWalkGenerator, WorkloadSpec};
 use hydra_serve::{
-    deadline_budget, BreakerConfig, HedgeConfig, QueryService, QuorumPolicy, RequestHandle,
-    ResilienceConfig, ServeConfig,
+    deadline_budget, BreakerConfig, QueryService, QuorumPolicy, RequestHandle, ResilienceConfig,
+    ServeConfig,
 };
 use hydra_storage::{FaultConfig, FaultPlan};
 use std::fmt::Write as _;
@@ -95,8 +95,6 @@ struct ChaosCell {
     p99_ms: f64,
     breaker_opens: u64,
     breaker_denied: u64,
-    hedges_launched: u64,
-    hedges_won: u64,
 }
 
 /// One closed-loop chaos cell: every request runs to completion against a
@@ -130,8 +128,6 @@ fn run_chaos_cell(service: &QueryService, queries: &[Query]) -> ChaosCell {
         p99_ms: percentile(&latencies, 0.99),
         breaker_opens: reports.iter().map(|r| r.breaker_opened).sum(),
         breaker_denied: reports.iter().map(|r| r.breaker_denied).sum(),
-        hedges_launched: reports.iter().map(|r| r.hedges_launched).sum(),
-        hedges_won: reports.iter().map(|r| r.hedges_won).sum(),
     }
 }
 
@@ -301,7 +297,7 @@ fn main() {
 
     // Chaos lane: the same service under per-shard fault injection. Each
     // shard draws from its own seeded fault domain; a circuit breaker and
-    // hedged retries guard the scatter, and the quorum policy decides how
+    // engine retries guard the scatter, and the quorum policy decides how
     // much of the fleet must answer. `--quorum` overrides the lane's
     // best-effort default, `--shard-fault-seed` the default seed (0 runs the
     // lane fault-free as a plumbing check).
@@ -322,7 +318,6 @@ fn main() {
             resilience: ResilienceConfig {
                 quorum,
                 breaker: Some(BreakerConfig::default()),
-                hedge: Some(HedgeConfig::default()),
                 shard_faults,
                 // Standard faults clear within 2 failed attempts; a 2-attempt
                 // budget deliberately under-provisions so roughly half the
@@ -343,7 +338,7 @@ fn main() {
         );
         println!(
             "shards={shards}  full {:>2}  partial {:>2}  errors {:>2}  availability {:>5.1}%  \
-             p99 {:>8.3} ms  breaker opens {:>2} denied {:>2}  hedges {:>2}/{:>2} won",
+             p99 {:>8.3} ms  breaker opens {:>2} denied {:>2}",
             cell.full,
             cell.partial,
             cell.errors,
@@ -351,24 +346,20 @@ fn main() {
             cell.p99_ms,
             cell.breaker_opens,
             cell.breaker_denied,
-            cell.hedges_won,
-            cell.hedges_launched,
         );
         if !chaos_rows.is_empty() {
             chaos_rows.push_str(",\n");
         }
         let _ = write!(
             chaos_rows,
-            r#"    {{"shards": {shards}, "requests": {CHAOS_REQUESTS}, "full": {}, "partial": {}, "errors": {}, "availability": {:.4}, "p99_ms": {:.4}, "breaker_opens": {}, "breaker_denied": {}, "hedges_launched": {}, "hedges_won": {}}}"#,
+            r#"    {{"shards": {shards}, "requests": {CHAOS_REQUESTS}, "full": {}, "partial": {}, "errors": {}, "availability": {:.4}, "p99_ms": {:.4}, "breaker_opens": {}, "breaker_denied": {}}}"#,
             cell.full,
             cell.partial,
             cell.errors,
             cell.availability,
             cell.p99_ms,
             cell.breaker_opens,
-            cell.breaker_denied,
-            cell.hedges_launched,
-            cell.hedges_won
+            cell.breaker_denied
         );
     }
 

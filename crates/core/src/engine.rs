@@ -32,43 +32,17 @@ use std::time::Duration;
 ///
 /// Implemented by `hydra_storage::DatasetStore`; defined here so the engine
 /// can reconcile store-side traffic without depending on the storage crate.
+///
+/// The counters must be scoped per thread: the engine runs queries (and
+/// batch chunks) concurrently over one source, and each worker resets and
+/// reads only the traffic its own thread recorded, so one worker's reset
+/// never wipes another's in-flight pages.
 pub trait IoSource: Send + Sync {
-    /// A point-in-time copy of the counters.
-    fn io_snapshot(&self) -> IoSnapshot;
-
-    /// Resets the counters (and any sequentiality tracking) to zero.
-    fn reset_io(&self);
-
-    /// A point-in-time copy of the traffic recorded *by the calling thread*.
-    ///
-    /// Sources that shard their counters per thread (the instrumented store)
-    /// override this so concurrent queries can each observe exactly their own
-    /// traffic; the default falls back to the global counters, which is
-    /// equivalent for single-threaded sources.
-    fn thread_io_snapshot(&self) -> IoSnapshot {
-        self.io_snapshot()
-    }
+    /// A point-in-time copy of the traffic recorded by the calling thread.
+    fn thread_io_snapshot(&self) -> IoSnapshot;
 
     /// Resets the calling thread's counters (and its sequentiality tracking).
-    ///
-    /// The default falls back to the global reset, which is equivalent for
-    /// single-threaded sources.
-    fn reset_thread_io(&self) {
-        self.reset_io()
-    }
-
-    /// Whether [`IoSource::thread_io_snapshot`] / [`IoSource::reset_thread_io`]
-    /// really are thread-scoped (as opposed to the global-fallback defaults).
-    ///
-    /// [`QueryEngine::answer_workload`] only runs queries concurrently over
-    /// sources that return `true` here — with the global fallbacks, one
-    /// worker's reset would wipe another's in-flight traffic and snapshots
-    /// would mix all threads' pages, corrupting per-query stats. Sources that
-    /// shard per thread (the instrumented store) override this together with
-    /// the two methods above.
-    fn has_thread_scoped_counters(&self) -> bool {
-        false
-    }
+    fn reset_thread_io(&self);
 
     /// Announces which retry attempt (0-based) the calling thread is about to
     /// run, so fault-injecting sources can key their decisions on it (a
@@ -301,15 +275,6 @@ impl QueryEngine {
         self.queries_answered = 0;
     }
 
-    /// Whether the I/O source (if any) keeps per-thread counters, the
-    /// precondition for running anything concurrently over it (see
-    /// [`IoSource::has_thread_scoped_counters`]).
-    fn thread_scoped_io(&self) -> bool {
-        self.io
-            .as_ref()
-            .is_none_or(|io| io.has_thread_scoped_counters())
-    }
-
     /// Answers a query in its requested mode, measuring it and folding the
     /// stats into the running totals.
     pub fn answer(&mut self, query: &Query) -> Result<EngineAnswer> {
@@ -319,7 +284,6 @@ impl QueryEngine {
             query,
             self.fallback,
             self.retry,
-            0,
             1,
         )?;
         self.totals.merge(&answered.stats);
@@ -337,8 +301,8 @@ impl QueryEngine {
     /// determinism contract of the suite extends here: for every method and
     /// thread count, the answer set, its guarantee and the per-query logical
     /// work counters are **bit-identical** to the serial path (only
-    /// wall-clock times vary). Budgeted queries and an [`IoSource`] without
-    /// thread-scoped counters are searched with one thread.
+    /// wall-clock times vary). Budgeted queries are searched with one
+    /// thread.
     pub fn answer_intra(
         &mut self,
         query: &Query,
@@ -346,7 +310,7 @@ impl QueryEngine {
     ) -> Result<EngineAnswer> {
         // Budgeted queries take the serial path: MASS's pre-pass computes
         // every distance, where a budget stops the counted pass early.
-        let threads = if self.thread_scoped_io() && query.budget().is_none() {
+        let threads = if query.budget().is_none() {
             parallelism.worker_threads()
         } else {
             1
@@ -357,7 +321,6 @@ impl QueryEngine {
             query,
             self.fallback,
             self.retry,
-            0,
             threads,
         )?;
         self.totals.merge(&answered.stats);
@@ -386,9 +349,7 @@ impl QueryEngine {
         parallelism: Parallelism,
     ) -> Result<Vec<EngineAnswer>> {
         let threads = parallelism.worker_threads().min(queries.len().max(1));
-        // Concurrency is only sound over thread-scoped counters; otherwise
-        // fall back to the serial loop, which is always correct.
-        if threads <= 1 || !self.thread_scoped_io() {
+        if threads <= 1 {
             return queries.iter().map(|q| self.answer(q)).collect();
         }
         let method: &dyn AnsweringMethod = self.method.as_ref();
@@ -404,7 +365,7 @@ impl QueryEngine {
                 if abort.load(std::sync::atomic::Ordering::Relaxed) {
                     return None;
                 }
-                let result = measure(method, io, &queries[i], fallback, retry, 0, 1);
+                let result = measure(method, io, &queries[i], fallback, retry, 1);
                 if result.is_err() {
                     abort.store(true, std::sync::atomic::Ordering::Relaxed);
                 }
@@ -419,7 +380,7 @@ impl QueryEngine {
                 // have answered it, so repair it here on the calling thread.
                 // (Skips above the first error are unreachable: the `?` on
                 // that error returns first.)
-                None => measure(method, io, &queries[i], fallback, retry, 0, 1)?,
+                None => measure(method, io, &queries[i], fallback, retry, 1)?,
             };
             self.totals.merge(&answered.stats);
             self.queries_answered += 1;
@@ -442,10 +403,10 @@ impl QueryEngine {
     /// chunk instead of one per query) is observed at batch scope and exposed
     /// through [`QueryEngine::last_batch_io`].
     ///
-    /// With `parallelism` > 1 (over a thread-scoped [`IoSource`]), the batch
-    /// is split into contiguous chunks and the kernel runs thread-parallel
-    /// *across* chunks — each worker amortizes one pass over its chunk, and
-    /// results merge back in batch order.
+    /// With `parallelism` > 1, the batch is split into contiguous chunks and
+    /// the kernel runs thread-parallel *across* chunks — each worker
+    /// amortizes one pass over its chunk, and results merge back in batch
+    /// order.
     ///
     /// Mode routing matches the per-query path exactly: a query whose
     /// [`AnswerMode`] the method does not support is a typed
@@ -552,7 +513,7 @@ impl QueryEngine {
     ) -> Result<(Vec<EngineAnswer>, IoSnapshot)> {
         let io = self.io.as_deref();
         let threads = parallelism.worker_threads().min(queries.len().max(1));
-        if threads <= 1 || !self.thread_scoped_io() {
+        if threads <= 1 {
             return run_batch_chunk(kernel, io, queries);
         }
         let ranges = parallel::split_ranges(queries.len(), threads);
@@ -613,25 +574,12 @@ impl EngineHandle {
     /// measurement discipline of [`QueryEngine::answer`] (same mode routing,
     /// I/O reset/reconciliation, retry loop and panic isolation).
     pub fn answer(&self, query: &Query) -> Result<EngineAnswer> {
-        self.answer_from_attempt(query, 0)
-    }
-
-    /// Like [`EngineHandle::answer`], but with the retry loop's attempt
-    /// numbering shifted by `base_attempt` (announced through
-    /// [`IoSource::begin_attempt`], so fault-injecting sources key their
-    /// decisions on the shifted attempt). The serving layer's hedged retries
-    /// use a base past the primary's retry budget, giving the speculative
-    /// re-submission an independent — but equally deterministic — slice of
-    /// the fault plan. `base_attempt = 0` is exactly
-    /// [`EngineHandle::answer`].
-    pub fn answer_from_attempt(&self, query: &Query, base_attempt: u32) -> Result<EngineAnswer> {
         measure(
             self.method.as_ref(),
             self.io.as_deref(),
             query,
             self.fallback,
             self.retry,
-            base_attempt,
             1,
         )
     }
@@ -649,11 +597,6 @@ impl EngineHandle {
     /// The configured fallback policy.
     pub fn fallback_policy(&self) -> FallbackPolicy {
         self.fallback
-    }
-
-    /// The configured retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 }
 
@@ -748,21 +691,12 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 /// store-side traffic into the stats. Every door of the engine and of
 /// [`EngineHandle`] answers through it, so all of them produce identical
 /// per-query measurements.
-///
-/// The retry loop's attempt numbering is shifted by `base_attempt`: the
-/// first attempt announces `base_attempt` through
-/// [`IoSource::begin_attempt`], the first retry `base_attempt + 1`, and so
-/// on. The serving layer's hedged retries use this to give a speculative
-/// re-submission a *different* (but still deterministic) slice of the fault
-/// plan than the primary attempt chain — a transient fault that persists
-/// through the primary's attempts has cleared by the hedge's.
 fn measure(
     method: &dyn AnsweringMethod,
     io: Option<&dyn IoSource>,
     query: &Query,
     fallback: FallbackPolicy,
     retry: RetryPolicy,
-    base_attempt: u32,
     threads: usize,
 ) -> Result<EngineAnswer> {
     let descriptor = method.descriptor();
@@ -789,7 +723,7 @@ fn measure(
     let mut backoff_penalty: u64 = 0;
     loop {
         if let Some(io) = io {
-            io.begin_attempt(base_attempt + attempt - 1);
+            io.begin_attempt(attempt - 1);
             io.reset_thread_io();
         }
         let mut stats = QueryStats::default();
@@ -884,21 +818,20 @@ mod tests {
         }
     }
 
-    /// A thread-sharded page counter, so workload tests exercise the real
-    /// concurrent path of `answer_workload` (an `IoSource` without
-    /// thread-scoped counters falls back to the serial loop).
+    /// A thread-sharded page counter, like the store's, so workload tests
+    /// exercise the real concurrent path of `answer_workload`.
     #[derive(Default)]
     struct FakeIo {
         #[expect(
             clippy::disallowed_types,
-            reason = "test double of the thread-sharded store counters; sums commute"
+            reason = "test double of the thread-sharded store counters; keyed by thread, never iterated"
         )]
         pages: std::sync::Mutex<std::collections::HashMap<std::thread::ThreadId, u64>>,
     }
 
     #[expect(
         clippy::disallowed_methods,
-        reason = "test double of the thread-sharded store counters; sums commute"
+        reason = "test double of the thread-sharded store counters; keyed by thread, never iterated"
     )]
     impl FakeIo {
         fn record(&self, pages: u64) {
@@ -922,17 +855,9 @@ mod tests {
 
     #[expect(
         clippy::disallowed_methods,
-        reason = "test double of the thread-sharded store counters; sums commute"
+        reason = "test double of the thread-sharded store counters; keyed by thread, never iterated"
     )]
     impl IoSource for FakeIo {
-        fn io_snapshot(&self) -> IoSnapshot {
-            Self::snapshot_of(self.pages.lock().unwrap().values().sum())
-        }
-
-        fn reset_io(&self) {
-            self.pages.lock().unwrap().clear();
-        }
-
         fn thread_io_snapshot(&self) -> IoSnapshot {
             let pages = self
                 .pages
@@ -949,10 +874,6 @@ mod tests {
                 .lock()
                 .unwrap()
                 .remove(&std::thread::current().id());
-        }
-
-        fn has_thread_scoped_counters(&self) -> bool {
-            true
         }
     }
 

@@ -80,16 +80,20 @@ pub fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Applies `f` to every index in `0..count` on up to `threads` workers pulling
-/// from a shared queue, and returns the results **in index order**.
+/// Applies `f` to every index in `0..count` on the calling thread plus up to
+/// `threads - 1` scoped helpers, all pulling from a shared queue, and returns
+/// the results **in index order**.
 ///
 /// Use this when per-item cost is uneven (index subtree builds, queries of
 /// varying difficulty); the atomic queue balances the load dynamically while
-/// the ordered merge keeps the output deterministic.
+/// the ordered merge keeps the output deterministic. The caller claims work
+/// too, so it never idles waiting for a helper to be scheduled: when the
+/// other CPUs are busy, it takes the remaining indices itself and the map
+/// degrades to the serial order instead of stalling.
 ///
 /// # Panics
-/// Re-raises a panic from `f` with its original payload once the workers have
-/// been joined (the queue always drains, so no worker blocks on a panicked
+/// Re-raises a panic from `f` with its original payload once the helpers have
+/// been joined (the queue always drains, so no thread blocks on a panicked
 /// peer).
 pub fn map_indexed<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
 where
@@ -101,48 +105,32 @@ where
         return (0..count).map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        produced.push((i, f(i)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(produced) => {
-                    for (i, value) in produced {
-                        slots[i] = Some(value);
-                    }
-                }
-                // Preserve the original panic payload (message) for the
-                // caller instead of a generic join error.
-                Err(payload) => std::panic::resume_unwind(payload),
+    let claim = || {
+        let mut produced = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return produced;
             }
+            produced.push((i, f(i)));
         }
+    };
+    let mut produced = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+        let mut produced = claim();
+        for helper in helpers {
+            // Preserve the original panic payload (message) for the caller
+            // instead of a generic join error.
+            produced.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        produced
     });
-    slots
-        .into_iter()
-        .map(
-            #[expect(
-                clippy::expect_used,
-                reason = "map_indexed fills every slot exactly once"
-            )]
-            |s| s.expect("every index is claimed exactly once"),
-        )
-        .collect()
+    produced.sort_unstable_by_key(|&(i, _)| i);
+    produced.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Consumes `items`, applying `f(index, item)` on up to `threads` workers

@@ -29,8 +29,7 @@
 //!   an independent seeded fault domain
 //!   ([`FaultPlan::for_shard`](hydra_storage::FaultPlan::for_shard)) guarded
 //!   by a deterministic circuit breaker whose clock is simulated cost units
-//!   (never wall time), hedged retries for shards whose recent answers were
-//!   slow, and [`QuorumPolicy`]-governed degraded merges tagged
+//!   (never wall time), and [`QuorumPolicy`]-governed degraded merges tagged
 //!   [`Guarantee::Partial`](hydra_core::Guarantee) — same seed ⇒ same
 //!   answers, same breaker traces. The default [`ResilienceConfig`] is
 //!   bit-identical to the strict pre-resilience service.
@@ -57,7 +56,7 @@ pub mod shard;
 pub use breaker::{BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker};
 pub use cache::{AnswerCache, CacheKey, CacheStats, CachedAnswer};
 pub use executor::{yield_now, Executor, JoinHandle};
-pub use resilience::{HedgeConfig, QuorumPolicy, ResilienceConfig, ShardHealth, ShardHealthReport};
+pub use resilience::{QuorumPolicy, ResilienceConfig, ShardHealth, ShardHealthReport};
 pub use service::{
     deadline_budget, QueryService, RequestHandle, ServeAnswer, ServeConfig, ServiceStats,
 };

@@ -49,8 +49,8 @@ pub struct ServeConfig {
     pub deadline_ms: Option<u64>,
     /// The storage cost model the deadline mapping prices reads with.
     pub cost_model: CostModel,
-    /// Partial-failure policy: quorum, per-shard circuit breakers, hedged
-    /// retries, and the shard fault plan. The default is the strict
+    /// Partial-failure policy: quorum, per-shard circuit breakers, the
+    /// retry override and the shard fault plan. The default is the strict
     /// pre-resilience behaviour (all shards must answer, nothing injected).
     pub resilience: ResilienceConfig,
 }
@@ -127,8 +127,8 @@ impl RequestHandle {
 /// The shared service state request futures run against.
 struct ServiceInner {
     shards: Vec<ShardEngine>,
-    /// One health ledger (breaker + hedging window + counters) per shard,
-    /// indexed like `shards`.
+    /// One health ledger (breaker + counters) per shard, indexed like
+    /// `shards`.
     health: Vec<Mutex<ShardHealth>>,
     executor: Executor,
     cache: Mutex<AnswerCache>,
@@ -193,10 +193,7 @@ impl QueryService {
                 range: part.range,
                 handle: engine.into_handle(),
             });
-            health.push(Mutex::new(ShardHealth::new(
-                config.resilience.breaker,
-                config.resilience.hedge,
-            )));
+            health.push(Mutex::new(ShardHealth::new(config.resilience.breaker)));
         }
         Ok(QueryService {
             inner: Arc::new(ServiceInner {
@@ -325,8 +322,8 @@ impl QueryService {
         self.inner.cache.lock().stats()
     }
 
-    /// Per-shard health snapshots (breaker state/trips, hedges, failures),
-    /// in shard order.
+    /// Per-shard health snapshots (breaker state/trips, successes,
+    /// failures, rejections), in shard order.
     pub fn resilience_report(&self) -> Vec<ShardHealthReport> {
         self.inner
             .health
@@ -403,9 +400,9 @@ fn attainable_guarantee(query: &Query) -> Guarantee {
     }
 }
 
-/// One request: strength-gated cache lookup, then a breaker-gated,
-/// optionally hedged parallel scatter, a quorum-checked gather, and on total
-/// failure a stale-but-honestly-tagged cache fallback.
+/// One request: strength-gated cache lookup, then a breaker-gated parallel
+/// scatter, a quorum-checked gather, and on total failure a
+/// stale-but-honestly-tagged cache fallback.
 fn process_request(inner: &ServiceInner, query: &Query) -> Result<ServeAnswer> {
     let key = cache_key(inner, query);
     let required = attainable_guarantee(query);
@@ -420,60 +417,23 @@ fn process_request(inner: &ServiceInner, query: &Query) -> Result<ServeAnswer> {
         });
     }
     // Admission, serially in shard order: each shard's breaker rules first;
-    // a denied shard (`None`) contributes a typed CircuitOpen outcome
-    // without any engine work. A shard whose recent answers were slow gets
-    // a hedge (`Some(true)`): a speculative clone submission running from a
-    // shifted fault-attempt base (past the retry budget), so planned
-    // transients that doom the primary are already cleared for it.
-    let flights: Vec<Option<bool>> = inner
-        .health
-        .iter()
-        .map(|health| {
-            let mut health = health.lock();
-            if !health.admit() {
-                return None;
-            }
-            let hedging = health.should_hedge();
-            if hedging {
-                health.record_hedge_launched();
-            }
-            Some(hedging)
-        })
-        .collect();
-    // Scatter: the admitted shards run in parallel. A shard's hedge runs
-    // after its primary on the same thread, so each engine sees the calls in
-    // the order a serial scatter makes them; shards share no mutable state.
-    let results = scatter(flights.len(), inner.scatter_threads, |i| {
-        let shard = &inner.shards[i];
-        flights[i].map(|hedging| {
-            let primary = shard.answer(query);
-            let hedge = hedging.then(|| {
-                let base = shard.handle.retry_policy().max_attempts;
-                shard.handle.answer_from_attempt(query, base)
-            });
-            (primary, hedge)
-        })
+    // a denied shard contributes a typed CircuitOpen outcome without any
+    // engine work.
+    let admitted: Vec<bool> = inner.health.iter().map(|h| h.lock().admit()).collect();
+    // Scatter: the admitted shards run in parallel, one engine call each;
+    // shards share no mutable state.
+    let results = parallel::map_indexed(admitted.len(), inner.scatter_threads, |i| {
+        admitted[i].then(|| inner.shards[i].answer(query))
     });
     // Gather in shard order: the merge input order — and therefore the merge
     // itself — is deterministic regardless of completion order, and shard
-    // errors surface in shard order exactly like the serial reference. The
-    // winner between a primary and its hedge is decided by call order, never
-    // completion time: the primary wins whenever it succeeded, so fault-free
-    // hedges never perturb answers or stats.
+    // errors surface in shard order exactly like the serial reference.
     let mut parts = Vec::with_capacity(results.len());
     for (i, (shard, result)) in inner.shards.iter().zip(results).enumerate() {
-        let outcome: Result<EngineAnswer> = match result {
+        let outcome = match result {
             None => Err(Error::CircuitOpen { shard: i }),
-            Some((primary, hedge)) => {
+            Some(outcome) => {
                 let mut health = inner.health[i].lock();
-                let outcome = match (primary, hedge) {
-                    (Ok(answer), _) => Ok(answer),
-                    (Err(_), Some(Ok(answer))) => {
-                        health.record_hedge_won();
-                        Ok(answer)
-                    }
-                    (Err(e), _) => Err(e),
-                };
                 match &outcome {
                     Ok(answer) => {
                         let cost = inner
@@ -539,42 +499,6 @@ fn process_request(inner: &ServiceInner, query: &Query) -> Result<ServeAnswer> {
             Err(e)
         }
     }
-}
-
-/// Applies `f` to every shard index in `0..count` on the calling thread plus
-/// up to `threads - 1` scoped helpers, all claiming indices from one shared
-/// counter, and returns the results in index order. The caller claims work
-/// too, so a request never idles waiting for a helper to be scheduled: when
-/// the other CPUs are busy, the caller takes the remaining shards itself and
-/// the scatter degrades to the serial order instead of stalling.
-fn scatter<T: Send>(count: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= count {
-                return done;
-            }
-            done.push((i, f(i)));
-        }
-    };
-    let mut done = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads.min(count))
-            .map(|_| scope.spawn(claim))
-            .collect();
-        let mut done = claim();
-        for helper in helpers {
-            done.extend(
-                helper
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            );
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Maps a deadline onto a raw-read budget under a storage cost model: the
@@ -870,18 +794,22 @@ mod tests {
 
     const NEVER: u64 = u64::MAX;
 
-    /// Everything one run of [`four_shard_script`] exposes, wall times aside.
+    /// Everything one run of [`four_shard_script`] exposes, wall times aside:
+    /// per-request outcomes, breaker traces, health reports and each shard's
+    /// engine call count.
     type ScriptRun = (
         Vec<std::result::Result<(AnswerSet, Guarantee, QueryStats, u32), String>>,
         Vec<Vec<crate::breaker::BreakerEvent>>,
         Vec<ShardHealthReport>,
+        Vec<u64>,
     );
 
-    /// Sixteen requests against four shards with a breaker, hedging and a
-    /// best-effort quorum: shard 0 is healthy, shards 1 and 3 fail on listed
-    /// calls (hedges may rescue them), shard 2 fails for good from its
-    /// fourth call and trips its breaker.
+    /// Sixteen requests against four shards with a breaker and a best-effort
+    /// quorum: shard 0 is healthy, shards 1 and 3 fail on listed calls, shard
+    /// 2 fails for good from its fourth call (index 3 up to the last of the
+    /// sixteen calls it can see) and trips its breaker.
     fn four_shard_script() -> ScriptRun {
+        let calls: Vec<Arc<AtomicU64>> = (0..4).map(|_| Arc::default()).collect();
         let svc = QueryService::build(
             &dataset(48),
             ServeConfig {
@@ -895,16 +823,18 @@ mod tests {
                         failure_charge: 100,
                         denied_charge: 100,
                     }),
-                    hedge: hedging(),
                     ..ResilienceConfig::default()
                 },
                 ..ServeConfig::default()
             },
-            |i, store| match i {
-                1 => call_fail_engine(store, vec![1, 4, 5]),
-                2 => flaky_engine(store, 3),
-                3 => call_fail_engine(store, vec![2]),
-                _ => call_fail_engine(store, vec![]),
+            |i, store| {
+                let fail_calls = match i {
+                    1 => vec![1, 4, 5],
+                    2 => (3..16).collect(),
+                    3 => vec![2],
+                    _ => vec![],
+                };
+                call_fail_engine(store, fail_calls, calls[i].clone())
             },
         )
         .unwrap();
@@ -915,14 +845,26 @@ mod tests {
                     .map_err(|e| format!("{e:?}"))
             })
             .collect();
-        (answers, svc.breaker_traces(), svc.resilience_report())
+        let calls = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        (
+            answers,
+            svc.breaker_traces(),
+            svc.resilience_report(),
+            calls,
+        )
     }
 
     #[test]
     fn parallel_scatter_repeats_bit_identically() {
         let first = four_shard_script();
-        let (answers, _, report) = &first;
-        assert!(report[1].hedges_won >= 1, "a hedge rescued shard 1");
+        let (answers, _, report, calls) = &first;
+        for (i, (r, &c)) in report.iter().zip(calls).enumerate() {
+            assert_eq!(
+                c,
+                r.successes + r.failures,
+                "shard {i}: one engine call per admitted request"
+            );
+        }
         assert!(report[2].breaker_opened >= 1, "shard 2's breaker tripped");
         assert!(
             answers
@@ -1160,12 +1102,12 @@ mod tests {
         assert_eq!(run(), run(), "same events ⇒ same traces and reports");
     }
 
-    /// A scan that fails exactly on the listed call indices — for pinning
-    /// the primary/hedge interleaving.
+    /// A scan that fails exactly on the listed call indices and counts its
+    /// calls in a counter the test keeps.
     struct CallFailScan {
         store: Arc<DatasetStore>,
         fail_calls: Vec<u64>,
-        calls: AtomicU64,
+        calls: Arc<AtomicU64>,
     }
 
     impl AnsweringMethod for CallFailScan {
@@ -1182,106 +1124,23 @@ mod tests {
         }
     }
 
-    /// A scan on each shard's partition, failing on the listed call indices.
-    fn call_fail_engine(store: Arc<DatasetStore>, fail_calls: Vec<u64>) -> Result<QueryEngine> {
+    /// A scan on each shard's partition, failing on the listed call indices
+    /// and counting its calls in `calls`.
+    fn call_fail_engine(
+        store: Arc<DatasetStore>,
+        fail_calls: Vec<u64>,
+        calls: Arc<AtomicU64>,
+    ) -> Result<QueryEngine> {
         let size = store.len();
         Ok(QueryEngine::new(
             Box::new(CallFailScan {
                 store: store.clone(),
                 fail_calls,
-                calls: AtomicU64::new(0),
+                calls,
             }),
             size,
         )
         .with_io_source(store))
-    }
-
-    fn hedging() -> Option<crate::resilience::HedgeConfig> {
-        Some(crate::resilience::HedgeConfig {
-            quantile: 0.5,
-            window: 8,
-            min_samples: 1,
-        })
-    }
-
-    #[test]
-    fn a_hedge_rescues_a_failing_primary() {
-        // Two shards. On shard 1, call 0 (the warm-up request) succeeds,
-        // call 1 (the second request's primary) fails, call 2 (its hedge)
-        // succeeds; shard 0 never fails. The hedge window is warm after one
-        // sample, so the second request launches primary + hedge on both
-        // shards, and shard 1's rescue runs while shard 0 runs on the other
-        // worker.
-        let svc = QueryService::build(
-            &dataset(24),
-            ServeConfig {
-                shards: 2,
-                cache_capacity: 0,
-                resilience: ResilienceConfig {
-                    hedge: hedging(),
-                    ..ResilienceConfig::default()
-                },
-                ..ServeConfig::default()
-            },
-            |i, store| call_fail_engine(store, if i == 1 { vec![1] } else { vec![] }),
-        )
-        .unwrap();
-        svc.answer(query(1.0, 3)).unwrap();
-        let rescued = svc.answer(query(2.0, 3)).unwrap();
-        assert_eq!(rescued.guarantee, Guarantee::Exact, "the hedge answered");
-        let reference = svc.reference_answer(&query(2.0, 3)).unwrap();
-        assert_eq!(rescued.answers, reference.answers);
-        assert_eq!(rescued.stats, reference.stats);
-        let report = svc.resilience_report();
-        assert_eq!(report[1].hedges_launched, 1);
-        assert_eq!(report[1].hedges_won, 1);
-        assert_eq!(report[1].successes, 2);
-        assert_eq!(report[1].failures, 0, "the rescued request is a success");
-        assert_eq!(report[0].hedges_launched, 1);
-        assert_eq!(report[0].hedges_won, 0, "shard 0's primary answered");
-        assert_eq!(report[0].successes, 2);
-    }
-
-    #[test]
-    fn a_winning_primary_ignores_its_hedge() {
-        // No failures at all: hedges may launch, but the primary's answer is
-        // always served — hedging never perturbs fault-free results.
-        let hedged = QueryService::build(
-            &dataset(24),
-            ServeConfig {
-                cache_capacity: 0,
-                resilience: ResilienceConfig {
-                    hedge: hedging(),
-                    ..ResilienceConfig::default()
-                },
-                ..ServeConfig::default()
-            },
-            |_, store| {
-                let size = store.len();
-                Ok(QueryEngine::new(
-                    Box::new(StoreScan {
-                        store: store.clone(),
-                    }),
-                    size,
-                )
-                .with_io_source(store))
-            },
-        )
-        .unwrap();
-        let plain = service(ServeConfig {
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        });
-        for i in 0..4 {
-            let h = hedged.answer(query(i as f32, 3)).unwrap();
-            let p = plain.answer(query(i as f32, 3)).unwrap();
-            assert_eq!(h.answers, p.answers);
-            assert_eq!(h.guarantee, p.guarantee);
-            assert_eq!(h.stats, p.stats, "per-query counters are untouched");
-        }
-        let report = hedged.resilience_report();
-        assert!(report[0].hedges_launched >= 1, "hedges did launch");
-        assert_eq!(report[0].hedges_won, 0, "but never won");
     }
 
     #[test]
@@ -1301,7 +1160,6 @@ mod tests {
         assert_eq!(served.stats, reference.stats);
         for r in svc.resilience_report() {
             assert_eq!(r.breaker_state, None);
-            assert_eq!(r.hedges_launched, 0);
             assert_eq!(r.rejected, 0);
         }
     }

@@ -349,24 +349,12 @@ impl DatasetStore {
 /// The store is the I/O counter source the [`hydra_core::QueryEngine`]
 /// observes around every query.
 impl IoSource for DatasetStore {
-    fn io_snapshot(&self) -> IoSnapshot {
-        DatasetStore::io_snapshot(self)
-    }
-
-    fn reset_io(&self) {
-        DatasetStore::reset_io(self)
-    }
-
     fn thread_io_snapshot(&self) -> IoSnapshot {
         DatasetStore::thread_io_snapshot(self)
     }
 
     fn reset_thread_io(&self) {
         DatasetStore::reset_thread_io(self)
-    }
-
-    fn has_thread_scoped_counters(&self) -> bool {
-        true
     }
 
     fn begin_attempt(&self, attempt: u32) {

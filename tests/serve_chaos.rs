@@ -3,7 +3,7 @@
 //! Three promises, checked end-to-end through `hydra-serve`:
 //!
 //! 1. **Inert machinery** — with the fault plan disabled, the full
-//!    resilience stack (breakers, hedging, retry, `AllShards` quorum) is
+//!    resilience stack (breakers, retry, `AllShards` quorum) is
 //!    bit-identical to the strict pre-resilience service for **all ten
 //!    methods** at 1/2/4 shards: same answers, same guarantees, same work
 //!    counters. Resilience must cost nothing when nothing fails.
@@ -21,9 +21,7 @@ use hydra_bench::MethodKind;
 use hydra_core::{AnswerMode, Error, Guarantee, Query, RetryPolicy};
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
-use hydra_serve::{
-    BreakerConfig, HedgeConfig, QueryService, QuorumPolicy, ResilienceConfig, ServeConfig,
-};
+use hydra_serve::{BreakerConfig, QueryService, QuorumPolicy, ResilienceConfig, ServeConfig};
 use hydra_storage::{FaultConfig, FaultPlan};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -36,7 +34,6 @@ fn resilient(shards: usize, faults: FaultPlan, quorum: QuorumPolicy) -> ServeCon
         resilience: ResilienceConfig {
             quorum,
             breaker: Some(BreakerConfig::default()),
-            hedge: Some(HedgeConfig::default()),
             shard_faults: faults,
             // Two attempts deliberately under-provision against the fault
             // mixes used here (transients clear within two *failed*
@@ -162,11 +159,10 @@ fn fault_free_resilience_is_bit_identical_to_the_strict_service() {
                     kind.name()
                 );
             }
-            // Nothing failed, so the breakers never moved and no hedge won.
+            // Nothing failed, so the breakers never moved.
             for (si, report) in armed.resilience_report().iter().enumerate() {
                 assert_eq!(report.failures, 0, "shard {si} recorded a failure");
                 assert_eq!(report.breaker_opened, 0, "shard {si} breaker opened");
-                assert_eq!(report.hedges_won, 0, "a hedge won on shard {si}");
                 assert_eq!(report.rejected, 0, "shard {si} rejected a request");
             }
             for trace in armed.breaker_traces() {
