@@ -214,11 +214,6 @@ impl QueryEngine {
         self
     }
 
-    /// The configured retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// The method's static description.
     pub fn descriptor(&self) -> MethodDescriptor {
         self.method.descriptor()
@@ -592,11 +587,6 @@ impl EngineHandle {
     /// The number of series the handle answers over.
     pub fn dataset_size(&self) -> usize {
         self.dataset_size
-    }
-
-    /// The configured fallback policy.
-    pub fn fallback_policy(&self) -> FallbackPolicy {
-        self.fallback
     }
 }
 

@@ -5,9 +5,15 @@
 //!
 //! Every internal node stores routing objects — a pivot series, a covering
 //! radius bounding the distance to everything in its subtree, and the distance
-//! to its parent pivot. Query answering prunes a subtree whenever
-//! `d(query, pivot) − covering_radius` is no smaller than the best-so-far
-//! k-th distance (triangle inequality), which is correct for any metric.
+//! to its parent pivot. Queries run the shared best-first search,
+//! `hydra_storage::best_first::search`, on triangle-inequality bounds alone,
+//! which are correct for any metric: a subtree is pruned once
+//! `d(query, pivot) − covering_radius` reaches `bsf · shrink`; before that
+//! pivot distance is computed, the parent bound `|d(query, parent pivot) −
+//! d(pivot, parent pivot)| − covering_radius` may prune it for free; and a
+//! leaf entry is bounded by `|d(query, pivot) − d(entry, pivot)|` before its
+//! series is read. Each `d(query, pivot)` is computed at most once per
+//! query.
 //!
 //! Construction inserts series one at a time, routing each to the child whose
 //! pivot is closest (preferring children that need no radius enlargement), and
@@ -20,12 +26,14 @@
 // lib-unwrap (README "Contract lints"): library code returns typed errors.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use hydra_core::distance::euclidean;
 use hydra_core::{
-    AnswerMode, AnswerSet, AnsweringMethod, BudgetMeter, BuildOptions, Dataset, Error, ExactIndex,
-    IndexFootprint, KnnHeap, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
+    AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
+    IndexFootprint, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
-use hydra_storage::best_first::Frontier;
+use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node as TreeNode, Seed};
 use hydra_storage::DatasetStore;
+use std::cell::Cell;
 use std::sync::Arc;
 
 #[derive(Clone, Debug)]
@@ -130,10 +138,7 @@ impl MTree {
     fn distance_ids(&mut self, a: u32, b: u32) -> f64 {
         self.build_distance_computations += 1;
         let d = self.store.dataset();
-        hydra_core::distance::euclidean(
-            d.series(a as usize).values(),
-            d.series(b as usize).values(),
-        )
+        euclidean(d.series(a as usize).values(), d.series(b as usize).values())
     }
 
     fn insert(&mut self, id: u32) {
@@ -355,54 +360,6 @@ impl MTree {
         }
         (p1, p2)
     }
-
-    fn scan_leaf(
-        &self,
-        leaf: usize,
-        query: &Query,
-        d_query_pivot: f64,
-        heap: &mut KnnHeap,
-        meter: &mut BudgetMeter,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let NodeKind::Leaf { entries } = &self.nodes[leaf].kind else {
-            return Ok(());
-        };
-        if entries.is_empty() {
-            return Ok(());
-        }
-        // Fault checkpoint for the leaf's materialized payload read, keyed
-        // by its first series so an injected fault is stable per leaf.
-        self.store.try_access(entries[0].id as u64)?;
-        stats.record_leaf_visit();
-        let leaf_bytes = (entries.len() * self.store.series_bytes()) as u64;
-        let pages = leaf_bytes.div_ceil(self.store.page_bytes() as u64).max(1);
-        stats.record_io(pages - 1, 1, leaf_bytes);
-        let dataset = self.store.dataset();
-        for e in entries {
-            // Cheap triangle-inequality filter before the real distance:
-            // |d(q, pivot) − d(entry, pivot)| ≤ d(q, entry).
-            if heap.is_full() && (d_query_pivot - e.to_parent).abs() >= heap.threshold() {
-                continue;
-            }
-            if meter.should_stop(stats.raw_series_examined, !heap.is_empty()) {
-                break;
-            }
-            stats.record_raw_series_examined(1);
-            let series = dataset.series(e.id as usize);
-            match hydra_core::distance::squared_euclidean_early_abandon(
-                query.values(),
-                series.values(),
-                heap.threshold_squared(),
-            ) {
-                Some(sq) => {
-                    heap.offer(e.id as usize, sq.sqrt());
-                }
-                None => stats.record_early_abandon(),
-            }
-        }
-        Ok(())
-    }
 }
 
 impl AnsweringMethod for MTree {
@@ -419,95 +376,117 @@ impl AnsweringMethod for MTree {
         Some(ExactIndex::footprint(self))
     }
 
-    /// The M-tree's pivot pre-filters read the live threshold, so there is
-    /// nothing to split: `threads` is ignored.
+    /// The serial best-first search; `threads` is ignored.
     fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
-        query.expect_len(self.store.series_length())?;
-        let k = query.knn_k("M-tree")?;
-        let mode = query.mode();
-        let clock = hydra_core::RunClock::start();
-        let dataset = self.store.dataset();
-        let dist_to_pivot = |node: &Node| {
-            hydra_core::distance::euclidean(
-                query.values(),
-                dataset.series(node.pivot as usize).values(),
-            )
-        };
-        let mut heap = KnnHeap::new(k);
-        let mut meter = BudgetMeter::new(query.budget(), self.store.len());
+        best_first::search(self, query, stats)
+    }
+}
 
-        if mode == AnswerMode::NgApproximate {
-            // ng-approximate: descend to the leaf of the closest pivot at
-            // every level and scan only that leaf.
-            let mut current = self.root;
-            while let NodeKind::Internal { children } = &self.nodes[current].kind {
-                stats.record_internal_visit();
-                let mut best = children[0];
-                let mut best_d = f64::INFINITY;
-                for &child in children {
-                    let d = dist_to_pivot(&self.nodes[child]);
-                    stats.record_lower_bounds(1);
-                    if d < best_d {
-                        best_d = d;
-                        best = child;
-                    }
-                }
-                current = best;
-            }
-            let d_pivot = dist_to_pivot(&self.nodes[current]);
-            self.scan_leaf(current, query, d_pivot, &mut heap, &mut meter, stats)?;
-            stats.cpu_time += clock.elapsed();
-            let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-            return Ok(heap.into_answer_set().with_guarantee(guarantee));
+/// The M-tree's per-query state: the query and its distance to each node's
+/// pivot, computed the first time a hook asks for it (NaN until then).
+pub struct Probe<'q> {
+    query: &'q [f32],
+    to_pivot: Vec<Cell<f64>>,
+}
+
+impl Probe<'_> {
+    /// `d(query, pivot of node)`, computed at most once per query.
+    fn to_pivot(&self, tree: &MTree, node: usize) -> f64 {
+        let memo = &self.to_pivot[node];
+        if memo.get().is_nan() {
+            let pivot = tree.store.dataset().series(tree.nodes[node].pivot as usize);
+            memo.set(euclidean(self.query, pivot.values()));
         }
+        memo.get()
+    }
+}
 
-        // Exact / ε-relaxed best-first traversal: a subtree is pruned as soon
-        // as its triangle-inequality lower bound reaches `bsf * shrink` with
-        // `shrink = δ/(1+ε)` (1 for exact, so ε = 0 is bit-identical). The
-        // cheap pre-filters keep the exact threshold: they only skip work
-        // that cannot improve the best-so-far, which is always allowed.
-        let shrink = mode.prune_shrink();
-        let mut frontier = Frontier::new();
-        let root_d = dist_to_pivot(&self.nodes[self.root]);
+/// The M-tree bounds by the triangle inequality on raw distances alone: a
+/// node by `d(q, pivot) − radius`, a leaf entry by `|d(q, pivot) −
+/// d(entry, pivot)|`, and a child, before its own pivot distance is
+/// computed, by `|d(q, parent pivot) − d(child pivot, parent pivot)| −
+/// radius`.
+impl BestFirstTree for MTree {
+    type Probe<'q> = Probe<'q>;
+
+    const NAME: &'static str = "M-tree";
+
+    fn store(&self) -> &DatasetStore {
+        &self.store
+    }
+
+    fn probe<'q>(&'q self, query: &'q [f32]) -> Probe<'q> {
+        Probe {
+            query,
+            to_pivot: vec![Cell::new(f64::NAN); self.nodes.len()],
+        }
+    }
+
+    /// Only ng-approximate search seeds: it descends to the child with the
+    /// closest pivot at every level. The other modes start the traversal
+    /// from an empty best-so-far.
+    fn seed(&self, probe: &Probe<'_>, mode: AnswerMode, stats: &mut QueryStats) -> Seed {
+        if mode != AnswerMode::NgApproximate {
+            return Seed::default();
+        }
+        let mut current = self.root;
+        while let NodeKind::Internal { children } = &self.nodes[current].kind {
+            stats.record_internal_visit();
+            let mut best = children[0];
+            let mut best_d = f64::INFINITY;
+            for &child in children {
+                let d = probe.to_pivot(self, child);
+                stats.record_lower_bounds(1);
+                if d < best_d {
+                    best_d = d;
+                    best = child;
+                }
+            }
+            current = best;
+        }
+        Seed {
+            leaf: Some(current),
+            skip: None,
+        }
+    }
+
+    /// The root, bounded like any other node.
+    fn push_roots(&self, probe: &Probe<'_>, frontier: &mut Frontier, stats: &mut QueryStats) {
         stats.record_lower_bounds(1);
-        frontier.push(self.root, (root_d - self.nodes[self.root].radius).max(0.0));
-        while let Some((node, lower_bound)) = frontier.pop() {
-            if meter.is_truncated() {
-                break; // budget exhausted: keep the best-so-far
-            }
-            if heap.is_full() && lower_bound >= heap.threshold() * shrink {
-                break;
-            }
-            let d_pivot = dist_to_pivot(&self.nodes[node]);
-            match &self.nodes[node].kind {
-                NodeKind::Leaf { .. } => {
-                    self.scan_leaf(node, query, d_pivot, &mut heap, &mut meter, stats)?
-                }
-                NodeKind::Internal { children } => {
-                    stats.record_internal_visit();
-                    for &child in children {
-                        // Cheap pre-filter using the child's distance to this
-                        // pivot before computing d(query, child pivot).
-                        let child_node = &self.nodes[child];
-                        if heap.is_full()
-                            && (d_pivot - child_node.to_parent).abs() - child_node.radius
-                                >= heap.threshold()
-                        {
-                            continue;
-                        }
-                        let d_child = dist_to_pivot(child_node);
-                        stats.record_lower_bounds(1);
-                        let lb = (d_child - child_node.radius).max(0.0);
-                        if !heap.is_full() || lb < heap.threshold() * shrink {
-                            frontier.push(child, lb);
-                        }
-                    }
-                }
-            }
+        frontier.push(self.root, self.bound(self.root, probe));
+    }
+
+    fn node(
+        &self,
+        id: usize,
+    ) -> TreeNode<impl ExactSizeIterator<Item = u32> + Clone + '_, impl Iterator<Item = usize> + '_>
+    {
+        match &self.nodes[id].kind {
+            NodeKind::Leaf { entries } => TreeNode::Leaf(entries.iter().map(|e| e.id)),
+            NodeKind::Internal { children } => TreeNode::Internal(children.iter().copied()),
         }
-        stats.cpu_time += clock.elapsed();
-        let guarantee = meter.guarantee(mode.guarantee(), stats.raw_series_examined);
-        Ok(heap.into_answer_set().with_guarantee(guarantee))
+    }
+
+    fn bound(&self, id: usize, probe: &Probe<'_>) -> f64 {
+        (probe.to_pivot(self, id) - self.nodes[id].radius).max(0.0)
+    }
+
+    fn parent_bound(&self, parent: usize, child: usize, probe: &Probe<'_>) -> f64 {
+        let child = &self.nodes[child];
+        (probe.to_pivot(self, parent) - child.to_parent).abs() - child.radius
+    }
+
+    fn entry_bounds(&self, id: usize, probe: &Probe<'_>) -> Vec<f64> {
+        match &self.nodes[id].kind {
+            NodeKind::Leaf { entries } => {
+                let to_pivot = probe.to_pivot(self, id);
+                entries
+                    .iter()
+                    .map(|e| (to_pivot - e.to_parent).abs())
+                    .collect()
+            }
+            NodeKind::Internal { .. } => Vec::new(),
+        }
     }
 }
 
@@ -583,11 +562,22 @@ mod tests {
         for n in &idx.nodes {
             if let NodeKind::Leaf { entries } = &n.kind {
                 for e in entries {
-                    let d = hydra_core::distance::euclidean(
+                    let d = euclidean(
                         dataset.series(n.pivot as usize).values(),
                         dataset.series(e.id as usize).values(),
                     );
                     assert!(d <= n.radius + 1e-6, "entry outside covering radius");
+                }
+            }
+        }
+    }
+
+    fn collect_ids(tree: &MTree, node: usize, out: &mut Vec<u32>) {
+        match &tree.nodes[node].kind {
+            NodeKind::Leaf { entries } => out.extend(entries.iter().map(|e| e.id)),
+            NodeKind::Internal { children } => {
+                for &c in children {
+                    collect_ids(tree, c, out);
                 }
             }
         }
@@ -598,25 +588,55 @@ mod tests {
         let (store, idx) = build(400, 32, 12);
         let dataset = store.dataset();
         // Every series under a subtree must be within the subtree's radius.
-        fn collect_ids(tree: &MTree, node: usize, out: &mut Vec<u32>) {
-            match &tree.nodes[node].kind {
-                NodeKind::Leaf { entries } => out.extend(entries.iter().map(|e| e.id)),
-                NodeKind::Internal { children } => {
-                    for &c in children {
-                        collect_ids(tree, c, out);
-                    }
-                }
-            }
-        }
         for (i, n) in idx.nodes.iter().enumerate() {
             let mut ids = Vec::new();
             collect_ids(&idx, i, &mut ids);
             for id in ids {
-                let d = hydra_core::distance::euclidean(
+                let d = euclidean(
                     dataset.series(n.pivot as usize).values(),
                     dataset.series(id as usize).values(),
                 );
                 assert!(d <= n.radius + 1e-6, "series {id} outside node {i} radius");
+            }
+        }
+    }
+
+    /// Every bound the best-first search prunes on — node, parent and entry
+    /// — is at most the distance it stands for, for far queries and for
+    /// perturbed members alike.
+    #[test]
+    fn every_bound_hook_is_a_lower_bound() {
+        let (store, idx) = build(300, 64, 10);
+        let dataset = store.dataset();
+        let mut queries = RandomWalkGenerator::new(121, 64).series_batch(3);
+        for id in [7usize, 150] {
+            let mut near = dataset.series(id).values().to_vec();
+            near.iter_mut().step_by(3).for_each(|v| *v += 0.1);
+            queries.push(hydra_core::Series::new(near));
+        }
+        for q in &queries {
+            let probe = idx.probe(q.values());
+            let distance = |id: u32| euclidean(q.values(), dataset.series(id as usize).values());
+            let nearest = |node| {
+                let mut ids = Vec::new();
+                collect_ids(&idx, node, &mut ids);
+                ids.into_iter().map(distance).fold(f64::INFINITY, f64::min)
+            };
+            for (i, n) in idx.nodes.iter().enumerate() {
+                assert!(idx.bound(i, &probe) <= nearest(i) + 1e-6, "node {i}");
+                match &n.kind {
+                    NodeKind::Internal { children } => {
+                        for &c in children {
+                            let bound = idx.parent_bound(i, c, &probe);
+                            assert!(bound <= nearest(c) + 1e-6, "child {c} of {i}");
+                        }
+                    }
+                    NodeKind::Leaf { entries } => {
+                        for (e, bound) in entries.iter().zip(idx.entry_bounds(i, &probe)) {
+                            assert!(bound <= distance(e.id) + 1e-6, "entry {}", e.id);
+                        }
+                    }
+                }
             }
         }
     }
@@ -629,6 +649,50 @@ mod tests {
                 let expected = brute_force_knn(store.dataset(), q.values(), k);
                 let got = idx.answer_simple(&Query::knn(q.clone(), k)).unwrap();
                 assert!(got.distances_match(&expected, 1e-4), "k={k}");
+            }
+        }
+    }
+
+    /// 24 scattered copies of one series (more than two leaves hold) and
+    /// five constant series among random walks: the inputs where k matches
+    /// sit at distance 0 and entry bounds of exactly 0 must still be refined.
+    #[test]
+    fn exactness_on_duplicates_and_constants() {
+        let len = 64;
+        let walks = RandomWalkGenerator::new(23, len);
+        let mut data = Dataset::empty(len);
+        for i in 0..240u64 {
+            data.push(walks.series(i).values());
+            if i % 10 == 0 {
+                data.push(walks.series(1000).values());
+            }
+        }
+        for level in [0.0f32, 0.0, 0.0, 1.5, -2.0] {
+            data.push(&vec![level; len]);
+        }
+        let store = Arc::new(DatasetStore::new(data));
+        let options = BuildOptions::default().with_leaf_capacity(10);
+        let idx = MTree::build_on_store(store.clone(), &options).unwrap();
+        let dataset = store.dataset();
+        let duplicate = dataset.series(1).to_owned_series();
+        for q in [duplicate, hydra_core::Series::new(vec![0.0; len])] {
+            for k in [1usize, 5, 10] {
+                let expected = brute_force_knn(dataset, q.values(), k);
+                let got = idx.answer_simple(&Query::knn(q.clone(), k)).unwrap();
+                assert_eq!(got.guarantee(), hydra_core::Guarantee::Exact);
+                assert!(got.distances_match(&expected, 1e-4), "k={k}");
+                // Ties at the k-th distance may be broken either way; every
+                // id must be at its reported distance, and every series
+                // strictly nearer than the k-th must be in the answer.
+                let kth = expected.iter().map(|a| a.distance).fold(0.0, f64::max);
+                let ids: Vec<usize> = got.iter().map(|a| a.id).collect();
+                for a in got.iter() {
+                    let d = euclidean(q.values(), dataset.series(a.id).values());
+                    assert!((d - a.distance).abs() <= 1e-4, "k={k}: id {}", a.id);
+                }
+                for e in expected.iter().filter(|e| e.distance < kth - 1e-4) {
+                    assert!(ids.contains(&e.id), "k={k}: missed {}", e.id);
+                }
             }
         }
     }

@@ -56,7 +56,7 @@ pub mod shard;
 pub use breaker::{BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker};
 pub use cache::{AnswerCache, CacheKey, CacheStats, CachedAnswer};
 pub use executor::{yield_now, Executor, JoinHandle};
-pub use resilience::{QuorumPolicy, ResilienceConfig, ShardHealth, ShardHealthReport};
+pub use resilience::{QuorumPolicy, ResilienceConfig, ShardHealthReport};
 pub use service::{
     deadline_budget, QueryService, RequestHandle, ServeAnswer, ServeConfig, ServiceStats,
 };

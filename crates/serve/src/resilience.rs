@@ -90,20 +90,20 @@ pub struct ResilienceConfig {
 /// service keeps one per shard behind a mutex; every field is driven only by
 /// deterministic events.
 #[derive(Clone, Debug)]
-pub struct ShardHealth {
+pub(crate) struct ShardHealth {
     /// The shard's circuit breaker, when breaking is enabled.
-    pub breaker: Option<CircuitBreaker>,
+    pub(crate) breaker: Option<CircuitBreaker>,
     /// Sub-queries that answered.
-    pub successes: u64,
+    pub(crate) successes: u64,
     /// Sub-queries that failed after engine-level retries.
-    pub failures: u64,
+    pub(crate) failures: u64,
     /// Sub-queries rejected by the open breaker.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
 }
 
 impl ShardHealth {
     /// A fresh ledger under the given breaker policy.
-    pub fn new(breaker: Option<BreakerConfig>) -> Self {
+    pub(crate) fn new(breaker: Option<BreakerConfig>) -> Self {
         Self {
             breaker: breaker.map(CircuitBreaker::new),
             successes: 0,
@@ -114,7 +114,7 @@ impl ShardHealth {
 
     /// Whether the breaker admits the next sub-query (`true` when breaking
     /// is disabled). A denial is counted against the shard.
-    pub fn admit(&mut self) -> bool {
+    pub(crate) fn admit(&mut self) -> bool {
         match self.breaker.as_mut() {
             None => true,
             Some(b) => {
@@ -129,7 +129,7 @@ impl ShardHealth {
 
     /// Records a successful sub-query that cost `cost_units`, feeding the
     /// breaker clock.
-    pub fn record_success(&mut self, cost_units: u64) {
+    pub(crate) fn record_success(&mut self, cost_units: u64) {
         self.successes += 1;
         if let Some(b) = self.breaker.as_mut() {
             b.record_success(cost_units);
@@ -137,7 +137,7 @@ impl ShardHealth {
     }
 
     /// Records a sub-query that failed after engine-level retries.
-    pub fn record_failure(&mut self) {
+    pub(crate) fn record_failure(&mut self) {
         self.failures += 1;
         if let Some(b) = self.breaker.as_mut() {
             b.record_failure();
@@ -145,7 +145,7 @@ impl ShardHealth {
     }
 
     /// A copyable snapshot of the ledger for reporting.
-    pub fn report(&self) -> ShardHealthReport {
+    pub(crate) fn report(&self) -> ShardHealthReport {
         ShardHealthReport {
             successes: self.successes,
             failures: self.failures,

@@ -9,8 +9,8 @@
 //! and every answer as `id:distance.to_bits()`. Only the modes a method
 //! supports are rendered.
 //!
-//! `tree|` lines cover the four best-first trees (DSTree, iSAX2+, SFA trie,
-//! R*-tree). They were first printed by `print_fixture` below on the commit
+//! `tree|` lines cover four of the five best-first trees (DSTree, iSAX2+,
+//! SFA trie, R*-tree). They were first printed by `print_fixture` below on the commit
 //! before the trees moved onto `hydra_storage::best_first`, and re-recorded
 //! when its leaf scan started bounding every entry on its stored summary
 //! (and iSAX2+ stopped rescanning its seed leaf): every `exact` and `ng`
@@ -18,16 +18,24 @@
 //! and the ε / δ-ε / budgeted answers moved within their guarantees. The
 //! entry bounds of iSAX2+ come from the SAX table, so the fixture must
 //! reproduce on both SIMD dispatch tiers. `method|` lines cover the other
-//! six (UCR-Suite, MASS, Stepwise, ADS+, VA+file, M-tree) and were printed on the commit before each method
-//! was folded into one `search` body; they skip the budget × 3-thread pair,
-//! which the engine never runs. Stepwise's were re-recorded when its
+//! six (UCR-Suite, MASS, Stepwise, ADS+, VA+file, M-tree) and were printed
+//! on the commit before each method was folded into one `search` body;
+//! they skip the budget × 3-thread pair, which the engine never runs. Stepwise's were re-recorded when its
 //! refinement reads started being counted: only the last three counters
 //! (sequential pages, random pages, bytes read) moved. ADS+'s were
 //! re-recorded when SIMS started seeding its best-so-far from its `2k`
 //! best-bounded series instead of the covering leaf and reading at page
 //! granularity: every exact answer kept its ids and distance bits; the ε,
 //! δ-ε and budgeted answers, which the visiting order decides, moved within
-//! their guarantees, and so did the counters. The `intra3` lines were
+//! their guarantees, and so did the counters. The M-tree's were re-recorded
+//! when its private search loop folded into `best_first`: every exact and ng
+//! line kept its guarantee and answer bits, and no leaf, internal-visit,
+//! page or byte count rose; lower bounds rose, as entry bounds started being
+//! counted; raw reads rose only on q09 and q10, where the k matches sit at
+//! distance 0 and the entry slack refines bounds of exactly 0 (exact 72 →
+//! 83 and 337 → 372, ng q09 5 → 16); and the ε and δ-ε answers moved within
+//! their guarantees, as the pivot filters started pruning at `bsf · shrink`
+//! (raw totals 5 216 → 4 606 and 4 844 → 3 804). The `intra3` lines were
 //! recorded while DSTree, iSAX2+, the SFA trie, UCR-Suite, ADS+ and the
 //! VA+file still split a query over threads; they now search serially at
 //! any thread count, so for all nine methods but MASS those lines equal the
