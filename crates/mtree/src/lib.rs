@@ -3,17 +3,14 @@
 //! An M-tree: a metric-space access method that organizes series by their
 //! mutual Euclidean distances rather than by a coordinate summarization.
 //!
-//! Every internal node stores routing objects — a pivot series, a covering
-//! radius bounding the distance to everything in its subtree, and the distance
-//! to its parent pivot. Queries run the shared best-first search,
+//! Every node stores a routing object — a pivot series and a covering radius
+//! bounding the distance to everything in its subtree — and every leaf entry
+//! its distance to the leaf's pivot. Queries run the shared best-first search,
 //! `hydra_storage::best_first::search`, on triangle-inequality bounds alone,
 //! which are correct for any metric: a subtree is pruned once
-//! `d(query, pivot) − covering_radius` reaches `bsf · shrink`; before that
-//! pivot distance is computed, the parent bound `|d(query, parent pivot) −
-//! d(pivot, parent pivot)| − covering_radius` may prune it for free; and a
-//! leaf entry is bounded by `|d(query, pivot) − d(entry, pivot)|` before its
-//! series is read. Each `d(query, pivot)` is computed at most once per
-//! query.
+//! `d(query, pivot) − covering_radius` reaches `bsf · shrink`, and a leaf
+//! entry is bounded by `|d(query, pivot) − d(entry, pivot)|` before its
+//! series is read.
 //!
 //! Construction inserts series one at a time, routing each to the child whose
 //! pivot is closest (preferring children that need no radius enlargement), and
@@ -33,7 +30,6 @@ use hydra_core::{
 };
 use hydra_storage::best_first::{self, BestFirstTree, Frontier, Node as TreeNode, Seed};
 use hydra_storage::DatasetStore;
-use std::cell::Cell;
 use std::sync::Arc;
 
 #[derive(Clone, Debug)]
@@ -55,8 +51,6 @@ struct Node {
     pivot: u32,
     /// Upper bound on the distance from the pivot to anything in the subtree.
     radius: f64,
-    /// Distance from this node's pivot to its parent's pivot.
-    to_parent: f64,
     kind: NodeKind,
     depth: usize,
 }
@@ -96,7 +90,6 @@ impl MTree {
         tree.nodes.push(Node {
             pivot: 0,
             radius: 0.0,
-            to_parent: 0.0,
             kind: NodeKind::Leaf {
                 entries: Vec::new(),
             },
@@ -139,6 +132,12 @@ impl MTree {
         self.build_distance_computations += 1;
         let d = self.store.dataset();
         euclidean(d.series(a as usize).values(), d.series(b as usize).values())
+    }
+
+    /// `d(query, pivot of node)`.
+    fn to_pivot(&self, query: &[f32], node: usize) -> f64 {
+        let pivot = self.store.dataset().series(self.nodes[node].pivot as usize);
+        euclidean(query, pivot.values())
     }
 
     fn insert(&mut self, id: u32) {
@@ -195,14 +194,11 @@ impl MTree {
                 self.nodes.push(Node {
                     pivot: left_pivot,
                     radius,
-                    to_parent: 0.0,
                     kind: NodeKind::Internal {
                         children: vec![left, right],
                     },
                     depth: 0,
                 });
-                self.nodes[left].to_parent = 0.0;
-                self.nodes[right].to_parent = d;
                 self.root = new_root;
                 self.bump_depths(new_root, 0);
                 break;
@@ -211,7 +207,6 @@ impl MTree {
                 let parent_pivot = self.nodes[parent].pivot;
                 for half in [left, right] {
                     let d = self.distance_ids(self.nodes[half].pivot, parent_pivot);
-                    self.nodes[half].to_parent = d;
                     let needed = d + self.nodes[half].radius;
                     if needed > self.nodes[parent].radius {
                         self.nodes[parent].radius = needed;
@@ -269,7 +264,6 @@ impl MTree {
                 self.nodes[node] = Node {
                     pivot: p1,
                     radius: left_radius,
-                    to_parent: 0.0,
                     kind: NodeKind::Leaf {
                         entries: left_entries,
                     },
@@ -279,7 +273,6 @@ impl MTree {
                 self.nodes.push(Node {
                     pivot: p2,
                     radius: right_radius,
-                    to_parent: 0.0,
                     kind: NodeKind::Leaf {
                         entries: right_entries,
                     },
@@ -299,18 +292,15 @@ impl MTree {
                     let d2 = self.distance_ids(self.nodes[child].pivot, p2);
                     if d1 <= d2 {
                         left_radius = left_radius.max(d1 + self.nodes[child].radius);
-                        self.nodes[child].to_parent = d1;
                         left_children.push(child);
                     } else {
                         right_radius = right_radius.max(d2 + self.nodes[child].radius);
-                        self.nodes[child].to_parent = d2;
                         right_children.push(child);
                     }
                 }
                 self.nodes[node] = Node {
                     pivot: p1,
                     radius: left_radius,
-                    to_parent: 0.0,
                     kind: NodeKind::Internal {
                         children: left_children,
                     },
@@ -320,7 +310,6 @@ impl MTree {
                 self.nodes.push(Node {
                     pivot: p2,
                     radius: right_radius,
-                    to_parent: 0.0,
                     kind: NodeKind::Internal {
                         children: right_children,
                     },
@@ -382,32 +371,11 @@ impl AnsweringMethod for MTree {
     }
 }
 
-/// The M-tree's per-query state: the query and its distance to each node's
-/// pivot, computed the first time a hook asks for it (NaN until then).
-pub struct Probe<'q> {
-    query: &'q [f32],
-    to_pivot: Vec<Cell<f64>>,
-}
-
-impl Probe<'_> {
-    /// `d(query, pivot of node)`, computed at most once per query.
-    fn to_pivot(&self, tree: &MTree, node: usize) -> f64 {
-        let memo = &self.to_pivot[node];
-        if memo.get().is_nan() {
-            let pivot = tree.store.dataset().series(tree.nodes[node].pivot as usize);
-            memo.set(euclidean(self.query, pivot.values()));
-        }
-        memo.get()
-    }
-}
-
 /// The M-tree bounds by the triangle inequality on raw distances alone: a
-/// node by `d(q, pivot) − radius`, a leaf entry by `|d(q, pivot) −
-/// d(entry, pivot)|`, and a child, before its own pivot distance is
-/// computed, by `|d(q, parent pivot) − d(child pivot, parent pivot)| −
-/// radius`.
+/// node by `d(q, pivot) − radius` and a leaf entry by `|d(q, pivot) −
+/// d(entry, pivot)|`. The probe is the query itself.
 impl BestFirstTree for MTree {
-    type Probe<'q> = Probe<'q>;
+    type Probe<'q> = &'q [f32];
 
     const NAME: &'static str = "M-tree";
 
@@ -415,17 +383,14 @@ impl BestFirstTree for MTree {
         &self.store
     }
 
-    fn probe<'q>(&'q self, query: &'q [f32]) -> Probe<'q> {
-        Probe {
-            query,
-            to_pivot: vec![Cell::new(f64::NAN); self.nodes.len()],
-        }
+    fn probe<'q>(&'q self, query: &'q [f32]) -> &'q [f32] {
+        query
     }
 
     /// Only ng-approximate search seeds: it descends to the child with the
     /// closest pivot at every level. The other modes start the traversal
     /// from an empty best-so-far.
-    fn seed(&self, probe: &Probe<'_>, mode: AnswerMode, stats: &mut QueryStats) -> Seed {
+    fn seed(&self, query: &&[f32], mode: AnswerMode, stats: &mut QueryStats) -> Seed {
         if mode != AnswerMode::NgApproximate {
             return Seed::default();
         }
@@ -435,7 +400,7 @@ impl BestFirstTree for MTree {
             let mut best = children[0];
             let mut best_d = f64::INFINITY;
             for &child in children {
-                let d = probe.to_pivot(self, child);
+                let d = self.to_pivot(query, child);
                 stats.record_lower_bounds(1);
                 if d < best_d {
                     best_d = d;
@@ -451,9 +416,9 @@ impl BestFirstTree for MTree {
     }
 
     /// The root, bounded like any other node.
-    fn push_roots(&self, probe: &Probe<'_>, frontier: &mut Frontier, stats: &mut QueryStats) {
+    fn push_roots(&self, query: &&[f32], frontier: &mut Frontier, stats: &mut QueryStats) {
         stats.record_lower_bounds(1);
-        frontier.push(self.root, self.bound(self.root, probe));
+        frontier.push(self.root, self.bound(self.root, query));
     }
 
     fn node(
@@ -467,19 +432,14 @@ impl BestFirstTree for MTree {
         }
     }
 
-    fn bound(&self, id: usize, probe: &Probe<'_>) -> f64 {
-        (probe.to_pivot(self, id) - self.nodes[id].radius).max(0.0)
+    fn bound(&self, id: usize, query: &&[f32]) -> f64 {
+        (self.to_pivot(query, id) - self.nodes[id].radius).max(0.0)
     }
 
-    fn parent_bound(&self, parent: usize, child: usize, probe: &Probe<'_>) -> f64 {
-        let child = &self.nodes[child];
-        (probe.to_pivot(self, parent) - child.to_parent).abs() - child.radius
-    }
-
-    fn entry_bounds(&self, id: usize, probe: &Probe<'_>) -> Vec<f64> {
+    fn entry_bounds(&self, id: usize, query: &&[f32]) -> Vec<f64> {
         match &self.nodes[id].kind {
             NodeKind::Leaf { entries } => {
-                let to_pivot = probe.to_pivot(self, id);
+                let to_pivot = self.to_pivot(query, id);
                 entries
                     .iter()
                     .map(|e| (to_pivot - e.to_parent).abs())
@@ -601,8 +561,8 @@ mod tests {
         }
     }
 
-    /// Every bound the best-first search prunes on — node, parent and entry
-    /// — is at most the distance it stands for, for far queries and for
+    /// Every bound the best-first search prunes on — node and entry — is at
+    /// most the distance it stands for, for far queries and for
     /// perturbed members alike.
     #[test]
     fn every_bound_hook_is_a_lower_bound() {
@@ -615,7 +575,7 @@ mod tests {
             queries.push(hydra_core::Series::new(near));
         }
         for q in &queries {
-            let probe = idx.probe(q.values());
+            let probe = q.values();
             let distance = |id: u32| euclidean(q.values(), dataset.series(id as usize).values());
             let nearest = |node| {
                 let mut ids = Vec::new();
@@ -624,17 +584,9 @@ mod tests {
             };
             for (i, n) in idx.nodes.iter().enumerate() {
                 assert!(idx.bound(i, &probe) <= nearest(i) + 1e-6, "node {i}");
-                match &n.kind {
-                    NodeKind::Internal { children } => {
-                        for &c in children {
-                            let bound = idx.parent_bound(i, c, &probe);
-                            assert!(bound <= nearest(c) + 1e-6, "child {c} of {i}");
-                        }
-                    }
-                    NodeKind::Leaf { entries } => {
-                        for (e, bound) in entries.iter().zip(idx.entry_bounds(i, &probe)) {
-                            assert!(bound <= distance(e.id) + 1e-6, "entry {}", e.id);
-                        }
+                if let NodeKind::Leaf { entries } = &n.kind {
+                    for (e, bound) in entries.iter().zip(idx.entry_bounds(i, &probe)) {
+                        assert!(bound <= distance(e.id) + 1e-6, "entry {}", e.id);
                     }
                 }
             }

@@ -9,12 +9,6 @@
 //! summarizes the query, where it seeds, what it starts from, a node's
 //! children, bound and series ids, and each leaf entry's bound.
 //!
-//! A tree may also bound a child from what bounding its parent already
-//! computed ([`BestFirstTree::parent_bound`]; the M-tree's `|d(q, parent
-//! pivot) − d(child pivot, parent pivot)| − radius`). Once the heap is full,
-//! a child whose parent bound reaches `bsf · shrink` is skipped before its
-//! own, dearer bound: it is never bounded, counted or pushed.
-//!
 //! Every leaf scan filters before it reads, as in Hercules and MESSI: each
 //! entry is first bounded from the per-series summary the leaf already
 //! stores (EAPCA, SAX word, SFA word, PAA point, or the M-tree's distance
@@ -157,15 +151,6 @@ pub trait BestFirstTree {
     /// node `id`.
     fn bound(&self, id: usize, probe: &Self::Probe<'_>) -> f64;
 
-    /// A lower bound on the distance from the query to anything below
-    /// `child`, from what bounding its `parent` already computed, or `−∞`
-    /// (the default) where the tree has none. Once the heap is full a child
-    /// whose parent bound reaches `bsf · shrink` is skipped before
-    /// [`BestFirstTree::bound`]: never bounded, counted or pushed.
-    fn parent_bound(&self, _parent: usize, _child: usize, _probe: &Self::Probe<'_>) -> f64 {
-        f64::NEG_INFINITY
-    }
-
     /// The lower bound on the distance from the query to every entry of
     /// leaf `id`, in scan order, computed from the per-series summary the
     /// leaf already stores.
@@ -267,9 +252,6 @@ pub fn search<T: BestFirstTree>(
                 Node::Internal(children) => {
                     r.stats.record_internal_visit();
                     for child in children {
-                        if r.heap.is_full() && tree.parent_bound(node, child, &probe) >= r.limit() {
-                            continue;
-                        }
                         let bound = tree.bound(child, &probe);
                         r.stats.record_lower_bounds(1);
                         if !r.heap.is_full() || bound < r.limit() {
@@ -371,9 +353,6 @@ mod tests {
         store: DatasetStore,
         nodes: Vec<Kind>,
         bounds: Vec<f64>,
-        /// Child `i`'s bound from its parent, `−∞` (the default hook's)
-        /// unless a test sets it.
-        parent_bounds: Vec<f64>,
         entry_bounds: Vec<f64>,
         seed: Seed,
         /// Every node id `node()` was asked for, in call order.
@@ -408,9 +387,6 @@ mod tests {
         fn bound(&self, id: usize, _: &()) -> f64 {
             self.bounds[id]
         }
-        fn parent_bound(&self, _: usize, child: usize, _: &()) -> f64 {
-            self.parent_bounds[child]
-        }
         fn entry_bounds(&self, id: usize, _: &()) -> Vec<f64> {
             match &self.nodes[id] {
                 Kind::Leaf(ids) => ids.iter().map(|&i| self.entry_bounds[i as usize]).collect(),
@@ -431,7 +407,6 @@ mod tests {
         let store = DatasetStore::new(Dataset::from_flat(flat, LEN));
         Toy {
             entry_bounds: vec![0.0; store.len()],
-            parent_bounds: vec![f64::NEG_INFINITY; nodes.len()],
             store,
             nodes,
             bounds,
@@ -543,51 +518,6 @@ mod tests {
             stats.work_counters(),
             [5, 12, 3, 1, 3, 0, 3, 3 * leaf_bytes]
         );
-    }
-
-    #[test]
-    fn a_parent_bound_at_the_limit_skips_the_child_unbounded_and_one_below_changes_nothing() {
-        // Leaf 4 (levels 1, 2) seeds the best-so-far at √8 before the root's
-        // children are bounded, so the heap is full when each parent bound is
-        // read.
-        let seed = Seed {
-            leaf: Some(4),
-            skip: Some(4),
-        };
-        let run = |tree: &Toy, query: &Query| {
-            let mut stats = QueryStats::default();
-            let answers = search(tree, query, &mut stats).unwrap();
-            (answers, stats.work_counters())
-        };
-        let bsf = (LEN as f64).sqrt();
-        for (query, limit) in [
-            (constant_query(0.0, 1), bsf),
-            (
-                constant_query(0.0, 1).with_mode(AnswerMode::EpsilonApproximate { epsilon: 1.0 }),
-                bsf / 2.0,
-            ),
-        ] {
-            let plain = flat_toy(seed);
-            let expected = run(&plain, &query);
-            assert!(plain.looked_up.borrow().contains(&3));
-            let mut below = flat_toy(seed);
-            below.parent_bounds = vec![limit * 0.99; 5];
-            assert_eq!(run(&below, &query), expected);
-            // Leaf 3's parent bound reaches `bsf · shrink`: it is skipped
-            // exactly as if its own bound had pruned it, less that bound.
-            let mut skipped = flat_toy(seed);
-            skipped.parent_bounds[3] = limit;
-            let mut pruned = flat_toy(seed);
-            pruned.bounds[3] = limit;
-            let (answers, counters) = run(&skipped, &query);
-            let (pruned_answers, mut pruned_counters) = run(&pruned, &query);
-            assert!(!skipped.looked_up.borrow().contains(&3));
-            assert!(!pruned.looked_up.borrow().contains(&3));
-            assert_eq!(answers, expected.0);
-            assert_eq!(pruned_answers, expected.0);
-            pruned_counters[1] -= 1;
-            assert_eq!(counters, pruned_counters);
-        }
     }
 
     #[test]

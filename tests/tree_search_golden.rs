@@ -28,7 +28,8 @@
 //! granularity: every exact answer kept its ids and distance bits; the ε,
 //! δ-ε and budgeted answers, which the visiting order decides, moved within
 //! their guarantees, and so did the counters. The M-tree's were re-recorded
-//! when its private search loop folded into `best_first`: every exact and ng
+//! when its private search loop (and its parent-pivot pre-filter, which
+//! saved no raw read, leaf or page here) folded into `best_first`: every exact and ng
 //! line kept its guarantee and answer bits, and no leaf, internal-visit,
 //! page or byte count rose; lower bounds rose, as entry bounds started being
 //! counted; raw reads rose only on q09 and q10, where the k matches sit at
