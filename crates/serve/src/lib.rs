@@ -15,9 +15,10 @@
 //!   partition-decomposable, so the merged answer is bit-identical to a
 //!   single unsharded engine; the serial [`scatter_gather`] reference defines
 //!   the contract the async pipeline is tested against for every mode.
-//! * [`cache`] — a deterministic (BTreeMap + FIFO eviction) answer cache
+//! * [`cache`] — a deterministic (BTreeMap + SIEVE eviction) answer cache
 //!   keyed on (dataset fingerprint, canonical query hash, mode), with
-//!   hit/miss/eviction counters.
+//!   hit/miss/eviction counters. SIEVE keeps an entry that was hit since
+//!   the hand last passed it, so a hot query is not evicted on schedule.
 //! * [`service`] — [`QueryService`]: admission control that sheds overload
 //!   synchronously with typed [`Error::Overloaded`](hydra_core::Error)
 //!   errors, deadline-to-[`Budget`](hydra_core::Budget) mapping so late

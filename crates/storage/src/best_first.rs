@@ -14,12 +14,12 @@
 //! stores (EAPCA, SAX word, SFA word, PAA point, or the M-tree's distance
 //! to the leaf's pivot; counted as a lower bound), and an entry whose bound
 //! — less the `ENTRY_SLACK` that covers the `f32` rounding of those
-//! summaries — reaches `bsf · shrink` is never refined and never counted as
-//! raw. A leaf whose every entry is bounded out is not read at all: no
-//! page, no leaf visit, no fault checkpoint. The scan takes two passes over
-//! a leaf: the first bounds the entries and prefetches each one it keeps
-//! (`DatasetStore::prefetch`, uncounted), so the second, which refines
-//! them, does not wait on DRAM for every scattered id.
+//! summaries, and never below 0 — reaches `bsf · shrink` is never refined
+//! and never counted as raw. A leaf whose every entry is bounded out is not
+//! read at all: no page, no leaf visit, no fault checkpoint. The scan takes
+//! two passes over a leaf: the first bounds the entries and prefetches each
+//! one it keeps (`DatasetStore::prefetch`, uncounted), so the second, which
+//! refines them, does not wait on DRAM for every scattered id.
 //!
 //! For DSTree and iSAX2+ both bound hooks are table lookups, like the
 //! `hydra_transforms::sweep` of ADS+ and the VA+file. The tree's
@@ -192,10 +192,13 @@ impl EntryFilter {
         }
     }
 
-    /// `bound` lowered by the slack: a floor on the exact distance (NaN for
-    /// an infinite bound, which is never pruned on).
+    /// `bound` lowered by the slack, and clamped at 0 as every distance is:
+    /// a floor on the exact distance. Without the clamp, a full heap whose
+    /// threshold is 0 (k exact matches) would still refine every entry
+    /// bounded at 0, though none of them can enter it. (An infinite bound's
+    /// NaN difference clamps to 0 too, which prunes only under a limit of 0.)
     pub(crate) fn floor(self, bound: f64) -> f64 {
-        bound - ENTRY_SLACK * bound - self.absolute
+        (bound - ENTRY_SLACK * bound - self.absolute).max(0.0)
     }
 
     /// Whether an entry whose lower bound is `bound` provably cannot come
@@ -560,6 +563,50 @@ mod tests {
         let got: Vec<u64> = answers.iter().map(|a| a.distance.to_bits()).collect();
         assert_eq!(got, truth);
         assert_eq!(ids(&answers), vec![23, 22, 21, 20, 19]);
+    }
+
+    #[test]
+    fn a_full_heap_at_distance_zero_refines_no_entry_bounded_at_zero() {
+        // Four copies of the query: the first one refined fills the heap at
+        // threshold 0. The others, bounded at 0, are bounded out, and so is
+        // the second leaf (`bound ≥ bsf`).
+        let tree = toy(
+            &[3.0; 4],
+            vec![
+                Kind::Internal(vec![1, 2]),
+                Kind::Leaf(vec![0, 1]),
+                Kind::Leaf(vec![2, 3]),
+            ],
+            vec![0.0; 3],
+            Seed::default(),
+        );
+        let mut stats = QueryStats::default();
+        let answers = search(&tree, &constant_query(3.0, 1), &mut stats).unwrap();
+        assert_eq!(ids(&answers), vec![0]);
+        assert_eq!(answers.guarantee(), Guarantee::Exact);
+        assert_eq!(stats.raw_series_examined, 1);
+        assert_eq!(stats.leaves_visited, 1);
+    }
+
+    #[test]
+    fn a_zero_shrink_still_fills_the_heap_before_it_bounds_out() {
+        // δ = the least subnormal over 1 + ε = 2 underflows to a shrink of
+        // 0, so every bound reaches the limit `bsf · 0` once the heap is
+        // full. An under-full heap's threshold is +∞, and +∞ · 0 is NaN,
+        // which no floor reaches: the first k entries are still refined.
+        let mode = AnswerMode::DeltaEpsilon {
+            delta: f64::from_bits(1),
+            epsilon: 1.0,
+        };
+        assert_eq!(mode.prune_shrink(), 0.0);
+        let tree = flat_toy(Seed::default());
+        for k in [1, 2, 3] {
+            let query = constant_query(0.5, k).with_mode(mode);
+            let mut stats = QueryStats::default();
+            let answers = search(&tree, &query, &mut stats).unwrap();
+            assert_eq!(answers.len(), k, "k = {k}");
+            assert_eq!(stats.raw_series_examined, k as u64, "k = {k}");
+        }
     }
 
     #[test]

@@ -36,7 +36,13 @@
 //! distance 0 and the entry slack refines bounds of exactly 0 (exact 72 →
 //! 83 and 337 → 372, ng q09 5 → 16); and the ε and δ-ε answers moved within
 //! their guarantees, as the pivot filters started pruning at `bsf · shrink`
-//! (raw totals 5 216 → 4 606 and 4 844 → 3 804). The `intra3` lines were
+//! (raw totals 5 216 → 4 606 and 4 844 → 3 804). Then the q09 lines of all
+//! five trees (the duplicated series, whose k matches all sit at distance
+//! 0) were re-recorded when the entry floor was clamped at 0, so a full
+//! heap at threshold 0 stops refining entries bounded at 0: only raw reads
+//! fell (DSTree, iSAX2+ and the SFA trie 24 → 5, the R*-tree 16 → 5, in
+//! every mode; the M-tree 83 → 72 exact, 16 → 5 ng, 80 → 69 ε and 70 → 59
+//! δ-ε), and every answer and guarantee kept its bits. The `intra3` lines were
 //! recorded while DSTree, iSAX2+, the SFA trie, UCR-Suite, ADS+ and the
 //! VA+file still split a query over threads; they now search serially at
 //! any thread count, so for all nine methods but MASS those lines equal the
