@@ -9,8 +9,8 @@
 //! cache's hit rate; a second lane sweeps a deadline ladder and asserts that
 //! deadline-bounded requests degrade to `Guarantee::Truncated` answers
 //! instead of erroring; a third, chaos lane re-runs the shard ladder with
-//! per-shard fault injection, circuit breakers and engine retries, and
-//! reports availability, degraded-answer counts and breaker activity.
+//! per-shard fault injection and engine retries, and reports availability,
+//! degraded-answer counts and the served answers' p99.
 //! Results go to stdout and to `BENCH_serve.json` so later PRs have a
 //! serving trajectory to compare against.
 //!
@@ -28,8 +28,7 @@ use hydra_bench::RunConfig;
 use hydra_core::{parallel, BuildOptions, Error, Guarantee, Query, RetryPolicy, RunClock};
 use hydra_data::{QueryWorkload, RandomWalkGenerator, WorkloadSpec};
 use hydra_serve::{
-    deadline_budget, BreakerConfig, QueryService, QuorumPolicy, RequestHandle, ResilienceConfig,
-    ServeConfig,
+    deadline_budget, QueryService, QuorumPolicy, RequestHandle, ResilienceConfig, ServeConfig,
 };
 use hydra_storage::{FaultConfig, FaultPlan};
 use std::fmt::Write as _;
@@ -93,8 +92,6 @@ struct ChaosCell {
     errors: usize,
     availability: f64,
     p99_ms: f64,
-    breaker_opens: u64,
-    breaker_denied: u64,
 }
 
 /// One closed-loop chaos cell: every request runs to completion against a
@@ -119,15 +116,12 @@ fn run_chaos_cell(service: &QueryService, queries: &[Query]) -> ChaosCell {
         }
     }
     latencies.sort_by(|a, b| a.total_cmp(b));
-    let reports = service.resilience_report();
     ChaosCell {
         full,
         partial,
         errors,
         availability: (full + partial) as f64 / CHAOS_REQUESTS as f64,
         p99_ms: percentile(&latencies, 0.99),
-        breaker_opens: reports.iter().map(|r| r.breaker_opened).sum(),
-        breaker_denied: reports.iter().map(|r| r.breaker_denied).sum(),
     }
 }
 
@@ -296,9 +290,9 @@ fn main() {
     }
 
     // Chaos lane: the same service under per-shard fault injection. Each
-    // shard draws from its own seeded fault domain; a circuit breaker and
-    // engine retries guard the scatter, and the quorum policy decides how
-    // much of the fleet must answer. `--quorum` overrides the lane's
+    // shard draws from its own seeded fault domain; engine retries guard
+    // every shard's sub-query, and the quorum policy decides how much of the
+    // fleet must answer. `--quorum` overrides the lane's
     // best-effort default, `--shard-fault-seed` the default seed (0 runs the
     // lane fault-free as a plumbing check).
     let quorum = cfg.quorum.unwrap_or(QuorumPolicy::BestEffort);
@@ -317,12 +311,11 @@ fn main() {
             cache_capacity: CACHE_CAPACITY,
             resilience: ResilienceConfig {
                 quorum,
-                breaker: Some(BreakerConfig::default()),
                 shard_faults,
                 // Standard faults clear within 2 failed attempts; a 2-attempt
                 // budget deliberately under-provisions so roughly half the
-                // faulted keys persist into the breaker/quorum path instead
-                // of every cell trivially reporting 100% availability.
+                // faulted keys persist into the quorum path instead of every
+                // cell trivially reporting 100% availability.
                 retry: Some(RetryPolicy::new(2, 4)),
             },
             ..ServeConfig::default()
@@ -338,28 +331,20 @@ fn main() {
         );
         println!(
             "shards={shards}  full {:>2}  partial {:>2}  errors {:>2}  availability {:>5.1}%  \
-             p99 {:>8.3} ms  breaker opens {:>2} denied {:>2}",
+             p99 {:>8.3} ms",
             cell.full,
             cell.partial,
             cell.errors,
             cell.availability * 100.0,
             cell.p99_ms,
-            cell.breaker_opens,
-            cell.breaker_denied,
         );
         if !chaos_rows.is_empty() {
             chaos_rows.push_str(",\n");
         }
         let _ = write!(
             chaos_rows,
-            r#"    {{"shards": {shards}, "requests": {CHAOS_REQUESTS}, "full": {}, "partial": {}, "errors": {}, "availability": {:.4}, "p99_ms": {:.4}, "breaker_opens": {}, "breaker_denied": {}}}"#,
-            cell.full,
-            cell.partial,
-            cell.errors,
-            cell.availability,
-            cell.p99_ms,
-            cell.breaker_opens,
-            cell.breaker_denied
+            r#"    {{"shards": {shards}, "requests": {CHAOS_REQUESTS}, "full": {}, "partial": {}, "errors": {}, "availability": {:.4}, "p99_ms": {:.4}}}"#,
+            cell.full, cell.partial, cell.errors, cell.availability, cell.p99_ms
         );
     }
 

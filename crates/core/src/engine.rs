@@ -22,7 +22,7 @@
 use crate::knn::{AnswerSet, Guarantee};
 use crate::method::{AnsweringMethod, IndexFootprint, MethodDescriptor};
 use crate::parallel::{self, Parallelism};
-use crate::query::{AnswerMode, Query};
+use crate::query::Query;
 use crate::stats::{IoSnapshot, QueryStats, RunClock};
 use crate::{Error, Result};
 use std::sync::Arc;
@@ -103,20 +103,6 @@ pub enum Completion {
     Truncated,
 }
 
-/// What the engine does with a query whose [`AnswerMode`] the method does not
-/// support.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FallbackPolicy {
-    /// Reject with a typed [`Error::UnsupportedMode`] (the default: an
-    /// approximate request must never silently degrade to a slower — or a
-    /// differently-guaranteed — answer).
-    #[default]
-    Strict,
-    /// Answer the query exactly instead. The returned [`EngineAnswer`] then
-    /// carries [`Guarantee::Exact`], so the substitution stays visible.
-    ExactFallback,
-}
-
 /// The result of one engine-driven query: the answers (tagged with the
 /// guarantee they satisfy) plus the reconciled measurements.
 #[derive(Clone, Debug)]
@@ -124,8 +110,7 @@ pub struct EngineAnswer {
     /// The answer set.
     pub answers: AnswerSet,
     /// The guarantee the answers actually satisfy (copied from the answer
-    /// set; [`Guarantee::Exact`] when an unsupported mode fell back to exact
-    /// search under [`FallbackPolicy::ExactFallback`]).
+    /// set).
     pub guarantee: Guarantee,
     /// Work counters for this query, with I/O reconciled against the store.
     pub stats: QueryStats,
@@ -155,7 +140,6 @@ pub struct QueryEngine {
     dataset_size: usize,
     build_time: Duration,
     build_io: IoSnapshot,
-    fallback: FallbackPolicy,
     retry: RetryPolicy,
     totals: QueryStats,
     queries_answered: u64,
@@ -172,7 +156,6 @@ impl QueryEngine {
             dataset_size,
             build_time: Duration::ZERO,
             build_io: IoSnapshot::default(),
-            fallback: FallbackPolicy::Strict,
             retry: RetryPolicy::none(),
             totals: QueryStats::default(),
             queries_answered: 0,
@@ -193,18 +176,6 @@ impl QueryEngine {
         self.build_time = build_time;
         self.build_io = build_io;
         self
-    }
-
-    /// Sets what happens when a query's [`AnswerMode`] is outside the
-    /// method's capabilities (default: [`FallbackPolicy::Strict`]).
-    pub fn with_fallback_policy(mut self, fallback: FallbackPolicy) -> Self {
-        self.fallback = fallback;
-        self
-    }
-
-    /// The configured fallback policy.
-    pub fn fallback_policy(&self) -> FallbackPolicy {
-        self.fallback
     }
 
     /// Sets how retriable I/O faults are re-attempted (default:
@@ -277,7 +248,6 @@ impl QueryEngine {
             self.method.as_ref(),
             self.io.as_deref(),
             query,
-            self.fallback,
             self.retry,
             1,
         )?;
@@ -314,7 +284,6 @@ impl QueryEngine {
             self.method.as_ref(),
             self.io.as_deref(),
             query,
-            self.fallback,
             self.retry,
             threads,
         )?;
@@ -349,7 +318,6 @@ impl QueryEngine {
         }
         let method: &dyn AnsweringMethod = self.method.as_ref();
         let io = self.io.as_deref();
-        let fallback = self.fallback;
         let retry = self.retry;
         // Like the serial loop, stop issuing work after the first failure.
         // A worker that observes the flag marks its query skipped (`None`)
@@ -360,7 +328,7 @@ impl QueryEngine {
                 if abort.load(std::sync::atomic::Ordering::Relaxed) {
                     return None;
                 }
-                let result = measure(method, io, &queries[i], fallback, retry, 1);
+                let result = measure(method, io, &queries[i], retry, 1);
                 if result.is_err() {
                     abort.store(true, std::sync::atomic::Ordering::Relaxed);
                 }
@@ -375,7 +343,7 @@ impl QueryEngine {
                 // have answered it, so repair it here on the calling thread.
                 // (Skips above the first error are unreachable: the `?` on
                 // that error returns first.)
-                None => measure(method, io, &queries[i], fallback, retry, 1)?,
+                None => measure(method, io, &queries[i], retry, 1)?,
             };
             self.totals.merge(&answered.stats);
             self.queries_answered += 1;
@@ -404,13 +372,11 @@ impl QueryEngine {
     /// order.
     ///
     /// Mode routing matches the per-query path exactly: a query whose
-    /// [`AnswerMode`] the method does not support is a typed
-    /// [`Error::UnsupportedMode`] under [`FallbackPolicy::Strict`] (queries
-    /// before it in the batch are answered and merged, like the serial
-    /// loop), or substituted with an exact query under
-    /// [`FallbackPolicy::ExactFallback`]; range queries are typed
-    /// [`Error::UnsupportedQuery`] errors. A method-level kernel error
-    /// (length mismatch, empty dataset) reruns the batch through the
+    /// [`AnswerMode`](crate::query::AnswerMode) the method does not support
+    /// is a typed [`Error::UnsupportedMode`], and a range query a typed
+    /// [`Error::UnsupportedQuery`]; the queries before the first rejected one
+    /// are answered and merged, like the serial loop. A method-level kernel
+    /// error (length mismatch, empty dataset) reruns the batch through the
     /// per-query loop, which reproduces the serial error semantics exactly.
     pub fn answer_batch(
         &mut self,
@@ -430,48 +396,19 @@ impl QueryEngine {
         if queries.iter().any(|q| q.budget().is_some()) {
             return self.answer_workload(queries, parallelism);
         }
-        // Engine-boundary routing, mirroring `measure`: substitute
-        // unsupported modes under the exact-fallback policy, and stop the
-        // batch at the first rejected query — the serial loop answers the
-        // queries before it, then surfaces its typed error. The common case
-        // (every query accepted as-is) passes the caller's slice straight
-        // through; queries are only cloned when a substitution forces an
-        // owned batch.
+        // Engine-boundary routing, mirroring `measure`: stop the batch at the
+        // first rejected query — the serial loop answers the queries before
+        // it, then surfaces its typed error.
         let descriptor = self.method.descriptor();
-        let mut substituted: Vec<Query> = Vec::new();
-        let mut accepted = 0usize;
-        let mut boundary_error = None;
-        for query in queries {
-            if let Err(e) = query.knn_k(descriptor.name) {
-                boundary_error = Some(e);
-                break;
-            }
-            if descriptor.modes.supports(query.mode()) {
-                if !substituted.is_empty() {
-                    substituted.push(query.clone());
-                }
-            } else {
-                match self.fallback {
-                    FallbackPolicy::Strict => {
-                        boundary_error =
-                            Some(Error::unsupported_mode(descriptor.name, query.mode()));
-                        break;
-                    }
-                    FallbackPolicy::ExactFallback => {
-                        if substituted.is_empty() {
-                            substituted.extend(queries[..accepted].iter().cloned());
-                        }
-                        substituted.push(query.clone().with_mode(AnswerMode::Exact));
-                    }
-                }
-            }
-            accepted += 1;
-        }
-        let routed: &[Query] = if substituted.is_empty() {
-            &queries[..accepted]
-        } else {
-            &substituted
-        };
+        let rejection = queries.iter().enumerate().find_map(|(i, query)| {
+            let error = match query.knn_k(descriptor.name) {
+                Err(e) => e,
+                Ok(_) if descriptor.modes.supports(query.mode()) => return None,
+                Ok(_) => Error::unsupported_mode(descriptor.name, query.mode()),
+            };
+            Some((i, error))
+        });
+        let routed = &queries[..rejection.as_ref().map_or(queries.len(), |(i, _)| *i)];
         match self.run_batch_kernel(kernel, routed, parallelism) {
             Ok((answers, physical_io)) => {
                 for answered in &answers {
@@ -483,9 +420,9 @@ impl QueryEngine {
                 if !routed.is_empty() {
                     self.last_batch_io = Some(physical_io);
                 }
-                match boundary_error {
+                match rejection {
                     None => Ok(answers),
-                    Some(e) => Err(e),
+                    Some((_, e)) => Err(e),
                 }
             }
             // A method-level error (length mismatch, empty dataset): the
@@ -549,7 +486,7 @@ impl QueryEngine {
 /// The engine itself owns mutable running aggregates (totals, query counts),
 /// so sharing one across concurrent requests would serialize them behind a
 /// lock. A handle drops the aggregates and keeps only the immutable parts —
-/// the built method behind an `Arc`, the I/O source, the policies — so
+/// the built method behind an `Arc`, the I/O source, the retry policy — so
 /// cloning is two reference-count bumps and [`EngineHandle::answer`] takes
 /// `&self`. Per-query measurement goes through the *same* [`measure`]
 /// path as [`QueryEngine::answer`], so a handle's answers, guarantees and
@@ -560,7 +497,6 @@ pub struct EngineHandle {
     method: Arc<dyn AnsweringMethod>,
     io: Option<Arc<dyn IoSource>>,
     dataset_size: usize,
-    fallback: FallbackPolicy,
     retry: RetryPolicy,
 }
 
@@ -573,7 +509,6 @@ impl EngineHandle {
             self.method.as_ref(),
             self.io.as_deref(),
             query,
-            self.fallback,
             self.retry,
             1,
         )
@@ -602,13 +537,12 @@ impl std::fmt::Debug for EngineHandle {
 impl QueryEngine {
     /// Converts the engine into a cheaply cloneable [`EngineHandle`],
     /// discarding the running aggregates (totals, query counts, batch I/O)
-    /// and keeping the built method, I/O source and policies.
+    /// and keeping the built method, I/O source and retry policy.
     pub fn into_handle(self) -> EngineHandle {
         EngineHandle {
             method: Arc::from(self.method),
             io: self.io,
             dataset_size: self.dataset_size,
-            fallback: self.fallback,
             retry: self.retry,
         }
     }
@@ -685,7 +619,6 @@ fn measure(
     method: &dyn AnsweringMethod,
     io: Option<&dyn IoSource>,
     query: &Query,
-    fallback: FallbackPolicy,
     retry: RetryPolicy,
     threads: usize,
 ) -> Result<EngineAnswer> {
@@ -693,22 +626,11 @@ fn measure(
     // Range queries are a typed error at the engine boundary: no method in
     // the suite answers them (previously they silently became 1-NN queries).
     query.knn_k(descriptor.name)?;
-    // An unsupported mode is a typed error too, unless the caller explicitly
-    // opted into the exact fallback.
-    let exact_substitute;
-    let query = if descriptor.modes.supports(query.mode()) {
-        query
-    } else {
-        match fallback {
-            FallbackPolicy::Strict => {
-                return Err(Error::unsupported_mode(descriptor.name, query.mode()))
-            }
-            FallbackPolicy::ExactFallback => {
-                exact_substitute = query.clone().with_mode(AnswerMode::Exact);
-                &exact_substitute
-            }
-        }
-    };
+    // An unsupported mode is a typed error too: an approximate request never
+    // silently becomes a slower or differently-guaranteed answer.
+    if !descriptor.modes.supports(query.mode()) {
+        return Err(Error::unsupported_mode(descriptor.name, query.mode()));
+    }
     let mut attempt: u32 = 1;
     let mut backoff_penalty: u64 = 0;
     loop {
@@ -779,6 +701,7 @@ mod tests {
     use super::*;
     use crate::knn::KnnHeap;
     use crate::method::MethodDescriptor;
+    use crate::query::AnswerMode;
     use crate::series::{Dataset, Series};
 
     /// A brute-force method that examines every series.
@@ -1200,12 +1123,6 @@ mod tests {
         assert_eq!(e.queries_answered(), 0);
         assert_eq!(e.last_batch_io(), None, "no kernel work ran");
 
-        // ExactFallback: the whole batch runs, substitutions visibly exact.
-        let mut e = batch_engine().with_fallback_policy(FallbackPolicy::ExactFallback);
-        let answers = e.answer_batch(&queries, Parallelism::Serial).unwrap();
-        assert_eq!(answers.len(), queries.len());
-        assert_eq!(answers[2].guarantee, Guarantee::Exact);
-
         // Range queries are typed errors after the prefix, like the serial
         // loop.
         let mut e = batch_engine();
@@ -1265,18 +1182,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_fallback_answers_exactly_and_says_so() {
-        let mut e = engine().with_fallback_policy(FallbackPolicy::ExactFallback);
-        assert_eq!(e.fallback_policy(), FallbackPolicy::ExactFallback);
-        let q = Query::nearest_neighbor(Series::new(vec![0.9, 0.9]))
-            .with_mode(AnswerMode::EpsilonApproximate { epsilon: 0.5 });
-        let a = e.answer(&q).unwrap();
-        assert_eq!(a.guarantee, Guarantee::Exact, "the substitution is visible");
-        assert_eq!(a.answers.nearest().unwrap().id, 1);
-        assert_eq!(a.stats.raw_series_examined, 4, "fell back to a full scan");
-    }
-
-    #[test]
     fn range_queries_are_typed_errors_at_the_engine_boundary() {
         let mut e = engine();
         let q = Query::range(Series::new(vec![0.9, 0.9]), 2.0);
@@ -1322,7 +1227,7 @@ mod tests {
             }
         }
         // The handle keeps the engine's mode routing: unsupported modes stay
-        // typed errors under the default strict policy.
+        // typed errors.
         let q = Query::nearest_neighbor(Series::new(vec![0.9, 0.9]))
             .with_mode(AnswerMode::NgApproximate);
         assert!(matches!(

@@ -53,8 +53,8 @@ pub enum Error {
     /// index: different method, dataset fingerprint, or build options.
     StaleSnapshot(String),
     /// The method cannot answer queries in the requested
-    /// [`crate::query::AnswerMode`] (and no exact fallback was requested via
-    /// [`crate::engine::FallbackPolicy`]).
+    /// [`crate::query::AnswerMode`]; the engine never substitutes another
+    /// mode.
     UnsupportedMode {
         /// The method that rejected the query.
         method: &'static str,
@@ -75,14 +75,6 @@ pub enum Error {
     Overloaded {
         /// The admission-queue capacity that was exceeded.
         capacity: usize,
-    },
-    /// A shard's circuit breaker is open: the shard failed repeatedly and its
-    /// sub-query was rejected without being attempted. Like
-    /// [`Error::Overloaded`], nothing was partially executed and a later
-    /// retry may succeed (the breaker half-opens after its priced cooldown).
-    CircuitOpen {
-        /// The shard whose breaker rejected the sub-query.
-        shard: usize,
     },
 }
 
@@ -127,10 +119,9 @@ impl Error {
     /// * transient I/O faults ([`Error::Io`] with `retriable: true` — the
     ///   classification the storage layer stamps on interrupted reads and
     ///   detected bit-flips) clear after a bounded number of attempts;
-    /// * [`Error::Overloaded`] and [`Error::CircuitOpen`] rejected the
-    ///   request *before* any work happened, so resubmitting after backoff
-    ///   is always safe and eventually succeeds once pressure drains or the
-    ///   breaker half-opens;
+    /// * [`Error::Overloaded`] rejected the request *before* any work
+    ///   happened, so resubmitting after backoff is always safe and
+    ///   eventually succeeds once pressure drains;
     /// * everything else — structural I/O faults, [`Error::UnsupportedMode`],
     ///   [`Error::InvalidSnapshot`], corrupt indexes, invalid parameters — is
     ///   deterministic: retrying reproduces the same failure.
@@ -142,7 +133,6 @@ impl Error {
                 retriable: true,
                 ..
             } | Error::Overloaded { .. }
-                | Error::CircuitOpen { .. }
         )
     }
 
@@ -201,9 +191,6 @@ impl fmt::Display for Error {
                     f,
                     "service overloaded: admission queue at capacity ({capacity} in flight)"
                 )
-            }
-            Error::CircuitOpen { shard } => {
-                write!(f, "shard {shard} rejected: circuit breaker is open")
             }
         }
     }
@@ -270,17 +257,12 @@ mod tests {
         let e = Error::Overloaded { capacity: 64 };
         assert!(e.to_string().contains("overloaded"));
         assert!(e.to_string().contains("64"));
-
-        let e = Error::CircuitOpen { shard: 3 };
-        assert!(e.to_string().contains("shard 3"));
-        assert!(e.to_string().contains("circuit breaker"));
     }
 
     #[test]
     fn retriability_classification_is_unified() {
-        // Pre-execution rejections: nothing ran, a backed-off retry is safe.
+        // A pre-execution rejection: nothing ran, a backed-off retry is safe.
         assert!(Error::Overloaded { capacity: 8 }.is_retriable());
-        assert!(Error::CircuitOpen { shard: 0 }.is_retriable());
         // Transient I/O clears within its planned attempts.
         assert!(Error::retriable_io(std::io::Error::other("hiccup")).is_retriable());
         // Deterministic failures reproduce on retry: never retriable.

@@ -64,9 +64,7 @@ pub use distance::{
     euclidean, euclidean_early_abandon, euclidean_reordered, squared_euclidean,
     squared_euclidean_early_abandon, QueryOrder,
 };
-pub use engine::{
-    Completion, EngineAnswer, EngineHandle, FallbackPolicy, IoSource, QueryEngine, RetryPolicy,
-};
+pub use engine::{Completion, EngineAnswer, EngineHandle, IoSource, QueryEngine, RetryPolicy};
 pub use error::{Error, Result};
 pub use hash::Fnv1a;
 pub use knn::{Answer, AnswerSet, BaseGuarantee, Guarantee, KnnHeap};

@@ -4,7 +4,7 @@
 //! engines: the front-end that turns the suite's single-process library
 //! calls into a request-serving system.
 //!
-//! The crate stacks four small layers:
+//! The crate stacks five small layers:
 //!
 //! * [`executor`] — a vendored-minimal async executor with a deterministic
 //!   FIFO task queue (the registry is offline, so no tokio), driven on the
@@ -26,14 +26,15 @@
 //!   instead of timing out, and the request pipeline gluing cache, scatter
 //!   and gather onto the executor; the scatter runs a request's shards in
 //!   parallel on min(shards, CPUs) threads, the caller among them.
-//! * [`breaker`] + [`resilience`] — partial-failure handling: each shard is
-//!   an independent seeded fault domain
-//!   ([`FaultPlan::for_shard`](hydra_storage::FaultPlan::for_shard)) guarded
-//!   by a deterministic circuit breaker whose clock is simulated cost units
-//!   (never wall time), and [`QuorumPolicy`]-governed degraded merges tagged
-//!   [`Guarantee::Partial`](hydra_core::Guarantee) — same seed ⇒ same
-//!   answers, same breaker traces. The default [`ResilienceConfig`] is
-//!   bit-identical to the strict pre-resilience service.
+//! * [`resilience`] — partial-failure handling: each shard is an
+//!   independent seeded fault domain
+//!   ([`FaultPlan::for_shard`](hydra_storage::FaultPlan::for_shard)) whose
+//!   faults are keyed by read and retry attempt, so every shard is asked on
+//!   every miss; [`QuorumPolicy`]-governed degraded merges are tagged
+//!   [`Guarantee::Partial`](hydra_core::Guarantee), and each shard counts its
+//!   successes and failures — same seed ⇒ same answers, same counters. The
+//!   default [`ResilienceConfig`] is bit-identical to the strict
+//!   pre-resilience service.
 //!
 //! The service is method-agnostic: shard engines are built through a caller
 //! closure (see [`QueryService::build`]), so any of the suite's ten methods —
@@ -47,14 +48,12 @@
 // lib-unwrap (README "Contract lints"): library code returns typed errors.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-pub mod breaker;
 pub mod cache;
 pub mod executor;
 pub mod resilience;
 pub mod service;
 pub mod shard;
 
-pub use breaker::{BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker};
 pub use cache::{AnswerCache, CacheKey, CacheStats, CachedAnswer};
 pub use executor::{yield_now, Executor, JoinHandle};
 pub use resilience::{QuorumPolicy, ResilienceConfig, ShardHealthReport};

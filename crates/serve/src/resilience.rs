@@ -1,16 +1,18 @@
 //! Resilience policy for the sharded service: quorum rules for degraded
-//! partial answers and per-shard health tracking.
+//! partial answers and per-shard outcome counters.
 //!
-//! Everything here follows the suite's determinism discipline: "time" is
-//! simulated cost units priced by the storage [`CostModel`]
-//! (hydra_storage::CostModel), never wall clock, and every decision — admit
-//! or reject, serve partial or fail — is a pure function of the
-//! deterministic event sequence. Same seed ⇒ same degraded answers, same
-//! breaker traces.
+//! Every shard is called for every request that misses the cache. A shard's
+//! faults come from its own seeded [`FaultPlan`] stream, keyed by the read
+//! and the retry attempt, and retry backoff is charged in counted pages, not
+//! waited out; so a shard that fails a query fails it the same way whenever
+//! it is asked, and skipping a shard could only turn an answerable
+//! sub-query into an error. The one decision taken here — serve a partial
+//! merge or fail — is a pure function of the shards' outcomes: same seed ⇒
+//! same degraded answers, same counters.
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use hydra_core::{Error, Result, RetryPolicy};
 use hydra_storage::FaultPlan;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How many shards must answer before a scatter-gather merge is served.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,14 +72,12 @@ impl std::fmt::Display for QuorumPolicy {
 }
 
 /// The full resilience policy of a service. The default is exactly the
-/// pre-resilience service: strict quorum, no breakers, no injected faults,
-/// the engines' own retry policies.
+/// pre-resilience service: strict quorum, no injected faults, the engines'
+/// own retry policies.
 #[derive(Clone, Debug, Default)]
 pub struct ResilienceConfig {
     /// How many shards must answer before a merge is served.
     pub quorum: QuorumPolicy,
-    /// Per-shard circuit breakers; `None` disables breaking.
-    pub breaker: Option<BreakerConfig>,
     /// The fault plan shards derive their independent fault streams from
     /// (via [`FaultPlan::for_shard`]); disabled by default.
     pub shard_faults: FaultPlan,
@@ -86,92 +86,41 @@ pub struct ResilienceConfig {
     pub retry: Option<RetryPolicy>,
 }
 
-/// One shard's health ledger: its breaker and its outcome counters. The
-/// service keeps one per shard behind a mutex; every field is driven only by
-/// deterministic events.
-#[derive(Clone, Debug)]
+/// One shard's outcome counters. The service keeps one per shard and bumps
+/// it as it gathers each sub-query's result.
+#[derive(Debug, Default)]
 pub(crate) struct ShardHealth {
-    /// The shard's circuit breaker, when breaking is enabled.
-    pub(crate) breaker: Option<CircuitBreaker>,
-    /// Sub-queries that answered.
-    pub(crate) successes: u64,
-    /// Sub-queries that failed after engine-level retries.
-    pub(crate) failures: u64,
-    /// Sub-queries rejected by the open breaker.
-    pub(crate) rejected: u64,
+    successes: AtomicU64,
+    failures: AtomicU64,
 }
 
 impl ShardHealth {
-    /// A fresh ledger under the given breaker policy.
-    pub(crate) fn new(breaker: Option<BreakerConfig>) -> Self {
-        Self {
-            breaker: breaker.map(CircuitBreaker::new),
-            successes: 0,
-            failures: 0,
-            rejected: 0,
-        }
+    /// Counts one sub-query: answered, or failed after engine-level retries.
+    pub(crate) fn record(&self, answered: bool) {
+        let counter = if answered {
+            &self.successes
+        } else {
+            &self.failures
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Whether the breaker admits the next sub-query (`true` when breaking
-    /// is disabled). A denial is counted against the shard.
-    pub(crate) fn admit(&mut self) -> bool {
-        match self.breaker.as_mut() {
-            None => true,
-            Some(b) => {
-                let admitted = b.admit();
-                if !admitted {
-                    self.rejected += 1;
-                }
-                admitted
-            }
-        }
-    }
-
-    /// Records a successful sub-query that cost `cost_units`, feeding the
-    /// breaker clock.
-    pub(crate) fn record_success(&mut self, cost_units: u64) {
-        self.successes += 1;
-        if let Some(b) = self.breaker.as_mut() {
-            b.record_success(cost_units);
-        }
-    }
-
-    /// Records a sub-query that failed after engine-level retries.
-    pub(crate) fn record_failure(&mut self) {
-        self.failures += 1;
-        if let Some(b) = self.breaker.as_mut() {
-            b.record_failure();
-        }
-    }
-
-    /// A copyable snapshot of the ledger for reporting.
+    /// A copyable snapshot of the counters for reporting.
     pub(crate) fn report(&self) -> ShardHealthReport {
         ShardHealthReport {
-            successes: self.successes,
-            failures: self.failures,
-            rejected: self.rejected,
-            breaker_state: self.breaker.as_ref().map(|b| b.state()),
-            breaker_opened: self.breaker.as_ref().map(|b| b.opened()).unwrap_or(0),
-            breaker_denied: self.breaker.as_ref().map(|b| b.denied()).unwrap_or(0),
+            successes: self.successes.load(Ordering::Relaxed),
+            failures: self.failures.load(Ordering::Relaxed),
         }
     }
 }
 
-/// A point-in-time snapshot of one shard's health counters.
+/// A point-in-time snapshot of one shard's outcome counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardHealthReport {
     /// Sub-queries that answered.
     pub successes: u64,
     /// Sub-queries that failed after engine-level retries.
     pub failures: u64,
-    /// Sub-queries rejected by the breaker.
-    pub rejected: u64,
-    /// Breaker state, `None` when breaking is disabled.
-    pub breaker_state: Option<BreakerState>,
-    /// Times the breaker tripped open.
-    pub breaker_opened: u64,
-    /// Admissions the breaker denied.
-    pub breaker_denied: u64,
 }
 
 #[cfg(test)]
@@ -202,41 +151,22 @@ mod tests {
     fn default_resilience_is_the_strict_pre_resilience_service() {
         let r = ResilienceConfig::default();
         assert_eq!(r.quorum, QuorumPolicy::AllShards);
-        assert!(r.breaker.is_none());
         assert!(!r.shard_faults.is_active());
         assert!(r.retry.is_none());
     }
 
     #[test]
-    fn health_ledger_feeds_the_breaker_and_counts_outcomes() {
-        let mut h = ShardHealth::new(Some(BreakerConfig {
-            failure_threshold: 2,
-            open_duration: 50,
-            failure_charge: 10,
-            denied_charge: 25,
-        }));
-        assert!(h.admit());
-        h.record_success(5);
-        assert!(h.admit());
-        h.record_failure();
-        assert!(h.admit());
-        h.record_failure();
-        assert!(!h.admit(), "two consecutive failures trip the breaker");
-        let report = h.report();
-        assert_eq!(report.successes, 1);
-        assert_eq!(report.failures, 2);
-        assert_eq!(report.rejected, 1);
-        assert_eq!(report.breaker_opened, 1);
-        assert_eq!(report.breaker_state, Some(BreakerState::Open));
-    }
-
-    #[test]
-    fn breakerless_health_always_admits() {
-        let mut h = ShardHealth::new(None);
-        for _ in 0..10 {
-            h.record_failure();
-        }
-        assert!(h.admit());
-        assert_eq!(h.report().breaker_state, None);
+    fn health_ledger_counts_outcomes() {
+        let h = ShardHealth::default();
+        h.record(true);
+        h.record(false);
+        h.record(false);
+        assert_eq!(
+            h.report(),
+            ShardHealthReport {
+                successes: 1,
+                failures: 2,
+            }
+        );
     }
 }

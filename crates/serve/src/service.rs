@@ -13,11 +13,13 @@
 //! answer tagged [`Guarantee::Truncated`](hydra_core::Guarantee) instead of
 //! timing out. The request future then consults the **answer cache** (keyed
 //! on dataset fingerprint × canonical query hash × mode) and on a miss runs
-//! the admitted shards in parallel on min(shards, CPUs) threads (the caller
-//! plus scoped helpers, all claiming shards from one counter), gathers in
-//! shard order, and merges via [`merge_shard_answers`] — the exact
-//! per-shard calls and merge of the serial [`scatter_gather`] reference, so
-//! the pipeline's answers are bit-identical to it whatever the thread count.
+//! every shard in parallel on min(shards, CPUs) threads (the caller plus
+//! scoped helpers, all claiming shards from one counter), gathers in shard
+//! order, and merges under the [`QuorumPolicy`](crate::QuorumPolicy) via
+//! [`merge_quorum`] — with every shard answering, the exact per-shard calls
+//! and [`merge_shard_answers`](crate::merge_shard_answers) merge of the
+//! serial [`scatter_gather`] reference, so the pipeline's answers are
+//! bit-identical to it whatever the thread count.
 
 use crate::cache::{AnswerCache, CacheKey, CacheStats, CachedAnswer};
 use crate::executor::Executor;
@@ -49,9 +51,9 @@ pub struct ServeConfig {
     pub deadline_ms: Option<u64>,
     /// The storage cost model the deadline mapping prices reads with.
     pub cost_model: CostModel,
-    /// Partial-failure policy: quorum, per-shard circuit breakers, the
-    /// retry override and the shard fault plan. The default is the strict
-    /// pre-resilience behaviour (all shards must answer, nothing injected).
+    /// Partial-failure policy: quorum, the retry override and the shard
+    /// fault plan. The default is the strict pre-resilience behaviour (all
+    /// shards must answer, nothing injected).
     pub resilience: ResilienceConfig,
 }
 
@@ -127,9 +129,8 @@ impl RequestHandle {
 /// The shared service state request futures run against.
 struct ServiceInner {
     shards: Vec<ShardEngine>,
-    /// One health ledger (breaker + counters) per shard, indexed like
-    /// `shards`.
-    health: Vec<Mutex<ShardHealth>>,
+    /// One outcome ledger per shard, indexed like `shards`.
+    health: Vec<ShardHealth>,
     executor: Executor,
     cache: Mutex<AnswerCache>,
     config: ServeConfig,
@@ -193,7 +194,7 @@ impl QueryService {
                 range: part.range,
                 handle: engine.into_handle(),
             });
-            health.push(Mutex::new(ShardHealth::new(config.resilience.breaker)));
+            health.push(ShardHealth::default());
         }
         Ok(QueryService {
             inner: Arc::new(ServiceInner {
@@ -322,31 +323,9 @@ impl QueryService {
         self.inner.cache.lock().stats()
     }
 
-    /// Per-shard health snapshots (breaker state/trips, successes,
-    /// failures, rejections), in shard order.
+    /// Per-shard outcome counters (successes, failures), in shard order.
     pub fn resilience_report(&self) -> Vec<ShardHealthReport> {
-        self.inner
-            .health
-            .iter()
-            .map(|h| h.lock().report())
-            .collect()
-    }
-
-    /// Per-shard breaker state-transition traces, in shard order (empty
-    /// traces when breaking is disabled). Part of the chaos determinism
-    /// contract: same seed ⇒ identical traces.
-    pub fn breaker_traces(&self) -> Vec<Vec<crate::breaker::BreakerEvent>> {
-        self.inner
-            .health
-            .iter()
-            .map(|h| {
-                h.lock()
-                    .breaker
-                    .as_ref()
-                    .map(|b| b.trace().to_vec())
-                    .unwrap_or_default()
-            })
-            .collect()
+        self.inner.health.iter().map(ShardHealth::report).collect()
     }
 
     /// Requests currently in flight (admitted, not yet completed).
@@ -400,8 +379,8 @@ fn attainable_guarantee(query: &Query) -> Guarantee {
     }
 }
 
-/// One request: strength-gated cache lookup, then a breaker-gated parallel
-/// scatter, a quorum-checked gather, and on total failure a
+/// One request: strength-gated cache lookup, then a parallel scatter to every
+/// shard, a quorum-checked gather, and on total failure a
 /// stale-but-honestly-tagged cache fallback.
 fn process_request(inner: &ServiceInner, query: &Query) -> Result<ServeAnswer> {
     let key = cache_key(inner, query);
@@ -416,40 +395,24 @@ fn process_request(inner: &ServiceInner, query: &Query) -> Result<ServeAnswer> {
             from_cache: true,
         });
     }
-    // Admission, serially in shard order: each shard's breaker rules first;
-    // a denied shard contributes a typed CircuitOpen outcome without any
-    // engine work.
-    let admitted: Vec<bool> = inner.health.iter().map(|h| h.lock().admit()).collect();
-    // Scatter: the admitted shards run in parallel, one engine call each;
-    // shards share no mutable state.
-    let results = parallel::map_indexed(admitted.len(), inner.scatter_threads, |i| {
-        admitted[i].then(|| inner.shards[i].answer(query))
+    // Scatter: every shard runs in parallel, one engine call each; shards
+    // share no mutable state.
+    let results = parallel::map_indexed(inner.shards.len(), inner.scatter_threads, |i| {
+        inner.shards[i].answer(query)
     });
     // Gather in shard order: the merge input order — and therefore the merge
     // itself — is deterministic regardless of completion order, and shard
     // errors surface in shard order exactly like the serial reference.
-    let mut parts = Vec::with_capacity(results.len());
-    for (i, (shard, result)) in inner.shards.iter().zip(results).enumerate() {
-        let outcome = match result {
-            None => Err(Error::CircuitOpen { shard: i }),
-            Some(outcome) => {
-                let mut health = inner.health[i].lock();
-                match &outcome {
-                    Ok(answer) => {
-                        let cost = inner
-                            .config
-                            .cost_model
-                            .io_time(&answer.stats.io_snapshot())
-                            .as_micros() as u64;
-                        health.record_success(cost);
-                    }
-                    Err(_) => health.record_failure(),
-                }
-                outcome
-            }
-        };
-        parts.push((shard.range.clone(), outcome));
-    }
+    let parts: Vec<_> = inner
+        .shards
+        .iter()
+        .zip(&inner.health)
+        .zip(results)
+        .map(|((shard, health), outcome)| {
+            health.record(outcome.is_ok());
+            (shard.range.clone(), outcome)
+        })
+        .collect();
     let k = query.k().unwrap_or(1);
     let shards_total = parts.len() as u32;
     match merge_quorum(k, inner.total_size, parts, inner.config.resilience.quorum) {
@@ -517,7 +480,6 @@ pub fn deadline_budget(deadline_ms: u64, series_bytes: u64, model: &CostModel) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::{BreakerConfig, BreakerState};
     use crate::resilience::QuorumPolicy;
     use hydra_core::{AnsweringMethod, KnnHeap, MethodDescriptor, Series};
     use std::sync::atomic::AtomicU64;
@@ -795,19 +757,18 @@ mod tests {
     const NEVER: u64 = u64::MAX;
 
     /// Everything one run of [`four_shard_script`] exposes, wall times aside:
-    /// per-request outcomes, breaker traces, health reports and each shard's
-    /// engine call count.
+    /// per-request outcomes, health reports and each shard's engine call
+    /// count.
     type ScriptRun = (
         Vec<std::result::Result<(AnswerSet, Guarantee, QueryStats, u32), String>>,
-        Vec<Vec<crate::breaker::BreakerEvent>>,
         Vec<ShardHealthReport>,
         Vec<u64>,
     );
 
-    /// Sixteen requests against four shards with a breaker and a best-effort
-    /// quorum: shard 0 is healthy, shards 1 and 3 fail on listed calls, shard
-    /// 2 fails for good from its fourth call (index 3 up to the last of the
-    /// sixteen calls it can see) and trips its breaker.
+    /// Sixteen requests against four shards with a best-effort quorum: shard
+    /// 0 is healthy, shards 1 and 3 fail on listed calls, shard 2 fails for
+    /// good from its fourth call (index 3 up to the last of the sixteen
+    /// calls it sees).
     fn four_shard_script() -> ScriptRun {
         let calls: Vec<Arc<AtomicU64>> = (0..4).map(|_| Arc::default()).collect();
         let svc = QueryService::build(
@@ -817,12 +778,6 @@ mod tests {
                 cache_capacity: 0,
                 resilience: ResilienceConfig {
                     quorum: QuorumPolicy::BestEffort,
-                    breaker: Some(BreakerConfig {
-                        failure_threshold: 2,
-                        open_duration: 500,
-                        failure_charge: 100,
-                        denied_charge: 100,
-                    }),
                     ..ResilienceConfig::default()
                 },
                 ..ServeConfig::default()
@@ -846,26 +801,18 @@ mod tests {
             })
             .collect();
         let calls = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        (
-            answers,
-            svc.breaker_traces(),
-            svc.resilience_report(),
-            calls,
-        )
+        (answers, svc.resilience_report(), calls)
     }
 
     #[test]
     fn parallel_scatter_repeats_bit_identically() {
         let first = four_shard_script();
-        let (answers, _, report, calls) = &first;
+        let (answers, report, calls) = &first;
         for (i, (r, &c)) in report.iter().zip(calls).enumerate() {
-            assert_eq!(
-                c,
-                r.successes + r.failures,
-                "shard {i}: one engine call per admitted request"
-            );
+            assert_eq!(c, 16, "shard {i}: one engine call per request");
+            assert_eq!(c, r.successes + r.failures, "shard {i}: every call counted");
         }
-        assert!(report[2].breaker_opened >= 1, "shard 2's breaker tripped");
+        assert_eq!(report[2].failures, 13, "shard 2 kept being asked");
         assert!(
             answers
                 .iter()
@@ -1015,19 +962,13 @@ mod tests {
     }
 
     #[test]
-    fn breaker_trips_after_threshold_and_rejects_with_circuit_open() {
+    fn a_failing_shard_is_asked_on_every_request() {
         let svc = degraded_service(
             ServeConfig {
                 shards: 2,
                 cache_capacity: 0,
                 resilience: ResilienceConfig {
                     quorum: QuorumPolicy::BestEffort,
-                    breaker: Some(BreakerConfig {
-                        failure_threshold: 2,
-                        open_duration: 1_000_000_000,
-                        failure_charge: 1,
-                        denied_charge: 1,
-                    }),
                     ..ResilienceConfig::default()
                 },
                 ..ServeConfig::default()
@@ -1035,71 +976,37 @@ mod tests {
             &[NEVER, 0],
         );
         for i in 0..4 {
-            svc.answer(query(i as f32, 1)).unwrap();
+            let served = svc.answer(query(i as f32, 1)).unwrap();
+            assert!(matches!(
+                served.guarantee,
+                Guarantee::Partial {
+                    shards_answered: 1,
+                    shards_total: 2,
+                    ..
+                }
+            ));
         }
         let report = svc.resilience_report();
+        assert_eq!(report[0].successes, 4, "the healthy shard answered each");
         assert_eq!(
-            report[1].failures, 2,
-            "after two failures the breaker opens; later requests are denied"
+            report[1].failures, 4,
+            "the broken shard was asked each time"
         );
-        assert_eq!(report[1].rejected, 2);
-        assert_eq!(report[1].breaker_state, Some(BreakerState::Open));
-        assert_eq!(report[1].breaker_opened, 1);
-        assert_eq!(report[0].breaker_state, Some(BreakerState::Closed));
-        assert_eq!(report[0].successes, 4, "the healthy shard is untouched");
-        // The broken shard's denials are typed: under AllShards they would
-        // surface as CircuitOpen.
+        // Under AllShards the broken shard's own typed error surfaces.
         let strict = degraded_service(
             ServeConfig {
                 shards: 2,
                 cache_capacity: 0,
-                resilience: ResilienceConfig {
-                    breaker: Some(BreakerConfig {
-                        failure_threshold: 1,
-                        open_duration: 1_000_000_000,
-                        failure_charge: 1,
-                        denied_charge: 1,
-                    }),
-                    ..ResilienceConfig::default()
-                },
                 ..ServeConfig::default()
             },
             &[NEVER, 0],
         );
-        assert!(strict.answer(query(0.0, 1)).is_err());
-        match strict.answer(query(1.0, 1)) {
-            Err(Error::CircuitOpen { shard: 1 }) => {}
-            other => panic!("expected CircuitOpen for shard 1, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn breaker_traces_are_deterministic_across_identical_runs() {
-        let run = || {
-            let svc = degraded_service(
-                ServeConfig {
-                    shards: 2,
-                    cache_capacity: 0,
-                    resilience: ResilienceConfig {
-                        quorum: QuorumPolicy::BestEffort,
-                        breaker: Some(BreakerConfig {
-                            failure_threshold: 2,
-                            open_duration: 500,
-                            failure_charge: 100,
-                            denied_charge: 100,
-                        }),
-                        ..ResilienceConfig::default()
-                    },
-                    ..ServeConfig::default()
-                },
-                &[NEVER, 3],
-            );
-            for i in 0..12 {
-                let _ = svc.answer(query(i as f32, 1));
+        for i in 0..2 {
+            match strict.answer(query(i as f32, 1)) {
+                Err(Error::EmptyDataset) => {}
+                other => panic!("expected shard 1's error, got {other:?}"),
             }
-            (svc.breaker_traces(), svc.resilience_report())
-        };
-        assert_eq!(run(), run(), "same events ⇒ same traces and reports");
+        }
     }
 
     /// A scan that fails exactly on the listed call indices and counts its
@@ -1159,8 +1066,13 @@ mod tests {
         assert_eq!(served.guarantee, reference.guarantee);
         assert_eq!(served.stats, reference.stats);
         for r in svc.resilience_report() {
-            assert_eq!(r.breaker_state, None);
-            assert_eq!(r.rejected, 0);
+            assert_eq!(
+                r,
+                ShardHealthReport {
+                    successes: 1,
+                    failures: 0,
+                }
+            );
         }
     }
 }

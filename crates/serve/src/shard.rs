@@ -315,7 +315,7 @@ mod tests {
         let parts = vec![
             ok_part(0..2, &[(0, 1.0)]),
             failing(2..4),
-            (4..6, Err(Error::CircuitOpen { shard: 2 })),
+            (4..6, Err(Error::Internal("shard 2".to_string()))),
         ];
         let err = merge_quorum(1, 6, parts, QuorumPolicy::AllShards).unwrap_err();
         assert!(

@@ -11,16 +11,12 @@
 //! * every mode agrees serial vs 4-thread through
 //!   `QueryEngine::answer_workload`;
 //! * scans are exact-only: an approximate request is a typed
-//!   `Error::UnsupportedMode`, never a silent exact run — unless the caller
-//!   explicitly opts into `FallbackPolicy::ExactFallback`, which answers
-//!   exactly and tags the result `Guarantee::Exact`;
+//!   `Error::UnsupportedMode`, never a silent exact run;
 //! * range queries are a typed `Error::UnsupportedQuery` at the engine
 //!   boundary for all ten methods.
 
 use hydra_bench::MethodKind;
-use hydra_core::{
-    AnswerMode, Error, FallbackPolicy, Guarantee, Parallelism, Query, QueryEngine, Series,
-};
+use hydra_core::{AnswerMode, Error, Guarantee, Parallelism, Query, Series};
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
 use hydra_scan::ucr::brute_force_knn;
@@ -204,22 +200,6 @@ fn scans_reject_approximate_modes_with_typed_errors() {
             Err(Error::UnsupportedMode { .. })
         ));
     }
-}
-
-#[test]
-fn exact_fallback_is_explicit_and_visibly_tagged() {
-    let data = dataset(120, LEN, 4005);
-    let q = Query::nearest_neighbor(queries(1).remove(0))
-        .with_mode(AnswerMode::EpsilonApproximate { epsilon: 0.25 });
-    let expected = brute_force_knn(&data, q.values(), 1);
-    let method = MethodKind::UcrSuite
-        .build_boxed(&data, &options(LEN))
-        .unwrap();
-    let mut engine =
-        QueryEngine::new(method, data.len()).with_fallback_policy(FallbackPolicy::ExactFallback);
-    let a = engine.answer(&q).unwrap();
-    assert_eq!(a.guarantee, Guarantee::Exact, "the fallback is visible");
-    assert!(a.answers.distances_match(&expected, 1e-6));
 }
 
 #[test]

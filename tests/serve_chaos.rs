@@ -1,27 +1,33 @@
 //! Chaos contract for the service resilience layer.
 //!
-//! Three promises, checked end-to-end through `hydra-serve`:
+//! Four promises, checked end-to-end through `hydra-serve`:
 //!
 //! 1. **Inert machinery** — with the fault plan disabled, the full
-//!    resilience stack (breakers, retry, `AllShards` quorum) is
+//!    resilience stack (retry override, `AllShards` quorum) is
 //!    bit-identical to the strict pre-resilience service for **all ten
 //!    methods** at 1/2/4 shards: same answers, same guarantees, same work
 //!    counters. Resilience must cost nothing when nothing fails.
 //! 2. **Honest degradation** — under injected faults a request either
 //!    succeeds with a full-strength guarantee, succeeds tagged
-//!    [`Guarantee::Partial`], or fails with a *typed* error
-//!    (`Error::Io` / `Error::CircuitOpen`). Never a panic, never an
-//!    untagged degraded answer; under `AllShards` never a `Partial` at all.
+//!    [`Guarantee::Partial`], or fails with a *typed* `Error::Io`. Never a
+//!    panic, never an untagged degraded answer; under `AllShards` never a
+//!    `Partial` at all.
 //! 3. **Deterministic chaos** — the same fault seed reproduces the same
-//!    per-query outcomes (answers, guarantees, counters, error strings),
-//!    the same breaker traces and the same shard-health reports, run to
-//!    run. Wall-clock never influences any of it.
+//!    per-query outcomes (answers, guarantees, counters, error strings) and
+//!    the same shard-health reports, run to run. Wall-clock never
+//!    influences any of it.
+//! 4. **No memory of faults** — a shard's faults are keyed by read and
+//!    retry attempt, so a query's outcome does not depend on what the
+//!    service answered before: it is the same in every pass, and the same
+//!    as on a fresh service asked nothing else. This is why the service
+//!    calls every shard on every miss: skipping a shard that failed
+//!    earlier could only turn an answerable sub-query into an error.
 
 use hydra_bench::MethodKind;
 use hydra_core::{AnswerMode, Error, Guarantee, Query, RetryPolicy};
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
-use hydra_serve::{BreakerConfig, QueryService, QuorumPolicy, ResilienceConfig, ServeConfig};
+use hydra_serve::{QueryService, QuorumPolicy, ResilienceConfig, ServeConfig};
 use hydra_storage::{FaultConfig, FaultPlan};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -33,12 +39,10 @@ fn resilient(shards: usize, faults: FaultPlan, quorum: QuorumPolicy) -> ServeCon
         cache_capacity: 0,
         resilience: ResilienceConfig {
             quorum,
-            breaker: Some(BreakerConfig::default()),
             shard_faults: faults,
             // Two attempts deliberately under-provision against the fault
             // mixes used here (transients clear within two *failed*
-            // attempts), so some faults persist into the breaker and
-            // quorum paths.
+            // attempts), so some faults persist into the quorum path.
             retry: Some(RetryPolicy::new(2, 4)),
         },
         ..ServeConfig::default()
@@ -137,7 +141,8 @@ fn fault_free_resilience_is_bit_identical_to_the_strict_service() {
                     resilient(shards, FaultPlan::disabled(), QuorumPolicy::AllShards),
                 )
                 .unwrap();
-            for (qi, query) in mode_queries(&data, kind).iter().enumerate() {
+            let queries = mode_queries(&data, kind);
+            for (qi, query) in queries.iter().enumerate() {
                 let expected = strict.answer(query.clone()).unwrap();
                 let served = armed.answer(query.clone()).unwrap();
                 assert_eq!(
@@ -159,14 +164,14 @@ fn fault_free_resilience_is_bit_identical_to_the_strict_service() {
                     kind.name()
                 );
             }
-            // Nothing failed, so the breakers never moved.
+            // Every shard answered every request.
             for (si, report) in armed.resilience_report().iter().enumerate() {
                 assert_eq!(report.failures, 0, "shard {si} recorded a failure");
-                assert_eq!(report.breaker_opened, 0, "shard {si} breaker opened");
-                assert_eq!(report.rejected, 0, "shard {si} rejected a request");
-            }
-            for trace in armed.breaker_traces() {
-                assert!(trace.is_empty(), "fault-free breakers must never move");
+                assert_eq!(
+                    report.successes,
+                    queries.len() as u64,
+                    "shard {si} missed a request"
+                );
             }
         }
     }
@@ -191,7 +196,7 @@ fn faults_surface_only_as_typed_errors_or_partial_tagged_answers() {
         let service = MethodKind::AdsPlus
             .service(&data, &opts, resilient(shards, plan, quorum))
             .unwrap();
-        // Three passes so breakers get to trip and recover.
+        // Three passes over the pool.
         for pass in 0..3 {
             for (qi, query) in queries.iter().enumerate() {
                 match service.answer(query.clone()) {
@@ -217,7 +222,7 @@ fn faults_surface_only_as_typed_errors_or_partial_tagged_answers() {
                     Err(err) => {
                         failures += 1;
                         assert!(
-                            matches!(err, Error::Io { .. } | Error::CircuitOpen { .. }),
+                            matches!(err, Error::Io { .. }),
                             "pass {pass} query {qi}: fault leaked as untyped error: {err}"
                         );
                     }
@@ -247,7 +252,7 @@ fn all_shards_quorum_never_serves_partial_answers() {
             ),
             Err(err) => {
                 failures += 1;
-                assert!(matches!(err, Error::Io { .. } | Error::CircuitOpen { .. }));
+                assert!(matches!(err, Error::Io { .. }));
             }
         }
     }
@@ -255,7 +260,7 @@ fn all_shards_quorum_never_serves_partial_answers() {
 }
 
 #[test]
-fn the_same_seed_reproduces_answers_breaker_traces_and_reports() {
+fn the_same_seed_reproduces_answers_and_reports() {
     let data = dataset(400, 64, 93);
     let opts = options(64);
     let queries = chaos_queries(&data);
@@ -268,15 +273,54 @@ fn the_same_seed_reproduces_answers_breaker_traces_and_reports() {
         for _ in 0..3 {
             outcomes.extend(run_sweep(&service, &queries));
         }
-        (
-            outcomes,
-            service.breaker_traces(),
-            service.resilience_report(),
-        )
+        (outcomes, service.resilience_report())
     };
-    let (outcomes_a, traces_a, reports_a) = run();
-    let (outcomes_b, traces_b, reports_b) = run();
+    let (outcomes_a, reports_a) = run();
+    let (outcomes_b, reports_b) = run();
     assert_eq!(outcomes_a, outcomes_b, "same seed, different outcomes");
-    assert_eq!(traces_a, traces_b, "same seed, different breaker traces");
     assert_eq!(reports_a, reports_b, "same seed, different health reports");
+}
+
+#[test]
+fn a_query_gets_the_same_outcome_whatever_the_service_answered_before() {
+    let data = dataset(400, 64, 94);
+    let opts = options(64);
+    let queries = chaos_queries(&data);
+    let service = |shards| {
+        let plan = FaultPlan::seeded(0xC4A05, heavy_faults());
+        MethodKind::AdsPlus
+            .service(
+                &data,
+                &opts,
+                resilient(shards, plan, QuorumPolicy::BestEffort),
+            )
+            .unwrap()
+    };
+    let (mut partials, mut failures) = (0usize, 0usize);
+    for shards in [2, 4] {
+        let shared = service(shards);
+        let passes: Vec<Vec<Outcome>> = (0..3).map(|_| run_sweep(&shared, &queries)).collect();
+        for (qi, query) in queries.iter().enumerate() {
+            let alone = run_sweep(&service(shards), std::slice::from_ref(query)).remove(0);
+            for (pass, outcomes) in passes.iter().enumerate() {
+                assert_eq!(
+                    outcomes[qi], alone,
+                    "{shards} shards, pass {pass}, query {qi}: the outcome depends on \
+                     what the service answered before"
+                );
+            }
+            match alone {
+                Outcome::Answered {
+                    guarantee: Guarantee::Partial { .. },
+                    ..
+                } => partials += 1,
+                Outcome::Failed(_) => failures += 1,
+                Outcome::Answered { .. } => {}
+            }
+        }
+    }
+    // The premise of the test: this seed degrades some answers and fails
+    // some requests outright.
+    assert!(partials > 0, "no Partial answers — faults never bit");
+    assert!(failures > 0, "no failed requests — faults never bit");
 }
