@@ -11,7 +11,7 @@ use hydra_transforms::fft::dft_summary;
 use hydra_transforms::sax::SaxParams;
 use hydra_transforms::sfa::{SfaParams, SfaQuantizer};
 use hydra_transforms::vaplus::VaPlusQuantizer;
-use hydra_transforms::{HaarTransform, Paa};
+use hydra_transforms::{HaarTransform, Paa, SummaryBlocks};
 
 fn bench_transforms(c: &mut Criterion) {
     let mut group = c.benchmark_group("summarize_series");
@@ -92,9 +92,10 @@ fn bench_lower_bounds(c: &mut Criterion) {
     group.finish();
 }
 
-/// One query's table build + sweep over 100k flat summaries (ADS+ SIMS
-/// step 2), and the same plus the lazy ranking of a 7 % prefix (VA+file
-/// phase 1) — next to the per-pair rows above, which no longer price them.
+/// One query's table build + sweep over the blocked summaries of 50k series
+/// (one `serve_zipf` shard) and of 100k (ADS+ SIMS step 1), and the same
+/// plus the lazy ranking of a 7 % prefix (VA+file phase 1) — next to the
+/// per-pair rows above, which no longer price them.
 fn bench_sweeps(c: &mut Criterion) {
     let mut group = c.benchmark_group("summary_sweeps");
     group.sample_size(30);
@@ -111,12 +112,15 @@ fn bench_sweeps(c: &mut Criterion) {
         words.extend(sax.sax_word(gen.series(i).values()).symbols);
     }
     let mut bounds = Vec::new();
-    group.bench_function(BenchmarkId::new("adsplus_sweep", "100k"), |b| {
-        b.iter(|| {
-            sax.sweep(&q_paa, rows).sweep(&words, &mut bounds);
-            black_box(bounds.last().copied())
-        })
-    });
+    for (lane, rows) in [("50k", 50_000usize), ("100k", rows)] {
+        let blocks = SummaryBlocks::from_rows(segments, &words[..rows * segments]);
+        group.bench_function(BenchmarkId::new("adsplus_sweep", lane), |b| {
+            b.iter(|| {
+                sax.sweep(&q_paa, rows).sweep(&blocks, &mut bounds);
+                black_box(bounds.last().copied())
+            })
+        });
+    }
 
     let sample: Vec<Vec<f32>> = (0..1000u64).map(|i| gen.series(i).into_values()).collect();
     let va = VaPlusQuantizer::train(
@@ -126,9 +130,9 @@ fn bench_sweeps(c: &mut Criterion) {
         sample.iter().map(|s| s.as_slice()),
     );
     let q_dft = va.dft(q.values());
-    let mut cells = Vec::with_capacity(rows * segments);
+    let mut cells = SummaryBlocks::with_capacity(segments, rows);
     for i in 0..rows as u64 {
-        cells.extend(va.cell(gen.series(i).values()).cells);
+        cells.push(&va.cell(gen.series(i).values()).cells);
     }
     let mut ranking = LazyRanking::default();
     group.bench_function(BenchmarkId::new("vaplus_sweep_rank", "100k"), |b| {

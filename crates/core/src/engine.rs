@@ -488,7 +488,7 @@ impl QueryEngine {
 /// lock. A handle drops the aggregates and keeps only the immutable parts —
 /// the built method behind an `Arc`, the I/O source, the retry policy — so
 /// cloning is two reference-count bumps and [`EngineHandle::answer`] takes
-/// `&self`. Per-query measurement goes through the *same* [`measure`]
+/// `&self`. Per-query measurement goes through the *same* `measure`
 /// path as [`QueryEngine::answer`], so a handle's answers, guarantees and
 /// reconciled stats are bit-identical to the engine it came from; callers
 /// aggregate the returned [`EngineAnswer`]s themselves.

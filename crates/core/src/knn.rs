@@ -424,7 +424,7 @@ impl KnnHeap {
     /// resetting one heap per worker instead of allocating a fresh
     /// `KnnHeap` (heap buffer + hash set) per query keeps the hot loop
     /// allocation-free. A reset heap behaves exactly like
-    /// [`KnnHeap::new(k)`].
+    /// [`KnnHeap::new(k)`](KnnHeap::new).
     ///
     /// # Panics
     /// Panics if `k == 0`.

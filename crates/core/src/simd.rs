@@ -479,8 +479,13 @@ fn sse_max(a: f64, b: f64) -> f64 {
 /// The per-dimension gap between a query value and an interval `[low, high]`:
 /// `low - q` below the interval, `q - high` above it, `0` inside (and `0`
 /// for a NaN query value, matching the fallen-through scalar branches).
+///
+/// This is the gap every interval kernel computes, on every tier, so a
+/// per-query bound table filled from it holds the kernels' own terms: a
+/// one-dimension kernel call adds `gap · gap` (or `(w · gap) · gap`) to
+/// zero, which is the term itself because the term is never `-0.0`.
 #[inline(always)]
-fn interval_gap(q: f64, low: f64, high: f64) -> f64 {
+pub fn interval_gap(q: f64, low: f64, high: f64) -> f64 {
     sse_max(sse_max(low - q, q - high), 0.0)
 }
 

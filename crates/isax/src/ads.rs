@@ -7,7 +7,11 @@
 //! uses SIMS:
 //!
 //! 1. the MINDIST lower bound between the query and *every* series' full-
-//!    resolution iSAX summary is computed in memory;
+//!    resolution iSAX summary is computed in memory, from one per-query
+//!    table of `(segment, symbol)` terms. The summaries are held
+//!    segment-major in blocks of eight series, so a block's segment is one
+//!    8-wide AVX-512 gather where the CPU has it, with the same bits as the
+//!    per-pair MINDIST ([`hydra_transforms::sweep`]);
 //! 2. the `2k` series with the smallest bounds are read (random accesses)
 //!    and refined first, so the best-so-far (bsf) is tight before any skip
 //!    is decided — as MESSI and Hercules seed theirs from the best
@@ -42,15 +46,16 @@ use hydra_core::{
 use hydra_storage::refine::{self, EarlyAbandon, Full};
 use hydra_storage::DatasetStore;
 use hydra_transforms::sax::SaxParams;
+use hydra_transforms::SummaryBlocks;
 use std::sync::Arc;
 
 /// The ADS+ adaptive index.
 pub struct AdsPlus {
     store: Arc<DatasetStore>,
     tree: IsaxTree,
-    /// Full-cardinality SAX symbols of every series, `segments` per series in
-    /// dataset order (the flat in-memory summary array SIMS sweeps).
-    summaries: Vec<u16>,
+    /// Full-cardinality SAX symbols of every series, in dataset order and
+    /// blocked segment-major (the in-memory summary array SIMS sweeps).
+    summaries: SummaryBlocks,
 }
 
 impl AdsPlus {
@@ -72,6 +77,7 @@ impl AdsPlus {
         store.scan_all(|_, _| {});
         let summaries = crate::isax2plus::summarize(&store, &params, threads);
         let tree = IsaxTree::from_summaries(params, options.leaf_capacity, &summaries, threads);
+        let summaries = SummaryBlocks::from_rows(options.segments, &summaries);
         // Only the summaries are written out: the index is tiny on disk.
         let summary_bytes = store.len() * options.segments * 2;
         store.record_index_write(summary_bytes as u64);
@@ -93,8 +99,8 @@ impl AdsPlus {
     }
 
     /// SIMS step 1: the MINDIST lower bound from the query to every
-    /// full-resolution summary, in dataset order, table-driven (see
-    /// `hydra_transforms::sweep`).
+    /// full-resolution summary, in dataset order, table-driven and a block
+    /// of eight series at a time (see `hydra_transforms::sweep`).
     fn bounds(&self, query_paa: &[f32], stats: &mut QueryStats) -> Vec<f64> {
         let n = self.store.len();
         let mut bounds = Vec::new();
@@ -205,11 +211,10 @@ impl PersistentIndex for AdsPlus {
         // Rebuild the dataset-order summary array from the leaf blocks
         // (validated above: every id in 0..n appears exactly once).
         let segments = tree.params().segments();
-        let mut summaries = vec![0u16; store.len() * segments];
+        let mut summaries = SummaryBlocks::zeroed(segments, store.len());
         for (ids, words) in tree.leaf_blocks() {
             for (&id, word) in ids.iter().zip(words.chunks_exact(segments)) {
-                let at = id as usize * segments;
-                summaries[at..at + segments].copy_from_slice(word);
+                summaries.set(id as usize, word);
             }
         }
         Ok(Self {

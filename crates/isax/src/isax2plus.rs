@@ -179,7 +179,7 @@ impl BestFirstTree for Isax2Plus {
     fn entry_bounds(&self, id: usize, probe: &Probe<'_>) -> Vec<f64> {
         let mut bounds = Vec::new();
         if let NodeKind::Leaf { words, .. } = &self.tree.node(id).kind {
-            probe.entries.sweep(words, &mut bounds);
+            probe.entries.sweep_rows(words, &mut bounds);
         }
         bounds
     }

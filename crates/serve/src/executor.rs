@@ -19,7 +19,8 @@
 //!   single task, letting an event loop interleave its own work (the load
 //!   generator's open-loop arrival schedule) with task progress. Parallelism
 //!   lives inside a task instead: the service's scatter runs a request's
-//!   shards on scoped threads and joins them before the task's poll returns.
+//!   shards on the polling thread and the service's parked helper threads,
+//!   and gathers them all before the task's poll returns.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;

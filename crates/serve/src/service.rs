@@ -3,23 +3,23 @@
 //!
 //! A request's life: [`QueryService::submit`] first applies **admission
 //! control** — at most `queue_capacity` requests may be in flight, and the
-//! excess is shed *synchronously* with a typed
-//! [`Error::Overloaded`](hydra_core::Error::Overloaded) before any work
-//! happens, so shedding order is a pure function of the arrival order.
-//! Admitted requests with no explicit budget get one derived from the
+//! excess is shed *synchronously* with a typed [`Error::Overloaded`] before
+//! any work happens, so shedding order is a pure function of the arrival
+//! order. Admitted requests with no explicit budget get one derived from the
 //! configured **deadline**: the deadline's byte allowance under the storage
-//! cost model, divided by the series size, becomes a raw-read
-//! [`Budget`](hydra_core::Budget) — a late query degrades to a best-so-far
-//! answer tagged [`Guarantee::Truncated`](hydra_core::Guarantee) instead of
-//! timing out. The request future then consults the **answer cache** (keyed
-//! on dataset fingerprint × canonical query hash × mode) and on a miss runs
-//! every shard in parallel on min(shards, CPUs) threads (the caller plus
-//! scoped helpers, all claiming shards from one counter), gathers in shard
-//! order, and merges under the [`QuorumPolicy`](crate::QuorumPolicy) via
-//! [`merge_quorum`] — with every shard answering, the exact per-shard calls
-//! and [`merge_shard_answers`](crate::merge_shard_answers) merge of the
-//! serial [`scatter_gather`] reference, so the pipeline's answers are
-//! bit-identical to it whatever the thread count.
+//! cost model, divided by the series size, becomes a raw-read [`Budget`] — a
+//! late query degrades to a best-so-far answer tagged
+//! [`Guarantee::Truncated`](hydra_core::Guarantee) instead of timing out.
+//! The request future then consults the **answer cache** (keyed on dataset
+//! fingerprint × canonical query hash × mode) and on a miss runs every shard
+//! in parallel on min(shards, CPUs) threads (the caller plus helper threads
+//! the service keeps parked between requests, all claiming shards from one
+//! counter), gathers in shard order, and merges under the
+//! [`QuorumPolicy`](crate::QuorumPolicy) via [`merge_quorum`] — with every
+//! shard answering, the exact per-shard calls and
+//! [`merge_shard_answers`](crate::merge_shard_answers) merge of the serial
+//! [`scatter_gather`] reference, so the pipeline's answers are bit-identical
+//! to it whatever the thread count.
 
 use crate::cache::{AnswerCache, CacheKey, CacheStats, CachedAnswer};
 use crate::executor::Executor;
@@ -32,7 +32,8 @@ use hydra_core::{
 use hydra_storage::{partition_dataset, snapshot, CostModel, DatasetStore};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Service configuration.
@@ -128,7 +129,7 @@ impl RequestHandle {
 
 /// The shared service state request futures run against.
 struct ServiceInner {
-    shards: Vec<ShardEngine>,
+    shards: Arc<[ShardEngine]>,
     /// One outcome ledger per shard, indexed like `shards`.
     health: Vec<ShardHealth>,
     executor: Executor,
@@ -137,13 +138,183 @@ struct ServiceInner {
     dataset_fingerprint: u64,
     total_size: usize,
     series_bytes: u64,
-    /// Threads a miss's scatter runs on: the host's CPUs, read once here
-    /// because `available_parallelism` re-reads the cgroup files per call.
-    scatter_threads: usize,
+    /// The threads a miss's scatter shares its shards with.
+    helpers: ScatterHelpers,
     in_flight: AtomicUsize,
     accepted: AtomicU64,
     shed: AtomicU64,
     completed: AtomicU64,
+}
+
+/// The threads a miss's scatter runs on besides the caller: spawned with
+/// the service, parked between requests, and joined when the last
+/// [`QueryService`] clone is dropped. A miss publishes one [`ScatterJob`]
+/// and claims shards from it like any helper, so it never waits for a
+/// helper to be scheduled before work starts: when the other CPUs are busy,
+/// the caller takes the remaining shards itself.
+struct ScatterHelpers {
+    mailbox: Arc<Mailbox>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// Where the helpers wait for the next job.
+#[derive(Default)]
+struct Mailbox {
+    posted: std::sync::Mutex<Posted>,
+    wake: Condvar,
+}
+
+/// The latest published job.
+#[derive(Default)]
+struct Posted {
+    job: Option<Arc<ScatterJob>>,
+    /// Bumped per publication, so a helper joins each job at most once.
+    generation: u64,
+    /// Set when the service is dropped: the helpers exit.
+    closed: bool,
+}
+
+/// One miss's scatter: its query, the counter its shards are claimed from,
+/// and their outcomes, signalled on `done` once all are in.
+struct ScatterJob {
+    query: Query,
+    next: AtomicUsize,
+    outcomes: std::sync::Mutex<Outcomes>,
+    done: Condvar,
+}
+
+/// One outcome slot per shard, and how many are still empty.
+struct Outcomes {
+    slots: Vec<Option<Result<EngineAnswer>>>,
+    missing: usize,
+}
+
+/// Locks a scatter mutex. No code panics while holding one, so a poisoned
+/// lock would still guard consistent state.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl ScatterHelpers {
+    /// Starts up to `count` helpers over `shards`; a helper the OS refuses
+    /// is simply not there, and the callers claim its share.
+    fn spawn(count: usize, shards: &Arc<[ShardEngine]>) -> Self {
+        let mailbox = Arc::new(Mailbox::default());
+        let threads = (0..count)
+            .filter_map(|i| {
+                let (mailbox, shards) = (mailbox.clone(), shards.clone());
+                std::thread::Builder::new()
+                    .name(format!("hydra-scatter-{i}"))
+                    .spawn(move || mailbox.serve(&shards))
+                    .ok()
+            })
+            .collect();
+        Self { mailbox, threads }
+    }
+
+    /// Answers `query` on every shard, on the caller and the helpers, and
+    /// returns the outcomes in shard order.
+    fn scatter(&self, shards: &[ShardEngine], query: &Query) -> Vec<Result<EngineAnswer>> {
+        let job = Arc::new(ScatterJob {
+            query: query.clone(),
+            next: AtomicUsize::new(0),
+            outcomes: std::sync::Mutex::new(Outcomes {
+                slots: shards.iter().map(|_| None).collect(),
+                missing: shards.len(),
+            }),
+            done: Condvar::new(),
+        });
+        if !self.threads.is_empty() {
+            let mut posted = lock(&self.mailbox.posted);
+            posted.job = Some(job.clone());
+            posted.generation += 1;
+            drop(posted);
+            self.mailbox.wake.notify_all();
+        }
+        job.run(shards);
+        // Every shard is claimed by now; wait for the helpers' outcomes.
+        let mut outcomes = lock(&job.outcomes);
+        while outcomes.missing > 0 {
+            outcomes = job
+                .done
+                .wait(outcomes)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        std::mem::take(&mut outcomes.slots)
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| {
+                    Err(Error::Internal(
+                        "a scattered shard left no outcome".to_string(),
+                    ))
+                })
+            })
+            .collect()
+    }
+}
+
+impl Drop for ScatterHelpers {
+    fn drop(&mut self) {
+        lock(&self.mailbox.posted).closed = true;
+        self.mailbox.wake.notify_all();
+        for thread in self.threads.drain(..) {
+            // A helper catches every shard's panic, so it only ever returns.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Mailbox {
+    /// A helper's life: wait for a job it has not joined yet, claim its
+    /// shards, repeat until the service closes the mailbox.
+    fn serve(&self, shards: &[ShardEngine]) {
+        let mut joined = 0u64;
+        loop {
+            let job = {
+                let mut posted = lock(&self.posted);
+                while !posted.closed && posted.generation == joined {
+                    posted = self
+                        .wake
+                        .wait(posted)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                if posted.closed {
+                    return;
+                }
+                joined = posted.generation;
+                posted.job.clone()
+            };
+            if let Some(job) = job {
+                job.run(shards);
+            }
+        }
+    }
+}
+
+impl ScatterJob {
+    /// Claims and answers shards until none is left. A panic that escapes
+    /// a shard's engine becomes that shard's typed [`Error::Internal`], so
+    /// every slot is filled and no thread waits on a lost shard.
+    fn run(&self, shards: &[ShardEngine]) {
+        loop {
+            // The counter publishes nothing: the job reaches a helper under
+            // the mailbox lock, and its outcomes go back under their own.
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(shard) = shards.get(i) else {
+                return;
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                shard.answer(&self.query)
+            }))
+            .unwrap_or_else(|_| Err(Error::Internal(format!("shard {i} panicked"))));
+            let mut outcomes = lock(&self.outcomes);
+            outcomes.slots[i] = Some(outcome);
+            outcomes.missing -= 1;
+            if outcomes.missing == 0 {
+                self.done.notify_all();
+            }
+        }
+    }
 }
 
 /// A sharded, cached, admission-controlled query service over one dataset.
@@ -196,8 +367,16 @@ impl QueryService {
             });
             health.push(ShardHealth::default());
         }
+        let shards: Arc<[ShardEngine]> = shards.into();
+        // A miss runs on the caller plus these helpers: min(shards, CPUs)
+        // threads in all, the CPUs read once here because
+        // `available_parallelism` re-reads the cgroup files per call.
+        let helpers = parallel::available_threads()
+            .min(shards.len())
+            .saturating_sub(1);
         Ok(QueryService {
             inner: Arc::new(ServiceInner {
+                helpers: ScatterHelpers::spawn(helpers, &shards),
                 shards,
                 health,
                 executor: Executor::new(),
@@ -206,7 +385,6 @@ impl QueryService {
                 dataset_fingerprint,
                 total_size: dataset.len(),
                 series_bytes,
-                scatter_threads: parallel::available_threads(),
                 in_flight: AtomicUsize::new(0),
                 accepted: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
@@ -397,9 +575,7 @@ fn process_request(inner: &ServiceInner, query: &Query) -> Result<ServeAnswer> {
     }
     // Scatter: every shard runs in parallel, one engine call each; shards
     // share no mutable state.
-    let results = parallel::map_indexed(inner.shards.len(), inner.scatter_threads, |i| {
-        inner.shards[i].answer(query)
-    });
+    let results = inner.helpers.scatter(&inner.shards, query);
     // Gather in shard order: the merge input order — and therefore the merge
     // itself — is deterministic regardless of completion order, and shard
     // errors surface in shard order exactly like the serial reference.
@@ -684,12 +860,15 @@ mod tests {
     }
 
     /// A scan whose every search waits at a rendezvous shared by all shards:
-    /// it proceeds once `parties` searches have arrived, or fails with a
-    /// typed error after 5 s — so a serial scatter errors instead of hanging.
+    /// each round of `parties` searches proceeds once all of them have
+    /// arrived, or fails with a typed error after 5 s — so a serial scatter
+    /// errors instead of hanging. With `panic_with` set, a search panics
+    /// with it once the round has met.
     struct Rendezvous {
         store: Arc<DatasetStore>,
         arrived: Arc<AtomicUsize>,
         parties: usize,
+        panic_with: Option<String>,
     }
 
     impl AnsweringMethod for Rendezvous {
@@ -702,9 +881,10 @@ mod tests {
             reason = "test timeout only; the answer never depends on it"
         )]
         fn search(&self, query: &Query, _: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
-            self.arrived.fetch_add(1, Ordering::SeqCst);
+            let ticket = self.arrived.fetch_add(1, Ordering::SeqCst);
+            let round_met = (ticket / self.parties + 1) * self.parties;
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while self.arrived.load(Ordering::SeqCst) < self.parties {
+            while self.arrived.load(Ordering::SeqCst) < round_met {
                 if std::time::Instant::now() >= deadline {
                     return Err(Error::Internal(
                         "rendezvous timed out: the shards ran one after another".to_string(),
@@ -712,8 +892,39 @@ mod tests {
                 }
                 std::thread::yield_now();
             }
+            if let Some(message) = &self.panic_with {
+                panic!("{message}");
+            }
             Ok(scan_store(&self.store, query, stats))
         }
+    }
+
+    /// A 2-shard service whose shards meet at one [`Rendezvous`]; shard `i`
+    /// panics with `panic_with(i)` when that is `Some`.
+    fn rendezvous_service(panic_with: impl Fn(usize) -> Option<String>) -> QueryService {
+        let arrived = Arc::new(AtomicUsize::new(0));
+        QueryService::build(
+            &dataset(24),
+            ServeConfig {
+                shards: 2,
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+            |i, store| {
+                let size = store.len();
+                Ok(QueryEngine::new(
+                    Box::new(Rendezvous {
+                        store: store.clone(),
+                        arrived: arrived.clone(),
+                        parties: 2,
+                        panic_with: panic_with(i),
+                    }),
+                    size,
+                )
+                .with_io_source(store))
+            },
+        )
+        .unwrap()
     }
 
     #[test]
@@ -722,35 +933,69 @@ mod tests {
             eprintln!("skipped one_requests_shards_run_concurrently: needs at least 2 CPUs");
             return;
         }
-        let arrived = Arc::new(AtomicUsize::new(0));
-        let svc = QueryService::build(
-            &dataset(24),
-            ServeConfig {
-                shards: 2,
-                cache_capacity: 0,
-                ..ServeConfig::default()
-            },
-            |_, store| {
-                let size = store.len();
-                Ok(QueryEngine::new(
-                    Box::new(Rendezvous {
-                        store: store.clone(),
-                        arrived: arrived.clone(),
-                        parties: 2,
-                    }),
-                    size,
-                )
-                .with_io_source(store))
-            },
-        )
+        let svc = rendezvous_service(|_| None);
+        // The same scan without the rendezvous, answered serially.
+        let reference = service(ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        })
+        .reference_answer(&query(3.0, 3))
         .unwrap();
-        let served = svc
-            .answer(query(3.0, 3))
-            .expect("both shards of one request met at the rendezvous");
-        assert_eq!(served.guarantee, Guarantee::Exact);
-        assert_eq!(
-            served.answers,
-            svc.reference_answer(&query(3.0, 3)).unwrap().answers
+        // Every request meets again: the helper is back, parked, between
+        // requests.
+        for _ in 0..3 {
+            let served = svc
+                .answer(query(3.0, 3))
+                .expect("both shards of one request met at the rendezvous");
+            assert_eq!(served.guarantee, Guarantee::Exact);
+            assert_eq!(served.answers, reference.answers);
+        }
+    }
+
+    #[test]
+    fn a_shard_panicking_on_a_helper_is_a_typed_error_in_shard_order() {
+        if parallel::available_threads() < 2 {
+            eprintln!("skipped a_shard_panicking_on_a_helper_is_a_typed_error_in_shard_order: needs at least 2 CPUs");
+            return;
+        }
+        // Both shards meet before they panic, so one of them panics on the
+        // helper thread; the strict quorum reports the first in shard order.
+        let svc = rendezvous_service(|i| Some(format!("shard {i} panicked on purpose")));
+        for round in 0..2 {
+            match svc.answer(query(3.0, 3)) {
+                Err(Error::Internal(message)) => {
+                    assert!(message.contains("shard 0"), "round {round}: {message}");
+                }
+                other => panic!("round {round}: expected a typed internal error, got {other:?}"),
+            }
+        }
+        // The helper survived the first round's panic: the second round met
+        // at the rendezvous instead of timing out, and both shards failed.
+        for report in svc.resilience_report() {
+            assert_eq!(report.failures, 2);
+        }
+    }
+
+    #[test]
+    fn dropping_the_last_service_clone_joins_its_helpers() {
+        let svc = service(ServeConfig {
+            shards: 4,
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        });
+        let helpers = parallel::available_threads().min(4) - 1;
+        assert_eq!(svc.inner.helpers.threads.len(), helpers);
+        let clone = svc.clone();
+        svc.answer(query(3.0, 3)).unwrap();
+        // The helpers hold the shards until they exit.
+        let shards = Arc::downgrade(&svc.inner.shards);
+        drop(svc);
+        assert!(shards.upgrade().is_some(), "a clone keeps the service up");
+        clone.answer(query(4.0, 3)).unwrap();
+        drop(clone);
+        assert!(
+            shards.upgrade().is_none(),
+            "drop returned with a helper still holding the shards"
         );
     }
 

@@ -1,11 +1,12 @@
 //! Deterministic contiguous partitioning of a dataset across shards.
 //!
 //! The serving layer splits one dataset over N engine shards, each owning a
-//! contiguous run of series with its own instrumented [`DatasetStore`]. The
-//! split must be a *function of (dataset length, shard count)* alone — the
-//! same rule on every node, every run — so that per-shard snapshots stay
-//! valid across restarts and a scatter-gather merge can map a shard-local
-//! answer id back to its global id by adding the shard's range start.
+//! contiguous run of series with its own instrumented
+//! [`DatasetStore`](crate::DatasetStore). The split must be a *function of
+//! (dataset length, shard count)* alone — the same rule on every node, every
+//! run — so that per-shard snapshots stay valid across restarts and a
+//! scatter-gather merge can map a shard-local answer id back to its global
+//! id by adding the shard's range start.
 //!
 //! The rule is [`hydra_core::parallel::split_ranges`]: near-equal contiguous
 //! ranges, the first `len % shards` ranges one longer. Reusing the rule that

@@ -371,31 +371,46 @@ fn smallest(bounds: &[f64], m: usize) -> Vec<usize> {
     // Once set, every key at or above the cutoff orders after `m` kept
     // entries: ids only grow, so a tie on the key loses on the id. `coarse`
     // is the cutoff as a bound: a bound above it is out without its key.
+    // It only falls, so a group of bounds all above it is out as a whole,
+    // tested in one branch-free (vectorizable) pass over the group.
     let mut cutoff = i64::MAX;
     let mut coarse = f64::INFINITY;
-    for (id, &bound) in bounds.iter().enumerate() {
-        if bound > coarse {
+    let (groups, rest) = bounds.as_chunks::<SKIP_GROUP>();
+    let groups = groups.iter().map(|group| &group[..]).chain([rest]);
+    for (group, chunk) in groups.enumerate() {
+        let all_above = chunk
+            .iter()
+            .fold(1u8, |all, &bound| all & u8::from(bound > coarse));
+        if all_above == 1 {
             continue;
         }
-        let key = rank_key(bound);
-        if key >= cutoff {
-            continue;
-        }
-        if kept.len() == 2 * m {
-            kept.select_nth_unstable(m - 1);
-            kept.truncate(m);
-            cutoff = kept[m - 1].0;
-            coarse = f64::from_bits(total_order_key(cutoff) as u64);
+        for (id, &bound) in (group * SKIP_GROUP..).zip(chunk) {
+            if bound > coarse {
+                continue;
+            }
+            let key = rank_key(bound);
             if key >= cutoff {
                 continue;
             }
+            if kept.len() == 2 * m {
+                kept.select_nth_unstable(m - 1);
+                kept.truncate(m);
+                cutoff = kept[m - 1].0;
+                coarse = f64::from_bits(total_order_key(cutoff) as u64);
+                if key >= cutoff {
+                    continue;
+                }
+            }
+            kept.push((key, id));
         }
-        kept.push((key, id));
     }
     kept.sort_unstable();
     kept.truncate(m);
     kept.into_iter().map(|(_, id)| id).collect()
 }
+
+/// Bounds [`smallest`] tests against its cutoff in one pass.
+const SKIP_GROUP: usize = 16;
 
 /// Runs at most this long are sorted outright instead of partitioned.
 const SORT_RUN: usize = 256;

@@ -35,5 +35,5 @@ pub use fft::{dft_summary, Complex, Fft};
 pub use paa::Paa;
 pub use sax::{IsaxWord, NodeBounds, SaxParams, SaxWord};
 pub use sfa::{BinningMethod, SfaParams, SfaQuantizer, SfaWord};
-pub use sweep::BoundSweep;
+pub use sweep::{BoundSweep, SummaryBlocks};
 pub use vaplus::{VaPlusCell, VaPlusQuantizer};

@@ -165,23 +165,22 @@ impl SaxParams {
     ///
     /// Both per-query tables below are filled from it, which is why their
     /// bounds are bit-identical to the per-pair MINDIST: the kernel adds a
-    /// segment's term `(w·d)·d` into lane `segment % 4` (or, past the last
-    /// whole group of four, straight into the sum) and reduces the lanes as
-    /// `(a0 + a1) + (a2 + a3)`; a one-segment call computes that same term
-    /// and adds it to zero, and the tables' lookups are summed in that same
+    /// segment's term `(w·gap)·gap` into lane `segment % 4` (or, past the
+    /// last whole group of four, straight into the sum) and reduces the
+    /// lanes as `(a0 + a1) + (a2 + a3)`; this computes that same term from
+    /// the kernel's own gap ([`hydra_core::simd::interval_gap`]), with no
+    /// dispatch per term, and the tables' lookups are summed in that same
     /// lane order (`hydra_transforms::sweep`).
+    #[inline]
     fn term(&self, query_paa: &[f32], segment: usize, symbol: u16, bits: u8) -> f64 {
         let (low, high) = self.symbol_range(symbol, bits);
-        hydra_core::simd::interval_mindist_weighted_sq(
-            &query_paa[segment..=segment],
-            &[low],
-            &[high],
-            &[self.paa.segment_width(segment) as f64],
-        )
+        let gap = hydra_core::simd::interval_gap(query_paa[segment] as f64, low, high);
+        (self.paa.segment_width(segment) as f64 * gap) * gap
     }
 
     /// One query's MINDIST sweep over `rows` full-cardinality SAX words
-    /// stored flat (`segments` symbols each): every swept bound is
+    /// ([`SummaryBlocks`](crate::sweep::SummaryBlocks) or row-major words,
+    /// `segments` symbols each): every swept bound is
     /// bit-identical to `mindist_paa_to_isax(query_paa, &w.to_isax(b, b))`
     /// with `b = max_bits`, because each `(segment, symbol)` term is the
     /// interval kernel's own value for that one segment (`SaxParams::term`).
@@ -344,6 +343,47 @@ impl IsaxWord {
 mod tests {
     use super::*;
     use hydra_core::distance::euclidean;
+    use hydra_core::simd::{interval_mindist_weighted_sq_with, Kernel};
+
+    #[test]
+    fn direct_terms_are_the_dispatched_kernels_terms_on_every_tier() {
+        // Ragged segment widths (250 / 16), every cardinality level a node
+        // table holds, and query PAA values inside, beyond the outer
+        // breakpoints (the ±∞ edge symbols' open sides), infinite and NaN.
+        let params = SaxParams::new(250, 16, 8);
+        let paa: Vec<f32> = [
+            0.1,
+            -0.4,
+            9.0,
+            -9.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ]
+        .into_iter()
+        .cycle()
+        .take(16)
+        .collect();
+        for segment in 0..16 {
+            let width = [params.paa.segment_width(segment) as f64];
+            for bits in 1..=8u8 {
+                for symbol in 0..1u16 << bits {
+                    let (low, high) = params.symbol_range(symbol, bits);
+                    let term = params.term(&paa, segment, symbol, bits);
+                    for kernel in [Kernel::Portable, Kernel::Sse2, Kernel::Avx2] {
+                        let q = &paa[segment..=segment];
+                        let dispatched =
+                            interval_mindist_weighted_sq_with(kernel, q, &[low], &[high], &width);
+                        assert_eq!(
+                            term.to_bits(),
+                            dispatched.to_bits(),
+                            "{kernel:?} segment={segment} bits={bits} symbol={symbol}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn lcg_series(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed;

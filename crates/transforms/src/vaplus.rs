@@ -226,18 +226,27 @@ impl VaPlusQuantizer {
         hydra_core::simd::interval_mindist_sq(&query_dft[..dims], low, high).sqrt()
     }
 
-    /// One query's lower-bound sweep over `rows` cell vectors stored flat
-    /// (`dims` cell indices each): every swept bound is bit-identical to
+    /// One query's lower-bound sweep over `rows` cell vectors
+    /// ([`SummaryBlocks`](crate::sweep::SummaryBlocks), `dims` cell indices
+    /// each): every swept bound is bit-identical to
     /// [`VaPlusQuantizer::lower_bound`] on the same cell, because each
     /// `(dimension, cell)` term is the interval kernel's own value for that
-    /// one dimension.
+    /// one dimension (`VaPlusQuantizer::term`).
     pub fn sweep<'a>(&'a self, query_dft: &'a [f32], rows: usize) -> BoundSweep<'a> {
         debug_assert_eq!(query_dft.len(), self.dims);
-        let term = move |d: usize, cell: u16| {
-            let (low, high) = self.interval(d, cell);
-            hydra_core::simd::interval_mindist_sq(&query_dft[d..=d], &[low], &[high])
-        };
+        let term = move |d: usize, cell: u16| self.term(query_dft, d, cell);
         BoundSweep::new(self.boundaries.iter().map(|b| b.len() + 1), rows, term)
+    }
+
+    /// Dimension `d`'s term of [`VaPlusQuantizer::lower_bound`] for a cell
+    /// holding `cell` there: `gap · gap`, from the interval kernel's own gap
+    /// ([`hydra_core::simd::interval_gap`]) with no dispatch per term. A
+    /// one-dimension kernel call adds exactly this to zero.
+    #[inline]
+    fn term(&self, query_dft: &[f32], d: usize, cell: u16) -> f64 {
+        let (low, high) = self.interval(d, cell);
+        let gap = hydra_core::simd::interval_gap(query_dft[d] as f64, low, high);
+        gap * gap
     }
 
     /// Upper-bounding distance from a query's DFT summary to a candidate cell
@@ -360,6 +369,47 @@ mod tests {
     use super::*;
     use hydra_core::distance::euclidean;
     use hydra_core::series::z_normalize;
+    use hydra_core::simd::{interval_mindist_sq_with, Kernel};
+
+    #[test]
+    fn direct_terms_are_the_dispatched_kernels_terms_on_every_tier() {
+        // A 0-bit dimension (one cell open on both sides), the edge cells
+        // open to ±∞, and query values inside, beyond, infinite and NaN.
+        let bits = vec![0u8, 1, 3, 8];
+        let boundaries: Vec<Vec<f64>> = bits
+            .iter()
+            .map(|&b| {
+                let cells = 1usize << b;
+                (1..cells).map(|c| c as f64 * 0.5 - 2.0).collect()
+            })
+            .collect();
+        let quantizer = VaPlusQuantizer::from_parts(64, 4, bits.clone(), boundaries);
+        for q_value in [
+            0.3f32,
+            -80.0,
+            80.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ] {
+            let q = [q_value; 4];
+            for (d, &b) in bits.iter().enumerate() {
+                for cell in 0..1u16 << b {
+                    let (low, high) = quantizer.interval(d, cell);
+                    let term = quantizer.term(&q, d, cell);
+                    for kernel in [Kernel::Portable, Kernel::Sse2, Kernel::Avx2] {
+                        let dispatched =
+                            interval_mindist_sq_with(kernel, &q[d..=d], &[low], &[high]);
+                        assert_eq!(
+                            term.to_bits(),
+                            dispatched.to_bits(),
+                            "{kernel:?} q={q_value} d={d} cell={cell}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn lcg_series(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed;

@@ -11,7 +11,10 @@
 //! 1. **Filtering** — a sequential pass over the (small) filter file computes
 //!    a lower bound for every candidate from a per-query table of cell terms;
 //!    candidates are ranked by lower bound, lazily
-//!    ([`hydra_storage::refine::LazyRanking`]).
+//!    ([`hydra_storage::refine::LazyRanking`]). In memory the filter file is
+//!    held segment-major in blocks of eight series, which the sweep bounds
+//!    eight at a time ([`hydra_transforms::sweep`]); the snapshot keeps the
+//!    series-by-series layout.
 //! 2. **Refinement** — candidates are visited in increasing lower-bound order;
 //!    the raw series of each surviving candidate is fetched (a random /
 //!    skip-sequential access on the raw file) and its exact distance computed,
@@ -36,16 +39,16 @@ use hydra_core::{
 };
 use hydra_storage::refine::{self, Full, LazyRanking};
 use hydra_storage::DatasetStore;
-use hydra_transforms::VaPlusQuantizer;
+use hydra_transforms::{SummaryBlocks, VaPlusQuantizer};
 use std::sync::Arc;
 
 /// The VA+file index.
 pub struct VaPlusFile {
     store: Arc<DatasetStore>,
     quantizer: VaPlusQuantizer,
-    /// The filter file: every series' cell indices, `dims` per series in
-    /// dataset order.
-    cells: Vec<u16>,
+    /// The filter file: every series' cell indices, in dataset order and
+    /// blocked segment-major (`hydra_transforms::sweep`).
+    cells: SummaryBlocks,
     approximation_bytes: usize,
 }
 
@@ -72,9 +75,9 @@ impl VaPlusFile {
         let quantizer = VaPlusQuantizer::train(store.series_length(), dims, total_bits, sample);
 
         // One sequential pass to compute every approximation.
-        let mut cells = Vec::with_capacity(store.len() * dims);
+        let mut cells = SummaryBlocks::with_capacity(dims, store.len());
         store.scan_all(|_, series| {
-            cells.extend(quantizer.cell(series.values()).cells);
+            cells.push(&quantizer.cell(series.values()).cells);
         });
         let approximation_bytes = (store.len() * quantizer.bits_per_series()).div_ceil(8);
         store.record_index_write(approximation_bytes as u64);
@@ -158,7 +161,7 @@ impl ExactIndex for VaPlusFile {
         IndexFootprint {
             total_nodes: 0,
             leaf_nodes: 0,
-            memory_bytes: self.cells.len() * std::mem::size_of::<u16>()
+            memory_bytes: self.cells.len() * self.cells.dims() * std::mem::size_of::<u16>()
                 + std::mem::size_of::<VaPlusQuantizer>(),
             disk_bytes: self.approximation_bytes,
             leaf_fill_factors: Vec::new(),
@@ -194,8 +197,10 @@ impl PersistentIndex for VaPlusFile {
             }
         }
         out.put_usize(self.store.len())?;
-        for &c in &self.cells {
-            out.put_u16(c)?;
+        for i in 0..self.cells.len() {
+            for c in self.cells.word(i) {
+                out.put_u16(c)?;
+            }
         }
         Ok(())
     }
@@ -236,9 +241,10 @@ impl PersistentIndex for VaPlusFile {
                 store.len()
             )));
         }
-        let mut cells = Vec::with_capacity(num_cells * dims);
+        let mut cells = SummaryBlocks::with_capacity(dims, num_cells);
+        let mut word = vec![0u16; dims];
         for _ in 0..num_cells {
-            for d in 0..dims {
+            for (d, slot) in word.iter_mut().enumerate() {
                 let cell = input.get_u16()?;
                 // The bound table and `interval` index by the cell.
                 if usize::from(cell) > quantizer.boundaries(d).len() {
@@ -247,8 +253,9 @@ impl PersistentIndex for VaPlusFile {
                         quantizer.boundaries(d).len() + 1
                     )));
                 }
-                cells.push(cell);
+                *slot = cell;
             }
+            cells.push(&word);
         }
         let approximation_bytes = (num_cells * quantizer.bits_per_series()).div_ceil(8);
         Ok(Self {
@@ -447,7 +454,6 @@ mod tests {
             .with_segments(16)
             .with_train_samples(200);
         let idx = VaPlusFile::build_on_store(store.clone(), &options).unwrap();
-        let dims = idx.quantizer.dims();
 
         let modes = [
             (AnswerMode::Exact, None),
@@ -469,12 +475,10 @@ mod tests {
             .enumerate()
         {
             let q_dft = idx.quantizer.dft(q.values());
-            let bounds: Vec<f64> = idx
-                .cells
-                .chunks_exact(dims)
-                .map(|cell| {
+            let bounds: Vec<f64> = (0..idx.cells.len())
+                .map(|i| {
                     let cell = hydra_transforms::VaPlusCell {
-                        cells: cell.to_vec(),
+                        cells: idx.cells.word(i).collect(),
                     };
                     idx.quantizer.lower_bound(&q_dft, &cell)
                 })

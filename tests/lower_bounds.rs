@@ -13,12 +13,14 @@
 
 use hydra_core::distance::euclidean;
 use hydra_core::series::z_normalize;
+use hydra_core::simd::{detected_kernel, Kernel};
 use hydra_isax::tree::IsaxTree;
 use hydra_transforms::eapca::{uniform_segmentation, Eapca};
 use hydra_transforms::fft::{dft_lower_bound, dft_summary};
 use hydra_transforms::sax::{IsaxWord, SaxParams, SaxWord};
 use hydra_transforms::sfa::{BinningMethod, SfaParams, SfaQuantizer};
-use hydra_transforms::vaplus::VaPlusQuantizer;
+use hydra_transforms::sweep::{BoundSweep, SummaryBlocks};
+use hydra_transforms::vaplus::{VaPlusCell, VaPlusQuantizer};
 use hydra_transforms::{HaarTransform, Paa};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -230,6 +232,36 @@ fn bits_of(bounds: &[f64]) -> Vec<u64> {
     bounds.iter().map(|b| b.to_bits()).collect()
 }
 
+/// The portable block arm, then the AVX-512 gather arm where this CPU has
+/// it (any tier but `Portable` selects it; on a CPU without AVX-512F both
+/// run the portable arm).
+fn sweep_arms() -> [Kernel; 2] {
+    [Kernel::Portable, detected_kernel()]
+}
+
+/// Every way to sweep the row-major `rows` (`dims` symbols per series) —
+/// each block arm over the blocked summaries, and the row-major arm — as
+/// `(arm, bounds)`.
+fn swept_by_every_arm(
+    sweep: &BoundSweep<'_>,
+    dims: usize,
+    rows: &[u16],
+) -> Vec<(String, Vec<f64>)> {
+    let blocks = SummaryBlocks::from_rows(dims, rows);
+    let mut swept: Vec<(String, Vec<f64>)> = sweep_arms()
+        .into_iter()
+        .map(|kernel| {
+            let mut bounds = vec![f64::NAN; 3];
+            sweep.sweep_with(kernel, &blocks, &mut bounds);
+            (format!("blocks on {}", kernel.name()), bounds)
+        })
+        .collect();
+    let mut bounds = Vec::new();
+    sweep.sweep_rows(rows, &mut bounds);
+    swept.push(("rows".to_string(), bounds));
+    swept
+}
+
 /// The table-driven sweeps must reproduce the per-pair lower bounds bit for
 /// bit — that is what keeps pruning, answers and counters unchanged. CI runs
 /// this under native dispatch and `HYDRA_SIMD=portable`.
@@ -264,13 +296,14 @@ fn sax_sweep_is_bit_identical_to_the_per_pair_mindist_on_hostile_inputs() {
             // `rows` picks the path: the collection's own size tabulates the
             // small alphabets, one row always computes directly.
             for rows in [words.len(), 1] {
-                let mut got = Vec::new();
-                params.sweep(&q_paa, rows).sweep(&flat, &mut got);
-                assert_eq!(
-                    bits_of(&got),
-                    bits_of(&expected),
-                    "len={len} segments={segments} bits={bits} query={qi} rows={rows}"
-                );
+                let sweep = params.sweep(&q_paa, rows);
+                for (arm, got) in swept_by_every_arm(&sweep, segments, &flat) {
+                    assert_eq!(
+                        bits_of(&got),
+                        bits_of(&expected),
+                        "len={len} segments={segments} bits={bits} query={qi} rows={rows} {arm}"
+                    );
+                }
             }
         }
     }
@@ -452,14 +485,143 @@ fn vaplus_sweep_is_bit_identical_to_the_per_pair_bound_on_hostile_inputs() {
                 .map(|c| quantizer.lower_bound(&q_dft, c))
                 .collect();
             for rows in [100_000usize, 1] {
-                let mut got = Vec::new();
-                quantizer.sweep(&q_dft, rows).sweep(&flat, &mut got);
+                let sweep = quantizer.sweep(&q_dft, rows);
+                for (arm, got) in swept_by_every_arm(&sweep, dims, &flat) {
+                    assert_eq!(
+                        bits_of(&got),
+                        bits_of(&expected),
+                        "len={len} dims={dims} bits={total_bits} query={qi} rows={rows} {arm}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Summaries of `count` series, `dims` random symbols each below
+/// `cardinality`: the first series hold only the lowest symbol and the next
+/// only the highest (the cells open to −∞ and +∞), so ragged last blocks
+/// mix edge and interior symbols.
+fn random_rows(rng: &mut StdRng, count: usize, dims: usize, cardinality: usize) -> Vec<u16> {
+    (0..count * dims)
+        .map(|i| match i / dims {
+            0 => 0,
+            1 => (cardinality - 1) as u16,
+            _ => rng.gen_range(0..cardinality) as u16,
+        })
+        .collect()
+}
+
+/// Collection sizes around the block of 8, and one serve shard.
+const SWEEP_SIZES: [usize; 6] = [0, 1, 7, 8, 9, 50_001];
+
+/// Every sweep arm equals the per-pair bound on every prefix in
+/// [`SWEEP_SIZES`] of `rows`, tabulated and computed directly.
+fn assert_arms_match_per_pair<'a>(
+    label: &str,
+    dims: usize,
+    rows: &[u16],
+    sweep: impl Fn(usize) -> BoundSweep<'a>,
+    per_pair: impl Fn(&[u16]) -> f64,
+) {
+    let expected: Vec<f64> = rows.chunks_exact(dims).map(per_pair).collect();
+    // A huge `rows` always tabulates (every row width); one row computes
+    // the terms directly.
+    for table_rows in [usize::MAX, 1] {
+        let sweep = sweep(table_rows);
+        for n in SWEEP_SIZES {
+            for (arm, got) in swept_by_every_arm(&sweep, dims, &rows[..n * dims]) {
                 assert_eq!(
                     bits_of(&got),
-                    bits_of(&expected),
-                    "len={len} dims={dims} bits={total_bits} query={qi} rows={rows}"
+                    bits_of(&expected[..n]),
+                    "{label} n={n} table_rows={table_rows} {arm}"
                 );
             }
+        }
+    }
+}
+
+/// ADS+'s SIMS sweep: each arm, for ragged and whole last blocks, every
+/// dimension count the lanes treat differently and every row width (3, 8,
+/// 12 and 16 bits), is bit-identical to `mindist_paa_to_isax`. The query
+/// PAA holds a NaN, ±inf and values beyond the outer breakpoints.
+#[test]
+fn every_sax_sweep_arm_is_the_per_pair_mindist_at_every_size_dims_and_width() {
+    let largest = SWEEP_SIZES[SWEEP_SIZES.len() - 1];
+    for dims in [1usize, 4, 6, 16] {
+        for bits in [3u8, 8, 12, 16] {
+            let mut rng = StdRng::seed_from_u64(0xB10C + dims as u64 * 17 + u64::from(bits));
+            let params = SaxParams::new(64, dims, bits);
+            let rows = random_rows(&mut rng, largest, dims, 1 << bits);
+            let q_paa: Vec<f32> = (0..dims)
+                .map(|d| match d % 5 {
+                    0 => f32::NAN,
+                    1 => 9.5,
+                    2 => -9.5,
+                    3 if d == 3 => f32::INFINITY,
+                    _ => rng.gen_range(-2.0..2.0) as f32,
+                })
+                .collect();
+            assert_arms_match_per_pair(
+                &format!("SAX dims={dims} bits={bits}"),
+                dims,
+                &rows,
+                |table_rows| params.sweep(&q_paa, table_rows),
+                |word| {
+                    let word = IsaxWord {
+                        symbols: word.to_vec(),
+                        bits: vec![bits; dims],
+                        max_bits: bits,
+                    };
+                    params.mindist_paa_to_isax(&q_paa, &word)
+                },
+            );
+        }
+    }
+}
+
+/// The VA+file's filter sweep, likewise, against `VaPlusQuantizer::
+/// lower_bound`: uniform quantizers of 3, 8, 12 and 16 bits per dimension
+/// (one per row width) over sorted random cell boundaries.
+#[test]
+fn every_vaplus_sweep_arm_is_the_per_pair_bound_at_every_size_dims_and_width() {
+    let largest = SWEEP_SIZES[SWEEP_SIZES.len() - 1];
+    for dims in [1usize, 4, 6, 16] {
+        for bits in [3u8, 8, 12, 16] {
+            let mut rng = StdRng::seed_from_u64(0x7AB0C + dims as u64 * 17 + u64::from(bits));
+            let boundaries: Vec<Vec<f64>> = (0..dims)
+                .map(|_| {
+                    let mut cuts: Vec<f64> = (0..(1usize << bits) - 1)
+                        .map(|_| rng.gen_range(-50.0..50.0))
+                        .collect();
+                    cuts.sort_by(f64::total_cmp);
+                    cuts
+                })
+                .collect();
+            let quantizer = VaPlusQuantizer::from_parts(64, dims, vec![bits; dims], boundaries);
+            let rows = random_rows(&mut rng, largest, dims, 1 << bits);
+            let q_dft: Vec<f32> = (0..dims)
+                .map(|d| match d % 4 {
+                    0 => f32::NAN,
+                    1 => 60.0,
+                    2 => -60.0,
+                    _ => rng.gen_range(-50.0..50.0) as f32,
+                })
+                .collect();
+            assert_arms_match_per_pair(
+                &format!("VA+ dims={dims} bits={bits}"),
+                dims,
+                &rows,
+                |table_rows| quantizer.sweep(&q_dft, table_rows),
+                |cells| {
+                    quantizer.lower_bound(
+                        &q_dft,
+                        &VaPlusCell {
+                            cells: cells.to_vec(),
+                        },
+                    )
+                },
+            );
         }
     }
 }
