@@ -4,14 +4,17 @@
 //! and the VA+file run per query.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use hydra_core::distance::euclidean;
+use hydra_core::simd;
 use hydra_data::RandomWalkGenerator;
+use hydra_isax::ads::Sims;
 use hydra_storage::refine::LazyRanking;
 use hydra_transforms::eapca::{uniform_segmentation, Eapca};
 use hydra_transforms::fft::dft_summary;
 use hydra_transforms::sax::SaxParams;
 use hydra_transforms::sfa::{SfaParams, SfaQuantizer};
 use hydra_transforms::vaplus::VaPlusQuantizer;
-use hydra_transforms::{HaarTransform, Paa, SummaryBlocks};
+use hydra_transforms::{CoarseBlocks, HaarTransform, Paa, SummaryBlocks};
 
 fn bench_transforms(c: &mut Criterion) {
     let mut group = c.benchmark_group("summarize_series");
@@ -93,9 +96,14 @@ fn bench_lower_bounds(c: &mut Criterion) {
 }
 
 /// One query's table build + sweep over the blocked summaries of 50k series
-/// (one `serve_zipf` shard) and of 100k (ADS+ SIMS step 1), and the same
-/// plus the lazy ranking of a 7 % prefix (VA+file phase 1) — next to the
-/// per-pair rows above, which no longer price them.
+/// (one `serve_zipf` shard) and of 100k (ADS+'s full-resolution bounds of
+/// every series), and the same plus the lazy ranking of a 7 % prefix
+/// (VA+file phase 1) — next to the per-pair rows above, which no longer
+/// price them. ADS+ itself now runs two-resolution SIMS: `adsplus_coarse`
+/// is one coarse pass (its table fill included), and `adsplus_step1` is
+/// everything ADS+ runs before its first read and between its seeds and
+/// its runs — coarse passes, seed certification and the survivors' full
+/// bounds, under the limit its seeds leave at k = 10.
 fn bench_sweeps(c: &mut Criterion) {
     let mut group = c.benchmark_group("summary_sweeps");
     group.sample_size(30);
@@ -112,12 +120,40 @@ fn bench_sweeps(c: &mut Criterion) {
         words.extend(sax.sax_word(gen.series(i).values()).symbols);
     }
     let mut bounds = Vec::new();
+    let mut sums = Vec::new();
+    let shift = u32::from(sax.max_bits() - sax.coarse_bits());
     for (lane, rows) in [("50k", 50_000usize), ("100k", rows)] {
         let blocks = SummaryBlocks::from_rows(segments, &words[..rows * segments]);
         group.bench_function(BenchmarkId::new("adsplus_sweep", lane), |b| {
             b.iter(|| {
                 sax.sweep(&q_paa, rows).sweep(&blocks, &mut bounds);
                 black_box(bounds.last().copied())
+            })
+        });
+        let coarse = CoarseBlocks::new(&blocks, shift);
+        if rows == 50_000 {
+            group.bench_function(BenchmarkId::new("adsplus_coarse", lane), |b| {
+                b.iter(|| {
+                    let mut pass = sax.coarse_pass(&q_paa);
+                    pass.quantize(pass.scale_for(pass.provisional()));
+                    pass.sums(&coarse, &mut sums);
+                    black_box(sums.last().copied())
+                })
+            });
+        }
+        // The limit SIMS' runs start under: the 10th smallest distance of
+        // its 20 seeds.
+        let sims = || Sims::new(&sax, &blocks, &coarse, &q_paa, simd::active_kernel());
+        let mut seeded: Vec<f64> = (sims().seeds(20).into_iter())
+            .map(|(id, _)| euclidean(q.values(), gen.series(id as u64).values()))
+            .collect();
+        seeded.sort_by(f64::total_cmp);
+        let limit = seeded[9];
+        group.bench_function(BenchmarkId::new("adsplus_step1", lane), |b| {
+            b.iter(|| {
+                let mut sims = sims();
+                let seeds = sims.seeds(20);
+                black_box((seeds.len(), sims.survivors(limit).len()))
             })
         });
     }

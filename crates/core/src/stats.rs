@@ -58,6 +58,9 @@ pub struct QueryStats {
     /// (the denominator of the pruning ratio is the dataset size).
     pub raw_series_examined: u64,
     /// Number of summarized candidates whose lower bound was evaluated.
+    /// ADS+ counts full-resolution bounds only: its coarse pass, which
+    /// bounds every series from the top bits of its symbols, is not
+    /// counted.
     pub lower_bounds_computed: u64,
     /// Number of index leaves visited.
     pub leaves_visited: u64,

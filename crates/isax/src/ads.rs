@@ -4,31 +4,52 @@
 //! leaves hold series positions and SAX words, never raw values — which makes
 //! index construction dramatically cheaper than iSAX2+ (the paper's Figure 6a).
 //! The cost is shifted to query time. Exact search (and the ε and δ-ε modes)
-//! uses SIMS:
+//! uses SIMS, here at two resolutions ([`Sims`]):
 //!
-//! 1. the MINDIST lower bound between the query and *every* series' full-
-//!    resolution iSAX summary is computed in memory, from one per-query
-//!    table of `(segment, symbol)` terms. The summaries are held
-//!    segment-major in blocks of eight series, so a block's segment is one
-//!    8-wide AVX-512 gather where the CPU has it, with the same bits as the
-//!    per-pair MINDIST ([`hydra_transforms::sweep`]);
-//! 2. the `2k` series with the smallest bounds are read (random accesses)
-//!    and refined first, so the best-so-far (bsf) is tight before any skip
-//!    is decided — as MESSI and Hercules seed theirs from the best
-//!    summaries rather than from one leaf;
-//! 3. a skip-sequential pass over the raw file reads only the series whose
-//!    lower bound is below the bsf, skipping (seeking over) the pruned ones
-//!    at page granularity — a run bridges bounded-out series up to the page
-//!    after its last one — and refines the bsf as it goes.
+//! 1. a **coarse pass** lower-bounds *every* series from the top 6 bits of
+//!    its iSAX symbols, held as `u8` segment-major in blocks of 64 series:
+//!    one per-query table of 16 × 64 MINDIST terms, quantized down to `u8`
+//!    units and summed in `u16`, so a block's segment is one AVX-512 VBMI
+//!    `vpermb` where the CPU has it ([`hydra_transforms::sweep`]). A coarse
+//!    symbol's interval holds its full symbols', so the coarse bound never
+//!    exceeds the full one (Seidl and Kriegel's optimal multi-step k-NN,
+//!    with product quantization's register-held "fast scan" tables);
+//! 2. **certified seeds**: the full bounds of the `2k` series with the
+//!    lowest coarse sums give a cutoff `F`; every series whose coarse sum
+//!    is within `F` is bounded at full resolution, and the seeds are the
+//!    `2k` smallest of those — exactly the `2k` best full bounds of the
+//!    whole collection, in `(bound, id)` order. They are read (random
+//!    accesses) and refined first, so the best-so-far (bsf) is tight
+//!    before any skip is decided — as MESSI and Hercules seed theirs from
+//!    the best summaries rather than from one leaf;
+//! 3. a **survivors-only skip-sequential pass**: every series whose coarse
+//!    sum is below `bsf · shrink` survives, with its full bound; every
+//!    other one has full ≥ coarse ≥ that limit, which only falls, so the
+//!    pass would never refine it. The pass walks the survivors in file
+//!    order, reads only those whose full bound is below the bsf, skipping
+//!    (seeking over) the pruned ones at page granularity — a run bridges
+//!    bounded-out series up to the page after its last one — and refines
+//!    the bsf as it goes. It reads exactly the series and pages a pass
+//!    over every full bound would.
+//!
+//! Each pass scales its threshold (`F`, then the post-seed limit) to about
+//! a thousand units and re-runs when the scale it has leaves the threshold
+//! too coarse or too fine. Once a quarter of the series need a full bound
+//! (the hardest controlled queries), one blocked sweep bounds them all, the
+//! coarse sums are freed and every series survives with its swept bound
+//! ([`Survivors::Every`]), as in a single-resolution pass. A query whose PAA
+//! holds a NaN or ±∞ has no coarse bound: every series is bounded at full
+//! resolution.
+//! `QueryStats::lower_bounds_computed` counts full-resolution bounds only.
 //!
 //! The ng-approximate mode instead answers from one leaf: the tree descent
 //! to the covering leaf (or the MINDIST-nearest one).
 //!
 //! Steps 2 and 3 (and the ng leaf) run through the scan-side driver,
-//! [`hydra_storage::refine`] ([`Refiner::skip_sequential`] over the step-1
-//! bounds, an id list for the leaf), which owns the query frame and the
-//! budgeted per-candidate step; ADS+ supplies the descent, the sweep and
-//! the kernels.
+//! [`hydra_storage::refine`] ([`Refiner::skip_sequential`] over the seeds
+//! and the survivors, an id list for the leaf), which owns the query frame
+//! and the budgeted per-candidate step; ADS+ supplies the descent, the
+//! bounds and the kernels.
 //!
 //! Every skip is a random disk access — the behaviour that makes ADS+ the
 //! fastest method to build but sensitive to seek latency on HDDs (and very
@@ -39,14 +60,16 @@
 use crate::tree::{IsaxTree, NodeKind};
 use hydra_core::distance::{squared_euclidean, squared_euclidean_early_abandon};
 use hydra_core::persist::{PersistentIndex, SnapshotSink, SnapshotSource};
+use hydra_core::simd::{self, Kernel};
 use hydra_core::{
     parallel, AnswerMode, AnswerSet, AnsweringMethod, BuildOptions, Dataset, Error, ExactIndex,
     IndexFootprint, MethodDescriptor, ModeCapabilities, Query, QueryStats, Result,
 };
-use hydra_storage::refine::{self, EarlyAbandon, Full};
+use hydra_storage::refine::{self, smallest, EarlyAbandon, Full, Survivors};
 use hydra_storage::DatasetStore;
 use hydra_transforms::sax::SaxParams;
-use hydra_transforms::SummaryBlocks;
+use hydra_transforms::sweep::scan_sums_with;
+use hydra_transforms::{BoundSweep, CoarseBlocks, CoarsePass, SummaryBlocks};
 use std::sync::Arc;
 
 /// The ADS+ adaptive index.
@@ -54,8 +77,11 @@ pub struct AdsPlus {
     store: Arc<DatasetStore>,
     tree: IsaxTree,
     /// Full-cardinality SAX symbols of every series, in dataset order and
-    /// blocked segment-major (the in-memory summary array SIMS sweeps).
+    /// blocked segment-major (the in-memory summary array SIMS bounds).
     summaries: SummaryBlocks,
+    /// The same symbols cut to their top bits, blocked by 64 (the array
+    /// SIMS' coarse pass reads).
+    coarse: CoarseBlocks,
 }
 
 impl AdsPlus {
@@ -81,11 +107,21 @@ impl AdsPlus {
         // Only the summaries are written out: the index is tiny on disk.
         let summary_bytes = store.len() * options.segments * 2;
         store.record_index_write(summary_bytes as u64);
-        Ok(Self {
+        Ok(Self::assemble(store, tree, summaries))
+    }
+
+    /// The index over `tree` and its dataset-order `summaries`, with the
+    /// coarse array derived from them.
+    fn assemble(store: Arc<DatasetStore>, tree: IsaxTree, summaries: SummaryBlocks) -> Self {
+        let params = tree.params();
+        let shift = params.max_bits() - params.coarse_bits();
+        let coarse = CoarseBlocks::new(&summaries, u32::from(shift));
+        Self {
             store,
             tree,
             summaries,
-        })
+            coarse,
+        }
     }
 
     /// The underlying iSAX tree.
@@ -98,9 +134,9 @@ impl AdsPlus {
         &self.store
     }
 
-    /// SIMS step 1: the MINDIST lower bound from the query to every
-    /// full-resolution summary, in dataset order, table-driven and a block
-    /// of eight series at a time (see `hydra_transforms::sweep`).
+    /// The full-resolution MINDIST from the query to every summary, in
+    /// dataset order, table-driven and a block of eight series at a time
+    /// (see `hydra_transforms::sweep`).
     fn bounds(&self, query_paa: &[f32], stats: &mut QueryStats) -> Vec<f64> {
         let n = self.store.len();
         let mut bounds = Vec::new();
@@ -111,6 +147,284 @@ impl AdsPlus {
         stats.record_lower_bounds(n as u64);
         bounds
     }
+}
+
+/// A coarse limit below this many units per dimension resolves too little
+/// (each term loses up to a unit to rounding): the pass re-runs at the
+/// threshold's own scale.
+const RERUN_BELOW_PER_DIM: u32 = 4;
+
+/// A coarse limit above this many units per dimension leaves too many terms
+/// at the cap: the pass re-runs at the threshold's own scale.
+const RERUN_ABOVE_PER_DIM: u32 = 128;
+
+/// One query's two-resolution SIMS bounds: the coarse sums of every
+/// series, and the full-resolution bound of only the series they cannot
+/// rule out. [`Sims::seeds`] certifies the seeds, then [`Sims::survivors`]
+/// lists the series the skip-sequential pass may visit.
+pub struct Sims<'a> {
+    summaries: &'a SummaryBlocks,
+    coarse: &'a CoarseBlocks,
+    full: BoundSweep<'a>,
+    pass: CoarsePass,
+    kernel: Kernel,
+    /// Every series' coarse sum at `pass.scale()`.
+    sums: Vec<u16>,
+    /// Full bounds computed and kept, ascending by id.
+    bounded: Vec<(usize, f64)>,
+    /// Every series' full bound, once so many are needed that one blocked
+    /// sweep is cheaper than bounding them one at a time.
+    dense: Vec<f64>,
+    /// Full bounds computed.
+    computed: u64,
+}
+
+impl<'a> Sims<'a> {
+    /// The bounds of the query `query_paa` over `summaries` (full symbols
+    /// of `params`) and their `coarse` array, on `kernel`'s arms. Every PAA
+    /// value must be finite: a NaN or ±∞ one has no coarse bound.
+    pub fn new(
+        params: &'a SaxParams,
+        summaries: &'a SummaryBlocks,
+        coarse: &'a CoarseBlocks,
+        query_paa: &[f32],
+        kernel: Kernel,
+    ) -> Self {
+        debug_assert!(query_paa.iter().all(|v| v.is_finite()));
+        Self {
+            summaries,
+            coarse,
+            full: params.sweep(query_paa, summaries.len()),
+            pass: params.coarse_pass(query_paa),
+            kernel,
+            sums: Vec::new(),
+            bounded: Vec::new(),
+            dense: Vec::new(),
+            computed: 0,
+        }
+    }
+
+    /// Full-resolution bounds computed so far: every series' when one
+    /// blocked sweep bounded them all.
+    pub fn computed(&self) -> u64 {
+        self.computed
+    }
+
+    /// Re-runs the coarse pass at `scale`.
+    fn rescale(&mut self, scale: f64) {
+        self.pass.quantize(scale);
+        self.pass
+            .sums_with(self.kernel, self.coarse, &mut self.sums);
+    }
+
+    /// Whether the current sums resolve `threshold` finely enough.
+    fn resolves(&self, threshold: f64) -> bool {
+        let dims = self.pass.dims() as u32;
+        let limit = u32::from(self.pass.limit(threshold));
+        (RERUN_BELOW_PER_DIM * dims..=RERUN_ABOVE_PER_DIM * dims).contains(&limit)
+    }
+
+    /// In debug builds: series `id`'s coarse sum is within the limit of its
+    /// full `bound`, as the coarse bound's promise requires.
+    fn check(&self, id: usize, bound: f64) {
+        debug_assert!(
+            self.sums[id] <= self.pass.limit(bound),
+            "series {id}: coarse sum {} above the limit {} of its full bound {bound} (scale {})",
+            self.sums[id],
+            self.pass.limit(bound),
+            self.pass.scale()
+        );
+    }
+
+    /// Bounds every series in full in one blocked sweep, once per query.
+    /// From then on every bound is read from `dense`, and neither `bounded`
+    /// nor a coarse sum is, so both are freed: a query that bounds every
+    /// series holds about what a single-resolution query would.
+    fn bound_all(&mut self) {
+        if self.dense.is_empty() {
+            self.bounded = Vec::new();
+            self.full
+                .sweep_with(self.kernel, self.summaries, &mut self.dense);
+            self.computed = self.dense.len() as u64;
+            if cfg!(debug_assertions) {
+                for (id, &bound) in self.dense.iter().enumerate() {
+                    self.check(id, bound);
+                }
+            }
+            self.sums = Vec::new();
+        }
+    }
+
+    /// The ids whose coarse sum is within the limit of `threshold`,
+    /// ascending; `None`, with every series bounded in full, once `1 /
+    /// share` of the series are (or every series already is bounded).
+    fn within(&mut self, threshold: f64, share: usize) -> Option<Vec<u32>> {
+        if self.dense.is_empty() {
+            let limit = self.pass.limit(threshold);
+            let cap = self.summaries.len() / share;
+            if let Some(ids) = at_most(self.kernel, &self.sums, limit, cap) {
+                return Some(ids);
+            }
+            self.bound_all();
+        }
+        None
+    }
+
+    /// The `m` smallest full bounds computed, by `(bound, id)`.
+    fn smallest_known(&self, m: usize) -> Vec<(usize, f64)> {
+        if !self.dense.is_empty() {
+            return smallest(&self.dense, m);
+        }
+        // `bounded` ascends by id, so a tie on the bound breaks by position
+        // as it would by id.
+        let bounds: Vec<f64> = self.bounded.iter().map(|&(_, bound)| bound).collect();
+        (smallest(&bounds, m).into_iter())
+            .map(|(at, _)| self.bounded[at])
+            .collect()
+    }
+
+    /// SIMS step 2's seeds: exactly `smallest(full bounds, m)`, certified.
+    /// Any `m` series' full bounds give a cutoff `F`, the largest of them:
+    /// at least `m` series are bounded at or below it, so every seed is
+    /// too, and every seed's coarse sum is within `F`'s limit. `F` comes
+    /// from the series with the `m` lowest coarse sums; every series within
+    /// its limit is bounded in full, and the seeds are their `m` smallest,
+    /// in `(bound, id)` order. A pass whose scale leaves `F` unresolved
+    /// re-runs at `F`'s own scale and picks again.
+    pub fn seeds(&mut self, m: usize) -> Vec<(usize, f64)> {
+        let m = m.min(self.summaries.len());
+        if m == 0 {
+            return Vec::new();
+        }
+        let mut scale = self.pass.scale_for(self.pass.provisional());
+        let mut cutoff = f64::INFINITY;
+        for _ in 0..MAX_SEED_PASSES {
+            self.rescale(scale);
+            let mut lowest = lowest(self.kernel, &self.sums, m);
+            lowest.sort_unstable();
+            if lowest.len() >= self.summaries.len() / DENSE_SHARE {
+                self.bound_all();
+            } else {
+                self.bound_ids(&lowest, true, f64::INFINITY);
+            }
+            // The `m`-th smallest full bound known: the largest of `m`.
+            cutoff = self.smallest_known(m)[m - 1].1;
+            if !self.dense.is_empty() || self.resolves(cutoff) {
+                break;
+            }
+            scale = self.pass.scale_for(cutoff);
+        }
+        if let Some(certified) = self.within(cutoff, SEED_DENSE_SHARE) {
+            self.bound_ids(&certified, false, f64::INFINITY);
+        }
+        self.smallest_known(m)
+    }
+
+    /// SIMS step 3's survivors under the post-seed `limit`: every series
+    /// whose full bound is not above it, with that bound, found among those
+    /// whose coarse sum is within it (or, once so many are that every
+    /// series is bounded in full, among all). Every other series has a full
+    /// bound at or above `limit`, which only falls, so the skip-sequential
+    /// pass would never refine it.
+    pub fn survivors(&mut self, limit: f64) -> Survivors {
+        if self.dense.is_empty() && limit.is_finite() && !self.resolves(limit) {
+            self.rescale(self.pass.scale_for(limit));
+        }
+        match self.within(limit, DENSE_SHARE) {
+            Some(ids) => {
+                self.bound_ids(&ids, false, limit);
+                std::mem::take(&mut self.bounded).into_iter().collect()
+            }
+            None => Survivors::Every(std::mem::take(&mut self.dense)),
+        }
+    }
+
+    /// Leaves in `bounded` the full bounds of `ids` (ascending) that are at
+    /// most `at_most` — with `keep`, beside those it already held —
+    /// bounding each series at most once per query.
+    fn bound_ids(&mut self, ids: &[u32], keep: bool, at_most: f64) {
+        let mut known = std::mem::take(&mut self.bounded).into_iter().peekable();
+        let mut merged = Vec::with_capacity(ids.len() + if keep { known.len() } else { 0 });
+        for id in ids.iter().map(|&id| id as usize) {
+            while let Some(entry) = known.next_if(|&(k, _)| k < id) {
+                if keep {
+                    merged.push(entry);
+                }
+            }
+            let bound = match known.next_if(|&(k, _)| k == id) {
+                Some((_, bound)) => bound,
+                None => {
+                    self.computed += 1;
+                    self.full.bound(self.summaries, id)
+                }
+            };
+            self.check(id, bound);
+            if bound <= at_most {
+                merged.push((id, bound));
+            }
+        }
+        if keep {
+            merged.extend(known);
+        }
+        self.bounded = merged;
+    }
+}
+
+/// A query that needs the full bounds of at least `1 / DENSE_SHARE` of the
+/// series sweeps them all: bounding one series alone costs two to four
+/// times its share of a blocked sweep.
+const DENSE_SHARE: usize = 4;
+
+/// The seeds already sweep every series once `1 / SEED_DENSE_SHARE` of
+/// them need a full bound: the survivors' limit, a distance, is mostly
+/// looser than the seeds' cutoff `F`, a bound, so such a query would sweep
+/// them all for its survivors anyway, after bounding as many one by one.
+const SEED_DENSE_SHARE: usize = 8;
+
+/// Coarse passes the seed certification runs at most.
+const MAX_SEED_PASSES: u32 = 3;
+
+/// The ids of the `m` smallest `(sum, id)` of `sums`, in no set order: one
+/// scan that keeps at most `2m` keys, halving them whenever the buffer
+/// fills, and from then on visits only the sums below the cutoff.
+fn lowest(kernel: Kernel, sums: &[u16], m: usize) -> Vec<u32> {
+    const ID_BITS: u32 = 48;
+    let mut kept: Vec<u64> = Vec::new();
+    // Once the buffer has been halved, every sum above the limit orders
+    // after `m` kept keys: ids only grow, so a tie on the cutoff sum loses
+    // on the id. A cutoff of 0 admits nothing more.
+    let mut limit = u16::MAX;
+    scan_sums_with(kernel, sums, limit, |id, sum| {
+        kept.push(u64::from(sum) << ID_BITS | id as u64);
+        if kept.len() == 2 * m {
+            kept.select_nth_unstable(m - 1);
+            kept.truncate(m);
+            limit = ((kept[m - 1] >> ID_BITS) as u16).checked_sub(1)?;
+        }
+        Some(limit)
+    });
+    kept.sort_unstable();
+    kept.truncate(m);
+    let mask = (1u64 << ID_BITS) - 1;
+    kept.into_iter().map(|key| (key & mask) as u32).collect()
+}
+
+/// The ids whose sum is at most `limit`, ascending, or `None` when there
+/// are `cap` or more: counted first (one vectorized compare per sum), so a
+/// query that will bound every series in full collects no ids.
+fn at_most(kernel: Kernel, sums: &[u16], limit: u16, cap: usize) -> Option<Vec<u32>> {
+    let count = sums
+        .iter()
+        .fold(0u32, |n, &sum| n + u32::from(sum <= limit)) as usize;
+    if count >= cap {
+        return None;
+    }
+    let mut ids = Vec::with_capacity(count);
+    scan_sums_with(kernel, sums, limit, |id, _| {
+        ids.push(id as u32);
+        Some(limit)
+    });
+    Some(ids)
 }
 
 fn log2_ceil(x: usize) -> u32 {
@@ -132,8 +446,8 @@ impl AnsweringMethod for AdsPlus {
     }
 
     /// One serial SIMS query, visiting candidates through the scan-side
-    /// driver: the MINDIST sweep of step 1, then the seed and the
-    /// skip-sequential raw-file pass (steps 2 and 3), or the ng-approximate
+    /// driver: the coarse pass and the certified seeds, then the
+    /// survivors-only skip-sequential raw-file pass, or the ng-approximate
     /// leaf. `threads` is ignored: splitting the sweep over two workers lost
     /// to the serial query (README "Intra-query parallelism & SIMD").
     fn search(&self, query: &Query, _threads: usize, stats: &mut QueryStats) -> Result<AnswerSet> {
@@ -160,13 +474,22 @@ impl AnsweringMethod for AdsPlus {
                 }
                 return Ok(());
             }
-            let bounds = self.bounds(&query_paa, refiner.stats);
-            refiner.skip_sequential(
-                &bounds,
-                EarlyAbandon(|values: &[f32], threshold| {
-                    squared_euclidean_early_abandon(query.values(), values, threshold)
-                }),
-            )
+            let kernel = EarlyAbandon(|values: &[f32], threshold| {
+                squared_euclidean_early_abandon(query.values(), values, threshold)
+            });
+            if !query_paa.iter().all(|v| v.is_finite()) {
+                // A NaN or infinite PAA value has no coarse bound: every
+                // series is bounded in full and survives.
+                let bounds = self.bounds(&query_paa, refiner.stats);
+                let seeds = smallest(&bounds, refiner.seed_count());
+                return refiner.skip_sequential(&seeds, |_| Survivors::Every(bounds), kernel);
+            }
+            let (summaries, coarse) = (&self.summaries, &self.coarse);
+            let mut sims = Sims::new(params, summaries, coarse, &query_paa, simd::active_kernel());
+            let seeds = sims.seeds(refiner.seed_count());
+            let result = refiner.skip_sequential(&seeds, |limit| sims.survivors(limit), kernel);
+            refiner.stats.record_lower_bounds(sims.computed());
+            result
         })
     }
 }
@@ -217,11 +540,7 @@ impl PersistentIndex for AdsPlus {
                 summaries.set(id as usize, word);
             }
         }
-        Ok(Self {
-            store,
-            tree,
-            summaries,
-        })
+        Ok(Self::assemble(store, tree, summaries))
     }
 }
 
@@ -380,11 +699,162 @@ mod tests {
             *bound += farthest + 1.0;
         }
         let _ = refine::search(&store, &query, 3, &mut stats, |refiner| {
+            let seeds = smallest(&bounds, refiner.seed_count());
             refiner.skip_sequential(
-                &bounds,
+                &seeds,
+                |_| Survivors::Every(bounds.clone()),
                 Full(|v: &[f32]| squared_euclidean(query.values(), v)),
             )
         });
+    }
+
+    /// A coarse sum above the limit of its series' full bound trips the
+    /// `Sims` assertion: here every series' coarse symbols sit at the far
+    /// end of each segment from the query.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "above the limit")]
+    fn a_coarse_sum_above_its_full_bound_fails_the_debug_assertion() {
+        let (_, mut idx) = build(200, 64, 20);
+        let q = RandomWalkGenerator::new(174, 64).series(2);
+        let paa = idx.tree.params().paa().transform(q.values());
+        let far: Vec<u16> = paa.iter().map(|&v| if v > 0.0 { 0 } else { 255 }).collect();
+        idx.coarse = CoarseBlocks::new(&SummaryBlocks::from_rows(16, &far.repeat(200)), 2);
+        let _ = idx.answer_simple(&Query::knn(q, 3));
+    }
+
+    /// `n` words of 16 segments from the LCG of the driver's seed test, each
+    /// symbol one of `distinct` values spread over the 256-symbol alphabet
+    /// (both edge symbols included): long runs of tied bounds.
+    fn lcg_words(n: usize, seed: u64, distinct: u64) -> Vec<u16> {
+        let mut state = seed;
+        let step = 255 / distinct.saturating_sub(1).max(1);
+        (0..n * 16)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) % distinct * step).min(255) as u16
+            })
+            .collect()
+    }
+
+    /// `Sims`' certified seeds are `smallest` over every full bound — ids,
+    /// order and bound bits — and its survivors under a limit hold every
+    /// series bounded below it, with its full bound, on both arms.
+    fn assert_certified(params: &SaxParams, words: &[u16], query_paa: &[f32], label: &str) {
+        let summaries = SummaryBlocks::from_rows(16, words);
+        let n = summaries.len();
+        let shift = u32::from(params.max_bits() - params.coarse_bits());
+        let coarse = CoarseBlocks::new(&summaries, shift);
+        let mut full = Vec::new();
+        params.sweep(query_paa, n).sweep(&summaries, &mut full);
+        let all = || full.iter().copied().enumerate();
+        let bits = |pairs: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            pairs.iter().map(|&(id, b)| (id, b.to_bits())).collect()
+        };
+        for kernel in [Kernel::Portable, simd::detected_kernel()] {
+            for m in [1, 3, 20, n] {
+                let m = m.min(n);
+                let mut sims = Sims::new(params, &summaries, &coarse, query_paa, kernel);
+                let seeds = sims.seeds(m);
+                let expected = smallest(&full, m);
+                assert_eq!(bits(&seeds), bits(&expected), "{label} m={m} {kernel:?}");
+                let limit = seeds.last().map_or(f64::INFINITY, |&(_, b)| b * 1.5);
+                let survivors = sims.survivors(limit);
+                let survivors: Vec<(usize, f64)> = survivors.iter().collect();
+                let kept: Vec<(usize, f64)> = survivors
+                    .iter()
+                    .filter(|&&(_, b)| b < limit)
+                    .copied()
+                    .collect();
+                let below: Vec<(usize, f64)> = all().filter(|&(_, b)| b < limit).collect();
+                assert_eq!(bits(&kept), bits(&below), "{label} m={m} {kernel:?}");
+                assert!(survivors.is_sorted_by_key(|&(id, _)| id), "{label}");
+                for &(id, bound) in &survivors {
+                    assert_eq!(bound.to_bits(), full[id].to_bits(), "{label} id={id}");
+                }
+                assert!(sims.computed <= n as u64, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn certified_seeds_are_the_smallest_full_bounds_on_tie_heavy_words() {
+        let params = SaxParams::new(250, 16, 8);
+        let query = RandomWalkGenerator::new(176, 250).series(4);
+        let query_paa = params.paa().transform(query.values());
+        for (n, distinct) in [(1usize, 1u64), (700, 3), (5000, 40), (5000, 256)] {
+            let words = lcg_words(n, 29 + n as u64, distinct);
+            assert_certified(
+                &params,
+                &words,
+                &query_paa,
+                &format!("n={n} distinct={distinct}"),
+            );
+        }
+    }
+
+    /// The golden search data: random walks of 250 values, 24 scattered
+    /// copies of one series and five constant series, queried by walks, a
+    /// member, the duplicated series, the zero series and a perturbed
+    /// member.
+    #[test]
+    fn certified_seeds_are_the_smallest_full_bounds_on_duplicates_and_constants() {
+        let walks = RandomWalkGenerator::new(1401, 250);
+        let mut data = Dataset::empty(250);
+        for i in 0..360u64 {
+            data.push(walks.series(i).values());
+            if i % 15 == 0 {
+                data.push(walks.series(1000).values());
+            }
+        }
+        for level in [0.0f32, 0.0, 0.0, 1.5, -2.0] {
+            data.push(&vec![level; 250]);
+        }
+        let mut queries = RandomWalkGenerator::new(1402, 250).series_batch(2);
+        queries.push(data.series(200).to_owned_series());
+        queries.push(data.series(1).to_owned_series());
+        queries.push(hydra_core::Series::new(vec![0.0; 250]));
+        let params = SaxParams::new(250, 16, 8);
+        let words: Vec<u16> = (0..data.len())
+            .flat_map(|i| params.sax_word(data.series(i).values()).symbols)
+            .collect();
+        for (qi, q) in queries.iter().enumerate() {
+            let query_paa = params.paa().transform(q.values());
+            assert_certified(&params, &words, &query_paa, &format!("query {qi}"));
+        }
+    }
+
+    #[test]
+    fn sims_bounds_in_full_only_what_the_coarse_pass_cannot_rule_out() {
+        let (store, idx) = build(4000, 64, 50);
+        for q in RandomWalkGenerator::new(177, 64).series_batch(5) {
+            let expected = brute_force_knn(store.dataset(), q.values(), 5);
+            let mut stats = QueryStats::default();
+            let got = idx.answer(&Query::knn(q, 5), &mut stats).unwrap();
+            assert!(got.distances_match(&expected, 1e-4));
+            assert!(
+                stats.lower_bounds_computed < 2000,
+                "{}",
+                stats.lower_bounds_computed
+            );
+        }
+    }
+
+    #[test]
+    fn a_query_with_a_non_finite_value_bounds_every_series_in_full() {
+        let (store, idx) = build(300, 64, 20);
+        for special in [f32::NAN, f32::INFINITY] {
+            let mut values = RandomWalkGenerator::new(178, 64).series(0).into_values();
+            values[5] = special;
+            let mut stats = QueryStats::default();
+            let got = idx
+                .answer(&Query::knn(hydra_core::Series::new(values), 3), &mut stats)
+                .unwrap();
+            assert_eq!(got.len(), 3, "{special}");
+            assert_eq!(stats.lower_bounds_computed, store.len() as u64, "{special}");
+        }
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! * **storage order** ([`Refiner::storage_order`]): one counted sequential
 //!   pass (UCR-Suite, MASS), after a ParIS-style pre-pass at `threads > 1`
 //!   for a kernel that does not abandon (MASS);
-//! * **skip-sequential runs** over a bounds array
-//!   ([`Refiner::skip_sequential`]): ADS+'s SIMS — a seed of the `2k`
-//!   best-bounded series, then runs at page granularity that bridge
-//!   bounded-out series and never re-read a seeded one;
+//! * **skip-sequential runs** ([`Refiner::skip_sequential`]): ADS+'s SIMS
+//!   — a seed of the `2k` best-bounded series, then runs at page
+//!   granularity over the survivors of the post-seed limit only, which
+//!   bridge bounded-out series and never re-read a seeded one;
 //! * **lazily ranked by bound** ([`Refiner::ranked`] over a
 //!   [`LazyRanking`]): the VA+file;
 //! * an **explicit id list** ([`Refiner::ids`]): ADS+'s ng-approximate
@@ -27,8 +27,8 @@
 //! hints the series it will refine next with `DatasetStore::prefetch`,
 //! which no counter sees: the storage-order pass prefetches four series
 //! ahead (inside [`DatasetStore::try_scan_all`]), the skip-sequential order
-//! prefetches its whole seed before refining it and the candidates four
-//! ahead inside each run, and the ranked and id-list orders prefetch the
+//! prefetches its whole seed before refining it and four candidates ahead
+//! inside each run, and the ranked and id-list orders prefetch the
 //! next candidate while they refine the current one.
 //!
 //! A method keeps only what really differs: its bound source and its refine
@@ -231,73 +231,144 @@ impl Refiner<'_> {
         Ok(())
     }
 
-    /// SIMS' visiting order over `bounds` (one lower bound per series, in
-    /// storage order).
+    /// The number of best-bounded series SIMS' seed refines, `min(2k, n)`.
+    pub fn seed_count(&self) -> usize {
+        SEED_PER_K
+            .saturating_mul(self.heap.k())
+            .min(self.store.len())
+    }
+
+    /// SIMS' visiting order.
     ///
-    /// First the seed: the `min(2k, n)` best-bounded series, in ascending
-    /// `(bound, id)` order (a NaN bound ranks as `−∞`, as in
-    /// [`LazyRanking`]), one random read each, so the best-so-far is tight
-    /// before any run is sized. Then skip-sequential runs over the rest: a
-    /// run starts at the next unseeded candidate whose bound is below
-    /// `bsf · shrink` and continues through bounded-out series as long as
-    /// the next candidate starts no later than the page after the run's last
-    /// page. Such bridged series are read and charged but neither refined
-    /// nor counted as examined; a seeded series ends a run, so no series is
-    /// refined twice, and a run that resumes on the page the last one ended
-    /// on pays no seek for it. A budget caps the candidates a run refines at
-    /// the reads it has left. The seed starts with a seek, so the counters
-    /// never depend on where an earlier read on this thread left the head.
-    pub fn skip_sequential(&mut self, bounds: &[f64], mut kernel: impl RefineKernel) -> Result<()> {
-        let n = bounds.len();
+    /// First the `seeds`, `(id, lower bound)` in ascending `(bound, id)`
+    /// order — the [`Refiner::seed_count`] best-bounded series, as
+    /// [`smallest`] picks them — one random read each, so the best-so-far is
+    /// tight before any run is sized. Then `survivors` turns the post-seed
+    /// limit `bsf · shrink` (`+∞` while the heap is not full) into the
+    /// [`Survivors`] the runs may visit: every series whose bound is below
+    /// that limit, and any others the caller cannot cheaply rule out (seeds
+    /// among them are skipped). The limit only falls, so no other series
+    /// could ever become a candidate, and the runs walk only the survivors.
+    ///
+    /// Skip-sequential runs over the survivors: a run starts at the next
+    /// unseeded survivor whose bound is below `bsf · shrink` and continues
+    /// through bounded-out series as long as the next candidate starts no
+    /// later than the page after the run's last page. Such bridged series
+    /// are read and charged but neither refined nor counted as examined; a
+    /// seeded series ends a run, so no series is refined twice, and a run
+    /// that resumes on the page the last one ended on pays no seek for it.
+    /// A budget caps the candidates a run refines at the reads it has left.
+    /// The seed starts with a seek, so the counters never depend on where an
+    /// earlier read on this thread left the head.
+    pub fn skip_sequential(
+        &mut self,
+        seeds: &[(usize, f64)],
+        survivors: impl FnOnce(f64) -> Survivors,
+        mut kernel: impl RefineKernel,
+    ) -> Result<()> {
         self.store.seek();
-        let mut seeded = vec![false; n];
-        let seeds = smallest(bounds, SEED_PER_K.saturating_mul(self.heap.k()));
-        for &id in &seeds {
+        for &(id, _) in seeds {
             self.store.prefetch(id);
         }
-        for id in seeds {
+        for &(id, bound) in seeds {
             if self.should_stop() {
                 return Ok(());
             }
-            seeded[id] = true;
             let series = self.store.try_read_series(id)?;
-            self.refine(id, bounds[id], series.values(), &mut kernel, None);
+            self.refine(id, bound, series.values(), &mut kernel, None);
         }
+        if self.should_stop() {
+            return Ok(());
+        }
+        let limit = if self.heap.is_full() {
+            self.limit()
+        } else {
+            f64::INFINITY
+        };
+        let mut seeded: Vec<usize> = seeds.iter().map(|&(id, _)| id).collect();
+        seeded.sort_unstable();
+        // One copy of the runs per layout, so a pass over every series pays
+        // no per-survivor branch on it.
+        match &survivors(limit) {
+            Survivors::Every(bounds) => {
+                self.runs(&seeded, bounds.len(), |p| (p, bounds[p]), &mut kernel)
+            }
+            Survivors::Listed { ids, bounds } => {
+                let survivor = |p: usize| (ids[p] as usize, bounds[p]);
+                self.runs(&seeded, ids.len(), survivor, &mut kernel)
+            }
+        }
+    }
+
+    /// [`Refiner::skip_sequential`]'s runs over `len` survivors, survivor
+    /// `p` being `survivor(p)` = `(id, lower bound)`, ascending by id;
+    /// `seeded` holds the seeds' ids, ascending.
+    fn runs(
+        &mut self,
+        seeded: &[usize],
+        len: usize,
+        survivor: impl Fn(usize) -> (usize, f64) + Copy,
+        kernel: &mut impl RefineKernel,
+    ) -> Result<()> {
+        // The seeds at or after the survivors visited so far: runs only
+        // move forward, so one cursor finds every seed a run must stop at.
+        let mut seeds_ahead = seeded.iter().copied().peekable();
         let store = self.store;
-        let mut id = 0usize;
+        let mut at = 0;
         while !self.should_stop() {
             let (full, limit) = (self.heap.is_full(), self.limit());
-            let candidate = |i: usize| !(seeded[i] || full && bounds[i] >= limit);
-            let Some(start) = (id..n).find(|&i| candidate(i)) else {
+            let candidate = move |(_, bound): (usize, f64)| !(full && bound >= limit);
+            let mut unseeded = |id: usize| {
+                while seeds_ahead.next_if(|&seed| seed < id).is_some() {}
+                seeds_ahead.peek() != Some(&id)
+            };
+            let first = (at..len).find(|&p| {
+                let (id, bound) = survivor(p);
+                candidate((id, bound)) && unseeded(id)
+            });
+            let Some(first) = first else {
                 break;
             };
             let budget = self.meter.limit().map_or(usize::MAX, |limit| {
                 limit.saturating_sub(self.stats.raw_series_examined).max(1) as usize
             });
-            let (mut end, mut refined) = (start + 1, 1);
+            let start = survivor(first).0;
+            // A seeded series ends a run: no run holds a seed, so a
+            // candidate inside one needs no seed test.
+            let end = seeds_ahead.peek().copied().unwrap_or(usize::MAX);
+            let (mut last, mut refined) = (first, 1);
             while refined < budget {
-                let reach = store.page_range(end - 1).1 + 1;
-                let next = (end..n)
-                    .take_while(|&i| !seeded[i] && store.page_range(i).0 <= reach)
-                    .find(|&i| candidate(i));
+                let reach = store.page_range(survivor(last).0).1 + 1;
+                let next = (last + 1..len)
+                    .map(survivor)
+                    .take_while(|&(id, _)| id < end && store.page_range(id).0 <= reach)
+                    .position(candidate);
                 let Some(next) = next else { break };
-                end = next + 1;
+                last += 1 + next;
                 refined += 1;
             }
-            let run = store.try_read_run(start, end - start)?;
-            let prefetch = |i: usize| {
-                if i < end && candidate(i) {
-                    store.prefetch(i);
+            let run = store.try_read_run(start, survivor(last).0 + 1 - start)?;
+            let prefetch = |p: usize| {
+                if p <= last && candidate(survivor(p)) {
+                    store.prefetch(survivor(p).0);
                 }
             };
-            (start..start + PREFETCH_AHEAD).for_each(prefetch);
+            (first..first + PREFETCH_AHEAD).for_each(prefetch);
+            // `p` is the next survivor of the run; a series before it is
+            // bridged: read and charged, never refined.
+            let mut p = first;
             for (sid, series) in (start..).zip(run) {
-                prefetch(sid + PREFETCH_AHEAD);
-                if candidate(sid) {
-                    self.refine(sid, bounds[sid], series.values(), &mut kernel, None);
+                let (id, bound) = survivor(p);
+                if id != sid {
+                    continue;
+                }
+                prefetch(p + PREFETCH_AHEAD);
+                p += 1;
+                if candidate((id, bound)) {
+                    self.refine(sid, bound, series.values(), kernel, None);
                 }
             }
-            id = end;
+            at = last + 1;
         }
         Ok(())
     }
@@ -358,11 +429,64 @@ impl Refiner<'_> {
 /// under-full once k exceeds it.
 const SEED_PER_K: usize = 2;
 
-/// The ids of the `m` smallest `(bound, id)` keys of `bounds` (a NaN bound
-/// ranks as `−∞`), in ascending order: one pass that keeps at most `2m`
+/// The series [`Refiner::skip_sequential`]'s runs may visit, ascending by
+/// id, each with its lower bound.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Survivors {
+    /// Every series: series `id` is bounded by `bounds[id]`.
+    Every(Vec<f64>),
+    /// `ids` ascending, series `ids[i]` bounded by `bounds[i]`.
+    Listed {
+        /// Survivor ids, ascending.
+        ids: Vec<u32>,
+        /// Their lower bounds.
+        bounds: Vec<f64>,
+    },
+}
+
+impl Survivors {
+    /// Number of survivors.
+    pub fn len(&self) -> usize {
+        match self {
+            Self::Every(bounds) | Self::Listed { bounds, .. } => bounds.len(),
+        }
+    }
+
+    /// Whether no series survives.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every survivor, `(id, lower bound)`, ascending by id.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (ids, bounds) = match self {
+            Self::Every(bounds) => (None, bounds),
+            Self::Listed { ids, bounds } => (Some(ids), bounds),
+        };
+        let id = move |p: usize| ids.map_or(p, |ids| ids[p] as usize);
+        bounds
+            .iter()
+            .enumerate()
+            .map(move |(p, &bound)| (id(p), bound))
+    }
+}
+
+impl FromIterator<(usize, f64)> for Survivors {
+    /// `(id, lower bound)` pairs, ascending by id.
+    fn from_iter<I: IntoIterator<Item = (usize, f64)>>(pairs: I) -> Self {
+        let (ids, bounds) = pairs
+            .into_iter()
+            .map(|(id, bound)| (u32::try_from(id).expect("series ids fit in u32"), bound))
+            .unzip();
+        Self::Listed { ids, bounds }
+    }
+}
+
+/// The `m` smallest `(bound, id)` keys of `bounds` (a NaN bound ranks as
+/// `−∞`), in ascending order, as `(id, bound)`: one pass that keeps at most `2m`
 /// keys, halving them with a selection whenever the buffer fills, so the
 /// cost is `O(n)` and nothing of size `n` is sorted.
-fn smallest(bounds: &[f64], m: usize) -> Vec<usize> {
+pub fn smallest(bounds: &[f64], m: usize) -> Vec<(usize, f64)> {
     let m = m.min(bounds.len());
     if m == 0 {
         return Vec::new();
@@ -406,7 +530,7 @@ fn smallest(bounds: &[f64], m: usize) -> Vec<usize> {
     }
     kept.sort_unstable();
     kept.truncate(m);
-    kept.into_iter().map(|(_, id)| id).collect()
+    kept.into_iter().map(|(_, id)| (id, bounds[id])).collect()
 }
 
 /// Bounds [`smallest`] tests against its cutoff in one pass.
@@ -552,6 +676,13 @@ mod tests {
     /// and on 3 workers), each with a kernel; `bounds` feed the bounded ones.
     const ORDERS: [&str; 5] = ["storage", "storage3", "skip", "ranked", "ids"];
 
+    /// SIMS over a dense bounds array: the seed [`smallest`] picks, and
+    /// every series a survivor.
+    fn skip_dense(r: &mut Refiner<'_>, bounds: &[f64], kernel: impl RefineKernel) -> Result<()> {
+        let seeds = smallest(bounds, r.seed_count());
+        r.skip_sequential(&seeds, |_| Survivors::Every(bounds.to_vec()), kernel)
+    }
+
     fn run(
         store: &DatasetStore,
         query: &Query,
@@ -566,7 +697,7 @@ mod tests {
         search(store, query, k, stats, |r| match order {
             "storage" => r.storage_order(1, abandoning),
             "storage3" => r.storage_order(3, exact),
-            "skip" => r.skip_sequential(bounds, abandoning()),
+            "skip" => skip_dense(r, bounds, abandoning()),
             "ranked" => {
                 let mut ranking = LazyRanking::default();
                 ranking.reset(bounds);
@@ -636,7 +767,7 @@ mod tests {
             let mut stats = QueryStats::default();
             let got = search(&store, &query, 3, &mut stats, |r| match order {
                 "ids" => r.ids([], exact()),
-                "skip" => r.skip_sequential(&[], exact()),
+                "skip" => skip_dense(r, &[], exact()),
                 _ => r.ranked(std::iter::empty(), exact()),
             })
             .unwrap();
@@ -650,23 +781,47 @@ mod tests {
     /// is its id, four series (128 bytes) to a page, for the zero query at
     /// `k = 1`: the ids the kernel refined, in order, and the stats.
     /// `bounds` uses `SEED` for the two series the seed takes, `IN` for a
-    /// candidate and `OUT` for a bounded-out series.
+    /// candidate and `OUT` for a bounded-out series. The pass runs three
+    /// times — only the series not bounded `OUT` listed as survivors, every
+    /// series listed, and [`Survivors::Every`] — and must refine and charge
+    /// the same each time.
     fn page_granular(bounds: &[f64], budget: Option<u64>) -> (Vec<usize>, QueryStats) {
         let flat: Vec<f32> = (0..N * LEN).map(|i| (i / LEN) as f32).collect();
         let store = DatasetStore::with_page_bytes(Dataset::from_flat(flat, LEN), 4 * LEN * 4);
         let query =
             Query::knn(Series::new(vec![0.0; LEN]), 1).with_budget(budget.map(Budget::raw_reads));
-        let mut refined = Vec::new();
-        let mut stats = QueryStats::default();
-        let kernel = Full(|v: &[f32]| {
-            refined.push(v[0] as usize);
-            squared_euclidean(query.values(), v)
+        let every = || bounds.iter().copied().enumerate();
+        let lists: [&dyn Fn(f64) -> Survivors; 3] = [
+            &|_| every().filter(|&(_, bound)| bound != OUT).collect(),
+            &|_| every().collect(),
+            &|_| Survivors::Every(bounds.to_vec()),
+        ];
+        let mut passes = lists.map(|survivors| {
+            let mut refined = Vec::new();
+            let mut stats = QueryStats::default();
+            let kernel = Full(|v: &[f32]| {
+                refined.push(v[0] as usize);
+                squared_euclidean(query.values(), v)
+            });
+            search(&store, &query, 1, &mut stats, |r| {
+                let seeds = smallest(bounds, r.seed_count());
+                r.skip_sequential(&seeds, survivors, kernel)
+            })
+            .unwrap();
+            (refined, stats)
         });
-        search(&store, &query, 1, &mut stats, |r| {
-            r.skip_sequential(bounds, kernel)
-        })
-        .unwrap();
-        (refined, stats)
+        for (pass, (refined, stats)) in passes.iter().enumerate().skip(1) {
+            assert_eq!(
+                passes[0].0, *refined,
+                "refined ids, sparse against pass {pass}"
+            );
+            assert_eq!(
+                passes[0].1.work_counters(),
+                stats.work_counters(),
+                "counters, sparse against pass {pass}"
+            );
+        }
+        std::mem::take(&mut passes[0])
     }
 
     const SEED: f64 = -1.0;
@@ -842,7 +997,11 @@ mod tests {
             let expected: Vec<usize> = full_sort_bits(&bounds).iter().map(|&(_, id)| id).collect();
             for m in [1, 3, 20, 256, n, n + 7] {
                 let got = smallest(&bounds, m);
-                assert_eq!(got, expected[..m.min(n)], "n={n} distinct={distinct} m={m}");
+                let ids: Vec<usize> = got.iter().map(|&(id, _)| id).collect();
+                assert_eq!(ids, expected[..m.min(n)], "n={n} distinct={distinct} m={m}");
+                for (id, bound) in got {
+                    assert_eq!(bound.to_bits(), bounds[id].to_bits(), "n={n} m={m} id={id}");
+                }
             }
         }
     }

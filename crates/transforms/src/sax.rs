@@ -14,7 +14,7 @@
 
 use crate::gaussian::{sax_breakpoints, symbol_for_value};
 use crate::paa::Paa;
-use crate::sweep::{accumulate, BoundSweep};
+use crate::sweep::{accumulate, BoundSweep, CoarsePass, COARSE_BITS};
 
 /// Shared parameters of a SAX summarization: segment layout and the maximum
 /// (full) cardinality breakpoint table.
@@ -172,7 +172,7 @@ impl SaxParams {
     /// dispatch per term, and the tables' lookups are summed in that same
     /// lane order (`hydra_transforms::sweep`).
     #[inline]
-    fn term(&self, query_paa: &[f32], segment: usize, symbol: u16, bits: u8) -> f64 {
+    pub fn term(&self, query_paa: &[f32], segment: usize, symbol: u16, bits: u8) -> f64 {
         let (low, high) = self.symbol_range(symbol, bits);
         let gap = hydra_core::simd::interval_gap(query_paa[segment] as f64, low, high);
         (self.paa.segment_width(segment) as f64 * gap) * gap
@@ -198,6 +198,27 @@ impl SaxParams {
             rows,
             term,
         )
+    }
+
+    /// Bits of the coarse symbols of SIMS' coarse pass:
+    /// `min(COARSE_BITS, max_bits)`, so a full symbol `s` is coarse symbol
+    /// `s >> (max_bits − coarse_bits)`.
+    pub fn coarse_bits(&self) -> u8 {
+        self.max_bits.min(COARSE_BITS)
+    }
+
+    /// One query's coarse pass over words cut to [`SaxParams::coarse_bits`]
+    /// bits: each `(segment, symbol)` term is `SaxParams::term` at the coarse
+    /// cardinality. The interval comes from the full breakpoint table, so a
+    /// coarse symbol's interval is exactly the union of its full symbols'
+    /// intervals, and its term is never above theirs, bit for bit (the gap
+    /// and the term are monotone in the interval ends).
+    pub fn coarse_pass(&self, query_paa: &[f32]) -> CoarsePass {
+        debug_assert_eq!(query_paa.len(), self.segments());
+        let bits = self.coarse_bits();
+        CoarsePass::new(self.segments(), 1 << bits, |segment, symbol| {
+            self.term(query_paa, segment, u16::from(symbol), bits)
+        })
     }
 
     /// One query's MINDIST table over iSAX node words whose segments hold at

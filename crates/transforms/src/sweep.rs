@@ -1,7 +1,9 @@
 //! Table-driven lower-bound sweeps over quantized summaries.
 //!
-//! ADS+ (SIMS step 1) and the VA+file (phase 1) bound the query against
-//! *every* summary of the collection. Both bounds have the same shape: a sum
+//! The VA+file (phase 1) bounds the query against *every* summary of the
+//! collection, and ADS+ bounds those its coarse pass (below) cannot rule
+//! out — all of them, in one sweep, once they are many. Both bounds have
+//! the same shape: a sum
 //! over dimensions of a term that depends only on the query's value in that
 //! dimension and the candidate's symbol there. A [`BoundSweep`] therefore
 //! evaluates each `(dimension, symbol)` term once per query into a table and
@@ -41,6 +43,28 @@
 //! alphabet over a 300-series shard would spend longer filling it than
 //! sweeping), so below that point the terms are computed directly from the
 //! summaries, in the same order and to the same bits.
+//!
+//! # Coarse pass
+//!
+//! ADS+'s SIMS first bounds every series at a lower resolution
+//! ([`CoarsePass`]): the top [`COARSE_BITS`] bits of each symbol, as `u8`,
+//! in a [`CoarseBlocks`] array — segment-major blocks of [`COARSE_BLOCK`]
+//! series, so one dimension of 64 series is one 512-bit vector. Per query,
+//! each dimension's 64 coarse terms are quantized to `u8` units at a scale
+//! and summed in `u16`: on a CPU with AVX-512 VBMI (any tier but
+//! `Portable`) one `vpermb` looks a block dimension's 64 units up from a
+//! table row held in a register; elsewhere a portable arm looks them up one
+//! by one. Both arms produce the same integer sums.
+//!
+//! The sums are lower bounds of the squared full bound, in units: a coarse
+//! symbol's interval contains its full symbols' intervals, so its term is
+//! no larger, bit for bit; each term is quantized *down*
+//! (`floor(term · scale)`, clamped at 255, a NaN term to 0), and rounding a
+//! non-negative product down or clamping it only lowers it. A series whose
+//! full bound is at most a threshold `t` therefore sums to at most
+//! `t² · scale` units ([`CoarsePass::limit`], which widens that by
+//! [`COARSE_SLACK`] for the rounding of `t²` and of the full bound's sum),
+//! and every series above the limit is ruled out without its full bound.
 
 use hydra_core::simd::{self, Kernel};
 
@@ -255,6 +279,19 @@ impl<'a> BoundSweep<'a> {
         bounds.truncate(summaries.len);
     }
 
+    /// The bound of series `series` of `summaries` alone: the bits of its
+    /// slot of [`BoundSweep::sweep`].
+    pub fn bound(&self, summaries: &SummaryBlocks, series: usize) -> f64 {
+        debug_assert_eq!(summaries.dims, self.dims);
+        let (dims, lane) = (self.dims, series % BLOCK);
+        let block = &summaries.symbols[series / BLOCK * dims * BLOCK..][..dims * BLOCK];
+        let (rows, _) = block.as_chunks::<BLOCK>();
+        if self.terms.is_empty() {
+            return accumulate_with(dims, |d| rows[d][lane], &self.term);
+        }
+        monomorphised!(self.width, dims, bound_of(dims, rows, lane, &self.terms))
+    }
+
     /// Sweeps the row-major `words` (`dims` symbols each, in order) and
     /// leaves their bounds in `bounds`, with the portable arm.
     pub fn sweep_rows(&self, words: &[u16], bounds: &mut Vec<f64>) {
@@ -323,6 +360,19 @@ fn blocks_portable<const W: usize, const D: usize>(
     }
 }
 
+/// One series' bound: lane `lane` of the block `rows`.
+#[inline(always)]
+fn bound_of<const W: usize, const D: usize>(
+    dims: usize,
+    rows: &[[u16; BLOCK]],
+    lane: usize,
+    terms: &[f64],
+) -> f64 {
+    let dims = dims_of::<D>(dims);
+    let rows = &rows[..dims];
+    lookup::<W>(dims, |d| rows[d][lane], terms)
+}
+
 /// The row-major arm: one summary after another.
 fn rows_portable<const W: usize, const D: usize>(
     dims: usize,
@@ -389,6 +439,393 @@ unsafe fn blocks_avx512<const W: usize, const D: usize>(
         }
         // SAFETY: `out` is `BLOCK` = 8 `f64`s, one 512-bit store.
         unsafe { _mm512_storeu_pd(out.as_mut_ptr(), _mm512_sqrt_pd(sum)) };
+    }
+}
+
+/// Bits of a coarse symbol: one 64-byte `vpermb` table row per dimension.
+pub const COARSE_BITS: u8 = 6;
+
+/// Series per block of a [`CoarseBlocks`] array: one 512-bit vector of `u8`
+/// symbols.
+pub const COARSE_BLOCK: usize = 64;
+
+/// Relative slack on every comparison of a coarse sum against a threshold,
+/// as on the trees' entry prunes: it covers the rounding of the quantized
+/// terms, of the threshold's square and of the full bound's `f64` sum.
+pub const COARSE_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// Units a threshold is mapped to by [`CoarsePass::scale_for`], per
+/// dimension (1 024 for the paper's 16 segments).
+const TARGET_UNITS_PER_DIM: f64 = 64.0;
+
+/// [`CoarsePass::provisional`]'s threshold squared is the expected squared
+/// coarse bound over this.
+const PROVISIONAL_SHARE: f64 = 3.0;
+
+/// The largest scale [`CoarsePass::scale_for`] picks: a threshold of 0 maps
+/// every term of at least `2⁻⁶⁰⁰` to a whole unit.
+const MAX_SCALE: f64 = f64::from_bits((1023 + 600) << 52);
+
+/// A collection's coarse symbols — the top [`COARSE_BITS`] bits of each
+/// `u16` summary symbol, as `u8` — segment-major in blocks of
+/// [`COARSE_BLOCK`] series: symbol `d` of series `i` sits at
+/// `(i / 64 · dims + d) · 64 + i % 64`, the last block padded with symbol 0.
+/// In memory only: it is derived from the summaries.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CoarseBlocks {
+    dims: usize,
+    len: usize,
+    symbols: Vec<u8>,
+}
+
+impl CoarseBlocks {
+    /// The coarse array of `summaries`, whose symbols become `symbol >>
+    /// shift`; every result must fit [`COARSE_BITS`] bits.
+    pub fn new(summaries: &SummaryBlocks, shift: u32) -> Self {
+        let (dims, len) = (summaries.dims, summaries.len);
+        let mut symbols = vec![0u8; len.div_ceil(COARSE_BLOCK) * COARSE_BLOCK * dims];
+        for series in 0..len {
+            let base = series / COARSE_BLOCK * dims * COARSE_BLOCK + series % COARSE_BLOCK;
+            for (d, symbol) in summaries.word(series).enumerate() {
+                let coarse = symbol >> shift;
+                debug_assert!(coarse < 1 << COARSE_BITS, "coarse symbol {coarse}");
+                symbols[base + d * COARSE_BLOCK] = coarse as u8;
+            }
+        }
+        Self { dims, len, symbols }
+    }
+
+    /// Number of series.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the array holds no series.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// One query's coarse lower bound: per dimension, the 64 squared-bound terms
+/// of the coarse symbols, quantized down to `u8` units at a scale and summed
+/// in `u16`. `units / scale` never exceeds the full-resolution squared
+/// bound (beyond [`COARSE_SLACK`]): a coarse symbol's interval holds its
+/// full symbols' intervals, so its term is no larger, and rounding a
+/// product down and clamping it only lowers it.
+#[derive(Clone, Debug)]
+pub struct CoarsePass {
+    dims: usize,
+    /// Coarse symbols per dimension.
+    cardinality: usize,
+    /// `terms[d * 64 + symbol]`, zero past the coarse cardinality.
+    terms: Vec<f64>,
+    /// `terms` at `scale`, as units.
+    table: Vec<u8>,
+    scale: f64,
+}
+
+impl CoarsePass {
+    /// A pass over `dims` dimensions whose coarse symbols take values in
+    /// `0..cardinality` (at most 64); `term(d, symbol)` is that pair's
+    /// contribution to the squared bound. The table is quantized at scale 0
+    /// until [`CoarsePass::quantize`] sets one.
+    pub fn new(dims: usize, cardinality: usize, term: impl Fn(usize, u8) -> f64) -> Self {
+        debug_assert!(cardinality <= COARSE_BLOCK);
+        let mut terms = vec![0.0; dims * COARSE_BLOCK];
+        for (d, row) in terms.chunks_exact_mut(COARSE_BLOCK).enumerate() {
+            for (symbol, slot) in row[..cardinality].iter_mut().enumerate() {
+                *slot = term(d, symbol as u8);
+            }
+        }
+        Self {
+            dims,
+            cardinality,
+            table: vec![0; terms.len()],
+            terms,
+            scale: 0.0,
+        }
+    }
+
+    /// Dimensions per summary.
+    pub fn dims(&self) -> usize {
+        self.dims
+    }
+
+    /// The scale the table was last quantized at.
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
+
+    /// The largest unit count of one dimension: 255, or less where `dims`
+    /// of them would overflow a `u16` sum.
+    fn cap(&self) -> u8 {
+        (usize::from(u16::MAX) / self.dims.max(1)).min(255) as u8
+    }
+
+    /// The scale that maps the squared `threshold` to about 64 units per
+    /// dimension: the largest scale for a threshold of 0, and 0 (every
+    /// term 0 units) for an infinite or NaN one.
+    pub fn scale_for(&self, threshold: f64) -> f64 {
+        let units = TARGET_UNITS_PER_DIM * self.dims as f64;
+        let scale = units / (threshold * threshold);
+        if scale.is_nan() {
+            0.0
+        } else {
+            scale.min(MAX_SCALE)
+        }
+    }
+
+    /// A first threshold to scale a pass by before any full bound is known:
+    /// the square root of a third of the expected squared coarse bound of a
+    /// word whose symbols are uniform over the coarse alphabet (as N(0, 1)
+    /// values are under SAX's equiprobable breakpoints). On random-walk
+    /// shards the `2k`-th smallest full bound mostly lands within the range
+    /// this scale resolves, so the seed certification needs one pass.
+    pub fn provisional(&self) -> f64 {
+        let expected: f64 = self.terms.iter().sum::<f64>() / self.cardinality as f64;
+        (expected / PROVISIONAL_SHARE).sqrt()
+    }
+
+    /// Re-quantizes the table at `scale`: each term becomes
+    /// `floor(term · scale)` units, clamped at the cap, a NaN term 0.
+    pub fn quantize(&mut self, scale: f64) {
+        let cap = self.cap();
+        self.scale = scale;
+        for (slot, &term) in self.table.iter_mut().zip(&self.terms) {
+            // `as` truncates toward 0, saturates at 255 and sends NaN to 0.
+            *slot = ((term * scale) as u8).min(cap);
+        }
+    }
+
+    /// The largest coarse sum, at the current scale, of a series whose
+    /// full bound is at most `threshold`: `threshold² · scale`, widened by
+    /// [`COARSE_SLACK`] and rounded down. An infinite or NaN threshold
+    /// admits every sum.
+    pub fn limit(&self, threshold: f64) -> u16 {
+        let squared = threshold * threshold;
+        if squared.is_nan() || squared == f64::INFINITY {
+            return u16::MAX;
+        }
+        let units = squared * self.scale * (1.0 + COARSE_SLACK);
+        if units >= f64::from(u16::MAX) {
+            u16::MAX
+        } else {
+            units as u16
+        }
+    }
+
+    /// The units of coarse symbol `symbol` in dimension `d` at the current
+    /// scale.
+    pub fn units(&self, d: usize, symbol: u8) -> u8 {
+        self.table[d * COARSE_BLOCK + usize::from(symbol)]
+    }
+
+    /// The coarse sums of every series of `blocks`, on the process-wide
+    /// [`simd::active_kernel`], into `sums`.
+    pub fn sums(&self, blocks: &CoarseBlocks, sums: &mut Vec<u16>) {
+        self.sums_with(simd::active_kernel(), blocks, sums);
+    }
+
+    /// [`CoarsePass::sums`] on an explicit dispatch tier: any tier but
+    /// [`Kernel::Portable`] takes the AVX-512 VBMI arm where the CPU has it.
+    /// Both arms yield the same sums.
+    pub fn sums_with(&self, kernel: Kernel, blocks: &CoarseBlocks, sums: &mut Vec<u16>) {
+        debug_assert_eq!(blocks.dims, self.dims);
+        sums.clear();
+        sums.resize(blocks.len.div_ceil(COARSE_BLOCK) * COARSE_BLOCK, 0);
+        let (dims, symbols, table) = (self.dims, &blocks.symbols[..], &self.table[..]);
+        let out = &mut sums[..];
+        #[cfg(target_arch = "x86_64")]
+        if kernel != Kernel::Portable && vbmi_available() {
+            // SAFETY: `vbmi_available` found AVX-512F, BW and VBMI on this CPU.
+            unsafe {
+                match dims {
+                    16 => coarse_vbmi::<16>(dims, symbols, table, out),
+                    _ => coarse_vbmi::<0>(dims, symbols, table, out),
+                }
+            }
+            sums.truncate(blocks.len);
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = kernel;
+        match dims {
+            16 => coarse_portable::<16>(dims, symbols, table, out),
+            _ => coarse_portable::<0>(dims, symbols, table, out),
+        }
+        sums.truncate(blocks.len);
+    }
+}
+
+/// Coarse sums tested against a limit at once: one 512-bit vector.
+const SCAN_GROUP: usize = 32;
+
+/// Calls `visit(id, sum)` for every sum of `sums` at or below `limit`, in
+/// id order. `visit` returns the limit for the sums after it, or `None` to
+/// stop. On any tier but [`Kernel::Portable`], a CPU that runs the VBMI
+/// coarse arm tests 32 sums per AVX-512BW compare; elsewhere a portable
+/// loop does. Both visit the same sums.
+pub fn scan_sums_with(
+    kernel: Kernel,
+    sums: &[u16],
+    limit: u16,
+    visit: impl FnMut(usize, u16) -> Option<u16>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel != Kernel::Portable && vbmi_available() {
+        // SAFETY: `vbmi_available` found AVX-512F and BW on this CPU.
+        unsafe { scan_avx512(sums, limit, visit) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = kernel;
+    scan(sums, limit, visit, |group, limit| {
+        (0..)
+            .zip(group)
+            .fold(0u32, |mask, (i, &sum)| mask | u32::from(sum <= limit) << i)
+    });
+}
+
+/// The scan of [`scan_sums_with`] over `SCAN_GROUP`-sum groups, `within`
+/// giving a group's mask of sums at or below a limit.
+#[inline(always)]
+fn scan(
+    sums: &[u16],
+    mut limit: u16,
+    mut visit: impl FnMut(usize, u16) -> Option<u16>,
+    within: impl Fn(&[u16], u16) -> u32,
+) {
+    for (group, chunk) in sums.chunks(SCAN_GROUP).enumerate() {
+        let mut mask = within(chunk, limit);
+        while mask != 0 {
+            let id = group * SCAN_GROUP + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let sum = sums[id];
+            if sum > limit {
+                continue;
+            }
+            let Some(next) = visit(id, sum) else {
+                return;
+            };
+            limit = next;
+        }
+    }
+}
+
+/// The AVX-512BW scan: one unsigned compare per 32 sums (the ragged rest
+/// zero-padded, its padding masked off).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn scan_avx512(sums: &[u16], limit: u16, visit: impl FnMut(usize, u16) -> Option<u16>) {
+    use std::arch::x86_64::*;
+    scan(sums, limit, visit, |group, limit| {
+        // Lanes past a ragged group's end hold padding: off.
+        let lanes = u32::MAX >> (SCAN_GROUP - group.len());
+        let mut padded = [0u16; SCAN_GROUP];
+        let group = match group.as_chunks::<SCAN_GROUP>() {
+            ([whole], []) => whole,
+            _ => {
+                padded[..group.len()].copy_from_slice(group);
+                &padded
+            }
+        };
+        // SAFETY: `group` is 32 `u16`s, one 512-bit load.
+        let sums = unsafe { _mm512_loadu_si512(group.as_ptr().cast()) };
+        _mm512_cmple_epu16_mask(sums, _mm512_set1_epi16(limit as i16)) & lanes
+    });
+}
+
+/// The portable coarse arm: each series of a block summed in a register,
+/// one dimension's lookup after another (1.6× faster on one AVX-512 host
+/// than adding each dimension's 64 lookups into the block's sums in
+/// memory).
+fn coarse_portable<const D: usize>(dims: usize, symbols: &[u8], table: &[u8], sums: &mut [u16]) {
+    let dims = dims_of::<D>(dims);
+    let (table, _) = table.as_chunks::<COARSE_BLOCK>();
+    let table = &table[..dims];
+    for (block, out) in symbols
+        .chunks_exact(dims * COARSE_BLOCK)
+        .zip(sums.chunks_exact_mut(COARSE_BLOCK))
+    {
+        let (block, _) = block.as_chunks::<COARSE_BLOCK>();
+        for (lane, sum) in out.iter_mut().enumerate() {
+            *sum = (table.iter().zip(block))
+                .map(|(row, symbols)| u16::from(row[usize::from(symbols[lane]) % COARSE_BLOCK]))
+                .sum();
+        }
+    }
+}
+
+/// Whether this CPU runs the VBMI coarse arm.
+#[cfg(target_arch = "x86_64")]
+fn vbmi_available() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vbmi")
+}
+
+/// The AVX-512 VBMI coarse arm: a block dimension is one `vpermb` of its 64
+/// symbols through that dimension's 64-byte table row. The even and odd
+/// bytes of the result are added into two `u16` accumulators (series `2j`
+/// and `2j + 1` in lane `j`), interleaved back into series order once per
+/// block. Integer sums: the same as the portable arm's in any order.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, AVX-512BW and AVX-512VBMI
+/// ([`vbmi_available`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn coarse_vbmi<const D: usize>(dims: usize, symbols: &[u8], table: &[u8], sums: &mut [u16]) {
+    use std::arch::x86_64::*;
+    let dims = dims_of::<D>(dims);
+    let (table, _) = table.as_chunks::<COARSE_BLOCK>();
+    let table = &table[..dims];
+    let low_bytes = _mm512_set1_epi16(0xFF);
+    // Lane `j` of the result takes lane `j / 2` of the even sums (`j` even)
+    // or of the odd sums (bit 5 set: the second source).
+    let interleave = |half: i16| {
+        let mut index = [0i16; 32];
+        for (j, slot) in index.iter_mut().enumerate() {
+            *slot = half * 16 + j as i16 / 2 + if j % 2 == 1 { 32 } else { 0 };
+        }
+        // SAFETY: `index` is 32 `i16`s, one 512-bit load.
+        unsafe { _mm512_loadu_si512(index.as_ptr().cast()) }
+    };
+    let (first, second) = (interleave(0), interleave(1));
+    for (block, out) in symbols
+        .chunks_exact(dims * COARSE_BLOCK)
+        .zip(sums.chunks_exact_mut(COARSE_BLOCK))
+    {
+        let (block, _) = block.as_chunks::<COARSE_BLOCK>();
+        let (mut even, mut odd) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+        for (row, symbols) in table.iter().zip(block) {
+            // SAFETY: `row` and `symbols` are 64 bytes each, one 512-bit
+            // load apiece.
+            let (row, symbols) = unsafe {
+                (
+                    _mm512_loadu_si512(row.as_ptr().cast()),
+                    _mm512_loadu_si512(symbols.as_ptr().cast()),
+                )
+            };
+            // `vpermb` reads the low 6 bits of each symbol: its row slot.
+            let units = _mm512_permutexvar_epi8(symbols, row);
+            even = _mm512_add_epi16(even, _mm512_and_si512(units, low_bytes));
+            odd = _mm512_add_epi16(odd, _mm512_srli_epi16::<8>(units));
+        }
+        let out = out.as_mut_ptr();
+        // SAFETY: `out` is `COARSE_BLOCK` = 64 `u16`s, two 512-bit stores.
+        unsafe {
+            _mm512_storeu_si512(out.cast(), _mm512_permutex2var_epi16(even, first, odd));
+            _mm512_storeu_si512(
+                out.add(32).cast(),
+                _mm512_permutex2var_epi16(even, second, odd),
+            );
+        }
     }
 }
 
@@ -511,6 +948,131 @@ mod tests {
                 sweep.sweep_with(kernel, &blocks, &mut bound);
                 assert_eq!(bits(&bound), [expected.to_bits(); 9], "{kernel:?}");
             }
+        }
+    }
+
+    #[test]
+    fn coarse_blocks_hold_each_series_top_bits_segment_major() {
+        let dims = 3;
+        let rows: Vec<u16> = (0..70 * dims as u16).map(|i| i * 37 % 256).collect();
+        let summaries = SummaryBlocks::from_rows(dims, &rows);
+        let coarse = CoarseBlocks::new(&summaries, 2);
+        assert_eq!(coarse.len(), 70);
+        // Two blocks of 64, the second padded with symbol 0.
+        assert_eq!(coarse.symbols.len(), 2 * COARSE_BLOCK * dims);
+        for (i, word) in rows.chunks_exact(dims).enumerate() {
+            for (d, &symbol) in word.iter().enumerate() {
+                let at = (i / COARSE_BLOCK * dims + d) * COARSE_BLOCK + i % COARSE_BLOCK;
+                assert_eq!(
+                    coarse.symbols[at],
+                    (symbol >> 2) as u8,
+                    "series {i} dim {d}"
+                );
+            }
+        }
+        for d in 0..dims {
+            let padding = (dims + d) * COARSE_BLOCK + 6..(dims + d + 1) * COARSE_BLOCK;
+            assert!(coarse.symbols[padding].iter().all(|&s| s == 0), "dim {d}");
+        }
+    }
+
+    /// The coarse sums of `summaries` by the table, one series at a time.
+    fn coarse_reference(pass: &CoarsePass, coarse: &CoarseBlocks) -> Vec<u16> {
+        let dims = pass.dims();
+        (0..coarse.len())
+            .map(|i| {
+                (0..dims)
+                    .map(|d| {
+                        let at = (i / COARSE_BLOCK * dims + d) * COARSE_BLOCK + i % COARSE_BLOCK;
+                        u16::from(pass.units(d, coarse.symbols[at]))
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn both_coarse_arms_sum_every_series_units_at_any_size() {
+        for dims in [1usize, 6, 16, 300] {
+            let pass = CoarsePass::new(dims, 64, |d, symbol| {
+                (d as f64 + 1.0) * 0.25 + f64::from(symbol) * 0.5
+            });
+            for scale in [0.0, 1.0, 7.5, MAX_SCALE] {
+                let mut pass = pass.clone();
+                pass.quantize(scale);
+                for n in [0usize, 1, 63, 64, 65, 50_001] {
+                    let rows: Vec<u16> = (0..n * dims).map(|i| (i * 7919 % 64) as u16).collect();
+                    let coarse = CoarseBlocks::new(&SummaryBlocks::from_rows(dims, &rows), 0);
+                    let expected = coarse_reference(&pass, &coarse);
+                    for kernel in ARMS {
+                        let mut sums = vec![7; 3];
+                        pass.sums_with(kernel, &coarse, &mut sums);
+                        assert_eq!(sums, expected, "{kernel:?} dims={dims} scale={scale} n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coarse_units_round_down_and_clamp() {
+        let terms = [0.0, 0.999, 1.0, 2.5, 1e300, f64::INFINITY, f64::NAN];
+        let mut pass = CoarsePass::new(1, terms.len(), |_, symbol| terms[usize::from(symbol)]);
+        pass.quantize(100.0);
+        let units: Vec<u8> = (0..terms.len() as u8).map(|s| pass.units(0, s)).collect();
+        assert_eq!(units, [0, 99, 100, 250, 255, 255, 0]);
+        // 300 dimensions: a unit cap of 65535 / 300 = 218 keeps the sum in
+        // a `u16`.
+        let mut wide = CoarsePass::new(300, 1, |_, _| 1e9);
+        wide.quantize(1.0);
+        assert_eq!(wide.units(299, 0), 218);
+        // Scales: a threshold maps to 64 units per dimension; 0 to the
+        // largest scale, an infinite or NaN one to 0.
+        assert_eq!(pass.scale_for(2.0), 64.0 / 4.0);
+        assert_eq!(pass.scale_for(0.0), MAX_SCALE);
+        assert_eq!(pass.scale_for(f64::INFINITY), 0.0);
+        assert_eq!(pass.scale_for(f64::NAN), 0.0);
+        // Limits: the threshold's units, rounded down; everything for an
+        // infinite or NaN threshold.
+        pass.quantize(pass.scale_for(2.0));
+        assert_eq!(pass.limit(2.0), 64);
+        assert_eq!(pass.limit(0.0), 0);
+        assert_eq!(pass.limit(1e200), u16::MAX);
+        assert_eq!(pass.limit(f64::INFINITY), u16::MAX);
+        assert_eq!(pass.limit(f64::NAN), u16::MAX);
+    }
+
+    #[test]
+    fn both_coarse_scans_visit_the_same_sums_under_a_falling_limit() {
+        for n in [0usize, 1, 31, 32, 33, 50_001] {
+            let sums: Vec<u16> = (0..n).map(|i| (i * 7919 % 4001) as u16).collect();
+            let visits: Vec<Vec<(usize, u16)>> = ARMS
+                .map(|kernel| {
+                    let mut visited = Vec::new();
+                    scan_sums_with(kernel, &sums, 3000, |id, sum| {
+                        visited.push((id, sum));
+                        // The limit falls to the sum just visited, less 1.
+                        sum.checked_sub(1)
+                    });
+                    visited
+                })
+                .into_iter()
+                .collect();
+            assert_eq!(visits[0], visits[1], "n={n}");
+            let mut limit = Some(3000u16);
+            let expected: Vec<(usize, u16)> = sums
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(_, sum)| match limit {
+                    Some(l) if sum <= l => {
+                        limit = sum.checked_sub(1);
+                        true
+                    }
+                    _ => false,
+                })
+                .collect();
+            assert_eq!(visits[0], expected, "n={n}");
         }
     }
 

@@ -19,7 +19,7 @@ use hydra_transforms::eapca::{uniform_segmentation, Eapca};
 use hydra_transforms::fft::{dft_lower_bound, dft_summary};
 use hydra_transforms::sax::{IsaxWord, SaxParams, SaxWord};
 use hydra_transforms::sfa::{BinningMethod, SfaParams, SfaQuantizer};
-use hydra_transforms::sweep::{BoundSweep, SummaryBlocks};
+use hydra_transforms::sweep::{BoundSweep, CoarseBlocks, CoarsePass, SummaryBlocks, COARSE_SLACK};
 use hydra_transforms::vaplus::{VaPlusCell, VaPlusQuantizer};
 use hydra_transforms::{HaarTransform, Paa};
 use rand::rngs::StdRng;
@@ -622,6 +622,101 @@ fn every_vaplus_sweep_arm_is_the_per_pair_bound_at_every_size_dims_and_width() {
                     )
                 },
             );
+        }
+    }
+}
+
+/// Scales a coarse pass is tested at: 0 (every term 0 units), the largest
+/// (a threshold of 0), a first pass's provisional one, and those of a tight
+/// and a loose threshold.
+fn coarse_scales(pass: &CoarsePass) -> [f64; 5] {
+    [
+        0.0,
+        pass.scale_for(0.0),
+        pass.scale_for(pass.provisional()),
+        pass.scale_for(0.05),
+        pass.scale_for(40.0),
+    ]
+}
+
+/// SIMS' coarse pass lower-bounds the full MINDIST term by term: at every
+/// scale, the units of a full symbol's coarse symbol, over the scale, never
+/// exceed that symbol's full-resolution term (beyond `COARSE_SLACK`), for
+/// every segment and every symbol, at every cardinality the coarse symbols
+/// cut (6 bits and fewer kept whole), with uneven segment widths, the ±∞
+/// edge symbols, and NaN / ±inf query values (whose NaN terms must be 0
+/// units).
+#[test]
+fn coarse_units_never_exceed_the_full_mindist_term_at_any_cardinality() {
+    for (case, max_bits) in [1u8, 4, 6, 8, 12, 16].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0xC0A5 + case as u64);
+        let params = SaxParams::new(250, 16, max_bits);
+        let shift = max_bits - params.coarse_bits();
+        for (qi, q) in hostile_queries(&mut rng, 250).iter().enumerate() {
+            let q_paa = params.paa().transform(q);
+            let mut pass = params.coarse_pass(&q_paa);
+            let tables = coarse_scales(&pass).map(|scale| {
+                pass.quantize(scale);
+                (scale, pass.clone())
+            });
+            for segment in 0..16 {
+                for symbol in 0..=u16::MAX >> (16 - max_bits) {
+                    let full = params.term(&q_paa, segment, symbol, max_bits);
+                    for (scale, table) in &tables {
+                        let units = table.units(segment, (symbol >> shift) as u8);
+                        let bound = full * scale;
+                        assert!(
+                            if bound.is_nan() {
+                                units == 0
+                            } else {
+                                f64::from(units) <= bound * (1.0 + COARSE_SLACK)
+                            },
+                            "bits={max_bits} query={qi} scale={scale} segment={segment} \
+                             symbol={symbol}: {units} units above {bound}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The promise SIMS relies on, per series: a summary's coarse sum never
+/// exceeds the coarse limit of its full MINDIST, on either arm, at any
+/// scale, on hostile collections and queries.
+#[test]
+fn coarse_sums_stay_within_the_limit_of_the_full_mindist() {
+    for (case, (len, segments, bits)) in [(250usize, 16usize, 8u8), (64, 6, 12), (250, 16, 3)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(0xC0A6 + case as u64);
+        let params = SaxParams::new(len, segments, bits);
+        let words: Vec<_> = hostile_collection(&mut rng, len)
+            .iter()
+            .map(|s| params.sax_word(s))
+            .collect();
+        let flat: Vec<u16> = words.iter().flat_map(|w| w.symbols.clone()).collect();
+        let shift = u32::from(bits - params.coarse_bits());
+        let coarse = CoarseBlocks::new(&SummaryBlocks::from_rows(segments, &flat), shift);
+        for (qi, q) in hostile_queries(&mut rng, len).iter().enumerate() {
+            let q_paa = params.paa().transform(q);
+            let mut pass = params.coarse_pass(&q_paa);
+            for scale in coarse_scales(&pass) {
+                pass.quantize(scale);
+                for kernel in sweep_arms() {
+                    let mut sums = Vec::new();
+                    pass.sums_with(kernel, &coarse, &mut sums);
+                    for (i, (word, &sum)) in words.iter().zip(&sums).enumerate() {
+                        let full = params.mindist_paa_to_isax(&q_paa, &word.to_isax(bits, bits));
+                        assert!(
+                            sum <= pass.limit(full),
+                            "len={len} bits={bits} query={qi} scale={scale} series={i} {}",
+                            kernel.name()
+                        );
+                    }
+                }
+            }
         }
     }
 }

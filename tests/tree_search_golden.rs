@@ -42,7 +42,15 @@
 //! heap at threshold 0 stops refining entries bounded at 0: only raw reads
 //! fell (DSTree, iSAX2+ and the SFA trie 24 → 5, the R*-tree 16 → 5, in
 //! every mode; the M-tree 83 → 72 exact, 16 → 5 ng, 80 → 69 ε and 70 → 59
-//! δ-ε), and every answer and guarantee kept its bits. The `intra3` lines were
+//! δ-ε), and every answer and guarantee kept its bits. ADS+'s lines were
+//! re-recorded again when SIMS went to two resolutions (a coarse pass over
+//! 6-bit symbols, certified seeds, a skip-sequential pass over the
+//! survivors only): only their lower-bound counter moved, and only down,
+//! as ADS+ now counts the full-resolution bounds it computes instead of
+//! one per series (summed over the lines: exact 9 336 → 3 488, ε 9 336 →
+//! 2 642, δ-ε 9 336 → 2 640, budgeted 4 668 → 1 744, ng 0 as before); every
+//! answer, guarantee, raw read, page, byte, node and leaf count kept its
+//! bits, serial and `intra3`, on both dispatch tiers and in debug. The `intra3` lines were
 //! recorded while DSTree, iSAX2+, the SFA trie, UCR-Suite, ADS+ and the
 //! VA+file still split a query over threads; they now search serially at
 //! any thread count, so for all nine methods but MASS those lines equal the
