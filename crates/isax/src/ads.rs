@@ -10,7 +10,8 @@
 //!    its iSAX symbols, held as `u8` segment-major in blocks of 64 series:
 //!    one per-query table of 16 × 64 MINDIST terms, quantized down to `u8`
 //!    units and summed in `u16`, so a block's segment is one AVX-512 VBMI
-//!    `vpermb` where the CPU has it ([`hydra_transforms::sweep`]). A coarse
+//!    `vpermb` where the CPU has it, four AVX2 `vpshufb` lookups per 32
+//!    series where it has AVX2 only ([`hydra_transforms::sweep`]). A coarse
 //!    symbol's interval holds its full symbols', so the coarse bound never
 //!    exceeds the full one (Seidl and Kriegel's optimal multi-step k-NN,
 //!    with product quantization's register-held "fast scan" tables);
@@ -68,8 +69,7 @@ use hydra_core::{
 use hydra_storage::refine::{self, smallest, EarlyAbandon, Full, Survivors};
 use hydra_storage::DatasetStore;
 use hydra_transforms::sax::SaxParams;
-use hydra_transforms::sweep::scan_sums_with;
-use hydra_transforms::{BoundSweep, CoarseBlocks, CoarsePass, SummaryBlocks};
+use hydra_transforms::{BoundSweep, CoarseArm, CoarseBlocks, CoarsePass, SummaryBlocks};
 use std::sync::Arc;
 
 /// The ADS+ adaptive index.
@@ -133,20 +133,6 @@ impl AdsPlus {
     pub fn store(&self) -> &DatasetStore {
         &self.store
     }
-
-    /// The full-resolution MINDIST from the query to every summary, in
-    /// dataset order, table-driven and a block of eight series at a time
-    /// (see `hydra_transforms::sweep`).
-    fn bounds(&self, query_paa: &[f32], stats: &mut QueryStats) -> Vec<f64> {
-        let n = self.store.len();
-        let mut bounds = Vec::new();
-        self.tree
-            .params()
-            .sweep(query_paa, n)
-            .sweep(&self.summaries, &mut bounds);
-        stats.record_lower_bounds(n as u64);
-        bounds
-    }
 }
 
 /// A coarse limit below this many units per dimension resolves too little
@@ -167,7 +153,13 @@ pub struct Sims<'a> {
     coarse: &'a CoarseBlocks,
     full: BoundSweep<'a>,
     pass: CoarsePass,
+    /// The full bounds' dispatch tier.
     kernel: Kernel,
+    /// The coarse pass's arm, picked by `kernel`.
+    arm: CoarseArm,
+    /// Whether every PAA value of the query is finite: a NaN or ±∞ one has
+    /// no coarse bound, and every series is bounded in full.
+    finite: bool,
     /// Every series' coarse sum at `pass.scale()`.
     sums: Vec<u16>,
     /// Full bounds computed and kept, ascending by id.
@@ -181,8 +173,7 @@ pub struct Sims<'a> {
 
 impl<'a> Sims<'a> {
     /// The bounds of the query `query_paa` over `summaries` (full symbols
-    /// of `params`) and their `coarse` array, on `kernel`'s arms. Every PAA
-    /// value must be finite: a NaN or ±∞ one has no coarse bound.
+    /// of `params`) and their `coarse` array, on `kernel`'s arms.
     pub fn new(
         params: &'a SaxParams,
         summaries: &'a SummaryBlocks,
@@ -190,13 +181,14 @@ impl<'a> Sims<'a> {
         query_paa: &[f32],
         kernel: Kernel,
     ) -> Self {
-        debug_assert!(query_paa.iter().all(|v| v.is_finite()));
         Self {
             summaries,
             coarse,
             full: params.sweep(query_paa, summaries.len()),
             pass: params.coarse_pass(query_paa),
             kernel,
+            arm: CoarseArm::for_kernel(kernel),
+            finite: query_paa.iter().all(|v| v.is_finite()),
             sums: Vec::new(),
             bounded: Vec::new(),
             dense: Vec::new(),
@@ -213,8 +205,7 @@ impl<'a> Sims<'a> {
     /// Re-runs the coarse pass at `scale`.
     fn rescale(&mut self, scale: f64) {
         self.pass.quantize(scale);
-        self.pass
-            .sums_with(self.kernel, self.coarse, &mut self.sums);
+        self.pass.sums_with(self.arm, self.coarse, &mut self.sums);
     }
 
     /// Whether the current sums resolve `threshold` finely enough.
@@ -246,7 +237,7 @@ impl<'a> Sims<'a> {
             self.full
                 .sweep_with(self.kernel, self.summaries, &mut self.dense);
             self.computed = self.dense.len() as u64;
-            if cfg!(debug_assertions) {
+            if cfg!(debug_assertions) && self.finite {
                 for (id, &bound) in self.dense.iter().enumerate() {
                     self.check(id, bound);
                 }
@@ -257,12 +248,12 @@ impl<'a> Sims<'a> {
 
     /// The ids whose coarse sum is within the limit of `threshold`,
     /// ascending; `None`, with every series bounded in full, once `1 /
-    /// share` of the series are (or every series already is bounded).
-    fn within(&mut self, threshold: f64, share: usize) -> Option<Vec<u32>> {
+    /// DENSE_SHARE` of the series are (or every series already is bounded).
+    fn within(&mut self, threshold: f64) -> Option<Vec<u32>> {
         if self.dense.is_empty() {
             let limit = self.pass.limit(threshold);
-            let cap = self.summaries.len() / share;
-            if let Some(ids) = at_most(self.kernel, &self.sums, limit, cap) {
+            let cap = self.summaries.len() / DENSE_SHARE;
+            if let Some(ids) = at_most(&self.sums, limit, cap) {
                 return Some(ids);
             }
             self.bound_all();
@@ -290,17 +281,25 @@ impl<'a> Sims<'a> {
     /// from the series with the `m` lowest coarse sums; every series within
     /// its limit is bounded in full, and the seeds are their `m` smallest,
     /// in `(bound, id)` order. A pass whose scale leaves `F` unresolved
-    /// re-runs at `F`'s own scale and picks again.
+    /// re-runs at `F`'s own scale and picks again. A query whose PAA holds
+    /// a NaN or ±∞ skips the coarse pass: every series is bounded in full,
+    /// and every one survives.
     pub fn seeds(&mut self, m: usize) -> Vec<(usize, f64)> {
         let m = m.min(self.summaries.len());
-        if m == 0 {
-            return Vec::new();
+        if !self.finite {
+            self.bound_all();
+        }
+        if m == 0 || !self.dense.is_empty() {
+            return self.smallest_known(m);
         }
         let mut scale = self.pass.scale_for(self.pass.provisional());
         let mut cutoff = f64::INFINITY;
         for _ in 0..MAX_SEED_PASSES {
             self.rescale(scale);
-            let mut lowest = lowest(self.kernel, &self.sums, m);
+            // The ids of the `m` smallest `(sum, id)`, ascending.
+            let mut lowest: Vec<u32> = (smallest(&self.sums, m).into_iter())
+                .map(|(id, _)| id as u32)
+                .collect();
             lowest.sort_unstable();
             if lowest.len() >= self.summaries.len() / DENSE_SHARE {
                 self.bound_all();
@@ -314,7 +313,7 @@ impl<'a> Sims<'a> {
             }
             scale = self.pass.scale_for(cutoff);
         }
-        if let Some(certified) = self.within(cutoff, SEED_DENSE_SHARE) {
+        if let Some(certified) = self.within(cutoff) {
             self.bound_ids(&certified, false, f64::INFINITY);
         }
         self.smallest_known(m)
@@ -330,7 +329,7 @@ impl<'a> Sims<'a> {
         if self.dense.is_empty() && limit.is_finite() && !self.resolves(limit) {
             self.rescale(self.pass.scale_for(limit));
         }
-        match self.within(limit, DENSE_SHARE) {
+        match self.within(limit) {
             Some(ids) => {
                 self.bound_ids(&ids, false, limit);
                 std::mem::take(&mut self.bounded).into_iter().collect()
@@ -372,47 +371,20 @@ impl<'a> Sims<'a> {
 
 /// A query that needs the full bounds of at least `1 / DENSE_SHARE` of the
 /// series sweeps them all: bounding one series alone costs two to four
-/// times its share of a blocked sweep.
+/// times its share of a blocked sweep. The seeds and the survivors share
+/// the threshold.
 const DENSE_SHARE: usize = 4;
-
-/// The seeds already sweep every series once `1 / SEED_DENSE_SHARE` of
-/// them need a full bound: the survivors' limit, a distance, is mostly
-/// looser than the seeds' cutoff `F`, a bound, so such a query would sweep
-/// them all for its survivors anyway, after bounding as many one by one.
-const SEED_DENSE_SHARE: usize = 8;
 
 /// Coarse passes the seed certification runs at most.
 const MAX_SEED_PASSES: u32 = 3;
 
-/// The ids of the `m` smallest `(sum, id)` of `sums`, in no set order: one
-/// scan that keeps at most `2m` keys, halving them whenever the buffer
-/// fills, and from then on visits only the sums below the cutoff.
-fn lowest(kernel: Kernel, sums: &[u16], m: usize) -> Vec<u32> {
-    const ID_BITS: u32 = 48;
-    let mut kept: Vec<u64> = Vec::new();
-    // Once the buffer has been halved, every sum above the limit orders
-    // after `m` kept keys: ids only grow, so a tie on the cutoff sum loses
-    // on the id. A cutoff of 0 admits nothing more.
-    let mut limit = u16::MAX;
-    scan_sums_with(kernel, sums, limit, |id, sum| {
-        kept.push(u64::from(sum) << ID_BITS | id as u64);
-        if kept.len() == 2 * m {
-            kept.select_nth_unstable(m - 1);
-            kept.truncate(m);
-            limit = ((kept[m - 1] >> ID_BITS) as u16).checked_sub(1)?;
-        }
-        Some(limit)
-    });
-    kept.sort_unstable();
-    kept.truncate(m);
-    let mask = (1u64 << ID_BITS) - 1;
-    kept.into_iter().map(|key| (key & mask) as u32).collect()
-}
+/// Sums tested against a limit in one branch-free pass.
+const SCAN_GROUP: usize = 32;
 
 /// The ids whose sum is at most `limit`, ascending, or `None` when there
 /// are `cap` or more: counted first (one vectorized compare per sum), so a
 /// query that will bound every series in full collects no ids.
-fn at_most(kernel: Kernel, sums: &[u16], limit: u16, cap: usize) -> Option<Vec<u32>> {
+fn at_most(sums: &[u16], limit: u16, cap: usize) -> Option<Vec<u32>> {
     let count = sums
         .iter()
         .fold(0u32, |n, &sum| n + u32::from(sum <= limit)) as usize;
@@ -420,10 +392,15 @@ fn at_most(kernel: Kernel, sums: &[u16], limit: u16, cap: usize) -> Option<Vec<u
         return None;
     }
     let mut ids = Vec::with_capacity(count);
-    scan_sums_with(kernel, sums, limit, |id, _| {
-        ids.push(id as u32);
-        Some(limit)
-    });
+    for (group, chunk) in (0u32..).step_by(SCAN_GROUP).zip(sums.chunks(SCAN_GROUP)) {
+        let mut within = (0..)
+            .zip(chunk)
+            .fold(0u32, |mask, (i, &sum)| mask | u32::from(sum <= limit) << i);
+        while within != 0 {
+            ids.push(group + within.trailing_zeros());
+            within &= within - 1;
+        }
+    }
     Some(ids)
 }
 
@@ -477,13 +454,6 @@ impl AnsweringMethod for AdsPlus {
             let kernel = EarlyAbandon(|values: &[f32], threshold| {
                 squared_euclidean_early_abandon(query.values(), values, threshold)
             });
-            if !query_paa.iter().all(|v| v.is_finite()) {
-                // A NaN or infinite PAA value has no coarse bound: every
-                // series is bounded in full and survives.
-                let bounds = self.bounds(&query_paa, refiner.stats);
-                let seeds = smallest(&bounds, refiner.seed_count());
-                return refiner.skip_sequential(&seeds, |_| Survivors::Every(bounds), kernel);
-            }
             let (summaries, coarse) = (&self.summaries, &self.coarse);
             let mut sims = Sims::new(params, summaries, coarse, &query_paa, simd::active_kernel());
             let seeds = sims.seeds(refiner.seed_count());
@@ -687,8 +657,8 @@ mod tests {
         let q = RandomWalkGenerator::new(173, 64).series(1);
         let query = Query::knn(q, 3);
         let paa = idx.tree.params().paa().transform(query.values());
-        let mut stats = QueryStats::default();
-        let mut bounds = idx.bounds(&paa, &mut stats);
+        let mut bounds = Vec::new();
+        (idx.tree.params().sweep(&paa, store.len())).sweep(&idx.summaries, &mut bounds);
         // Every bound raised above the farthest distance: the seed's first
         // read is refined in full against an empty heap.
         let farthest = (0..store.len())
@@ -698,7 +668,7 @@ mod tests {
         for bound in &mut bounds {
             *bound += farthest + 1.0;
         }
-        let _ = refine::search(&store, &query, 3, &mut stats, |refiner| {
+        let _ = refine::search(&store, &query, 3, &mut QueryStats::default(), |refiner| {
             let seeds = smallest(&bounds, refiner.seed_count());
             refiner.skip_sequential(
                 &seeds,

@@ -482,37 +482,37 @@ impl FromIterator<(usize, f64)> for Survivors {
     }
 }
 
-/// The `m` smallest `(bound, id)` keys of `bounds` (a NaN bound ranks as
-/// `−∞`), in ascending order, as `(id, bound)`: one pass that keeps at most `2m`
-/// keys, halving them with a selection whenever the buffer fills, so the
-/// cost is `O(n)` and nothing of size `n` is sorted.
-pub fn smallest(bounds: &[f64], m: usize) -> Vec<(usize, f64)> {
-    let m = m.min(bounds.len());
+/// The `m` smallest `(value, id)` keys of `values` (a NaN bound ranks as
+/// `−∞`), in ascending order, as `(id, value)`: one pass that keeps at most
+/// `2m` keys, halving them with a selection whenever the buffer fills, so
+/// the cost is `O(n)` and nothing of size `n` is sorted.
+pub fn smallest<T: Ranked>(values: &[T], m: usize) -> Vec<(usize, T)> {
+    let m = m.min(values.len());
     if m == 0 {
         return Vec::new();
     }
     let mut kept: Vec<Entry> = Vec::with_capacity(2 * m);
     // Once set, every key at or above the cutoff orders after `m` kept
     // entries: ids only grow, so a tie on the key loses on the id. `coarse`
-    // is the cutoff as a bound: a bound above it is out without its key.
-    // It only falls, so a group of bounds all above it is out as a whole,
+    // is the cutoff as a value: a value above it is out without its key.
+    // It only falls, so a group of values all above it is out as a whole,
     // tested in one branch-free (vectorizable) pass over the group.
     let mut cutoff = i64::MAX;
-    let mut coarse = f64::INFINITY;
-    let (groups, rest) = bounds.as_chunks::<SKIP_GROUP>();
+    let mut coarse = T::MAX;
+    let (groups, rest) = values.as_chunks::<SKIP_GROUP>();
     let groups = groups.iter().map(|group| &group[..]).chain([rest]);
     for (group, chunk) in groups.enumerate() {
         let all_above = chunk
             .iter()
-            .fold(1u8, |all, &bound| all & u8::from(bound > coarse));
+            .fold(1u8, |all, &value| all & u8::from(value > coarse));
         if all_above == 1 {
             continue;
         }
-        for (id, &bound) in (group * SKIP_GROUP..).zip(chunk) {
-            if bound > coarse {
+        for (id, &value) in (group * SKIP_GROUP..).zip(chunk) {
+            if value > coarse {
                 continue;
             }
-            let key = rank_key(bound);
+            let key = value.rank();
             if key >= cutoff {
                 continue;
             }
@@ -520,7 +520,7 @@ pub fn smallest(bounds: &[f64], m: usize) -> Vec<(usize, f64)> {
                 kept.select_nth_unstable(m - 1);
                 kept.truncate(m);
                 cutoff = kept[m - 1].0;
-                coarse = f64::from_bits(total_order_key(cutoff) as u64);
+                coarse = T::from_rank(cutoff);
                 if key >= cutoff {
                     continue;
                 }
@@ -530,7 +530,45 @@ pub fn smallest(bounds: &[f64], m: usize) -> Vec<(usize, f64)> {
     }
     kept.sort_unstable();
     kept.truncate(m);
-    kept.into_iter().map(|(_, id)| (id, bounds[id])).collect()
+    kept.into_iter().map(|(_, id)| (id, values[id])).collect()
+}
+
+/// A value [`smallest`] ranks: a lower bound, or a coarse sum.
+pub trait Ranked: Copy + PartialOrd {
+    /// A value no other one is above.
+    const MAX: Self;
+
+    /// The value's place as an integer, in its order.
+    fn rank(self) -> i64;
+
+    /// The value of place `rank`.
+    fn from_rank(rank: i64) -> Self;
+}
+
+impl Ranked for f64 {
+    const MAX: Self = f64::INFINITY;
+
+    /// `f64::total_cmp`'s place, with a NaN bound — which bounds nothing —
+    /// ranked as `−∞`.
+    fn rank(self) -> i64 {
+        rank_key(self)
+    }
+
+    fn from_rank(rank: i64) -> Self {
+        f64::from_bits(total_order_key(rank) as u64)
+    }
+}
+
+impl Ranked for u16 {
+    const MAX: Self = u16::MAX;
+
+    fn rank(self) -> i64 {
+        i64::from(self)
+    }
+
+    fn from_rank(rank: i64) -> Self {
+        rank as u16
+    }
 }
 
 /// Bounds [`smallest`] tests against its cutoff in one pass.
@@ -1002,6 +1040,23 @@ mod tests {
                 for (id, bound) in got {
                     assert_eq!(bound.to_bits(), bounds[id].to_bits(), "n={n} m={m} id={id}");
                 }
+            }
+            // The same pick over integer sums (ADS+'s coarse pass), tied
+            // as heavily, including at the largest sum.
+            let sums: Vec<u16> = (0..n as u64)
+                .map(|i| (i * 7919 % distinct.min(70_000)).min(u64::from(u16::MAX)) as u16)
+                .collect();
+            let mut expected: Vec<(u16, usize)> = (0..n).map(|id| (sums[id], id)).collect();
+            expected.sort_unstable();
+            for m in [1, 3, 20, 256, n, n + 7] {
+                let got: Vec<(u16, usize)> = (smallest(&sums, m).into_iter())
+                    .map(|(id, sum)| (sum, id))
+                    .collect();
+                assert_eq!(
+                    got,
+                    expected[..m.min(n)],
+                    "sums n={n} distinct={distinct} m={m}"
+                );
             }
         }
     }

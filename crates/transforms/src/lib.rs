@@ -35,5 +35,5 @@ pub use fft::{dft_summary, Complex, Fft};
 pub use paa::Paa;
 pub use sax::{IsaxWord, NodeBounds, SaxParams, SaxWord};
 pub use sfa::{BinningMethod, SfaParams, SfaQuantizer, SfaWord};
-pub use sweep::{BoundSweep, CoarseBlocks, CoarsePass, SummaryBlocks};
+pub use sweep::{BoundSweep, CoarseArm, CoarseBlocks, CoarsePass, SummaryBlocks};
 pub use vaplus::{VaPlusCell, VaPlusQuantizer};

@@ -51,10 +51,12 @@
 //! in a [`CoarseBlocks`] array — segment-major blocks of [`COARSE_BLOCK`]
 //! series, so one dimension of 64 series is one 512-bit vector. Per query,
 //! each dimension's 64 coarse terms are quantized to `u8` units at a scale
-//! and summed in `u16`: on a CPU with AVX-512 VBMI (any tier but
-//! `Portable`) one `vpermb` looks a block dimension's 64 units up from a
-//! table row held in a register; elsewhere a portable arm looks them up one
-//! by one. Both arms produce the same integer sums.
+//! and summed in `u16` ([`CoarseArm`]): on a CPU with AVX-512 VBMI (any tier
+//! but `Portable`) one `vpermb` looks a block dimension's 64 units up from a
+//! table row held in a register; on one with AVX2 only, four `vpshufb`
+//! lookups into the row's 16-byte quarters and three blends do it for 32
+//! series; elsewhere a portable arm looks them up one by one. Every arm
+//! produces the same integer sums.
 //!
 //! The sums are lower bounds of the squared full bound, in units: a coarse
 //! symbol's interval contains its full symbols' intervals, so its term is
@@ -620,123 +622,99 @@ impl CoarsePass {
         self.table[d * COARSE_BLOCK + usize::from(symbol)]
     }
 
-    /// The coarse sums of every series of `blocks`, on the process-wide
-    /// [`simd::active_kernel`], into `sums`.
+    /// The coarse sums of every series of `blocks`, on the arm the
+    /// process-wide [`simd::active_kernel`] picks, into `sums`.
     pub fn sums(&self, blocks: &CoarseBlocks, sums: &mut Vec<u16>) {
-        self.sums_with(simd::active_kernel(), blocks, sums);
+        self.sums_with(CoarseArm::for_kernel(simd::active_kernel()), blocks, sums);
     }
 
-    /// [`CoarsePass::sums`] on an explicit dispatch tier: any tier but
-    /// [`Kernel::Portable`] takes the AVX-512 VBMI arm where the CPU has it.
-    /// Both arms yield the same sums.
-    pub fn sums_with(&self, kernel: Kernel, blocks: &CoarseBlocks, sums: &mut Vec<u16>) {
+    /// [`CoarsePass::sums`] on an explicit arm, which this CPU must run
+    /// ([`CoarseArm::is_available`]). Every arm yields the same sums.
+    pub fn sums_with(&self, arm: CoarseArm, blocks: &CoarseBlocks, sums: &mut Vec<u16>) {
+        assert!(arm.is_available(), "{arm:?} coarse arm on a CPU without it");
         debug_assert_eq!(blocks.dims, self.dims);
         sums.clear();
         sums.resize(blocks.len.div_ceil(COARSE_BLOCK) * COARSE_BLOCK, 0);
         let (dims, symbols, table) = (self.dims, &blocks.symbols[..], &self.table[..]);
         let out = &mut sums[..];
-        #[cfg(target_arch = "x86_64")]
-        if kernel != Kernel::Portable && vbmi_available() {
-            // SAFETY: `vbmi_available` found AVX-512F, BW and VBMI on this CPU.
-            unsafe {
+        match arm {
+            CoarseArm::Portable => match dims {
+                16 => coarse_portable::<16>(dims, symbols, table, out),
+                _ => coarse_portable::<0>(dims, symbols, table, out),
+            },
+            // SAFETY: `is_available` found AVX2 on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            CoarseArm::Shuffle => unsafe {
+                match dims {
+                    16 => coarse_shuffle::<16>(dims, symbols, table, out),
+                    _ => coarse_shuffle::<0>(dims, symbols, table, out),
+                }
+            },
+            // SAFETY: `is_available` found AVX-512F, BW and VBMI on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            CoarseArm::Permute => unsafe {
                 match dims {
                     16 => coarse_vbmi::<16>(dims, symbols, table, out),
                     _ => coarse_vbmi::<0>(dims, symbols, table, out),
                 }
-            }
-            sums.truncate(blocks.len);
-            return;
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = kernel;
-        match dims {
-            16 => coarse_portable::<16>(dims, symbols, table, out),
-            _ => coarse_portable::<0>(dims, symbols, table, out),
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("checked by is_available"),
         }
         sums.truncate(blocks.len);
     }
 }
 
-/// Coarse sums tested against a limit at once: one 512-bit vector.
-const SCAN_GROUP: usize = 32;
-
-/// Calls `visit(id, sum)` for every sum of `sums` at or below `limit`, in
-/// id order. `visit` returns the limit for the sums after it, or `None` to
-/// stop. On any tier but [`Kernel::Portable`], a CPU that runs the VBMI
-/// coarse arm tests 32 sums per AVX-512BW compare; elsewhere a portable
-/// loop does. Both visit the same sums.
-pub fn scan_sums_with(
-    kernel: Kernel,
-    sums: &[u16],
-    limit: u16,
-    visit: impl FnMut(usize, u16) -> Option<u16>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if kernel != Kernel::Portable && vbmi_available() {
-        // SAFETY: `vbmi_available` found AVX-512F and BW on this CPU.
-        unsafe { scan_avx512(sums, limit, visit) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = kernel;
-    scan(sums, limit, visit, |group, limit| {
-        (0..)
-            .zip(group)
-            .fold(0u32, |mask, (i, &sum)| mask | u32::from(sum <= limit) << i)
-    });
+/// An arm of [`CoarsePass::sums_with`]. Every arm yields the same integer
+/// sums.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CoarseArm {
+    /// A scalar lookup per series and dimension, on every CPU.
+    Portable,
+    /// AVX2: a 64-byte table row as four 16-byte `vpshufb` lookups,
+    /// blended by each symbol's top two bits, 32 series at a time.
+    Shuffle,
+    /// AVX-512 VBMI: one `vpermb` per block dimension.
+    Permute,
 }
 
-/// The scan of [`scan_sums_with`] over `SCAN_GROUP`-sum groups, `within`
-/// giving a group's mask of sums at or below a limit.
-#[inline(always)]
-fn scan(
-    sums: &[u16],
-    mut limit: u16,
-    mut visit: impl FnMut(usize, u16) -> Option<u16>,
-    within: impl Fn(&[u16], u16) -> u32,
-) {
-    for (group, chunk) in sums.chunks(SCAN_GROUP).enumerate() {
-        let mut mask = within(chunk, limit);
-        while mask != 0 {
-            let id = group * SCAN_GROUP + mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let sum = sums[id];
-            if sum > limit {
-                continue;
-            }
-            let Some(next) = visit(id, sum) else {
-                return;
-            };
-            limit = next;
+impl CoarseArm {
+    /// The fastest arm this CPU runs on dispatch tier `kernel`: any tier but
+    /// [`Kernel::Portable`] takes a vector arm where the CPU has one.
+    pub fn for_kernel(kernel: Kernel) -> Self {
+        match kernel {
+            Kernel::Portable => Self::Portable,
+            _ => [Self::Permute, Self::Shuffle]
+                .into_iter()
+                .find(|arm| arm.is_available())
+                .unwrap_or(Self::Portable),
         }
     }
-}
 
-/// The AVX-512BW scan: one unsigned compare per 32 sums (the ragged rest
-/// zero-padded, its padding masked off).
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512BW.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn scan_avx512(sums: &[u16], limit: u16, visit: impl FnMut(usize, u16) -> Option<u16>) {
-    use std::arch::x86_64::*;
-    scan(sums, limit, visit, |group, limit| {
-        // Lanes past a ragged group's end hold padding: off.
-        let lanes = u32::MAX >> (SCAN_GROUP - group.len());
-        let mut padded = [0u16; SCAN_GROUP];
-        let group = match group.as_chunks::<SCAN_GROUP>() {
-            ([whole], []) => whole,
-            _ => {
-                padded[..group.len()].copy_from_slice(group);
-                &padded
+    /// Whether this CPU runs the arm.
+    pub fn is_available(self) -> bool {
+        match self {
+            Self::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Self::Shuffle => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Self::Permute => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512vbmi")
             }
-        };
-        // SAFETY: `group` is 32 `u16`s, one 512-bit load.
-        let sums = unsafe { _mm512_loadu_si512(group.as_ptr().cast()) };
-        _mm512_cmple_epu16_mask(sums, _mm512_set1_epi16(limit as i16)) & lanes
-    });
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// Every arm this CPU runs, slowest first.
+    pub fn available() -> Vec<Self> {
+        [Self::Portable, Self::Shuffle, Self::Permute]
+            .into_iter()
+            .filter(|arm| arm.is_available())
+            .collect()
+    }
 }
 
 /// The portable coarse arm: each series of a block summed in a register,
@@ -760,12 +738,83 @@ fn coarse_portable<const D: usize>(dims: usize, symbols: &[u8], table: &[u8], su
     }
 }
 
-/// Whether this CPU runs the VBMI coarse arm.
+/// The AVX2 coarse arm: each 32-series half of a block dimension looks its
+/// units up in the four 16-byte quarters of the dimension's table row (one
+/// `vpshufb` apiece, by the symbols' low four bits), and two rounds of
+/// `vpblendvb` keep, per symbol, the quarter its bits 4 and 5 name. The
+/// even and odd bytes go into two `u16` accumulators, as in the VBMI arm,
+/// interleaved back into series order once per block.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
-fn vbmi_available() -> bool {
-    is_x86_feature_detected!("avx512f")
-        && is_x86_feature_detected!("avx512bw")
-        && is_x86_feature_detected!("avx512vbmi")
+#[target_feature(enable = "avx2")]
+unsafe fn coarse_shuffle<const D: usize>(
+    dims: usize,
+    symbols: &[u8],
+    table: &[u8],
+    sums: &mut [u16],
+) {
+    use std::arch::x86_64::*;
+    const HALF: usize = COARSE_BLOCK / 2;
+    let dims = dims_of::<D>(dims);
+    let (table, _) = table.as_chunks::<COARSE_BLOCK>();
+    let table = &table[..dims];
+    let (low_nibble, low_bytes) = (_mm256_set1_epi8(0x0F), _mm256_set1_epi16(0xFF));
+    for (block, out) in symbols
+        .chunks_exact(dims * COARSE_BLOCK)
+        .zip(sums.chunks_exact_mut(COARSE_BLOCK))
+    {
+        let (block, _) = block.as_chunks::<COARSE_BLOCK>();
+        // Per half: the even series' sums, then the odd series'.
+        let mut acc = [[_mm256_setzero_si256(); 2]; 2];
+        for (row, symbols) in table.iter().zip(block) {
+            let (quarters, _) = row.as_chunks::<16>();
+            // Quarter `q` in both 128-bit lanes: `vpshufb` looks up within
+            // a lane.
+            let quarter = |q: usize| {
+                // SAFETY: a quarter is 16 bytes, one 128-bit load.
+                let quarter = unsafe { _mm_loadu_si128(quarters[q].as_ptr().cast()) };
+                _mm256_broadcastsi128_si256(quarter)
+            };
+            let quarters = [quarter(0), quarter(1), quarter(2), quarter(3)];
+            for (acc, half) in acc.iter_mut().zip(symbols.as_chunks::<HALF>().0) {
+                // SAFETY: `half` is 32 bytes, one 256-bit load.
+                let symbols = unsafe { _mm256_loadu_si256(half.as_ptr().cast()) };
+                let slot = _mm256_and_si256(symbols, low_nibble);
+                let pick = |q: usize| _mm256_shuffle_epi8(quarters[q], slot);
+                // `vpblendvb` tests each byte's top bit: shifted up by 3 (by
+                // 2), a 16-bit lane moves each byte's bit 4 (bit 5) there.
+                let (bit4, bit5) = (
+                    _mm256_slli_epi16::<3>(symbols),
+                    _mm256_slli_epi16::<2>(symbols),
+                );
+                let low = _mm256_blendv_epi8(pick(0), pick(1), bit4);
+                let high = _mm256_blendv_epi8(pick(2), pick(3), bit4);
+                let units = _mm256_blendv_epi8(low, high, bit5);
+                acc[0] = _mm256_add_epi16(acc[0], _mm256_and_si256(units, low_bytes));
+                acc[1] = _mm256_add_epi16(acc[1], _mm256_srli_epi16::<8>(units));
+            }
+        }
+        for (&[even, odd], out) in acc.iter().zip(out.as_chunks_mut::<HALF>().0) {
+            // `low` holds series 0–7 and 16–23 of the half, `high` 8–15
+            // and 24–31.
+            let (low, high) = (
+                _mm256_unpacklo_epi16(even, odd),
+                _mm256_unpackhi_epi16(even, odd),
+            );
+            let out = out.as_mut_ptr();
+            // SAFETY: `out` is 32 `u16`s, two 256-bit stores.
+            unsafe {
+                _mm256_storeu_si256(out.cast(), _mm256_permute2x128_si256::<0x20>(low, high));
+                _mm256_storeu_si256(
+                    out.add(16).cast(),
+                    _mm256_permute2x128_si256::<0x31>(low, high),
+                );
+            }
+        }
+    }
 }
 
 /// The AVX-512 VBMI coarse arm: a block dimension is one `vpermb` of its 64
@@ -777,7 +826,7 @@ fn vbmi_available() -> bool {
 /// # Safety
 ///
 /// The CPU must support AVX-512F, AVX-512BW and AVX-512VBMI
-/// ([`vbmi_available`]).
+/// ([`CoarseArm::Permute`]'s [`CoarseArm::is_available`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 unsafe fn coarse_vbmi<const D: usize>(dims: usize, symbols: &[u8], table: &[u8], sums: &mut [u16]) {
@@ -992,7 +1041,7 @@ mod tests {
     }
 
     #[test]
-    fn both_coarse_arms_sum_every_series_units_at_any_size() {
+    fn every_coarse_arm_sums_every_series_units_at_any_size() {
         for dims in [1usize, 6, 16, 300] {
             let pass = CoarsePass::new(dims, 64, |d, symbol| {
                 (d as f64 + 1.0) * 0.25 + f64::from(symbol) * 0.5
@@ -1004,10 +1053,10 @@ mod tests {
                     let rows: Vec<u16> = (0..n * dims).map(|i| (i * 7919 % 64) as u16).collect();
                     let coarse = CoarseBlocks::new(&SummaryBlocks::from_rows(dims, &rows), 0);
                     let expected = coarse_reference(&pass, &coarse);
-                    for kernel in ARMS {
+                    for arm in CoarseArm::available() {
                         let mut sums = vec![7; 3];
-                        pass.sums_with(kernel, &coarse, &mut sums);
-                        assert_eq!(sums, expected, "{kernel:?} dims={dims} scale={scale} n={n}");
+                        pass.sums_with(arm, &coarse, &mut sums);
+                        assert_eq!(sums, expected, "{arm:?} dims={dims} scale={scale} n={n}");
                     }
                 }
             }
@@ -1016,6 +1065,7 @@ mod tests {
 
     #[test]
     fn coarse_units_round_down_and_clamp() {
+        assert_eq!(CoarseArm::for_kernel(Kernel::Portable), CoarseArm::Portable);
         let terms = [0.0, 0.999, 1.0, 2.5, 1e300, f64::INFINITY, f64::NAN];
         let mut pass = CoarsePass::new(1, terms.len(), |_, symbol| terms[usize::from(symbol)]);
         pass.quantize(100.0);
@@ -1040,40 +1090,6 @@ mod tests {
         assert_eq!(pass.limit(1e200), u16::MAX);
         assert_eq!(pass.limit(f64::INFINITY), u16::MAX);
         assert_eq!(pass.limit(f64::NAN), u16::MAX);
-    }
-
-    #[test]
-    fn both_coarse_scans_visit_the_same_sums_under_a_falling_limit() {
-        for n in [0usize, 1, 31, 32, 33, 50_001] {
-            let sums: Vec<u16> = (0..n).map(|i| (i * 7919 % 4001) as u16).collect();
-            let visits: Vec<Vec<(usize, u16)>> = ARMS
-                .map(|kernel| {
-                    let mut visited = Vec::new();
-                    scan_sums_with(kernel, &sums, 3000, |id, sum| {
-                        visited.push((id, sum));
-                        // The limit falls to the sum just visited, less 1.
-                        sum.checked_sub(1)
-                    });
-                    visited
-                })
-                .into_iter()
-                .collect();
-            assert_eq!(visits[0], visits[1], "n={n}");
-            let mut limit = Some(3000u16);
-            let expected: Vec<(usize, u16)> = sums
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, sum)| match limit {
-                    Some(l) if sum <= l => {
-                        limit = sum.checked_sub(1);
-                        true
-                    }
-                    _ => false,
-                })
-                .collect();
-            assert_eq!(visits[0], expected, "n={n}");
-        }
     }
 
     #[test]

@@ -19,7 +19,9 @@ use hydra_transforms::eapca::{uniform_segmentation, Eapca};
 use hydra_transforms::fft::{dft_lower_bound, dft_summary};
 use hydra_transforms::sax::{IsaxWord, SaxParams, SaxWord};
 use hydra_transforms::sfa::{BinningMethod, SfaParams, SfaQuantizer};
-use hydra_transforms::sweep::{BoundSweep, CoarseBlocks, CoarsePass, SummaryBlocks, COARSE_SLACK};
+use hydra_transforms::sweep::{
+    BoundSweep, CoarseArm, CoarseBlocks, CoarsePass, SummaryBlocks, COARSE_SLACK,
+};
 use hydra_transforms::vaplus::{VaPlusCell, VaPlusQuantizer};
 use hydra_transforms::{HaarTransform, Paa};
 use rand::rngs::StdRng;
@@ -682,7 +684,7 @@ fn coarse_units_never_exceed_the_full_mindist_term_at_any_cardinality() {
 }
 
 /// The promise SIMS relies on, per series: a summary's coarse sum never
-/// exceeds the coarse limit of its full MINDIST, on either arm, at any
+/// exceeds the coarse limit of its full MINDIST, on every arm, at any
 /// scale, on hostile collections and queries.
 #[test]
 fn coarse_sums_stay_within_the_limit_of_the_full_mindist() {
@@ -704,15 +706,14 @@ fn coarse_sums_stay_within_the_limit_of_the_full_mindist() {
             let mut pass = params.coarse_pass(&q_paa);
             for scale in coarse_scales(&pass) {
                 pass.quantize(scale);
-                for kernel in sweep_arms() {
+                for arm in CoarseArm::available() {
                     let mut sums = Vec::new();
-                    pass.sums_with(kernel, &coarse, &mut sums);
+                    pass.sums_with(arm, &coarse, &mut sums);
                     for (i, (word, &sum)) in words.iter().zip(&sums).enumerate() {
                         let full = params.mindist_paa_to_isax(&q_paa, &word.to_isax(bits, bits));
                         assert!(
                             sum <= pass.limit(full),
-                            "len={len} bits={bits} query={qi} scale={scale} series={i} {}",
-                            kernel.name()
+                            "len={len} bits={bits} query={qi} scale={scale} series={i} {arm:?}"
                         );
                     }
                 }
